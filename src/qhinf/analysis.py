@@ -26,8 +26,8 @@ import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
 from . import lmi
-from .qmodel import Controller, JumpPlant, TransitionRateMatrix, assemble_closed_loop
-from .realizability import check_controller_realizability
+from .qmodel import Controller, JumpPlant, TransitionRateMatrix, _maxabs, assemble_closed_loop
+from .realizability import _per_mode, check_controller_realizability
 
 __all__ = [
     "RiccatiSolution",
@@ -83,11 +83,6 @@ class CoupledModeResult:
 
 def _sym(m):
     return 0.5 * (m + m.T)
-
-
-def _maxabs(a) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _middle_inverse(d, g):
@@ -322,7 +317,6 @@ def coupled_mode_check(
     c1,
     g,
     eps_strict: float = 1e-6,
-    pi_literal: bool = False,
     extra_noise=None,
     max_iter: int = 400,
 ) -> CoupledModeResult:
@@ -332,9 +326,7 @@ def coupled_mode_check(
         + g^{-2} P_i B_1 B_1^T P_i + C_1^T C_1 < 0,
 
     posed as an LMI via the Schur complement and solved with the barrier
-    engine.  ``b1`` and ``c1`` may be shared or per-mode.  ``pi_literal``
-    switches the coupling weights to the constant-diagonal reading
-    sum_j pi_ii P_j kept for comparison purposes.
+    engine.  ``b1`` and ``c1`` may be shared or per-mode.
     """
     if g <= 0:
         raise ValueError("attenuation level must be positive")
@@ -345,13 +337,9 @@ def coupled_mode_check(
         raise ValueError("mode count disagrees with the rate matrix")
     n = a_list[0].shape[0]
 
-    def listify(item):
-        if isinstance(item, np.ndarray) or np.ndim(item) == 2:
-            return [np.asarray(item, dtype=float)] * n_modes
-        return [np.asarray(m, dtype=float) for m in item]
-
-    b_list = listify(b1)
-    c_list = listify(c1)
+    b_list = _per_mode(b1, n_modes)
+    c_list = _per_mode(c1, n_modes)
+    extra_list = None if extra_noise is None else _per_mode(extra_noise, n_modes)
 
     problem = lmi.LmiProblem()
     names = [f"P{i + 1}" for i in range(n_modes)]
@@ -373,7 +361,7 @@ def coupled_mode_check(
         expr.add_term(names[i], left_top @ a_list[i].T, right_top)
         expr.add_term(names[i], left_top, a_list[i] @ right_top)
         for j in range(n_modes):
-            weight = rates.pi[i, i] if pi_literal else rates.pi[i, j]
+            weight = rates.pi[i, j]
             if abs(weight) > 1e-15:
                 expr.add_term(names[j], weight * left_top, right_top)
         # off-diagonal block P_i B1 and its transpose
@@ -389,10 +377,8 @@ def coupled_mode_check(
     noise_offset = 0.0
     for i, p in enumerate(p_modes):
         offset = float(np.trace(b_list[i].T @ p @ b_list[i]))
-        if extra_noise is not None:
-            extra = listify(extra_noise)[i]
-            if extra.size:
-                offset += float(np.trace(extra.T @ p @ extra))
+        if extra_list is not None and extra_list[i].size:
+            offset += float(np.trace(extra_list[i].T @ p @ extra_list[i]))
         noise_offset = max(noise_offset, offset)
     certificate = BoundedRealCertificate(
         g=float(g),
@@ -411,25 +397,26 @@ class ClosedLoopReport:
     g: float
     hurwitz: tuple           # per-mode bool
     abscissas: tuple         # per-mode spectral abscissa
-    coupled: CoupledModeResult
+    coupled: CoupledModeResult | None  # None when a mode is unstable
     realizability_residual: float
 
     @property
     def attenuation_ok(self) -> bool:
-        return all(self.hurwitz) and self.coupled.feasible
-
-    @property
-    def passed(self) -> bool:
-        return self.attenuation_ok
+        return all(self.hurwitz) and self.coupled is not None and self.coupled.feasible
 
 
 def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLoopReport:
-    """Assemble the loop, check per-mode stability and the coupled LMI."""
+    """Assemble the loop, check per-mode stability and the coupled LMI.
+
+    The coupled LMI is only posed when every mode is Hurwitz; otherwise the
+    report's ``coupled`` is None.
+    """
     loop = assemble_closed_loop(plant, ctrl)
     abscissas = tuple(
         float(np.max(np.linalg.eigvals(m.a).real)) for m in loop.modes
     )
     hurwitz = tuple(x < 0.0 for x in abscissas)
+    coupled = None
     if all(hurwitz):
         coupled = coupled_mode_check(
             [m.a for m in loop.modes],
@@ -438,15 +425,6 @@ def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLo
             [m.c for m in loop.modes],
             g,
             extra_noise=[m.b2 for m in loop.modes],
-        )
-    else:
-        empty = lmi.LmiProblem()
-        empty.add_variable("P1", loop.n, symmetric=True)
-        expr = lmi.AffineMatrixExpr(loop.n)
-        expr.add_term("P1")
-        empty.add_constraint(expr, "pos")
-        coupled = CoupledModeResult(
-            False, None, lmi.solve_feasibility(empty, max_iter=1)
         )
     pr = check_controller_realizability(ctrl)
     return ClosedLoopReport(

@@ -154,28 +154,32 @@ def _cmd_analyze(args):
     if plant is None or ctrl is None:
         raise DocumentError("analyze needs a plant document and a controller document")
     report = analysis.verify_closed_loop(plant, ctrl, args.g)
+    coupled = report.coupled
     doc = {
         "g": args.g,
         "hurwitz": list(report.hurwitz),
         "abscissas": list(report.abscissas),
-        "coupled_feasible": report.coupled.feasible,
-        "coupled_margin": report.coupled.solution.margin,
+        "coupled_feasible": coupled is not None and coupled.feasible,
+        "coupled_margin": None if coupled is None else coupled.solution.margin,
         "realizability_residual": report.realizability_residual,
-        "passed": report.passed,
+        "passed": report.attenuation_ok,
     }
     lines = [f"closed-loop verification at g = {args.g:g}"]
     for i, (h, x) in enumerate(zip(report.hurwitz, report.abscissas)):
         lines.append(f"  mode {i + 1}: spectral abscissa {x:.4f} ({'stable' if h else 'UNSTABLE'})")
-    lines.append(f"  coupled certificate: {'feasible' if report.coupled.feasible else 'infeasible'}"
-                 f" (margin {report.coupled.solution.margin:.3e})")
-    if report.coupled.certificate is not None:
-        lines.append(f"  noise offset constant: {report.coupled.certificate.noise_offset:.4g}")
+    if coupled is None:
+        lines.append("  coupled certificate: skipped (mode unstable)")
+    else:
+        lines.append(f"  coupled certificate: {'feasible' if coupled.feasible else 'infeasible'}"
+                     f" (margin {coupled.solution.margin:.3e})")
+        if coupled.certificate is not None:
+            lines.append(f"  noise offset constant: {coupled.certificate.noise_offset:.4g}")
     lines.append(f"  controller realizability residual: {report.realizability_residual:.3e}")
-    lines.append(f"  verdict: {'PASS' if report.passed else 'FAIL'}")
+    lines.append(f"  verdict: {'PASS' if report.attenuation_ok else 'FAIL'}")
     _emit(args, doc, "\n".join(lines))
     if args.out:
         _manifest(args, [args.plant, args.controller], {"g": args.g}, [args.out])
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return EXIT_OK if report.attenuation_ok else EXIT_VERIFY_FAIL
 
 
 def _parse_disturbance(spec, n_w):
@@ -300,7 +304,7 @@ def _cmd_demo(args):
         out_dir=args.out_dir, tol_g=args.tol_g, n_paths=args.paths, quick=args.quick
     )
     if args.out_dir:
-        outputs = sorted(Path(args.out_dir).glob("*.json"))
+        outputs = sorted(Path(args.out_dir) / name for name in demo.DEMO_DOCUMENTS)
         _manifest(args, [], {"tol_g": args.tol_g, "paths": args.paths,
                              "quick": bool(args.quick)}, outputs, seed=2024)
     text = demo.format_demo_report(report)
@@ -376,22 +380,16 @@ def build_parser():
     pr.add_argument("--kappa-prime", type=float, default=10.0)
     _add_common(pr)
     pr.set_defaults(func=_cmd_optics_realize)
-    pd = optics_sub.add_parser("demo-paper", help="run the bundled design example end to end")
-    _configure_demo_parser(pd)
 
-    pd = sub.add_parser("demo-paper", help="run the bundled design example end to end")
-    _configure_demo_parser(pd)
-
-    return parser
-
-
-def _configure_demo_parser(p):
+    p = sub.add_parser("demo-paper", help="run the bundled design example end to end")
     p.add_argument("--out-dir", help="directory for plant/controller/report documents")
     p.add_argument("--tol-g", type=float, default=5e-3)
     p.add_argument("--paths", type=int, default=20)
     p.add_argument("--quick", action="store_true", help="skip the simulation probe")
     _add_common(p)
     p.set_defaults(func=_cmd_demo)
+
+    return parser
 
 
 def main(argv=None) -> int:

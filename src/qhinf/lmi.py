@@ -30,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .qmodel import _maxabs
+
 __all__ = [
     "MatrixVariable",
     "AffineMatrixExpr",
@@ -39,11 +41,6 @@ __all__ = [
     "symmetric_eigenvalues",
     "solve_feasibility",
 ]
-
-
-def _maxabs(a) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def symmetric_eigenvalues(m, vectors: bool = False):
@@ -230,8 +227,6 @@ class _Layout:
                         basis = np.zeros((v.rows, v.cols))
                         basis[i, j] = 1.0
                         basis[j, i] = 1.0
-                        if i == j:
-                            basis[i, j] = 1.0
                         yield off + k, v.name, basis
                         k += 1
             else:

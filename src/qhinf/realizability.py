@@ -25,6 +25,7 @@ from .qmodel import (
     CommutationMatrix,
     Controller,
     ControllerMode,
+    _maxabs,
     block_j,
 )
 
@@ -47,11 +48,6 @@ def _theta_mat(theta) -> np.ndarray:
     if isinstance(theta, CommutationMatrix):
         return theta.theta
     return np.asarray(theta, dtype=float)
-
-
-def _maxabs(a) -> float:
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def cr_residual(a, b, theta, t_im) -> np.ndarray:

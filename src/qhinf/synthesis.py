@@ -39,7 +39,6 @@ __all__ = [
     "LmiInfeasibleError",
     "SynthesisResult",
     "build_hinf_lmis",
-    "reconstruct_controller",
     "synthesize",
     "min_attenuation",
 ]
@@ -245,12 +244,6 @@ class SynthesisResult:
     modes: tuple
     controller: Controller
     solution: lmi.LmiSolution
-
-
-def reconstruct_controller(plant: JumpPlant, g: float, blocks) -> Controller:
-    """Controller from per-mode (X_i, Y_i, L_i, F_i) tuples."""
-    ctrl, _ = _reconstruct_with_diagnostics(plant, g, blocks)
-    return ctrl
 
 
 def _reconstruct_with_diagnostics(plant: JumpPlant, g: float, blocks):

@@ -152,15 +152,10 @@ def test_coupled_check_rejects_bad_rates():
         coupled_mode_check([-ONE, -ONE], np.array([[-1.0, 2.0], [-0.5, 0.5]]), ONE, ONE, 2.0)
 
 
-def test_coupled_check_literal_coupling_toggle():
-    # on the reference rate matrix the literal constant-diagonal reading is
-    # close but not identical; both must deliver a certificate here
+def test_coupled_check_rejects_per_mode_length_mismatch():
     plant = demo.reference_plant()
-    res = coupled_mode_check(plant.a_modes, plant.rates, plant.b1, plant.c1, 2.0)
-    res_lit = coupled_mode_check(
-        plant.a_modes, plant.rates, plant.b1, plant.c1, 2.0, pi_literal=True
-    )
-    assert res.feasible and res_lit.feasible
+    with pytest.raises(ValueError, match="per-mode"):
+        coupled_mode_check(plant.a_modes, plant.rates, [plant.b1, plant.b1], plant.c1, 2.0)
 
 
 def test_coupled_check_reference_loop_by_sweep():
@@ -193,7 +188,7 @@ def test_verify_closed_loop_zero_controller_passes_large_g():
     plant = demo.reference_plant()
     report = verify_closed_loop(plant, _zero_controller(3), 100.0)
     assert all(report.hurwitz)
-    assert report.passed
+    assert report.attenuation_ok
 
 
 def test_verify_closed_loop_destabilizing_controller_fails():
@@ -207,7 +202,8 @@ def test_verify_closed_loop_destabilizing_controller_fails():
     bad = Controller(modes, make_commutation_matrix(2))
     report = verify_closed_loop(plant, bad, 100.0)
     assert not all(report.hurwitz)
-    assert not report.passed
+    assert report.coupled is None
+    assert not report.attenuation_ok
 
 
 def test_verify_closed_loop_reference_controller_stable():

@@ -5,6 +5,7 @@ import pytest
 
 from qhinf import demo, serialize
 from qhinf.cli import main
+from qhinf.qmodel import Controller, ControllerMode, make_commutation_matrix
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,36 @@ def test_analyze_command(docs, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert all(doc["hurwitz"])
+
+
+def test_analyze_unstable_mode_skips_coupled_check(docs, capsys):
+    eye = np.eye(2)
+    modes = tuple(
+        ControllerMode(+eye, np.zeros((2, 2)), np.zeros((2, 2)),
+                       np.zeros((2, 0)), np.zeros((2, 0)))
+        for _ in range(3)
+    )
+    bad = docs["root"] / "unstable.json"
+    serialize.write_doc(bad, serialize.system_to_doc(
+        controller=Controller(modes, make_commutation_matrix(2)),
+        rates=demo.reference_plant().rates))
+    args = ["analyze", "--plant", str(docs["plant"]), "--controller", str(bad), "--g", "100"]
+    assert main(args) == 1
+    assert "coupled certificate: skipped (mode unstable)" in capsys.readouterr().out
+    assert main(args + ["--format", "doc"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["coupled_margin"] is None
+    assert doc["coupled_feasible"] is False and doc["passed"] is False
+
+
+def test_demo_rerun_manifest_lists_written_documents(tmp_path, capsys):
+    out_dir = tmp_path / "demo"
+    for _ in range(2):
+        assert main(["demo-paper", "--quick", "--tol-g", "0.2", "--out-dir", str(out_dir)]) == 0
+    manifests = sorted(out_dir.glob("*.manifest.json"))
+    assert len(manifests) == 1
+    outputs = serialize.read_doc(manifests[0])["outputs"]
+    assert set(outputs) == {str(out_dir / name) for name in demo.DEMO_DOCUMENTS}
 
 
 def test_simulate_command(docs, capsys):

@@ -173,14 +173,32 @@ def test_attenuation_deterministic_and_order_independent():
     # path evaluated on its own reproduces its row
     path_seed = int(np.random.SeedSequence([5, 1]).generate_state(1)[0])
     path = sample_markov_path(loop.rates, 60.0, 1, path_seed)
-    windows = {}
-    for d in fam:
-        windows.setdefault(jumpsim._probe_windows(d, 60.0, 0.05), []).append(d)
-    for (dt_d, t_d), group in windows.items():
-        vals = jumpsim._batched_mean_ratios(loop, path, group, dt_d, t_d)
-        for d, v in zip(group, vals):
-            col = est_a.labels.index(d.label)
-            assert est_a.ratios[1, col] == v
+    horizons = [jumpsim._probe_horizon(d, 60.0) for d in fam]
+    assert np.array_equal(jumpsim._mean_ratios(loop, path, fam, horizons), est_a.ratios[1])
+
+
+def test_mean_probe_exact_with_mode_dependent_output():
+    # the output matrix changes with the mode and the path jumps inside every
+    # probe horizon; the mean path integrates each segment exactly, so it must
+    # match the fourth-order moment runs at a fine step
+    b2 = np.array([[0.2], [0.1]])
+    modes = (
+        ClosedLoopMode(np.array([[-1.0, 0.4], [-0.3, -0.8]]), np.array([[1.0], [0.5]]), b2,
+                       np.array([[1.0, 0.0]]), np.zeros((1, 1))),
+        ClosedLoopMode(np.array([[-0.6, 0.1], [0.2, -1.5]]), np.array([[0.3], [1.0]]), b2,
+                       np.array([[0.2, 1.5]]), np.zeros((1, 1))),
+    )
+    loop = ClosedLoop(modes, TransitionRateMatrix(np.array([[-0.5, 0.5], [0.5, -0.5]])))
+    fam = [
+        Disturbance("sin:0.5", np.array([1.0]), "sin", 0.5),
+        Disturbance("step", np.array([1.0]), "step"),
+    ]
+    path_seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
+    assert len(sample_markov_path(loop.rates, 10.0, 1, path_seed).jump_times) >= 4
+    em = estimate_attenuation(loop, 1.0, t_end=10.0, n_paths=1, seed=3, disturbances=fam)
+    ef = estimate_attenuation(loop, 1.0, t_end=10.0, n_paths=1, seed=3, disturbances=fam,
+                              method="full", dt=0.005)
+    assert np.max(np.abs(em.ratios - ef.ratios) / ef.ratios) <= 1e-6
 
 
 def _reference_loop():
@@ -197,6 +215,8 @@ def test_zero_disturbance_rejected():
         )
     with pytest.raises(ValueError, match="empty"):
         estimate_attenuation(SCALAR_LOOP, 1.0, disturbances=[])
+    with pytest.raises(ValueError, match="method"):
+        estimate_attenuation(SCALAR_LOOP, 1.0, method="exact")
 
 
 def test_default_family_composition():
