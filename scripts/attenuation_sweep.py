@@ -2,9 +2,9 @@
 """Sweep the feasibility boundary of the synthesis LMIs for the OPO example.
 
 Solves the synthesis problem on a geometric grid of attenuation levels and
-prints feasibility plus the verified LMI margin for each, then the bisected
-minimal level.  Useful for eyeballing how sharp the boundary is and how the
-interior-point margins degrade near it.
+prints feasibility plus the verified LMI margin for each, then the minimal
+level from one gamma-minimisation solve.  Useful for eyeballing how sharp
+the boundary is and how the interior-point margins degrade near it.
 """
 
 import argparse
@@ -31,7 +31,7 @@ def main():
             print(f"{g:10.5f}  {'no':>8s}  {exc.solution.margin:12.3e}")
 
     g_star, result = synthesis.min_attenuation(plant, args.g_min, args.g_max, tol_g=1e-3)
-    print(f"\nbisected minimal level: g* = {g_star:.5f} "
+    print(f"\nminimised level: g* = {g_star:.5f} "
           f"(margin {result.solution.margin:.3e})")
 
 

@@ -135,10 +135,6 @@ class MomentTrajectory:
         return float(self.w_energy[-1])
 
 
-def _zero_signal(_t):
-    return 0.0
-
-
 def _moment_rhs(a, b1, c_gram, noise_const, t, mean, q, beta_fn):
     beta = np.atleast_1d(np.asarray(beta_fn(t), dtype=float))
     dm = a @ mean + b1 @ beta
@@ -260,6 +256,12 @@ class Disturbance:
     direction: np.ndarray
     kind: str           # "sin" or "step"
     omega: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("sin", "step"):
+            raise ValueError(f"disturbance kind must be 'sin' or 'step', got {self.kind!r}")
+        if self.kind == "sin" and not (np.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"sinusoid frequency must be finite and positive, got {self.omega!r}")
 
     def waveform(self, t):
         if self.kind == "sin":

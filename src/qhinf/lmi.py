@@ -6,6 +6,10 @@ shift t with a log-det barrier interior-point method on the slack matrices
 S_k = t I - M_k(v).  A problem is declared strictly feasible when the final
 iterate achieves max_k lambda_max(M_k(v)) <= -eps_strict.
 
+A problem may also name a scalar variable to minimise (``LmiProblem.minimize``):
+once the margin exceeds eps_strict, a second barrier phase freezes t at
+-eps_strict and minimises that variable, so each of its iterates certifies.
+
 Design notes:
 
 * All matrix variables are vectorised into one parameter vector; symmetric
@@ -145,11 +149,13 @@ class LmiConstraint:
 
 
 class LmiProblem:
-    """Bundle of matrix variables and strict matrix-inequality constraints."""
+    """Matrix variables, strict matrix-inequality constraints, and either no
+    objective or (name of a 1x1 variable to minimise, absolute tolerance)."""
 
     def __init__(self, variables=(), constraints=()):
         self.variables: list[MatrixVariable] = list(variables)
         self.constraints: list[LmiConstraint] = list(constraints)
+        self.objective: tuple | None = None
 
     def add_variable(self, name, rows, cols=None, symmetric=False) -> MatrixVariable:
         v = MatrixVariable(name, rows, rows if cols is None else cols, symmetric)
@@ -160,6 +166,14 @@ class LmiProblem:
 
     def add_constraint(self, expr: AffineMatrixExpr, sense: str):
         self.constraints.append(LmiConstraint(expr, sense))
+
+    def minimize(self, name: str, within):
+        """Minimise the 1x1 variable ``name`` (bounded below) until ``within(value,
+        lower)`` accepts a value against a lower bound on its least value."""
+        v = self.variable(name)
+        if (v.rows, v.cols) != (1, 1):
+            raise ValueError("the objective must be a 1x1 variable")
+        self.objective = (name, within)
 
     def variable(self, name: str) -> MatrixVariable:
         for v in self.variables:
@@ -183,7 +197,10 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class LmiSolution:
-    """Feasibility verdict plus the verified margins of the final iterate."""
+    """Feasibility verdict plus the verified margins of the final iterate.
+
+    ``gap`` is the barrier gap bound on the objective (None without one).
+    """
 
     assignment: dict
     margin: float
@@ -193,6 +210,7 @@ class LmiSolution:
     constraint_margins: tuple
     eps_strict: float
     notes: tuple = ()
+    gap: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -211,46 +229,33 @@ class _Layout:
             total += v.n_scalars
         self.total = total
 
-    def zero_assignment(self):
-        return {v.name: np.zeros((v.rows, v.cols)) for v in self.variables}
+    @staticmethod
+    def _coords(v):
+        """(rows, cols) index arrays of a variable's coordinates, row-major."""
+        if v.symmetric:
+            return np.triu_indices(v.rows)
+        return np.unravel_index(np.arange(v.rows * v.cols), (v.rows, v.cols))
 
     def basis_items(self, names=None):
         """Yield (param_index, var_name, basis_matrix) for selected variables."""
         for v in self.variables:
             if names is not None and v.name not in names:
                 continue
-            off = self.offsets[v.name]
-            k = 0
-            if v.symmetric:
-                for i in range(v.rows):
-                    for j in range(i, v.cols):
-                        basis = np.zeros((v.rows, v.cols))
-                        basis[i, j] = 1.0
-                        basis[j, i] = 1.0
-                        yield off + k, v.name, basis
-                        k += 1
-            else:
-                for i in range(v.rows):
-                    for j in range(v.cols):
-                        basis = np.zeros((v.rows, v.cols))
-                        basis[i, j] = 1.0
-                        yield off + k, v.name, basis
-                        k += 1
+            for k, (i, j) in enumerate(zip(*self._coords(v))):
+                basis = np.zeros((v.rows, v.cols))
+                basis[i, j] = 1.0
+                if v.symmetric:
+                    basis[j, i] = 1.0
+                yield self.offsets[v.name] + k, v.name, basis
 
     def unpack(self, vec):
         out = {}
         for v in self.variables:
-            off = self.offsets[v.name]
+            rows, cols = self._coords(v)
+            m = np.zeros((v.rows, v.cols))
+            m[rows, cols] = vec[self.offsets[v.name] : self.offsets[v.name] + rows.size]
             if v.symmetric:
-                m = np.zeros((v.rows, v.cols))
-                k = 0
-                for i in range(v.rows):
-                    for j in range(i, v.cols):
-                        m[i, j] = vec[off + k]
-                        m[j, i] = vec[off + k]
-                        k += 1
-            else:
-                m = vec[off : off + v.rows * v.cols].reshape(v.rows, v.cols)
+                m[cols, rows] = m[rows, cols]
             out[v.name] = m
         return out
 
@@ -265,14 +270,11 @@ class _OrientedConstraint:
     dim: int
 
     def value(self, vec):
-        m = self.const.copy()
-        for pos, p in enumerate(self.param_idx):
-            m = m + vec[p] * self.coeffs[pos]
-        return m
+        return self.const + np.tensordot(vec[self.param_idx], self.coeffs, 1)
 
 
 def _materialise(problem: LmiProblem, layout: _Layout):
-    zero = layout.zero_assignment()
+    zero = {v.name: np.zeros((v.rows, v.cols)) for v in layout.variables}
     oriented = []
     for c in problem.constraints:
         sign = 1.0 if c.sense == "neg" else -1.0
@@ -332,13 +334,61 @@ def _newton_system(oriented, factors, mu, n_params):
 
 def _verified_margins(problem: LmiProblem, assignment: dict):
     """Per-constraint strictness slack, recomputed with the eigensolver."""
-    slacks = []
-    for c in problem.constraints:
-        m = c.expr.evaluate(assignment)
-        eigs = symmetric_eigenvalues(m)
-        slack = -float(eigs[-1]) if c.sense == "neg" else float(eigs[0])
-        slacks.append(slack)
-    return tuple(slacks)
+    sign = {"neg": -1.0, "pos": 1.0}
+    return tuple(
+        float(np.min(sign[c.sense] * symmetric_eigenvalues(c.expr.evaluate(assignment))))
+        for c in problem.constraints
+    )
+
+
+def _centre(oriented, x, mu, objective, max_steps, tol):
+    """Damped Newton steps on x[obj] - mu sum_k logdet(t I - M_k(v)), x = (v, t).
+
+    With ``objective`` None, obj is t and every coordinate moves; otherwise t
+    stays frozen and obj is the parameter index ``objective``.  Returns
+    (x, steps, note), with a note when no step could be taken.
+    """
+    obj = -1 if objective is None else objective
+    steps = 0
+    while steps < max_steps and x[-1] >= _T_FLOOR:
+        factors = _slacks(oriented, x[:-1], x[-1])
+        if factors is None:
+            # should not happen from a feasible iterate; bail out
+            return x, steps, "interior iterate lost positive definiteness"
+        grad, hess = _newton_system(oriented, factors, mu, len(x) - 1)
+        if objective is not None:
+            grad, hess = grad[:-1], hess[:-1, :-1]
+            grad[objective] += 1.0
+        reg = 1e-12 * (1.0 + float(np.trace(hess)) / hess.shape[0])
+        hess = hess + reg * np.eye(hess.shape[0])
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        decrement = float(-grad @ step)
+        f0 = _barrier_value(factors, x[obj], mu)
+        steps += 1
+        alpha = 1.0
+        while True:
+            if alpha < 1e-14:
+                return x, steps, "step-size collapse; problem may be ill-posed"
+            cand = x.copy()
+            cand[: step.size] += alpha * step
+            cand_factors = _slacks(oriented, cand[:-1], cand[-1])
+            if cand_factors is not None:
+                f1 = _barrier_value(cand_factors, cand[obj], mu)
+                if f1 <= f0 - 1e-4 * alpha * decrement or f1 < f0:
+                    x = cand
+                    break
+            alpha *= 0.5
+        if decrement <= max(tol, 1e-12) * (1.0 + abs(x[obj])):
+            break
+    return x, steps, None
+
+
+_T_FLOOR = -1e9  # a shift this far below zero means it is unbounded below
+_MU_FACTOR = 0.2
+_ROUND_STEPS = 15  # Newton steps per barrier weight
 
 
 def solve_feasibility(
@@ -351,9 +401,14 @@ def solve_feasibility(
 
     Minimises the uniform eigenvalue shift t with a barrier path-following
     scheme and reports ``feasible`` when the re-verified margin of the final
-    iterate is at least ``eps_strict``.  ``max_iter`` caps the total number
-    of Newton steps; exhausting it without a certificate yields status
-    ``max-iter`` with the best iterate still attached.
+    iterate is at least ``eps_strict``.  With an objective, the shift phase
+    stops once that margin is exceeded and a phase at t = -eps_strict
+    minimises the objective in rounds of falling mu.  Once ``within`` accepts
+    the last value against the lower bound value - mu * sum_k dim_k (exact on
+    the central path), one more round tightens the bound and the earliest
+    round-end iterate ``within`` accepts is returned.  ``max_iter`` caps the
+    Newton steps of both phases; exhausting it without a certificate yields
+    status ``max-iter`` with the best iterate still attached.
     """
     if eps_strict <= 0:
         raise ValueError("eps_strict must be positive")
@@ -363,68 +418,40 @@ def solve_feasibility(
     if not oriented:
         raise ValueError("problem has no constraints")
 
-    vec = np.zeros(layout.total)
-    t = max(float(symmetric_eigenvalues(oc.const)[-1]) for oc in oriented) + 1.0
+    x = np.zeros(layout.total + 1)  # parameters, then the shift t
+    x[-1] = max(float(symmetric_eigenvalues(oc.const)[-1]) for oc in oriented) + 1.0
 
     mu = 1.0
-    mu_factor = 0.2
     mu_min = 1e-11
-    t_floor = -1e9
     iterations = 0
     notes = []
     stall_rounds = 0
-    t_prev_outer = t
+    t_prev_outer = x[-1]
     margin_prev = -np.inf
     settled = False  # progress on t has stopped or the schedule finished
+    minimise = False  # the shift phase has handed over to the objective phase
 
     while mu > mu_min:
-        step_collapse = False
-        for _ in range(15):
-            if iterations >= max_iter or t < t_floor:
-                break
-            factors = _slacks(oriented, vec, t)
-            if factors is None:
-                # should not happen from a feasible iterate; bail out
-                notes.append("interior iterate lost positive definiteness")
-                break
-            grad, hess = _newton_system(oriented, factors, mu, layout.total)
-            reg = 1e-12 * (1.0 + float(np.trace(hess)) / hess.shape[0])
-            hess = hess + reg * np.eye(hess.shape[0])
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            decrement = float(-grad @ step)
-            f0 = _barrier_value(factors, t, mu)
-            alpha = 1.0
-            accepted = False
-            while alpha >= 1e-14:
-                cand_vec = vec + alpha * step[:-1]
-                cand_t = t + alpha * step[-1]
-                cand_factors = _slacks(oriented, cand_vec, cand_t)
-                if cand_factors is not None:
-                    f1 = _barrier_value(cand_factors, cand_t, mu)
-                    if f1 <= f0 - 1e-4 * alpha * decrement or f1 < f0:
-                        vec, t = cand_vec, cand_t
-                        accepted = True
-                        break
-                alpha *= 0.5
-            iterations += 1
-            if not accepted:
-                step_collapse = True
-                notes.append("step-size collapse; problem may be ill-posed")
-                break
-            if decrement <= max(tol, 1e-12) * (1.0 + abs(t)):
-                break
-        if t < t_floor:
+        x, steps, note = _centre(
+            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), tol
+        )
+        iterations += steps
+        if note:
+            notes.append(note)
+        t = x[-1]
+        margin_now = min(_verified_margins(problem, layout.unpack(x[:-1])))
+        if (problem.objective is not None and margin_now > eps_strict
+                and _slacks(oriented, x[:-1], -eps_strict) is not None):
+            minimise = True
+            break
+        if t < _T_FLOOR:
             notes.append("shift unbounded below; any interior point certifies feasibility")
             settled = True
             break
-        margin_now = min(_verified_margins(problem, layout.unpack(vec)))
         progress_tol = max(tol, 1e-8) * (1.0 + abs(t))
         t_stalled = abs(t - t_prev_outer) <= progress_tol
         margin_stalled = (margin_now - margin_prev) <= progress_tol
-        if step_collapse or t_stalled or margin_stalled:
+        if note or t_stalled or margin_stalled:
             stall_rounds += 1
             if stall_rounds >= 2:
                 settled = True
@@ -435,11 +462,41 @@ def solve_feasibility(
         margin_prev = margin_now
         if iterations >= max_iter:
             break
-        mu *= mu_factor
+        mu *= _MU_FACTOR
     else:
         settled = True  # barrier schedule ran to completion
 
-    assignment = layout.unpack(vec)
+    gap = None if problem.objective is None else np.inf
+    if minimise:
+        name, within = problem.objective
+        obj = layout.offsets[name]
+        dim_total = sum(oc.dim for oc in oriented)
+        x[-1] = -eps_strict
+        rounds, sharpened = [x], False
+        while iterations < max_iter:
+            x, steps, note = _centre(
+                oriented, x, mu, obj, min(_ROUND_STEPS, max_iter - iterations), tol
+            )
+            iterations += steps
+            if note:
+                notes.append(note)
+                break
+            rounds.append(x)
+            gap = mu * dim_total
+            if within(x[obj], x[obj] - gap):
+                if sharpened:
+                    break
+                sharpened = True  # one more round tightens the lower bound
+            mu *= _MU_FACTOR
+        # the earliest, most central, round-end iterate within tolerance of
+        # the lower bound is the best-conditioned certificate
+        lower = x[obj] - gap
+        x = next((r for r in rounds if within(r[obj], lower)), x)
+        gap = x[obj] - lower
+        if not within(x[obj], lower):
+            notes.append(f"objective gap bound {gap:.3e} not within tolerance")
+
+    assignment = layout.unpack(x[:-1])
     constraint_margins = _verified_margins(problem, assignment)
     margin = min(constraint_margins)
     if margin >= eps_strict:
@@ -453,8 +510,9 @@ def solve_feasibility(
         margin=margin,
         iterations=iterations,
         status=status,
-        t_achieved=t,
+        t_achieved=float(x[-1]),
         constraint_margins=constraint_margins,
         eps_strict=eps_strict,
         notes=tuple(notes),
+        gap=gap,
     )

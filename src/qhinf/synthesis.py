@@ -6,7 +6,9 @@ For each fault mode i the feasibility system consists of
   over all modes,
 * the cross-coupling condition [[Y_i, I], [I, X_i]] > 0, and
 * a state-feedback-side block inequality in (Y_i, F_i) whose rate coupling
-  enters through a Schur-complement row/column of scaled Y blocks.
+  enters through a Schur-complement row/column of scaled Y blocks and whose
+  term B1 B1^T / g^2 is one more row/column [[., B1], [B1^T, -g^2 I]], so
+  every inequality is linear in gamma = g^2.
 
 A feasible solution is converted into per-mode controller matrices
 
@@ -109,9 +111,12 @@ def _names(prefix, n_modes):
     return [f"{prefix}{i + 1}" for i in range(n_modes)]
 
 
+GAMMA = "gamma"  # name of the squared-level variable of a level search
+
+
 def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
-    """Matrix-level construction of the synthesis LMI problem."""
-    if g <= 0:
+    """Matrix-level synthesis LMIs; with g None, gamma = g^2 is the variable GAMMA."""
+    if g is not None and g <= 0:
         raise ValueError("attenuation level must be positive")
     a_modes = [np.asarray(a, dtype=float) for a in a_modes]
     b1, b2, c1, d1, c2, d2 = (
@@ -130,6 +135,16 @@ def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
         problem.add_variable(y_names[i], n, symmetric=True)
         problem.add_variable(l_names[i], n, n_y)
         problem.add_variable(f_names[i], n_u, n)
+    if g is None:
+        problem.add_variable(GAMMA, 1, symmetric=True)
+
+    def minus_level(blk, r):
+        # the -g^2 I block on the disturbance channels, constant or linear in gamma
+        if g is not None:
+            blk.const(r, r, -(g * g) * np.eye(n_w))
+            return
+        for e in np.eye(n_w):
+            blk.term(r, r, GAMMA, -e[:, None], e[None, :])
 
     eye_n = np.eye(n)
     for i in range(n_modes):
@@ -138,7 +153,7 @@ def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
         # observer-side inequality in (X_i, L_i)
         blk = _BlockExpr([n, n_w])
         blk.const(0, 0, c1.T @ c1)
-        blk.const(1, 1, -(g * g) * np.eye(n_w))
+        minus_level(blk, 1)
         blk.term(0, 0, x_names[i], a.T, eye_n)
         blk.term(0, 0, x_names[i], eye_n, a)
         blk.term(0, 0, l_names[i], eye_n, c2)
@@ -159,9 +174,10 @@ def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
 
         # state-feedback-side inequality in (Y_i, F_i) with rate coupling
         others = [j for j in range(n_modes) if j != i]
-        dims = [n, n_z] + [n] * len(others)
+        dims = [n, n_z, n_w] + [n] * len(others)
         blk = _BlockExpr(dims)
-        blk.const(0, 0, b1 @ b1.T / (g * g))
+        blk.const(0, 2, b1)
+        minus_level(blk, 2)
         blk.const(1, 1, -np.eye(n_z))
         blk.term(0, 0, y_names[i], a, eye_n)
         blk.term(0, 0, y_names[i], eye_n, a.T)
@@ -173,20 +189,19 @@ def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
         blk.term(1, 0, f_names[i], d1, eye_n)
         for k, j in enumerate(others):
             if pi[i, j] > 1e-15:
-                blk.term(0, 2 + k, y_names[i], np.sqrt(pi[i, j]) * eye_n, eye_n)
-            blk.term(2 + k, 2 + k, y_names[j], -eye_n, eye_n)
+                blk.term(0, 3 + k, y_names[i], np.sqrt(pi[i, j]) * eye_n, eye_n)
+            blk.term(3 + k, 3 + k, y_names[j], -eye_n, eye_n)
         problem.add_constraint(blk.expr, "neg")
 
-    return problem, (x_names, y_names, l_names, f_names)
+    return problem
 
 
-def build_hinf_lmis(plant: JumpPlant, g: float) -> lmi.LmiProblem:
-    """Emit the synthesis feasibility system for the plant at level g."""
-    problem, _ = _build_problem(
+def build_hinf_lmis(plant: JumpPlant, g) -> lmi.LmiProblem:
+    """Emit the synthesis LMIs at level g, or with g None in gamma = g^2."""
+    return _build_problem(
         plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1,
         plant.c2, plant.d2, plant.rates.pi, g,
     )
-    return problem
 
 
 def _inv_sym_guarded(m, label):
@@ -246,33 +261,21 @@ class SynthesisResult:
     solution: lmi.LmiSolution
 
 
-def _reconstruct_with_diagnostics(plant: JumpPlant, g: float, blocks):
-    y_invs = [
-        _inv_sym_guarded(np.asarray(b[1], dtype=float), f"Y_{i + 1}")
-        for i, b in enumerate(blocks)
-    ]
-    modes = []
-    diag = []
+def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
+    """Reconstruct the controller of a feasible LMI solution at level g."""
+    blocks = [[solution.assignment[f"{p}{i + 1}"] for p in "XYLF"]
+              for i in range(plant.n_modes)]
+    y_invs = [_inv_sym_guarded(b[1], f"Y_{i + 1}") for i, b in enumerate(blocks)]
+    modes, diag = [], []
     for i, (x, y, l, f) in enumerate(blocks):
         ak, bk, ck, cond_w = _reconstruct_mode(
             plant.a_modes[i], plant.b1, plant.b2, plant.c1, plant.d1,
-            plant.c2, plant.d2, plant.rates.pi[i], np.asarray(y, dtype=float),
-            y_invs, g, np.asarray(x, dtype=float), np.asarray(l, dtype=float),
-            np.asarray(f, dtype=float), i,
+            plant.c2, plant.d2, plant.rates.pi[i], y, y_invs, g, x, l, f, i,
         )
-        n_u = plant.n_u
-        modes.append(
-            ControllerMode(
-                ak, bk, ck,
-                np.zeros((n_u, 0)), np.zeros((plant.n, 0)),
-            )
-        )
-        diag.append(
-            SynthModeData(np.asarray(x, float), np.asarray(y, float),
-                          np.asarray(l, float), np.asarray(f, float), cond_w)
-        )
-    theta_k = make_commutation_matrix(plant.n)
-    return Controller(tuple(modes), theta_k), tuple(diag)
+        modes.append(ControllerMode(ak, bk, ck, np.zeros((plant.n_u, 0)), np.zeros((plant.n, 0))))
+        diag.append(SynthModeData(x, y, l, f, cond_w))
+    controller = Controller(tuple(modes), make_commutation_matrix(plant.n))
+    return SynthesisResult(float(g), tuple(diag), controller, solution)
 
 
 def synthesize(
@@ -288,24 +291,11 @@ def synthesize(
     The returned controller carries no noise channels; augment it with the
     realizability layer before treating it as a quantum device.
     """
-    problem, (x_names, y_names, l_names, f_names) = _build_problem(
-        plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1,
-        plant.c2, plant.d2, plant.rates.pi, g,
-    )
+    problem = build_hinf_lmis(plant, g)
     solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, tol=tol, max_iter=max_iter)
     if not solution.feasible:
         raise LmiInfeasibleError(g, solution)
-    blocks = [
-        (
-            solution.assignment[x_names[i]],
-            solution.assignment[y_names[i]],
-            solution.assignment[l_names[i]],
-            solution.assignment[f_names[i]],
-        )
-        for i in range(plant.n_modes)
-    ]
-    controller, diag = _reconstruct_with_diagnostics(plant, g, blocks)
-    return SynthesisResult(float(g), diag, controller, solution)
+    return _result(plant, g, solution)
 
 
 def min_attenuation(
@@ -316,49 +306,29 @@ def min_attenuation(
     eps_strict: float = 1e-6,
     max_iter: int = 400,
 ):
-    """Bisect for the smallest feasible attenuation level.
+    """Smallest feasible attenuation level in [g_lo, g_hi] from one LMI solve.
 
-    Requires an initial bracket with g_lo infeasible and g_hi feasible; the
-    bracket is widened automatically (up to four doublings of g_hi and four
-    halvings of g_lo) before giving up.  Returns (g_star, result) where the
-    result carries the certificate at g_star; under monotone feasibility the
-    reported level is within tol_g of the true boundary.
+    gamma = g^2 is an LMI variable with g_lo^2 < gamma < g_hi^2, minimised
+    until the lower bound gamma - result.solution.gap puts sqrt(gamma) within
+    h = tol_g/2 of the least level certifiable at eps_strict.  Returns
+    (g_star, result) with g_star = min(sqrt(gamma) + h, g_hi), within tol_g
+    of that level; the LMI solution holds at g_star too, and the controller
+    reconstructed there leaves its closed-loop certificate h of room.
+    Raises ``LmiInfeasibleError`` when nothing below g_hi is feasible.
     """
     if not (0 < g_lo < g_hi):
         raise ValueError("need 0 < g_lo < g_hi")
-
-    def attempt(g):
-        try:
-            return synthesize(plant, g, eps_strict=eps_strict, max_iter=max_iter)
-        except (LmiInfeasibleError, SynthesisError):
-            return None
-
-    best = attempt(g_hi)
-    widenings = 0
-    while best is None:
-        widenings += 1
-        if widenings > 4:
-            raise SynthesisError(
-                f"synthesis infeasible even at widened level g={g_hi}"
-            )
-        g_hi *= 2.0
-        best = attempt(g_hi)
-
-    shrinks = 0
-    while attempt(g_lo) is not None:
-        shrinks += 1
-        if shrinks > 4:
-            raise SynthesisError(
-                f"synthesis still feasible at g={g_lo}; lower the bracket start"
-            )
-        g_lo *= 0.5
-
-    while (g_hi - g_lo) > tol_g:
-        mid = 0.5 * (g_lo + g_hi)
-        result = attempt(mid)
-        if result is None:
-            g_lo = mid
-        else:
-            g_hi = mid
-            best = result
-    return g_hi, best
+    problem = build_hinf_lmis(plant, None)
+    for bound, sense in ((g_lo, "pos"), (g_hi, "neg")):
+        expr = lmi.AffineMatrixExpr(1, [[-bound * bound]])
+        expr.add_term(GAMMA)
+        problem.add_constraint(expr, sense)
+    half = 0.5 * tol_g
+    problem.minimize(
+        GAMMA, lambda gamma, lower: np.sqrt(gamma) - np.sqrt(max(lower, g_lo * g_lo)) <= half
+    )
+    solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, max_iter=max_iter)
+    if not solution.feasible:
+        raise LmiInfeasibleError(g_hi, solution)
+    g_star = min(float(np.sqrt(solution.assignment[GAMMA][0, 0])) + half, g_hi)
+    return g_star, _result(plant, g_star, solution)

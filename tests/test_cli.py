@@ -125,6 +125,13 @@ def test_simulate_command(docs, capsys):
     assert data.shape[1] == 1 + 4 + 4 + 2  # time, means, diagonals, energies
 
 
+@pytest.mark.parametrize("extra", [["--paths", "0"], ["--disturbance", "sin:0"]])
+def test_simulate_input_errors(docs, capsys, extra):
+    rc = main(["simulate", "--system", str(docs["system"]), "--t-end", "5", *extra])
+    assert rc == 3
+    assert "input error" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_rerun(docs):
     out1 = docs["root"] / "sim_a.json"
     out2 = docs["root"] / "sim_b.json"
@@ -155,4 +162,18 @@ def test_input_error_exit_code(tmp_path, capsys):
 def test_infeasible_exit_code(docs, capsys):
     rc = main(["synth", "--plant", str(docs["plant"]), "--g", "1e-6",
                "--out", str(docs["root"] / "never.json")])
+    assert rc == 2
+
+
+def test_synth_min_g(docs, capsys):
+    out = docs["root"] / "min_g" / "ctrl.json"
+    rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--g-lo", "0.01",
+               "--g-hi", "1.0", "--tol-g", "5e-3", "--out", str(out)])
+    assert rc == 0
+    cert = serialize.read_doc(out.with_suffix(".cert.json"))
+    assert cert["lmi_status"] == "feasible"
+    assert 0.01 <= cert["g"] <= 1.0
+    # the reference plant's least level is near 0.037
+    rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--g-lo", "0.01",
+               "--g-hi", "0.03", "--out", str(docs["root"] / "min_g" / "never.json")])
     assert rc == 2

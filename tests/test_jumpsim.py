@@ -219,6 +219,17 @@ def test_zero_disturbance_rejected():
         estimate_attenuation(SCALAR_LOOP, 1.0, method="exact")
 
 
+@pytest.mark.parametrize("kind, omega", [("sin", 0.0), ("sin", -1.0), ("sin", np.inf),
+                                         ("sin", np.nan), ("ramp", 1.0)])
+def test_invalid_disturbance_rejected(kind, omega):
+    # a zero-frequency sinusoid used to reach the probe and divide by zero
+    with pytest.raises(ValueError, match="frequency|kind"):
+        estimate_attenuation(
+            SCALAR_LOOP, 1.0, t_end=10.0, n_paths=1,
+            disturbances=[Disturbance("bad", np.array([1.0]), kind, omega)],
+        )
+
+
 def test_default_family_composition():
     fam = default_disturbance_family(2)
     assert len(fam) == 21

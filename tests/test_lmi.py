@@ -128,3 +128,32 @@ def test_full_variable_terms():
     assert sol.feasible
     value = expr.evaluate(sol.assignment)
     assert lmi.symmetric_eigenvalues(value)[0] >= sol.eps_strict
+
+
+def test_oriented_value_matches_loop_reference():
+    problem = _lyapunov_problem(np.array([[-1.0, 2.0], [0.5, -3.0]]))
+    layout = lmi._Layout(problem.variables)
+    vec = np.random.default_rng(1).normal(size=layout.total)
+    for oc in lmi._materialise(problem, layout):
+        reference = oc.const.copy()
+        for pos, p in enumerate(oc.param_idx):
+            reference = reference + vec[p] * oc.coeffs[pos]
+        assert np.max(np.abs(oc.value(vec) - reference)) <= 1e-12 * (1.0 + np.max(np.abs(reference)))
+
+
+def test_minimize_scalar_objective():
+    # minimise x subject to x > 1: the returned value certifies and lies
+    # within the accepted distance of the bound, by the reported gap
+    problem = lmi.LmiProblem()
+    problem.add_variable("x", 1, symmetric=True)
+    expr = lmi.AffineMatrixExpr(1, [[-1.0]])
+    expr.add_term("x")
+    problem.add_constraint(expr, "pos")
+    problem.minimize("x", lambda value, lower: value - lower <= 1e-3)
+    sol = lmi.solve_feasibility(problem)
+    assert sol.feasible
+    x = sol.assignment["x"][0, 0]
+    assert 1.0 + sol.eps_strict <= x <= 1.0 + sol.eps_strict + 1e-3
+    assert sol.gap <= 1e-3
+    with pytest.raises(ValueError, match="1x1"):
+        _lyapunov_problem(np.eye(2) * -1.0).minimize("P", lambda value, lower: True)

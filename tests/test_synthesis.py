@@ -22,23 +22,25 @@ def test_build_problem_variable_inventory():
     assert names == {f"{p}{i}" for p in "XYLF" for i in (1, 2, 3)}
     for v in problem.variables:
         assert v.symmetric == (v.name[0] in "XY")
-    # per mode: observer block, coupling block, state-feedback block
+    # per mode: observer block, coupling block, state-feedback block; the
+    # state-feedback block carries n + n_z + n_w + n (N - 1) rows
     assert len(problem.constraints) == 9
     dims = sorted(c.expr.dim for c in problem.constraints)
-    assert dims == [4, 4, 4, 4, 4, 4, 8, 8, 8]
+    assert dims == [4, 4, 4, 4, 4, 4, 10, 10, 10]
 
 
 def test_build_problem_single_mode_reduction():
     # with one mode and zero rates the rate-coupling rows vanish: the
-    # state-feedback block shrinks to (n + n_z) instead of (n + n_z + n(N-1))
-    problem, _ = _build_problem(
+    # state-feedback block shrinks to (n + n_z + n_w) instead of
+    # (n + n_z + n_w + n(N-1))
+    problem = _build_problem(
         [np.array([[-1.0]])], np.eye(1), np.eye(1), np.eye(1), np.eye(1),
         np.eye(1), np.eye(1), np.zeros((1, 1)), 2.0,
     )
     dims = sorted(c.expr.dim for c in problem.constraints)
-    assert dims == [2, 2, 2]
+    assert dims == [2, 2, 3]
     three_mode = build_hinf_lmis(demo.reference_plant(), 2.0)
-    assert max(c.expr.dim for c in three_mode.constraints) == 2 + 2 + 2 * 2
+    assert max(c.expr.dim for c in three_mode.constraints) == 2 + 2 + 2 + 2 * 2
 
 
 def test_build_rejects_nonpositive_g():
@@ -128,42 +130,89 @@ def test_controller_dimension_matches_plant():
     assert result.controller.n_k == demo.reference_plant().n
 
 
-def _scalar_feasible(g):
-    problem, _ = _build_problem(
-        [np.array([[-1.0]])], np.eye(1), np.eye(1), np.eye(1), np.eye(1),
-        np.eye(1), np.eye(1), np.zeros((1, 1)), g,
+def _scalar_plant():
+    # the scalar data A=-1, B=C=D=1 on two decoupled coordinates
+    eye = np.eye(2)
+    return JumpPlant(
+        a_modes=(-eye,), b1=eye, b2=eye, c1=eye, d1=eye, c2=eye, d2=eye,
+        theta=make_commutation_matrix(2), rates=TransitionRateMatrix(np.zeros((1, 1))),
     )
-    return lmi.solve_feasibility(problem).feasible
+
+
+def _feasible_at(plant, g):
+    try:
+        synthesize(plant, g)
+    except LmiInfeasibleError:
+        return False
+    return True
 
 
 def test_min_attenuation_matches_brute_force_sweep():
-    # scalar plant: bisect on the matrix-level problem and compare with a
-    # direct feasibility sweep over a grid spanning the boundary
+    # the minimised level must fall inside the bracket that a fixed-level
+    # feasibility sweep puts around the boundary
+    plant = _scalar_plant()
     grid = np.geomspace(2e-4, 0.05, 25)
-    sweep = [_scalar_feasible(g) for g in grid]
+    sweep = [_feasible_at(plant, g) for g in grid]
     assert not sweep[0] and sweep[-1]
     boundary_idx = next(i for i, f in enumerate(sweep) if f)
     lo_oracle = grid[boundary_idx - 1]
     hi_oracle = grid[boundary_idx]
 
-    lo, hi = 2e-4, 0.05
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        if _scalar_feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    assert lo_oracle - 1e-4 <= hi <= hi_oracle + 1e-4
+    g_star, result = min_attenuation(plant, 2e-4, 0.05, tol_g=1e-4)
+    assert result.solution.feasible
+    assert lo_oracle - 1e-4 <= g_star <= hi_oracle + 1e-4
 
 
-def test_min_attenuation_widens_bracket_both_ways():
+def test_min_attenuation_rejects_g_hi_below_minimum():
+    # the reference plant's boundary is near 0.037; nothing below 0.02 is
+    # strictly feasible
+    with pytest.raises(LmiInfeasibleError):
+        min_attenuation(demo.reference_plant(), 0.002, 0.02, tol_g=5e-3)
+
+
+def test_min_attenuation_g_lo_above_minimum_returns_g_lo():
     plant = demo.reference_plant()
-    # upper end starts infeasible and is doubled; lower end starts feasible
-    # and is halved; the boundary near 0.05 ends up inside either way
-    g_star, _ = min_attenuation(plant, 0.002, 0.02, tol_g=5e-3)
-    assert 0.02 <= g_star <= 0.08
-    g_star2, _ = min_attenuation(plant, 0.06, 0.5, tol_g=5e-3)
-    assert 0.03 <= g_star2 <= 0.08
+    g_star, result = min_attenuation(plant, 0.06, 0.5, tol_g=5e-3)
+    assert result.solution.feasible
+    assert 0.06 < g_star <= 0.06 + 5e-3
+    aug = realizability.augment_jump_controller(result.controller)
+    assert verify_closed_loop(plant, aug, g_star).attenuation_ok
+
+
+def test_reference_plant_feasible_at_0_040():
+    # fixed-level solves used to stall and call this level infeasible
+    result = synthesize(demo.reference_plant(), 0.040)
+    assert result.solution.feasible
+
+
+def test_reference_plant_verdicts_monotone_in_level():
+    plant = demo.reference_plant()
+    grid = np.linspace(0.037, 0.05, 6)
+    assert all(_feasible_at(plant, g) for g in grid)
+    assert not _feasible_at(plant, 0.036)
+
+
+def test_min_attenuation_is_one_solve(monkeypatch):
+    calls = []
+    solve = lmi.solve_feasibility
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lmi, "solve_feasibility", counting)
+    min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
+    assert len(calls) == 1
+
+
+def test_min_attenuation_reference_level_within_tolerance_of_sweep():
+    # boundary of the fixed-level verdicts: 0.036 infeasible, 0.037 feasible
+    plant = demo.reference_plant()
+    assert not _feasible_at(plant, 0.036) and _feasible_at(plant, 0.037)
+    g_star, result = min_attenuation(plant, 0.01, 1.0, tol_g=1e-3)
+    assert 0.036 <= g_star <= 0.037 + 1e-3
+    gamma = result.solution.assignment["gamma"][0, 0]
+    assert np.sqrt(gamma) - np.sqrt(gamma - result.solution.gap) <= 5e-4
 
 
 def test_min_attenuation_validates_bracket():
