@@ -304,6 +304,12 @@ def frequency_sweep_norm(a, b, c, d, n_points: int = 1000, refine: bool = True) 
     return best
 
 
+def _as_rate_matrix(rates) -> TransitionRateMatrix:
+    if isinstance(rates, TransitionRateMatrix):
+        return rates
+    return TransitionRateMatrix(np.asarray(rates, dtype=float))
+
+
 def coupled_mode_check(
     a_modes,
     rates,
@@ -324,8 +330,7 @@ def coupled_mode_check(
     """
     if g <= 0:
         raise ValueError("attenuation level must be positive")
-    if not isinstance(rates, TransitionRateMatrix):
-        rates = TransitionRateMatrix(np.asarray(rates, dtype=float))
+    rates = _as_rate_matrix(rates)
     a_list = [np.asarray(m, dtype=float) for m in a_modes]
     n_modes = len(a_list)
     if n_modes != rates.n_modes:

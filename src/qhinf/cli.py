@@ -127,8 +127,18 @@ def _cmd_augment(args):
     _, ctrl, rates = _load_system(args.controller)
     if ctrl is None:
         raise DocumentError("augment needs a document with a 'controller' section")
-    # existing noise channels are ignored: augmentation reads only A, B, C
-    augmented = realizability.augment_jump_controller(ctrl)
+    stripped = ctrl
+    if ctrl.n_nu:
+        # re-augment from scratch: drop existing noise channels first
+        from .qmodel import Controller, ControllerMode
+        stripped = Controller(
+            tuple(
+                ControllerMode(m.a, m.b, m.c, np.zeros((ctrl.n_u, 0)), np.zeros((ctrl.n_k, 0)))
+                for m in ctrl.modes
+            ),
+            ctrl.theta_k,
+        )
+    augmented = realizability.augment_jump_controller(stripped)
     out = Path(args.out) if args.out else Path("controller_augmented.json")
     serialize.write_doc(out, serialize.system_to_doc(controller=augmented, rates=rates))
     _manifest(args, [args.controller], {}, [out])
@@ -209,7 +219,6 @@ def _cmd_simulate(args):
             "input_energy": traj.input_energy,
         })
     stride = max(1, len(first_traj.times) // 400)
-    q_diag = np.diagonal(first_traj.second_moment, axis1=1, axis2=2)[::stride]
     doc = {
         "t_end": args.t_end,
         "dt": args.dt,
@@ -219,7 +228,9 @@ def _cmd_simulate(args):
         "trajectory": {
             "time": [float(t) for t in first_traj.times[::stride]],
             "mean": serialize.encode_matrix(first_traj.mean[::stride]),
-            "second_moment_diag": serialize.encode_matrix(q_diag),
+            "second_moment_diag": serialize.encode_matrix(
+                np.array([np.diag(q) for q in first_traj.second_moment[::stride]])
+            ),
             "z_energy": [float(x) for x in first_traj.z_energy[::stride]],
             "w_energy": [float(x) for x in first_traj.w_energy[::stride]],
         },
@@ -231,14 +242,25 @@ def _cmd_simulate(args):
     _emit(args, doc, text)
     outputs = [args.out] if args.out else []
     if args.plot_data:
-        n = loop.n
-        header = (["time"] + [f"mean_{k + 1}" for k in range(n)]
-                  + [f"q_{k + 1}{k + 1}" for k in range(n)] + ["z_energy", "w_energy"])
-        table = np.column_stack([
-            first_traj.times[::stride], first_traj.mean[::stride], q_diag,
-            first_traj.z_energy[::stride], first_traj.w_energy[::stride],
-        ])
-        np.savetxt(args.plot_data, table, fmt="%.12g", header=" ".join(header), encoding="utf-8")
+        cols = [first_traj.times[::stride]]
+        header = ["time"]
+        n = first_traj.mean.shape[1]
+        for k in range(n):
+            cols.append(first_traj.mean[::stride, k])
+            header.append(f"mean_{k + 1}")
+        for k in range(n):
+            cols.append(np.array([q[k, k] for q in first_traj.second_moment[::stride]]))
+            header.append(f"q_{k + 1}{k + 1}")
+        cols.append(first_traj.z_energy[::stride])
+        header.append("z_energy")
+        cols.append(first_traj.w_energy[::stride])
+        header.append("w_energy")
+        table = np.column_stack(cols)
+        Path(args.plot_data).write_text(
+            "# " + " ".join(header) + "\n"
+            + "\n".join(" ".join(f"{v:.12g}" for v in row) for row in table) + "\n",
+            encoding="utf-8",
+        )
         outputs.append(args.plot_data)
     if outputs:
         _manifest(args, [args.system],

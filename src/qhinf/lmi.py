@@ -150,7 +150,7 @@ class LmiConstraint:
 
 class LmiProblem:
     """Matrix variables, strict matrix-inequality constraints, and either no
-    objective or (name of a 1x1 variable to minimise, absolute tolerance)."""
+    objective or (name of a 1x1 variable to minimise, acceptance test)."""
 
     def __init__(self, variables=(), constraints=()):
         self.variables: list[MatrixVariable] = list(variables)
@@ -229,33 +229,46 @@ class _Layout:
             total += v.n_scalars
         self.total = total
 
-    @staticmethod
-    def _coords(v):
-        """(rows, cols) index arrays of a variable's coordinates, row-major."""
-        if v.symmetric:
-            return np.triu_indices(v.rows)
-        return np.unravel_index(np.arange(v.rows * v.cols), (v.rows, v.cols))
+    def zero_assignment(self):
+        return {v.name: np.zeros((v.rows, v.cols)) for v in self.variables}
 
     def basis_items(self, names=None):
         """Yield (param_index, var_name, basis_matrix) for selected variables."""
         for v in self.variables:
             if names is not None and v.name not in names:
                 continue
-            for k, (i, j) in enumerate(zip(*self._coords(v))):
-                basis = np.zeros((v.rows, v.cols))
-                basis[i, j] = 1.0
-                if v.symmetric:
-                    basis[j, i] = 1.0
-                yield self.offsets[v.name] + k, v.name, basis
+            off = self.offsets[v.name]
+            k = 0
+            if v.symmetric:
+                for i in range(v.rows):
+                    for j in range(i, v.cols):
+                        basis = np.zeros((v.rows, v.cols))
+                        basis[i, j] = 1.0
+                        basis[j, i] = 1.0
+                        yield off + k, v.name, basis
+                        k += 1
+            else:
+                for i in range(v.rows):
+                    for j in range(v.cols):
+                        basis = np.zeros((v.rows, v.cols))
+                        basis[i, j] = 1.0
+                        yield off + k, v.name, basis
+                        k += 1
 
     def unpack(self, vec):
         out = {}
         for v in self.variables:
-            rows, cols = self._coords(v)
-            m = np.zeros((v.rows, v.cols))
-            m[rows, cols] = vec[self.offsets[v.name] : self.offsets[v.name] + rows.size]
+            off = self.offsets[v.name]
             if v.symmetric:
-                m[cols, rows] = m[rows, cols]
+                m = np.zeros((v.rows, v.cols))
+                k = 0
+                for i in range(v.rows):
+                    for j in range(i, v.cols):
+                        m[i, j] = vec[off + k]
+                        m[j, i] = vec[off + k]
+                        k += 1
+            else:
+                m = vec[off : off + v.rows * v.cols].reshape(v.rows, v.cols)
             out[v.name] = m
         return out
 
@@ -274,7 +287,7 @@ class _OrientedConstraint:
 
 
 def _materialise(problem: LmiProblem, layout: _Layout):
-    zero = {v.name: np.zeros((v.rows, v.cols)) for v in layout.variables}
+    zero = layout.zero_assignment()
     oriented = []
     for c in problem.constraints:
         sign = 1.0 if c.sense == "neg" else -1.0
@@ -334,11 +347,13 @@ def _newton_system(oriented, factors, mu, n_params):
 
 def _verified_margins(problem: LmiProblem, assignment: dict):
     """Per-constraint strictness slack, recomputed with the eigensolver."""
-    sign = {"neg": -1.0, "pos": 1.0}
-    return tuple(
-        float(np.min(sign[c.sense] * symmetric_eigenvalues(c.expr.evaluate(assignment))))
-        for c in problem.constraints
-    )
+    slacks = []
+    for c in problem.constraints:
+        m = c.expr.evaluate(assignment)
+        eigs = symmetric_eigenvalues(m)
+        slack = -float(eigs[-1]) if c.sense == "neg" else float(eigs[0])
+        slacks.append(slack)
+    return tuple(slacks)
 
 
 def _centre(oriented, x, mu, objective, max_steps, tol):
@@ -492,7 +507,7 @@ def solve_feasibility(
         # the lower bound is the best-conditioned certificate
         lower = x[obj] - gap
         x = next((r for r in rounds if within(r[obj], lower)), x)
-        gap = x[obj] - lower
+        gap = float(x[obj] - lower)
         if not within(x[obj], lower):
             notes.append(f"objective gap bound {gap:.3e} not within tolerance")
 

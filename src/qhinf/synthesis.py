@@ -193,15 +193,16 @@ def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
             blk.term(3 + k, 3 + k, y_names[j], -eye_n, eye_n)
         problem.add_constraint(blk.expr, "neg")
 
-    return problem
+    return problem, (x_names, y_names, l_names, f_names)
 
 
 def build_hinf_lmis(plant: JumpPlant, g) -> lmi.LmiProblem:
     """Emit the synthesis LMIs at level g, or with g None in gamma = g^2."""
-    return _build_problem(
+    problem, _ = _build_problem(
         plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1,
         plant.c2, plant.d2, plant.rates.pi, g,
     )
+    return problem
 
 
 def _inv_sym_guarded(m, label):
@@ -261,21 +262,40 @@ class SynthesisResult:
     solution: lmi.LmiSolution
 
 
-def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
-    """Reconstruct the controller of a feasible LMI solution at level g."""
-    blocks = [[solution.assignment[f"{p}{i + 1}"] for p in "XYLF"]
-              for i in range(plant.n_modes)]
-    y_invs = [_inv_sym_guarded(b[1], f"Y_{i + 1}") for i, b in enumerate(blocks)]
-    modes, diag = [], []
+def _reconstruct_with_diagnostics(plant: JumpPlant, g: float, blocks):
+    y_invs = [
+        _inv_sym_guarded(np.asarray(b[1], dtype=float), f"Y_{i + 1}")
+        for i, b in enumerate(blocks)
+    ]
+    modes = []
+    diag = []
     for i, (x, y, l, f) in enumerate(blocks):
         ak, bk, ck, cond_w = _reconstruct_mode(
             plant.a_modes[i], plant.b1, plant.b2, plant.c1, plant.d1,
-            plant.c2, plant.d2, plant.rates.pi[i], y, y_invs, g, x, l, f, i,
+            plant.c2, plant.d2, plant.rates.pi[i], np.asarray(y, dtype=float),
+            y_invs, g, np.asarray(x, dtype=float), np.asarray(l, dtype=float),
+            np.asarray(f, dtype=float), i,
         )
-        modes.append(ControllerMode(ak, bk, ck, np.zeros((plant.n_u, 0)), np.zeros((plant.n, 0))))
-        diag.append(SynthModeData(x, y, l, f, cond_w))
-    controller = Controller(tuple(modes), make_commutation_matrix(plant.n))
-    return SynthesisResult(float(g), tuple(diag), controller, solution)
+        n_u = plant.n_u
+        modes.append(
+            ControllerMode(
+                ak, bk, ck,
+                np.zeros((n_u, 0)), np.zeros((plant.n, 0)),
+            )
+        )
+        diag.append(
+            SynthModeData(np.asarray(x, float), np.asarray(y, float),
+                          np.asarray(l, float), np.asarray(f, float), cond_w)
+        )
+    theta_k = make_commutation_matrix(plant.n)
+    return Controller(tuple(modes), theta_k), tuple(diag)
+
+
+def _result(plant: JumpPlant, g: float, solution, names) -> SynthesisResult:
+    """Reconstruct the controller of a feasible LMI solution at level g."""
+    blocks = [tuple(solution.assignment[v[i]] for v in names) for i in range(plant.n_modes)]
+    controller, diag = _reconstruct_with_diagnostics(plant, g, blocks)
+    return SynthesisResult(float(g), diag, controller, solution)
 
 
 def synthesize(
@@ -291,11 +311,14 @@ def synthesize(
     The returned controller carries no noise channels; augment it with the
     realizability layer before treating it as a quantum device.
     """
-    problem = build_hinf_lmis(plant, g)
+    problem, names = _build_problem(
+        plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1,
+        plant.c2, plant.d2, plant.rates.pi, g,
+    )
     solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, tol=tol, max_iter=max_iter)
     if not solution.feasible:
         raise LmiInfeasibleError(g, solution)
-    return _result(plant, g, solution)
+    return _result(plant, g, solution, names)
 
 
 def min_attenuation(
@@ -313,22 +336,43 @@ def min_attenuation(
     h = tol_g/2 of the least level certifiable at eps_strict.  Returns
     (g_star, result) with g_star = min(sqrt(gamma) + h, g_hi), within tol_g
     of that level; the LMI solution holds at g_star too, and the controller
-    reconstructed there leaves its closed-loop certificate h of room.
-    Raises ``LmiInfeasibleError`` when nothing below g_hi is feasible.
+    reconstructed there leaves its closed-loop certificate h of room.  The
+    gap bound is exact only at centred barrier iterates, so where the solver
+    cannot centre, g_star can lie further above the least level.  When the
+    solution is too ill-conditioned to rebuild a controller from, the
+    controller comes from a fixed-level solve at g_star instead.
+
+    Raises ``LmiInfeasibleError`` when nothing below g_hi is feasible and
+    ``SynthesisError`` when max_iter Newton steps end before the level is
+    within tolerance.
     """
     if not (0 < g_lo < g_hi):
         raise ValueError("need 0 < g_lo < g_hi")
-    problem = build_hinf_lmis(plant, None)
+    problem, names = _build_problem(
+        plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1,
+        plant.c2, plant.d2, plant.rates.pi, None,
+    )
     for bound, sense in ((g_lo, "pos"), (g_hi, "neg")):
         expr = lmi.AffineMatrixExpr(1, [[-bound * bound]])
         expr.add_term(GAMMA)
         problem.add_constraint(expr, sense)
     half = 0.5 * tol_g
-    problem.minimize(
-        GAMMA, lambda gamma, lower: np.sqrt(gamma) - np.sqrt(max(lower, g_lo * g_lo)) <= half
-    )
+
+    def within(gamma, lower):
+        return np.sqrt(gamma) - np.sqrt(max(lower, g_lo * g_lo)) <= half
+
+    problem.minimize(GAMMA, within)
     solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, max_iter=max_iter)
     if not solution.feasible:
         raise LmiInfeasibleError(g_hi, solution)
-    g_star = min(float(np.sqrt(solution.assignment[GAMMA][0, 0])) + half, g_hi)
-    return g_star, _result(plant, g_star, solution)
+    gamma = float(solution.assignment[GAMMA][0, 0])
+    if not within(gamma, gamma - solution.gap):
+        raise SynthesisError(
+            f"level g={np.sqrt(gamma):.6g} not within tol_g={tol_g} of the least level "
+            f"after {solution.iterations} Newton steps (gap bound {solution.gap:.3e} on g^2)"
+        )
+    g_star = min(float(np.sqrt(gamma)) + half, g_hi)
+    try:
+        return g_star, _result(plant, g_star, solution, names)
+    except SynthesisError:
+        return g_star, synthesize(plant, g_star, eps_strict=eps_strict, max_iter=max_iter)

@@ -177,3 +177,12 @@ def test_synth_min_g(docs, capsys):
     rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--g-lo", "0.01",
                "--g-hi", "0.03", "--out", str(docs["root"] / "min_g" / "never.json")])
     assert rc == 2
+
+
+def test_synth_min_g_budget_exhausted(docs, capsys):
+    out = docs["root"] / "min_g_budget" / "ctrl.json"
+    rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--tol-g", "5e-3",
+               "--max-iter", "80", "--out", str(out)])
+    assert rc == 2
+    assert "not within tol_g" in capsys.readouterr().err
+    assert not out.exists()

@@ -33,7 +33,7 @@ def test_build_problem_single_mode_reduction():
     # with one mode and zero rates the rate-coupling rows vanish: the
     # state-feedback block shrinks to (n + n_z + n_w) instead of
     # (n + n_z + n_w + n(N-1))
-    problem = _build_problem(
+    problem, _ = _build_problem(
         [np.array([[-1.0]])], np.eye(1), np.eye(1), np.eye(1), np.eye(1),
         np.eye(1), np.eye(1), np.zeros((1, 1)), 2.0,
     )
@@ -227,3 +227,49 @@ def test_min_attenuation_reference_plant_certificate():
     aug = realizability.augment_jump_controller(result.controller)
     report = verify_closed_loop(plant, aug, g_star)
     assert report.attenuation_ok
+
+
+def _random_two_mode_plant(seed):
+    # stable-shifted random drifts, D1 = D2 = -I, two quadratures per channel
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 2, 0]))
+    a_modes = []
+    for _ in range(2):
+        a = rng.normal(size=(2, 2)) / np.sqrt(2)
+        a_modes.append(a - (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(2))
+    pi = rng.uniform(0.005, 0.02, size=(2, 2))
+    np.fill_diagonal(pi, 0.0)
+    np.fill_diagonal(pi, -pi.sum(axis=1))
+    b1, b2, c1, c2 = (rng.normal(size=(2, 2)) / np.sqrt(2) for _ in range(4))
+    return JumpPlant(
+        a_modes=tuple(a_modes), b1=b1, b2=b2, c1=c1, d1=-np.eye(2), c2=c2, d2=-np.eye(2),
+        theta=make_commutation_matrix(2), rates=TransitionRateMatrix(pi),
+    )
+
+
+def test_min_attenuation_rebuilds_ill_conditioned_minimiser(monkeypatch):
+    # on this plant (Y_1^-1 - X_1) of the minimiser's point is too badly
+    # conditioned to invert, so the controller comes from a second,
+    # fixed-level solve at the returned level
+    plant = _random_two_mode_plant(36)
+    calls = []
+    solve = lmi.solve_feasibility
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lmi, "solve_feasibility", counting)
+    g_star, result = min_attenuation(plant, 1e-3, 20.0, tol_g=5e-3)
+    assert len(calls) == 2
+    assert 1e-3 < g_star < 20.0 and result.g == g_star
+    assert result.solution.feasible and result.solution.gap is None
+    aug = realizability.augment_jump_controller(result.controller)
+    assert verify_closed_loop(plant, aug, g_star).attenuation_ok
+
+
+def test_min_attenuation_budget_exhausted_raises():
+    # 80 Newton steps pass the shift phase but end the minimisation far
+    # from the least level: no level may be returned
+    with pytest.raises(SynthesisError, match="not within tol_g") as info:
+        min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3, max_iter=80)
+    assert not isinstance(info.value, LmiInfeasibleError)
