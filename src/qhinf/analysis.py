@@ -109,9 +109,7 @@ def bounded_real_margin(a, b, c, d, p, g) -> float:
     eigs_p = lmi.symmetric_eigenvalues(p)
     if eigs_p[0] <= 0.0:
         raise ValueError("storage matrix P must be positive definite")
-    r_inv = _middle_inverse(d, g)
-    cross = c.T @ d + p @ b
-    m = a.T @ p + p @ a + c.T @ c + cross @ r_inv @ (d.T @ c + b.T @ p)
+    m = _riccati_residual(a, b, c, d, _middle_inverse(d, g), p)
     return float(lmi.symmetric_eigenvalues(_sym(m))[-1])
 
 
@@ -264,7 +262,7 @@ def _sigma_max_response(a, b, c, d, omega):
     return float(np.linalg.svd(tf, compute_uv=False)[0])
 
 
-def frequency_sweep_norm(a, b, c, d, n_points: int = 1000, refine: bool = True) -> float:
+def frequency_sweep_norm(a, b, c, d, n_points: int = 1000) -> float:
     """H-infinity norm estimate from a dense frequency sweep.
 
     Evaluates sigma_max(C (i w I - A)^{-1} B + D) on a log-spaced grid that
@@ -280,8 +278,6 @@ def frequency_sweep_norm(a, b, c, d, n_points: int = 1000, refine: bool = True) 
     values = np.array([_sigma_max_response(a, b, c, d, w) for w in grid])
     k = int(np.argmax(values))
     best = float(values[k])
-    if not refine:
-        return best
     lo = grid[k - 1] if k > 0 else 0.0
     hi = grid[k + 1] if k + 1 < len(grid) else grid[k] * 2.0
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -336,6 +332,7 @@ def coupled_mode_check(
     if n_modes != rates.n_modes:
         raise ValueError("mode count disagrees with the rate matrix")
     n = a_list[0].shape[0]
+    eye_n = np.eye(n)
 
     b_list = _per_mode(b1, n_modes)
     c_list = _per_mode(c1, n_modes)
@@ -352,22 +349,16 @@ def coupled_mode_check(
         problem.add_constraint(pos, "pos")
 
         n_w = b_list[i].shape[1]
-        dim = n + n_w
-        expr = lmi.AffineMatrixExpr(dim)
-        expr.constant[:n, :n] += c_list[i].T @ c_list[i]
-        expr.constant[n:, n:] += -(g * g) * np.eye(n_w)
-        left_top = np.vstack([np.eye(n), np.zeros((n_w, n))])
-        right_top = left_top.T
-        expr.add_term(names[i], left_top @ a_list[i].T, right_top)
-        expr.add_term(names[i], left_top, a_list[i] @ right_top)
+        expr = lmi.AffineMatrixExpr([n, n_w])
+        expr.add_constant(c_list[i].T @ c_list[i])
+        expr.add_constant(-(g * g) * np.eye(n_w), block=(1, 1))
+        expr.add_term(names[i], a_list[i].T, eye_n)
+        expr.add_term(names[i], eye_n, a_list[i])
         for j in range(n_modes):
             weight = rates.pi[i, j]
             if abs(weight) > 1e-15:
-                expr.add_term(names[j], weight * left_top, right_top)
-        # off-diagonal block P_i B1 and its transpose
-        right_b = np.hstack([np.zeros((n, n)), b_list[i]])
-        expr.add_term(names[i], left_top, right_b)
-        expr.add_term(names[i], right_b.T, right_top, transpose=True)
+                expr.add_term(names[j], weight * eye_n, eye_n)
+        expr.add_term(names[i], eye_n, b_list[i], block=(0, 1))
         problem.add_constraint(expr, "neg")
 
     solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, max_iter=max_iter)

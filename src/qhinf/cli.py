@@ -6,8 +6,9 @@ output is canonical JSON so documents round-trip byte for byte.  Each run
 writes a manifest next to its first output recording input digests, solver
 parameters, the seed and the tool version.
 
-Exit codes: 0 success / verification pass, 1 verification failure,
-2 infeasible synthesis, 3 input or usage error.
+Exit codes: 0 success / verification pass, 1 verification failure
+(including a realizability augmentation that leaves a commutation defect
+above 1e-9), 2 infeasible synthesis, 3 input or usage error.
 """
 
 from __future__ import annotations
@@ -127,18 +128,7 @@ def _cmd_augment(args):
     _, ctrl, rates = _load_system(args.controller)
     if ctrl is None:
         raise DocumentError("augment needs a document with a 'controller' section")
-    stripped = ctrl
-    if ctrl.n_nu:
-        # re-augment from scratch: drop existing noise channels first
-        from .qmodel import Controller, ControllerMode
-        stripped = Controller(
-            tuple(
-                ControllerMode(m.a, m.b, m.c, np.zeros((ctrl.n_u, 0)), np.zeros((ctrl.n_k, 0)))
-                for m in ctrl.modes
-            ),
-            ctrl.theta_k,
-        )
-    augmented = realizability.augment_jump_controller(stripped)
+    augmented = realizability.augment_jump_controller(ctrl)
     out = Path(args.out) if args.out else Path("controller_augmented.json")
     serialize.write_doc(out, serialize.system_to_doc(controller=augmented, rates=rates))
     _manifest(args, [args.controller], {}, [out])
@@ -398,6 +388,9 @@ def main(argv=None) -> int:
     except synthesis.SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except realizability.RealizabilityError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,10 @@ Design notes:
 * All matrix variables are vectorised into one parameter vector; symmetric
   variables contribute upper-triangle coordinates only.
 * Constraints are affine, so their coefficient matrices are materialised
-  once by evaluating each expression on the coordinate basis.
+  once, straight from the L V R terms: each variable has one expansion map T
+  with vec(V) = T theta (the identity for full variables, upper-triangle
+  duplication for symmetric ones), and a term contributes
+  T^T (L[:, i] (x) R[j, :]) to its parameters' coefficient stack.
 * The barrier weight follows a fixed geometric schedule and the Newton
   iteration uses deterministic damped steps, so identical problems produce
   identical iterate sequences.
@@ -97,36 +100,62 @@ class _Term:
 
 
 class AffineMatrixExpr:
-    """Affine symmetric-matrix expression constant + sum_k L_k V_k R_k.
+    """Affine symmetric block-matrix expression constant + sum_k L_k V_k R_k.
 
-    Each term multiplies a named variable (optionally transposed) from the
-    left and right.  Evaluation returns the symmetric part of the sum; the
-    builders in the synthesis and analysis layers add transpose-counterpart
-    terms explicitly so that symmetrisation is a no-op on exact data.
+    ``dims`` lists the block dimensions (a plain int is one block).  Each
+    term multiplies a named variable (optionally transposed) from the left
+    and right and sits at a block position (row block, column block); for an
+    off-diagonal position the expression also adds the mirrored transpose
+    term, and ``add_constant`` mirrors its block likewise, so the sum is
+    exactly symmetric for any assignment.  Evaluation returns the symmetric
+    part of the sum, a no-op on exact data.
     """
 
-    def __init__(self, dim: int, constant=None):
-        if dim <= 0:
+    def __init__(self, dims, constant=None):
+        dims = [dims] if np.ndim(dims) == 0 else list(dims)
+        if not dims or min(dims) <= 0:
             raise ValueError("expression dimension must be positive")
-        self.dim = dim
+        self.dims = dims
+        self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        self.dim = int(self.offsets[-1])
         if constant is None:
-            constant = np.zeros((dim, dim))
+            constant = np.zeros((self.dim, self.dim))
         constant = np.asarray(constant, dtype=float)
-        if constant.shape != (dim, dim):
+        if constant.shape != (self.dim, self.dim):
             raise ValueError("constant block has the wrong shape")
         self.constant = 0.5 * (constant + constant.T)
         self.terms: list[_Term] = []
 
-    def add_term(self, name: str, left=None, right=None, transpose: bool = False):
-        left = np.eye(self.dim) if left is None else np.asarray(left, dtype=float)
-        right = np.eye(self.dim) if right is None else np.asarray(right, dtype=float)
-        if left.shape[0] != self.dim or right.shape[1] != self.dim:
+    def _block(self, k):
+        return slice(self.offsets[k], self.offsets[k + 1])
+
+    def add_constant(self, mat, block=(0, 0)):
+        r, c = block
+        mat = np.asarray(mat, dtype=float)
+        if mat.shape != (self.dims[r], self.dims[c]):
+            raise ValueError("constant block has the wrong shape")
+        self.constant[self._block(r), self._block(c)] += mat
+        if r != c:
+            self.constant[self._block(c), self._block(r)] += mat.T
+
+    def add_term(self, name: str, left=None, right=None, transpose: bool = False,
+                 block=(0, 0)):
+        r, c = block
+        left = np.eye(self.dims[r]) if left is None else np.asarray(left, dtype=float)
+        right = np.eye(self.dims[c]) if right is None else np.asarray(right, dtype=float)
+        if left.shape[0] != self.dims[r] or right.shape[1] != self.dims[c]:
             raise ValueError("term coefficients must map into the expression dimension")
-        self.terms.append(_Term(name, left, right, transpose))
+        self._place(name, r, left, c, right, transpose)
+        if r != c:
+            self._place(name, c, right.T, r, left.T, not transpose)
         return self
 
-    def variable_names(self):
-        return {t.name for t in self.terms}
+    def _place(self, name, r, left, c, right, transpose):
+        padded_left = np.zeros((self.dim, left.shape[1]))
+        padded_left[self._block(r)] = left
+        padded_right = np.zeros((right.shape[0], self.dim))
+        padded_right[:, self._block(c)] = right
+        self.terms.append(_Term(name, padded_left, padded_right, transpose))
 
     def evaluate(self, assignment: dict) -> np.ndarray:
         m = self.constant.copy()
@@ -217,59 +246,38 @@ class LmiSolution:
         return self.status == "feasible"
 
 
+def _expansion(v: MatrixVariable) -> np.ndarray:
+    """T with vec(V) = T theta (row-major vec; theta its upper triangle if symmetric)."""
+    if not v.symmetric:
+        return np.eye(v.n_scalars)
+    rows, cols = np.triu_indices(v.rows)
+    t = np.zeros((v.rows * v.cols, v.n_scalars))
+    k = np.arange(v.n_scalars)
+    t[rows * v.cols + cols, k] = 1.0
+    t[cols * v.cols + rows, k] = 1.0
+    return t
+
+
 class _Layout:
     """Vectorisation of the declared variables into one parameter vector."""
 
     def __init__(self, variables):
         self.variables = list(variables)
         self.offsets = {}
+        self.expansions = {}
         total = 0
         for v in self.variables:
             self.offsets[v.name] = total
+            self.expansions[v.name] = _expansion(v)
             total += v.n_scalars
         self.total = total
-
-    def zero_assignment(self):
-        return {v.name: np.zeros((v.rows, v.cols)) for v in self.variables}
-
-    def basis_items(self, names=None):
-        """Yield (param_index, var_name, basis_matrix) for selected variables."""
-        for v in self.variables:
-            if names is not None and v.name not in names:
-                continue
-            off = self.offsets[v.name]
-            k = 0
-            if v.symmetric:
-                for i in range(v.rows):
-                    for j in range(i, v.cols):
-                        basis = np.zeros((v.rows, v.cols))
-                        basis[i, j] = 1.0
-                        basis[j, i] = 1.0
-                        yield off + k, v.name, basis
-                        k += 1
-            else:
-                for i in range(v.rows):
-                    for j in range(v.cols):
-                        basis = np.zeros((v.rows, v.cols))
-                        basis[i, j] = 1.0
-                        yield off + k, v.name, basis
-                        k += 1
 
     def unpack(self, vec):
         out = {}
         for v in self.variables:
             off = self.offsets[v.name]
-            if v.symmetric:
-                m = np.zeros((v.rows, v.cols))
-                k = 0
-                for i in range(v.rows):
-                    for j in range(i, v.cols):
-                        m[i, j] = vec[off + k]
-                        m[j, i] = vec[off + k]
-                        k += 1
-            else:
-                m = vec[off : off + v.rows * v.cols].reshape(v.rows, v.cols)
-            out[v.name] = m
+            theta = vec[off : off + v.n_scalars]
+            out[v.name] = (self.expansions[v.name] @ theta).reshape(v.rows, v.cols)
         return out
 
 
@@ -287,24 +295,29 @@ class _OrientedConstraint:
 
 
 def _materialise(problem: LmiProblem, layout: _Layout):
-    zero = layout.zero_assignment()
     oriented = []
     for c in problem.constraints:
         sign = 1.0 if c.sense == "neg" else -1.0
-        base = sign * c.expr.evaluate(zero)
-        names = c.expr.variable_names()
+        d = c.expr.dim
+        base = sign * 0.5 * (c.expr.constant + c.expr.constant.T)
+        by_name = {}  # variable -> coefficients of vec(V), (rows * cols, d, d)
+        for t in c.expr.terms:
+            # outer[i, j] = L[:, i] (x) R[j, :], the coefficient of (V or V^T)[i, j]
+            outer = t.left.T[:, None, :, None] * t.right[None, :, None, :]
+            if t.transpose:
+                outer = outer.transpose(1, 0, 2, 3)
+            outer = outer.reshape(-1, d, d)
+            by_name[t.name] = by_name.get(t.name, 0.0) + outer
         idx, mats = [], []
-        for p, name, basis in layout.basis_items(names):
-            assignment = dict(zero)
-            assignment[name] = basis
-            g = sign * c.expr.evaluate(assignment) - base
-            if _maxabs(g) > 0.0:
-                idx.append(p)
-                mats.append(g)
-        coeffs = np.array(mats) if mats else np.zeros((0, c.expr.dim, c.expr.dim))
-        oriented.append(
-            _OrientedConstraint(base, np.array(idx, dtype=int), coeffs, c.expr.dim)
-        )
+        for name in sorted(by_name, key=layout.offsets.get):
+            g = np.tensordot(layout.expansions[name], by_name[name], axes=(0, 0))
+            g = sign * 0.5 * (g + g.transpose(0, 2, 1))
+            keep = np.flatnonzero(np.any(g != 0.0, axis=(1, 2)))
+            idx.append(layout.offsets[name] + keep)
+            mats.append(g[keep])
+        idx = np.concatenate(idx) if idx else np.zeros(0, dtype=int)
+        coeffs = np.concatenate(mats) if mats else np.zeros((0, d, d))
+        oriented.append(_OrientedConstraint(base, idx, coeffs, d))
     return oriented
 
 
@@ -365,11 +378,13 @@ def _centre(oriented, x, mu, objective, max_steps, tol):
     """
     obj = -1 if objective is None else objective
     steps = 0
+    factors = None  # slack factors at x, carried over from the accepted candidate
     while steps < max_steps and x[-1] >= _T_FLOOR:
-        factors = _slacks(oriented, x[:-1], x[-1])
         if factors is None:
-            # should not happen from a feasible iterate; bail out
-            return x, steps, "interior iterate lost positive definiteness"
+            factors = _slacks(oriented, x[:-1], x[-1])
+            if factors is None:
+                # should not happen from a feasible iterate; bail out
+                return x, steps, "interior iterate lost positive definiteness"
         grad, hess = _newton_system(oriented, factors, mu, len(x) - 1)
         if objective is not None:
             grad, hess = grad[:-1], hess[:-1, :-1]
@@ -393,7 +408,7 @@ def _centre(oriented, x, mu, objective, max_steps, tol):
             if cand_factors is not None:
                 f1 = _barrier_value(cand_factors, cand[obj], mu)
                 if f1 <= f0 - 1e-4 * alpha * decrement or f1 < f0:
-                    x = cand
+                    x, factors = cand, cand_factors
                     break
             alpha *= 0.5
         if decrement <= max(tol, 1e-12) * (1.0 + abs(x[obj])):

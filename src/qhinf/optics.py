@@ -122,20 +122,19 @@ class OpticalControllerMode:
     e2: np.ndarray
 
 
-def controller_from_optics(real: OpticalRealization, flip_sign: bool = False) -> OpticalControllerMode:
+def controller_from_optics(real: OpticalRealization) -> OpticalControllerMode:
     """Controller matrices realised by a static squeezer and a 3-mirror OPO.
 
     The measured plant output passes through the static squeezer into the
     first mirror; the remaining mirrors carry fresh vacuum noise, the second
     of which also forms the controller output with unit feedthrough on the
-    first noise channel.  ``flip_sign`` applies the optional pi phase
-    shifter in the measurement line; the default orientation carries
-    positive squeezer gains.
+    first noise channel.  The measurement line carries positive squeezer
+    gains (no pi phase shifter).
     """
     eye = np.eye(2)
     a = np.diag([-real.kappa / 2.0 - real.chi, -real.kappa / 2.0 + real.chi])
     gain = static_squeezer_gain(real.kappa_prime, real.chi_prime)
-    b = np.sqrt(real.kappa1) * gain * (-1.0 if flip_sign else 1.0)
+    b = np.sqrt(real.kappa1) * gain
     c = -np.sqrt(real.kappa2) * eye
     e1 = np.sqrt(real.kappa2) * eye
     e2 = np.sqrt(real.kappa3) * eye

@@ -30,6 +30,7 @@ from .qmodel import (
 )
 
 __all__ = [
+    "RealizabilityError",
     "RealizabilityReport",
     "cr_residual",
     "output_condition_residual",
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+
+class RealizabilityError(RuntimeError):
+    """The noise augmentation could not repair the commutation defect."""
 
 
 def _theta_mat(theta) -> np.ndarray:
@@ -173,7 +178,8 @@ def factor_skew_canonical(w, drop_tol: float = 1e-12) -> np.ndarray:
     The pairing starts from the coordinate basis whenever -W^2 is diagonal,
     which keeps block-diagonal residuals (the common case for decoupled
     quadratures) in aligned form: W = c J yields exactly sqrt(|c|) I for
-    c < 0 and sqrt(c) diag(1, -1) for c > 0.
+    c < 0 and sqrt(c) diag(1, -1) for c > 0.  Raises ``RealizabilityError``
+    when the factor misses -W by more than 1e-10 relative to max|W|.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
@@ -209,9 +215,12 @@ def factor_skew_canonical(w, drop_tol: float = 1e-12) -> np.ndarray:
         used = np.column_stack([used, v, w_vec])
 
     e = np.column_stack(cols) if cols else np.zeros((n, 0))
-    residual = e @ block_j(e.shape[1]) @ e.T + w
-    if _maxabs(residual) > 1e-10 * scale:
-        raise AssertionError("skew factorisation failed to reproduce the residual")
+    residual = _maxabs(e @ block_j(e.shape[1]) @ e.T + w)
+    if residual > 1e-10 * scale:
+        raise RealizabilityError(
+            f"skew factorisation misses the residual by {residual:.3e} "
+            f"(tolerance {1e-10 * scale:.3e})"
+        )
     return e
 
 
@@ -245,7 +254,9 @@ def augment_controller(a, b, c, theta_k) -> AugmentedNoise:
        W = A Theta + Theta A^T + B J B^T + E_out J E_out^T
        is repaired by E_extra with E_extra J E_extra^T = -W.
 
-    The result passes the realizability check to 1e-9 by construction.
+    The result passes the realizability check to 1e-9 on exact arithmetic;
+    ``RealizabilityError`` is raised when rounding (large controller gains)
+    leaves a commutation defect above that absolute tolerance.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -264,9 +275,12 @@ def augment_controller(a, b, c, theta_k) -> AugmentedNoise:
     d = np.hstack([np.eye(n_u), np.zeros((n_u, e_extra.shape[1]))])
     result = AugmentedNoise(e_out, e_extra, d)
     full_b = np.hstack([b, result.e])
-    final = cr_residual(a, full_b, th, block_j(n_y + result.n_noise))
-    if _maxabs(final) > DEFAULT_TOL:
-        raise AssertionError("augmentation left a commutation defect above tolerance")
+    final = _maxabs(cr_residual(a, full_b, th, block_j(n_y + result.n_noise)))
+    if final > DEFAULT_TOL:
+        raise RealizabilityError(
+            f"augmentation left a commutation defect {final:.3e} "
+            f"above the tolerance {DEFAULT_TOL:g}"
+        )
     return result
 
 

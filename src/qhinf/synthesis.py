@@ -64,49 +64,6 @@ class LmiInfeasibleError(SynthesisError):
         self.solution = solution
 
 
-class _BlockExpr:
-    """Helper to assemble a symmetric block LMI expression.
-
-    Off-diagonal placements automatically add the mirrored transpose term,
-    so the assembled expression is exactly symmetric for any assignment.
-    """
-
-    def __init__(self, block_dims):
-        self.offsets = np.concatenate([[0], np.cumsum(block_dims)]).astype(int)
-        self.dims = list(block_dims)
-        self.expr = lmi.AffineMatrixExpr(int(self.offsets[-1]))
-
-    def _embed_left(self, r, mat):
-        mat = np.asarray(mat, dtype=float)
-        out = np.zeros((self.expr.dim, mat.shape[1]))
-        out[self.offsets[r] : self.offsets[r] + mat.shape[0], :] = mat
-        return out
-
-    def _embed_right(self, c, mat):
-        mat = np.asarray(mat, dtype=float)
-        out = np.zeros((mat.shape[0], self.expr.dim))
-        out[:, self.offsets[c] : self.offsets[c] + mat.shape[1]] = mat
-        return out
-
-    def const(self, r, c, mat):
-        mat = np.asarray(mat, dtype=float)
-        rows = slice(self.offsets[r], self.offsets[r] + mat.shape[0])
-        cols = slice(self.offsets[c], self.offsets[c] + mat.shape[1])
-        self.expr.constant[rows, cols] += mat
-        if r != c:
-            self.expr.constant[cols, rows] += mat.T
-
-    def term(self, r, c, name, left, right, transpose=False):
-        self.expr.add_term(name, self._embed_left(r, left), self._embed_right(c, right), transpose)
-        if r != c:
-            self.expr.add_term(
-                name,
-                self._embed_left(c, np.asarray(right, dtype=float).T),
-                self._embed_right(r, np.asarray(left, dtype=float).T),
-                not transpose,
-            )
-
-
 def _names(prefix, n_modes):
     return [f"{prefix}{i + 1}" for i in range(n_modes)]
 
@@ -138,60 +95,59 @@ def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
     if g is None:
         problem.add_variable(GAMMA, 1, symmetric=True)
 
-    def minus_level(blk, r):
+    def minus_level(expr, r):
         # the -g^2 I block on the disturbance channels, constant or linear in gamma
         if g is not None:
-            blk.const(r, r, -(g * g) * np.eye(n_w))
+            expr.add_constant(-(g * g) * np.eye(n_w), block=(r, r))
             return
         for e in np.eye(n_w):
-            blk.term(r, r, GAMMA, -e[:, None], e[None, :])
+            expr.add_term(GAMMA, -e[:, None], e[None, :], block=(r, r))
 
     eye_n = np.eye(n)
     for i in range(n_modes):
         a = a_modes[i]
 
         # observer-side inequality in (X_i, L_i)
-        blk = _BlockExpr([n, n_w])
-        blk.const(0, 0, c1.T @ c1)
-        minus_level(blk, 1)
-        blk.term(0, 0, x_names[i], a.T, eye_n)
-        blk.term(0, 0, x_names[i], eye_n, a)
-        blk.term(0, 0, l_names[i], eye_n, c2)
-        blk.term(0, 0, l_names[i], c2.T, eye_n, transpose=True)
+        expr = lmi.AffineMatrixExpr([n, n_w])
+        expr.add_constant(c1.T @ c1)
+        minus_level(expr, 1)
+        expr.add_term(x_names[i], a.T, eye_n)
+        expr.add_term(x_names[i], eye_n, a)
+        expr.add_term(l_names[i], eye_n, c2)
+        expr.add_term(l_names[i], c2.T, eye_n, transpose=True)
         for j in range(n_modes):
             if abs(pi[i, j]) > 1e-15:
-                blk.term(0, 0, x_names[j], pi[i, j] * eye_n, eye_n)
-        blk.term(0, 1, x_names[i], eye_n, b1)
-        blk.term(0, 1, l_names[i], eye_n, d2)
-        problem.add_constraint(blk.expr, "neg")
+                expr.add_term(x_names[j], pi[i, j] * eye_n, eye_n)
+        expr.add_term(x_names[i], eye_n, b1, block=(0, 1))
+        expr.add_term(l_names[i], eye_n, d2, block=(0, 1))
+        problem.add_constraint(expr, "neg")
 
         # cross-coupling positivity [[Y_i, I], [I, X_i]] > 0
-        blk = _BlockExpr([n, n])
-        blk.const(0, 1, eye_n)
-        blk.term(0, 0, y_names[i], eye_n, eye_n)
-        blk.term(1, 1, x_names[i], eye_n, eye_n)
-        problem.add_constraint(blk.expr, "pos")
+        expr = lmi.AffineMatrixExpr([n, n])
+        expr.add_constant(eye_n, block=(0, 1))
+        expr.add_term(y_names[i], eye_n, eye_n)
+        expr.add_term(x_names[i], eye_n, eye_n, block=(1, 1))
+        problem.add_constraint(expr, "pos")
 
         # state-feedback-side inequality in (Y_i, F_i) with rate coupling
         others = [j for j in range(n_modes) if j != i]
-        dims = [n, n_z, n_w] + [n] * len(others)
-        blk = _BlockExpr(dims)
-        blk.const(0, 2, b1)
-        minus_level(blk, 2)
-        blk.const(1, 1, -np.eye(n_z))
-        blk.term(0, 0, y_names[i], a, eye_n)
-        blk.term(0, 0, y_names[i], eye_n, a.T)
-        blk.term(0, 0, f_names[i], b2, eye_n)
-        blk.term(0, 0, f_names[i], eye_n, b2.T, transpose=True)
+        expr = lmi.AffineMatrixExpr([n, n_z, n_w] + [n] * len(others))
+        expr.add_constant(b1, block=(0, 2))
+        minus_level(expr, 2)
+        expr.add_constant(-np.eye(n_z), block=(1, 1))
+        expr.add_term(y_names[i], a, eye_n)
+        expr.add_term(y_names[i], eye_n, a.T)
+        expr.add_term(f_names[i], b2, eye_n)
+        expr.add_term(f_names[i], eye_n, b2.T, transpose=True)
         if abs(pi[i, i]) > 1e-15:
-            blk.term(0, 0, y_names[i], pi[i, i] * eye_n, eye_n)
-        blk.term(1, 0, y_names[i], c1, eye_n)
-        blk.term(1, 0, f_names[i], d1, eye_n)
+            expr.add_term(y_names[i], pi[i, i] * eye_n, eye_n)
+        expr.add_term(y_names[i], c1, eye_n, block=(1, 0))
+        expr.add_term(f_names[i], d1, eye_n, block=(1, 0))
         for k, j in enumerate(others):
             if pi[i, j] > 1e-15:
-                blk.term(0, 3 + k, y_names[i], np.sqrt(pi[i, j]) * eye_n, eye_n)
-            blk.term(3 + k, 3 + k, y_names[j], -eye_n, eye_n)
-        problem.add_constraint(blk.expr, "neg")
+                expr.add_term(y_names[i], np.sqrt(pi[i, j]) * eye_n, eye_n, block=(0, 3 + k))
+            expr.add_term(y_names[j], -eye_n, eye_n, block=(3 + k, 3 + k))
+        problem.add_constraint(expr, "neg")
 
     return problem, (x_names, y_names, l_names, f_names)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qhinf import demo, serialize
+from qhinf import demo, optics, serialize, synthesis
 from qhinf.cli import main
 from qhinf.qmodel import Controller, ControllerMode, make_commutation_matrix
 
@@ -65,6 +65,20 @@ def test_augment_command(docs, capsys):
     assert ctrl.n_nu == 4
     rc = main(["check-pr", "--controller", str(out), "--tol", "1e-9"])
     assert rc == 0
+
+
+def test_augment_defect_above_tolerance_exits_1(tmp_path, capsys):
+    # gains of about 4.7e3 leave a rounding defect above the absolute 1e-9
+    rates = [[-0.02, 0.01, 0.01], [0.01, -0.01, 0.0], [0.05, 0.0, -0.05]]
+    plant = optics.opo_plant(1.2, 0.01, (0.02, 0.2, 0.4), rates)
+    ctrl = synthesis.synthesize(plant, 0.09133).controller
+    src = tmp_path / "ctrl.json"
+    serialize.write_doc(src, serialize.system_to_doc(controller=ctrl, rates=plant.rates))
+    out = tmp_path / "aug.json"
+    rc = main(["augment", "--controller", str(src), "--out", str(out)])
+    assert rc == 1
+    assert "commutation defect" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_command(docs, capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhinf import lmi
+from qhinf import analysis, demo, lmi, synthesis
+from qhinf.qmodel import assemble_closed_loop
 
 
 def test_symmetric_eigenvalues_examples():
@@ -157,3 +158,104 @@ def test_minimize_scalar_objective():
     assert sol.gap <= 1e-3
     with pytest.raises(ValueError, match="1x1"):
         _lyapunov_problem(np.eye(2) * -1.0).minimize("P", lambda value, lower: True)
+
+
+def _basis_materialise(problem, layout):
+    """Reference: evaluate each expression on every coordinate basis matrix.
+
+    Returns per constraint the oriented constant and the dense coefficient
+    stack over all parameters.
+    """
+    zero = {v.name: np.zeros((v.rows, v.cols)) for v in problem.variables}
+    out = []
+    for c in problem.constraints:
+        sign = 1.0 if c.sense == "neg" else -1.0
+        base = sign * c.expr.evaluate(zero)
+        stack = np.zeros((layout.total, c.expr.dim, c.expr.dim))
+        for v in problem.variables:
+            pairs = [(i, j) for i in range(v.rows)
+                     for j in range(i if v.symmetric else 0, v.cols)]
+            for k, (i, j) in enumerate(pairs):
+                basis = np.zeros((v.rows, v.cols))
+                basis[i, j] = 1.0
+                if v.symmetric:
+                    basis[j, i] = 1.0
+                stack[layout.offsets[v.name] + k] = (
+                    sign * c.expr.evaluate({**zero, v.name: basis}) - base
+                )
+        out.append((base, stack))
+    return out
+
+
+def _assert_stacks_match_basis_reference(problem):
+    layout = lmi._Layout(problem.variables)
+    oriented = lmi._materialise(problem, layout)
+    for oc, (base, reference) in zip(oriented, _basis_materialise(problem, layout), strict=True):
+        stack = np.zeros_like(reference)
+        stack[oc.param_idx] = oc.coeffs
+        tol = 1e-13 * (1.0 + np.max(np.abs(reference)))
+        assert np.max(np.abs(stack - reference)) <= tol
+        assert np.max(np.abs(oc.const - base)) <= 1e-13 * (1.0 + np.max(np.abs(base)))
+        assert np.all(np.any(oc.coeffs != 0.0, axis=(1, 2)))  # only live parameters kept
+
+
+@pytest.mark.parametrize("g", [0.05, None])
+def test_synthesis_stacks_match_basis_evaluation(g):
+    _assert_stacks_match_basis_reference(synthesis.build_hinf_lmis(demo.reference_plant(), g))
+
+
+def test_coupled_check_stacks_match_basis_evaluation(monkeypatch):
+    problems = []
+    solve = lmi.solve_feasibility
+
+    def capture(problem, **kwargs):
+        problems.append(problem)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(lmi, "solve_feasibility", capture)
+    loop = assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
+    analysis.coupled_mode_check(
+        [m.a for m in loop.modes], loop.rates, [m.b1 for m in loop.modes],
+        [m.c for m in loop.modes], 0.5,
+    )
+    assert len(problems) == 1
+    _assert_stacks_match_basis_reference(problems[0])
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_off_diagonal_block_term_matches_hand_padded_pair(transpose):
+    rng = np.random.default_rng(3)
+    left, right = rng.normal(size=(2, 4)), rng.normal(size=(3, 3))
+    if transpose:
+        left, right = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
+    const = rng.normal(size=(2, 3))
+    blocks = lmi.AffineMatrixExpr([2, 3])
+    blocks.add_constant(const, block=(0, 1))
+    blocks.add_term("V", left, right, transpose, block=(0, 1))
+
+    pad_left = np.vstack([left, np.zeros((3, left.shape[1]))])
+    pad_right = np.hstack([np.zeros((right.shape[0], 2)), right])
+    hand = lmi.AffineMatrixExpr(5, np.block([[np.zeros((2, 2)), const],
+                                             [const.T, np.zeros((3, 3))]]))
+    hand.add_term("V", pad_left, pad_right, transpose)
+    hand.add_term("V", pad_right.T, pad_left.T, not transpose)
+
+    assignment = {"V": rng.normal(size=(4, 3))}
+    value = blocks.evaluate(assignment)
+    assert np.max(np.abs(value - hand.evaluate(assignment))) <= 1e-14 * (1.0 + np.max(np.abs(value)))
+    assert np.max(np.abs(value[2:, :2] - value[:2, 2:].T)) == 0.0
+    assert np.max(np.abs(value[:2, :2])) == 0.0 and np.max(np.abs(value[2:, 2:])) == 0.0
+
+
+def test_unpack_round_trips_symmetric_and_rectangular():
+    variables = [lmi.MatrixVariable("S", 3, 3, symmetric=True), lmi.MatrixVariable("R", 2, 3)]
+    layout = lmi._Layout(variables)
+    assert layout.total == 6 + 6
+    vec = np.random.default_rng(4).normal(size=layout.total)
+    out = layout.unpack(vec)
+    s, r = out["S"], out["R"]
+    assert np.array_equal(s, s.T)
+    assert np.array_equal(s[np.triu_indices(3)], vec[:6])
+    assert np.array_equal(r, vec[6:].reshape(2, 3))
+    again = layout.unpack(np.concatenate([s[np.triu_indices(3)], r.ravel()]))
+    assert np.array_equal(again["S"], s) and np.array_equal(again["R"], r)
