@@ -13,7 +13,10 @@ transition rates.  This module provides:
   the finite-horizon differential form by backward integration,
 * ``hinf_norm``: bisection on Riccati solvability, cross-checkable against
   ``frequency_sweep_norm`` (an independent oracle),
+* ``bounded_real_block``: mode i of the coupled bounded-real LMI without its
+  level corner, shared by the certificate search and the synthesis LMIs,
 * ``coupled_mode_check``: LMI search for coupled per-mode certificates,
+* ``mode_abscissas``: per-mode spectral abscissas of a closed loop,
 * ``verify_closed_loop``: full closed-loop certification.
 """
 
@@ -32,7 +35,6 @@ from .realizability import _per_mode, check_controller_realizability
 __all__ = [
     "RiccatiSolution",
     "RiccatiNoSolutionError",
-    "BoundedRealCertificate",
     "CoupledModeResult",
     "ClosedLoopReport",
     "bounded_real_margin",
@@ -40,7 +42,9 @@ __all__ = [
     "riccati_ode_backward",
     "hinf_norm",
     "frequency_sweep_norm",
+    "bounded_real_block",
     "coupled_mode_check",
+    "mode_abscissas",
     "verify_closed_loop",
 ]
 
@@ -64,21 +68,20 @@ class RiccatiSolution:
 
 
 @dataclass(frozen=True)
-class BoundedRealCertificate:
-    """Storage matrices certifying a strict bounded-real property."""
-
-    g: float
-    p_modes: tuple
-    eps: float
-    noise_offset: float  # trace-term constant of the dissipation bookkeeping
-    method: str
-
-
-@dataclass(frozen=True)
 class CoupledModeResult:
-    feasible: bool
-    certificate: BoundedRealCertificate | None
+    """Coupled storage matrices P_i certifying a strict bounded-real property.
+
+    ``p_modes`` and ``noise_offset`` are None when the LMI solve did not
+    certify; the margin is ``solution.margin``.
+    """
+
     solution: lmi.LmiSolution
+    p_modes: tuple | None
+    noise_offset: float | None  # trace-term constant of the dissipation bookkeeping
+
+    @property
+    def feasible(self) -> bool:
+        return self.solution.feasible
 
 
 def _sym(m):
@@ -306,6 +309,28 @@ def _as_rate_matrix(rates) -> TransitionRateMatrix:
     return TransitionRateMatrix(np.asarray(rates, dtype=float))
 
 
+def bounded_real_block(a, b, c, pi_row, p_names, i) -> lmi.AffineMatrixExpr:
+    """Mode i of the coupled bounded-real LMI, without its level corner:
+
+        [[A^T P_i + P_i A + sum_j pi_ij P_j + C^T C,  P_i B],
+         [B^T P_i,                                    0    ]]
+
+    over the symmetric variables ``p_names`` (one per mode).  The caller
+    adds the (1, 1) corner -g^2 I and any further terms.
+    """
+    n, n_w = a.shape[0], b.shape[1]
+    eye_n = np.eye(n)
+    expr = lmi.AffineMatrixExpr([n, n_w])
+    expr.add_constant(c.T @ c)
+    expr.add_term(p_names[i], a.T, eye_n)
+    expr.add_term(p_names[i], eye_n, a)
+    for j, rate in enumerate(pi_row):
+        if abs(rate) > 1e-15:
+            expr.add_term(p_names[j], rate * eye_n, eye_n)
+    expr.add_term(p_names[i], eye_n, b, block=(0, 1))
+    return expr
+
+
 def coupled_mode_check(
     a_modes,
     rates,
@@ -321,8 +346,9 @@ def coupled_mode_check(
         A_i^T P_i + P_i A_i + sum_j pi_ij P_j
         + g^{-2} P_i B_1 B_1^T P_i + C_1^T C_1 < 0,
 
-    posed as an LMI via the Schur complement and solved with the barrier
-    engine.  ``b1`` and ``c1`` may be shared or per-mode.
+    posed as the LMI ``bounded_real_block`` with corner -g^2 I (a Schur
+    complement) and solved with the barrier engine.  ``b1`` and ``c1`` may
+    be shared or per-mode.
     """
     if g <= 0:
         raise ValueError("attenuation level must be positive")
@@ -332,7 +358,6 @@ def coupled_mode_check(
     if n_modes != rates.n_modes:
         raise ValueError("mode count disagrees with the rate matrix")
     n = a_list[0].shape[0]
-    eye_n = np.eye(n)
 
     b_list = _per_mode(b1, n_modes)
     c_list = _per_mode(c1, n_modes)
@@ -348,22 +373,13 @@ def coupled_mode_check(
         pos.add_term(names[i])
         problem.add_constraint(pos, "pos")
 
-        n_w = b_list[i].shape[1]
-        expr = lmi.AffineMatrixExpr([n, n_w])
-        expr.add_constant(c_list[i].T @ c_list[i])
-        expr.add_constant(-(g * g) * np.eye(n_w), block=(1, 1))
-        expr.add_term(names[i], a_list[i].T, eye_n)
-        expr.add_term(names[i], eye_n, a_list[i])
-        for j in range(n_modes):
-            weight = rates.pi[i, j]
-            if abs(weight) > 1e-15:
-                expr.add_term(names[j], weight * eye_n, eye_n)
-        expr.add_term(names[i], eye_n, b_list[i], block=(0, 1))
+        expr = bounded_real_block(a_list[i], b_list[i], c_list[i], rates.pi[i], names, i)
+        expr.add_constant(-(g * g) * np.eye(b_list[i].shape[1]), block=(1, 1))
         problem.add_constraint(expr, "neg")
 
     solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, max_iter=max_iter)
     if not solution.feasible:
-        return CoupledModeResult(False, None, solution)
+        return CoupledModeResult(solution, None, None)
     p_modes = tuple(solution.assignment[name] for name in names)
     noise_offset = 0.0
     for i, p in enumerate(p_modes):
@@ -371,14 +387,12 @@ def coupled_mode_check(
         if extra_list is not None and extra_list[i].size:
             offset += float(np.trace(extra_list[i].T @ p @ extra_list[i]))
         noise_offset = max(noise_offset, offset)
-    certificate = BoundedRealCertificate(
-        g=float(g),
-        p_modes=p_modes,
-        eps=solution.margin,
-        noise_offset=noise_offset,
-        method="lmi",
-    )
-    return CoupledModeResult(True, certificate, solution)
+    return CoupledModeResult(solution, p_modes, noise_offset)
+
+
+def mode_abscissas(loop) -> tuple:
+    """Spectral abscissa max Re eig(A_i) of every mode of a closed loop."""
+    return tuple(float(np.max(np.linalg.eigvals(m.a).real)) for m in loop.modes)
 
 
 @dataclass(frozen=True)
@@ -403,9 +417,7 @@ def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLo
     report's ``coupled`` is None.
     """
     loop = assemble_closed_loop(plant, ctrl)
-    abscissas = tuple(
-        float(np.max(np.linalg.eigvals(m.a).real)) for m in loop.modes
-    )
+    abscissas = mode_abscissas(loop)
     hurwitz = tuple(x < 0.0 for x in abscissas)
     coupled = None
     if all(hurwitz):

@@ -162,8 +162,8 @@ def _cmd_analyze(args):
     else:
         lines.append(f"  coupled certificate: {'feasible' if coupled.feasible else 'infeasible'}"
                      f" (margin {coupled.solution.margin:.3e})")
-        if coupled.certificate is not None:
-            lines.append(f"  noise offset constant: {coupled.certificate.noise_offset:.4g}")
+        if coupled.feasible:
+            lines.append(f"  noise offset constant: {coupled.noise_offset:.4g}")
     lines.append(f"  controller realizability residual: {report.realizability_residual:.3e}")
     lines.append(f"  verdict: {'PASS' if report.attenuation_ok else 'FAIL'}")
     _emit(args, doc, "\n".join(lines))
@@ -194,8 +194,8 @@ def _cmd_simulate(args):
     paths_doc = []
     first_traj = None
     for p in range(args.paths):
-        path_seed = int(np.random.SeedSequence([args.seed, p]).generate_state(1)[0])
-        path = jumpsim.sample_markov_path(loop.rates, args.t_end, seed=path_seed)
+        path = jumpsim.sample_markov_path(loop.rates, args.t_end,
+                                          seed=jumpsim.path_seed(args.seed, p))
         traj = jumpsim.propagate_moments(
             loop, path, disturbance, np.zeros(loop.n), np.eye(loop.n), args.dt
         )
@@ -209,6 +209,7 @@ def _cmd_simulate(args):
             "input_energy": traj.input_energy,
         })
     stride = max(1, len(first_traj.times) // 400)
+    q_diag = np.diagonal(first_traj.second_moment[::stride], axis1=1, axis2=2)
     doc = {
         "t_end": args.t_end,
         "dt": args.dt,
@@ -218,9 +219,7 @@ def _cmd_simulate(args):
         "trajectory": {
             "time": [float(t) for t in first_traj.times[::stride]],
             "mean": serialize.encode_matrix(first_traj.mean[::stride]),
-            "second_moment_diag": serialize.encode_matrix(
-                np.array([np.diag(q) for q in first_traj.second_moment[::stride]])
-            ),
+            "second_moment_diag": serialize.encode_matrix(q_diag),
             "z_energy": [float(x) for x in first_traj.z_energy[::stride]],
             "w_energy": [float(x) for x in first_traj.w_energy[::stride]],
         },
@@ -232,25 +231,14 @@ def _cmd_simulate(args):
     _emit(args, doc, text)
     outputs = [args.out] if args.out else []
     if args.plot_data:
-        cols = [first_traj.times[::stride]]
-        header = ["time"]
         n = first_traj.mean.shape[1]
-        for k in range(n):
-            cols.append(first_traj.mean[::stride, k])
-            header.append(f"mean_{k + 1}")
-        for k in range(n):
-            cols.append(np.array([q[k, k] for q in first_traj.second_moment[::stride]]))
-            header.append(f"q_{k + 1}{k + 1}")
-        cols.append(first_traj.z_energy[::stride])
-        header.append("z_energy")
-        cols.append(first_traj.w_energy[::stride])
-        header.append("w_energy")
-        table = np.column_stack(cols)
-        Path(args.plot_data).write_text(
-            "# " + " ".join(header) + "\n"
-            + "\n".join(" ".join(f"{v:.12g}" for v in row) for row in table) + "\n",
-            encoding="utf-8",
-        )
+        header = (["time"] + [f"mean_{k + 1}" for k in range(n)]
+                  + [f"q_{k + 1}{k + 1}" for k in range(n)] + ["z_energy", "w_energy"])
+        table = np.column_stack([
+            first_traj.times[::stride], first_traj.mean[::stride], q_diag,
+            first_traj.z_energy[::stride], first_traj.w_energy[::stride],
+        ])
+        np.savetxt(args.plot_data, table, fmt="%.12g", header=" ".join(header))
         outputs.append(args.plot_data)
     if outputs:
         _manifest(args, [args.system],

@@ -205,10 +205,10 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
     pr_ref = realizability.check_controller_realizability(ref, tol=5e-3)
     checks.append(_bool_check("tabulated controller realizable at table precision",
                               pr_ref.realizable, f"worst residual {pr_ref.worst():.2e}"))
-    ref_cl = analysis.verify_closed_loop(plant, ref, max(g_star, 0.5))
+    ref_abscissas = analysis.mode_abscissas(analysis.assemble_closed_loop(plant, ref))
     checks.append(_bool_check("tabulated controller stabilises every mode",
-                              all(ref_cl.hurwitz),
-                              f"abscissas {[f'{x:.4f}' for x in ref_cl.abscissas]}"))
+                              all(x < 0.0 for x in ref_abscissas),
+                              f"abscissas {[f'{x:.4f}' for x in ref_abscissas]}"))
 
     # noise augmentation reproduces the tabulated repair channels
     expected_extra = (1.2258, 1.3057, 1.4262)

@@ -31,6 +31,7 @@ from .qmodel import ClosedLoop, TransitionRateMatrix, validate_generator
 
 __all__ = [
     "MarkovPath",
+    "path_seed",
     "sample_markov_path",
     "MomentTrajectory",
     "propagate_moments",
@@ -77,6 +78,11 @@ class MarkovPath:
             return self
         keep = [t for t in self.jump_times if t < t_end]
         return MarkovPath(t_end, tuple(keep), self.modes[: len(keep) + 1], self.seed)
+
+
+def path_seed(seed: int, p: int) -> int:
+    """Seed of path p drawn from a master seed, independent of evaluation order."""
+    return int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
 
 
 def sample_markov_path(rates, t_end: float, initial_mode: int = 1, seed: int = 0) -> MarkovPath:
@@ -448,8 +454,7 @@ def estimate_attenuation(
     horizons = [_probe_horizon(d, t_end) for d in disturbances]
     ratios = np.zeros((n_paths, len(disturbances)))
     for p in range(n_paths):
-        path_seed = int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
-        path = sample_markov_path(closed_loop.rates, t_end, initial_mode, path_seed)
+        path = sample_markov_path(closed_loop.rates, t_end, initial_mode, path_seed(seed, p))
         if method == "mean":
             ratios[p] = _mean_ratios(closed_loop, path, disturbances, horizons)
         else:

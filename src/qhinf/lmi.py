@@ -15,10 +15,10 @@ Design notes:
 * All matrix variables are vectorised into one parameter vector; symmetric
   variables contribute upper-triangle coordinates only.
 * Constraints are affine, so their coefficient matrices are materialised
-  once, straight from the L V R terms: each variable has one expansion map T
-  with vec(V) = T theta (the identity for full variables, upper-triangle
-  duplication for symmetric ones), and a term contributes
-  T^T (L[:, i] (x) R[j, :]) to its parameters' coefficient stack.
+  once, straight from the L V R terms: a term contributes L[:, i] (x) R[j, :]
+  to the coefficient of V[i, j], which is the parameter itself for a full
+  variable; a symmetric variable maps its stack through the upper-triangle
+  duplication T with vec(V) = T theta.
 * The barrier weight follows a fixed geometric schedule and the Newton
   iteration uses deterministic damped steps, so identical problems produce
   identical iterate sequences.
@@ -246,10 +246,11 @@ class LmiSolution:
         return self.status == "feasible"
 
 
-def _expansion(v: MatrixVariable) -> np.ndarray:
-    """T with vec(V) = T theta (row-major vec; theta its upper triangle if symmetric)."""
+def _expansion(v: MatrixVariable) -> np.ndarray | None:
+    """T with vec(V) = T theta (row-major vec, theta the upper triangle) for a
+    symmetric variable; None for a full one, whose theta is vec(V) itself."""
     if not v.symmetric:
-        return np.eye(v.n_scalars)
+        return None
     rows, cols = np.triu_indices(v.rows)
     t = np.zeros((v.rows * v.cols, v.n_scalars))
     k = np.arange(v.n_scalars)
@@ -277,7 +278,8 @@ class _Layout:
         for v in self.variables:
             off = self.offsets[v.name]
             theta = vec[off : off + v.n_scalars]
-            out[v.name] = (self.expansions[v.name] @ theta).reshape(v.rows, v.cols)
+            t = self.expansions[v.name]
+            out[v.name] = (theta if t is None else t @ theta).reshape(v.rows, v.cols)
         return out
 
 
@@ -310,7 +312,9 @@ def _materialise(problem: LmiProblem, layout: _Layout):
             by_name[t.name] = by_name.get(t.name, 0.0) + outer
         idx, mats = [], []
         for name in sorted(by_name, key=layout.offsets.get):
-            g = np.tensordot(layout.expansions[name], by_name[name], axes=(0, 0))
+            g, t = by_name[name], layout.expansions[name]
+            if t is not None:
+                g = np.tensordot(t, g, axes=(0, 0))
             g = sign * 0.5 * (g + g.transpose(0, 2, 1))
             keep = np.flatnonzero(np.any(g != 0.0, axis=(1, 2)))
             idx.append(layout.offsets[name] + keep)

@@ -289,13 +289,13 @@ def augment_jump_controller(ctrl: Controller) -> Controller:
 
     Modes may need a different number of repair channels; the noise blocks
     are zero-padded on the right so all modes share one noise dimension.
+    Each count is even (n_u output channels plus repair channels in pairs),
+    so the shared one is too.
     """
     augmented = [
         augment_controller(m.a, m.b, m.c, ctrl.theta_k) for m in ctrl.modes
     ]
     n_noise = max(a.n_noise for a in augmented)
-    if n_noise % 2:
-        n_noise += 1
     modes = []
     for mode, aug in zip(ctrl.modes, augmented):
         pad = n_noise - aug.n_noise

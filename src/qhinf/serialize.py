@@ -170,23 +170,13 @@ def controller_from_doc(obj) -> Controller:
         missing = {"A", "B", "C", "D", "E"} - set(mode)
         if missing:
             raise DocumentError(f"{label}: missing keys {sorted(missing)}")
-
-        def block(key):
-            raw = decode_matrix(mode[key], f"{label}.{key}")
-            # zero-width noise blocks serialise as [[]] per row; normalise
-            if raw.size == 0 and raw.shape[0]:
-                cols = 0
-                rows = len(mode[key])
-                return np.zeros((rows, cols))
-            return raw
-
         modes.append(
             ControllerMode(
                 a=decode_matrix(mode["A"], f"{label}.A"),
                 b=decode_matrix(mode["B"], f"{label}.B"),
                 c=decode_matrix(mode["C"], f"{label}.C"),
-                d=block("D"),
-                e=block("E"),
+                d=decode_matrix(mode["D"], f"{label}.D"),
+                e=decode_matrix(mode["E"], f"{label}.E"),
             )
         )
     try:

@@ -2,8 +2,9 @@
 
 For each fault mode i the feasibility system consists of
 
-* an observer-side block inequality in (X_i, L_i) carrying the coupling sum
-  over all modes,
+* an observer-side block inequality in (X_i, L_i): the coupled bounded-real
+  block of ``analysis.bounded_real_block`` in X, with the coupling sum over
+  all modes, plus the injection terms of L_i,
 * the cross-coupling condition [[Y_i, I], [I, X_i]] > 0, and
 * a state-feedback-side block inequality in (Y_i, F_i) whose rate coupling
   enters through a Schur-complement row/column of scaled Y blocks and whose
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lmi
+from . import analysis, lmi
 from .qmodel import (
     Controller,
     ControllerMode,
@@ -107,18 +108,11 @@ def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
     for i in range(n_modes):
         a = a_modes[i]
 
-        # observer-side inequality in (X_i, L_i)
-        expr = lmi.AffineMatrixExpr([n, n_w])
-        expr.add_constant(c1.T @ c1)
+        # observer side: the coupled bounded-real block in X plus the injection L_i
+        expr = analysis.bounded_real_block(a, b1, c1, pi[i], x_names, i)
         minus_level(expr, 1)
-        expr.add_term(x_names[i], a.T, eye_n)
-        expr.add_term(x_names[i], eye_n, a)
         expr.add_term(l_names[i], eye_n, c2)
         expr.add_term(l_names[i], c2.T, eye_n, transpose=True)
-        for j in range(n_modes):
-            if abs(pi[i, j]) > 1e-15:
-                expr.add_term(x_names[j], pi[i, j] * eye_n, eye_n)
-        expr.add_term(x_names[i], eye_n, b1, block=(0, 1))
         expr.add_term(l_names[i], eye_n, d2, block=(0, 1))
         problem.add_constraint(expr, "neg")
 
@@ -218,40 +212,20 @@ class SynthesisResult:
     solution: lmi.LmiSolution
 
 
-def _reconstruct_with_diagnostics(plant: JumpPlant, g: float, blocks):
-    y_invs = [
-        _inv_sym_guarded(np.asarray(b[1], dtype=float), f"Y_{i + 1}")
-        for i, b in enumerate(blocks)
-    ]
-    modes = []
-    diag = []
+def _result(plant: JumpPlant, g: float, solution, names) -> SynthesisResult:
+    """Reconstruct the controller of a feasible LMI solution at level g."""
+    blocks = [[solution.assignment[v[i]] for v in names] for i in range(plant.n_modes)]
+    y_invs = [_inv_sym_guarded(y, f"Y_{i + 1}") for i, (_, y, _, _) in enumerate(blocks)]
+    modes, diag = [], []
     for i, (x, y, l, f) in enumerate(blocks):
         ak, bk, ck, cond_w = _reconstruct_mode(
             plant.a_modes[i], plant.b1, plant.b2, plant.c1, plant.d1,
-            plant.c2, plant.d2, plant.rates.pi[i], np.asarray(y, dtype=float),
-            y_invs, g, np.asarray(x, dtype=float), np.asarray(l, dtype=float),
-            np.asarray(f, dtype=float), i,
+            plant.c2, plant.d2, plant.rates.pi[i], y, y_invs, g, x, l, f, i,
         )
-        n_u = plant.n_u
-        modes.append(
-            ControllerMode(
-                ak, bk, ck,
-                np.zeros((n_u, 0)), np.zeros((plant.n, 0)),
-            )
-        )
-        diag.append(
-            SynthModeData(np.asarray(x, float), np.asarray(y, float),
-                          np.asarray(l, float), np.asarray(f, float), cond_w)
-        )
-    theta_k = make_commutation_matrix(plant.n)
-    return Controller(tuple(modes), theta_k), tuple(diag)
-
-
-def _result(plant: JumpPlant, g: float, solution, names) -> SynthesisResult:
-    """Reconstruct the controller of a feasible LMI solution at level g."""
-    blocks = [tuple(solution.assignment[v[i]] for v in names) for i in range(plant.n_modes)]
-    controller, diag = _reconstruct_with_diagnostics(plant, g, blocks)
-    return SynthesisResult(float(g), diag, controller, solution)
+        modes.append(ControllerMode(ak, bk, ck, np.zeros((plant.n_u, 0)), np.zeros((plant.n, 0))))
+        diag.append(SynthModeData(x, y, l, f, cond_w))
+    controller = Controller(tuple(modes), make_commutation_matrix(plant.n))
+    return SynthesisResult(float(g), tuple(diag), controller, solution)
 
 
 def synthesize(

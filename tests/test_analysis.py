@@ -141,10 +141,12 @@ def test_coupled_check_single_mode_matches_norm():
     # single mode with zero rates reduces to the bounded-real LMI
     res = coupled_mode_check([-ONE], np.zeros((1, 1)), ONE, ONE, 2.0)
     assert res.feasible
-    assert res.certificate.g == 2.0
-    assert np.linalg.eigvalsh(res.certificate.p_modes[0])[0] > 0
+    assert np.linalg.eigvalsh(res.p_modes[0])[0] > 0
+    # noise offset tr(B^T P B) with B = 1
+    assert res.noise_offset == pytest.approx(float(res.p_modes[0][0, 0]))
     res_tight = coupled_mode_check([-ONE], np.zeros((1, 1)), ONE, ONE, 0.9)
     assert not res_tight.feasible
+    assert res_tight.p_modes is None and res_tight.noise_offset is None
 
 
 def test_coupled_check_rejects_bad_rates():

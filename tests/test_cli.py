@@ -137,6 +137,14 @@ def test_simulate_command(docs, capsys):
     assert header.startswith("# time")
     data = np.loadtxt(plot)
     assert data.shape[1] == 1 + 4 + 4 + 2  # time, means, diagonals, energies
+    # every plot row is the doc trajectory's columns at %.12g
+    traj = doc["trajectory"]
+    columns = ([traj["time"]] + list(zip(*traj["mean"])) + list(zip(*traj["second_moment_diag"]))
+               + [traj["z_energy"], traj["w_energy"]])
+    rows = plot.read_text().splitlines()[1:]
+    assert len(rows) == len(traj["time"])
+    for row, values in zip(rows, zip(*columns)):
+        assert row == " ".join("%.12g" % v for v in values)
 
 
 @pytest.mark.parametrize("extra", [["--paths", "0"], ["--disturbance", "sin:0"]])

@@ -13,6 +13,7 @@ from qhinf.realizability import (
     is_physically_realizable,
     output_condition_residual,
 )
+from qhinf.synthesis import synthesize
 
 
 def test_cr_residual_zero_system():
@@ -135,11 +136,15 @@ def test_augment_trivial_controller():
 
 
 def test_augment_idempotent_in_effect():
-    ref = demo.reference_controller(with_noise=False)
-    aug_ctrl = augment_jump_controller(ref)
-    report = check_controller_realizability(aug_ctrl, tol=1e-9)
-    assert report.realizable
-    assert report.worst() <= 1e-9
+    synthesized = synthesize(demo.reference_plant(), 0.05).controller
+    for ctrl in (demo.reference_controller(with_noise=False), synthesized):
+        # n_u output channels plus repair channels in pairs: even before padding
+        for m in ctrl.modes:
+            assert augment_controller(m.a, m.b, m.c, ctrl.theta_k).n_noise % 2 == 0
+        aug_ctrl = augment_jump_controller(ctrl)
+        report = check_controller_realizability(aug_ctrl, tol=1e-9)
+        assert report.realizable
+        assert report.worst() <= 1e-9
 
 
 @given(st.integers(0, 10**6))

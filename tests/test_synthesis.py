@@ -205,6 +205,24 @@ def test_min_attenuation_is_one_solve(monkeypatch):
     assert len(calls) == 1
 
 
+def test_demo_quick_makes_two_lmi_solves(monkeypatch):
+    # the level search and the synthesized loop's certificate; the tabulated
+    # controller's stability check needs its abscissas only, not a solve
+    calls = []
+    solve = lmi.solve_feasibility
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lmi, "solve_feasibility", counting)
+    report = demo.run_paper_demo(quick=True)
+    assert len(calls) == 2
+    check = next(c for c in report["checks"]
+                 if c["name"] == "tabulated controller stabilises every mode")
+    assert check["status"] == "PASS" and check["detail"].startswith("abscissas ")
+
+
 def test_min_attenuation_reference_level_within_tolerance_of_sweep():
     # boundary of the fixed-level verdicts: 0.036 infeasible, 0.037 feasible
     plant = demo.reference_plant()
