@@ -2,11 +2,11 @@
 
 Submodules:
 
-* ``qmodel``: commutation matrices, Ito data, plant/controller containers
+* ``qmodel``: commutation matrices, rate matrices, plant/controller containers
 * ``realizability``: physical realizability checks and noise augmentation
 * ``lmi``: strict LMI feasibility engine
 * ``synthesis``: controller synthesis from coupled LMIs
-* ``analysis``: Riccati equations, H-infinity norms, closed-loop certification
+* ``analysis``: Riccati equation, H-infinity norms, closed-loop certification
 * ``jumpsim``: fault-path sampling and moment propagation
 * ``optics``: OPO plant front end and optical controller realization
 * ``demo``: bundled worked design example
@@ -20,13 +20,9 @@ from .qmodel import (  # noqa: F401,E402
     ControllerMode,
     ClosedLoop,
     JumpPlant,
-    PhysicalParams,
     TransitionRateMatrix,
     assemble_closed_loop,
     block_j,
-    canonical_ito,
-    ito_decompose,
     make_commutation_matrix,
-    physical_to_statespace,
     validate_generator,
 )

@@ -8,9 +8,8 @@ transition rates.  This module provides:
 
 * ``bounded_real_margin``: largest eigenvalue of the bounded-real matrix at
   a candidate storage matrix (negative means certificate),
-* ``solve_riccati`` / ``riccati_ode_backward``: algebraic stabilizing
-  solution via the stable invariant subspace of the Hamiltonian matrix, and
-  the finite-horizon differential form by backward integration,
+* ``solve_riccati``: algebraic stabilizing solution via the stable
+  invariant subspace of the Hamiltonian matrix,
 * ``hinf_norm``: bisection on Riccati solvability, cross-checkable against
   ``frequency_sweep_norm`` (an independent oracle),
 * ``bounded_real_block``: mode i of the coupled bounded-real LMI without its
@@ -26,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import solve_ivp
 
 from . import lmi
-from .qmodel import Controller, JumpPlant, TransitionRateMatrix, _maxabs, assemble_closed_loop
-from .realizability import _per_mode, check_controller_realizability
+from .qmodel import Controller, JumpPlant, _maxabs, as_rate_matrix, assemble_closed_loop
+from .realizability import check_controller_realizability
 
 __all__ = [
     "RiccatiSolution",
@@ -39,7 +37,6 @@ __all__ = [
     "ClosedLoopReport",
     "bounded_real_margin",
     "solve_riccati",
-    "riccati_ode_backward",
     "hinf_norm",
     "frequency_sweep_norm",
     "bounded_real_block",
@@ -116,15 +113,6 @@ def bounded_real_margin(a, b, c, d, p, g) -> float:
     return float(lmi.symmetric_eigenvalues(_sym(m))[-1])
 
 
-def _riccati_data(a, b, c, d, g):
-    a, b, c, d = (np.asarray(m, dtype=float) for m in (a, b, c, d))
-    r_inv = _middle_inverse(d, g)
-    a_hat = a + b @ r_inv @ d.T @ c
-    q_hat = _sym(c.T @ c + c.T @ d @ r_inv @ d.T @ c)
-    g_mat = _sym(b @ r_inv @ b.T)
-    return a, b, c, d, r_inv, a_hat, q_hat, g_mat
-
-
 def _riccati_residual(a, b, c, d, r_inv, p):
     cross = c.T @ d + p @ b
     return a.T @ p + p @ a + c.T @ c + cross @ r_inv @ (d.T @ c + b.T @ p)
@@ -142,7 +130,11 @@ def solve_riccati(a, b, c, d, g) -> RiccatiSolution:
     1e-8 of the imaginary axis, which signals g at or below the H-infinity
     norm.
     """
-    a, b, c, d, r_inv, a_hat, q_hat, g_mat = _riccati_data(a, b, c, d, g)
+    a, b, c, d = (np.asarray(m, dtype=float) for m in (a, b, c, d))
+    r_inv = _middle_inverse(d, g)
+    a_hat = a + b @ r_inv @ d.T @ c
+    q_hat = _sym(c.T @ c + c.T @ d @ r_inv @ d.T @ c)
+    g_mat = _sym(b @ r_inv @ b.T)
     n = a.shape[0]
     ham = np.block([[a_hat, g_mat], [-q_hat, -a_hat.T]])
     eigs = np.linalg.eigvals(ham)
@@ -178,50 +170,6 @@ def solve_riccati(a, b, c, d, g) -> RiccatiSolution:
             f"Riccati residual {residual:.3e} above tolerance; solve is unreliable"
         )
     return RiccatiSolution(p, abscissa, residual, float(g))
-
-
-@dataclass(frozen=True)
-class RiccatiTrajectory:
-    """Finite-horizon Riccati solution P(s) indexed by time-to-go s."""
-
-    times: np.ndarray
-    p_values: np.ndarray  # (len(times), n, n)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.p_values[-1]
-
-
-def riccati_ode_backward(a, b, c, d, g, horizon, n_store=201, rtol=1e-8, atol=1e-10):
-    """Backward integration of the matrix Riccati differential equation.
-
-    Starting from the zero terminal condition, integrates the equation in
-    the time-to-go variable s with adaptive step control; P(s) increases
-    towards the algebraic stabilizing solution as the horizon grows, for
-    any g above the H-infinity norm.
-    """
-    a, b, c, d, r_inv, *_ = _riccati_data(a, b, c, d, g)
-    n = a.shape[0]
-
-    def rhs(_s, y):
-        p = y.reshape(n, n)
-        dp = _riccati_residual(a, b, c, d, r_inv, p)
-        return _sym(dp).ravel()
-
-    grid = np.linspace(0.0, float(horizon), int(n_store))
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(horizon)),
-        np.zeros(n * n),
-        t_eval=grid,
-        rtol=rtol,
-        atol=atol,
-        method="RK45",
-    )
-    if not sol.success:
-        raise RuntimeError(f"Riccati integration failed: {sol.message}")
-    p_values = np.array([_sym(y.reshape(n, n)) for y in sol.y.T])
-    return RiccatiTrajectory(sol.t, p_values)
 
 
 def hinf_norm(a, b, c, d, tol: float = 1e-9) -> float:
@@ -303,10 +251,14 @@ def frequency_sweep_norm(a, b, c, d, n_points: int = 1000) -> float:
     return best
 
 
-def _as_rate_matrix(rates) -> TransitionRateMatrix:
-    if isinstance(rates, TransitionRateMatrix):
-        return rates
-    return TransitionRateMatrix(np.asarray(rates, dtype=float))
+def _per_mode(item, n_modes):
+    """Broadcast a single matrix to all modes, or pass a per-mode sequence."""
+    if isinstance(item, np.ndarray) or np.ndim(item) == 2:
+        return [np.asarray(item, dtype=float)] * n_modes
+    items = [np.asarray(m, dtype=float) for m in item]
+    if len(items) != n_modes:
+        raise ValueError("per-mode sequence length disagrees with the mode count")
+    return items
 
 
 def bounded_real_block(a, b, c, pi_row, p_names, i) -> lmi.AffineMatrixExpr:
@@ -352,7 +304,7 @@ def coupled_mode_check(
     """
     if g <= 0:
         raise ValueError("attenuation level must be positive")
-    rates = _as_rate_matrix(rates)
+    rates = as_rate_matrix(rates)
     a_list = [np.asarray(m, dtype=float) for m in a_modes]
     n_modes = len(a_list)
     if n_modes != rates.n_modes:
@@ -414,8 +366,11 @@ def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLo
     """Assemble the loop, check per-mode stability and the coupled LMI.
 
     The coupled LMI is only posed when every mode is Hurwitz; otherwise the
-    report's ``coupled`` is None.
+    report's ``coupled`` is None.  Raises ``ValueError`` for g <= 0, whether
+    or not every mode is stable.
     """
+    if not g > 0:
+        raise ValueError("attenuation level must be positive")
     loop = assemble_closed_loop(plant, ctrl)
     abscissas = mode_abscissas(loop)
     hurwitz = tuple(x < 0.0 for x in abscissas)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .qmodel import ClosedLoop, TransitionRateMatrix, validate_generator
+from .qmodel import ClosedLoop, as_rate_matrix
 
 __all__ = [
     "MarkovPath",
@@ -92,10 +92,7 @@ def sample_markov_path(rates, t_end: float, initial_mode: int = 1, seed: int = 0
     mode k != j is drawn with probability pi_jk / (-pi_jj).  The draw is a
     pure function of the seed.
     """
-    pi = rates.pi if isinstance(rates, TransitionRateMatrix) else np.asarray(rates, dtype=float)
-    report = validate_generator(pi)
-    if not report.ok:
-        raise ValueError(f"invalid transition-rate matrix: {report.violations}")
+    pi = as_rate_matrix(rates).pi
     if t_end <= 0:
         raise ValueError("horizon must be positive")
     n_modes = pi.shape[0]

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmodel import (
-    JumpPlant,
-    TransitionRateMatrix,
-    make_commutation_matrix,
-)
+from .qmodel import JumpPlant, as_rate_matrix, make_commutation_matrix
 
 __all__ = [
     "OpticalRealization",
@@ -84,7 +80,6 @@ def opo_plant(kappa1: float, kappa2: float, chi_modes, rates) -> JumpPlant:
             )
         a_modes.append(np.diag([-kappa / 2.0 - chi, -kappa / 2.0 + chi]))
     eye = np.eye(2)
-    rates = rates if isinstance(rates, TransitionRateMatrix) else TransitionRateMatrix(rates)
     return JumpPlant(
         a_modes=tuple(a_modes),
         b1=np.sqrt(kappa1) * eye,
@@ -94,7 +89,7 @@ def opo_plant(kappa1: float, kappa2: float, chi_modes, rates) -> JumpPlant:
         c2=np.sqrt(kappa1) * eye,
         d2=-eye,
         theta=make_commutation_matrix(2),
-        rates=rates,
+        rates=as_rate_matrix(rates),
     )
 
 

@@ -3,11 +3,9 @@
 All public matrices are real and act on quadrature variables ordered as
 (x_1, p_1, x_2, p_2, ...) with x = a + a^dag and p = -i (a - a^dag).  A
 single mode then carries the commutation block J = [[0, 1], [-1, 0]] and
-canonical vacuum noise has the Hermitian Ito matrix I + i J.
-
-Complex data (coupling matrices, Ito matrices) is stored as (real, imag)
-pairs of real matrices; everything the synthesis and simulation layers see
-is real valued.
+canonical vacuum noise has the Hermitian Ito matrix I + i J, of which the
+realizability layer uses the real skew part J.  Every matrix the program
+stores is real valued.
 
 All containers are frozen dataclasses holding read-only arrays, so they can
 be shared freely across concurrent workers.
@@ -21,42 +19,28 @@ import numpy as np
 
 __all__ = [
     "J2",
-    "STRUCT_TOL",
-    "SPECTRAL_TOL",
-    "REFERENCE_TOL",
     "block_j",
     "CommutationMatrix",
     "make_commutation_matrix",
-    "ItoTriple",
-    "ito_decompose",
-    "canonical_ito",
     "TransitionRateMatrix",
     "GeneratorReport",
     "validate_generator",
+    "as_rate_matrix",
     "JumpPlant",
     "ControllerMode",
     "Controller",
     "ClosedLoopMode",
     "ClosedLoop",
     "assemble_closed_loop",
-    "PhysicalParams",
-    "physical_to_statespace",
 ]
-
-# Tolerance policy: structural identities are held to STRUCT_TOL, spectral
-# and Hermiticity checks to SPECTRAL_TOL, and comparisons against tabulated
-# reference values (rounded to four decimals) to REFERENCE_TOL.
-STRUCT_TOL = 1e-12
-SPECTRAL_TOL = 1e-10
-REFERENCE_TOL = 5e-3
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 J2.setflags(write=False)
 
 
-def _freeze(a, dtype=float) -> np.ndarray:
+def _freeze(a) -> np.ndarray:
     """Copy to a read-only float array."""
-    arr = np.array(a, dtype=dtype)
+    arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -149,64 +133,6 @@ def make_commutation_matrix(
 
 
 @dataclass(frozen=True)
-class ItoTriple:
-    """Decomposition F = S + i T of a Hermitian Ito matrix.
-
-    ``s`` is the real symmetric (classical covariance) part and ``t_im`` the
-    real skew-symmetric matrix with T = i t_im.
-    """
-
-    s: np.ndarray
-    t_im: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", _freeze(self.s))
-        object.__setattr__(self, "t_im", _freeze(self.t_im))
-        if self.s.shape != self.t_im.shape or self.s.ndim != 2:
-            raise ValueError("S and T_im must be square matrices of equal shape")
-        if _maxabs(self.s - self.s.T) > STRUCT_TOL:
-            raise ValueError("S must be symmetric")
-        if _maxabs(self.t_im + self.t_im.T) > STRUCT_TOL:
-            raise ValueError("T_im must be skew-symmetric")
-
-    @property
-    def f(self) -> np.ndarray:
-        """Reconstructed complex Ito matrix S + i T_im."""
-        return self.s + 1j * self.t_im
-
-    @property
-    def dim(self) -> int:
-        return self.s.shape[0]
-
-
-def ito_decompose(f) -> ItoTriple:
-    """Split a Hermitian nonnegative Ito matrix into (S, T_im).
-
-    Rejects matrices that are not Hermitian to 1e-10 or have an eigenvalue
-    below -1e-10.
-    """
-    fc = np.asarray(f, dtype=complex)
-    if fc.ndim != 2 or fc.shape[0] != fc.shape[1]:
-        raise ValueError("Ito matrix must be square")
-    if _maxabs(fc - fc.conj().T) > SPECTRAL_TOL:
-        raise ValueError("Ito matrix must be Hermitian")
-    eigs = np.linalg.eigvalsh(fc)
-    if eigs.size and eigs[0] < -SPECTRAL_TOL:
-        raise ValueError(f"Ito matrix must be nonnegative, smallest eigenvalue {eigs[0]:.3e}")
-    s = 0.5 * np.real(fc + fc.T)
-    t_im = 0.5 * np.imag(fc - fc.T)
-    triple = ItoTriple(s, t_im)
-    if _maxabs(triple.f - fc) > STRUCT_TOL:
-        raise AssertionError("Ito reconstruction drifted beyond tolerance")
-    return triple
-
-
-def canonical_ito(m: int) -> ItoTriple:
-    """Canonical vacuum Ito matrix I + i block_j(m) for m quadratures."""
-    return ItoTriple(np.eye(m), block_j(m))
-
-
-@dataclass(frozen=True)
 class GeneratorReport:
     """Result of checking a candidate transition-rate matrix."""
 
@@ -250,6 +176,13 @@ class TransitionRateMatrix:
     @property
     def n_modes(self) -> int:
         return self.pi.shape[0]
+
+
+def as_rate_matrix(rates) -> TransitionRateMatrix:
+    """Use a TransitionRateMatrix as it is, or build one from a square array."""
+    if isinstance(rates, TransitionRateMatrix):
+        return rates
+    return TransitionRateMatrix(rates)
 
 
 def _check_shape(name: str, arr: np.ndarray, shape: tuple):
@@ -458,107 +391,3 @@ def assemble_closed_loop(plant: JumpPlant, ctrl: Controller) -> ClosedLoop:
         d = plant.d1 @ km.d
         modes.append(ClosedLoopMode(a, b1, b2, c, d))
     return ClosedLoop(tuple(modes), plant.rates)
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Quadratic Hamiltonian matrix and field coupling of an oscillator.
-
-    ``r`` is the real symmetric Hamiltonian matrix; the coupling matrix is
-    complex with one row per coupled field mode, stored as a (real, imag)
-    pair.
-    """
-
-    r: np.ndarray
-    lam_re: np.ndarray
-    lam_im: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", _freeze(self.r))
-        object.__setattr__(self, "lam_re", _freeze(self.lam_re))
-        object.__setattr__(self, "lam_im", _freeze(self.lam_im))
-        if self.r.ndim != 2 or self.r.shape[0] != self.r.shape[1]:
-            raise ValueError("Hamiltonian matrix must be square")
-        if _maxabs(self.r - self.r.T) > STRUCT_TOL:
-            raise ValueError("Hamiltonian matrix must be symmetric")
-        if self.lam_re.shape != self.lam_im.shape:
-            raise ValueError("coupling real/imag parts must share a shape")
-        if self.lam_re.ndim != 2 or self.lam_re.shape[1] != self.r.shape[0]:
-            raise ValueError("coupling matrix must be n_L x n")
-
-    @classmethod
-    def from_complex(cls, r, lam) -> "PhysicalParams":
-        lam = np.asarray(lam, dtype=complex)
-        return cls(np.asarray(r, dtype=float), lam.real, lam.imag)
-
-    @property
-    def lam(self) -> np.ndarray:
-        return self.lam_re + 1j * self.lam_im
-
-    @property
-    def n(self) -> int:
-        return self.r.shape[0]
-
-    @property
-    def n_fields(self) -> int:
-        return self.lam_re.shape[0]
-
-
-def _interleave_permutation(m: int) -> np.ndarray:
-    """Permutation sending (a1, a2, ..., a_{2m}) to (odd entries, even entries)."""
-    p = np.zeros((2 * m, 2 * m))
-    for k in range(m):
-        p[k, 2 * k] = 1.0
-        p[m + k, 2 * k + 1] = 1.0
-    return p
-
-
-def physical_to_statespace(
-    params: PhysicalParams, theta: CommutationMatrix, n_y: int | None = None
-):
-    """Map (R, Lambda) of an open oscillator to real quadrature matrices.
-
-    Returns (A, B, C) with
-
-        A = 2 Theta (R + Im(Lam^dag Lam))
-        B = 2 i Theta [-Lam^dag, Lam^T] Gamma   (imaginary residual checked)
-        C = interleaved rows (2 Re Lam_k, 2 Im Lam_k), truncated to n_y rows.
-
-    The sign convention this map produces pairs B = -sqrt(kappa) I with
-    C = +sqrt(kappa) I on a single lossy cavity; the commutation-preservation
-    and output-channel identities hold either way.
-    """
-    if not theta.is_canonical:
-        raise ValueError("the oscillator map is defined for canonical theta only")
-    n = params.n
-    if theta.n != n:
-        raise ValueError("theta dimension inconsistent with the Hamiltonian matrix")
-    lam = params.lam
-    n_fields = params.n_fields
-    n_w = 2 * n_fields
-    if n_y is None:
-        n_y = n_w
-    if n_y % 2 or not (0 < n_y <= n_w):
-        raise ValueError("n_y must be even and between 2 and the field dimension")
-
-    th = theta.theta
-    a = 2.0 * th @ (params.r + np.imag(lam.conj().T @ lam))
-
-    m_block = 0.5 * np.array([[1.0, 1.0j], [1.0, -1.0j]])
-    gamma = _interleave_permutation(n_fields) @ np.kron(np.eye(n_fields), m_block)
-    b_complex = 2.0j * th @ np.hstack([-lam.conj().T, lam.T]) @ gamma
-    if _maxabs(b_complex.imag) > SPECTRAL_TOL:
-        raise AssertionError("input matrix came out complex; check the coupling data")
-    b = np.real(b_complex)
-
-    n_half = n_y // 2
-    stacked = np.vstack([np.real(lam + lam.conj()), np.real(-1j * (lam - lam.conj()))])
-    selector = np.hstack([np.eye(n_half), np.zeros((n_half, n_fields - n_half))])
-    middle = np.block(
-        [
-            [selector, np.zeros((n_half, n_fields))],
-            [np.zeros((n_half, n_fields)), selector],
-        ]
-    )
-    c = _interleave_permutation(n_half).T @ middle @ stacked
-    return a, b, c

@@ -34,7 +34,6 @@ __all__ = [
     "RealizabilityReport",
     "cr_residual",
     "output_condition_residual",
-    "is_physically_realizable",
     "check_controller_realizability",
     "factor_skew_canonical",
     "AugmentedNoise",
@@ -108,38 +107,6 @@ class RealizabilityReport:
 
     def worst(self) -> float:
         return max(self.cr_residuals + self.output_residuals)
-
-
-def _per_mode(item, n_modes):
-    """Broadcast a single matrix to all modes, or pass a per-mode sequence."""
-    if isinstance(item, np.ndarray) or np.ndim(item) == 2:
-        return [np.asarray(item, dtype=float)] * n_modes
-    items = [np.asarray(m, dtype=float) for m in item]
-    if len(items) != n_modes:
-        raise ValueError("per-mode sequence length disagrees with the mode count")
-    return items
-
-
-def is_physically_realizable(a_modes, b, c, theta, t_im, tol: float = DEFAULT_TOL):
-    """Check realizability mode by mode.
-
-    ``b`` and ``c`` may be single matrices (shared across modes) or per-mode
-    sequences.  A jump system is realizable iff every mode passes, because
-    the drift is piecewise constant along fault paths.
-    """
-    a_list = [np.asarray(a, dtype=float) for a in a_modes]
-    n_modes = len(a_list)
-    b_list = _per_mode(b, n_modes)
-    c_list = _per_mode(c, n_modes)
-    cr = tuple(
-        _maxabs(cr_residual(a, bm, theta, t_im))
-        for a, bm in zip(a_list, b_list)
-    )
-    out = tuple(
-        _maxabs(output_condition_residual(bm, cm, theta))
-        for bm, cm in zip(b_list, c_list)
-    )
-    return RealizabilityReport(cr, out, tol)
 
 
 def check_controller_realizability(ctrl: Controller, tol: float = DEFAULT_TOL):

@@ -2,10 +2,9 @@
 
 A system-description document is UTF-8 JSON with the top-level keys
 ``plant``, ``controller`` and ``rates`` (each optional, unknown keys are
-rejected).  Matrices are row-major nested arrays of numbers; complex
-matrices are objects ``{"re": [...], "im": [...]}``.  Writing is canonical
-(sorted keys, two-space indent, trailing newline) so that write -> read ->
-write round-trips byte for byte.
+rejected).  Matrices are row-major nested arrays of real numbers.  Writing
+is canonical (sorted keys, two-space indent, trailing newline) so that
+write -> read -> write round-trips byte for byte.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ __all__ = [
     "DocumentError",
     "encode_matrix",
     "decode_matrix",
-    "encode_complex_matrix",
-    "decode_complex_matrix",
     "plant_to_doc",
     "plant_from_doc",
     "controller_to_doc",
@@ -62,21 +59,6 @@ def decode_matrix(obj, label: str) -> np.ndarray:
     if m.ndim != 2:
         raise DocumentError(f"{label}: expected a nested array of numbers")
     return m
-
-
-def encode_complex_matrix(m) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {"re": encode_matrix(m.real), "im": encode_matrix(m.imag)}
-
-
-def decode_complex_matrix(obj, label: str) -> np.ndarray:
-    if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
-        raise DocumentError(f"{label}: complex matrices need exactly the keys 're' and 'im'")
-    re = decode_matrix(obj["re"], f"{label}.re")
-    im = decode_matrix(obj["im"], f"{label}.im")
-    if re.shape != im.shape:
-        raise DocumentError(f"{label}: real and imaginary parts disagree in shape")
-    return re + 1j * im
 
 
 def _require_keys(obj: dict, allowed: set, label: str):

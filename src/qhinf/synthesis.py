@@ -278,6 +278,8 @@ def min_attenuation(
     """
     if not (0 < g_lo < g_hi):
         raise ValueError("need 0 < g_lo < g_hi")
+    if not (np.isfinite(tol_g) and tol_g > 0):
+        raise ValueError(f"tol_g must be finite and positive, got {tol_g}")
     problem, names = _build_problem(
         plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1,
         plant.c2, plant.d2, plant.rates.pi, None,

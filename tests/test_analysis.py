@@ -8,7 +8,6 @@ from qhinf.analysis import (
     coupled_mode_check,
     frequency_sweep_norm,
     hinf_norm,
-    riccati_ode_backward,
     solve_riccati,
     verify_closed_loop,
 )
@@ -89,36 +88,6 @@ def test_frequency_sweep_matches_bisection():
         assert abs(g_ric - g_sweep) <= 2e-6 * max(1.0, g_ric)
 
 
-def test_differential_riccati_converges_to_algebraic():
-    algebraic = solve_riccati(-ONE, ONE, ONE, ZERO, 2.0).p[0, 0]
-    traj = riccati_ode_backward(-ONE, ONE, ONE, ZERO, 2.0, horizon=60.0)
-    assert traj.final[0, 0] == pytest.approx(algebraic, abs=1e-6)
-    trace = np.array([p[0, 0] for p in traj.p_values])
-    # monotone growth towards the fixed point, up to integrator wiggle
-    assert np.all(np.diff(trace) >= -1e-7)
-
-
-def test_differential_riccati_ode_residual():
-    a = np.array([[-1.0, 0.3], [0.0, -0.7]])
-    b = np.array([[1.0], [0.5]])
-    c = np.array([[1.0, -0.4]])
-    d = np.zeros((1, 1))
-    traj = riccati_ode_backward(a, b, c, d, 3.0, horizon=20.0, n_store=2001)
-    # fourth-order finite differences against the right-hand side at grid points
-    r_inv = np.linalg.inv(9.0 * np.eye(1) - d.T @ d)
-    h = traj.times[1] - traj.times[0]
-    worst = 0.0
-    for k in range(2, len(traj.times) - 2):
-        dp = (
-            -traj.p_values[k + 2] + 8 * traj.p_values[k + 1]
-            - 8 * traj.p_values[k - 1] + traj.p_values[k - 2]
-        ) / (12.0 * h)
-        p = traj.p_values[k]
-        rhs = a.T @ p + p @ a + c.T @ c + (c.T @ d + p @ b) @ r_inv @ (d.T @ c + b.T @ p)
-        worst = max(worst, float(np.max(np.abs(dp - rhs))))
-    assert worst <= 1e-6
-
-
 def test_norm_riccati_margin_equivalence_small_sample():
     # bisected norm, Riccati solvability and margin checks agree around it
     rng = np.random.default_rng(99)
@@ -193,19 +162,30 @@ def test_verify_closed_loop_zero_controller_passes_large_g():
     assert report.attenuation_ok
 
 
-def test_verify_closed_loop_destabilizing_controller_fails():
-    plant = demo.reference_plant()
+def _destabilizing_controller(n_modes):
     eye = np.eye(2)
     modes = tuple(
         ControllerMode(+eye, np.zeros((2, 2)), np.zeros((2, 2)),
                        np.zeros((2, 0)), np.zeros((2, 0)))
-        for _ in range(3)
+        for _ in range(n_modes)
     )
-    bad = Controller(modes, make_commutation_matrix(2))
-    report = verify_closed_loop(plant, bad, 100.0)
+    return Controller(modes, make_commutation_matrix(2))
+
+
+def test_verify_closed_loop_destabilizing_controller_fails():
+    report = verify_closed_loop(demo.reference_plant(), _destabilizing_controller(3), 100.0)
     assert not all(report.hurwitz)
     assert report.coupled is None
     assert not report.attenuation_ok
+
+
+@pytest.mark.parametrize("make_ctrl", [_zero_controller, _destabilizing_controller])
+@pytest.mark.parametrize("g", [0.0, -1.0])
+def test_verify_closed_loop_rejects_nonpositive_level(make_ctrl, g):
+    # the level is checked before the loop is assembled, so an unstable
+    # mode does not turn a bad level into a FAIL report
+    with pytest.raises(ValueError, match="positive"):
+        verify_closed_loop(demo.reference_plant(), make_ctrl(3), g)
 
 
 def test_verify_closed_loop_reference_controller_stable():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,17 +94,22 @@ def test_analyze_command(docs, capsys):
     assert all(doc["hurwitz"])
 
 
-def test_analyze_unstable_mode_skips_coupled_check(docs, capsys):
+def _write_unstable_controller(path):
+    """A controller whose drift +I destabilises every mode of the loop."""
     eye = np.eye(2)
     modes = tuple(
         ControllerMode(+eye, np.zeros((2, 2)), np.zeros((2, 2)),
                        np.zeros((2, 0)), np.zeros((2, 0)))
         for _ in range(3)
     )
-    bad = docs["root"] / "unstable.json"
-    serialize.write_doc(bad, serialize.system_to_doc(
+    serialize.write_doc(path, serialize.system_to_doc(
         controller=Controller(modes, make_commutation_matrix(2)),
         rates=demo.reference_plant().rates))
+    return path
+
+
+def test_analyze_unstable_mode_skips_coupled_check(docs, capsys):
+    bad = _write_unstable_controller(docs["root"] / "unstable.json")
     args = ["analyze", "--plant", str(docs["plant"]), "--controller", str(bad), "--g", "100"]
     assert main(args) == 1
     assert "coupled certificate: skipped (mode unstable)" in capsys.readouterr().out
@@ -201,6 +210,24 @@ def test_synth_min_g(docs, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("tol_g", ["0", "-0.001"])
+def test_synth_min_g_rejects_nonpositive_tolerance(docs, capsys, tol_g):
+    out = docs["root"] / "min_g_tol" / "ctrl.json"
+    rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--tol-g", tol_g,
+               "--out", str(out)])
+    assert rc == 3
+    assert "tol_g must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_nonpositive_level_is_input_error(docs, capsys):
+    # the level is an input: a bad one is exit 3 even when the loop would fail
+    bad = _write_unstable_controller(docs["root"] / "unstable_g0.json")
+    rc = main(["analyze", "--plant", str(docs["plant"]), "--controller", str(bad), "--g", "0"])
+    assert rc == 3
+    assert "attenuation level must be positive" in capsys.readouterr().err
+
+
 def test_synth_min_g_budget_exhausted(docs, capsys):
     out = docs["root"] / "min_g_budget" / "ctrl.json"
     rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--tol-g", "5e-3",
@@ -208,3 +235,18 @@ def test_synth_min_g_budget_exhausted(docs, capsys):
     assert rc == 2
     assert "not within tol_g" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate pulls in optimize, sparse, spatial and special, which
+    # cost about a third of a second of start-up and nothing in qhinf uses
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qhinf.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

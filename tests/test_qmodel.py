@@ -1,22 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from qhinf import qmodel
 from qhinf.qmodel import (
     J2,
     JumpPlant,
-    PhysicalParams,
     TransitionRateMatrix,
+    as_rate_matrix,
     assemble_closed_loop,
-    block_j,
-    canonical_ito,
-    ito_decompose,
     make_commutation_matrix,
-    physical_to_statespace,
     validate_generator,
 )
-from qhinf.realizability import cr_residual, output_condition_residual
 
 
 def test_canonical_commutation_matrix():
@@ -56,46 +49,6 @@ def test_theta_structure_identities(n):
     assert np.array_equal(blk @ blk, -np.eye(n))
 
 
-def test_ito_decompose_canonical():
-    triple = ito_decompose(np.eye(2) + 1j * J2)
-    assert np.array_equal(triple.s, np.eye(2))
-    assert np.array_equal(triple.t_im, J2)
-
-
-def test_ito_decompose_real_symmetric():
-    triple = ito_decompose(np.eye(2))
-    assert np.array_equal(triple.s, np.eye(2))
-    assert np.max(np.abs(triple.t_im)) == 0.0
-
-
-def test_ito_decompose_rejects_indefinite():
-    # eigenvalues are -1 and 3
-    with pytest.raises(ValueError, match="nonnegative"):
-        ito_decompose(np.array([[1.0, 2.0j], [-2.0j, 1.0]]))
-
-
-def test_ito_decompose_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        ito_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-@given(st.integers(0, 10**6), st.integers(1, 4))
-def test_ito_decompose_roundtrip(seed, m):
-    rng = np.random.default_rng(seed)
-    r = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    f = r.conj().T @ r  # Hermitian PSD
-    triple = ito_decompose(f)
-    assert np.max(np.abs(triple.s - triple.s.T)) <= 1e-12
-    assert np.max(np.abs(triple.t_im + triple.t_im.T)) <= 1e-12
-    assert np.max(np.abs(triple.f - f)) <= 1e-12
-
-
-def test_canonical_ito():
-    triple = canonical_ito(4)
-    assert np.array_equal(triple.s, np.eye(4))
-    assert np.array_equal(triple.t_im, block_j(4))
-
-
 def test_generator_validation():
     ok = validate_generator(np.array([[-0.02, 0.01, 0.01], [0.01, -0.01, 0.0], [0.01, 0.0, -0.01]]))
     assert ok.ok
@@ -113,62 +66,13 @@ def test_rate_matrix_constructor_rejects():
         TransitionRateMatrix(np.array([[-1.0, 2.0], [-0.5, 0.5]]))
 
 
-def _cavity_params(kappa=1.0):
-    lam = (np.sqrt(kappa) / 2.0) * np.array([[1.0, 1.0j]])
-    return PhysicalParams.from_complex(np.zeros((2, 2)), lam)
-
-
-def test_statespace_map_trivial():
-    params = PhysicalParams.from_complex(np.zeros((2, 2)), np.zeros((1, 2), dtype=complex))
-    a, b, c = physical_to_statespace(params, make_commutation_matrix(2))
-    assert np.max(np.abs(a)) == 0.0
-    assert np.max(np.abs(b)) == 0.0
-    assert np.max(np.abs(c)) == 0.0
-
-
-def test_statespace_map_cavity():
-    # single lossy cavity; this pins the sign convention produced by the map:
-    # the input matrix carries the minus sign, the output the plus sign
-    a, b, c = physical_to_statespace(_cavity_params(), make_commutation_matrix(2))
-    assert np.allclose(a, -0.5 * np.eye(2), atol=1e-12)
-    assert np.allclose(b, -np.eye(2), atol=1e-10)
-    assert np.allclose(c, np.eye(2), atol=1e-12)
-
-
-def test_statespace_map_two_field_squeezer_mode():
-    kappa1, kappa2, chi = 0.8264, 0.0011, 0.0827
-    r = np.array([[0.0, -chi / 2.0], [-chi / 2.0, 0.0]])
-    lam = np.vstack([
-        (np.sqrt(kappa1) / 2.0) * np.array([1.0, 1.0j]),
-        (np.sqrt(kappa2) / 2.0) * np.array([1.0, 1.0j]),
-    ])
-    a, _, _ = physical_to_statespace(
-        PhysicalParams.from_complex(r, lam), make_commutation_matrix(2)
-    )
-    assert np.max(np.abs(a - np.diag([-0.4965, -0.3310]))) <= qmodel.REFERENCE_TOL
-
-
-def test_statespace_map_rejects_degenerate_theta():
-    with pytest.raises(ValueError, match="canonical"):
-        physical_to_statespace(
-            _cavity_params(), make_commutation_matrix(2, "degenerate", null_dim=2)
-        )
-
-
-@given(st.integers(0, 10**6))
-def test_statespace_map_output_is_realizable(seed):
-    # systems produced by the oscillator map preserve commutation relations
-    # and satisfy the output-channel identity by construction
-    rng = np.random.default_rng(seed)
-    n = 2 * rng.integers(1, 3)
-    n_fields = int(rng.integers(max(1, n // 2 - 1), n))
-    r = rng.normal(size=(n, n))
-    r = 0.5 * (r + r.T)
-    lam = rng.normal(size=(n_fields, n)) + 1j * rng.normal(size=(n_fields, n))
-    theta = make_commutation_matrix(int(n))
-    a, b, c = physical_to_statespace(PhysicalParams.from_complex(r, lam), theta)
-    assert np.max(np.abs(cr_residual(a, b, theta, block_j(2 * n_fields)))) <= 1e-9
-    assert np.max(np.abs(output_condition_residual(b, c, theta))) <= 1e-9
+def test_as_rate_matrix_passes_through_or_builds():
+    rates = TransitionRateMatrix(np.array([[-0.5, 0.5], [0.5, -0.5]]))
+    assert as_rate_matrix(rates) is rates
+    built = as_rate_matrix([[-0.5, 0.5], [0.5, -0.5]])
+    assert np.array_equal(built.pi, rates.pi)
+    with pytest.raises(ValueError, match=r"^invalid transition-rate matrix: \(\('row_sum'"):
+        as_rate_matrix([[-1.0, 2.0], [0.5, -0.5]])
 
 
 def _toy_plant(n_modes=2):

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhinf import demo
-from qhinf.qmodel import J2, block_j, make_commutation_matrix, physical_to_statespace, PhysicalParams
+from qhinf.qmodel import J2, block_j, make_commutation_matrix
 from qhinf.realizability import (
     augment_controller,
     augment_jump_controller,
     check_controller_realizability,
     cr_residual,
     factor_skew_canonical,
-    is_physically_realizable,
     output_condition_residual,
 )
 from qhinf.synthesis import synthesize
@@ -68,14 +67,6 @@ def test_output_condition_reference_controller():
 def test_output_condition_rejects_odd_output():
     with pytest.raises(ValueError, match="even"):
         output_condition_residual(np.zeros((2, 1)), np.zeros((1, 2)), J2)
-
-
-def test_oscillator_map_output_realizable():
-    lam = 0.5 * np.array([[1.0, 1.0j]])
-    theta = make_commutation_matrix(2)
-    a, b, c = physical_to_statespace(PhysicalParams.from_complex(np.zeros((2, 2)), lam), theta)
-    report = is_physically_realizable([a], b, c, theta, block_j(2))
-    assert report.realizable
 
 
 def test_reference_controller_realizable_with_noise():
@@ -162,14 +153,38 @@ def test_augment_random_controllers(seed):
     assert np.max(np.abs(out)) <= 1e-12
 
 
+def _realizable_system(rng, n, m, n_y):
+    """Random realizable (A, B, C) in real quadrature form.
+
+    With H symmetric, A = Theta H + B J B^T Theta / 2 satisfies
+    A Theta + Theta A^T + B J B^T = 0, and C = J_y B_y^T Theta routes the
+    first n_y input columns B_y through the output exactly.
+    """
+    theta = make_commutation_matrix(n)
+    h = rng.normal(size=(n, n))
+    h = 0.5 * (h + h.T)
+    b = rng.normal(size=(n, m))
+    a = theta.theta @ h + 0.5 * b @ block_j(m) @ b.T @ theta.theta
+    c = block_j(n_y) @ b[:, :n_y].T @ theta.theta
+    return theta, a, b, c
+
+
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(1, 3), st.data())
+def test_realizable_generator_residuals_vanish(seed, n_half, m_half, data):
+    n_y = 2 * data.draw(st.integers(1, m_half))
+    theta, a, b, c = _realizable_system(np.random.default_rng(seed), 2 * n_half, 2 * m_half, n_y)
+    scale = 1.0 + np.max(np.abs(a)) + np.max(np.abs(b)) ** 2
+    assert np.max(np.abs(cr_residual(a, b, theta, block_j(2 * m_half)))) <= 1e-14 * scale
+    # Theta and J_y only permute and negate entries, so this one is exact
+    assert np.max(np.abs(output_condition_residual(b, c, theta))) == 0.0
+
+
 def test_moment_propagation_preserves_skew_part():
     # commutation preservation implies the skew part of the full second
     # moment stays put under dK/dt = A K + K A^T + B T B^T
-    lam = np.array([[0.4 + 0.2j, 0.1 - 0.5j]])
-    r = np.array([[1.0, 0.3], [0.3, -0.5]])
-    theta = make_commutation_matrix(2)
-    a, b, _ = physical_to_statespace(PhysicalParams.from_complex(r, lam), theta)
+    theta, a, b, _ = _realizable_system(np.random.default_rng(15), 2, 2, 2)
     assert np.max(np.abs(a - np.diag(np.diag(a)))) > 0  # nontrivial drift
+    assert np.max(np.linalg.eigvals(a).real) < 0  # a damped oscillation
     t_im = block_j(2)
     k = theta.theta.copy()
     h = 0.002

@@ -7,9 +7,7 @@ from qhinf import demo, serialize
 from qhinf.serialize import (
     DocumentError,
     controller_from_doc,
-    decode_complex_matrix,
     dumps_doc,
-    encode_complex_matrix,
     parse_system_doc,
     plant_from_doc,
     system_to_doc,
@@ -74,16 +72,6 @@ def test_missing_plant_key_rejected():
     del doc["plant"]["B1"]
     with pytest.raises(DocumentError, match="missing"):
         plant_from_doc(doc["plant"], demo.reference_plant().rates)
-
-
-def test_complex_matrix_encoding():
-    m = np.array([[1.0 + 2.0j, -0.5j], [0.0, 3.0]])
-    enc = encode_complex_matrix(m)
-    assert set(enc) == {"re", "im"}
-    back = decode_complex_matrix(enc, "m")
-    assert np.array_equal(back, m)
-    with pytest.raises(DocumentError, match="'re' and 'im'"):
-        decode_complex_matrix({"re": [[1.0]]}, "m")
 
 
 def test_malformed_matrix_rejected():

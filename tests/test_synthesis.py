@@ -170,6 +170,14 @@ def test_min_attenuation_rejects_g_hi_below_minimum():
         min_attenuation(demo.reference_plant(), 0.002, 0.02, tol_g=5e-3)
 
 
+@pytest.mark.parametrize("tol_g", [0.0, -1e-3, float("nan"), float("inf")])
+def test_min_attenuation_rejects_bad_tolerance(tol_g):
+    # at tol_g = 0 the barrier correction of the gap bound rounds to zero
+    # long before the level is certified, so no such run can be trusted
+    with pytest.raises(ValueError, match="tol_g"):
+        min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=tol_g)
+
+
 def test_min_attenuation_g_lo_above_minimum_returns_g_lo():
     plant = demo.reference_plant()
     g_star, result = min_attenuation(plant, 0.06, 0.5, tol_g=5e-3)
