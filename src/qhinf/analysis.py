@@ -251,6 +251,12 @@ def frequency_sweep_norm(a, b, c, d, n_points: int = 1000) -> float:
     return best
 
 
+def _check_level(g):
+    """Reject an attenuation level that is not a finite positive number."""
+    if not (np.isfinite(g) and g > 0):
+        raise ValueError(f"attenuation level must be positive and finite, got g={g}")
+
+
 def _per_mode(item, n_modes):
     """Broadcast a single matrix to all modes, or pass a per-mode sequence."""
     if isinstance(item, np.ndarray) or np.ndim(item) == 2:
@@ -302,8 +308,7 @@ def coupled_mode_check(
     complement) and solved with the barrier engine.  ``b1`` and ``c1`` may
     be shared or per-mode.
     """
-    if g <= 0:
-        raise ValueError("attenuation level must be positive")
+    _check_level(g)
     rates = as_rate_matrix(rates)
     a_list = [np.asarray(m, dtype=float) for m in a_modes]
     n_modes = len(a_list)
@@ -366,11 +371,10 @@ def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLo
     """Assemble the loop, check per-mode stability and the coupled LMI.
 
     The coupled LMI is only posed when every mode is Hurwitz; otherwise the
-    report's ``coupled`` is None.  Raises ``ValueError`` for g <= 0, whether
-    or not every mode is stable.
+    report's ``coupled`` is None.  Raises ``ValueError`` unless g is finite
+    and positive, whether or not every mode is stable.
     """
-    if not g > 0:
-        raise ValueError("attenuation level must be positive")
+    _check_level(g)
     loop = assemble_closed_loop(plant, ctrl)
     abscissas = mode_abscissas(loop)
     hurwitz = tuple(x < 0.0 for x in abscissas)

@@ -19,6 +19,13 @@ Design notes:
   to the coefficient of V[i, j], which is the parameter itself for a full
   variable; a symmetric variable maps its stack through the upper-triangle
   duplication T with vec(V) = T theta.
+* The Newton system is assembled from whitened coefficient stacks.  With
+  the slack factor S_k = L L^T and one triangular inverse L^-1, the stack
+  G_p = L^-1 C_p L^-T comes from two GEMMs on the (p d, d) reshaped
+  coefficients.  The barrier gradient is mu tr(G_p), the Hessian block is
+  mu G G^T with G flattened to (p, d^2), and the shift cross term is
+  -mu <G_p, L^-1 L^-T> = -mu <C_p, S^-2>.  Each constraint scatters its
+  block through flat Hessian indices fixed at materialisation.
 * The barrier weight follows a fixed geometric schedule and the Newton
   iteration uses deterministic damped steps, so identical problems produce
   identical iterate sequences.
@@ -291,6 +298,7 @@ class _OrientedConstraint:
     param_idx: np.ndarray  # indices of parameters with nonzero coefficient
     coeffs: np.ndarray     # (len(param_idx), d, d) basis coefficient matrices
     dim: int
+    hess_idx: np.ndarray   # flat (param_idx, param_idx) indices into the Newton Hessian
 
     def value(self, vec):
         return self.const + np.tensordot(vec[self.param_idx], self.coeffs, 1)
@@ -321,7 +329,8 @@ def _materialise(problem: LmiProblem, layout: _Layout):
             mats.append(g[keep])
         idx = np.concatenate(idx) if idx else np.zeros(0, dtype=int)
         coeffs = np.concatenate(mats) if mats else np.zeros((0, d, d))
-        oriented.append(_OrientedConstraint(base, idx, coeffs, d))
+        hess_idx = (idx[:, None] * (layout.total + 1) + idx).reshape(-1)
+        oriented.append(_OrientedConstraint(base, idx, coeffs, d, hess_idx))
     return oriented
 
 
@@ -347,18 +356,18 @@ def _newton_system(oriented, factors, mu, n_params):
     hess = np.zeros((n_params + 1, n_params + 1))
     grad[-1] = 1.0
     for oc, chol in zip(oriented, factors):
-        s_inv = sla.cho_solve((chol, True), np.eye(oc.dim))
-        s_inv = 0.5 * (s_inv + s_inv.T)
+        l_inv = sla.solve_triangular(chol, np.eye(oc.dim), lower=True)
+        k = l_inv @ l_inv.T  # similar to S^-1 = L^-T L^-1: same trace and norm
         if oc.param_idx.size:
-            w = np.einsum("ij,pjk->pik", s_inv, oc.coeffs)
-            grad[oc.param_idx] += mu * np.einsum("pij,ij->p", oc.coeffs, s_inv)
-            block = mu * np.einsum("pij,qji->pq", w, w)
-            hess[np.ix_(oc.param_idx, oc.param_idx)] += block
-            cross = -mu * np.einsum("pij,ji->p", w, s_inv)
-            hess[oc.param_idx, -1] += cross
-            hess[-1, oc.param_idx] += cross
-        grad[-1] += -mu * float(np.trace(s_inv))
-        hess[-1, -1] += mu * float(np.sum(s_inv * s_inv))
+            # W_p = C_p L^-T, then G_p = W_p^T L^-T = L^-1 C_p L^-T as C_p is symmetric
+            w = (oc.coeffs.reshape(-1, oc.dim) @ l_inv.T).reshape(oc.coeffs.shape)
+            g = (w.transpose(0, 2, 1).reshape(-1, oc.dim) @ l_inv.T).reshape(oc.param_idx.size, -1)
+            grad[oc.param_idx] += mu * g[:, :: oc.dim + 1].sum(axis=1)
+            hess.reshape(-1)[oc.hess_idx] += (mu * (g @ g.T)).reshape(-1)
+            hess[oc.param_idx, -1] -= mu * (g @ k.reshape(-1))
+        grad[-1] -= mu * float(np.trace(k))
+        hess[-1, -1] += mu * float(np.sum(k * k))
+    hess[-1, :-1] = hess[:-1, -1]
     return grad, hess
 
 

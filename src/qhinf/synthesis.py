@@ -74,8 +74,8 @@ GAMMA = "gamma"  # name of the squared-level variable of a level search
 
 def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
     """Matrix-level synthesis LMIs; with g None, gamma = g^2 is the variable GAMMA."""
-    if g is not None and g <= 0:
-        raise ValueError("attenuation level must be positive")
+    if g is not None:
+        analysis._check_level(g)
     a_modes = [np.asarray(a, dtype=float) for a in a_modes]
     b1, b2, c1, d1, c2, d2 = (
         np.asarray(m, dtype=float) for m in (b1, b2, c1, d1, c2, d2)
@@ -276,8 +276,8 @@ def min_attenuation(
     ``SynthesisError`` when max_iter Newton steps end before the level is
     within tolerance.
     """
-    if not (0 < g_lo < g_hi):
-        raise ValueError("need 0 < g_lo < g_hi")
+    if not (0 < g_lo < g_hi < np.inf):
+        raise ValueError(f"need 0 < g_lo < g_hi < inf, got g_lo={g_lo}, g_hi={g_hi}")
     if not (np.isfinite(tol_g) and tol_g > 0):
         raise ValueError(f"tol_g must be finite and positive, got {tol_g}")
     problem, names = _build_problem(

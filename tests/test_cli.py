@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhinf import demo, optics, serialize, synthesis
+from qhinf import demo, serialize
 from qhinf.cli import main
-from qhinf.qmodel import Controller, ControllerMode, make_commutation_matrix
+from qhinf.qmodel import (
+    Controller, ControllerMode, TransitionRateMatrix, make_commutation_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +74,13 @@ def test_augment_command(docs, capsys):
 
 
 def test_augment_defect_above_tolerance_exits_1(tmp_path, capsys):
-    # gains of about 4.7e3 leave a rounding defect above the absolute 1e-9
-    rates = [[-0.02, 0.01, 0.01], [0.01, -0.01, 0.0], [0.05, 0.0, -0.05]]
-    plant = optics.opo_plant(1.2, 0.01, (0.02, 0.2, 0.4), rates)
-    ctrl = synthesis.synthesize(plant, 0.09133).controller
+    # gains of about 1e5 leave a rounding defect (8.6e-7) far above the absolute 1e-9
+    a, b, c = 1e5 * np.random.default_rng(0).normal(size=(3, 2, 2))
+    mode = ControllerMode(a, b, c, np.zeros((2, 0)), np.zeros((2, 0)))
+    ctrl = Controller((mode,), make_commutation_matrix(2))
     src = tmp_path / "ctrl.json"
-    serialize.write_doc(src, serialize.system_to_doc(controller=ctrl, rates=plant.rates))
+    serialize.write_doc(src, serialize.system_to_doc(
+        controller=ctrl, rates=TransitionRateMatrix([[0.0]])))
     out = tmp_path / "aug.json"
     rc = main(["augment", "--controller", str(src), "--out", str(out)])
     assert rc == 1
@@ -226,6 +229,26 @@ def test_analyze_nonpositive_level_is_input_error(docs, capsys):
     rc = main(["analyze", "--plant", str(docs["plant"]), "--controller", str(bad), "--g", "0"])
     assert rc == 3
     assert "attenuation level must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level, named", [
+    (["--g", "nan"], "g=nan"),
+    (["--g", "inf"], "g=inf"),
+    (["--min-g", "--g-hi", "inf"], "g_hi=inf"),
+])
+def test_synth_non_finite_level_is_input_error(docs, capsys, level, named):
+    out = docs["root"] / "non_finite" / "ctrl.json"
+    rc = main(["synth", "--plant", str(docs["plant"]), *level, "--out", str(out)])
+    assert rc == 3
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_infinite_level_is_input_error(docs, capsys):
+    rc = main(["analyze", "--plant", str(docs["plant"]), "--controller", str(docs["ctrl"]),
+               "--g", "inf"])
+    assert rc == 3
+    assert "g=inf" in capsys.readouterr().err
 
 
 def test_synth_min_g_budget_exhausted(docs, capsys):

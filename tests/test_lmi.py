@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from qhinf import analysis, demo, lmi, synthesis
@@ -204,7 +205,7 @@ def test_synthesis_stacks_match_basis_evaluation(g):
     _assert_stacks_match_basis_reference(synthesis.build_hinf_lmis(demo.reference_plant(), g))
 
 
-def test_coupled_check_stacks_match_basis_evaluation(monkeypatch):
+def _coupled_check_problem(monkeypatch):
     problems = []
     solve = lmi.solve_feasibility
 
@@ -219,7 +220,53 @@ def test_coupled_check_stacks_match_basis_evaluation(monkeypatch):
         [m.c for m in loop.modes], 0.5,
     )
     assert len(problems) == 1
-    _assert_stacks_match_basis_reference(problems[0])
+    return problems[0]
+
+
+def test_coupled_check_stacks_match_basis_evaluation(monkeypatch):
+    _assert_stacks_match_basis_reference(_coupled_check_problem(monkeypatch))
+
+
+def _einsum_newton_system(oriented, factors, mu, n_params):
+    """Reference: the Newton system contracted with einsum against S^-1."""
+    grad = np.zeros(n_params + 1)
+    hess = np.zeros((n_params + 1, n_params + 1))
+    grad[-1] = 1.0
+    for oc, chol in zip(oriented, factors):
+        s_inv = sla.cho_solve((chol, True), np.eye(oc.dim))
+        s_inv = 0.5 * (s_inv + s_inv.T)
+        if oc.param_idx.size:
+            w = np.einsum("ij,pjk->pik", s_inv, oc.coeffs)
+            grad[oc.param_idx] += mu * np.einsum("pij,ij->p", oc.coeffs, s_inv)
+            hess[np.ix_(oc.param_idx, oc.param_idx)] += mu * np.einsum("pij,qji->pq", w, w)
+            cross = -mu * np.einsum("pij,ji->p", w, s_inv)
+            hess[oc.param_idx, -1] += cross
+            hess[-1, oc.param_idx] += cross
+        grad[-1] += -mu * float(np.trace(s_inv))
+        hess[-1, -1] += mu * float(np.sum(s_inv * s_inv))
+    return grad, hess
+
+
+@pytest.mark.parametrize("kind", ["synthesis", "coupled"])
+def test_newton_system_matches_einsum_reference(kind, monkeypatch):
+    if kind == "synthesis":
+        problem = synthesis.build_hinf_lmis(demo.reference_plant(), 0.05)
+    else:
+        problem = _coupled_check_problem(monkeypatch)
+    layout = lmi._Layout(problem.variables)
+    oriented = lmi._materialise(problem, layout)
+    vec = 0.3 * np.random.default_rng(5).normal(size=layout.total)
+    top = max(float(lmi.symmetric_eigenvalues(oc.value(vec))[-1]) for oc in oriented)
+    for room, mu in ((0.5, 1.0), (1e-4, 1e-3)):  # well inside, and near the boundary
+        factors = lmi._slacks(oriented, vec, top + room)  # every slack >= room * I
+        grad, hess = lmi._newton_system(oriented, factors, mu, layout.total)
+        ref_grad, ref_hess = _einsum_newton_system(oriented, factors, mu, layout.total)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+        assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
+    shape = (layout.total + 1,) * 2
+    for oc in oriented:  # the flat scatter hits exactly the open-mesh block
+        mesh = np.ravel_multi_index(np.ix_(oc.param_idx, oc.param_idx), shape)
+        assert np.array_equal(oc.hess_idx, mesh.reshape(-1))
 
 
 @pytest.mark.parametrize("transpose", [False, True])

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,13 +7,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_attenuation_sweep_script_runs():
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "attenuation_sweep.py"),
-         "--points", "2", "--g-min", "0.03", "--g-max", "0.06"],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert any("g* =" in line for line in proc.stdout.splitlines())
+    return proc.stdout
+
+
+def test_attenuation_sweep_script_runs():
+    out = _run_script("attenuation_sweep.py", "--points", "2", "--g-min", "0.03", "--g-max", "0.06")
+    assert any("g* =" in line for line in out.splitlines())
+
+
+def test_bench_script_writes_json(tmp_path):
+    _run_script("bench.py", "--grid", "2x3", "--out-dir", str(tmp_path))
+    (path,) = tmp_path.glob("BENCH_*.json")
+    doc = json.loads(path.read_text())
+    assert {"numpy", "scipy", "blas_threads", "grid", "reference"} <= set(doc)
+    assert doc["blas_threads"] in (1, None)  # None where the BLAS cannot be queried
+    (point,) = doc["grid"]
+    assert {"n", "modes", "seconds", "newton_steps", "verdict"} <= set(point)
+    assert (point["n"], point["modes"], point["verdict"]) == (2, 3, "feasible")
+    reference = doc["reference"]
+    assert {"seconds", "newton_steps", "verdict", "g_star"} <= set(reference)
+    assert reference["verdict"] == "feasible"
+    assert 0.035 < reference["g_star"] < 0.045
