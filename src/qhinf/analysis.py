@@ -14,7 +14,8 @@ transition rates.  This module provides:
   ``frequency_sweep_norm`` (an independent oracle),
 * ``bounded_real_block``: mode i of the coupled bounded-real LMI without its
   level corner, shared by the certificate search and the synthesis LMIs,
-* ``coupled_mode_check``: LMI search for coupled per-mode certificates,
+* ``coupled_mode_check``: LMI search for coupled per-mode certificates of
+  a ``ClosedLoop``,
 * ``mode_abscissas``: per-mode spectral abscissas of a closed loop,
 * ``verify_closed_loop``: full closed-loop certification.
 """
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import lmi
-from .qmodel import Controller, JumpPlant, _maxabs, as_rate_matrix, assemble_closed_loop
+from .qmodel import ClosedLoop, Controller, JumpPlant, _maxabs, assemble_closed_loop
 from .realizability import check_controller_realizability
 
 __all__ = [
@@ -257,16 +258,6 @@ def _check_level(g):
         raise ValueError(f"attenuation level must be positive and finite, got g={g}")
 
 
-def _per_mode(item, n_modes):
-    """Broadcast a single matrix to all modes, or pass a per-mode sequence."""
-    if isinstance(item, np.ndarray) or np.ndim(item) == 2:
-        return [np.asarray(item, dtype=float)] * n_modes
-    items = [np.asarray(m, dtype=float) for m in item]
-    if len(items) != n_modes:
-        raise ValueError("per-mode sequence length disagrees with the mode count")
-    return items
-
-
 def bounded_real_block(a, b, c, pi_row, p_names, i) -> lmi.AffineMatrixExpr:
     """Mode i of the coupled bounded-real LMI, without its level corner:
 
@@ -289,61 +280,40 @@ def bounded_real_block(a, b, c, pi_row, p_names, i) -> lmi.AffineMatrixExpr:
     return expr
 
 
-def coupled_mode_check(
-    a_modes,
-    rates,
-    b1,
-    c1,
-    g,
-    eps_strict: float = 1e-6,
-    extra_noise=None,
-    max_iter: int = 400,
-) -> CoupledModeResult:
-    """Search coupled storage matrices P_1..P_N > 0 with, for every mode i,
+def coupled_mode_check(loop: ClosedLoop, g) -> CoupledModeResult:
+    """Search coupled storage matrices P_1..P_N > 0 of a closed loop with,
+    for every mode i,
 
         A_i^T P_i + P_i A_i + sum_j pi_ij P_j
-        + g^{-2} P_i B_1 B_1^T P_i + C_1^T C_1 < 0,
+        + g^{-2} P_i B1_i B1_i^T P_i + C_i^T C_i < 0,
 
     posed as the LMI ``bounded_real_block`` with corner -g^2 I (a Schur
-    complement) and solved with the barrier engine.  ``b1`` and ``c1`` may
-    be shared or per-mode.
+    complement) and solved with the barrier engine.  The noise offset is
+    max_i tr(B1_i^T P_i B1_i) + tr(B2_i^T P_i B2_i).
     """
     _check_level(g)
-    rates = as_rate_matrix(rates)
-    a_list = [np.asarray(m, dtype=float) for m in a_modes]
-    n_modes = len(a_list)
-    if n_modes != rates.n_modes:
-        raise ValueError("mode count disagrees with the rate matrix")
-    n = a_list[0].shape[0]
-
-    b_list = _per_mode(b1, n_modes)
-    c_list = _per_mode(c1, n_modes)
-    extra_list = None if extra_noise is None else _per_mode(extra_noise, n_modes)
-
     problem = lmi.LmiProblem()
-    names = [f"P{i + 1}" for i in range(n_modes)]
+    names = [f"P{i + 1}" for i in range(loop.n_modes)]
     for name in names:
-        problem.add_variable(name, n, symmetric=True)
+        problem.add_variable(name, loop.n, symmetric=True)
 
-    for i in range(n_modes):
-        pos = lmi.AffineMatrixExpr(n)
+    for i, m in enumerate(loop.modes):
+        pos = lmi.AffineMatrixExpr(loop.n)
         pos.add_term(names[i])
         problem.add_constraint(pos, "pos")
 
-        expr = bounded_real_block(a_list[i], b_list[i], c_list[i], rates.pi[i], names, i)
-        expr.add_constant(-(g * g) * np.eye(b_list[i].shape[1]), block=(1, 1))
+        expr = bounded_real_block(m.a, m.b1, m.c, loop.rates.pi[i], names, i)
+        expr.add_constant(-(g * g) * np.eye(loop.n_w), block=(1, 1))
         problem.add_constraint(expr, "neg")
 
-    solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, max_iter=max_iter)
+    solution = lmi.solve_feasibility(problem, max_iter=400)
     if not solution.feasible:
         return CoupledModeResult(solution, None, None)
     p_modes = tuple(solution.assignment[name] for name in names)
-    noise_offset = 0.0
-    for i, p in enumerate(p_modes):
-        offset = float(np.trace(b_list[i].T @ p @ b_list[i]))
-        if extra_list is not None and extra_list[i].size:
-            offset += float(np.trace(extra_list[i].T @ p @ extra_list[i]))
-        noise_offset = max(noise_offset, offset)
+    noise_offset = max(
+        float(np.trace(m.b1.T @ p @ m.b1)) + float(np.trace(m.b2.T @ p @ m.b2))
+        for m, p in zip(loop.modes, p_modes)
+    )
     return CoupledModeResult(solution, p_modes, noise_offset)
 
 
@@ -370,9 +340,10 @@ class ClosedLoopReport:
 def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLoopReport:
     """Assemble the loop, check per-mode stability and the coupled LMI.
 
-    The coupled LMI is only posed when every mode is Hurwitz; otherwise the
-    report's ``coupled`` is None.  Raises ``ValueError`` unless g is finite
-    and positive, whether or not every mode is stable.
+    ``coupled_mode_check`` runs on the assembled loop only when every mode
+    is Hurwitz; otherwise the report's ``coupled`` is None.  Raises
+    ``ValueError`` unless g is finite and positive, whether or not every
+    mode is stable.
     """
     _check_level(g)
     loop = assemble_closed_loop(plant, ctrl)
@@ -380,14 +351,7 @@ def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLo
     hurwitz = tuple(x < 0.0 for x in abscissas)
     coupled = None
     if all(hurwitz):
-        coupled = coupled_mode_check(
-            [m.a for m in loop.modes],
-            loop.rates,
-            [m.b1 for m in loop.modes],
-            [m.c for m in loop.modes],
-            g,
-            extra_noise=[m.b2 for m in loop.modes],
-        )
+        coupled = coupled_mode_check(loop, g)
     pr = check_controller_realizability(ctrl)
     return ClosedLoopReport(
         g=float(g),

@@ -196,9 +196,17 @@ def _cmd_simulate(args):
     for p in range(args.paths):
         path = jumpsim.sample_markov_path(loop.rates, args.t_end,
                                           seed=jumpsim.path_seed(args.seed, p))
-        traj = jumpsim.propagate_moments(
-            loop, path, disturbance, np.zeros(loop.n), np.eye(loop.n), args.dt
-        )
+        try:
+            traj = jumpsim.propagate_moments(
+                loop, path, disturbance, np.zeros(loop.n), np.eye(loop.n), args.dt
+            )
+        except ArithmeticError as exc:
+            # RK4 is stable on the real axis for h |lambda| < 2.785
+            fastest = max(np.max(np.abs(np.linalg.eigvals(m.a))) for m in loop.modes)
+            raise ValueError(
+                f"--dt {args.dt:g} is too coarse for this loop ({exc}): its fastest "
+                f"mode has |lambda| = {fastest:.3g}, so use --dt below {2.785 / fastest:.3g}"
+            ) from exc
         if first_traj is None:
             first_traj = traj
         paths_doc.append({

@@ -150,8 +150,11 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
     controller (realizability, stability, noise augmentation, optical
     inversion) and write report + documents to ``out_dir`` when given.
 
-    Returns the report dict; the overall verdict is in report["ok"].
+    Returns the report dict; the overall verdict is in report["ok"].  Raises
+    ``ValueError`` when the probe is to run (not ``quick``) on n_paths < 1.
     """
+    if not quick and n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1 for the simulation probe, got {n_paths}")
     checks: list[_Check] = []
     plant = reference_plant()
 

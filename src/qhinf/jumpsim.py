@@ -5,7 +5,7 @@ path the closed-loop mean and symmetrised second moment obey linear ODEs
 
     d<eta>/dt = A~ <eta> + B1~ beta(t)
     dQ/dt     = A~ Q + Q A~^T + <eta> beta^T B1~^T + B1~ beta <eta>^T
-                + B1~ S_w B1~^T + B2~ S_nu B2~^T
+                + B1~ B1~^T + B2~ B2~^T
 
 integrated here with classic fourth-order steps whose substeps never
 straddle a jump time.  The output energy integral accumulates
@@ -155,17 +155,15 @@ def propagate_moments(
     mean0,
     q0,
     dt: float,
-    s_w=None,
-    s_nu=None,
     validate: bool = True,
 ) -> MomentTrajectory:
     """Integrate the closed-loop moment equations along one fault path.
 
     ``beta`` is a callable t -> disturbance vector (or None for zero input);
-    ``s_w`` and ``s_nu`` are the symmetric noise covariances, identity
-    (canonical vacuum) by default.  Fourth-order steps are aligned so that
-    no step straddles a jump time.  Every stored second moment is checked
-    for symmetry and for dominance of the mean outer product.
+    both noise inputs are in canonical vacuum, with identity covariance.
+    Fourth-order steps are aligned so that no step straddles a jump time.
+    Every stored second moment is checked for symmetry and for dominance of
+    the mean outer product.
     """
     if dt <= 0:
         raise ValueError("step size must be positive")
@@ -180,9 +178,6 @@ def propagate_moments(
         raise ValueError("initial second moment must be positive semidefinite")
 
     n_w = closed_loop.n_w
-    n_nu = closed_loop.n_nu
-    s_w = np.eye(n_w) if s_w is None else np.asarray(s_w, dtype=float)
-    s_nu = np.eye(n_nu) if s_nu is None else np.asarray(s_nu, dtype=float)
     if beta is None:
         beta_fn = lambda _t: np.zeros(n_w)  # noqa: E731
     else:
@@ -190,7 +185,7 @@ def propagate_moments(
 
     per_mode = []
     for m in closed_loop.modes:
-        noise_const = m.b1 @ s_w @ m.b1.T + (m.b2 @ s_nu @ m.b2.T if n_nu else np.zeros((n, n)))
+        noise_const = m.b1 @ m.b1.T + m.b2 @ m.b2.T
         per_mode.append((m.a, m.b1, m.c.T @ m.c, noise_const))
 
     times = [0.0]
@@ -420,7 +415,6 @@ def estimate_attenuation(
     seed: int = 0,
     disturbances=None,
     dt: float = 0.05,
-    initial_mode: int = 1,
     method: str = "mean",
 ) -> AttenuationEstimate:
     """Probe the closed-loop energy gain along seeded fault paths.
@@ -451,7 +445,7 @@ def estimate_attenuation(
     horizons = [_probe_horizon(d, t_end) for d in disturbances]
     ratios = np.zeros((n_paths, len(disturbances)))
     for p in range(n_paths):
-        path = sample_markov_path(closed_loop.rates, t_end, initial_mode, path_seed(seed, p))
+        path = sample_markov_path(closed_loop.rates, t_end, seed=path_seed(seed, p))
         if method == "mean":
             ratios[p] = _mean_ratios(closed_loop, path, disturbances, horizons)
         else:

@@ -57,23 +57,18 @@ __all__ = [
 ]
 
 
-def symmetric_eigenvalues(m, vectors: bool = False):
+def symmetric_eigenvalues(m) -> np.ndarray:
     """Eigenvalues (ascending) of a real symmetric matrix.
 
-    With ``vectors=True`` also returns the orthonormal eigenvector matrix Q
-    such that M = Q diag(w) Q^T.  Rejects input whose symmetry defect
-    exceeds 1e-10 (scaled by the matrix magnitude).
+    Rejects input whose symmetry defect exceeds 1e-10 (scaled by the matrix
+    magnitude).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square matrix")
     if _maxabs(m - m.T) > 1e-10 * (1.0 + _maxabs(m)):
         raise ValueError("matrix is not symmetric")
-    m = 0.5 * (m + m.T)
-    if vectors:
-        w, q = np.linalg.eigh(m)
-        return w, q
-    return np.linalg.eigvalsh(m)
+    return np.linalg.eigvalsh(0.5 * (m + m.T))
 
 
 @dataclass(frozen=True)
@@ -451,10 +446,16 @@ def solve_feasibility(
     the central path), one more round tightens the bound and the earliest
     round-end iterate ``within`` accepts is returned.  ``max_iter`` caps the
     Newton steps of both phases; exhausting it without a certificate yields
-    status ``max-iter`` with the best iterate still attached.
+    status ``max-iter`` with the best iterate still attached.  Raises
+    ``ValueError`` unless eps_strict is finite and positive, tol finite and
+    nonnegative, and max_iter nonnegative.
     """
-    if eps_strict <= 0:
-        raise ValueError("eps_strict must be positive")
+    if not (np.isfinite(eps_strict) and eps_strict > 0):
+        raise ValueError(f"eps_strict must be finite and positive, got {eps_strict}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     problem.validate()
     layout = _Layout(problem.variables)
     oriented = _materialise(problem, layout)

@@ -192,12 +192,12 @@ def realize_controller_optics(a, b, e1, e2, kappa_prime: float = 10.0) -> Optica
     )
 
 
-def controller_fit_report(a, b, e1, e2, kappa_prime: float = 10.0, product_tol: float = 2e-3):
+def controller_fit_report(a, b, e1, e2, kappa_prime: float = 10.0):
     """Inversion plus consistency gaps of the measurement-gain product.
 
     Returns (realization, report) where the report records the gain product
     B_11 B_22 against the decay-budget kappa1 and whether the gap stays
-    within ``product_tol``.
+    within 2e-3, the precision of four-decimal tabulated matrices.
     """
     real = realize_controller_optics(a, b, e1, e2, kappa_prime)
     b11, b22 = _diag_entries(b, "measurement input matrix")
@@ -207,7 +207,7 @@ def controller_fit_report(a, b, e1, e2, kappa_prime: float = 10.0, product_tol: 
         "b_product": product,
         "kappa1_budget": real.kappa1,
         "product_gap": gap,
-        "consistent": bool(gap <= product_tol),
+        "consistent": bool(gap <= 2e-3),
         "b_ratio": abs(b22 / b11),
         "chi_prime": real.chi_prime,
     }

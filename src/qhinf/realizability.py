@@ -115,8 +115,11 @@ def check_controller_realizability(ctrl: Controller, tol: float = DEFAULT_TOL):
     The combined input matrix of mode i is [B_i, E_i] over (measurement,
     noise) channels with the canonical vacuum Ito matrix on every channel.
     The output condition is evaluated on the noise columns selected by the
-    feedthrough D_i, which by construction come first within E_i.
+    feedthrough D_i, which by construction come first within E_i.  Raises
+    ``ValueError`` unless ``tol`` is finite and nonnegative.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     n_in = ctrl.n_y + ctrl.n_nu
     t_im = block_j(n_in)
     cr, out = [], []
@@ -133,13 +136,13 @@ def check_controller_realizability(ctrl: Controller, tol: float = DEFAULT_TOL):
     return RealizabilityReport(tuple(cr), tuple(out), tol)
 
 
-def factor_skew_canonical(w, drop_tol: float = 1e-12) -> np.ndarray:
+def factor_skew_canonical(w) -> np.ndarray:
     """Factor a real skew-symmetric W as E J_blk E^T = -W.
 
     Uses the canonical form of skew-symmetric matrices: W decomposes into
     orthogonal planes on which it acts as c J with c > 0 in the ordered
     basis (v, W^T v / c).  Each plane contributes the two columns
-    (sqrt(c) v, -sqrt(c) w) to E.  Planes with |c| <= drop_tol are dropped,
+    (sqrt(c) v, -sqrt(c) w) to E.  Planes with |c| <= 1e-12 are dropped,
     so the factor has the minimal number of columns.
 
     The pairing starts from the coordinate basis whenever -W^2 is diagonal,
@@ -174,7 +177,7 @@ def factor_skew_canonical(w, drop_tol: float = 1e-12) -> np.ndarray:
             continue  # already covered by an earlier plane
         v = v / norm
         c = float(np.linalg.norm(w @ v))
-        if c <= drop_tol:
+        if c <= 1e-12:
             continue
         w_vec = w.T @ v / c
         cols.append(np.sqrt(c) * v)

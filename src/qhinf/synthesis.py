@@ -1,6 +1,6 @@
 """H-infinity controller synthesis for jump plants via coupled LMIs.
 
-For each fault mode i the feasibility system consists of
+``build_hinf_lmis(plant, g)`` poses, for each fault mode i,
 
 * an observer-side block inequality in (X_i, L_i): the coupled bounded-real
   block of ``analysis.bounded_real_block`` in X, with the coupling sum over
@@ -9,7 +9,8 @@ For each fault mode i the feasibility system consists of
 * a state-feedback-side block inequality in (Y_i, F_i) whose rate coupling
   enters through a Schur-complement row/column of scaled Y blocks and whose
   term B1 B1^T / g^2 is one more row/column [[., B1], [B1^T, -g^2 I]], so
-  every inequality is linear in gamma = g^2.
+  every inequality is linear in gamma = g^2; with g None, gamma is a
+  variable, which ``min_attenuation`` minimises.
 
 A feasible solution is converted into per-mode controller matrices
 
@@ -72,18 +73,15 @@ def _names(prefix, n_modes):
 GAMMA = "gamma"  # name of the squared-level variable of a level search
 
 
-def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
-    """Matrix-level synthesis LMIs; with g None, gamma = g^2 is the variable GAMMA."""
+def build_hinf_lmis(plant: JumpPlant, g) -> lmi.LmiProblem:
+    """Synthesis LMIs of the plant at level g; with g None, gamma = g^2 is
+    the variable GAMMA.  Mode i has the variables X{i+1}, Y{i+1}, L{i+1}, F{i+1}."""
     if g is not None:
         analysis._check_level(g)
-    a_modes = [np.asarray(a, dtype=float) for a in a_modes]
-    b1, b2, c1, d1, c2, d2 = (
-        np.asarray(m, dtype=float) for m in (b1, b2, c1, d1, c2, d2)
-    )
-    pi = np.asarray(pi, dtype=float)
-    n_modes = len(a_modes)
-    n = a_modes[0].shape[0]
-    n_w, n_u, n_z, n_y = b1.shape[1], b2.shape[1], c1.shape[0], c2.shape[0]
+    b1, b2, c1, d1, c2, d2 = plant.b1, plant.b2, plant.c1, plant.d1, plant.c2, plant.d2
+    pi = plant.rates.pi
+    n_modes, n = plant.n_modes, plant.n
+    n_w, n_u, n_z, n_y = plant.n_w, plant.n_u, plant.n_z, plant.n_y
 
     problem = lmi.LmiProblem()
     x_names, y_names = _names("X", n_modes), _names("Y", n_modes)
@@ -105,9 +103,7 @@ def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
             expr.add_term(GAMMA, -e[:, None], e[None, :], block=(r, r))
 
     eye_n = np.eye(n)
-    for i in range(n_modes):
-        a = a_modes[i]
-
+    for i, a in enumerate(plant.a_modes):
         # observer side: the coupled bounded-real block in X plus the injection L_i
         expr = analysis.bounded_real_block(a, b1, c1, pi[i], x_names, i)
         minus_level(expr, 1)
@@ -143,15 +139,6 @@ def _build_problem(a_modes, b1, b2, c1, d1, c2, d2, pi, g):
             expr.add_term(y_names[j], -eye_n, eye_n, block=(3 + k, 3 + k))
         problem.add_constraint(expr, "neg")
 
-    return problem, (x_names, y_names, l_names, f_names)
-
-
-def build_hinf_lmis(plant: JumpPlant, g) -> lmi.LmiProblem:
-    """Emit the synthesis LMIs at level g, or with g None in gamma = g^2."""
-    problem, _ = _build_problem(
-        plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1,
-        plant.c2, plant.d2, plant.rates.pi, g,
-    )
     return problem
 
 
@@ -212,9 +199,9 @@ class SynthesisResult:
     solution: lmi.LmiSolution
 
 
-def _result(plant: JumpPlant, g: float, solution, names) -> SynthesisResult:
+def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
     """Reconstruct the controller of a feasible LMI solution at level g."""
-    blocks = [[solution.assignment[v[i]] for v in names] for i in range(plant.n_modes)]
+    blocks = [[solution.assignment[f"{v}{i + 1}"] for v in "XYLF"] for i in range(plant.n_modes)]
     y_invs = [_inv_sym_guarded(y, f"Y_{i + 1}") for i, (_, y, _, _) in enumerate(blocks)]
     modes, diag = [], []
     for i, (x, y, l, f) in enumerate(blocks):
@@ -241,14 +228,12 @@ def synthesize(
     The returned controller carries no noise channels; augment it with the
     realizability layer before treating it as a quantum device.
     """
-    problem, names = _build_problem(
-        plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1,
-        plant.c2, plant.d2, plant.rates.pi, g,
+    solution = lmi.solve_feasibility(
+        build_hinf_lmis(plant, g), eps_strict=eps_strict, tol=tol, max_iter=max_iter
     )
-    solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, tol=tol, max_iter=max_iter)
     if not solution.feasible:
         raise LmiInfeasibleError(g, solution)
-    return _result(plant, g, solution, names)
+    return _result(plant, g, solution)
 
 
 def min_attenuation(
@@ -280,10 +265,7 @@ def min_attenuation(
         raise ValueError(f"need 0 < g_lo < g_hi < inf, got g_lo={g_lo}, g_hi={g_hi}")
     if not (np.isfinite(tol_g) and tol_g > 0):
         raise ValueError(f"tol_g must be finite and positive, got {tol_g}")
-    problem, names = _build_problem(
-        plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1,
-        plant.c2, plant.d2, plant.rates.pi, None,
-    )
+    problem = build_hinf_lmis(plant, None)
     for bound, sense in ((g_lo, "pos"), (g_hi, "neg")):
         expr = lmi.AffineMatrixExpr(1, [[-bound * bound]])
         expr.add_term(GAMMA)
@@ -305,6 +287,6 @@ def min_attenuation(
         )
     g_star = min(float(np.sqrt(gamma)) + half, g_hi)
     try:
-        return g_star, _result(plant, g_star, solution, names)
+        return g_star, _result(plant, g_star, solution)
     except SynthesisError:
         return g_star, synthesize(plant, g_star, eps_strict=eps_strict, max_iter=max_iter)

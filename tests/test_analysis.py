@@ -11,7 +11,14 @@ from qhinf.analysis import (
     solve_riccati,
     verify_closed_loop,
 )
-from qhinf.qmodel import Controller, ControllerMode, make_commutation_matrix
+from qhinf.qmodel import (
+    ClosedLoop,
+    ClosedLoopMode,
+    Controller,
+    ControllerMode,
+    TransitionRateMatrix,
+    make_commutation_matrix,
+)
 
 ONE = np.array([[1.0]])
 ZERO = np.array([[0.0]])
@@ -106,27 +113,35 @@ def test_norm_riccati_margin_equivalence_small_sample():
             solve_riccati(a, b, c, d, 0.99 * g_star)
 
 
+def _one_mode_loop(b2):
+    """dx = -x dt + dw + B2 dnu, dz = x dt, with one mode and zero rates."""
+    b2 = np.asarray(b2, dtype=float).reshape(1, -1)
+    mode = ClosedLoopMode(-ONE, ONE, b2, ONE, np.zeros((1, b2.shape[1])))
+    return ClosedLoop((mode,), TransitionRateMatrix(np.zeros((1, 1))))
+
+
 def test_coupled_check_single_mode_matches_norm():
     # single mode with zero rates reduces to the bounded-real LMI
-    res = coupled_mode_check([-ONE], np.zeros((1, 1)), ONE, ONE, 2.0)
+    loop = _one_mode_loop(np.zeros((1, 0)))
+    res = coupled_mode_check(loop, 2.0)
     assert res.feasible
     assert np.linalg.eigvalsh(res.p_modes[0])[0] > 0
     # noise offset tr(B^T P B) with B = 1
     assert res.noise_offset == pytest.approx(float(res.p_modes[0][0, 0]))
-    res_tight = coupled_mode_check([-ONE], np.zeros((1, 1)), ONE, ONE, 0.9)
+    res_tight = coupled_mode_check(loop, 0.9)
     assert not res_tight.feasible
     assert res_tight.p_modes is None and res_tight.noise_offset is None
 
 
-def test_coupled_check_rejects_bad_rates():
-    with pytest.raises(ValueError):
-        coupled_mode_check([-ONE, -ONE], np.array([[-1.0, 2.0], [-0.5, 0.5]]), ONE, ONE, 2.0)
-
-
-def test_coupled_check_rejects_per_mode_length_mismatch():
-    plant = demo.reference_plant()
-    with pytest.raises(ValueError, match="per-mode"):
-        coupled_mode_check(plant.a_modes, plant.rates, [plant.b1, plant.b1], plant.c1, 2.0)
+def test_coupled_check_noise_offset_counts_noise_channels():
+    # tr(B1^T P B1) + tr(B2^T P B2) at the returned P, here with B2 = [0.5, -2]
+    b2 = np.array([[0.5, -2.0]])
+    res = coupled_mode_check(_one_mode_loop(b2), 2.0)
+    assert res.feasible
+    p = res.p_modes[0]
+    expected = float(np.trace(ONE.T @ p @ ONE)) + float(np.trace(b2.T @ p @ b2))
+    assert res.noise_offset == pytest.approx(expected, rel=1e-14)
+    assert res.noise_offset == pytest.approx(5.25 * float(p[0, 0]), rel=1e-14)
 
 
 def test_coupled_check_reference_loop_by_sweep():
@@ -135,10 +150,7 @@ def test_coupled_check_reference_loop_by_sweep():
     loop = assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
     found = None
     for g in (0.05, 0.1, 0.2, 0.5):
-        res = coupled_mode_check(
-            [m.a for m in loop.modes], loop.rates,
-            [m.b1 for m in loop.modes], [m.c for m in loop.modes], g,
-        )
+        res = coupled_mode_check(loop, g)
         if res.feasible:
             found = g
             break

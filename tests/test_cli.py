@@ -273,3 +273,62 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def demo_docs(tmp_path_factory):
+    """``demo-paper --quick`` documents plus one system document joining the
+    plant with the synthesized controller."""
+    root = tmp_path_factory.mktemp("demo_docs")
+    rc = main(["demo-paper", "--quick", "--out-dir", str(root), "--out", str(root / "r.txt")])
+    assert rc == 0
+    plant = serialize.read_doc(root / "plant.json")
+    ctrl = serialize.read_doc(root / "controller_synthesized.json")
+    system = root / "system.json"
+    serialize.write_doc(system, {**plant, "controller": ctrl["controller"]})
+    return {"root": root, "plant": root / "plant.json",
+            "ctrl": root / "controller_synthesized.json", "system": system}
+
+
+def test_simulate_coarse_step_is_input_error(demo_docs, capsys):
+    # the loop's fastest mode is about -86, beyond RK4's reach at dt = 0.1
+    rc = main(["simulate", "--system", str(demo_docs["system"]), "--paths", "1",
+               "--t-end", "5", "--dt", "0.1", "--disturbance", "step"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "--dt 0.1 is too coarse" in err and "Traceback" not in err
+    assert main(["simulate", "--system", str(demo_docs["system"]), "--paths", "1",
+                 "--t-end", "5", "--dt", "0.01", "--disturbance", "step"]) == 0
+
+
+def test_check_pr_rejects_negative_tolerance(demo_docs, capsys):
+    rc = main(["check-pr", "--controller", str(demo_docs["ctrl"]), "--tol", "-1"])
+    assert rc == 3
+    assert "tol must be finite and nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, named", [
+    (["--tol", "-1"], "tol must be finite and nonnegative"),
+    (["--max-iter", "-1"], "max_iter must be nonnegative"),
+    (["--eps-strict", "nan"], "eps_strict must be finite and positive"),
+])
+def test_synth_rejects_bad_solver_arguments(demo_docs, capsys, flag, named):
+    out = demo_docs["root"] / "bad_solver" / "ctrl.json"
+    rc = main(["synth", "--plant", str(demo_docs["plant"]), "--g", "0.05", *flag,
+               "--out", str(out)])
+    assert rc == 3
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_demo_rejects_zero_paths_before_the_design(tmp_path, capsys, monkeypatch):
+    from qhinf import synthesis
+
+    def design(*args, **kwargs):
+        raise AssertionError("the design ran before the path count was checked")
+
+    monkeypatch.setattr(synthesis, "min_attenuation", design)
+    rc = main(["demo-paper", "--paths", "0", "--out-dir", str(tmp_path / "demo")])
+    assert rc == 3
+    assert "n_paths must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "demo").exists()

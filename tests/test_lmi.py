@@ -17,7 +17,8 @@ def test_symmetric_eigenvalues_reconstruction():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(6, 6))
     m = m + m.T
-    w, q = lmi.symmetric_eigenvalues(m, vectors=True)
+    w = lmi.symmetric_eigenvalues(m)
+    q = np.linalg.eigh(m)[1]
     scale = 1.0 + np.max(np.abs(m))
     assert np.max(np.abs(m - q @ np.diag(w) @ q.T)) <= 1e-9 * scale
     assert np.max(np.abs(q.T @ q - np.eye(6))) <= 1e-10
@@ -215,10 +216,7 @@ def _coupled_check_problem(monkeypatch):
 
     monkeypatch.setattr(lmi, "solve_feasibility", capture)
     loop = assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
-    analysis.coupled_mode_check(
-        [m.a for m in loop.modes], loop.rates, [m.b1 for m in loop.modes],
-        [m.c for m in loop.modes], 0.5,
-    )
+    analysis.coupled_mode_check(loop, 0.5)
     assert len(problems) == 1
     return problems[0]
 

@@ -7,7 +7,6 @@ from qhinf.qmodel import JumpPlant, TransitionRateMatrix, make_commutation_matri
 from qhinf.synthesis import (
     LmiInfeasibleError,
     SynthesisError,
-    _build_problem,
     _reconstruct_mode,
     build_hinf_lmis,
     min_attenuation,
@@ -33,12 +32,9 @@ def test_build_problem_single_mode_reduction():
     # with one mode and zero rates the rate-coupling rows vanish: the
     # state-feedback block shrinks to (n + n_z + n_w) instead of
     # (n + n_z + n_w + n(N-1))
-    problem, _ = _build_problem(
-        [np.array([[-1.0]])], np.eye(1), np.eye(1), np.eye(1), np.eye(1),
-        np.eye(1), np.eye(1), np.zeros((1, 1)), 2.0,
-    )
+    problem = build_hinf_lmis(_single_mode_plant(), 2.0)
     dims = sorted(c.expr.dim for c in problem.constraints)
-    assert dims == [2, 2, 3]
+    assert dims == [4, 4, 6]
     three_mode = build_hinf_lmis(demo.reference_plant(), 2.0)
     assert max(c.expr.dim for c in three_mode.constraints) == 2 + 2 + 2 + 2 * 2
 
