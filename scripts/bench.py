@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Time synthesis on an (n, modes) scaling grid and the reference level search.
+"""Time synthesis on an (n, modes) scaling grid, the reference level search and
+one simulation path of each kind.
 
     PYTHONPATH=src python scripts/bench.py [--grid 2x3 4x3 ...] [--out-dir DIR]
 
 For each grid point, times ``synthesize(random_plant(0, n, modes, 0), 5.0)``
 on the seeded jump plants of perfbench/plants.py; then times the reference
-``min_attenuation(reference_plant(), 0.01, 1.0, tol_g=5e-3)``.  Each figure is
-one wall-clock run (``time.perf_counter``) on one BLAS thread.  Writes
-BENCH_<date>.json with, per solve, the seconds, Newton steps and verdict
-(the LMI status), plus the numpy and scipy versions and the live BLAS thread
-count.  The default grid leaves out (8, 6), which takes minutes.
+``min_attenuation(reference_plant(), 0.01, 1.0, tol_g=5e-3)``.  On the
+reference plant closed with ``reference_controller()`` it times one
+``propagate_moments`` path (sin:0.5, t_end 100, dt 0.05, validated, as
+perfbench's fault-sim) and one mean-probe path (default family, t_end 120).
+Each figure is one wall-clock run (``time.perf_counter``) on one BLAS
+thread.  Writes BENCH_<date>.json with, per solve, the seconds, Newton steps
+and verdict (the LMI status), the simulation seconds, plus the numpy and
+scipy versions and the live BLAS thread count.  The default grid leaves out
+(8, 6), which takes minutes.
 """
 
 import argparse
@@ -71,7 +76,7 @@ def main(argv=None):
     from plants import random_plant
     from run import blas_info
 
-    from qhinf import demo, synthesis
+    from qhinf import analysis, demo, jumpsim, synthesis
 
     blas, blas_threads = blas_info(numpy)
     grid = []
@@ -89,6 +94,23 @@ def main(argv=None):
     print(f"reference min_attenuation: {seconds:.3f} s, {solution.iterations} steps, "
           f"{solution.status}, g*={g_star}", flush=True)
 
+    loop = analysis.assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
+    dist = jumpsim.Disturbance("sin:0.5", numpy.eye(loop.n_w)[0], "sin", 0.5)
+    sim = {"disturbance": dist.label, "t_end": 100.0, "dt": 0.05}
+    path = jumpsim.sample_markov_path(loop.rates, sim["t_end"], seed=jumpsim.path_seed(0, 0))
+    t0 = time.perf_counter()
+    traj = jumpsim.propagate_moments(loop, path, dist, numpy.zeros(loop.n), numpy.eye(loop.n),
+                                     sim["dt"], validate=True)
+    seconds = time.perf_counter() - t0
+    simulation = {"propagate_moments": {**sim, "seconds": round(seconds, 4),
+                                        "grid_steps": len(traj.times) - 1,
+                                        "jumps": len(path.jump_times)}}
+    t0 = time.perf_counter()
+    jumpsim.estimate_attenuation(loop, 0.1, t_end=120.0, n_paths=1, seed=0)
+    simulation["mean_probe"] = {"t_end": 120.0, "seconds": round(time.perf_counter() - t0, 4)}
+    print(f"propagate_moments path: {seconds:.4f} s; mean-probe path: "
+          f"{simulation['mean_probe']['seconds']:.4f} s", flush=True)
+
     doc = {
         "date": datetime.datetime.now().isoformat(timespec="seconds"),
         "python": platform.python_version(),
@@ -99,6 +121,7 @@ def main(argv=None):
         "cpu_count": os.cpu_count(),
         "grid": grid,
         "reference": reference,
+        "simulation": simulation,
     }
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / f"BENCH_{datetime.date.today().isoformat()}.json"

@@ -7,17 +7,20 @@ path the closed-loop mean and symmetrised second moment obey linear ODEs
     dQ/dt     = A~ Q + Q A~^T + <eta> beta^T B1~^T + B1~ beta <eta>^T
                 + B1~ B1~^T + B2~ B2~^T
 
-integrated here with classic fourth-order steps whose substeps never
-straddle a jump time.  The output energy integral accumulates
-Tr(C~^T C~ Q) alongside.
+and the output energy integral accumulates Tr(C~^T C~ Q).  Each probe
+signal beta = d u_1 is the output of a waveform oscillator u' = W u, so
+with the oscillator stacked onto the state these equations are autonomous
+and linear between jumps (Costa, Fragoso & Todorov, *Continuous-Time Markov
+Jump Linear Systems*, 2013); ``propagate_moments`` advances them with one
+matrix exponential per fault segment, exactly, with no step size.
 
 ``estimate_attenuation`` probes the closed-loop gain with a finite family
 of disturbances over a finite horizon.  It is a falsification probe: it can
 reveal a gain above the certified level but can never prove a bound.  Its
 default path needs only the mean response, which it integrates exactly on
 each fault segment with one batched block exponential (Van Loan, IEEE TAC
-1978) for the whole disturbance family; the fourth-order moment runs serve
-as its cross-check.
+1978) for the whole disturbance family; the full moment runs serve as its
+cross-check.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ class MarkovPath:
     seed: int
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("horizon must be positive")
+        if not (np.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.t_end}")
         if len(self.modes) != len(self.jump_times) + 1:
             raise ValueError("mode sequence must be one longer than the jump times")
         times = np.asarray(self.jump_times, dtype=float)
@@ -93,8 +96,8 @@ def sample_markov_path(rates, t_end: float, initial_mode: int = 1, seed: int = 0
     pure function of the seed.
     """
     pi = as_rate_matrix(rates).pi
-    if t_end <= 0:
-        raise ValueError("horizon must be positive")
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"horizon must be finite and positive, got {t_end}")
     n_modes = pi.shape[0]
     if not (1 <= initial_mode <= n_modes):
         raise ValueError(f"initial mode must lie in 1..{n_modes}")
@@ -138,16 +141,6 @@ class MomentTrajectory:
         return float(self.w_energy[-1])
 
 
-def _moment_rhs(a, b1, c_gram, noise_const, t, mean, q, beta_fn):
-    beta = np.atleast_1d(np.asarray(beta_fn(t), dtype=float))
-    dm = a @ mean + b1 @ beta
-    drive = np.outer(mean, beta) @ b1.T
-    dq = a @ q + q @ a.T + drive + drive.T + noise_const
-    dez = float(np.sum(c_gram * q))
-    dew = float(beta @ beta)
-    return dm, dq, dez, dew
-
-
 def propagate_moments(
     closed_loop: ClosedLoop,
     path: MarkovPath,
@@ -157,16 +150,20 @@ def propagate_moments(
     dt: float,
     validate: bool = True,
 ) -> MomentTrajectory:
-    """Integrate the closed-loop moment equations along one fault path.
+    """Propagate the closed-loop moments exactly along one fault path.
 
-    ``beta`` is a callable t -> disturbance vector (or None for zero input);
-    both noise inputs are in canonical vacuum, with identity covariance.
-    Fourth-order steps are aligned so that no step straddles a jump time.
-    Every stored second moment is checked for symmetry and for dominance of
-    the mean outer product.
+    ``beta`` is a ``Disturbance`` or None for zero input; both noise inputs
+    are in canonical vacuum, with identity covariance.  The state z = (eta, u)
+    stacks the closed-loop state with its disturbance's waveform oscillator,
+    so that z' = M z and Z = E[z z^T] obeys Z' = M Z + Z M^T + N.  Together
+    with the energy integrals this is one autonomous linear ODE per mode,
+    whose exponential over one grid step of a segment is taken once; the
+    grid splits each segment into ceil(span / dt) equal steps and only sets
+    where the trajectory is sampled.  The second moments are checked for
+    symmetry and, with ``validate``, for dominance of the mean outer product.
     """
-    if dt <= 0:
-        raise ValueError("step size must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"step size must be finite and positive, got {dt}")
     n = closed_loop.n
     mean = np.array(mean0, dtype=float).reshape(n)
     q = np.array(q0, dtype=float)
@@ -176,74 +173,63 @@ def propagate_moments(
         raise ValueError("initial second moment must be symmetric")
     if np.linalg.eigvalsh(0.5 * (q + q.T))[0] < -1e-10:
         raise ValueError("initial second moment must be positive semidefinite")
-
-    n_w = closed_loop.n_w
     if beta is None:
-        beta_fn = lambda _t: np.zeros(n_w)  # noqa: E731
-    else:
-        beta_fn = beta
+        beta = Disturbance("none", np.zeros(closed_loop.n_w), "step")
+    if not isinstance(beta, Disturbance):
+        raise ValueError(f"disturbance must be a Disturbance or None, got {type(beta).__name__}")
+    direction = beta.direction
+    (osc,), (u,) = _oscillators([beta])
 
-    per_mode = []
-    for m in closed_loop.modes:
-        noise_const = m.b1 @ m.b1.T + m.b2 @ m.b2.T
-        per_mode.append((m.a, m.b1, m.c.T @ m.c, noise_const))
+    # s = (z, vec Z, output energy, input energy, 1)
+    k = n + 2
+    kk = k * k
+    z = np.concatenate([mean, u])
+    zz = np.outer(z, z)
+    zz[:n, :n] = q
+    s = np.concatenate([z, zz.ravel(), [0.0, 0.0, 1.0]])
+    gen = np.zeros((s.size, s.size))
+    gen[k + kk + 1, k + n * k + n] = direction @ direction  # |d|^2 u_1^2
+    m = np.zeros((k, k))
+    m[n:, n:] = osc
+    noise = np.zeros((k, k))
+    c_gram = np.zeros((k, k))
+    eye = np.eye(k)
 
-    times = [0.0]
-    means = [mean.copy()]
-    qs = [q.copy()]
-    ez_hist = [0.0]
-    ew_hist = [0.0]
-    ez = ew = 0.0
-
+    times = [np.zeros(1)]
+    states = [s[None]]
     for t0, t1, mode_idx in path.segments():
-        a, b1, c_gram, noise_const = per_mode[mode_idx]
-        span = t1 - t0
-        if span <= 0:
-            continue
-        steps = max(1, int(np.ceil(span / dt)))
-        h = span / steps
-        t = t0
-        for _ in range(steps):
-            k1 = _moment_rhs(a, b1, c_gram, noise_const, t, mean, q, beta_fn)
-            k2 = _moment_rhs(
-                a, b1, c_gram, noise_const, t + 0.5 * h,
-                mean + 0.5 * h * k1[0], q + 0.5 * h * k1[1], beta_fn,
-            )
-            k3 = _moment_rhs(
-                a, b1, c_gram, noise_const, t + 0.5 * h,
-                mean + 0.5 * h * k2[0], q + 0.5 * h * k2[1], beta_fn,
-            )
-            k4 = _moment_rhs(
-                a, b1, c_gram, noise_const, t + h,
-                mean + h * k3[0], q + h * k3[1], beta_fn,
-            )
-            mean = mean + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            q = q + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            ez += (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            ew += (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            t += h
-            drift = np.max(np.abs(q - q.T))
-            if drift > 1e-12 * (1.0 + np.max(np.abs(q))):
-                raise ArithmeticError("second moment lost symmetry during integration")
-            q = 0.5 * (q + q.T)
-            times.append(t)
-            means.append(mean.copy())
-            qs.append(q.copy())
-            ez_hist.append(ez)
-            ew_hist.append(ew)
+        mode = closed_loop.modes[mode_idx]
+        m[:n, :n] = mode.a
+        m[:n, n] = mode.b1 @ direction
+        noise[:n, :n] = mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T
+        c_gram[:n, :n] = mode.c.T @ mode.c
+        gen[:k, :k] = m
+        gen[k:k + kk, k:k + kk] = np.kron(m, eye) + np.kron(eye, m)
+        gen[k:k + kk, -1] = noise.ravel()
+        gen[k + kk, k:k + kk] = c_gram.ravel()
+        steps = max(1, int(np.ceil((t1 - t0) / dt)))
+        phi = sla.expm(gen * ((t1 - t0) / steps))
+        seg = np.empty((steps, s.size))
+        for j in range(steps):
+            s = phi @ s
+            seg[j] = s
+        times.append(np.linspace(t0, t1, steps + 1)[1:])
+        states.append(seg)
 
-    traj = MomentTrajectory(
-        np.array(times), np.array(means), np.array(qs),
-        np.array(ez_hist), np.array(ew_hist),
-    )
+    states = np.concatenate(states)
+    mean = states[:, :n]
+    q = states[:, k:k + kk].reshape(-1, k, k)[:, :n, :n]
+    drift = np.max(np.abs(q - np.swapaxes(q, 1, 2)), axis=(1, 2))
+    if np.any(drift > 1e-12 * (1.0 + np.max(np.abs(q), axis=(1, 2)))):
+        raise ArithmeticError("second moment lost symmetry during propagation")
+    q = 0.5 * (q + np.swapaxes(q, 1, 2))
     if validate:
-        for mean_k, q_k in zip(traj.mean, traj.second_moment):
-            dominance = np.linalg.eigvalsh(q_k - np.outer(mean_k, mean_k))[0]
-            if dominance < -1e-8:
-                raise ArithmeticError(
-                    f"second moment lost dominance over the mean ({dominance:.3e})"
-                )
-    return traj
+        dominance = np.linalg.eigvalsh(q - mean[:, :, None] * mean[:, None, :])[:, 0].min()
+        if dominance < -1e-8:
+            raise ArithmeticError(f"second moment lost dominance over the mean ({dominance:.3e})")
+    return MomentTrajectory(
+        np.concatenate(times), mean, q, states[:, k + kk], states[:, k + kk + 1]
+    )
 
 
 @dataclass(frozen=True)
@@ -260,14 +246,6 @@ class Disturbance:
             raise ValueError(f"disturbance kind must be 'sin' or 'step', got {self.kind!r}")
         if self.kind == "sin" and not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"sinusoid frequency must be finite and positive, got {self.omega!r}")
-
-    def waveform(self, t):
-        if self.kind == "sin":
-            return np.sin(self.omega * np.asarray(t))
-        return np.ones_like(np.asarray(t, dtype=float))
-
-    def __call__(self, t):
-        return self.direction * float(self.waveform(t))
 
 
 def default_disturbance_family(n_w: int, n_freq: int = 20,
@@ -342,32 +320,44 @@ def _segment_maps(m, q, h):
     return phi, gram
 
 
+def _oscillators(disturbances):
+    """Waveform oscillators u' = W u, u(0) = u0, whose u_1 is each probe's waveform.
+
+    sin(w t) has W = [[0, w], [-w, 0]] and u0 = (0, 1); a step has W = 0 and
+    u0 = (1, 0).  Returns the stacked W and u0.
+    """
+    is_sin = np.array([d.kind == "sin" for d in disturbances])
+    omegas = np.where(is_sin, [d.omega for d in disturbances], 0.0)
+    gens = np.zeros((len(disturbances), 2, 2))
+    gens[:, 0, 1] = omegas
+    gens[:, 1, 0] = -omegas
+    u0 = np.zeros((len(disturbances), 2))
+    u0[:, 0] = ~is_sin
+    u0[:, 1] = is_sin
+    return gens, u0
+
+
 def _mean_ratios(closed_loop, path, disturbances, horizons):
     """Deterministic-response energy ratios of one path, one per disturbance.
 
     With zero initial mean, the baseline run with zero input has identically
     zero mean, so the baseline-subtracted output energy equals the energy of
     the deterministic mean response; the quantum noise floor cancels exactly
-    in the subtraction.  The mean eta is stacked with the waveform state u,
-    u' = [[0, w], [-w, 0]] u with u(0) = [0, 1] for sin(w t) and u = [1, 0]
-    for a step, so that eta' = A_i eta + B1_i d u_1 is autonomous and every
-    fault segment is integrated exactly by ``_segment_maps``.  Each probe's
-    horizon clips its segment durations; a clipped duration of zero leaves
-    its state and energy unchanged.
+    in the subtraction.  The mean eta is stacked with the waveform state u
+    of ``_oscillators``, so that eta' = A_i eta + B1_i d u_1 is autonomous
+    and every fault segment is integrated exactly by ``_segment_maps``.
+    Each probe's horizon clips its segment durations; a clipped duration of
+    zero leaves its state and energy unchanged.
     """
     n = closed_loop.n
     n_x = n + 2
     horizons = np.asarray(horizons, dtype=float)
     dirs = np.stack([d.direction for d in disturbances])
-    is_sin = np.array([d.kind == "sin" for d in disturbances])
-    omegas = np.where(is_sin, [d.omega for d in disturbances], 0.0)
-
+    gens, u0 = _oscillators(disturbances)
     m = np.zeros((len(disturbances), n_x, n_x))
-    m[:, n, n + 1] = omegas
-    m[:, n + 1, n] = -omegas
+    m[:, n:, n:] = gens
     xi = np.zeros((len(disturbances), n_x))
-    xi[:, n] = ~is_sin
-    xi[:, n + 1] = is_sin
+    xi[:, n:] = u0
     q = np.zeros((n_x, n_x))
     ez = np.zeros(len(disturbances))
     for t0, t1, mode_idx in path.segments():
@@ -382,6 +372,8 @@ def _mean_ratios(closed_loop, path, disturbances, horizons):
         ez += np.einsum("ki,kij,kj->k", xi, gram, xi)
         xi = np.einsum("kij,kj->ki", phi, xi)
 
+    omegas = gens[:, 0, 1]
+    is_sin = np.array([d.kind == "sin" for d in disturbances])
     safe = np.where(is_sin, omegas, 1.0)
     wave_energy = np.where(
         is_sin, horizons / 2.0 - np.sin(2.0 * safe * horizons) / (4.0 * safe), horizons
@@ -392,15 +384,16 @@ def _mean_ratios(closed_loop, path, disturbances, horizons):
     return ez / ew
 
 
-def _full_ratio(closed_loop, path, dist, dt_d, t_end_d):
-    """Literal baseline-subtracted ratio from two full moment runs."""
+def _full_ratio(closed_loop, path, dist, t_end_d):
+    """Literal baseline-subtracted ratio from two full moment runs, one step
+    per fault segment."""
     n = closed_loop.n
     sub = path.truncated(t_end_d)
     with_input = propagate_moments(
-        closed_loop, sub, dist, np.zeros(n), np.eye(n), dt_d, validate=False
+        closed_loop, sub, dist, np.zeros(n), np.eye(n), t_end_d, validate=False
     )
     baseline = propagate_moments(
-        closed_loop, sub, None, np.zeros(n), np.eye(n), dt_d, validate=False
+        closed_loop, sub, None, np.zeros(n), np.eye(n), t_end_d, validate=False
     )
     if with_input.input_energy <= 1e-12:
         raise ValueError("disturbance has zero input energy over the probe window")
@@ -414,7 +407,6 @@ def estimate_attenuation(
     n_paths: int = 50,
     seed: int = 0,
     disturbances=None,
-    dt: float = 0.05,
     method: str = "mean",
 ) -> AttenuationEstimate:
     """Probe the closed-loop energy gain along seeded fault paths.
@@ -424,11 +416,10 @@ def estimate_attenuation(
     baseline is the same simulation with zero disturbance.  ``method="mean"``
     evaluates the subtraction in closed form through the deterministic mean
     response, integrated exactly segment by segment; ``method="full"`` runs
-    the two moment simulations literally with fourth-order steps and serves
-    as the cross-check.  ``dt`` is the step of that cross-check only (capped
-    at a sixteenth of a sinusoid's period); the mean path has no step size.
-    Each sinusoid is probed over at least eight periods, rounded up to a
-    multiple of 20 and at least 40, within ``t_end``; the step over ``t_end``.
+    the two exact moment propagations literally, one step per fault segment,
+    and serves as the cross-check.  Each sinusoid is probed over at least
+    eight periods, rounded up to a multiple of 20 and at least 40, within
+    ``t_end``; the step over ``t_end``.
 
     Per-path randomness is derived from the master seed by path index, so
     results do not depend on evaluation order.
@@ -450,8 +441,7 @@ def estimate_attenuation(
             ratios[p] = _mean_ratios(closed_loop, path, disturbances, horizons)
         else:
             for idx, (dist, t_d) in enumerate(zip(disturbances, horizons)):
-                step = min(dt, 2.0 * np.pi / (16.0 * dist.omega)) if dist.kind == "sin" else dt
-                ratios[p, idx] = _full_ratio(closed_loop, path, dist, step, t_d)
+                ratios[p, idx] = _full_ratio(closed_loop, path, dist, t_d)
     return AttenuationEstimate(
         g=float(g),
         labels=tuple(d.label for d in disturbances),

@@ -242,6 +242,7 @@ def min_attenuation(
     g_hi: float,
     tol_g: float = 1e-3,
     eps_strict: float = 1e-6,
+    tol: float = 1e-9,
     max_iter: int = 400,
 ):
     """Smallest feasible attenuation level in [g_lo, g_hi] from one LMI solve.
@@ -256,6 +257,7 @@ def min_attenuation(
     cannot centre, g_star can lie further above the least level.  When the
     solution is too ill-conditioned to rebuild a controller from, the
     controller comes from a fixed-level solve at g_star instead.
+    ``eps_strict``, ``tol`` and ``max_iter`` are passed to the solver.
 
     Raises ``LmiInfeasibleError`` when nothing below g_hi is feasible and
     ``SynthesisError`` when max_iter Newton steps end before the level is
@@ -276,7 +278,7 @@ def min_attenuation(
         return np.sqrt(gamma) - np.sqrt(max(lower, g_lo * g_lo)) <= half
 
     problem.minimize(GAMMA, within)
-    solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, max_iter=max_iter)
+    solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, tol=tol, max_iter=max_iter)
     if not solution.feasible:
         raise LmiInfeasibleError(g_hi, solution)
     gamma = float(solution.assignment[GAMMA][0, 0])
@@ -289,4 +291,5 @@ def min_attenuation(
     try:
         return g_star, _result(plant, g_star, solution)
     except SynthesisError:
-        return g_star, synthesize(plant, g_star, eps_strict=eps_strict, max_iter=max_iter)
+        return g_star, synthesize(plant, g_star, eps_strict=eps_strict, tol=tol,
+                                  max_iter=max_iter)

@@ -84,6 +84,17 @@ def test_markov_path_validation():
         MarkovPath(10.0, (5.0, 2.0), (1, 2, 1), 0)
 
 
+@pytest.mark.parametrize("t_end", [0.0, np.nan, np.inf])
+def test_horizon_must_be_finite_and_positive(t_end):
+    # a non-finite horizon used to make the sampler loop forever
+    with pytest.raises(ValueError, match="finite and positive"):
+        MarkovPath(t_end, (), (1,), 0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_markov_path(np.array(demo.OPO_RATES), t_end)
+    with pytest.raises(ValueError, match="finite and positive"):
+        estimate_attenuation(SCALAR_LOOP, 1.0, t_end=t_end, n_paths=1)
+
+
 TWO_LOOP = _single_mode_loop(
     np.array([[-1.0, 0.4], [-0.3, -0.8]]),
     np.array([[1.0], [0.5]]),
@@ -118,26 +129,70 @@ def test_second_moment_stays_symmetric():
         assert np.max(np.abs(q - q.T)) <= 1e-12 * (1.0 + np.max(np.abs(q)))
 
 
-def test_fourth_order_step_convergence():
-    path = sample_markov_path(np.zeros((1, 1)), 8.0, 1, seed=0)
-    dist = Disturbance("sin", np.array([1.0]), "sin", 0.7)
+TWO_MODE_LOOP = ClosedLoop(
+    (
+        ClosedLoopMode(np.array([[-1.0, 0.4], [-0.3, -0.8]]), np.array([[1.0], [0.5]]),
+                       np.array([[0.2], [0.1]]), np.array([[1.0, 0.0]]), np.zeros((1, 1))),
+        ClosedLoopMode(np.array([[-0.6, 0.1], [0.2, -1.5]]), np.array([[0.3], [1.0]]),
+                       np.array([[0.2], [0.1]]), np.array([[0.2, 1.5]]), np.zeros((1, 1))),
+    ),
+    TransitionRateMatrix(np.array([[-0.5, 0.5], [0.5, -0.5]])),
+)
+FORCED_PATH = sample_markov_path(TWO_MODE_LOOP.rates, 8.0, 1, seed=1)
+FORCED_SIN = Disturbance("sin:0.7", np.array([1.0]), "sin", 0.7)
+FORCED_MEAN0 = np.array([0.3, -0.2])
 
-    def terminal(dt):
-        traj = propagate_moments(
-            TWO_LOOP, path, dist, np.array([0.3, -0.2]), np.eye(2), dt=dt, validate=False
-        )
-        return traj.second_moment[-1]
 
-    ref = terminal(0.00125)
-    e_coarse = np.max(np.abs(terminal(0.02) - ref))
-    e_fine = np.max(np.abs(terminal(0.01) - ref))
-    assert 10.0 <= e_coarse / e_fine <= 24.0
+def _forced_terminal(dt):
+    traj = propagate_moments(TWO_MODE_LOOP, FORCED_PATH, FORCED_SIN, FORCED_MEAN0, np.eye(2),
+                             dt=dt, validate=False)
+    return traj.mean[-1], traj.second_moment[-1], traj.output_energy, traj.input_energy
+
+
+def _relative_gap(run, ref):
+    return max(np.max(np.abs(np.subtract(x, y))) / np.max(np.abs(y)) for x, y in zip(run, ref))
+
+
+def test_moments_independent_of_step():
+    # the propagation is exact, so the sampling grid cannot move the result
+    assert len(FORCED_PATH.jump_times) >= 2
+    ref = _forced_terminal(0.00125)
+    for dt in (0.02, FORCED_PATH.t_end):  # the horizon gives one step per segment
+        assert _relative_gap(_forced_terminal(dt), ref) <= 1e-10
+
+
+def test_moments_match_solve_ivp():
+    # integrates the moment equations as stated, with beta(t) = d sin(w t)
+    from scipy.integrate import solve_ivp
+
+    n = TWO_MODE_LOOP.n
+    y = np.concatenate([FORCED_MEAN0, np.eye(n).ravel(), [0.0, 0.0]])
+    for t0, t1, idx in FORCED_PATH.segments():
+        mode = TWO_MODE_LOOP.modes[idx]
+
+        def rhs(t, y):
+            mean, q = y[:n], y[n:n + n * n].reshape(n, n)
+            beta = FORCED_SIN.direction * np.sin(FORCED_SIN.omega * t)
+            drive = np.outer(mode.b1 @ beta, mean)
+            dq = (mode.a @ q + q @ mode.a.T + drive + drive.T
+                  + mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T)
+            return np.concatenate([mode.a @ mean + mode.b1 @ beta, dq.ravel(),
+                                   [np.sum(mode.c.T @ mode.c * q), beta @ beta]])
+
+        with np.errstate(under="ignore"):  # solve_ivp's step floor from t = 0
+            y = solve_ivp(rhs, (t0, t1), y, method="DOP853", rtol=1e-12, atol=1e-12).y[:, -1]
+    ref = (y[:n], y[n:n + n * n].reshape(n, n), y[-2], y[-1])
+    for dt in (0.02, 0.00125, FORCED_PATH.t_end):
+        assert _relative_gap(_forced_terminal(dt), ref) <= 1e-9
 
 
 def test_propagate_rejects_bad_inputs():
     path = sample_markov_path(np.zeros((1, 1)), 1.0, 1, seed=0)
-    with pytest.raises(ValueError, match="positive"):
-        propagate_moments(TWO_LOOP, path, None, np.zeros(2), np.eye(2), dt=0.0)
+    for dt in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            propagate_moments(TWO_LOOP, path, None, np.zeros(2), np.eye(2), dt=dt)
+    with pytest.raises(ValueError, match="Disturbance or None"):
+        propagate_moments(TWO_LOOP, path, lambda t: np.ones(1), np.zeros(2), np.eye(2), dt=0.01)
     with pytest.raises(ValueError, match="semidefinite"):
         propagate_moments(TWO_LOOP, path, None, np.zeros(2), -np.eye(2), dt=0.01)
 
@@ -179,26 +234,19 @@ def test_attenuation_deterministic_and_order_independent():
 
 def test_mean_probe_exact_with_mode_dependent_output():
     # the output matrix changes with the mode and the path jumps inside every
-    # probe horizon; the mean path integrates each segment exactly, so it must
-    # match the fourth-order moment runs at a fine step
-    b2 = np.array([[0.2], [0.1]])
-    modes = (
-        ClosedLoopMode(np.array([[-1.0, 0.4], [-0.3, -0.8]]), np.array([[1.0], [0.5]]), b2,
-                       np.array([[1.0, 0.0]]), np.zeros((1, 1))),
-        ClosedLoopMode(np.array([[-0.6, 0.1], [0.2, -1.5]]), np.array([[0.3], [1.0]]), b2,
-                       np.array([[0.2, 1.5]]), np.zeros((1, 1))),
-    )
-    loop = ClosedLoop(modes, TransitionRateMatrix(np.array([[-0.5, 0.5], [0.5, -0.5]])))
+    # probe horizon; both methods integrate each segment exactly, so the mean
+    # path must match the full moment runs
     fam = [
         Disturbance("sin:0.5", np.array([1.0]), "sin", 0.5),
         Disturbance("step", np.array([1.0]), "step"),
     ]
     path_seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
-    assert len(sample_markov_path(loop.rates, 10.0, 1, path_seed).jump_times) >= 4
-    em = estimate_attenuation(loop, 1.0, t_end=10.0, n_paths=1, seed=3, disturbances=fam)
-    ef = estimate_attenuation(loop, 1.0, t_end=10.0, n_paths=1, seed=3, disturbances=fam,
-                              method="full", dt=0.005)
-    assert np.max(np.abs(em.ratios - ef.ratios) / ef.ratios) <= 1e-6
+    assert len(sample_markov_path(TWO_MODE_LOOP.rates, 10.0, 1, path_seed).jump_times) >= 4
+    em = estimate_attenuation(TWO_MODE_LOOP, 1.0, t_end=10.0, n_paths=1, seed=3,
+                              disturbances=fam)
+    ef = estimate_attenuation(TWO_MODE_LOOP, 1.0, t_end=10.0, n_paths=1, seed=3,
+                              disturbances=fam, method="full")
+    assert np.max(np.abs(em.ratios - ef.ratios) / ef.ratios) <= 1e-9
 
 
 def _reference_loop():

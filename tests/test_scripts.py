@@ -36,3 +36,7 @@ def test_bench_script_writes_json(tmp_path):
     assert {"seconds", "newton_steps", "verdict", "g_star"} <= set(reference)
     assert reference["verdict"] == "feasible"
     assert 0.035 < reference["g_star"] < 0.045
+    simulation = doc["simulation"]
+    assert {"propagate_moments", "mean_probe"} == set(simulation)
+    assert simulation["propagate_moments"]["grid_steps"] >= 2000  # t_end / dt, plus jumps
+    assert all(run["seconds"] > 0 for run in simulation.values())
