@@ -43,13 +43,16 @@ def grid_point(text):
 
 def timed(solve):
     """(seconds, level, LmiSolution) of ``solve() -> (level, SynthesisResult)``;
-    the level is None when the LMIs were not found feasible."""
+    the level is None when the solve ended infeasible or with its Newton step
+    budget spent."""
     from qhinf import synthesis
 
     t0 = time.perf_counter()
     try:
         g, result = solve()
-    except synthesis.LmiInfeasibleError as exc:
+    except synthesis.SynthesisError as exc:
+        if exc.solution is None:
+            raise
         return time.perf_counter() - t0, None, exc.solution
     return time.perf_counter() - t0, g, result.solution
 

@@ -8,7 +8,7 @@ parameters, the seed and the tool version.
 
 Exit codes: 0 success / verification pass, 1 verification failure
 (including a realizability augmentation that leaves a commutation defect
-above 1e-9), 2 infeasible synthesis, 3 input or usage error.
+above 1e-9), 2 infeasible or undecided synthesis, 3 input or usage error.
 """
 
 from __future__ import annotations

@@ -26,6 +26,9 @@ Design notes:
   mu G G^T with G flattened to (p, d^2), and the shift cross term is
   -mu <G_p, L^-1 L^-T> = -mu <C_p, S^-2>.  Each constraint scatters its
   block through flat Hessian indices fixed at materialisation.
+* The inner loop calls LAPACK directly (dpotrf on each slack, dtrtri for
+  L^-1, dposv for the SPD Newton system): on blocks of dimension <= 20 the
+  numpy/scipy wrappers' per-call overhead costs more than the arithmetic.
 * The barrier weight follows a fixed geometric schedule and the Newton
   iteration uses deterministic damped steps, so identical problems produce
   identical iterate sequences.
@@ -42,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .qmodel import _maxabs
 
@@ -295,8 +298,12 @@ class _OrientedConstraint:
     dim: int
     hess_idx: np.ndarray   # flat (param_idx, param_idx) indices into the Newton Hessian
 
+    def __post_init__(self):
+        self.eye = np.eye(self.dim)
+        self.flat = self.coeffs.reshape(self.param_idx.size, self.dim**2)  # (p, d^2) view
+
     def value(self, vec):
-        return self.const + np.tensordot(vec[self.param_idx], self.coeffs, 1)
+        return self.const + (vec[self.param_idx] @ self.flat).reshape(self.dim, self.dim)
 
 
 def _materialise(problem: LmiProblem, layout: _Layout):
@@ -333,16 +340,15 @@ def _slacks(oriented, vec, t):
     """Cholesky factors of t I - M_k(v), or None when not positive definite."""
     factors = []
     for oc in oriented:
-        s = t * np.eye(oc.dim) - oc.value(vec)
-        try:
-            factors.append(np.linalg.cholesky(s))
-        except np.linalg.LinAlgError:
+        chol, info = lapack.dpotrf(t * oc.eye - oc.value(vec), lower=1, clean=1)
+        if info != 0:
             return None
+        factors.append(chol)
     return factors
 
 
 def _barrier_value(factors, t, mu):
-    logdet = sum(2.0 * float(np.sum(np.log(np.diag(f)))) for f in factors)
+    logdet = 2.0 * float(np.log(np.concatenate([f.diagonal() for f in factors])).sum())
     return t - mu * logdet
 
 
@@ -351,7 +357,7 @@ def _newton_system(oriented, factors, mu, n_params):
     hess = np.zeros((n_params + 1, n_params + 1))
     grad[-1] = 1.0
     for oc, chol in zip(oriented, factors):
-        l_inv = sla.solve_triangular(chol, np.eye(oc.dim), lower=True)
+        l_inv = lapack.dtrtri(chol, lower=1)[0]
         k = l_inv @ l_inv.T  # similar to S^-1 = L^-T L^-1: same trace and norm
         if oc.param_idx.size:
             # W_p = C_p L^-T, then G_p = W_p^T L^-T = L^-1 C_p L^-T as C_p is symmetric
@@ -397,11 +403,9 @@ def _centre(oriented, x, mu, objective, max_steps, tol):
         if objective is not None:
             grad, hess = grad[:-1], hess[:-1, :-1]
             grad[objective] += 1.0
-        reg = 1e-12 * (1.0 + float(np.trace(hess)) / hess.shape[0])
-        hess = hess + reg * np.eye(hess.shape[0])
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
+        hess.flat[:: len(hess) + 1] += 1e-12 * (1.0 + float(np.trace(hess)) / len(hess))
+        step, info = lapack.dposv(hess, -grad, lower=1)[1:]  # hess is SPD: Gram matrices plus reg I
+        if info != 0:
             step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         decrement = float(-grad @ step)
         f0 = _barrier_value(factors, x[obj], mu)

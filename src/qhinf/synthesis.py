@@ -51,7 +51,12 @@ COND_LIMIT = 1e10  # inversion guard for the reconstruction step
 
 
 class SynthesisError(RuntimeError):
-    pass
+    """No controller was produced; ``solution`` is the LMI solution when the
+    solve itself ended without a feasible verdict, else None."""
+
+    def __init__(self, message, solution=None):
+        super().__init__(message)
+        self.solution = solution
 
 
 class LmiInfeasibleError(SynthesisError):
@@ -60,10 +65,24 @@ class LmiInfeasibleError(SynthesisError):
     def __init__(self, g, solution):
         super().__init__(
             f"synthesis LMIs not strictly feasible at g={g} "
-            f"(status {solution.status}, margin {solution.margin:.3e})"
+            f"(status {solution.status}, margin {solution.margin:.3e})",
+            solution,
         )
         self.g = g
-        self.solution = solution
+
+
+def _require_feasible(g, solution):
+    """Raise ``LmiInfeasibleError`` when the solver settled infeasible at level g
+    and ``SynthesisError`` when its Newton step budget ran out undecided."""
+    if solution.status == "infeasible-at-tolerance":
+        raise LmiInfeasibleError(g, solution)
+    if not solution.feasible:
+        raise SynthesisError(
+            f"no verdict at g={g}: the Newton step budget ran out after "
+            f"{solution.iterations} steps (status {solution.status}, "
+            f"margin {solution.margin:.3e})",
+            solution,
+        )
 
 
 def _names(prefix, n_modes):
@@ -224,15 +243,16 @@ def synthesize(
 ) -> SynthesisResult:
     """Build and solve the LMIs at level g, then reconstruct the controller.
 
-    Raises ``LmiInfeasibleError`` when no strictly feasible point is found.
-    The returned controller carries no noise channels; augment it with the
-    realizability layer before treating it as a quantum device.
+    Raises ``LmiInfeasibleError`` when the solver settles without a strictly
+    feasible point and ``SynthesisError`` when max_iter Newton steps end
+    before a verdict.  The returned controller carries no noise channels;
+    augment it with the realizability layer before treating it as a quantum
+    device.
     """
     solution = lmi.solve_feasibility(
         build_hinf_lmis(plant, g), eps_strict=eps_strict, tol=tol, max_iter=max_iter
     )
-    if not solution.feasible:
-        raise LmiInfeasibleError(g, solution)
+    _require_feasible(g, solution)
     return _result(plant, g, solution)
 
 
@@ -260,8 +280,8 @@ def min_attenuation(
     ``eps_strict``, ``tol`` and ``max_iter`` are passed to the solver.
 
     Raises ``LmiInfeasibleError`` when nothing below g_hi is feasible and
-    ``SynthesisError`` when max_iter Newton steps end before the level is
-    within tolerance.
+    ``SynthesisError`` when max_iter Newton steps end before a feasible
+    level, or before the level is within tolerance.
     """
     if not (0 < g_lo < g_hi < np.inf):
         raise ValueError(f"need 0 < g_lo < g_hi < inf, got g_lo={g_lo}, g_hi={g_hi}")
@@ -279,8 +299,7 @@ def min_attenuation(
 
     problem.minimize(GAMMA, within)
     solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, tol=tol, max_iter=max_iter)
-    if not solution.feasible:
-        raise LmiInfeasibleError(g_hi, solution)
+    _require_feasible(g_hi, solution)
     gamma = float(solution.assignment[GAMMA][0, 0])
     if not within(gamma, gamma - solution.gap):
         raise SynthesisError(

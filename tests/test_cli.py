@@ -261,6 +261,16 @@ def test_synth_min_g_budget_exhausted(docs, capsys):
     assert not out.exists()
 
 
+def test_synth_budget_exhausted_is_not_infeasible(docs, capsys):
+    out = docs["root"] / "budget" / "ctrl.json"
+    rc = main(["synth", "--plant", str(docs["plant"]), "--g", "0.05", "--max-iter", "0",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("synthesis failed:") and "budget ran out" in err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate pulls in optimize, sparse, spatial and special, which
     # cost about a third of a second of start-up and nothing in qhinf uses

@@ -61,6 +61,17 @@ def test_scalar_lyapunov_feasible():
     assert sol.assignment["P"][0, 0] > 0
 
 
+def test_constant_constraint_takes_part_in_the_shift():
+    # a block with no variable terms: its slack is t I - M_k(0) throughout
+    problem = _lyapunov_problem(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+    problem.add_constraint(lmi.AffineMatrixExpr(3, -0.5 * np.eye(3)), "neg")
+    sol = lmi.solve_feasibility(problem)
+    assert sol.feasible
+    assert sol.constraint_margins[-1] == pytest.approx(0.5)
+    problem.add_constraint(lmi.AffineMatrixExpr(1, [[0.25]]), "neg")
+    assert lmi.solve_feasibility(problem).status == "infeasible-at-tolerance"
+
+
 def test_margins_self_verify():
     # reported margins must equal a direct eigenvalue evaluation
     problem = _lyapunov_problem(np.array([[-1.0, 0.5], [0.0, -2.0]]))
@@ -304,3 +315,62 @@ def test_unpack_round_trips_symmetric_and_rectangular():
     assert np.array_equal(r, vec[6:].reshape(2, 3))
     again = layout.unpack(np.concatenate([s[np.triu_indices(3)], r.ravel()]))
     assert np.array_equal(again["S"], s) and np.array_equal(again["R"], r)
+
+
+def _reference_synthesis_point():
+    problem = synthesis.build_hinf_lmis(demo.reference_plant(), 0.05)
+    layout = lmi._Layout(problem.variables)
+    oriented = lmi._materialise(problem, layout)
+    vec = 0.3 * np.random.default_rng(5).normal(size=layout.total)
+    tops = [float(lmi.symmetric_eigenvalues(oc.value(vec))[-1]) for oc in oriented]
+    return oriented, vec, tops
+
+
+def test_slacks_none_when_one_block_indefinite():
+    oriented, vec, tops = _reference_synthesis_point()
+    assert sorted(tops)[-2] < max(tops) - 1e-3
+    assert lmi._slacks(oriented, vec, max(tops) + 1e-6) is not None
+    # every other block is well inside; only the top block's slack turns indefinite
+    assert lmi._slacks(oriented, vec, max(tops) - 1e-6) is None
+
+
+def test_slacks_factor_each_shifted_block():
+    oriented, vec, tops = _reference_synthesis_point()
+    t = max(tops) + 0.5
+    factors = lmi._slacks(oriented, vec, t)
+    for oc, f in zip(oriented, factors):
+        s = t * np.eye(oc.dim) - oc.value(vec)
+        assert np.max(np.abs(f @ f.T - s)) <= 1e-12 * np.max(np.abs(s))
+        assert np.all(np.triu(f, 1) == 0.0)
+
+
+def test_barrier_value_is_shift_minus_weighted_logdets():
+    oriented, vec, tops = _reference_synthesis_point()
+    t, mu = max(tops) + 0.5, 0.3
+    logdet = 0.0
+    for oc in oriented:
+        sign, value = np.linalg.slogdet(t * np.eye(oc.dim) - oc.value(vec))
+        assert sign == 1.0
+        logdet += value
+    barrier = lmi._barrier_value(lmi._slacks(oriented, vec, t), t, mu)
+    assert barrier == pytest.approx(t - mu * logdet, rel=1e-12)
+
+
+def test_newton_steps_match_dense_solve(monkeypatch):
+    # every Newton step of the reference synthesis is the Cholesky solve of
+    # its Hessian; LU on the same system agrees to 1e-10
+    calls = []
+    dposv = lmi.lapack.dposv
+
+    def recording(hess, rhs, **options):
+        out = dposv(hess, rhs, **options)
+        calls.append((hess.copy(), rhs.copy(), out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(lmi.lapack, "dposv", recording)
+    result = synthesis.synthesize(demo.reference_plant(), 0.05)
+    assert len(calls) == result.solution.iterations
+    for hess, rhs, step, info in calls:
+        assert info == 0
+        ref = np.linalg.solve(hess, rhs)
+        assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -40,3 +41,15 @@ def test_bench_script_writes_json(tmp_path):
     assert {"propagate_moments", "mean_probe"} == set(simulation)
     assert simulation["propagate_moments"]["grid_steps"] >= 2000  # t_end / dt, plus jumps
     assert all(run["seconds"] > 0 for run in simulation.values())
+
+
+def test_bench_timed_records_budget_exhaustion():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    from qhinf import demo, synthesis
+
+    seconds, g, solution = bench.timed(
+        lambda: (0.05, synthesis.synthesize(demo.reference_plant(), 0.05, max_iter=0)))
+    assert g is None
+    assert bench.record(seconds, solution)["verdict"] == "max-iter"

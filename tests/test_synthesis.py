@@ -295,3 +295,39 @@ def test_min_attenuation_budget_exhausted_raises():
     with pytest.raises(SynthesisError, match="not within tol_g") as info:
         min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3, max_iter=80)
     assert not isinstance(info.value, LmiInfeasibleError)
+
+
+@pytest.mark.parametrize(("tol_g", "g_star", "steps"), [
+    (5e-3, 0.0394595596971361, 130),
+    (1e-3, 0.037459559697136095, 136),
+])
+def test_min_attenuation_reference_iterates_pinned(tol_g, g_star, steps):
+    # a kernel change that moves these moved the Newton path, not just its rounding
+    g, result = min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=tol_g)
+    assert g == pytest.approx(g_star, rel=1e-12)
+    assert result.solution.iterations == steps
+
+
+@pytest.mark.parametrize(("g", "status", "steps"), [
+    (0.036, "infeasible-at-tolerance", 134),
+    (0.037, "feasible", 134),
+    (0.040, "feasible", 133),
+    (0.048, "feasible", 134),
+    (0.05, "feasible", 136),
+])
+def test_synthesize_reference_iterates_pinned(g, status, steps):
+    try:
+        solution = synthesize(demo.reference_plant(), g).solution
+    except LmiInfeasibleError as exc:
+        solution = exc.solution
+    assert (solution.status, solution.iterations) == (status, steps)
+
+
+def test_budget_exhaustion_is_not_infeasibility():
+    plant = demo.reference_plant()
+    for solve in (lambda: synthesize(plant, 0.05, max_iter=0),
+                  lambda: min_attenuation(plant, 0.01, 1.0, max_iter=5)):
+        with pytest.raises(SynthesisError, match="budget ran out") as info:
+            solve()
+        assert not isinstance(info.value, LmiInfeasibleError)
+        assert info.value.solution.status == "max-iter"
