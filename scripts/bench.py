@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Time synthesis on an (n, modes) scaling grid, the reference level search and
-one simulation path of each kind.
+"""Time synthesis on an (n, modes) scaling grid, the reference level search,
+its closed-loop certification and one simulation path of each kind.
 
     PYTHONPATH=src python scripts/bench.py [--grid 2x3 4x3 ...] [--out-dir DIR]
 
 For each grid point, times ``synthesize(random_plant(0, n, modes, 0), 5.0)``
 on the seeded jump plants of perfbench/plants.py; then times the reference
-``min_attenuation(reference_plant(), 0.01, 1.0, tol_g=5e-3)``.  On the
-reference plant closed with ``reference_controller()`` it times one
-``propagate_moments`` path (sin:0.5, t_end 100, dt 0.05, validated, as
-perfbench's fault-sim) and one mean-probe path (default family, t_end 120).
-Each figure is one wall-clock run (``time.perf_counter``) on one BLAS
-thread.  Writes BENCH_<date>.json with, per solve, the seconds, Newton steps
-and verdict (the LMI status), the simulation seconds, plus the numpy and
-scipy versions and the live BLAS thread count.  The default grid leaves out
-(8, 6), which takes minutes.
+``min_attenuation(reference_plant(), 0.01, 1.0, tol_g=5e-3)`` and
+``verify_closed_loop`` of its augmented controller at g*, the two LMI solves
+of ``qhinf demo-paper --quick``.  On the reference plant closed with
+``reference_controller()`` it times one ``propagate_moments`` path (sin:0.5,
+t_end 100, dt 0.05, validated, as perfbench's fault-sim) and one mean-probe
+path (default family, t_end 120).  Each figure is one wall-clock run
+(``time.perf_counter``) on one BLAS thread.  Writes BENCH_<date>.json with,
+per solve, the seconds, Newton steps, milliseconds per step and verdict (the
+LMI status), whether the certification passed, the simulation seconds, plus
+the numpy and scipy versions and the live BLAS thread count.  The default
+grid leaves out (8, 6), which takes minutes.
 """
 
 import argparse
@@ -58,7 +60,9 @@ def timed(solve):
 
 
 def record(seconds, solution, **fields):
-    return {**fields, "seconds": round(seconds, 4), "newton_steps": solution.iterations,
+    steps = solution.iterations
+    return {**fields, "seconds": round(seconds, 4), "newton_steps": steps,
+            "step_ms": round(1e3 * seconds / steps, 3) if steps else None,
             "verdict": solution.status}
 
 
@@ -79,7 +83,7 @@ def main(argv=None):
     from plants import random_plant
     from run import blas_info
 
-    from qhinf import analysis, demo, jumpsim, synthesis
+    from qhinf import analysis, demo, jumpsim, realizability, synthesis
 
     blas, blas_threads = blas_info(numpy)
     grid = []
@@ -91,11 +95,26 @@ def main(argv=None):
               f"{solution.status}", flush=True)
 
     search = dict(g_lo=0.01, g_hi=1.0, tol_g=5e-3)
-    seconds, g_star, solution = timed(
-        lambda: synthesis.min_attenuation(demo.reference_plant(), **search))
+    designed = []  # the level search's SynthesisResult, for the certification
+
+    def level_search():
+        g, result = synthesis.min_attenuation(demo.reference_plant(), **search)
+        designed.append(result)
+        return g, result
+
+    seconds, g_star, solution = timed(level_search)
     reference = record(seconds, solution, **search, g_star=g_star)
     print(f"reference min_attenuation: {seconds:.3f} s, {solution.iterations} steps, "
           f"{solution.status}, g*={g_star}", flush=True)
+
+    aug = realizability.augment_jump_controller(designed[0].controller)
+    t0 = time.perf_counter()
+    report = analysis.verify_closed_loop(demo.reference_plant(), aug, g_star)
+    seconds = time.perf_counter() - t0
+    solution = report.coupled.solution  # every mode of the reference loop is Hurwitz
+    certification = record(seconds, solution, g=g_star, certified=report.attenuation_ok)
+    print(f"reference verify_closed_loop: {seconds:.3f} s, {solution.iterations} steps, "
+          f"{solution.status}, certified={report.attenuation_ok}", flush=True)
 
     loop = analysis.assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
     dist = jumpsim.Disturbance("sin:0.5", numpy.eye(loop.n_w)[0], "sin", 0.5)
@@ -124,6 +143,7 @@ def main(argv=None):
         "cpu_count": os.cpu_count(),
         "grid": grid,
         "reference": reference,
+        "certification": certification,
         "simulation": simulation,
     }
     args.out_dir.mkdir(parents=True, exist_ok=True)

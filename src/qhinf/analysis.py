@@ -252,10 +252,13 @@ def frequency_sweep_norm(a, b, c, d, n_points: int = 1000) -> float:
     return best
 
 
-def _check_level(g):
-    """Reject an attenuation level that is not a finite positive number."""
+def _check_level(g, name="g"):
+    """Reject an attenuation level that is not a finite positive number, or
+    whose square (the LMIs' -g^2 I corner) is not finite."""
     if not (np.isfinite(g) and g > 0):
-        raise ValueError(f"attenuation level must be positive and finite, got g={g}")
+        raise ValueError(f"attenuation level must be positive and finite, got {name}={g}")
+    if not np.isfinite(float(g) * float(g)):
+        raise ValueError(f"attenuation level {name}={g} is too large: its square is not finite")
 
 
 def bounded_real_block(a, b, c, pi_row, p_names, i) -> lmi.AffineMatrixExpr:
@@ -342,7 +345,7 @@ def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLo
 
     ``coupled_mode_check`` runs on the assembled loop only when every mode
     is Hurwitz; otherwise the report's ``coupled`` is None.  Raises
-    ``ValueError`` unless g is finite and positive, whether or not every
+    ``ValueError`` unless g is positive and g^2 finite, whether or not every
     mode is stable.
     """
     _check_level(g)

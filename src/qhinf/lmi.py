@@ -19,16 +19,25 @@ Design notes:
   to the coefficient of V[i, j], which is the parameter itself for a full
   variable; a symmetric variable maps its stack through the upper-triangle
   duplication T with vec(V) = T theta.
-* The Newton system is assembled from whitened coefficient stacks.  With
-  the slack factor S_k = L L^T and one triangular inverse L^-1, the stack
-  G_p = L^-1 C_p L^-T comes from two GEMMs on the (p d, d) reshaped
-  coefficients.  The barrier gradient is mu tr(G_p), the Hessian block is
-  mu G G^T with G flattened to (p, d^2), and the shift cross term is
-  -mu <G_p, L^-1 L^-T> = -mu <C_p, S^-2>.  Each constraint scatters its
-  block through flat Hessian indices fixed at materialisation.
-* The inner loop calls LAPACK directly (dpotrf on each slack, dtrtri for
-  L^-1, dposv for the SPD Newton system): on blocks of dimension <= 20 the
-  numpy/scipy wrappers' per-call overhead costs more than the arithmetic.
+* The shift t is one more coordinate of x = (v, t), with coefficient -I in
+  every block, so each slack is S_k = -(M_k(0) + sum_p x_p C_kp) and the
+  Newton system needs no separate t row.
+* Constraints of one block dimension d and one parameter count p form a
+  group whose constants, parameter indices and coefficients are stacked
+  once, so a Newton step costs a few numpy calls per group instead of per
+  block: one batched GEMV gives the group's slacks, and two batched GEMMs
+  against the stacked inverse factors whiten its coefficients to
+  G_p = L^-1 C_p L^-T (S = L L^T).  The gradient is mu tr(G_p), the
+  Hessian block mu G G^T with G flattened to (p, d^2); one np.bincount
+  each scatters every group's entries, summing a parameter's repeats
+  across members.  Blocks are grouped by exact (d, p) because padding to a
+  common p wastes flops, and a group's coefficients are capped at
+  _GROUP_ENTRIES because stacks that outgrow the cache slow the GEMMs.
+* Factors and inverses come from LAPACK directly, one member at a time
+  (dpotrf on each slack, dtrtri for L^-1, both in place in the stack, and
+  dposv for the SPD Newton system): on blocks of dimension <= 20 the
+  numpy/scipy wrappers' per-call overhead, batched np.linalg included,
+  costs more than the arithmetic.
 * The barrier weight follows a fixed geometric schedule and the Newton
   iteration uses deterministic damped steps, so identical problems produce
   identical iterate sequences.
@@ -288,88 +297,131 @@ class _Layout:
         return out
 
 
-@dataclass
-class _OrientedConstraint:
-    """Constraint data in uniform "M(v) <= t I" orientation."""
-
-    const: np.ndarray      # M_k(0)
-    param_idx: np.ndarray  # indices of parameters with nonzero coefficient
-    coeffs: np.ndarray     # (len(param_idx), d, d) basis coefficient matrices
-    dim: int
-    hess_idx: np.ndarray   # flat (param_idx, param_idx) indices into the Newton Hessian
-
-    def __post_init__(self):
-        self.eye = np.eye(self.dim)
-        self.flat = self.coeffs.reshape(self.param_idx.size, self.dim**2)  # (p, d^2) view
-
-    def value(self, vec):
-        return self.const + (vec[self.param_idx] @ self.flat).reshape(self.dim, self.dim)
+# Cap on a group's coefficient entries, members x parameters x d^2.  Stacks
+# of blocks that together outgrow the CPU cache make the batched GEMMs slower
+# than one block at a time, so a group stops growing at the cap and a block
+# above it forms a group of one.
+_GROUP_ENTRIES = 2**15
 
 
-def _materialise(problem: LmiProblem, layout: _Layout):
-    oriented = []
-    for c in problem.constraints:
+class _Group:
+    """Oriented constraints ("M(v) <= t I") of one block dimension d and one
+    parameter count p, stacked.  The last coordinate of x = (v, t) is the
+    shift t, with coefficient -I in every member, so member j's slack is
+    S_j = t I - M_j(v) = -(const_j + sum_q x[idx_jq] C_jq)."""
+
+    def __init__(self, members, const, idx, coeffs):
+        self.members = np.asarray(members)  # constraint indices, in problem order
+        self.const = np.stack(const)        # (m, d, d) M_j(0)
+        self.idx = np.stack(idx)            # (m, p) parameter indices, the shift's last
+        self.coeffs = np.stack(coeffs)      # (m, p, d^2) flattened C_jq, the shift's -I last
+        self.dim = self.const.shape[-1]
+
+    def slacks(self, x):
+        """The slacks S_j at x = (v, t), stacked (m, d, d)."""
+        s = np.matmul(-x[self.idx][:, None, :], self.coeffs).reshape(self.const.shape)
+        s -= self.const
+        return s
+
+
+class _Oriented:
+    """A problem's constraints grouped by (d, p), with the flat gradient and
+    Hessian indices of every group's (m, p) and (m, p, p) entries in group
+    order: a parameter occurs in several members, so the Newton system sums
+    them with ``np.bincount``, as fancy-index ``+=`` would drop repeats."""
+
+    def __init__(self, groups, n_params):
+        self.groups = groups
+        self.size = n_params + 1  # the parameters, then the shift t
+        self.grad_idx = np.concatenate([grp.idx.reshape(-1) for grp in groups])
+        self.hess_idx = np.concatenate(
+            [(grp.idx[:, :, None] * self.size + grp.idx[:, None, :]).reshape(-1)
+             for grp in groups]
+        )
+
+
+def _materialise(problem: LmiProblem, layout: _Layout) -> _Oriented:
+    """The constraints in "M(v) <= t I" form, grouped by (d, p) in order of
+    first appearance and stacked; raises ``ValueError`` naming a constraint
+    whose constant or coefficients are not finite."""
+    shift = layout.total
+    data, runs = [], {}  # runs: (d, p) -> member lists, the last one open
+    for k, c in enumerate(problem.constraints):
         sign = 1.0 if c.sense == "neg" else -1.0
         d = c.expr.dim
-        base = sign * 0.5 * (c.expr.constant + c.expr.constant.T)
-        by_name = {}  # variable -> coefficients of vec(V), (rows * cols, d, d)
-        for t in c.expr.terms:
-            # outer[i, j] = L[:, i] (x) R[j, :], the coefficient of (V or V^T)[i, j]
-            outer = t.left.T[:, None, :, None] * t.right[None, :, None, :]
-            if t.transpose:
-                outer = outer.transpose(1, 0, 2, 3)
-            outer = outer.reshape(-1, d, d)
-            by_name[t.name] = by_name.get(t.name, 0.0) + outer
         idx, mats = [], []
-        for name in sorted(by_name, key=layout.offsets.get):
-            g, t = by_name[name], layout.expansions[name]
-            if t is not None:
-                g = np.tensordot(t, g, axes=(0, 0))
-            g = sign * 0.5 * (g + g.transpose(0, 2, 1))
-            keep = np.flatnonzero(np.any(g != 0.0, axis=(1, 2)))
-            idx.append(layout.offsets[name] + keep)
-            mats.append(g[keep])
-        idx = np.concatenate(idx) if idx else np.zeros(0, dtype=int)
-        coeffs = np.concatenate(mats) if mats else np.zeros((0, d, d))
-        hess_idx = (idx[:, None] * (layout.total + 1) + idx).reshape(-1)
-        oriented.append(_OrientedConstraint(base, idx, coeffs, d, hess_idx))
-    return oriented
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite data is named below
+            base = sign * 0.5 * (c.expr.constant + c.expr.constant.T)
+            by_name = {}  # variable -> coefficients of vec(V), (rows * cols, d, d)
+            for t in c.expr.terms:
+                # outer[i, j] = L[:, i] (x) R[j, :], the coefficient of (V or V^T)[i, j]
+                outer = t.left.T[:, None, :, None] * t.right[None, :, None, :]
+                if t.transpose:
+                    outer = outer.transpose(1, 0, 2, 3)
+                outer = outer.reshape(-1, d, d)
+                by_name[t.name] = by_name.get(t.name, 0.0) + outer
+            for name in sorted(by_name, key=layout.offsets.get):
+                g, t = by_name[name], layout.expansions[name]
+                if t is not None:
+                    g = np.tensordot(t, g, axes=(0, 0))
+                g = sign * 0.5 * (g + g.transpose(0, 2, 1))
+                keep = np.flatnonzero(np.any(g != 0.0, axis=(1, 2)))
+                idx.append(layout.offsets[name] + keep)
+                mats.append(g[keep])
+        if not all(np.all(np.isfinite(a)) for a in [base, *mats]):
+            raise ValueError(f"constraint {k} has a non-finite constant or coefficient")
+        idx = np.concatenate([*idx, [shift]])
+        coeffs = np.concatenate([*mats, -np.eye(d)[None]]).reshape(idx.size, d * d)
+        data.append((base, idx, coeffs))
+        members = runs.setdefault((d, idx.size), [[]])
+        if members[-1] and (len(members[-1]) + 1) * coeffs.size > _GROUP_ENTRIES:
+            members.append([])
+        members[-1].append(k)
+    groups = [_Group(m, *zip(*(data[k] for k in m))) for run in runs.values() for m in run]
+    return _Oriented(groups, layout.total)
 
 
-def _slacks(oriented, vec, t):
-    """Cholesky factors of t I - M_k(v), or None when not positive definite."""
+def _slacks(oriented: _Oriented, x):
+    """Per group, upper Cholesky factors R_j with R_j^T R_j = S_j at x = (v, t),
+    stacked (m, d, d); None when some slack is not positive definite."""
     factors = []
-    for oc in oriented:
-        chol, info = lapack.dpotrf(t * oc.eye - oc.value(vec), lower=1, clean=1)
-        if info != 0:
-            return None
-        factors.append(chol)
+    for grp in oriented.groups:
+        s = grp.slacks(x)
+        for member in s:
+            # the transposed view is Fortran-ordered, so dpotrf works in place
+            # and its lower factor L reads as R = L^T in the C-ordered stack
+            if lapack.dpotrf(member.T, lower=1, clean=1, overwrite_a=1)[1] != 0:
+                return None
+        factors.append(s)
     return factors
 
 
 def _barrier_value(factors, t, mu):
-    logdet = 2.0 * float(np.log(np.concatenate([f.diagonal() for f in factors])).sum())
-    return t - mu * logdet
+    diagonals = [r.reshape(len(r), -1)[:, :: r.shape[-1] + 1] for r in factors]
+    return t - 2.0 * mu * float(np.log(np.concatenate(diagonals, axis=None)).sum())
 
 
-def _newton_system(oriented, factors, mu, n_params):
-    grad = np.zeros(n_params + 1)
-    hess = np.zeros((n_params + 1, n_params + 1))
-    grad[-1] = 1.0
-    for oc, chol in zip(oriented, factors):
-        l_inv = lapack.dtrtri(chol, lower=1)[0]
-        k = l_inv @ l_inv.T  # similar to S^-1 = L^-T L^-1: same trace and norm
-        if oc.param_idx.size:
-            # W_p = C_p L^-T, then G_p = W_p^T L^-T = L^-1 C_p L^-T as C_p is symmetric
-            w = (oc.coeffs.reshape(-1, oc.dim) @ l_inv.T).reshape(oc.coeffs.shape)
-            g = (w.transpose(0, 2, 1).reshape(-1, oc.dim) @ l_inv.T).reshape(oc.param_idx.size, -1)
-            grad[oc.param_idx] += mu * g[:, :: oc.dim + 1].sum(axis=1)
-            hess.reshape(-1)[oc.hess_idx] += (mu * (g @ g.T)).reshape(-1)
-            hess[oc.param_idx, -1] -= mu * (g @ k.reshape(-1))
-        grad[-1] -= mu * float(np.trace(k))
-        hess[-1, -1] += mu * float(np.sum(k * k))
-    hess[-1, :-1] = hess[:-1, -1]
-    return grad, hess
+def _newton_system(oriented: _Oriented, factors, mu):
+    """Gradient and Hessian of t - mu sum_j logdet S_j over x = (v, t): with
+    G_q = R^-T C_q R^-1, mu tr(G_q) (plus 1 on t) and mu <G_q, G_r>."""
+    traces, grams = [], []
+    for grp, r in zip(oriented.groups, factors):
+        m, p, d = len(r), grp.idx.shape[1], grp.dim
+        r_inv = r.copy()
+        for member in r_inv:
+            # in place as in _slacks: L^-1 in Fortran order reads as R^-1
+            lapack.dtrtri(member.T, lower=1, overwrite_c=1)
+        # W_q = C_q R^-1, then G_q = W_q^T R^-1 = R^-T C_q R^-1 as C_q is symmetric
+        w = np.matmul(grp.coeffs.reshape(m, p * d, d), r_inv).reshape(m, p, d, d)
+        w = np.ascontiguousarray(w.transpose(0, 1, 3, 2)).reshape(m, p * d, d)
+        g = np.matmul(w, r_inv).reshape(m, p, d * d)
+        traces.append(g[:, :, :: d + 1].sum(axis=2).reshape(-1))
+        grams.append(np.matmul(g, g.transpose(0, 2, 1)).reshape(-1))
+    size = oriented.size
+    grad = mu * np.bincount(oriented.grad_idx, np.concatenate(traces), minlength=size)
+    grad[-1] += 1.0
+    hess = mu * np.bincount(oriented.hess_idx, np.concatenate(grams), minlength=size * size)
+    return grad, hess.reshape(size, size)
 
 
 def _verified_margins(problem: LmiProblem, assignment: dict):
@@ -395,11 +447,11 @@ def _centre(oriented, x, mu, objective, max_steps, tol):
     factors = None  # slack factors at x, carried over from the accepted candidate
     while steps < max_steps and x[-1] >= _T_FLOOR:
         if factors is None:
-            factors = _slacks(oriented, x[:-1], x[-1])
+            factors = _slacks(oriented, x)
             if factors is None:
                 # should not happen from a feasible iterate; bail out
                 return x, steps, "interior iterate lost positive definiteness"
-        grad, hess = _newton_system(oriented, factors, mu, len(x) - 1)
+        grad, hess = _newton_system(oriented, factors, mu)
         if objective is not None:
             grad, hess = grad[:-1], hess[:-1, :-1]
             grad[objective] += 1.0
@@ -416,7 +468,7 @@ def _centre(oriented, x, mu, objective, max_steps, tol):
                 return x, steps, "step-size collapse; problem may be ill-posed"
             cand = x.copy()
             cand[: step.size] += alpha * step
-            cand_factors = _slacks(oriented, cand[:-1], cand[-1])
+            cand_factors = _slacks(oriented, cand)
             if cand_factors is not None:
                 f1 = _barrier_value(cand_factors, cand[obj], mu)
                 if f1 <= f0 - 1e-4 * alpha * decrement or f1 < f0:
@@ -452,7 +504,8 @@ def solve_feasibility(
     Newton steps of both phases; exhausting it without a certificate yields
     status ``max-iter`` with the best iterate still attached.  Raises
     ``ValueError`` unless eps_strict is finite and positive, tol finite and
-    nonnegative, and max_iter nonnegative.
+    nonnegative, max_iter nonnegative, and every constraint's constant and
+    coefficients finite (the message names the first constraint that is not).
     """
     if not (np.isfinite(eps_strict) and eps_strict > 0):
         raise ValueError(f"eps_strict must be finite and positive, got {eps_strict}")
@@ -461,13 +514,13 @@ def solve_feasibility(
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     problem.validate()
+    if not problem.constraints:
+        raise ValueError("problem has no constraints")
     layout = _Layout(problem.variables)
     oriented = _materialise(problem, layout)
-    if not oriented:
-        raise ValueError("problem has no constraints")
 
     x = np.zeros(layout.total + 1)  # parameters, then the shift t
-    x[-1] = max(float(symmetric_eigenvalues(oc.const)[-1]) for oc in oriented) + 1.0
+    x[-1] = max(float(np.linalg.eigvalsh(grp.const)[:, -1].max()) for grp in oriented.groups) + 1.0
 
     mu = 1.0
     mu_min = 1e-11
@@ -489,7 +542,7 @@ def solve_feasibility(
         t = x[-1]
         margin_now = min(_verified_margins(problem, layout.unpack(x[:-1])))
         if (problem.objective is not None and margin_now > eps_strict
-                and _slacks(oriented, x[:-1], -eps_strict) is not None):
+                and _slacks(oriented, np.append(x[:-1], -eps_strict)) is not None):
             minimise = True
             break
         if t < _T_FLOOR:
@@ -518,7 +571,7 @@ def solve_feasibility(
     if minimise:
         name, within = problem.objective
         obj = layout.offsets[name]
-        dim_total = sum(oc.dim for oc in oriented)
+        dim_total = sum(grp.const.shape[0] * grp.dim for grp in oriented.groups)
         x[-1] = -eps_strict
         rounds, sharpened = [x], False
         while iterations < max_iter:

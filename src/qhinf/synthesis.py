@@ -285,6 +285,7 @@ def min_attenuation(
     """
     if not (0 < g_lo < g_hi < np.inf):
         raise ValueError(f"need 0 < g_lo < g_hi < inf, got g_lo={g_lo}, g_hi={g_hi}")
+    analysis._check_level(g_hi, "g_hi")
     if not (np.isfinite(tol_g) and tol_g > 0):
         raise ValueError(f"tol_g must be finite and positive, got {tol_g}")
     problem = build_hinf_lmis(plant, None)

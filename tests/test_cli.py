@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,25 @@ def test_synth_non_finite_level_is_input_error(docs, capsys, level, named):
     rc = main(["synth", "--plant", str(docs["plant"]), *level, "--out", str(out)])
     assert rc == 3
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, named", [
+    (["synth", "--g", "1e300"], "g=1e+300"),
+    (["synth", "--min-g", "--g-hi", "1e200"], "g_hi=1e+200"),
+    (["analyze", "--g", "1e300"], "g=1e+300"),
+])
+def test_level_with_overflowing_square_is_input_error(docs, capsys, command, named):
+    out = docs["root"] / "overflow" / "ctrl.json"
+    args = [*command, "--plant", str(docs["plant"])]
+    args += ["--controller", str(docs["ctrl"])] if command[0] == "analyze" else ["--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(args)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert named in err and "square is not finite" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

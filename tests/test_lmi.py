@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qhinf import analysis, demo, lmi, synthesis
 from qhinf.qmodel import assemble_closed_loop
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_symmetric_eigenvalues_examples():
@@ -147,12 +152,15 @@ def test_full_variable_terms():
 def test_oriented_value_matches_loop_reference():
     problem = _lyapunov_problem(np.array([[-1.0, 2.0], [0.5, -3.0]]))
     layout = lmi._Layout(problem.variables)
-    vec = np.random.default_rng(1).normal(size=layout.total)
-    for oc in lmi._materialise(problem, layout):
-        reference = oc.const.copy()
-        for pos, p in enumerate(oc.param_idx):
-            reference = reference + vec[p] * oc.coeffs[pos]
-        assert np.max(np.abs(oc.value(vec) - reference)) <= 1e-12 * (1.0 + np.max(np.abs(reference)))
+    x = np.random.default_rng(1).normal(size=layout.total + 1)  # parameters, then t
+    for grp in lmi._materialise(problem, layout).groups:
+        slacks = grp.slacks(x)
+        for j in range(len(grp.members)):
+            reference = -grp.const[j]
+            for q, c in zip(grp.idx[j], grp.coeffs[j]):
+                reference = reference - x[q] * c.reshape(grp.dim, grp.dim)
+            tol = 1e-12 * (1.0 + np.max(np.abs(reference)))
+            assert np.max(np.abs(slacks[j] - reference)) <= tol
 
 
 def test_minimize_scalar_objective():
@@ -203,13 +211,23 @@ def _basis_materialise(problem, layout):
 def _assert_stacks_match_basis_reference(problem):
     layout = lmi._Layout(problem.variables)
     oriented = lmi._materialise(problem, layout)
-    for oc, (base, reference) in zip(oriented, _basis_materialise(problem, layout), strict=True):
-        stack = np.zeros_like(reference)
-        stack[oc.param_idx] = oc.coeffs
-        tol = 1e-13 * (1.0 + np.max(np.abs(reference)))
-        assert np.max(np.abs(stack - reference)) <= tol
-        assert np.max(np.abs(oc.const - base)) <= 1e-13 * (1.0 + np.max(np.abs(base)))
-        assert np.all(np.any(oc.coeffs != 0.0, axis=(1, 2)))  # only live parameters kept
+    reference = _basis_materialise(problem, layout)
+    seen = []
+    for grp in oriented.groups:
+        d, p = grp.dim, grp.idx.shape[1]
+        assert grp.coeffs.shape == (len(grp.members), p, d * d)
+        for j, k in enumerate(grp.members):
+            base, stack_ref = reference[k]
+            stack_ref = np.concatenate([stack_ref, -np.eye(d)[None]])  # t has coefficient -I
+            assert np.unique(grp.idx[j]).size == p and grp.idx[j, -1] == layout.total
+            stack = np.zeros_like(stack_ref)
+            stack[grp.idx[j]] = grp.coeffs[j].reshape(p, d, d)
+            tol = 1e-13 * (1.0 + np.max(np.abs(stack_ref)))
+            assert np.max(np.abs(stack - stack_ref)) <= tol
+            assert np.max(np.abs(grp.const[j] - base)) <= 1e-13 * (1.0 + np.max(np.abs(base)))
+            assert np.all(np.any(grp.coeffs[j] != 0.0, axis=1))  # only live parameters kept
+            seen.append(k)
+    assert sorted(seen) == list(range(len(problem.constraints)))
 
 
 @pytest.mark.parametrize("g", [0.05, None])
@@ -217,7 +235,9 @@ def test_synthesis_stacks_match_basis_evaluation(g):
     _assert_stacks_match_basis_reference(synthesis.build_hinf_lmis(demo.reference_plant(), g))
 
 
-def _coupled_check_problem(monkeypatch):
+def _coupled_check_problem(monkeypatch, plant=None, controller=None, g=0.5):
+    """The LMI problem ``coupled_mode_check`` poses on a closed loop (by default
+    the reference loop)."""
     problems = []
     solve = lmi.solve_feasibility
 
@@ -226,8 +246,9 @@ def _coupled_check_problem(monkeypatch):
         return solve(problem, **kwargs)
 
     monkeypatch.setattr(lmi, "solve_feasibility", capture)
-    loop = assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
-    analysis.coupled_mode_check(loop, 0.5)
+    plant = demo.reference_plant() if plant is None else plant
+    controller = demo.reference_controller() if controller is None else controller
+    analysis.coupled_mode_check(assemble_closed_loop(plant, controller), g)
     assert len(problems) == 1
     return problems[0]
 
@@ -236,46 +257,100 @@ def test_coupled_check_stacks_match_basis_evaluation(monkeypatch):
     _assert_stacks_match_basis_reference(_coupled_check_problem(monkeypatch))
 
 
-def _einsum_newton_system(oriented, factors, mu, n_params):
-    """Reference: the Newton system contracted with einsum against S^-1."""
-    grad = np.zeros(n_params + 1)
-    hess = np.zeros((n_params + 1, n_params + 1))
+def _rotated_4x3_problem(monkeypatch):
+    """Coupled check of a 4-state, 3-mode random plant in rotated coordinates
+    (the scaled-design benchmark plant), closed with its synthesized controller."""
+    spec = importlib.util.spec_from_file_location("plants", ROOT / "perfbench" / "plants.py")
+    plants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plants)
+    plant = plants.rotated_plant(plants.random_plant(0, 4, 3, 0), 1, 0)
+    controller = synthesis.synthesize(plant, 5.0).controller
+    return _coupled_check_problem(monkeypatch, plant, controller, 5.0)
+
+
+def _hand_built_problem():
+    """Five blocks of one shape in a symmetric P, one in a full R, and one
+    block with no parameters."""
+    rng = np.random.default_rng(7)
+    problem = lmi.LmiProblem()
+    problem.add_variable("P", 3, symmetric=True)
+    problem.add_variable("R", 2, 3)
+    for _ in range(5):
+        a = rng.normal(size=(3, 3))
+        expr = lmi.AffineMatrixExpr(3, rng.normal(size=(3, 3)))
+        expr.add_term("P", a.T, np.eye(3))
+        expr.add_term("P", np.eye(3), a)
+        problem.add_constraint(expr, "neg")
+    expr = lmi.AffineMatrixExpr([2, 3], np.eye(5))
+    expr.add_term("R", block=(0, 1))
+    problem.add_constraint(expr, "pos")
+    problem.add_constraint(lmi.AffineMatrixExpr(2, -np.eye(2)), "neg")
+    return problem
+
+
+def _oriented_values(problem, layout, vec):
+    """M_k(v) of every constraint in "M(v) <= t I" form, in problem order."""
+    assignment = layout.unpack(vec)
+    return [(1.0 if c.sense == "neg" else -1.0) * c.expr.evaluate(assignment)
+            for c in problem.constraints]
+
+
+def _oriented_tops(problem, layout, vec):
+    """Largest eigenvalue of every oriented M_k(v), in problem order."""
+    return [float(lmi.symmetric_eigenvalues(m)[-1])
+            for m in _oriented_values(problem, layout, vec)]
+
+
+def _einsum_newton_system(problem, layout, oriented, factors, mu):
+    """Reference: the dense formulas mu tr(S^-1 C_p) and mu tr(S^-1 C_p S^-1 C_q)
+    over every parameter and the shift t (C_t = -I, plus 1 on the gradient's
+    t), with basis-evaluated coefficients and S^-1 from the slack factors."""
+    grad = np.zeros(layout.total + 1)
     grad[-1] = 1.0
-    for oc, chol in zip(oriented, factors):
-        s_inv = sla.cho_solve((chol, True), np.eye(oc.dim))
-        s_inv = 0.5 * (s_inv + s_inv.T)
-        if oc.param_idx.size:
-            w = np.einsum("ij,pjk->pik", s_inv, oc.coeffs)
-            grad[oc.param_idx] += mu * np.einsum("pij,ij->p", oc.coeffs, s_inv)
-            hess[np.ix_(oc.param_idx, oc.param_idx)] += mu * np.einsum("pij,qji->pq", w, w)
-            cross = -mu * np.einsum("pij,ji->p", w, s_inv)
-            hess[oc.param_idx, -1] += cross
-            hess[-1, oc.param_idx] += cross
-        grad[-1] += -mu * float(np.trace(s_inv))
-        hess[-1, -1] += mu * float(np.sum(s_inv * s_inv))
+    hess = np.zeros((layout.total + 1,) * 2)
+    reference = _basis_materialise(problem, layout)
+    for grp, stack in zip(oriented.groups, factors):
+        for k, r in zip(grp.members, stack):
+            c = np.concatenate([reference[k][1], -np.eye(grp.dim)[None]])
+            s_inv = sla.cho_solve((r, False), np.eye(grp.dim))
+            s_inv = 0.5 * (s_inv + s_inv.T)
+            w = np.einsum("ij,pjk->pik", s_inv, c)
+            grad += mu * np.einsum("pii->p", w)
+            hess += mu * np.einsum("pij,qji->pq", w, w)
     return grad, hess
 
 
-@pytest.mark.parametrize("kind", ["synthesis", "coupled"])
+@pytest.mark.parametrize("kind", ["synthesis", "coupled", "coupled-rotated-4x3", "hand-built"])
 def test_newton_system_matches_einsum_reference(kind, monkeypatch):
     if kind == "synthesis":
         problem = synthesis.build_hinf_lmis(demo.reference_plant(), 0.05)
-    else:
+    elif kind == "coupled":
         problem = _coupled_check_problem(monkeypatch)
+    elif kind == "coupled-rotated-4x3":
+        problem = _rotated_4x3_problem(monkeypatch)
+    else:
+        problem = _hand_built_problem()
+        monkeypatch.setattr(lmi, "_GROUP_ENTRIES", 2 * 7 * 3**2)  # two 3x3 blocks in P and t
     layout = lmi._Layout(problem.variables)
     oriented = lmi._materialise(problem, layout)
+    if kind == "hand-built":
+        shapes = [(grp.dim, grp.idx.shape[1], len(grp.members)) for grp in oriented.groups]
+        assert shapes == [(3, 7, 2), (3, 7, 2), (3, 7, 1), (5, 7, 1), (2, 1, 1)]
+    else:
+        assert max(len(grp.members) for grp in oriented.groups) > 1
     vec = 0.3 * np.random.default_rng(5).normal(size=layout.total)
-    top = max(float(lmi.symmetric_eigenvalues(oc.value(vec))[-1]) for oc in oriented)
+    top = max(_oriented_tops(problem, layout, vec))
     for room, mu in ((0.5, 1.0), (1e-4, 1e-3)):  # well inside, and near the boundary
-        factors = lmi._slacks(oriented, vec, top + room)  # every slack >= room * I
-        grad, hess = lmi._newton_system(oriented, factors, mu, layout.total)
-        ref_grad, ref_hess = _einsum_newton_system(oriented, factors, mu, layout.total)
+        x = np.append(vec, top + room)  # every slack >= room * I
+        factors = lmi._slacks(oriented, x)
+        grad, hess = lmi._newton_system(oriented, factors, mu)
+        ref_grad, ref_hess = _einsum_newton_system(problem, layout, oriented, factors, mu)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
         assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
     shape = (layout.total + 1,) * 2
-    for oc in oriented:  # the flat scatter hits exactly the open-mesh block
-        mesh = np.ravel_multi_index(np.ix_(oc.param_idx, oc.param_idx), shape)
-        assert np.array_equal(oc.hess_idx, mesh.reshape(-1))
+    mesh = [np.ravel_multi_index(np.ix_(idx, idx), shape).reshape(-1)
+            for grp in oriented.groups for idx in grp.idx]
+    assert np.array_equal(oriented.hess_idx, np.concatenate(mesh))  # member by member
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -322,38 +397,69 @@ def _reference_synthesis_point():
     layout = lmi._Layout(problem.variables)
     oriented = lmi._materialise(problem, layout)
     vec = 0.3 * np.random.default_rng(5).normal(size=layout.total)
-    tops = [float(lmi.symmetric_eigenvalues(oc.value(vec))[-1]) for oc in oriented]
-    return oriented, vec, tops
+    return problem, layout, oriented, vec, _oriented_tops(problem, layout, vec)
+
+
+def _shifted_slacks(problem, layout, vec, t):
+    """t I - M_k(v) of every constraint, in problem order."""
+    return [t * np.eye(len(m)) - m for m in _oriented_values(problem, layout, vec)]
 
 
 def test_slacks_none_when_one_block_indefinite():
-    oriented, vec, tops = _reference_synthesis_point()
+    _, _, oriented, vec, tops = _reference_synthesis_point()
     assert sorted(tops)[-2] < max(tops) - 1e-3
-    assert lmi._slacks(oriented, vec, max(tops) + 1e-6) is not None
+    assert lmi._slacks(oriented, np.append(vec, max(tops) + 1e-6)) is not None
     # every other block is well inside; only the top block's slack turns indefinite
-    assert lmi._slacks(oriented, vec, max(tops) - 1e-6) is None
+    assert lmi._slacks(oriented, np.append(vec, max(tops) - 1e-6)) is None
+
+
+def test_slacks_none_when_one_member_of_a_group_is_indefinite():
+    # three blocks c_k I + x I of one shape, stacked as one group
+    problem = lmi.LmiProblem()
+    problem.add_variable("x", 1, symmetric=True)
+    for c in (-1.0, 0.5, -2.0):
+        expr = lmi.AffineMatrixExpr(2, c * np.eye(2))
+        expr.add_term("x", np.ones((2, 1)) / np.sqrt(2), np.ones((1, 2)) / np.sqrt(2))
+        problem.add_constraint(expr, "neg")
+    oriented = lmi._materialise(problem, lmi._Layout(problem.variables))
+    (grp,) = oriented.groups
+    assert list(grp.members) == [0, 1, 2]
+    assert lmi._slacks(oriented, np.array([0.0, 0.6])) is not None
+    assert lmi._slacks(oriented, np.array([0.0, 0.4])) is None  # the middle member only
 
 
 def test_slacks_factor_each_shifted_block():
-    oriented, vec, tops = _reference_synthesis_point()
+    problem, layout, oriented, vec, tops = _reference_synthesis_point()
     t = max(tops) + 0.5
-    factors = lmi._slacks(oriented, vec, t)
-    for oc, f in zip(oriented, factors):
-        s = t * np.eye(oc.dim) - oc.value(vec)
-        assert np.max(np.abs(f @ f.T - s)) <= 1e-12 * np.max(np.abs(s))
-        assert np.all(np.triu(f, 1) == 0.0)
+    slacks = _shifted_slacks(problem, layout, vec, t)
+    factors = lmi._slacks(oriented, np.append(vec, t))
+    for grp, stack in zip(oriented.groups, factors, strict=True):
+        for k, r in zip(grp.members, stack, strict=True):
+            s = slacks[k]
+            assert np.max(np.abs(r.T @ r - s)) <= 1e-12 * np.max(np.abs(s))
+            assert np.all(np.tril(r, -1) == 0.0)
 
 
 def test_barrier_value_is_shift_minus_weighted_logdets():
-    oriented, vec, tops = _reference_synthesis_point()
+    problem, layout, oriented, vec, tops = _reference_synthesis_point()
     t, mu = max(tops) + 0.5, 0.3
     logdet = 0.0
-    for oc in oriented:
-        sign, value = np.linalg.slogdet(t * np.eye(oc.dim) - oc.value(vec))
+    for s in _shifted_slacks(problem, layout, vec, t):
+        sign, value = np.linalg.slogdet(s)
         assert sign == 1.0
         logdet += value
-    barrier = lmi._barrier_value(lmi._slacks(oriented, vec, t), t, mu)
+    barrier = lmi._barrier_value(lmi._slacks(oriented, np.append(vec, t)), t, mu)
     assert barrier == pytest.approx(t - mu * logdet, rel=1e-12)
+
+
+def test_non_finite_data_is_rejected_by_constraint():
+    problem = _lyapunov_problem(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+    problem.add_constraint(lmi.AffineMatrixExpr(2, np.diag([1.0, np.inf])), "neg")
+    with pytest.raises(ValueError, match="constraint 2 has a non-finite"):
+        lmi.solve_feasibility(problem)
+    problem = _lyapunov_problem(np.array([[-1.0, np.nan], [0.0, -2.0]]))
+    with pytest.raises(ValueError, match="constraint 1 has a non-finite"):
+        lmi.solve_feasibility(problem)
 
 
 def test_newton_steps_match_dense_solve(monkeypatch):

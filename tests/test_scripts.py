@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -28,15 +30,22 @@ def test_bench_script_writes_json(tmp_path):
     _run_script("bench.py", "--grid", "2x3", "--out-dir", str(tmp_path))
     (path,) = tmp_path.glob("BENCH_*.json")
     doc = json.loads(path.read_text())
-    assert {"numpy", "scipy", "blas_threads", "grid", "reference"} <= set(doc)
+    assert {"numpy", "scipy", "blas_threads", "grid", "reference", "certification"} <= set(doc)
     assert doc["blas_threads"] in (1, None)  # None where the BLAS cannot be queried
     (point,) = doc["grid"]
-    assert {"n", "modes", "seconds", "newton_steps", "verdict"} <= set(point)
+    assert {"n", "modes", "seconds", "newton_steps", "step_ms", "verdict"} <= set(point)
     assert (point["n"], point["modes"], point["verdict"]) == (2, 3, "feasible")
     reference = doc["reference"]
-    assert {"seconds", "newton_steps", "verdict", "g_star"} <= set(reference)
+    assert {"seconds", "newton_steps", "step_ms", "verdict", "g_star"} <= set(reference)
     assert reference["verdict"] == "feasible"
     assert 0.035 < reference["g_star"] < 0.045
+    certification = doc["certification"]
+    assert {"seconds", "newton_steps", "step_ms", "verdict", "g", "certified"} <= set(certification)
+    assert (certification["verdict"], certification["certified"]) == ("feasible", True)
+    assert certification["g"] == reference["g_star"]
+    for solve in (point, reference, certification):
+        assert solve["step_ms"] == pytest.approx(
+            1e3 * solve["seconds"] / solve["newton_steps"], rel=1e-2, abs=2e-3)
     simulation = doc["simulation"]
     assert {"propagate_moments", "mean_probe"} == set(simulation)
     assert simulation["propagate_moments"]["grid_steps"] >= 2000  # t_end / dt, plus jumps
