@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time synthesis on an (n, modes) scaling grid, the reference level search,
-its closed-loop certification and one simulation path of each kind.
+its closed-loop certification, one simulation path of each kind and the
+end-to-end ``qhinf demo-paper --quick``.
 
     PYTHONPATH=src python scripts/bench.py [--grid 2x3 4x3 ...] [--out-dir DIR]
 
@@ -11,20 +12,25 @@ on the seeded jump plants of perfbench/plants.py; then times the reference
 of ``qhinf demo-paper --quick``.  On the reference plant closed with
 ``reference_controller()`` it times one ``propagate_moments`` path (sin:0.5,
 t_end 100, dt 0.05, validated, as perfbench's fault-sim) and one mean-probe
-path (default family, t_end 120).  Each figure is one wall-clock run
+path (default family, t_end 120).  Last, it runs
+``cli.main(["demo-paper", "--quick", "--out-dir", <temporary dir>])`` in
+process, its printed report discarded.  Each figure is one wall-clock run
 (``time.perf_counter``) on one BLAS thread.  Writes BENCH_<date>.json with,
 per solve, the seconds, Newton steps, milliseconds per step and verdict (the
-LMI status), whether the certification passed, the simulation seconds, plus
-the numpy and scipy versions and the live BLAS thread count.  The default
-grid leaves out (8, 6), which takes minutes.
+LMI status), whether the certification passed, the simulation seconds, the
+demo's seconds and exit code, plus the numpy and scipy versions and the live
+BLAS thread count.  The default grid leaves out (8, 6), which takes minutes.
 """
 
 import argparse
+import contextlib
 import datetime
+import io
 import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -83,7 +89,7 @@ def main(argv=None):
     from plants import random_plant
     from run import blas_info
 
-    from qhinf import analysis, demo, jumpsim, realizability, synthesis
+    from qhinf import analysis, cli, demo, jumpsim, realizability, synthesis
 
     blas, blas_threads = blas_info(numpy)
     grid = []
@@ -133,6 +139,13 @@ def main(argv=None):
     print(f"propagate_moments path: {seconds:.4f} s; mean-probe path: "
           f"{simulation['mean_probe']['seconds']:.4f} s", flush=True)
 
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        t0 = time.perf_counter()
+        code = cli.main(["demo-paper", "--quick", "--out-dir", tmp])
+        seconds = time.perf_counter() - t0
+    end_to_end = {"seconds": round(seconds, 4), "exit_code": code}
+    print(f"demo-paper --quick: {seconds:.3f} s, exit code {code}", flush=True)
+
     doc = {
         "date": datetime.datetime.now().isoformat(timespec="seconds"),
         "python": platform.python_version(),
@@ -145,6 +158,7 @@ def main(argv=None):
         "reference": reference,
         "certification": certification,
         "simulation": simulation,
+        "demo": end_to_end,
     }
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / f"BENCH_{datetime.date.today().isoformat()}.json"

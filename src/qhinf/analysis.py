@@ -273,7 +273,8 @@ def bounded_real_block(a, b, c, pi_row, p_names, i) -> lmi.AffineMatrixExpr:
     n, n_w = a.shape[0], b.shape[1]
     eye_n = np.eye(n)
     expr = lmi.AffineMatrixExpr([n, n_w])
-    expr.add_constant(c.T @ c)
+    with np.errstate(over="ignore", invalid="ignore"):  # the LMI engine names non-finite data
+        expr.add_constant(c.T @ c)
     expr.add_term(p_names[i], a.T, eye_n)
     expr.add_term(p_names[i], eye_n, a)
     for j, rate in enumerate(pi_row):

@@ -265,6 +265,23 @@ def test_level_with_overflowing_square_is_input_error(docs, capsys, command, nam
     assert not out.exists()
 
 
+def test_plant_with_overflowing_products_is_input_error(docs, capsys):
+    # C1^T C1 overflows: the LMI engine names the constraint, and nothing is printed first
+    doc = json.loads(docs["plant"].read_text())
+    doc["plant"]["C1"][0][0] = 1e200
+    plant = docs["root"] / "overflow" / "plant.json"
+    plant.parent.mkdir(exist_ok=True)
+    plant.write_text(json.dumps(doc))
+    out = docs["root"] / "overflow" / "big_c1_ctrl.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["synth", "--plant", str(plant), "--g", "0.5", "--out", str(out)])
+    assert rc == 3
+    assert "constraint 0 has a non-finite constant or coefficient" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 def test_analyze_infinite_level_is_input_error(docs, capsys):
     rc = main(["analyze", "--plant", str(docs["plant"]), "--controller", str(docs["ctrl"]),
                "--g", "inf"])

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from qhinf import analysis, demo, lmi, synthesis
+from qhinf import analysis, demo, lmi, realizability, synthesis
 from qhinf.qmodel import assemble_closed_loop
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -235,6 +235,17 @@ def test_synthesis_stacks_match_basis_evaluation(g):
     _assert_stacks_match_basis_reference(synthesis.build_hinf_lmis(demo.reference_plant(), g))
 
 
+def test_split_run_stacks_match_basis_evaluation(monkeypatch):
+    # a cap of two (d, p) = (4, 7) members splits that run 2 + 1; every
+    # other block is over the cap alone
+    monkeypatch.setattr(lmi, "_GROUP_ENTRIES", 2 * 7 * 4**2)
+    problem = synthesis.build_hinf_lmis(demo.reference_plant(), 0.05)
+    oriented = lmi._materialise(problem, lmi._Layout(problem.variables))
+    shapes = [(grp.dim, grp.idx.shape[1], len(grp.members)) for grp in oriented.groups]
+    assert shapes == [(4, 14, 1), (4, 7, 2), (4, 7, 1)] + [(10, 14, 1)] * 3 + [(4, 11, 1)] * 2
+    _assert_stacks_match_basis_reference(problem)
+
+
 def _coupled_check_problem(monkeypatch, plant=None, controller=None, g=0.5):
     """The LMI problem ``coupled_mode_check`` poses on a closed loop (by default
     the reference loop)."""
@@ -255,6 +266,38 @@ def _coupled_check_problem(monkeypatch, plant=None, controller=None, g=0.5):
 
 def test_coupled_check_stacks_match_basis_evaluation(monkeypatch):
     _assert_stacks_match_basis_reference(_coupled_check_problem(monkeypatch))
+
+
+def test_round_end_margin_matches_verified_margins(monkeypatch):
+    # the shift phase's round-end margin comes from the stacked slacks; it
+    # must agree with the eigenvalues of the expressions themselves
+    problems, ends = [], []
+    solve, stacked = lmi.solve_feasibility, lmi._stacked_margin
+
+    def capture(problem, **kwargs):
+        problems.append(problem)
+        return solve(problem, **kwargs)
+
+    def recording(oriented, x):
+        margin = stacked(oriented, x)
+        ends.append((problems[-1], x.copy(), margin))
+        return margin
+
+    monkeypatch.setattr(lmi, "solve_feasibility", capture)
+    monkeypatch.setattr(lmi, "_stacked_margin", recording)
+    # the two solves of demo-paper --quick, then a fixed-level synthesis
+    plant = demo.reference_plant()
+    g_star, result = synthesis.min_attenuation(plant, 0.01, 1.0, tol_g=5e-3)
+    aug = realizability.augment_jump_controller(result.controller)
+    assert analysis.verify_closed_loop(plant, aug, g_star).attenuation_ok
+    synthesis.synthesize(plant, 0.05)
+    assert len(problems) == 3
+    assert {id(problem) for problem, _, _ in ends} == {id(problem) for problem in problems}
+    for problem, x, margin in ends:
+        assignment = lmi._Layout(problem.variables).unpack(x[:-1])
+        verified = min(lmi._verified_margins(problem, assignment))
+        scale = max(np.max(np.abs(c.expr.evaluate(assignment))) for c in problem.constraints)
+        assert abs(margin - verified) <= 1e-12 * (1.0 + scale)
 
 
 def _rotated_4x3_problem(monkeypatch):

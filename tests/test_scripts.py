@@ -50,6 +50,7 @@ def test_bench_script_writes_json(tmp_path):
     assert {"propagate_moments", "mean_probe"} == set(simulation)
     assert simulation["propagate_moments"]["grid_steps"] >= 2000  # t_end / dt, plus jumps
     assert all(run["seconds"] > 0 for run in simulation.values())
+    assert doc["demo"]["exit_code"] == 0 and doc["demo"]["seconds"] > 0
 
 
 def test_bench_timed_records_budget_exhaustion():
