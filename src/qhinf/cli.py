@@ -41,7 +41,7 @@ def _manifest(args, inputs, params, outputs, seed=None):
     if not outputs:
         return
     serialize.write_manifest(
-        outputs[0], command=sys.argv[1:], inputs=inputs, params=params,
+        outputs[0], command=args.argv, inputs=inputs, params=params,
         outputs=outputs, seed=seed,
     )
 
@@ -366,6 +366,7 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)  # recorded in manifests
     try:
         return args.func(args)
     except synthesis.LmiInfeasibleError as exc:

@@ -57,6 +57,7 @@ dimension at most a few tens, so dense linear algebra is used throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -449,12 +450,15 @@ def _verified_margins(problem: LmiProblem, assignment: dict):
     return tuple(slacks)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite Newton system is named below
 def _centre(oriented, x, mu, objective, max_steps, tol):
     """Damped Newton steps on x[obj] - mu sum_k logdet(t I - M_k(v)), x = (v, t).
 
     With ``objective`` None, obj is t and every coordinate moves; otherwise t
     stays frozen and obj is the parameter index ``objective``.  Returns
-    (x, steps, note), with a note when no step could be taken.
+    (x, steps, note), with a note when no step could be taken.  Raises
+    ``ValueError`` when the Newton system overflows: finite data whose Gram
+    products leave the double range.
     """
     obj = -1 if objective is None else objective
     steps = 0
@@ -470,7 +474,13 @@ def _centre(oriented, x, mu, objective, max_steps, tol):
         if objective is not None:
             grad, hess = grad[:-1], hess[:-1, :-1]
             grad[objective] += 1.0
-        hess.flat[:: len(hess) + 1] += 1e-12 * (1.0 + float(np.trace(hess)) / len(hess))
+        # the diagonal bounds every Gram entry (Cauchy-Schwarz), so a finite
+        # trace means a finite system
+        trace = float(np.trace(hess))
+        if not math.isfinite(trace):
+            raise ValueError("the Newton system is not finite: the constraint data "
+                             "overflow double precision in its Gram products")
+        hess.flat[:: len(hess) + 1] += 1e-12 * (1.0 + trace / len(hess))
         step, info = lapack.dposv(hess, -grad, lower=1)[1:]  # hess is SPD: Gram matrices plus reg I
         if info != 0:
             step = np.linalg.lstsq(hess, -grad, rcond=None)[0]

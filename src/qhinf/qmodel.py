@@ -13,7 +13,7 @@ be shared freely across concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,40 +63,37 @@ def block_j(m: int) -> np.ndarray:
 class CommutationMatrix:
     """Commutation matrix Theta of a vector of self-adjoint variables.
 
-    ``canonical`` is a block diagonal of J2 blocks; ``degenerate`` carries a
-    leading ``null_dim x null_dim`` zero block followed by J2 blocks.
+    ``canonical`` (null_dim 0) is a block diagonal of J2 blocks; ``degenerate``
+    carries a leading ``null_dim x null_dim`` zero block followed by J2
+    blocks.  ``theta`` is built from this pattern once (n, kind, null_dim)
+    are validated.
     """
 
     n: int
     kind: str
     null_dim: int
-    theta: np.ndarray
+    theta: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _freeze(self.theta))
-        if self.theta.shape != (self.n, self.n):
-            raise ValueError("theta shape inconsistent with declared dimension")
-        if _maxabs(self.theta + self.theta.T) != 0.0:
-            raise ValueError("theta must be exactly skew-symmetric")
-        expected = _expected_theta(self.n, self.kind, self.null_dim)
-        if _maxabs(self.theta - expected) != 0.0:
-            raise ValueError("theta does not match the declared block structure")
+        n, null_dim = self.n, self.null_dim
+        if n <= 0 or n % 2:
+            raise ValueError(f"commutation matrix dimension must be even and positive, got {n}")
+        if self.kind not in ("canonical", "degenerate"):
+            raise ValueError(f"unknown commutation matrix kind {self.kind!r}")
+        if self.kind == "canonical" and null_dim != 0:
+            raise ValueError("canonical kind does not take a null block size")
+        if self.kind == "degenerate" and (not 0 < null_dim <= n or (n - null_dim) % 2):
+            raise ValueError(
+                f"invalid null block size {null_dim} for dimension {n}: "
+                "need 0 < null_dim <= n and n - null_dim even"
+            )
+        theta = np.zeros((n, n))
+        theta[null_dim:, null_dim:] = block_j(n - null_dim)
+        object.__setattr__(self, "theta", _freeze(theta))
 
     @property
     def is_canonical(self) -> bool:
         return self.kind == "canonical"
-
-
-def _expected_theta(n: int, kind: str, null_dim: int) -> np.ndarray:
-    if kind == "canonical":
-        if null_dim != 0:
-            raise ValueError("canonical commutation matrix has no null block")
-        return block_j(n)
-    if kind == "degenerate":
-        theta = np.zeros((n, n))
-        theta[null_dim:, null_dim:] = block_j(n - null_dim)
-        return theta
-    raise ValueError(f"unknown commutation matrix kind {kind!r}")
 
 
 def make_commutation_matrix(
@@ -112,24 +109,14 @@ def make_commutation_matrix(
         ``"canonical"`` or ``"degenerate"``.
     null_dim:
         Size of the leading zero block for the degenerate kind; must satisfy
-        0 < null_dim <= n with n - null_dim even.
+        0 < null_dim <= n with n - null_dim even.  ``None`` means no null
+        block and is rejected for the degenerate kind.
     """
-    if n <= 0 or n % 2:
-        raise ValueError(f"commutation matrix dimension must be even and positive, got {n}")
-    if kind == "canonical":
-        if null_dim not in (None, 0):
-            raise ValueError("canonical kind does not take a null block size")
-        return CommutationMatrix(n, "canonical", 0, block_j(n))
-    if kind == "degenerate":
-        if null_dim is None:
+    if null_dim is None:
+        if kind == "degenerate":
             raise ValueError("degenerate kind requires the null block size")
-        if not (0 < null_dim <= n) or (n - null_dim) % 2:
-            raise ValueError(
-                f"invalid null block size {null_dim} for dimension {n}: "
-                "need 0 < null_dim <= n and n - null_dim even"
-            )
-        return CommutationMatrix(n, "degenerate", null_dim, _expected_theta(n, kind, null_dim))
-    raise ValueError(f"unknown commutation matrix kind {kind!r}")
+        null_dim = 0
+    return CommutationMatrix(n, kind, null_dim)
 
 
 @dataclass(frozen=True)

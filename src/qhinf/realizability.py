@@ -12,7 +12,8 @@ output through matching input channels.  Both conditions are algebraic:
 
 Controllers produced by the synthesis layer generally violate both; the
 augmentation below adds fresh vacuum-noise channels that repair them
-exactly, using a deterministic canonical factorisation of the skew residual.
+exactly: the real Schur form of the skew residual splits it into planes,
+and each plane gives one pair of repair channels.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .qmodel import (
     CommutationMatrix,
@@ -139,17 +141,17 @@ def check_controller_realizability(ctrl: Controller, tol: float = DEFAULT_TOL):
 def factor_skew_canonical(w) -> np.ndarray:
     """Factor a real skew-symmetric W as E J_blk E^T = -W.
 
-    Uses the canonical form of skew-symmetric matrices: W decomposes into
-    orthogonal planes on which it acts as c J with c > 0 in the ordered
-    basis (v, W^T v / c).  Each plane contributes the two columns
-    (sqrt(c) v, -sqrt(c) w) to E.  Planes with |c| <= 1e-12 are dropped,
-    so the factor has the minimal number of columns.
+    The real Schur form W = Z T Z^T of a skew-symmetric matrix is block
+    diagonal with 2x2 blocks c J (and zeros), so W decomposes into orthogonal
+    planes (z_k, z_k+1) on which it acts as c J.  Each plane contributes the
+    columns sqrt(|c|) (z_k, -sign(c) z_k+1) to E.  Planes with |c| <= 1e-12
+    are dropped, so the factor has the minimal number of columns.
 
-    The pairing starts from the coordinate basis whenever -W^2 is diagonal,
-    which keeps block-diagonal residuals (the common case for decoupled
-    quadratures) in aligned form: W = c J yields exactly sqrt(|c|) I for
-    c < 0 and sqrt(c) diag(1, -1) for c > 0.  Raises ``RealizabilityError``
-    when the factor misses -W by more than 1e-10 relative to max|W|.
+    A W made of 2x2 blocks c J on the diagonal (the common case for
+    decoupled quadratures) is its own Schur form, so its columns stay
+    coordinate-aligned: W = c J yields exactly sqrt(|c|) I for c < 0 and
+    sqrt(c) diag(1, -1) for c > 0.  Raises ``RealizabilityError`` when the
+    factor misses -W by more than 1e-10 relative to max|W|.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
@@ -159,32 +161,12 @@ def factor_skew_canonical(w) -> np.ndarray:
     if _maxabs(w + w.T) > 1e-10 * scale:
         raise ValueError("matrix is not skew-symmetric")
     w = 0.5 * (w - w.T)
-
-    k = -w @ w  # symmetric PSD; eigenvalues are the squared plane gains
-    offdiag = k - np.diag(np.diag(k))
-    if _maxabs(offdiag) <= 1e-12 * (1.0 + _maxabs(k)):
-        candidates = [np.eye(n)[:, i] for i in range(n)]
-    else:
-        _, vecs = np.linalg.eigh(0.5 * (k + k.T))
-        candidates = [vecs[:, i] for i in range(n)]
-
-    used = np.zeros((n, 0))
-    cols = []
-    for cand in candidates:
-        v = cand - used @ (used.T @ cand)
-        norm = np.linalg.norm(v)
-        if norm < 0.5:
-            continue  # already covered by an earlier plane
-        v = v / norm
-        c = float(np.linalg.norm(w @ v))
-        if c <= 1e-12:
-            continue
-        w_vec = w.T @ v / c
-        cols.append(np.sqrt(c) * v)
-        cols.append(-np.sqrt(c) * w_vec)
-        used = np.column_stack([used, v, w_vec])
-
-    e = np.column_stack(cols) if cols else np.zeros((n, 0))
+    t, z = linalg.schur(w, output="real")
+    k = np.flatnonzero(np.diag(t, -1))  # first index of each 2x2 block c J
+    k = k[np.abs(t[k, k + 1]) > 1e-12]
+    root = np.sqrt(np.abs(t[k, k + 1]))
+    pairs = [root * z[:, k], -np.copysign(root, t[k, k + 1]) * z[:, k + 1]]
+    e = np.stack(pairs, axis=2).reshape(n, 2 * k.size)  # columns paired per plane
     residual = _maxabs(e @ block_j(e.shape[1]) @ e.T + w)
     if residual > 1e-10 * scale:
         raise RealizabilityError(

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qhinf
 from qhinf import demo, serialize
 from qhinf.cli import main
 from qhinf.qmodel import (
@@ -280,6 +282,44 @@ def test_plant_with_overflowing_products_is_input_error(docs, capsys):
     assert "constraint 0 has a non-finite constant or coefficient" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("block", ["B2", "D2"])
+def test_plant_with_overflowing_newton_system_is_input_error(demo_docs, capsys, block):
+    # the coefficients are finite but their Gram products in the Newton system are not
+    doc = json.loads(demo_docs["plant"].read_text())
+    doc["plant"][block][0][0] = 1e200
+    plant = demo_docs["root"] / "overflow" / f"big_{block}_plant.json"
+    plant.parent.mkdir(exist_ok=True)
+    plant.write_text(json.dumps(doc))
+    out = demo_docs["root"] / "overflow" / f"big_{block}_ctrl.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["synth", "--plant", str(plant), "--g", "0.5", "--out", str(out)])
+    assert rc == 3
+    assert "the Newton system is not finite" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_manifest_records_the_arguments_main_parsed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["prog", "--grid", "2x3"])
+    argv = ["demo-paper", "--quick", "--tol-g", "0.2", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    (manifest,) = tmp_path.glob("*.manifest.json")
+    assert serialize.read_doc(manifest)["command"] == argv
+
+
+def test_console_script_entry_point_reports_the_version(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, attr = scripts["qhinf"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    with pytest.raises(SystemExit) as exc:
+        entry(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == f"qhinf {qhinf.__version__}"
 
 
 def test_analyze_infinite_level_is_input_error(docs, capsys):

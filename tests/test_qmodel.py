@@ -3,6 +3,7 @@ import pytest
 
 from qhinf.qmodel import (
     J2,
+    CommutationMatrix,
     JumpPlant,
     TransitionRateMatrix,
     as_rate_matrix,
@@ -37,6 +38,24 @@ def test_degenerate_commutation_matrix():
 def test_commutation_matrix_rejects(n, kind, null_dim):
     with pytest.raises(ValueError):
         make_commutation_matrix(n, kind, null_dim)
+
+
+@pytest.mark.parametrize(
+    "n,kind,null_dim,named",
+    [(3, "canonical", 0, "even and positive"), (2, "weird", 0, "unknown"),
+     (4, "canonical", 2, "does not take"), (4, "degenerate", 1, "invalid null block"),
+     (4, "degenerate", 0, "invalid null block"), (4, "degenerate", 6, "invalid null block")],
+)
+def test_commutation_matrix_constructor_validates(n, kind, null_dim, named):
+    with pytest.raises(ValueError, match=named):
+        CommutationMatrix(n, kind, null_dim)
+
+
+def test_commutation_matrix_constructor_builds_theta():
+    assert CommutationMatrix(4, "canonical", 0) == make_commutation_matrix(4)
+    deg = CommutationMatrix(4, "degenerate", 2)
+    assert np.array_equal(deg.theta, make_commutation_matrix(4, "degenerate", 2).theta)
+    assert not deg.theta.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +109,41 @@ def test_skew_factorisation_drops_null_channels():
     w[:2, :2] = -0.7 * J2
     e = factor_skew_canonical(w)
     assert e.shape == (4, 2)
+
+
+@pytest.mark.parametrize("gains", [(-0.7, 2.3), (0.7, -2.3), (1.1, 1.1)])
+def test_skew_factorisation_block_diagonal_keeps_coordinate_columns(gains):
+    # diag(c1 J, c2 J, 0 J): each plane keeps its coordinate axes, the null plane is dropped
+    w = np.zeros((6, 6))
+    for k, c in enumerate(gains):
+        w[2 * k:2 * k + 2, 2 * k:2 * k + 2] = c * J2
+    e = factor_skew_canonical(w)
+    expected = np.zeros((6, 4))
+    for k, c in enumerate(gains):
+        sign = np.eye(2) if c < 0 else np.diag([1.0, -1.0])
+        expected[2 * k:2 * k + 2, 2 * k:2 * k + 2] = np.sqrt(abs(c)) * sign
+    assert np.allclose(e, expected, rtol=0, atol=1e-12)
+
+
+def test_skew_factorisation_rotated_repeated_gain_and_null_plane():
+    w0 = np.zeros((6, 6))
+    w0[:2, :2] = w0[2:4, 2:4] = 0.8 * J2
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))
+    w = q @ w0 @ q.T
+    w = 0.5 * (w - w.T)
+    e = factor_skew_canonical(w)
+    assert e.shape == (6, 4)
+    assert np.max(np.abs(e @ block_j(4) @ e.T + w)) <= 1e-10 * (1.0 + np.max(np.abs(w)))
+
+
+def test_augment_scaled_random_plant_controller():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("plants", root / "perfbench" / "plants.py")
+    plants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plants)
+    ctrl = synthesize(plants.random_plant(0, 4, 3, 0), 5.0).controller
+    report = check_controller_realizability(augment_jump_controller(ctrl), tol=1e-9)
+    assert report.realizable
 
 
 def test_augment_reference_modes():
