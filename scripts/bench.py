@@ -16,10 +16,11 @@ path (default family, t_end 120).  Last, it runs
 ``cli.main(["demo-paper", "--quick", "--out-dir", <temporary dir>])`` in
 process, its printed report discarded.  Each figure is one wall-clock run
 (``time.perf_counter``) on one BLAS thread.  Writes BENCH_<date>.json with,
-per solve, the seconds, Newton steps, milliseconds per step and verdict (the
-LMI status), whether the certification passed, the simulation seconds, the
-demo's seconds and exit code, plus the numpy and scipy versions and the live
-BLAS thread count.  The default grid leaves out (8, 6), which takes minutes.
+per solve, the seconds, Newton steps, milliseconds per step, verified margin
+and verdict (the LMI status), whether the certification passed, the
+simulation seconds, the demo's seconds and exit code, plus the numpy and
+scipy versions and the live BLAS thread count.  The default grid leaves out
+(8, 6), which takes minutes.
 """
 
 import argparse
@@ -69,7 +70,7 @@ def record(seconds, solution, **fields):
     steps = solution.iterations
     return {**fields, "seconds": round(seconds, 4), "newton_steps": steps,
             "step_ms": round(1e3 * seconds / steps, 3) if steps else None,
-            "verdict": solution.status}
+            "margin": solution.margin, "verdict": solution.status}
 
 
 def main(argv=None):
@@ -98,7 +99,7 @@ def main(argv=None):
         seconds, _, solution = timed(lambda: (LEVEL, synthesis.synthesize(plant, LEVEL)))
         grid.append(record(seconds, solution, n=n, modes=modes, g=LEVEL))
         print(f"n={n} modes={modes}: {seconds:.3f} s, {solution.iterations} steps, "
-              f"{solution.status}", flush=True)
+              f"{solution.status}, margin {solution.margin:.3e}", flush=True)
 
     search = dict(g_lo=0.01, g_hi=1.0, tol_g=5e-3)
     designed = []  # the level search's SynthesisResult, for the certification

@@ -54,9 +54,12 @@ def block_j(m: int) -> np.ndarray:
     """Block-diagonal of m/2 copies of J2 (m even, m >= 0)."""
     if m < 0 or m % 2:
         raise ValueError(f"block_j needs an even nonnegative dimension, got {m}")
-    if m == 0:
-        return np.zeros((0, 0))
-    return np.kron(np.eye(m // 2), J2)
+    out = np.zeros((m, m))
+    out[1::2, ::2] = -0.0  # the zeros np.kron(np.eye(m // 2), J2) forms as 0 * -1
+    flat = out.reshape(-1)
+    flat[1 :: 2 * m + 2] = 1.0   # (k, k + 1), k even
+    flat[m :: 2 * m + 2] = -1.0  # (k + 1, k)
+    return out
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,17 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("null_dim", [2.0, "2"])
+def test_non_integer_null_dim_is_input_error(docs, tmp_path, capsys, null_dim):
+    doc = json.loads(docs["plant"].read_text())
+    doc["plant"]["theta"] = {"n": 2, "kind": "degenerate", "null_dim": null_dim}
+    plant = tmp_path / "plant.json"
+    plant.write_text(json.dumps(doc))
+    rc = main(["synth", "--plant", str(plant), "--g", "0.5", "--out", str(tmp_path / "c.json")])
+    assert rc == 3
+    assert "null_dim" in capsys.readouterr().err
+
+
 def test_infeasible_exit_code(docs, capsys):
     rc = main(["synth", "--plant", str(docs["plant"]), "--g", "1e-6",
                "--out", str(docs["root"] / "never.json")])

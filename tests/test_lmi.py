@@ -77,6 +77,25 @@ def test_constant_constraint_takes_part_in_the_shift():
     assert lmi.solve_feasibility(problem).status == "infeasible-at-tolerance"
 
 
+def test_feasibility_stops_once_the_margin_settles():
+    # 0 < X < B has largest margin max_X min(lambda_min(X), lambda_min(B - X))
+    # = lambda_min(B) / 2 at X = B / 2, by Weyl's inequality
+    b = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
+    problem = lmi.LmiProblem()
+    problem.add_variable("X", 3, symmetric=True)
+    lower = lmi.AffineMatrixExpr(3)
+    lower.add_term("X")
+    problem.add_constraint(lower, "pos")
+    upper = lmi.AffineMatrixExpr(3, -b)
+    upper.add_term("X")
+    problem.add_constraint(upper, "neg")
+    sol = lmi.solve_feasibility(problem)
+    assert sol.status == "feasible"
+    assert sol.margin == pytest.approx((3.0 - np.sqrt(2.0)) / 2.0, rel=1e-2)
+    # the stall test alone would end this solve after 22 steps
+    assert sol.iterations == 15
+
+
 def test_margins_self_verify():
     # reported margins must equal a direct eigenvalue evaluation
     problem = _lyapunov_problem(np.array([[-1.0, 0.5], [0.0, -2.0]]))

@@ -8,9 +8,18 @@ from qhinf.qmodel import (
     TransitionRateMatrix,
     as_rate_matrix,
     assemble_closed_loop,
+    block_j,
     make_commutation_matrix,
     validate_generator,
 )
+
+
+@pytest.mark.parametrize("m", [0, 2, 4, 6, 8])
+def test_block_j_is_bit_identical_to_kron(m):
+    expected = np.kron(np.eye(m // 2), J2)
+    got = block_j(m)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_canonical_commutation_matrix():

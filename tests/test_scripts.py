@@ -33,7 +33,7 @@ def test_bench_script_writes_json(tmp_path):
     assert {"numpy", "scipy", "blas_threads", "grid", "reference", "certification"} <= set(doc)
     assert doc["blas_threads"] in (1, None)  # None where the BLAS cannot be queried
     (point,) = doc["grid"]
-    assert {"n", "modes", "seconds", "newton_steps", "step_ms", "verdict"} <= set(point)
+    assert {"n", "modes", "seconds", "newton_steps", "step_ms", "margin", "verdict"} <= set(point)
     assert (point["n"], point["modes"], point["verdict"]) == (2, 3, "feasible")
     reference = doc["reference"]
     assert {"seconds", "newton_steps", "step_ms", "verdict", "g_star"} <= set(reference)
@@ -44,6 +44,7 @@ def test_bench_script_writes_json(tmp_path):
     assert (certification["verdict"], certification["certified"]) == ("feasible", True)
     assert certification["g"] == reference["g_star"]
     for solve in (point, reference, certification):
+        assert solve["margin"] >= 1e-6  # every one of them is feasible
         assert solve["step_ms"] == pytest.approx(
             1e3 * solve["seconds"] / solve["newton_steps"], rel=1e-2, abs=2e-3)
     simulation = doc["simulation"]

@@ -74,6 +74,13 @@ def test_missing_plant_key_rejected():
         plant_from_doc(doc["plant"], demo.reference_plant().rates)
 
 
+@pytest.mark.parametrize("null_dim", [2.0, "2"])
+def test_non_integer_null_dim_rejected(null_dim):
+    with pytest.raises(DocumentError, match=r"plant\.theta\.null_dim"):
+        serialize._theta_from_doc({"n": 4, "kind": "degenerate", "null_dim": null_dim},
+                                  "plant.theta")
+
+
 def test_malformed_matrix_rejected():
     with pytest.raises(DocumentError, match="numeric"):
         serialize.decode_matrix([["a"]], "bad")

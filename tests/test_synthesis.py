@@ -310,10 +310,10 @@ def test_min_attenuation_reference_iterates_pinned(tol_g, g_star, steps):
 
 @pytest.mark.parametrize(("g", "status", "steps"), [
     (0.036, "infeasible-at-tolerance", 134),
-    (0.037, "feasible", 134),
-    (0.040, "feasible", 133),
-    (0.048, "feasible", 134),
-    (0.05, "feasible", 136),
+    (0.037, "feasible", 129),
+    (0.040, "feasible", 119),
+    (0.048, "feasible", 118),
+    (0.05, "feasible", 115),
 ])
 def test_synthesize_reference_iterates_pinned(g, status, steps):
     try:
@@ -321,6 +321,24 @@ def test_synthesize_reference_iterates_pinned(g, status, steps):
     except LmiInfeasibleError as exc:
         solution = exc.solution
     assert (solution.status, solution.iterations) == (status, steps)
+
+
+@pytest.mark.parametrize(("g", "full_margin"), [
+    (0.037, 1.0722536e-5),
+    (0.040, 7.654969e-5),
+    (0.05, 3.330186e-4),
+])
+def test_settled_margin_stop_keeps_the_margin(g, full_margin):
+    # full_margin: the verified margin when the shift phase ran until t stalled;
+    # stopping once the margin has settled must keep it
+    plant = demo.reference_plant()
+    result = synthesize(plant, g)
+    assert result.solution.margin == pytest.approx(full_margin, rel=2e-2)
+    if g == 0.037:
+        # stopping at the first certified round returns margin 1.7e-6 here,
+        # and that controller fails the certification at this level
+        aug = realizability.augment_jump_controller(result.controller)
+        assert verify_closed_loop(plant, aug, g).attenuation_ok
 
 
 def test_budget_exhaustion_is_not_infeasibility():
