@@ -6,7 +6,7 @@ Submodules:
 * ``realizability``: physical realizability checks and noise augmentation
 * ``lmi``: strict LMI feasibility engine
 * ``synthesis``: controller synthesis from coupled LMIs
-* ``analysis``: Riccati equation, H-infinity norms, closed-loop certification
+* ``analysis``: closed-loop certification from the coupled bounded-real LMI
 * ``jumpsim``: fault-path sampling and moment propagation
 * ``optics``: OPO plant front end and optical controller realization
 * ``demo``: bundled worked design example

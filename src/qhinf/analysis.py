@@ -1,17 +1,10 @@
-"""Bounded-real and H-infinity verification machinery.
+"""Closed-loop H-infinity certification of Markov jump quantum systems.
 
-For a single stable mode the classical equivalences hold between the strict
-bounded-real matrix inequality, the existence of a stabilizing solution of
-the game-type Riccati equation, and the H-infinity norm bound; jump systems
-add a coupled family of per-mode inequalities tied together by the
-transition rates.  This module provides:
+A closed loop meets attenuation level g when coupled storage matrices
+P_1..P_N > 0 satisfy the per-mode bounded-real inequalities, which the
+transition rates tie together; every verdict rests on that LMI and its
+verified primal point.  This module provides:
 
-* ``bounded_real_margin``: largest eigenvalue of the bounded-real matrix at
-  a candidate storage matrix (negative means certificate),
-* ``solve_riccati``: algebraic stabilizing solution via the stable
-  invariant subspace of the Hamiltonian matrix,
-* ``hinf_norm``: bisection on Riccati solvability, cross-checkable against
-  ``frequency_sweep_norm`` (an independent oracle),
 * ``bounded_real_block``: mode i of the coupled bounded-real LMI without its
   level corner, shared by the certificate search and the synthesis LMIs,
 * ``coupled_mode_check``: LMI search for coupled per-mode certificates of
@@ -25,44 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import lmi
-from .qmodel import ClosedLoop, Controller, JumpPlant, _maxabs, assemble_closed_loop
+from .qmodel import ClosedLoop, Controller, JumpPlant, assemble_closed_loop
 from .realizability import check_controller_realizability
 
 __all__ = [
-    "RiccatiSolution",
-    "RiccatiNoSolutionError",
     "CoupledModeResult",
     "ClosedLoopReport",
-    "bounded_real_margin",
-    "solve_riccati",
-    "hinf_norm",
-    "frequency_sweep_norm",
     "bounded_real_block",
     "coupled_mode_check",
     "mode_abscissas",
     "verify_closed_loop",
 ]
-
-AXIS_TOL = 1e-8  # imaginary-axis tolerance for Hamiltonian eigenvalues
-
-
-class RiccatiNoSolutionError(RuntimeError):
-    """No stabilizing solution exists at the requested attenuation level."""
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    p: np.ndarray
-    closed_loop_abscissa: float
-    residual: float
-    g: float
-
-    @property
-    def stabilizing(self) -> bool:
-        return self.closed_loop_abscissa < 0.0
 
 
 @dataclass(frozen=True)
@@ -80,176 +48,6 @@ class CoupledModeResult:
     @property
     def feasible(self) -> bool:
         return self.solution.feasible
-
-
-def _sym(m):
-    return 0.5 * (m + m.T)
-
-
-def _middle_inverse(d, g):
-    """Inverse of g^2 I - D^T D, rejecting g <= sigma_max(D)."""
-    d = np.asarray(d, dtype=float)
-    r_hat = g * g * np.eye(d.shape[1]) - d.T @ d
-    eigs = np.linalg.eigvalsh(_sym(r_hat))
-    if eigs[0] <= 0.0:
-        raise ValueError(
-            f"attenuation level g={g} does not exceed the feedthrough gain "
-            f"sigma_max(D)={np.linalg.norm(d, 2):.6g}"
-        )
-    return np.linalg.inv(r_hat)
-
-
-def bounded_real_margin(a, b, c, d, p, g) -> float:
-    """Largest eigenvalue of the bounded-real matrix at storage matrix P.
-
-    Evaluates A^T P + P A + C^T C + (C^T D + P B)(g^2 I - D^T D)^{-1}
-    (D^T C + B^T P); a negative value certifies the attenuation level g at
-    this P for the constant-storage case.
-    """
-    a, b, c, d, p = (np.asarray(m, dtype=float) for m in (a, b, c, d, p))
-    eigs_p = lmi.symmetric_eigenvalues(p)
-    if eigs_p[0] <= 0.0:
-        raise ValueError("storage matrix P must be positive definite")
-    m = _riccati_residual(a, b, c, d, _middle_inverse(d, g), p)
-    return float(lmi.symmetric_eigenvalues(_sym(m))[-1])
-
-
-def _riccati_residual(a, b, c, d, r_inv, p):
-    cross = c.T @ d + p @ b
-    return a.T @ p + p @ a + c.T @ c + cross @ r_inv @ (d.T @ c + b.T @ p)
-
-
-def solve_riccati(a, b, c, d, g) -> RiccatiSolution:
-    """Stabilizing PSD solution of the game-type algebraic Riccati equation.
-
-        A^T P + P A + C^T C
-        + (C^T D + P B)(g^2 I - D^T D)^{-1}(D^T C + B^T P) = 0
-
-    computed from the stable invariant subspace of the associated
-    Hamiltonian matrix (ordered real Schur form).  Raises
-    ``RiccatiNoSolutionError`` when the Hamiltonian has eigenvalues within
-    1e-8 of the imaginary axis, which signals g at or below the H-infinity
-    norm.
-    """
-    a, b, c, d = (np.asarray(m, dtype=float) for m in (a, b, c, d))
-    r_inv = _middle_inverse(d, g)
-    a_hat = a + b @ r_inv @ d.T @ c
-    q_hat = _sym(c.T @ c + c.T @ d @ r_inv @ d.T @ c)
-    g_mat = _sym(b @ r_inv @ b.T)
-    n = a.shape[0]
-    ham = np.block([[a_hat, g_mat], [-q_hat, -a_hat.T]])
-    eigs = np.linalg.eigvals(ham)
-    axis_tol = AXIS_TOL * (1.0 + _maxabs(ham))
-    if np.min(np.abs(eigs.real)) < axis_tol:
-        raise RiccatiNoSolutionError(
-            f"Hamiltonian eigenvalue within {axis_tol:.1e} of the imaginary axis; "
-            f"no stabilizing solution at g={g}"
-        )
-    t_schur, z_schur, sdim = sla.schur(ham, output="real", sort="lhp")
-    if sdim != n:
-        raise RiccatiNoSolutionError(
-            f"stable subspace has dimension {sdim}, expected {n}"
-        )
-    v1 = z_schur[:n, :n]
-    v2 = z_schur[n:, :n]
-    try:
-        p = np.linalg.solve(v1.T, v2.T).T
-    except np.linalg.LinAlgError as exc:
-        raise RiccatiNoSolutionError("stable subspace is not a graph subspace") from exc
-    p = _sym(p)
-    p_eigs = np.linalg.eigvalsh(p)
-    scale = 1.0 + _maxabs(p)
-    if p_eigs[0] < -1e-9 * scale:
-        raise RiccatiNoSolutionError("stable-subspace solution is not positive semidefinite")
-    closed = a + b @ r_inv @ (d.T @ c + b.T @ p)
-    abscissa = float(np.max(np.linalg.eigvals(closed).real))
-    if abscissa >= 0.0:
-        raise RiccatiNoSolutionError("candidate solution is not stabilizing")
-    residual = _maxabs(_riccati_residual(a, b, c, d, r_inv, p))
-    if residual > 1e-8 * scale:
-        raise RiccatiNoSolutionError(
-            f"Riccati residual {residual:.3e} above tolerance; solve is unreliable"
-        )
-    return RiccatiSolution(p, abscissa, residual, float(g))
-
-
-def hinf_norm(a, b, c, d, tol: float = 1e-9) -> float:
-    """H-infinity norm of a stable system by bisection on Riccati solvability."""
-    a = np.asarray(a, dtype=float)
-    if np.max(np.linalg.eigvals(a).real) >= 0.0:
-        raise ValueError("drift matrix must be Hurwitz")
-    d = np.asarray(d, dtype=float)
-    sigma_d = float(np.linalg.norm(d, 2)) if d.size else 0.0
-
-    def solvable(g):
-        try:
-            solve_riccati(a, b, c, d, g)
-            return True
-        except (RiccatiNoSolutionError, ValueError):
-            return False
-
-    lo = sigma_d
-    hi = max(1.0, 2.0 * sigma_d)
-    doublings = 0
-    while not solvable(hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise RuntimeError("no finite attenuation level found; system may be unstable")
-    while (hi - lo) > tol * max(hi, 1e-12):
-        mid = 0.5 * (lo + hi)
-        if mid <= sigma_d:
-            lo = mid
-            continue
-        if solvable(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _sigma_max_response(a, b, c, d, omega):
-    n = a.shape[0]
-    tf = c @ np.linalg.solve(1j * omega * np.eye(n) - a, b) + d
-    return float(np.linalg.svd(tf, compute_uv=False)[0])
-
-
-def frequency_sweep_norm(a, b, c, d, n_points: int = 1000) -> float:
-    """H-infinity norm estimate from a dense frequency sweep.
-
-    Evaluates sigma_max(C (i w I - A)^{-1} B + D) on a log-spaced grid that
-    always includes w = 0, then sharpens the best point with a golden-section
-    search on the bracketing interval.  Used as an oracle independent of the
-    Riccati machinery.
-    """
-    a, b, c, d = (np.asarray(m, dtype=float) for m in (a, b, c, d))
-    radius = max(1.0, float(np.max(np.abs(np.linalg.eigvals(a)))))
-    grid = np.concatenate(
-        [[0.0], np.logspace(np.log10(radius * 1e-4), np.log10(radius * 1e4), n_points)]
-    )
-    values = np.array([_sigma_max_response(a, b, c, d, w) for w in grid])
-    k = int(np.argmax(values))
-    best = float(values[k])
-    lo = grid[k - 1] if k > 0 else 0.0
-    hi = grid[k + 1] if k + 1 < len(grid) else grid[k] * 2.0
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1 = _sigma_max_response(a, b, c, d, x1)
-    f2 = _sigma_max_response(a, b, c, d, x2)
-    for _ in range(200):
-        if hi - lo < 1e-12 * (1.0 + hi):
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = _sigma_max_response(a, b, c, d, x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = _sigma_max_response(a, b, c, d, x1)
-        best = max(best, f1, f2)
-    return best
 
 
 def _check_level(g, name="g"):

@@ -174,13 +174,15 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
 
     # synthesis: minimal attenuation level with certificate
     g_star, syn = synthesis.min_attenuation(plant, g_lo=0.01, g_hi=1.0, tol_g=tol_g)
+    # min_attenuation raises unless g_star is within tol_g of the least level,
+    # so the search is reported as data, not as a check that cannot fail
     sol = syn.solution
-    # min_attenuation raises unless g_star is within tol_g of the least level
-    checks.append(_bool_check(
-        "attenuation level minimised", sol.feasible,
-        f"g = {g_star:.6g} within {tol_g:g} of the least level "
-        f"(gap bound {sol.gap:.3e} on g^2, {sol.iterations} Newton steps)",
-    ))
+    level_search = {
+        "status": sol.status,
+        "newton_steps": int(sol.iterations),
+        "margin": float(sol.margin),
+        "gap": None if sol.gap is None else float(sol.gap),
+    }
 
     aug = realizability.augment_jump_controller(syn.controller)
     pr = realizability.check_controller_realizability(aug, tol=1e-9)
@@ -261,6 +263,7 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
     report = {
         "ok": ok,
         "g_star": float(g_star),
+        "level_search": level_search,
         "kappa_list": [float(k) for k in kappa_list],
         "chi_prime_computed": [float(x) for x in chi_prime_computed],
         "checks": [c.as_doc() for c in checks],
@@ -281,9 +284,13 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
 
 
 def format_demo_report(report) -> str:
+    search = report["level_search"]
+    gap = "none" if search["gap"] is None else f"{search['gap']:.3e} on g^2"
     lines = [
         "design example reproduction",
         f"  minimised attenuation level g = {report['g_star']:.6g}",
+        f"  level search: {search['status']}, {search['newton_steps']} Newton steps, "
+        f"margin {search['margin']:.3e}, gap bound {gap}",
         "",
         f"  {'status':6s}  check",
         "  " + "-" * 72,

@@ -272,7 +272,6 @@ class AttenuationEstimate:
     g: float
     labels: tuple
     ratios: np.ndarray  # (n_paths, n_disturbances)
-    method: str
 
     @property
     def max_ratio(self) -> float:
@@ -407,19 +406,17 @@ def estimate_attenuation(
     n_paths: int = 50,
     seed: int = 0,
     disturbances=None,
-    method: str = "mean",
 ) -> AttenuationEstimate:
     """Probe the closed-loop energy gain along seeded fault paths.
 
     For every path and every disturbance the reported ratio is the
     baseline-subtracted output energy over the input energy, where the
-    baseline is the same simulation with zero disturbance.  ``method="mean"``
-    evaluates the subtraction in closed form through the deterministic mean
-    response, integrated exactly segment by segment; ``method="full"`` runs
-    the two exact moment propagations literally, one step per fault segment,
-    and serves as the cross-check.  Each sinusoid is probed over at least
-    eight periods, rounded up to a multiple of 20 and at least 40, within
-    ``t_end``; the step over ``t_end``.
+    baseline is the same simulation with zero disturbance.  The subtraction
+    is evaluated in closed form through the deterministic mean response,
+    integrated exactly segment by segment; ``_full_ratio``, which runs the
+    two exact moment propagations literally, is its cross-check.  Each
+    sinusoid is probed over at least eight periods, rounded up to a multiple
+    of 20 and at least 40, within ``t_end``; the step over ``t_end``.
 
     Per-path randomness is derived from the master seed by path index, so
     results do not depend on evaluation order.
@@ -430,21 +427,14 @@ def estimate_attenuation(
         disturbances = default_disturbance_family(closed_loop.n_w)
     if not disturbances:
         raise ValueError("disturbance family is empty")
-    if method not in ("mean", "full"):
-        raise ValueError("method must be 'mean' or 'full'")
 
     horizons = [_probe_horizon(d, t_end) for d in disturbances]
     ratios = np.zeros((n_paths, len(disturbances)))
     for p in range(n_paths):
         path = sample_markov_path(closed_loop.rates, t_end, seed=path_seed(seed, p))
-        if method == "mean":
-            ratios[p] = _mean_ratios(closed_loop, path, disturbances, horizons)
-        else:
-            for idx, (dist, t_d) in enumerate(zip(disturbances, horizons)):
-                ratios[p, idx] = _full_ratio(closed_loop, path, dist, t_d)
+        ratios[p] = _mean_ratios(closed_loop, path, disturbances, horizons)
     return AttenuationEstimate(
         g=float(g),
         labels=tuple(d.label for d in disturbances),
         ratios=ratios,
-        method=method,
     )

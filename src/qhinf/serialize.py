@@ -78,11 +78,14 @@ def _theta_to_doc(theta: CommutationMatrix) -> dict:
 
 def _theta_from_doc(obj, label: str) -> CommutationMatrix:
     _require_keys(obj, {"n", "kind", "null_dim"}, label)
+    n = obj.get("n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DocumentError(f"{label}.n: expected an integer, got {n!r}")
     null_dim = obj.get("null_dim")
     if null_dim is not None and (isinstance(null_dim, bool) or not isinstance(null_dim, int)):
         raise DocumentError(f"{label}.null_dim: expected an integer or null, got {null_dim!r}")
     try:
-        return make_commutation_matrix(int(obj["n"]), str(obj["kind"]), null_dim)
+        return make_commutation_matrix(n, str(obj["kind"]), null_dim)
     except (KeyError, ValueError) as exc:
         raise DocumentError(f"{label}: {exc}") from exc
 

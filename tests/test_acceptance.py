@@ -74,56 +74,6 @@ def test_criterion_3_mode_parameter_consistency():
     _verdict(3, ok, f"worst deviation from tabulated mode parameters {worst:.2e} (<=2e-3)")
 
 
-def test_criterion_4_riccati_and_norm_oracles():
-    one = np.array([[1.0]])
-    zero = np.array([[0.0]])
-    p = analysis.solve_riccati(-one, one, one, zero, 2.0).p[0, 0]
-    p_err = abs(p - (4.0 - 2.0 * np.sqrt(3.0)))
-    n1 = analysis.hinf_norm(-one, one, one, zero)
-    n2 = analysis.hinf_norm(-2.0 * one, one, one, zero)
-    s1 = analysis.frequency_sweep_norm(-one, one, one, zero)
-    s2 = analysis.frequency_sweep_norm(-2.0 * one, one, one, zero)
-    ok = (
-        p_err <= 1e-9
-        and abs(n1 - 1.0) <= 1e-6
-        and abs(n2 - 0.5) <= 1e-6
-        and abs(n1 - s1) <= 2e-6
-        and abs(n2 - s2) <= 2e-6
-    )
-    _verdict(4, ok, f"|P - (4-2*sqrt3)| = {p_err:.1e}, norms ({n1:.8f}, {n2:.8f}), "
-                    f"sweep gaps ({abs(n1 - s1):.1e}, {abs(n2 - s2):.1e})")
-
-
-def test_criterion_5_equivalence_property_suite():
-    rng = np.random.default_rng(20240811)
-    failures = []
-    for k in range(50):
-        n = 1 + k % 4
-        m = 1 + (k // 4) % 2
-        p_dim = 1 + (k // 8) % 2
-        a = rng.normal(size=(n, n))
-        a -= (np.max(np.linalg.eigvals(a).real) + 0.4 + rng.uniform()) * np.eye(n)
-        b = rng.normal(size=(n, m))
-        c = rng.normal(size=(p_dim, n))
-        d = np.zeros((p_dim, m))
-        g_star = analysis.hinf_norm(a, b, c, d)
-        try:
-            sol = analysis.solve_riccati(a, b, c, d, 1.01 * g_star)
-            margin = analysis.bounded_real_margin(
-                a, b, c, d, sol.p + 1e-12 * np.eye(n), 1.01 * g_star
-            )
-            if margin > 1e-6:
-                failures.append((k, "margin", margin))
-        except analysis.RiccatiNoSolutionError:
-            failures.append((k, "solvable-at-1.01", None))
-        try:
-            analysis.solve_riccati(a, b, c, d, 0.99 * g_star)
-            failures.append((k, "unsolvable-at-0.99", None))
-        except analysis.RiccatiNoSolutionError:
-            pass
-    _verdict(5, not failures, f"50 random stable systems, exceptions: {failures or 'none'}")
-
-
 def test_criterion_6_synthesis_end_to_end(certified_design):
     plant, g_star, result, augmented = certified_design
     report = analysis.verify_closed_loop(plant, augmented, g_star)

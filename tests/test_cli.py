@@ -208,6 +208,17 @@ def test_non_integer_null_dim_is_input_error(docs, tmp_path, capsys, null_dim):
     assert "null_dim" in capsys.readouterr().err
 
 
+def test_null_theta_n_is_input_error(docs, tmp_path, capsys):
+    doc = json.loads(docs["plant"].read_text())
+    doc["plant"]["theta"]["n"] = None
+    plant = tmp_path / "plant.json"
+    plant.write_text(json.dumps(doc))
+    rc = main(["synth", "--plant", str(plant), "--g", "0.5", "--out", str(tmp_path / "c.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "plant.theta.n" in err and "Traceback" not in err
+
+
 def test_infeasible_exit_code(docs, capsys):
     rc = main(["synth", "--plant", str(docs["plant"]), "--g", "1e-6",
                "--out", str(docs["root"] / "never.json")])

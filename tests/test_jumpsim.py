@@ -205,6 +205,13 @@ def test_scalar_attenuation_probe_reaches_hinf_norm():
     assert est.passed
 
 
+def _full_ratios(loop, t_end, seed, fam):
+    """Literal two-run ratios on the probe's first path, one per disturbance."""
+    path = sample_markov_path(loop.rates, t_end, seed=jumpsim.path_seed(seed, 0))
+    return np.array([jumpsim._full_ratio(loop, path, d, jumpsim._probe_horizon(d, t_end))
+                     for d in fam])
+
+
 def test_attenuation_methods_agree():
     fam = [
         Disturbance("sin:0.5", np.array([1.0]), "sin", 0.5),
@@ -212,10 +219,9 @@ def test_attenuation_methods_agree():
         Disturbance("sin:7", np.array([1.0]), "sin", 7.0),
     ]
     em = estimate_attenuation(SCALAR_LOOP, 1.0, t_end=50.0, n_paths=1, seed=0,
-                              disturbances=fam, method="mean")
-    ef = estimate_attenuation(SCALAR_LOOP, 1.0, t_end=50.0, n_paths=1, seed=0,
-                              disturbances=fam, method="full")
-    assert np.max(np.abs(em.ratios - ef.ratios) / ef.ratios) <= 1e-3
+                              disturbances=fam)
+    full = _full_ratios(SCALAR_LOOP, 50.0, 0, fam)
+    assert np.max(np.abs(em.ratios[0] - full) / full) <= 1e-3
 
 
 def test_attenuation_deterministic_and_order_independent():
@@ -234,8 +240,8 @@ def test_attenuation_deterministic_and_order_independent():
 
 def test_mean_probe_exact_with_mode_dependent_output():
     # the output matrix changes with the mode and the path jumps inside every
-    # probe horizon; both methods integrate each segment exactly, so the mean
-    # path must match the full moment runs
+    # probe horizon; the probe and the full moment runs both integrate each
+    # segment exactly, so they must agree
     fam = [
         Disturbance("sin:0.5", np.array([1.0]), "sin", 0.5),
         Disturbance("step", np.array([1.0]), "step"),
@@ -244,9 +250,8 @@ def test_mean_probe_exact_with_mode_dependent_output():
     assert len(sample_markov_path(TWO_MODE_LOOP.rates, 10.0, 1, path_seed).jump_times) >= 4
     em = estimate_attenuation(TWO_MODE_LOOP, 1.0, t_end=10.0, n_paths=1, seed=3,
                               disturbances=fam)
-    ef = estimate_attenuation(TWO_MODE_LOOP, 1.0, t_end=10.0, n_paths=1, seed=3,
-                              disturbances=fam, method="full")
-    assert np.max(np.abs(em.ratios - ef.ratios) / ef.ratios) <= 1e-9
+    full = _full_ratios(TWO_MODE_LOOP, 10.0, 3, fam)
+    assert np.max(np.abs(em.ratios[0] - full) / full) <= 1e-9
 
 
 def _reference_loop():
@@ -263,8 +268,6 @@ def test_zero_disturbance_rejected():
         )
     with pytest.raises(ValueError, match="empty"):
         estimate_attenuation(SCALAR_LOOP, 1.0, disturbances=[])
-    with pytest.raises(ValueError, match="method"):
-        estimate_attenuation(SCALAR_LOOP, 1.0, method="exact")
 
 
 @pytest.mark.parametrize("kind, omega", [("sin", 0.0), ("sin", -1.0), ("sin", np.inf),

@@ -81,6 +81,12 @@ def test_non_integer_null_dim_rejected(null_dim):
                                   "plant.theta")
 
 
+@pytest.mark.parametrize("n", [True, 4.7, "4", None])
+def test_non_integer_theta_n_rejected(n):
+    with pytest.raises(DocumentError, match=r"plant\.theta\.n:"):
+        serialize._theta_from_doc({"n": n, "kind": "canonical"}, "plant.theta")
+
+
 def test_malformed_matrix_rejected():
     with pytest.raises(DocumentError, match="numeric"):
         serialize.decode_matrix([["a"]], "bad")

@@ -227,6 +227,18 @@ def test_demo_quick_makes_two_lmi_solves(monkeypatch):
     assert check["status"] == "PASS" and check["detail"].startswith("abscissas ")
 
 
+def test_demo_reports_the_level_search_as_data():
+    # min_attenuation raises unless its level is within tolerance, so a
+    # PASS line for the search could never fail; its facts are report data
+    report = demo.run_paper_demo(quick=True)
+    search = report["level_search"]
+    assert search["status"] == "feasible"
+    assert search["newton_steps"] == 130
+    assert search["margin"] > 0 and 0 < search["gap"] < 5e-3
+    assert "attenuation level minimised" not in [c["name"] for c in report["checks"]]
+    assert "level search: feasible, 130 Newton steps" in demo.format_demo_report(report)
+
+
 def test_min_attenuation_reference_level_within_tolerance_of_sweep():
     # boundary of the fixed-level verdicts: 0.036 infeasible, 0.037 feasible
     plant = demo.reference_plant()
