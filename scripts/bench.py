@@ -118,7 +118,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     report = analysis.verify_closed_loop(demo.reference_plant(), aug, g_star)
     seconds = time.perf_counter() - t0
-    solution = report.coupled.solution  # every mode of the reference loop is Hurwitz
+    solution = report.coupled.solution
     certification = record(seconds, solution, g=g_star, certified=report.attenuation_ok)
     print(f"reference verify_closed_loop: {seconds:.3f} s, {solution.iterations} steps, "
           f"{solution.status}, certified={report.attenuation_ok}", flush=True)

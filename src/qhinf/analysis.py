@@ -2,14 +2,17 @@
 
 A closed loop meets attenuation level g when coupled storage matrices
 P_1..P_N > 0 satisfy the per-mode bounded-real inequalities, which the
-transition rates tie together; every verdict rests on that LMI and its
-verified primal point.  This module provides:
+transition rates tie together.  Such P_i prove mean-square stability and the
+attenuation bound at once, so a single mode with an unstable drift does not
+by itself fail a jump loop; every verdict rests on that LMI and its verified
+primal point.  This module provides:
 
 * ``bounded_real_block``: mode i of the coupled bounded-real LMI without its
   level corner, shared by the certificate search and the synthesis LMIs,
 * ``coupled_mode_check``: LMI search for coupled per-mode certificates of
   a ``ClosedLoop``,
-* ``mode_abscissas``: per-mode spectral abscissas of a closed loop,
+* ``mode_abscissas``: per-mode spectral abscissas of a closed loop (report
+  data, not part of the verdict),
 * ``verify_closed_loop``: full closed-loop certification.
 """
 
@@ -129,36 +132,27 @@ class ClosedLoopReport:
     """Outcome of certifying a plant-controller loop at attenuation g."""
 
     g: float
-    hurwitz: tuple           # per-mode bool
     abscissas: tuple         # per-mode spectral abscissa
-    coupled: CoupledModeResult | None  # None when a mode is unstable
+    coupled: CoupledModeResult
     realizability_residual: float
 
     @property
     def attenuation_ok(self) -> bool:
-        return all(self.hurwitz) and self.coupled is not None and self.coupled.feasible
+        return self.coupled.feasible
 
 
 def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLoopReport:
-    """Assemble the loop, check per-mode stability and the coupled LMI.
+    """Assemble the loop and decide it by the coupled LMI alone.
 
-    ``coupled_mode_check`` runs on the assembled loop only when every mode
-    is Hurwitz; otherwise the report's ``coupled`` is None.  Raises
-    ``ValueError`` unless g is positive and g^2 finite, whether or not every
-    mode is stable.
+    The verdict is ``coupled_mode_check`` on the assembled loop; the per-mode
+    spectral abscissas are reported beside it.  Raises ``ValueError`` unless
+    g is positive and g^2 finite.
     """
-    _check_level(g)
     loop = assemble_closed_loop(plant, ctrl)
-    abscissas = mode_abscissas(loop)
-    hurwitz = tuple(x < 0.0 for x in abscissas)
-    coupled = None
-    if all(hurwitz):
-        coupled = coupled_mode_check(loop, g)
-    pr = check_controller_realizability(ctrl)
+    coupled = coupled_mode_check(loop, g)
     return ClosedLoopReport(
         g=float(g),
-        hurwitz=hurwitz,
-        abscissas=abscissas,
+        abscissas=mode_abscissas(loop),
         coupled=coupled,
-        realizability_residual=pr.worst(),
+        realizability_residual=check_controller_realizability(ctrl).worst(),
     )

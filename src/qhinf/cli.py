@@ -147,23 +147,19 @@ def _cmd_analyze(args):
     coupled = report.coupled
     doc = {
         "g": args.g,
-        "hurwitz": list(report.hurwitz),
         "abscissas": list(report.abscissas),
-        "coupled_feasible": coupled is not None and coupled.feasible,
-        "coupled_margin": None if coupled is None else coupled.solution.margin,
+        "coupled_feasible": coupled.feasible,
+        "coupled_margin": coupled.solution.margin,
         "realizability_residual": report.realizability_residual,
         "passed": report.attenuation_ok,
     }
     lines = [f"closed-loop verification at g = {args.g:g}"]
-    for i, (h, x) in enumerate(zip(report.hurwitz, report.abscissas)):
-        lines.append(f"  mode {i + 1}: spectral abscissa {x:.4f} ({'stable' if h else 'UNSTABLE'})")
-    if coupled is None:
-        lines.append("  coupled certificate: skipped (mode unstable)")
-    else:
-        lines.append(f"  coupled certificate: {'feasible' if coupled.feasible else 'infeasible'}"
-                     f" (margin {coupled.solution.margin:.3e})")
-        if coupled.feasible:
-            lines.append(f"  noise offset constant: {coupled.noise_offset:.4g}")
+    for i, x in enumerate(report.abscissas):
+        lines.append(f"  mode {i + 1}: spectral abscissa {x:.4f}")
+    lines.append(f"  coupled certificate: {'feasible' if coupled.feasible else 'infeasible'}"
+                 f" (margin {coupled.solution.margin:.3e})")
+    if coupled.feasible:
+        lines.append(f"  noise offset constant: {coupled.noise_offset:.4g}")
     lines.append(f"  controller realizability residual: {report.realizability_residual:.3e}")
     lines.append(f"  verdict: {'PASS' if report.attenuation_ok else 'FAIL'}")
     _emit(args, doc, "\n".join(lines))

@@ -57,8 +57,14 @@ class OpticalRealization:
         for name in ("kappa1", "kappa2", "kappa3"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        _check_kappa_prime(self.kappa_prime)
         if abs(self.chi_prime) >= self.kappa_prime / 2.0:
             raise ValueError("static squeezer pump must satisfy |chi'| < kappa'/2")
+
+
+def _check_kappa_prime(kappa_prime):
+    if not (np.isfinite(kappa_prime) and kappa_prime > 0):
+        raise ValueError(f"static squeezer kappa_prime must be finite and positive, got {kappa_prime}")
 
 
 def opo_plant(kappa1: float, kappa2: float, chi_modes, rates) -> JumpPlant:
@@ -99,6 +105,7 @@ def static_squeezer_gain(kappa_prime: float, chi_prime: float) -> np.ndarray:
     Here k = kappa_prime / 2 and x = chi_prime.  The two quadrature gains
     multiply to one for every valid pump, and swap when the pump sign flips.
     """
+    _check_kappa_prime(kappa_prime)
     k = kappa_prime / 2.0
     if abs(chi_prime) >= k:
         raise ValueError("static squeezer pump must satisfy |chi'| < kappa'/2")

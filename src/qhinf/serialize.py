@@ -113,18 +113,12 @@ def plant_from_doc(obj, rates: TransitionRateMatrix) -> JumpPlant:
         raise DocumentError(f"plant: missing keys {sorted(missing)}")
     if not isinstance(obj["A_modes"], list) or not obj["A_modes"]:
         raise DocumentError("plant.A_modes: expected a nonempty list of matrices")
+    a_modes = tuple(decode_matrix(a, f"plant.A_modes[{k}]") for k, a in enumerate(obj["A_modes"]))
+    blocks = {key.lower(): decode_matrix(obj[key], f"plant.{key}")
+              for key in ("B1", "B2", "C1", "D1", "C2", "D2")}
+    theta = _theta_from_doc(obj["theta"], "plant.theta")
     try:
-        return JumpPlant(
-            a_modes=tuple(decode_matrix(a, f"plant.A_modes[{k}]") for k, a in enumerate(obj["A_modes"])),
-            b1=decode_matrix(obj["B1"], "plant.B1"),
-            b2=decode_matrix(obj["B2"], "plant.B2"),
-            c1=decode_matrix(obj["C1"], "plant.C1"),
-            d1=decode_matrix(obj["D1"], "plant.D1"),
-            c2=decode_matrix(obj["C2"], "plant.C2"),
-            d2=decode_matrix(obj["D2"], "plant.D2"),
-            theta=_theta_from_doc(obj["theta"], "plant.theta"),
-            rates=rates,
-        )
+        return JumpPlant(a_modes=a_modes, theta=theta, rates=rates, **blocks)
     except ValueError as exc:
         raise DocumentError(f"plant: {exc}") from exc
 
@@ -149,6 +143,8 @@ def controller_from_doc(obj) -> Controller:
     _require_keys(obj, {"modes", "theta"}, "controller")
     if "modes" not in obj or "theta" not in obj:
         raise DocumentError("controller: needs 'modes' and 'theta'")
+    if not isinstance(obj["modes"], list) or not obj["modes"]:
+        raise DocumentError("controller.modes: expected a nonempty list of mode objects")
     modes = []
     for k, mode in enumerate(obj["modes"]):
         label = f"controller.modes[{k}]"
@@ -172,8 +168,9 @@ def controller_from_doc(obj) -> Controller:
 
 
 def rates_from_doc(obj) -> TransitionRateMatrix:
+    pi = decode_matrix(obj, "rates")
     try:
-        return TransitionRateMatrix(decode_matrix(obj, "rates"))
+        return TransitionRateMatrix(pi)
     except ValueError as exc:
         raise DocumentError(f"rates: {exc}") from exc
 

@@ -8,7 +8,9 @@ from qhinf.qmodel import (
     ClosedLoopMode,
     Controller,
     ControllerMode,
+    JumpPlant,
     TransitionRateMatrix,
+    assemble_closed_loop,
     make_commutation_matrix,
 )
 
@@ -49,8 +51,6 @@ def test_coupled_check_noise_offset_counts_noise_channels():
 
 
 def test_coupled_check_reference_loop_by_sweep():
-    from qhinf.qmodel import assemble_closed_loop
-
     loop = assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
     found = None
     for g in (0.05, 0.1, 0.2, 0.5):
@@ -74,7 +74,7 @@ def _zero_controller(n_modes):
 def test_verify_closed_loop_zero_controller_passes_large_g():
     plant = demo.reference_plant()
     report = verify_closed_loop(plant, _zero_controller(3), 100.0)
-    assert all(report.hurwitz)
+    assert all(x < 0.0 for x in report.abscissas)
     assert report.attenuation_ok
 
 
@@ -89,21 +89,61 @@ def _destabilizing_controller(n_modes):
 
 
 def test_verify_closed_loop_destabilizing_controller_fails():
-    report = verify_closed_loop(demo.reference_plant(), _destabilizing_controller(3), 100.0)
-    assert not all(report.hurwitz)
-    assert report.coupled is None
+    plant = demo.reference_plant()
+    report = verify_closed_loop(plant, _destabilizing_controller(3), 100.0)
+    assert max(report.abscissas) > 0
+    assert not report.coupled.feasible
     assert not report.attenuation_ok
+    assert _mean_square_abscissa(assemble_closed_loop(plant, _destabilizing_controller(3))) > 0
+
+
+def _mean_square_abscissa(loop):
+    """Largest real eigenvalue of the second-moment generator
+    blockdiag(I (x) A_i + A_i (x) I) + Pi^T (x) I: negative exactly when the
+    jump loop is mean-square stable."""
+    n2 = loop.n * loop.n
+    gen = np.kron(loop.rates.pi.T, np.eye(n2))
+    for i, m in enumerate(loop.modes):
+        gen[i * n2:(i + 1) * n2, i * n2:(i + 1) * n2] += (
+            np.kron(np.eye(loop.n), m.a) + np.kron(m.a, np.eye(loop.n)))
+    return float(np.max(np.linalg.eigvals(gen).real))
+
+
+def _unstable_mode_plant(rates):
+    """Two-state plant whose second mode drifts away (A_2 = +0.1 I)."""
+    eye = np.eye(2)
+    return JumpPlant(a_modes=(-eye, 0.1 * eye), b1=eye, b2=eye, c1=eye, d1=-eye,
+                     c2=eye, d2=-eye, theta=make_commutation_matrix(2),
+                     rates=TransitionRateMatrix(np.array(rates)))
+
+
+def test_verify_closed_loop_certifies_briefly_visited_unstable_mode():
+    # the unstable mode is left at rate 5 and entered at rate 0.1: the loop is
+    # mean-square stable although one mode's drift is not Hurwitz
+    plant = _unstable_mode_plant([[-0.1, 0.1], [5.0, -5.0]])
+    report = verify_closed_loop(plant, _zero_controller(2), 5.0)
+    assert max(report.abscissas) > 0
+    assert report.attenuation_ok
+    assert report.coupled.solution.margin > 1e-6
+    assert _mean_square_abscissa(assemble_closed_loop(plant, _zero_controller(2))) < 0
+
+
+def test_verify_closed_loop_rejects_long_visited_unstable_mode():
+    # mirrored rates keep the loop in the unstable mode: not mean-square stable
+    plant = _unstable_mode_plant([[-1.0, 1.0], [0.1, -0.1]])
+    report = verify_closed_loop(plant, _zero_controller(2), 5.0)
+    assert not report.attenuation_ok
+    assert _mean_square_abscissa(assemble_closed_loop(plant, _zero_controller(2))) > 0
 
 
 @pytest.mark.parametrize("make_ctrl", [_zero_controller, _destabilizing_controller])
 @pytest.mark.parametrize("g", [0.0, -1.0])
 def test_verify_closed_loop_rejects_nonpositive_level(make_ctrl, g):
-    # the level is checked before the loop is assembled, so an unstable
-    # mode does not turn a bad level into a FAIL report
+    # a bad level is an input error, not a FAIL report, whatever the loop
     with pytest.raises(ValueError, match="positive"):
         verify_closed_loop(demo.reference_plant(), make_ctrl(3), g)
 
 
 def test_verify_closed_loop_reference_controller_stable():
     report = verify_closed_loop(demo.reference_plant(), demo.reference_controller(), 0.5)
-    assert all(report.hurwitz)
+    assert all(x < 0.0 for x in report.abscissas)

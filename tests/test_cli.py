@@ -13,7 +13,7 @@ import qhinf
 from qhinf import demo, serialize
 from qhinf.cli import main
 from qhinf.qmodel import (
-    Controller, ControllerMode, TransitionRateMatrix, make_commutation_matrix,
+    Controller, ControllerMode, JumpPlant, TransitionRateMatrix, make_commutation_matrix,
 )
 
 
@@ -97,7 +97,7 @@ def test_analyze_command(docs, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
-    assert all(doc["hurwitz"])
+    assert all(x < 0.0 for x in doc["abscissas"])
 
 
 def _write_unstable_controller(path):
@@ -114,15 +114,47 @@ def _write_unstable_controller(path):
     return path
 
 
-def test_analyze_unstable_mode_skips_coupled_check(docs, capsys):
+def test_analyze_unstable_mode_fails_coupled_check(docs, capsys):
     bad = _write_unstable_controller(docs["root"] / "unstable.json")
     args = ["analyze", "--plant", str(docs["plant"]), "--controller", str(bad), "--g", "100"]
     assert main(args) == 1
-    assert "coupled certificate: skipped (mode unstable)" in capsys.readouterr().out
+    assert "coupled certificate: infeasible" in capsys.readouterr().out
     assert main(args + ["--format", "doc"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["coupled_margin"] is None
+    assert isinstance(doc["coupled_margin"], float) and doc["coupled_margin"] <= 0
     assert doc["coupled_feasible"] is False and doc["passed"] is False
+
+
+def _write_unstable_mode_system(root, rates):
+    """Plant and zero-controller documents of a two-mode loop whose second
+    mode drifts away (A_2 = +0.1 I); the rates decide mean-square stability."""
+    eye = np.eye(2)
+    plant = JumpPlant(a_modes=(-eye, 0.1 * eye), b1=eye, b2=eye, c1=eye, d1=-eye,
+                      c2=eye, d2=-eye, theta=make_commutation_matrix(2),
+                      rates=TransitionRateMatrix(rates))
+    modes = tuple(ControllerMode(-eye, np.zeros((2, 2)), np.zeros((2, 2)),
+                                 np.zeros((2, 0)), np.zeros((2, 0))) for _ in range(2))
+    plant_path = serialize.write_doc(root / "plant.json", serialize.system_to_doc(plant=plant))
+    ctrl_path = serialize.write_doc(root / "ctrl.json", serialize.system_to_doc(
+        controller=Controller(modes, make_commutation_matrix(2)), rates=plant.rates))
+    return ["analyze", "--plant", str(plant_path), "--controller", str(ctrl_path),
+            "--g", "5", "--format", "doc"]
+
+
+def test_analyze_certifies_briefly_visited_unstable_mode(tmp_path, capsys):
+    args = _write_unstable_mode_system(tmp_path, [[-0.1, 0.1], [5.0, -5.0]])
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert "hurwitz" not in doc
+    assert max(doc["abscissas"]) > 0
+    assert isinstance(doc["coupled_margin"], float) and doc["coupled_margin"] > 0
+    assert doc["passed"] is True
+
+
+def test_analyze_rejects_long_visited_unstable_mode(tmp_path, capsys):
+    args = _write_unstable_mode_system(tmp_path, [[-1.0, 1.0], [0.1, -0.1]])
+    assert main(args) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 def test_demo_rerun_manifest_lists_written_documents(tmp_path, capsys):
@@ -195,6 +227,26 @@ def test_input_error_exit_code(tmp_path, capsys):
     bad.write_text('{"controller": {"modes": [], "theta": {"n": 2, "kind": "canonical"}, "zz": 1}}')
     rc = main(["check-pr", "--controller", str(bad)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("modes", [5, None])
+def test_non_list_controller_modes_is_input_error(docs, tmp_path, capsys, modes):
+    doc = json.loads(docs["ctrl"].read_text())
+    doc["controller"]["modes"] = modes
+    bad = tmp_path / "ctrl.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check-pr", "--controller", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "controller.modes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kappa_prime", ["nan", "inf", "0", "-1"])
+def test_optics_bad_kappa_prime_is_input_error(docs, capsys, kappa_prime):
+    rc = main(["optics", "realize", "--controller", str(docs["ctrl"]),
+               "--kappa-prime", kappa_prime])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "kappa_prime" in captured.err and "chi'" not in captured.out
 
 
 @pytest.mark.parametrize("null_dim", [2.0, "2"])

@@ -113,6 +113,19 @@ def test_realize_reference_mode1():
     assert real.chi_prime == pytest.approx(0.5155, abs=1e-4)
 
 
+@pytest.mark.parametrize("kappa_prime", [np.nan, np.inf, 0.0, -1.0])
+def test_static_squeezer_rejects_bad_kappa_prime(kappa_prime):
+    with pytest.raises(ValueError, match="kappa_prime"):
+        static_squeezer_gain(kappa_prime, 0.0)
+    with pytest.raises(ValueError, match="kappa_prime"):
+        OpticalRealization(kappa=2.0, kappa1=2.0, kappa2=0.0, kappa3=0.0,
+                           chi=0.0, kappa_prime=kappa_prime, chi_prime=0.0)
+    ref = demo.reference_controller()
+    e1, e2 = demo.REFERENCE_EXTRA_NOISE[0]
+    with pytest.raises(ValueError, match="kappa_prime"):
+        realize_controller_optics(ref.modes[0].a, ref.modes[0].b, e1, e2, kappa_prime)
+
+
 def test_realize_rejects_exhausted_decay_budget():
     a = -np.eye(2)
     with pytest.raises(ValueError, match="decay budget"):

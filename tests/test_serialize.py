@@ -60,6 +60,26 @@ def test_unknown_keys_rejected():
         controller_from_doc({"modes": [], "theta": {"n": 2, "kind": "canonical"}, "x": 0})
 
 
+@pytest.mark.parametrize("modes", [5, None, {}, []])
+def test_controller_modes_must_be_nonempty_list(modes):
+    with pytest.raises(DocumentError, match=r"controller\.modes:"):
+        controller_from_doc({"modes": modes, "theta": {"n": 2, "kind": "canonical"}})
+
+
+@pytest.mark.parametrize("rates", ["x", [1.0, 2.0], [[0.0, 1.0]]])
+def test_rates_error_names_rates_once(rates):
+    with pytest.raises(DocumentError, match="^rates: ") as info:
+        serialize.rates_from_doc(rates)
+    assert "rates: rates" not in str(info.value)
+
+
+def test_plant_block_error_names_block_once():
+    doc = system_to_doc(plant=demo.reference_plant())
+    doc["plant"]["B1"] = "x"
+    with pytest.raises(DocumentError, match=r"^plant\.B1: not a numeric matrix"):
+        parse_system_doc(doc)
+
+
 def test_plant_requires_rates():
     doc = system_to_doc(plant=demo.reference_plant())
     del doc["rates"]
