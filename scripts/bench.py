@@ -6,7 +6,9 @@ end-to-end ``qhinf demo-paper --quick``.
     PYTHONPATH=src python scripts/bench.py [--grid 2x3 4x3 ...] [--out-dir DIR]
 
 For each grid point, times ``synthesize(random_plant(0, n, modes, 0), 5.0)``
-on the seeded jump plants of perfbench/plants.py; then times the reference
+on the seeded jump plants of perfbench/plants.py and, when the solve gives a
+controller, ``verify_closed_loop`` of its augmentation at 5.0 (the point's
+``certification``, None without a controller); then times the reference
 ``min_attenuation(reference_plant(), 0.01, 1.0, tol_g=5e-3)`` and
 ``verify_closed_loop`` of its augmented controller at g*, the two LMI solves
 of ``qhinf demo-paper --quick``.  On the reference plant closed with
@@ -73,6 +75,18 @@ def record(seconds, solution, **fields):
             "margin": solution.margin, "verdict": solution.status}
 
 
+def certify(plant, controller, g):
+    """Record of ``verify_closed_loop`` of the augmented controller at level g,
+    with ``certified`` its verdict; only the certification is timed."""
+    from qhinf import analysis, realizability
+
+    aug = realizability.augment_jump_controller(controller)
+    t0 = time.perf_counter()
+    report = analysis.verify_closed_loop(plant, aug, g)
+    seconds = time.perf_counter() - t0
+    return record(seconds, report.coupled.solution, g=g, certified=report.attenuation_ok)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", nargs="+", type=grid_point,
@@ -90,16 +104,28 @@ def main(argv=None):
     from plants import random_plant
     from run import blas_info
 
-    from qhinf import analysis, cli, demo, jumpsim, realizability, synthesis
+    from qhinf import analysis, cli, demo, jumpsim, synthesis
 
     blas, blas_threads = blas_info(numpy)
     grid = []
     for n, modes in args.grid:
         plant = random_plant(0, n, modes, 0)
-        seconds, _, solution = timed(lambda: (LEVEL, synthesis.synthesize(plant, LEVEL)))
-        grid.append(record(seconds, solution, n=n, modes=modes, g=LEVEL))
+        designed = []  # the SynthesisResult, when the solve produced a controller
+
+        def design():
+            designed.append(synthesis.synthesize(plant, LEVEL))
+            return LEVEL, designed[0]
+
+        seconds, _, solution = timed(design)
+        point = record(seconds, solution, n=n, modes=modes, g=LEVEL)
+        point["certification"] = certify(plant, designed[0].controller, LEVEL) if designed else None
+        grid.append(point)
         print(f"n={n} modes={modes}: {seconds:.3f} s, {solution.iterations} steps, "
               f"{solution.status}, margin {solution.margin:.3e}", flush=True)
+        if designed:
+            cert = point["certification"]
+            print(f"  certification: {cert['seconds']:.3f} s, {cert['newton_steps']} steps, "
+                  f"{cert['verdict']}, certified={cert['certified']}", flush=True)
 
     search = dict(g_lo=0.01, g_hi=1.0, tol_g=5e-3)
     designed = []  # the level search's SynthesisResult, for the certification
@@ -114,14 +140,10 @@ def main(argv=None):
     print(f"reference min_attenuation: {seconds:.3f} s, {solution.iterations} steps, "
           f"{solution.status}, g*={g_star}", flush=True)
 
-    aug = realizability.augment_jump_controller(designed[0].controller)
-    t0 = time.perf_counter()
-    report = analysis.verify_closed_loop(demo.reference_plant(), aug, g_star)
-    seconds = time.perf_counter() - t0
-    solution = report.coupled.solution
-    certification = record(seconds, solution, g=g_star, certified=report.attenuation_ok)
-    print(f"reference verify_closed_loop: {seconds:.3f} s, {solution.iterations} steps, "
-          f"{solution.status}, certified={report.attenuation_ok}", flush=True)
+    certification = certify(demo.reference_plant(), designed[0].controller, g_star)
+    print(f"reference verify_closed_loop: {certification['seconds']:.3f} s, "
+          f"{certification['newton_steps']} steps, {certification['verdict']}, "
+          f"certified={certification['certified']}", flush=True)
 
     loop = analysis.assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
     dist = jumpsim.Disturbance("sin:0.5", numpy.eye(loop.n_w)[0], "sin", 0.5)

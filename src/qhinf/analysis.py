@@ -93,8 +93,14 @@ def coupled_mode_check(loop: ClosedLoop, g) -> CoupledModeResult:
         + g^{-2} P_i B1_i B1_i^T P_i + C_i^T C_i < 0,
 
     posed as the LMI ``bounded_real_block`` with corner -g^2 I (a Schur
-    complement) and solved with the barrier engine.  The noise offset is
-    max_i tr(B1_i^T P_i B1_i) + tr(B2_i^T P_i B2_i).
+    complement) and solved with the barrier engine.  Any strictly feasible
+    P_i is a complete certificate, so the solve stops at the first barrier
+    round whose margin exceeds eps_strict (``settle=False``) rather than
+    growing the margin further; the verdict rests on that iterate,
+    re-verified from the expressions.  The returned P_i, margin and noise
+    offset are those of the first certified iterate, not of a settled
+    interior.  The noise offset is max_i tr(B1_i^T P_i B1_i)
+    + tr(B2_i^T P_i B2_i).
     """
     _check_level(g)
     problem = lmi.LmiProblem()
@@ -111,7 +117,7 @@ def coupled_mode_check(loop: ClosedLoop, g) -> CoupledModeResult:
         expr.add_constant(-(g * g) * np.eye(loop.n_w), block=(1, 1))
         problem.add_constraint(expr, "neg")
 
-    solution = lmi.solve_feasibility(problem, max_iter=400)
+    solution = lmi.solve_feasibility(problem, max_iter=400, settle=False)
     if not solution.feasible:
         return CoupledModeResult(solution, None, None)
     p_modes = tuple(solution.assignment[name] for name in names)

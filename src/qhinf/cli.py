@@ -145,19 +145,22 @@ def _cmd_analyze(args):
         raise DocumentError("analyze needs a plant document and a controller document")
     report = analysis.verify_closed_loop(plant, ctrl, args.g)
     coupled = report.coupled
+    solution = coupled.solution
     doc = {
         "g": args.g,
         "abscissas": list(report.abscissas),
         "coupled_feasible": coupled.feasible,
-        "coupled_margin": coupled.solution.margin,
+        "coupled_status": solution.status,
+        "coupled_margin": solution.margin,
+        "coupled_newton_steps": solution.iterations,
         "realizability_residual": report.realizability_residual,
         "passed": report.attenuation_ok,
     }
     lines = [f"closed-loop verification at g = {args.g:g}"]
     for i, x in enumerate(report.abscissas):
         lines.append(f"  mode {i + 1}: spectral abscissa {x:.4f}")
-    lines.append(f"  coupled certificate: {'feasible' if coupled.feasible else 'infeasible'}"
-                 f" (margin {coupled.solution.margin:.3e})")
+    lines.append(f"  coupled certificate: {solution.status} (margin {solution.margin:.3e}, "
+                 f"{solution.iterations} Newton steps)")
     if coupled.feasible:
         lines.append(f"  noise offset constant: {coupled.noise_offset:.4g}")
     lines.append(f"  controller realizability residual: {report.realizability_residual:.3e}")

@@ -58,6 +58,8 @@ def decode_matrix(obj, label: str) -> np.ndarray:
         raise DocumentError(f"{label}: not a numeric matrix") from exc
     if m.ndim != 2:
         raise DocumentError(f"{label}: expected a nested array of numbers")
+    if not np.all(np.isfinite(m)):
+        raise DocumentError(f"{label}: entries must be finite numbers")
     return m
 
 

@@ -1,7 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qhinf import demo
+from qhinf import demo, lmi, realizability, synthesis
 from qhinf.analysis import coupled_mode_check, verify_closed_loop
 from qhinf.qmodel import (
     ClosedLoop,
@@ -147,3 +150,77 @@ def test_verify_closed_loop_rejects_nonpositive_level(make_ctrl, g):
 def test_verify_closed_loop_reference_controller_stable():
     report = verify_closed_loop(demo.reference_plant(), demo.reference_controller(), 0.5)
     assert all(x < 0.0 for x in report.abscissas)
+
+
+@pytest.fixture(scope="module")
+def reference_design():
+    """(g*, augmented controller) of the reference level search at tol_g 5e-3."""
+    g_star, result = synthesis.min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
+    return g_star, realizability.augment_jump_controller(result.controller)
+
+
+def test_certification_of_scaled_random_design_stops_at_first_certificate():
+    # the settled-margin stop took 90 steps here; the first verified round is the 30th
+    spec = importlib.util.spec_from_file_location(
+        "plants", Path(__file__).resolve().parents[1] / "perfbench" / "plants.py")
+    plants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plants)
+    plant = plants.random_plant(0, 4, 3, 0)
+    aug = realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
+    report = verify_closed_loop(plant, aug, 5.0)
+    assert report.attenuation_ok
+    assert report.coupled.solution.iterations == 30
+    assert report.coupled.solution.margin >= report.coupled.solution.eps_strict
+
+
+def test_reference_design_certifies_at_its_level_in_66_steps(reference_design, monkeypatch):
+    g_star, aug = reference_design
+    round_ends = []
+    stacked = lmi._stacked_margin
+
+    def recording(oriented, x):
+        round_ends.append(stacked(oriented, x))
+        return round_ends[-1]
+
+    monkeypatch.setattr(lmi, "_stacked_margin", recording)
+    report = verify_closed_loop(demo.reference_plant(), aug, g_star)
+    solution = report.coupled.solution
+    assert report.attenuation_ok
+    assert solution.iterations == 66  # 90 with the settled-margin stop
+    # the solve ends at the first round whose margin passes eps_strict
+    assert round_ends[-1] > solution.eps_strict
+    assert all(m <= solution.eps_strict for m in round_ends[:-1])
+
+
+def _parity_loops(g_star, aug):
+    plant = demo.reference_plant()
+    return [
+        (assemble_closed_loop(_unstable_mode_plant([[-0.1, 0.1], [5.0, -5.0]]),
+                              _zero_controller(2)), 5.0, True),
+        (assemble_closed_loop(_unstable_mode_plant([[-1.0, 1.0], [0.1, -0.1]]),
+                              _zero_controller(2)), 5.0, False),
+        (assemble_closed_loop(plant, aug), g_star, True),
+        (assemble_closed_loop(plant, aug), 0.9 * g_star, False),
+        (assemble_closed_loop(plant, _destabilizing_controller(3)), 100.0, False),
+    ]
+
+
+def test_first_certificate_stop_keeps_every_verdict(reference_design, monkeypatch):
+    # the same coupled problems, solved with the settled-margin stop, give
+    # the same verdicts; a feasible one is verified past eps_strict either way
+    solve = lmi.solve_feasibility
+
+    def settled(problem, **kwargs):
+        return solve(problem, **{**kwargs, "settle": True})
+
+    for loop, g, verdict in _parity_loops(*reference_design):
+        first = coupled_mode_check(loop, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(lmi, "solve_feasibility", settled)
+            reference = coupled_mode_check(loop, g)
+        assert first.feasible == reference.feasible == verdict
+        assert first.solution.iterations <= reference.solution.iterations
+        if verdict:
+            assert min(first.solution.margin, reference.solution.margin) >= first.solution.eps_strict
+        else:
+            assert first.solution.status == reference.solution.status

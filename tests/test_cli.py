@@ -98,6 +98,14 @@ def test_analyze_command(docs, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert all(x < 0.0 for x in doc["abscissas"])
+    # the certificate solve stops at its first verified round
+    assert doc["coupled_status"] == "feasible" and doc["coupled_margin"] >= 1e-6
+    assert doc["coupled_newton_steps"] == 40
+    rc = main(["analyze", "--plant", str(docs["plant"]), "--controller", str(docs["ctrl"]),
+               "--g", "0.5"])
+    assert rc == 0
+    assert (f"coupled certificate: feasible (margin {doc['coupled_margin']:.3e}, "
+            f"40 Newton steps)") in capsys.readouterr().out
 
 
 def _write_unstable_controller(path):
@@ -118,11 +126,16 @@ def test_analyze_unstable_mode_fails_coupled_check(docs, capsys):
     bad = _write_unstable_controller(docs["root"] / "unstable.json")
     args = ["analyze", "--plant", str(docs["plant"]), "--controller", str(bad), "--g", "100"]
     assert main(args) == 1
-    assert "coupled certificate: infeasible" in capsys.readouterr().out
+    text = capsys.readouterr().out
     assert main(args + ["--format", "doc"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert isinstance(doc["coupled_margin"], float) and doc["coupled_margin"] <= 0
     assert doc["coupled_feasible"] is False and doc["passed"] is False
+    # an infeasible solve never reaches the first-certificate stop
+    assert doc["coupled_status"] == "infeasible-at-tolerance"
+    assert doc["coupled_newton_steps"] == 97
+    assert (f"coupled certificate: infeasible-at-tolerance (margin {doc['coupled_margin']:.3e}, "
+            f"97 Newton steps)") in text
 
 
 def _write_unstable_mode_system(root, rates):
@@ -238,6 +251,19 @@ def test_non_list_controller_modes_is_input_error(docs, tmp_path, capsys, modes)
     assert main(["check-pr", "--controller", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "controller.modes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["optics", "realize"], ["check-pr"]])
+def test_non_finite_controller_entry_is_input_error(docs, tmp_path, capsys, command):
+    # a NaN gain used to print chi'=nan with exit 0, or fail check-pr with exit 1
+    doc = json.loads(docs["ctrl"].read_text())
+    doc["controller"]["modes"][0]["B"][0][0] = float("nan")
+    bad = tmp_path / "ctrl.json"
+    bad.write_text(json.dumps(doc))
+    assert main([*command, "--controller", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert "controller.modes[0].B: entries must be finite" in captured.err
+    assert "nan" not in captured.out
 
 
 @pytest.mark.parametrize("kappa_prime", ["nan", "inf", "0", "-1"])

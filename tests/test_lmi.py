@@ -77,10 +77,8 @@ def test_constant_constraint_takes_part_in_the_shift():
     assert lmi.solve_feasibility(problem).status == "infeasible-at-tolerance"
 
 
-def test_feasibility_stops_once_the_margin_settles():
-    # 0 < X < B has largest margin max_X min(lambda_min(X), lambda_min(B - X))
-    # = lambda_min(B) / 2 at X = B / 2, by Weyl's inequality
-    b = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
+def _between_zero_and_b_problem(b):
+    """0 < X < B over a symmetric 3x3 X."""
     problem = lmi.LmiProblem()
     problem.add_variable("X", 3, symmetric=True)
     lower = lmi.AffineMatrixExpr(3)
@@ -89,11 +87,44 @@ def test_feasibility_stops_once_the_margin_settles():
     upper = lmi.AffineMatrixExpr(3, -b)
     upper.add_term("X")
     problem.add_constraint(upper, "neg")
-    sol = lmi.solve_feasibility(problem)
+    return problem
+
+
+_B = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
+
+
+def test_feasibility_stops_once_the_margin_settles():
+    # 0 < X < B has largest margin max_X min(lambda_min(X), lambda_min(B - X))
+    # = lambda_min(B) / 2 at X = B / 2, by Weyl's inequality
+    sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B))
     assert sol.status == "feasible"
     assert sol.margin == pytest.approx((3.0 - np.sqrt(2.0)) / 2.0, rel=1e-2)
     # the stall test alone would end this solve after 22 steps
     assert sol.iterations == 15
+
+
+def test_first_certificate_stop_ends_at_the_first_certified_round(monkeypatch):
+    round_ends = []
+    stacked = lmi._stacked_margin
+
+    def recording(oriented, x):
+        round_ends.append(stacked(oriented, x))
+        return round_ends[-1]
+
+    monkeypatch.setattr(lmi, "_stacked_margin", recording)
+    sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B), settle=False)
+    assert sol.status == "feasible"
+    # the first round converges in 7 steps with margin past eps_strict, and
+    # the solve ends there; the settled stop needs a second round to see
+    # that the margin no longer grows (15 steps)
+    assert len(round_ends) == 1 and round_ends[0] > sol.eps_strict
+    assert sol.iterations == 7
+    # the verdict rests on the final iterate, re-verified from the expressions
+    x = sol.assignment["X"]
+    direct = min(np.linalg.eigvalsh(x)[0], np.linalg.eigvalsh(_B - x)[0])
+    assert sol.margin == pytest.approx(direct, rel=1e-12)
+    assert sol.margin >= sol.eps_strict
+    assert sol.margin == pytest.approx((3.0 - np.sqrt(2.0)) / 2.0, rel=1e-2)
 
 
 def test_margins_self_verify():

@@ -21,9 +21,38 @@ def _run_script(name, *args):
     return proc.stdout
 
 
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_attenuation_sweep_script_runs():
     out = _run_script("attenuation_sweep.py", "--points", "2", "--g-min", "0.03", "--g-max", "0.06")
     assert any("g* =" in line for line in out.splitlines())
+
+
+def test_attenuation_sweep_reports_undecided_levels(monkeypatch, capsys):
+    # a spent budget keeps its margin, a failed reconstruction has none;
+    # neither ends the sweep
+    sweep = _load_script("attenuation_sweep.py")
+    from qhinf import synthesis
+
+    synthesize = synthesis.synthesize
+
+    def undecided(plant, g, **kwargs):
+        if g < 0.04:
+            return synthesize(plant, g, max_iter=5)
+        raise synthesis.SynthesisError("Y1 is singular or badly conditioned")
+
+    monkeypatch.setattr(synthesis, "synthesize", undecided)
+    sweep.main(["--points", "2", "--g-min", "0.03", "--g-max", "0.06"])
+    rows = capsys.readouterr().out.splitlines()
+    first, second = rows[1].split(), rows[2].split()
+    assert first[0] == "0.03000" and first[1] == "undecided" and float(first[2]) < 0
+    assert second == ["0.06000", "undecided", "\u2014"]
+    assert any("g* =" in line for line in rows)
 
 
 def test_bench_script_writes_json(tmp_path):
@@ -43,7 +72,14 @@ def test_bench_script_writes_json(tmp_path):
     assert {"seconds", "newton_steps", "step_ms", "verdict", "g", "certified"} <= set(certification)
     assert (certification["verdict"], certification["certified"]) == ("feasible", True)
     assert certification["g"] == reference["g_star"]
-    for solve in (point, reference, certification):
+    grid_certification = point["certification"]
+    assert {"seconds", "newton_steps", "step_ms", "verdict", "g", "certified"} <= set(
+        grid_certification)
+    assert (grid_certification["verdict"], grid_certification["certified"]) == ("feasible", True)
+    assert grid_certification["g"] == point["g"] == 5.0
+    # the certificate solve stops at its first verified round
+    assert grid_certification["newton_steps"] == 30
+    for solve in (point, reference, certification, grid_certification):
         assert solve["margin"] >= 1e-6  # every one of them is feasible
         assert solve["step_ms"] == pytest.approx(
             1e3 * solve["seconds"] / solve["newton_steps"], rel=1e-2, abs=2e-3)
@@ -55,9 +91,7 @@ def test_bench_script_writes_json(tmp_path):
 
 
 def test_bench_timed_records_budget_exhaustion():
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _load_script("bench.py")
     from qhinf import demo, synthesis
 
     seconds, g, solution = bench.timed(

@@ -107,6 +107,25 @@ def test_non_integer_theta_n_rejected(n):
         serialize._theta_from_doc({"n": n, "kind": "canonical"}, "plant.theta")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_matrix_entry_rejected(value):
+    with pytest.raises(DocumentError, match=r"^controller\.modes\[0\]\.B: entries must be finite"):
+        serialize.decode_matrix([[1.0, value]], "controller.modes[0].B")
+    doc = system_to_doc(controller=demo.reference_controller(), rates=demo.reference_plant().rates)
+    doc["controller"]["modes"][0]["B"][0][0] = value
+    with pytest.raises(DocumentError, match=r"modes\[0\]\.B: entries must be finite"):
+        parse_system_doc(json.loads(dumps_doc(doc)))
+    doc = system_to_doc(plant=demo.reference_plant())
+    doc["rates"][0][1] = value
+    with pytest.raises(DocumentError, match="^rates: entries must be finite"):
+        parse_system_doc(json.loads(dumps_doc(doc)))
+
+
+def test_large_finite_matrix_entry_accepted():
+    # finite data that overflows later is the LMI engine's to name
+    assert serialize.decode_matrix([[1e200]], "big")[0, 0] == 1e200
+
+
 def test_malformed_matrix_rejected():
     with pytest.raises(DocumentError, match="numeric"):
         serialize.decode_matrix([["a"]], "bad")
