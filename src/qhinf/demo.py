@@ -190,8 +190,11 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
                               pr.realizable, f"worst residual {pr.worst():.3e}"))
 
     report_cl = analysis.verify_closed_loop(plant, aug, g_star)
+    cert = report_cl.coupled.solution
     checks.append(_bool_check("closed loop certified at minimised level",
                               report_cl.attenuation_ok,
+                              f"coupled certificate {cert.status}, {cert.iterations} Newton steps, "
+                              f"margin {cert.margin:.3e}; "
                               f"abscissas {[f'{x:.4f}' for x in report_cl.abscissas]}"))
 
     # simulation probe of the certified loop

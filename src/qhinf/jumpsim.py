@@ -12,7 +12,10 @@ signal beta = d u_1 is the output of a waveform oscillator u' = W u, so
 with the oscillator stacked onto the state these equations are autonomous
 and linear between jumps (Costa, Fragoso & Todorov, *Continuous-Time Markov
 Jump Linear Systems*, 2013); ``propagate_moments`` advances them with one
-matrix exponential per fault segment, exactly, with no step size.
+matrix exponential per fault segment, exactly, with no step size.  It fills
+a segment's samples by doubling, in a logarithmic number of batched matrix
+products rather than one Python step per grid point, and screens the
+covariances with one batched Cholesky factorisation.
 
 ``estimate_attenuation`` probes the closed-loop gain with a finite family
 of disturbances over a finite horizon.  It is a falsification probe: it can
@@ -141,6 +144,26 @@ class MomentTrajectory:
         return float(self.w_energy[-1])
 
 
+_DOMINANCE_TOL = 1e-8
+
+
+def _dominance_defect(q, mean):
+    """Least eigenvalue of the covariances q_t - m_t m_t^T when it lies below
+    -1e-8, else None.
+
+    One batched Cholesky factorisation of q_t - m_t m_t^T + 1e-8 I screens
+    the whole stack; only when it fails does eigvalsh decide, so the screen
+    accepts nothing that the eigenvalue test would reject, up to rounding.
+    """
+    cov = q - mean[:, :, None] * mean[:, None, :]
+    try:
+        np.linalg.cholesky(cov + _DOMINANCE_TOL * np.eye(cov.shape[-1]))
+        return None
+    except np.linalg.LinAlgError:
+        least = float(np.linalg.eigvalsh(cov)[:, 0].min())
+        return least if least < -_DOMINANCE_TOL else None
+
+
 def propagate_moments(
     closed_loop: ClosedLoop,
     path: MarkovPath,
@@ -157,10 +180,19 @@ def propagate_moments(
     stacks the closed-loop state with its disturbance's waveform oscillator,
     so that z' = M z and Z = E[z z^T] obeys Z' = M Z + Z M^T + N.  Together
     with the energy integrals this is one autonomous linear ODE per mode,
-    whose exponential over one grid step of a segment is taken once; the
+    whose exponential Phi over one grid step of a segment is taken once; the
     grid splits each segment into ceil(span / dt) equal steps and only sets
-    where the trajectory is sampled.  The second moments are checked for
-    symmetry and, with ``validate``, for dominance of the mean outer product.
+    where the trajectory is sampled.  The samples s_j = Phi^j s_0 of a
+    segment are filled by doubling: with s_1 .. s_f known and Phi^f at hand,
+    one product with (Phi^f)^T gives s_{f+1} .. s_{2f}, and Phi^f is then
+    squared, so a segment of N steps costs ceil(log2 N) batched products.
+
+    The second moments are checked for symmetry.  With ``validate`` the
+    covariances Q - <eta><eta>^T must also stay positive semidefinite, to
+    1e-8 on their least eigenvalue: initial moments that fail raise
+    ``ValueError``, a sample that fails raises ``ArithmeticError``.  One
+    batched Cholesky factorisation screens the samples and eigvalsh decides
+    only when that screen fails.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"step size must be finite and positive, got {dt}")
@@ -173,6 +205,11 @@ def propagate_moments(
         raise ValueError("initial second moment must be symmetric")
     if np.linalg.eigvalsh(0.5 * (q + q.T))[0] < -1e-10:
         raise ValueError("initial second moment must be positive semidefinite")
+    if validate:
+        dominance = _dominance_defect(q[None], mean[None])
+        if dominance is not None:
+            raise ValueError("initial second moment must dominate the outer product of the "
+                             f"initial mean (least covariance eigenvalue {dominance:.3e})")
     if beta is None:
         beta = Disturbance("none", np.zeros(closed_loop.n_w), "step")
     if not isinstance(beta, Disturbance):
@@ -210,22 +247,29 @@ def propagate_moments(
         steps = max(1, int(np.ceil((t1 - t0) / dt)))
         phi = sla.expm(gen * ((t1 - t0) / steps))
         seg = np.empty((steps, s.size))
-        for j in range(steps):
-            s = phi @ s
-            seg[j] = s
+        seg[0] = phi @ s
+        filled = 1  # seg[:filled] holds Phi^1 s .. Phi^filled s, and phi is Phi^filled
+        while filled < steps:
+            take = min(filled, steps - filled)
+            seg[filled:filled + take] = seg[:take] @ phi.T
+            filled += take
+            if filled < steps:
+                phi = phi @ phi
+        s = seg[-1]
         times.append(np.linspace(t0, t1, steps + 1)[1:])
         states.append(seg)
 
     states = np.concatenate(states)
     mean = states[:, :n]
-    q = states[:, k:k + kk].reshape(-1, k, k)[:, :n, :n]
-    drift = np.max(np.abs(q - np.swapaxes(q, 1, 2)), axis=(1, 2))
+    cells = k + k * np.arange(n)[:, None] + np.arange(n)  # where Z[:n, :n] sits in s
+    q, q_t = states[:, cells], states[:, cells.T]
+    drift = np.max(np.abs(q - q_t), axis=(1, 2))
     if np.any(drift > 1e-12 * (1.0 + np.max(np.abs(q), axis=(1, 2)))):
         raise ArithmeticError("second moment lost symmetry during propagation")
-    q = 0.5 * (q + np.swapaxes(q, 1, 2))
+    q = 0.5 * (q + q_t)
     if validate:
-        dominance = np.linalg.eigvalsh(q - mean[:, :, None] * mean[:, None, :])[:, 0].min()
-        if dominance < -1e-8:
+        dominance = _dominance_defect(q, mean)
+        if dominance is not None:
             raise ArithmeticError(f"second moment lost dominance over the mean ({dominance:.3e})")
     return MomentTrajectory(
         np.concatenate(times), mean, q, states[:, k + kk], states[:, k + kk + 1]

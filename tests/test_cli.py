@@ -480,7 +480,7 @@ def demo_docs(tmp_path_factory):
 
 def test_simulate_coarse_step_matches_fine_step(demo_docs):
     # the loop's fastest mode is about -86; the propagation is exact, so a
-    # step that RK4 could not take only thins the sampled trajectory
+    # step far longer than that time scale only thins the sampled trajectory
     energies = []
     for dt in ("0.1", "0.01"):
         out = demo_docs["root"] / f"sim_dt{dt}.json"
@@ -491,6 +491,16 @@ def test_simulate_coarse_step_matches_fine_step(demo_docs):
         energies.append(np.array([path["output_energy"], path["input_energy"]]))
     coarse, fine = energies
     assert np.max(np.abs(coarse - fine) / fine) <= 1e-9
+
+
+def test_demo_report_records_the_certificate_solve(demo_docs):
+    report = serialize.read_doc(demo_docs["root"] / "report.json")
+    (check,) = [c for c in report["checks"]
+                if c["name"] == "closed loop certified at minimised level"]
+    assert check["status"] == "PASS"
+    assert check["detail"].startswith(
+        "coupled certificate feasible, 66 Newton steps, margin 9.96")
+    assert "; abscissas [" in check["detail"]
 
 
 def test_check_pr_rejects_negative_tolerance(demo_docs, capsys):

@@ -197,6 +197,86 @@ def test_propagate_rejects_bad_inputs():
         propagate_moments(TWO_LOOP, path, None, np.zeros(2), -np.eye(2), dt=0.01)
 
 
+def test_every_sample_matches_matrix_exponential():
+    # 37 steps is no power of two, so the doubling ends on a partial pass;
+    # the reference stacks the sine's oscillator onto the state and takes
+    # E[z z^T] at each sample time from Van Loan's block exponential
+    dt, steps, omega = 0.125, 37, 0.9
+    path = MarkovPath(dt * steps, (), (1,), 0)
+    dist = Disturbance("sin", np.array([1.0]), "sin", omega)
+    m0, q0 = np.array([0.5, -0.4]), np.array([[1.0, 0.2], [0.2, 0.7]])
+    traj = propagate_moments(TWO_LOOP, path, dist, m0, q0, dt=dt)
+    assert len(traj.times) == steps + 1
+
+    mode = TWO_LOOP.modes[0]
+    drift = np.zeros((4, 4))
+    drift[:2, :2] = mode.a
+    drift[:2, 2] = mode.b1[:, 0]
+    drift[2:, 2:] = [[0.0, omega], [-omega, 0.0]]
+    noise = np.zeros((4, 4))
+    noise[:2, :2] = mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T
+    z0 = np.concatenate([m0, [0.0, 1.0]])
+    zz0 = np.outer(z0, z0)
+    zz0[:2, :2] = q0
+    van_loan = np.block([[-drift, noise], [np.zeros((4, 4)), drift.T]])
+    for t, mean, q in zip(traj.times, traj.mean, traj.second_moment):
+        flow = sla.expm(drift * t)
+        block = sla.expm(van_loan * t)
+        zz = flow @ zz0 @ flow.T + block[4:, 4:].T @ block[:4, 4:]
+        assert np.max(np.abs(mean - (flow @ z0)[:2])) <= 1e-12 * np.max(np.abs(z0))
+        assert np.max(np.abs(q - zz[:2, :2])) <= 1e-12 * np.max(np.abs(zz[:2, :2]))
+
+
+def test_fine_grid_matches_coarse_grid_at_segment_ends():
+    # every sample of the one-step-per-segment grid is a segment end, which
+    # the fine grid samples too; the fine grid reaches it by doubling
+    assert len(FORCED_PATH.jump_times) >= 2
+    runs = [propagate_moments(TWO_MODE_LOOP, FORCED_PATH, FORCED_SIN, FORCED_MEAN0, np.eye(2),
+                              dt=dt) for dt in (0.01, FORCED_PATH.t_end)]
+    fine, coarse = runs
+    assert np.array_equal(coarse.times, [0.0, *FORCED_PATH.jump_times, FORCED_PATH.t_end])
+    shared = np.isin(fine.times, coarse.times)
+    assert shared.sum() == len(coarse.times)
+    for field in ("mean", "second_moment", "z_energy", "w_energy"):
+        ref = getattr(coarse, field)
+        gap = np.max(np.abs(getattr(fine, field)[shared] - ref)) / np.max(np.abs(ref))
+        assert gap <= 1e-10, field
+
+
+def _initial_moments(least_covariance_eigenvalue):
+    # covariance diag(1, lam) with the mean along its second axis, so that
+    # q0 itself is positive semidefinite for every small lam
+    mean0 = np.array([0.0, 1.0])
+    return mean0, np.diag([1.0, least_covariance_eigenvalue]) + np.outer(mean0, mean0)
+
+
+def test_initial_dominance_tolerance_boundary():
+    path = MarkovPath(2.0, (), (1,), 0)
+    mean0, q0 = _initial_moments(-5e-9)
+    traj = propagate_moments(TWO_LOOP, path, None, mean0, q0, dt=0.1)
+    assert np.isfinite(traj.output_energy)
+    mean0, q0 = _initial_moments(-1e-6)
+    with pytest.raises(ValueError, match="initial mean"):
+        propagate_moments(TWO_LOOP, path, None, mean0, q0, dt=0.1)
+    # zero second moment with a unit mean: q0 is semidefinite, q0 - m m^T is not
+    with pytest.raises(ValueError, match="initial mean"):
+        propagate_moments(TWO_LOOP, path, None, np.array([1.0, 0.0]), np.zeros((2, 2)), dt=0.1)
+    # the dominance check belongs to validate; the propagation itself is exact
+    propagate_moments(TWO_LOOP, path, None, mean0, q0, dt=0.1, validate=False)
+
+
+def test_dominance_screen_defers_to_eigenvalues():
+    mean = np.zeros((3, 2))
+    q = np.array([np.eye(2), np.diag([1.0, -5e-9]), np.diag([1.0, -1e-8])])
+    # the last covariance is singular after the 1e-8 shift, so the Cholesky
+    # screen fails and eigvalsh accepts it: -1e-8 is not below the tolerance
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(q[2] + 1e-8 * np.eye(2))
+    assert jumpsim._dominance_defect(q, mean) is None
+    q[1, 1, 1] = -2e-8
+    assert jumpsim._dominance_defect(q, mean) == pytest.approx(-2e-8, rel=1e-12)
+
+
 def test_scalar_attenuation_probe_reaches_hinf_norm():
     # open-loop scalar system with H-infinity norm 1, worst gain at DC
     est = estimate_attenuation(SCALAR_LOOP, g=1.05, t_end=200.0, n_paths=1, seed=0)
