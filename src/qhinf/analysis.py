@@ -24,7 +24,6 @@ import numpy as np
 
 from . import lmi
 from .qmodel import ClosedLoop, Controller, JumpPlant, assemble_closed_loop
-from .realizability import check_controller_realizability
 
 __all__ = [
     "CoupledModeResult",
@@ -140,7 +139,6 @@ class ClosedLoopReport:
     g: float
     abscissas: tuple         # per-mode spectral abscissa
     coupled: CoupledModeResult
-    realizability_residual: float
 
     @property
     def attenuation_ok(self) -> bool:
@@ -151,14 +149,11 @@ def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLo
     """Assemble the loop and decide it by the coupled LMI alone.
 
     The verdict is ``coupled_mode_check`` on the assembled loop; the per-mode
-    spectral abscissas are reported beside it.  Raises ``ValueError`` unless
-    g is positive and g^2 finite.
+    spectral abscissas are reported beside it.  Physical realizability is a
+    separate condition, not part of this verdict; ``realizability`` checks
+    it.  Raises ``ValueError`` unless g is positive and g^2 finite.
     """
     loop = assemble_closed_loop(plant, ctrl)
-    coupled = coupled_mode_check(loop, g)
     return ClosedLoopReport(
-        g=float(g),
-        abscissas=mode_abscissas(loop),
-        coupled=coupled,
-        realizability_residual=check_controller_realizability(ctrl).worst(),
+        g=float(g), abscissas=mode_abscissas(loop), coupled=coupled_mode_check(loop, g)
     )

@@ -1,14 +1,18 @@
 """Command-line surface.
 
 Commands: synth, check-pr, augment, analyze, simulate, optics, demo-paper.
-Every command accepts --out and --format {text,doc}; machine-readable
+Every command accepts --out.  The commands that print a report (check-pr,
+analyze, simulate, optics realize, demo-paper) also take --format
+{text,doc}; synth and augment write documents only.  Machine-readable
 output is canonical JSON so documents round-trip byte for byte.  Each run
 writes a manifest next to its first output recording input digests, solver
 parameters, the seed and the tool version.
 
-Exit codes: 0 success / verification pass, 1 verification failure
-(including a realizability augmentation that leaves a commutation defect
-above 1e-9), 2 infeasible or undecided synthesis, 3 input or usage error.
+Exit codes: 0 success / verification pass (and --help, --version), 1
+verification failure (including a realizability augmentation that leaves
+a commutation defect above 1e-9), 2 infeasible or undecided synthesis, 3
+input or usage error (a malformed document or value, an unknown option, a
+missing subcommand).
 """
 
 from __future__ import annotations
@@ -50,8 +54,17 @@ def _load_system(path):
     return serialize.parse_system_doc(serialize.read_doc(path))
 
 
-def _add_common(parser):
-    parser.add_argument("--out", help="write the result to this file instead of stdout")
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with EXIT_INPUT_ERROR, not 2,
+    which this command line reserves for infeasible or undecided synthesis."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _add_report_flags(parser):
+    parser.add_argument("--out", help="write the report to this file instead of stdout")
     parser.add_argument("--format", choices=("text", "doc"), default="text")
 
 
@@ -144,6 +157,7 @@ def _cmd_analyze(args):
     if plant is None or ctrl is None:
         raise DocumentError("analyze needs a plant document and a controller document")
     report = analysis.verify_closed_loop(plant, ctrl, args.g)
+    residual = realizability.check_controller_realizability(ctrl).worst()
     coupled = report.coupled
     solution = coupled.solution
     doc = {
@@ -153,7 +167,7 @@ def _cmd_analyze(args):
         "coupled_status": solution.status,
         "coupled_margin": solution.margin,
         "coupled_newton_steps": solution.iterations,
-        "realizability_residual": report.realizability_residual,
+        "realizability_residual": residual,
         "passed": report.attenuation_ok,
     }
     lines = [f"closed-loop verification at g = {args.g:g}"]
@@ -163,7 +177,7 @@ def _cmd_analyze(args):
                  f"{solution.iterations} Newton steps)")
     if coupled.feasible:
         lines.append(f"  noise offset constant: {coupled.noise_offset:.4g}")
-    lines.append(f"  controller realizability residual: {report.realizability_residual:.3e}")
+    lines.append(f"  controller realizability residual: {residual:.3e}")
     lines.append(f"  verdict: {'PASS' if report.attenuation_ok else 'FAIL'}")
     _emit(args, doc, "\n".join(lines))
     if args.out:
@@ -191,14 +205,16 @@ def _cmd_simulate(args):
     loop = analysis.assemble_closed_loop(plant, ctrl)
     disturbance = _parse_disturbance(args.disturbance, loop.n_w)[0] if args.disturbance else None
     paths_doc = []
-    first_traj = None
     for p in range(args.paths):
         path = jumpsim.sample_markov_path(loop.rates, args.t_end,
                                           seed=jumpsim.path_seed(args.seed, p))
+        # only path 0's trajectory is reported; the others report energies,
+        # which the exact propagation gives at one step per fault segment
         traj = jumpsim.propagate_moments(
-            loop, path, disturbance, np.zeros(loop.n), np.eye(loop.n), args.dt
+            loop, path, disturbance, np.zeros(loop.n), np.eye(loop.n),
+            args.dt if p == 0 else args.t_end,
         )
-        if first_traj is None:
+        if p == 0:
             first_traj = traj
         paths_doc.append({
             "path_index": p,
@@ -285,13 +301,13 @@ def _cmd_demo(args):
     if args.out_dir:
         outputs = sorted(Path(args.out_dir) / name for name in demo.DEMO_DOCUMENTS)
         _manifest(args, [], {"tol_g": args.tol_g, "paths": args.paths,
-                             "quick": bool(args.quick)}, outputs, seed=2024)
+                             "quick": bool(args.quick)}, outputs, seed=demo.PROBE_SEED)
     _emit(args, report, demo.format_demo_report(report))
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAIL
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhinf",
         description="coherent H-infinity synthesis and verification for jump quantum systems",
     )
@@ -308,26 +324,27 @@ def build_parser():
     p.add_argument("--tol-g", type=float, default=1e-3)
     p.add_argument("--augment", action="store_true",
                    help="attach realizability noise channels to the result")
-    _add_common(p)
+    p.add_argument("--out", help="controller document to write (default controller.json)")
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("check-pr", help="check physical realizability of a controller")
     p.add_argument("--controller", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p)
+    _add_report_flags(p)
     p.set_defaults(func=_cmd_check_pr)
 
     p = sub.add_parser("augment", help="add noise channels making a controller realizable")
     p.add_argument("--controller", required=True)
-    _add_common(p)
+    p.add_argument("--out",
+                   help="controller document to write (default controller_augmented.json)")
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("analyze", help="verify a closed loop at a given attenuation level")
     p.add_argument("--plant", required=True)
     p.add_argument("--controller", required=True)
     p.add_argument("--g", type=float, required=True)
-    _add_common(p)
+    _add_report_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("simulate", help="propagate closed-loop moments along fault paths")
@@ -336,11 +353,12 @@ def build_parser():
     p.add_argument("--paths", type=int, default=1)
     p.add_argument("--t-end", type=float, default=100.0)
     p.add_argument("--dt", type=float, default=0.01,
-                   help="output sampling step; the propagation itself is exact")
+                   help="sampling step of the reported trajectory (path 0); "
+                        "the propagation itself is exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--disturbance", help="sin:<omega> or step (default: none)")
     p.add_argument("--plot-data", help="write plain-text trajectory columns to this file")
-    _add_common(p)
+    _add_report_flags(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("optics", help="optical component realization tools")
@@ -348,7 +366,7 @@ def build_parser():
     pr = optics_sub.add_parser("realize", help="invert a controller into component parameters")
     pr.add_argument("--controller", required=True)
     pr.add_argument("--kappa-prime", type=float, default=10.0)
-    _add_common(pr)
+    _add_report_flags(pr)
     pr.set_defaults(func=_cmd_optics_realize)
 
     p = sub.add_parser("demo-paper", help="run the bundled design example end to end")
@@ -356,7 +374,7 @@ def build_parser():
     p.add_argument("--tol-g", type=float, default=5e-3)
     p.add_argument("--paths", type=int, default=20)
     p.add_argument("--quick", action="store_true", help="skip the simulation probe")
-    _add_common(p)
+    _add_report_flags(p)
     p.set_defaults(func=_cmd_demo)
 
     return parser

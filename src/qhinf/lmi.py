@@ -586,9 +586,8 @@ def solve_feasibility(
     iterations = 0
     notes = []
     stall_rounds = 0
-    t_prev_outer = x[-1]
     margin_prev = -np.inf
-    settled = False  # progress on t has stopped or the schedule finished
+    settled = False  # progress on the margin has stopped or the schedule finished
     minimise = False  # the shift phase has handed over to the objective phase
 
     while mu > mu_min:
@@ -611,17 +610,16 @@ def solve_feasibility(
         if (problem.objective is None and margin_now > eps_strict
                 and (not settle or margin_now - margin_prev <= _MARGIN_SETTLED * margin_now)):
             break
+        # a round that could not step or did not raise the margin stalls;
+        # two in a row settle the solve
         progress_tol = max(tol, 1e-8) * (1.0 + abs(t))
-        t_stalled = abs(t - t_prev_outer) <= progress_tol
-        margin_stalled = (margin_now - margin_prev) <= progress_tol
-        if note or t_stalled or margin_stalled:
+        if note or margin_now - margin_prev <= progress_tol:
             stall_rounds += 1
             if stall_rounds >= 2:
                 settled = True
                 break
         else:
             stall_rounds = 0
-        t_prev_outer = t
         margin_prev = margin_now
         if iterations >= max_iter:
             break

@@ -281,7 +281,10 @@ def min_attenuation(
 
     Raises ``LmiInfeasibleError`` when nothing below g_hi is feasible and
     ``SynthesisError`` when max_iter Newton steps end before a feasible
-    level, or before the level is within tolerance.
+    level, or before the level is within tolerance, or when neither the
+    minimiser's point nor the fixed-level solve at g_star gives a
+    controller: that case is undecided, never infeasible, since the
+    minimiser's verified point shows g_star feasible.
     """
     if not (0 < g_lo < g_hi < np.inf):
         raise ValueError(f"need 0 < g_lo < g_hi < inf, got g_lo={g_lo}, g_hi={g_hi}")
@@ -310,6 +313,17 @@ def min_attenuation(
     g_star = min(float(np.sqrt(gamma)) + half, g_hi)
     try:
         return g_star, _result(plant, g_star, solution)
-    except SynthesisError:
-        return g_star, synthesize(plant, g_star, eps_strict=eps_strict, tol=tol,
-                                  max_iter=max_iter)
+    except SynthesisError as rebuild:
+        try:
+            return g_star, synthesize(plant, g_star, eps_strict=eps_strict, tol=tol,
+                                      max_iter=max_iter)
+        except SynthesisError as fallback:
+            # the level search holds a verified point at g_star, so the
+            # fixed-level solve cannot show the level infeasible
+            raise SynthesisError(
+                f"undecided at g={g_star:.6g}: the level search's point (margin "
+                f"{solution.margin:.3e}, {solution.iterations} Newton steps) gives no "
+                f"controller ({rebuild}), and the fixed-level solve at that level gave "
+                f"none either ({fallback})",
+                fallback.solution,
+            ) from fallback

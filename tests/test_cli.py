@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qhinf
-from qhinf import demo, serialize
+from qhinf import demo, jumpsim, realizability, serialize
 from qhinf.cli import main
 from qhinf.qmodel import (
     Controller, ControllerMode, JumpPlant, TransitionRateMatrix, make_commutation_matrix,
@@ -101,6 +101,9 @@ def test_analyze_command(docs, capsys):
     # the certificate solve stops at its first verified round
     assert doc["coupled_status"] == "feasible" and doc["coupled_margin"] >= 1e-6
     assert doc["coupled_newton_steps"] == 40
+    # realizability is not part of the certificate; analyze reports it beside the verdict
+    residual = realizability.check_controller_realizability(demo.reference_controller()).worst()
+    assert doc["realizability_residual"] == residual
     rc = main(["analyze", "--plant", str(docs["plant"]), "--controller", str(docs["ctrl"]),
                "--g", "0.5"])
     assert rc == 0
@@ -534,3 +537,50 @@ def test_demo_rejects_zero_paths_before_the_design(tmp_path, capsys, monkeypatch
     assert rc == 3
     assert "n_paths must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "demo").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--bogus", "1"],
+    ["analyze", "--plant", "p.json", "--controller", "c.json", "--g", "abc"],
+    [],
+    ["synth", "--plant", "p.json", "--g", "0.5", "--format", "doc"],
+    ["augment", "--controller", "c.json", "--format", "text"],
+])
+def test_usage_errors_exit_3(argv, capsys):
+    # 2 means infeasible or undecided synthesis, so argparse's own 2 is not used;
+    # synth and augment write documents only and take no --format
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_simulate_later_paths_report_exact_energies(demo_docs):
+    # path 0 is sampled on the --dt grid; later paths run one step per fault
+    # segment, and their energies match a run on the same grid
+    out = demo_docs["root"] / "sim_paths.json"
+    assert main(["simulate", "--system", str(demo_docs["system"]), "--paths", "3",
+                 "--t-end", "100", "--dt", "0.05", "--seed", "4", "--disturbance", "sin:0.5",
+                 "--format", "doc", "--out", str(out)]) == 0
+    doc = serialize.read_doc(out)
+    assert len(doc["trajectory"]["time"]) == 401  # 2000 grid points at stride 5
+    plant, ctrl, _ = serialize.parse_system_doc(serialize.read_doc(demo_docs["system"]))
+    loop = qhinf.assemble_closed_loop(plant, ctrl)
+    disturbance = jumpsim.Disturbance("sin:0.5", np.eye(loop.n_w)[0], "sin", 0.5)
+    for p, record in enumerate(doc["paths"]):
+        path = jumpsim.sample_markov_path(loop.rates, 100.0, seed=jumpsim.path_seed(4, p))
+        traj = jumpsim.propagate_moments(loop, path, disturbance, np.zeros(loop.n),
+                                         np.eye(loop.n), 0.05)
+        assert record["jump_times"] == list(path.jump_times)
+        for key, value in (("output_energy", traj.output_energy),
+                           ("input_energy", traj.input_energy)):
+            assert abs(record[key] - value) <= 1e-10 * abs(value)
+

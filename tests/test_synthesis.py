@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -263,28 +266,20 @@ def test_min_attenuation_reference_plant_certificate():
     assert report.attenuation_ok
 
 
-def _random_two_mode_plant(seed):
-    # stable-shifted random drifts, D1 = D2 = -I, two quadratures per channel
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 2, 0]))
-    a_modes = []
-    for _ in range(2):
-        a = rng.normal(size=(2, 2)) / np.sqrt(2)
-        a_modes.append(a - (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(2))
-    pi = rng.uniform(0.005, 0.02, size=(2, 2))
-    np.fill_diagonal(pi, 0.0)
-    np.fill_diagonal(pi, -pi.sum(axis=1))
-    b1, b2, c1, c2 = (rng.normal(size=(2, 2)) / np.sqrt(2) for _ in range(4))
-    return JumpPlant(
-        a_modes=tuple(a_modes), b1=b1, b2=b2, c1=c1, d1=-np.eye(2), c2=c2, d2=-np.eye(2),
-        theta=make_commutation_matrix(2), rates=TransitionRateMatrix(pi),
-    )
+def _random_plant(seed, n, modes):
+    # perfbench's seeded plants: stable-shifted random drifts, D1 = D2 = -I
+    spec = importlib.util.spec_from_file_location(
+        "plants", Path(__file__).resolve().parents[1] / "perfbench" / "plants.py")
+    plants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plants)
+    return plants.random_plant(seed, n, modes, 0)
 
 
 def test_min_attenuation_rebuilds_ill_conditioned_minimiser(monkeypatch):
     # on this plant (Y_1^-1 - X_1) of the minimiser's point is too badly
     # conditioned to invert, so the controller comes from a second,
     # fixed-level solve at the returned level
-    plant = _random_two_mode_plant(36)
+    plant = _random_plant(36, 2, 2)
     calls = []
     solve = lmi.solve_feasibility
 
@@ -299,6 +294,20 @@ def test_min_attenuation_rebuilds_ill_conditioned_minimiser(monkeypatch):
     assert result.solution.feasible and result.solution.gap is None
     aug = realizability.augment_jump_controller(result.controller)
     assert verify_closed_loop(plant, aug, g_star).attenuation_ok
+
+
+def test_min_attenuation_without_a_rebuilt_controller_is_undecided():
+    # the level search certifies g* = 2.0783 (margin 1.4e-6), but its
+    # (Y_1^-1 - X_1) is too badly conditioned to invert and the fixed-level
+    # solve at g* stalls infeasible-at-tolerance: no controller, yet a
+    # verified point shows g* feasible, so the verdict is undecided
+    with pytest.raises(SynthesisError, match="undecided at g=2.0783") as info:
+        min_attenuation(_random_plant(5, 4, 2), 0.01, 10.0, tol_g=5e-3)
+    assert not isinstance(info.value, LmiInfeasibleError)
+    message = str(info.value)
+    assert "margin 1.405e-06, 135 Newton steps" in message
+    assert "fixed-level solve" in message and "infeasible-at-tolerance" in message
+    assert info.value.solution.status == "infeasible-at-tolerance"
 
 
 def test_min_attenuation_budget_exhausted_raises():
