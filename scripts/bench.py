@@ -84,7 +84,7 @@ def certify(plant, controller, g):
     t0 = time.perf_counter()
     report = analysis.verify_closed_loop(plant, aug, g)
     seconds = time.perf_counter() - t0
-    return record(seconds, report.coupled.solution, g=g, certified=report.attenuation_ok)
+    return record(seconds, report.solution, g=g, certified=report.attenuation_ok)
 
 
 def main(argv=None):

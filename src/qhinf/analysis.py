@@ -10,10 +10,12 @@ primal point.  This module provides:
 * ``bounded_real_block``: mode i of the coupled bounded-real LMI without its
   level corner, shared by the certificate search and the synthesis LMIs,
 * ``coupled_mode_check``: LMI search for coupled per-mode certificates of
-  a ``ClosedLoop``,
+  a ``ClosedLoop``, returned as a ``ClosedLoopReport`` that holds the LMI
+  solution itself (the P_i are ``solution.assignment["P<i>"]``),
 * ``mode_abscissas``: per-mode spectral abscissas of a closed loop (report
   data, not part of the verdict),
-* ``verify_closed_loop``: full closed-loop certification.
+* ``verify_closed_loop``: ``coupled_mode_check`` of the loop a plant and a
+  controller assemble.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from . import lmi
 from .qmodel import ClosedLoop, Controller, JumpPlant, assemble_closed_loop
 
 __all__ = [
-    "CoupledModeResult",
     "ClosedLoopReport",
     "bounded_real_block",
     "coupled_mode_check",
@@ -36,19 +37,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CoupledModeResult:
-    """Coupled storage matrices P_i certifying a strict bounded-real property.
+class ClosedLoopReport:
+    """Outcome of certifying a closed loop at attenuation level g.
 
-    ``p_modes`` and ``noise_offset`` are None when the LMI solve did not
-    certify; the margin is ``solution.margin``.
+    ``solution`` is the coupled LMI solve: its status is the verdict, its
+    assignment holds the storage matrices P_i, its margin the verified
+    margin.  ``noise_offset`` is None unless the solve certified.
     """
 
+    g: float
+    abscissas: tuple  # per-mode spectral abscissa
     solution: lmi.LmiSolution
-    p_modes: tuple | None
     noise_offset: float | None  # trace-term constant of the dissipation bookkeeping
 
     @property
-    def feasible(self) -> bool:
+    def attenuation_ok(self) -> bool:
         return self.solution.feasible
 
 
@@ -84,7 +87,7 @@ def bounded_real_block(a, b, c, pi_row, p_names, i) -> lmi.AffineMatrixExpr:
     return expr
 
 
-def coupled_mode_check(loop: ClosedLoop, g) -> CoupledModeResult:
+def coupled_mode_check(loop: ClosedLoop, g) -> ClosedLoopReport:
     """Search coupled storage matrices P_1..P_N > 0 of a closed loop with,
     for every mode i,
 
@@ -99,7 +102,9 @@ def coupled_mode_check(loop: ClosedLoop, g) -> CoupledModeResult:
     re-verified from the expressions.  The returned P_i, margin and noise
     offset are those of the first certified iterate, not of a settled
     interior.  The noise offset is max_i tr(B1_i^T P_i B1_i)
-    + tr(B2_i^T P_i B2_i).
+    + tr(B2_i^T P_i B2_i).  The per-mode spectral abscissas are reported
+    beside the verdict, not part of it.  Raises ``ValueError`` unless g is
+    positive and g^2 finite.
     """
     _check_level(g)
     problem = lmi.LmiProblem()
@@ -116,15 +121,14 @@ def coupled_mode_check(loop: ClosedLoop, g) -> CoupledModeResult:
         expr.add_constant(-(g * g) * np.eye(loop.n_w), block=(1, 1))
         problem.add_constraint(expr, "neg")
 
-    solution = lmi.solve_feasibility(problem, max_iter=400, settle=False)
-    if not solution.feasible:
-        return CoupledModeResult(solution, None, None)
-    p_modes = tuple(solution.assignment[name] for name in names)
-    noise_offset = max(
-        float(np.trace(m.b1.T @ p @ m.b1)) + float(np.trace(m.b2.T @ p @ m.b2))
-        for m, p in zip(loop.modes, p_modes)
-    )
-    return CoupledModeResult(solution, p_modes, noise_offset)
+    solution = lmi.solve_feasibility(problem, settle=False)
+    noise_offset = None
+    if solution.feasible:
+        noise_offset = max(
+            float(np.trace(m.b1.T @ p @ m.b1)) + float(np.trace(m.b2.T @ p @ m.b2))
+            for m, p in zip(loop.modes, (solution.assignment[name] for name in names))
+        )
+    return ClosedLoopReport(float(g), mode_abscissas(loop), solution, noise_offset)
 
 
 def mode_abscissas(loop) -> tuple:
@@ -132,28 +136,10 @@ def mode_abscissas(loop) -> tuple:
     return tuple(float(np.max(np.linalg.eigvals(m.a).real)) for m in loop.modes)
 
 
-@dataclass(frozen=True)
-class ClosedLoopReport:
-    """Outcome of certifying a plant-controller loop at attenuation g."""
-
-    g: float
-    abscissas: tuple         # per-mode spectral abscissa
-    coupled: CoupledModeResult
-
-    @property
-    def attenuation_ok(self) -> bool:
-        return self.coupled.feasible
-
-
 def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLoopReport:
-    """Assemble the loop and decide it by the coupled LMI alone.
+    """``coupled_mode_check`` of the loop that plant and controller assemble.
 
-    The verdict is ``coupled_mode_check`` on the assembled loop; the per-mode
-    spectral abscissas are reported beside it.  Physical realizability is a
-    separate condition, not part of this verdict; ``realizability`` checks
-    it.  Raises ``ValueError`` unless g is positive and g^2 finite.
+    Physical realizability is a separate condition, not part of this
+    verdict; ``realizability`` checks it.
     """
-    loop = assemble_closed_loop(plant, ctrl)
-    return ClosedLoopReport(
-        g=float(g), abscissas=mode_abscissas(loop), coupled=coupled_mode_check(loop, g)
-    )
+    return coupled_mode_check(assemble_closed_loop(plant, ctrl), g)

@@ -5,8 +5,8 @@ Every command accepts --out.  The commands that print a report (check-pr,
 analyze, simulate, optics realize, demo-paper) also take --format
 {text,doc}; synth and augment write documents only.  Machine-readable
 output is canonical JSON so documents round-trip byte for byte.  Each run
-writes a manifest next to its first output recording input digests, solver
-parameters, the seed and the tool version.
+writes a manifest next to its first output recording input digests, every
+parsed option, the seed and the tool version.
 
 Exit codes: 0 success / verification pass (and --help, --version), 1
 verification failure (including a realizability augmentation that leaves
@@ -41,9 +41,12 @@ def _emit(args, doc, text):
         sys.stdout.write(payload)
 
 
-def _manifest(args, inputs, params, outputs, seed=None):
+def _manifest(args, inputs, outputs, seed=None):
+    """Write the manifest of this run next to outputs[0]; its params are
+    every parsed option."""
     if not outputs:
         return
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
     serialize.write_manifest(
         outputs[0], command=args.argv, inputs=inputs, params=params,
         outputs=outputs, seed=seed,
@@ -102,15 +105,12 @@ def _cmd_synth(args):
         "lmi_margin": result.solution.margin,
         "lmi_iterations": result.solution.iterations,
         "eps_strict": args.eps_strict,
-        "coupling_condition_numbers": [m.cond_coupling for m in result.modes],
+        "coupling_condition_numbers": list(result.coupling_condition_numbers),
         "augmented": bool(args.augment),
     }
     cert_path = out.with_suffix(".cert.json")
     serialize.write_doc(cert_path, cert)
-    _manifest(args, [args.plant],
-              {"g": float(g_star), "eps_strict": args.eps_strict, "tol": args.tol,
-               "max_iter": args.max_iter, "augment": bool(args.augment)},
-              [out, cert_path])
+    _manifest(args, [args.plant], [out, cert_path])
     print(f"synthesized controller at g = {g_star:.6g} -> {out}")
     return EXIT_OK
 
@@ -133,7 +133,7 @@ def _cmd_check_pr(args):
     lines.append(f"  verdict: {'realizable' if report.realizable else 'NOT realizable'}")
     _emit(args, doc, "\n".join(lines))
     if args.out:
-        _manifest(args, [args.controller], {"tol": args.tol}, [args.out])
+        _manifest(args, [args.controller], [args.out])
     return EXIT_OK if report.realizable else EXIT_VERIFY_FAIL
 
 
@@ -144,7 +144,7 @@ def _cmd_augment(args):
     augmented = realizability.augment_jump_controller(ctrl)
     out = Path(args.out) if args.out else Path("controller_augmented.json")
     serialize.write_doc(out, serialize.system_to_doc(controller=augmented, rates=rates))
-    _manifest(args, [args.controller], {}, [out])
+    _manifest(args, [args.controller], [out])
     report = realizability.check_controller_realizability(augmented)
     print(f"augmented controller ({augmented.n_nu} noise channels, "
           f"worst residual {report.worst():.2e}) -> {out}")
@@ -158,15 +158,15 @@ def _cmd_analyze(args):
         raise DocumentError("analyze needs a plant document and a controller document")
     report = analysis.verify_closed_loop(plant, ctrl, args.g)
     residual = realizability.check_controller_realizability(ctrl).worst()
-    coupled = report.coupled
-    solution = coupled.solution
+    solution = report.solution
     doc = {
         "g": args.g,
         "abscissas": list(report.abscissas),
-        "coupled_feasible": coupled.feasible,
+        "coupled_feasible": solution.feasible,
         "coupled_status": solution.status,
         "coupled_margin": solution.margin,
         "coupled_newton_steps": solution.iterations,
+        "noise_offset": report.noise_offset,
         "realizability_residual": residual,
         "passed": report.attenuation_ok,
     }
@@ -175,13 +175,13 @@ def _cmd_analyze(args):
         lines.append(f"  mode {i + 1}: spectral abscissa {x:.4f}")
     lines.append(f"  coupled certificate: {solution.status} (margin {solution.margin:.3e}, "
                  f"{solution.iterations} Newton steps)")
-    if coupled.feasible:
-        lines.append(f"  noise offset constant: {coupled.noise_offset:.4g}")
+    if report.noise_offset is not None:
+        lines.append(f"  noise offset constant: {report.noise_offset:.4g}")
     lines.append(f"  controller realizability residual: {residual:.3e}")
     lines.append(f"  verdict: {'PASS' if report.attenuation_ok else 'FAIL'}")
     _emit(args, doc, "\n".join(lines))
     if args.out:
-        _manifest(args, [args.plant, args.controller], {"g": args.g}, [args.out])
+        _manifest(args, [args.plant, args.controller], [args.out])
     return EXIT_OK if report.attenuation_ok else EXIT_VERIFY_FAIL
 
 
@@ -253,13 +253,11 @@ def _cmd_simulate(args):
             first_traj.times[::stride], first_traj.mean[::stride], q_diag,
             first_traj.z_energy[::stride], first_traj.w_energy[::stride],
         ])
+        Path(args.plot_data).parent.mkdir(parents=True, exist_ok=True)
         np.savetxt(args.plot_data, table, fmt="%.12g", header=" ".join(header))
         outputs.append(args.plot_data)
     if outputs:
-        _manifest(args, [args.system],
-                  {"paths": args.paths, "t_end": args.t_end, "dt": args.dt,
-                   "disturbance": args.disturbance},
-                  outputs, seed=args.seed)
+        _manifest(args, [args.system], outputs, seed=args.seed)
     return EXIT_OK
 
 
@@ -290,7 +288,7 @@ def _cmd_optics_realize(args):
         )
     _emit(args, {"modes": modes_doc}, "\n".join(lines))
     if args.out:
-        _manifest(args, [args.controller], {"kappa_prime": args.kappa_prime}, [args.out])
+        _manifest(args, [args.controller], [args.out])
     return EXIT_OK
 
 
@@ -300,8 +298,7 @@ def _cmd_demo(args):
     )
     if args.out_dir:
         outputs = sorted(Path(args.out_dir) / name for name in demo.DEMO_DOCUMENTS)
-        _manifest(args, [], {"tol_g": args.tol_g, "paths": args.paths,
-                             "quick": bool(args.quick)}, outputs, seed=demo.PROBE_SEED)
+        _manifest(args, [], outputs, seed=demo.PROBE_SEED)
     _emit(args, report, demo.format_demo_report(report))
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAIL
 

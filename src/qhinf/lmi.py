@@ -534,7 +534,7 @@ def solve_feasibility(
     problem: LmiProblem,
     eps_strict: float = 1e-6,
     tol: float = 1e-9,
-    max_iter: int = 200,
+    max_iter: int = 400,
     *,
     settle: bool = True,
 ) -> LmiSolution:

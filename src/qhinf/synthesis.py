@@ -162,25 +162,29 @@ def build_hinf_lmis(plant: JumpPlant, g) -> lmi.LmiProblem:
 
 
 def _inv_sym_guarded(m, label):
+    """Inverse of the symmetric part of m and its condition number
+    max|lambda| / min|lambda|, from one eigendecomposition."""
     w, q = np.linalg.eigh(0.5 * (m + m.T))
     small = np.min(np.abs(w))
-    if small == 0.0 or np.max(np.abs(w)) / small > COND_LIMIT:
+    cond = np.max(np.abs(w)) / small if small else np.inf
+    if cond > COND_LIMIT:
         raise SynthesisError(
             f"{label} is singular or badly conditioned "
             f"(eigenvalues {w}); the LMI solution violates the coupling condition"
         )
-    return q @ np.diag(1.0 / w) @ q.T
+    return q @ np.diag(1.0 / w) @ q.T, float(cond)
 
 
 def _reconstruct_mode(a, b1, b2, c1, d1, c2, d2, pi_row, y, y_invs, g, x, l, f, i):
-    """Controller matrices of mode i from one feasible LMI block.
+    """Controller matrices of mode i from one feasible LMI block, and the
+    condition number of the coupling matrix Y_i^{-1} - X_i.
 
     M_i = -A^T - X A Y - X B2 F - L C2 Y - C1^T (C1 Y + D1 F)
           - g^{-2} (X B1 + L D2) B1^T - sum_j pi_ij Y_j^{-1} Y
     """
     y_inv = y_invs[i]
-    w = y_inv - x  # negative definite when the coupling LMI holds strictly
-    w_inv = _inv_sym_guarded(w, f"(Y_{i + 1}^-1 - X_{i + 1})")
+    # negative definite when the coupling LMI holds strictly
+    w_inv, cond_w = _inv_sym_guarded(y_inv - x, f"(Y_{i + 1}^-1 - X_{i + 1})")
     ck = f @ y_inv
     bk = w_inv @ l
     m = (
@@ -195,43 +199,39 @@ def _reconstruct_mode(a, b1, b2, c1, d1, c2, d2, pi_row, y, y_invs, g, x, l, f, 
         if abs(rate) > 1e-15:
             m = m - rate * y_invs[j] @ y
     ak = w_inv @ m @ y_inv
-    cond_w = float(np.linalg.cond(w))
     return ak, bk, ck, cond_w
 
 
 @dataclass(frozen=True)
-class SynthModeData:
-    x: np.ndarray
-    y: np.ndarray
-    l: np.ndarray
-    f: np.ndarray
-    cond_coupling: float
-
-
-@dataclass(frozen=True)
 class SynthesisResult:
-    """Feasible attenuation level, LMI blocks, and the derived controller."""
+    """Controller reconstructed from a feasible synthesis LMI solve at level g.
+
+    ``solution`` is that solve: its assignment holds X_i, Y_i, L_i and F_i
+    (as ``"X<i>"`` and so on).  ``coupling_condition_numbers`` are the
+    condition numbers of Y_i^{-1} - X_i, one per mode, which the
+    reconstruction inverts.
+    """
 
     g: float
-    modes: tuple
     controller: Controller
     solution: lmi.LmiSolution
+    coupling_condition_numbers: tuple
 
 
 def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
     """Reconstruct the controller of a feasible LMI solution at level g."""
     blocks = [[solution.assignment[f"{v}{i + 1}"] for v in "XYLF"] for i in range(plant.n_modes)]
-    y_invs = [_inv_sym_guarded(y, f"Y_{i + 1}") for i, (_, y, _, _) in enumerate(blocks)]
-    modes, diag = [], []
+    y_invs = [_inv_sym_guarded(y, f"Y_{i + 1}")[0] for i, (_, y, _, _) in enumerate(blocks)]
+    modes, conds = [], []
     for i, (x, y, l, f) in enumerate(blocks):
         ak, bk, ck, cond_w = _reconstruct_mode(
             plant.a_modes[i], plant.b1, plant.b2, plant.c1, plant.d1,
             plant.c2, plant.d2, plant.rates.pi[i], y, y_invs, g, x, l, f, i,
         )
         modes.append(ControllerMode(ak, bk, ck, np.zeros((plant.n_u, 0)), np.zeros((plant.n, 0))))
-        diag.append(SynthModeData(x, y, l, f, cond_w))
+        conds.append(cond_w)
     controller = Controller(tuple(modes), make_commutation_matrix(plant.n))
-    return SynthesisResult(float(g), tuple(diag), controller, solution)
+    return SynthesisResult(float(g), controller, solution, tuple(conds))
 
 
 def synthesize(

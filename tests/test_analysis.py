@@ -33,21 +33,22 @@ def test_coupled_check_single_mode_matches_norm(a, norm):
     # loop, whose H-infinity norm 1/|a| is reached at DC
     loop = _one_mode_loop(np.zeros((1, 0)), a)
     res = coupled_mode_check(loop, 1.02 * norm)
-    assert res.feasible
-    assert np.linalg.eigvalsh(res.p_modes[0])[0] > 0
+    assert res.attenuation_ok
+    p = res.solution.assignment["P1"]
+    assert np.linalg.eigvalsh(p)[0] > 0
     # noise offset tr(B^T P B) with B = 1
-    assert res.noise_offset == pytest.approx(float(res.p_modes[0][0, 0]))
+    assert res.noise_offset == pytest.approx(float(p[0, 0]))
     res_tight = coupled_mode_check(loop, 0.98 * norm)
-    assert not res_tight.feasible
-    assert res_tight.p_modes is None and res_tight.noise_offset is None
+    assert not res_tight.attenuation_ok
+    assert res_tight.noise_offset is None
 
 
 def test_coupled_check_noise_offset_counts_noise_channels():
     # tr(B1^T P B1) + tr(B2^T P B2) at the returned P, here with B2 = [0.5, -2]
     b2 = np.array([[0.5, -2.0]])
     res = coupled_mode_check(_one_mode_loop(b2), 2.0)
-    assert res.feasible
-    p = res.p_modes[0]
+    assert res.attenuation_ok
+    p = res.solution.assignment["P1"]
     expected = float(np.trace(ONE.T @ p @ ONE)) + float(np.trace(b2.T @ p @ b2))
     assert res.noise_offset == pytest.approx(expected, rel=1e-14)
     assert res.noise_offset == pytest.approx(5.25 * float(p[0, 0]), rel=1e-14)
@@ -58,7 +59,7 @@ def test_coupled_check_reference_loop_by_sweep():
     found = None
     for g in (0.05, 0.1, 0.2, 0.5):
         res = coupled_mode_check(loop, g)
-        if res.feasible:
+        if res.attenuation_ok:
             found = g
             break
     assert found is not None
@@ -95,7 +96,7 @@ def test_verify_closed_loop_destabilizing_controller_fails():
     plant = demo.reference_plant()
     report = verify_closed_loop(plant, _destabilizing_controller(3), 100.0)
     assert max(report.abscissas) > 0
-    assert not report.coupled.feasible
+    assert not report.solution.feasible
     assert not report.attenuation_ok
     assert _mean_square_abscissa(assemble_closed_loop(plant, _destabilizing_controller(3))) > 0
 
@@ -127,7 +128,7 @@ def test_verify_closed_loop_certifies_briefly_visited_unstable_mode():
     report = verify_closed_loop(plant, _zero_controller(2), 5.0)
     assert max(report.abscissas) > 0
     assert report.attenuation_ok
-    assert report.coupled.solution.margin > 1e-6
+    assert report.solution.margin > 1e-6
     assert _mean_square_abscissa(assemble_closed_loop(plant, _zero_controller(2))) < 0
 
 
@@ -169,8 +170,8 @@ def test_certification_of_scaled_random_design_stops_at_first_certificate():
     aug = realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
     report = verify_closed_loop(plant, aug, 5.0)
     assert report.attenuation_ok
-    assert report.coupled.solution.iterations == 30
-    assert report.coupled.solution.margin >= report.coupled.solution.eps_strict
+    assert report.solution.iterations == 30
+    assert report.solution.margin >= report.solution.eps_strict
 
 
 def test_reference_design_certifies_at_its_level_in_66_steps(reference_design, monkeypatch):
@@ -184,7 +185,7 @@ def test_reference_design_certifies_at_its_level_in_66_steps(reference_design, m
 
     monkeypatch.setattr(lmi, "_stacked_margin", recording)
     report = verify_closed_loop(demo.reference_plant(), aug, g_star)
-    solution = report.coupled.solution
+    solution = report.solution
     assert report.attenuation_ok
     assert solution.iterations == 66  # 90 with the settled-margin stop
     # the solve ends at the first round whose margin passes eps_strict
@@ -218,7 +219,7 @@ def test_first_certificate_stop_keeps_every_verdict(reference_design, monkeypatc
         with monkeypatch.context() as patch:
             patch.setattr(lmi, "solve_feasibility", settled)
             reference = coupled_mode_check(loop, g)
-        assert first.feasible == reference.feasible == verdict
+        assert first.attenuation_ok == reference.attenuation_ok == verdict
         assert first.solution.iterations <= reference.solution.iterations
         if verdict:
             assert min(first.solution.margin, reference.solution.margin) >= first.solution.eps_strict

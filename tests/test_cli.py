@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qhinf
-from qhinf import demo, jumpsim, realizability, serialize
+from qhinf import analysis, demo, jumpsim, realizability, serialize
 from qhinf.cli import main
 from qhinf.qmodel import (
     Controller, ControllerMode, JumpPlant, TransitionRateMatrix, make_commutation_matrix,
@@ -104,11 +104,16 @@ def test_analyze_command(docs, capsys):
     # realizability is not part of the certificate; analyze reports it beside the verdict
     residual = realizability.check_controller_realizability(demo.reference_controller()).worst()
     assert doc["realizability_residual"] == residual
+    # the doc carries the noise offset constant that the text prints
+    report = analysis.verify_closed_loop(demo.reference_plant(), demo.reference_controller(), 0.5)
+    assert doc["noise_offset"] == report.noise_offset > 0
     rc = main(["analyze", "--plant", str(docs["plant"]), "--controller", str(docs["ctrl"]),
                "--g", "0.5"])
     assert rc == 0
+    text = capsys.readouterr().out
     assert (f"coupled certificate: feasible (margin {doc['coupled_margin']:.3e}, "
-            f"40 Newton steps)") in capsys.readouterr().out
+            f"40 Newton steps)") in text
+    assert f"  noise offset constant: {doc['noise_offset']:.4g}\n" in text
 
 
 def _write_unstable_controller(path):
@@ -134,6 +139,7 @@ def test_analyze_unstable_mode_fails_coupled_check(docs, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert isinstance(doc["coupled_margin"], float) and doc["coupled_margin"] <= 0
     assert doc["coupled_feasible"] is False and doc["passed"] is False
+    assert doc["noise_offset"] is None and "noise offset" not in text
     # an infeasible solve never reaches the first-certificate stop
     assert doc["coupled_status"] == "infeasible-at-tolerance"
     assert doc["coupled_newton_steps"] == 97
@@ -208,6 +214,16 @@ def test_simulate_command(docs, capsys):
     assert len(rows) == len(traj["time"])
     for row, values in zip(rows, zip(*columns)):
         assert row == " ".join("%.12g" % v for v in values)
+
+
+def test_simulate_plot_data_creates_its_directory(docs, capsys):
+    plot = docs["root"] / "plots" / "nested" / "sim.txt"
+    rc = main(["simulate", "--system", str(docs["system"]), "--t-end", "5",
+               "--plot-data", str(plot)])
+    assert rc == 0
+    assert plot.read_text().startswith("# time")
+    manifest = serialize.read_doc(str(plot) + ".manifest.json")
+    assert list(manifest["outputs"]) == [str(plot)]
 
 
 @pytest.mark.parametrize("extra", [["--paths", "0"], ["--disturbance", "sin:0"],
@@ -314,6 +330,13 @@ def test_synth_min_g(docs, capsys):
     cert = serialize.read_doc(out.with_suffix(".cert.json"))
     assert cert["lmi_status"] == "feasible"
     assert 0.01 <= cert["g"] <= 1.0
+    # the manifest records the search that ran, not its result
+    params = serialize.read_doc(str(out) + ".manifest.json")["params"]
+    assert params == {
+        "command": "synth", "plant": str(docs["plant"]), "g": None, "min_g": True,
+        "g_lo": 0.01, "g_hi": 1.0, "tol_g": 5e-3, "augment": False, "out": str(out),
+        "eps_strict": 1e-6, "tol": 1e-9, "max_iter": 400,
+    }
     # the reference plant's least level is near 0.037
     rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--g-lo", "0.01",
                "--g-hi", "0.03", "--out", str(docs["root"] / "min_g" / "never.json")])

@@ -100,21 +100,28 @@ def test_synthesis_result_self_verifies():
     result = synthesize(plant, 0.5)
     # substituting the returned blocks back into the constraints reproduces
     # the reported margins
-    assignment = {}
-    for i, m in enumerate(result.modes):
-        assignment[f"X{i + 1}"] = m.x
-        assignment[f"Y{i + 1}"] = m.y
-        assignment[f"L{i + 1}"] = m.l
-        assignment[f"F{i + 1}"] = m.f
+    assignment = result.solution.assignment
     margins = []
     for c in problem.constraints:
         eigs = lmi.symmetric_eigenvalues(c.expr.evaluate(assignment))
         margins.append(-eigs[-1] if c.sense == "neg" else eigs[0])
     assert min(margins) == pytest.approx(result.solution.margin, abs=1e-8)
     # coupling condition delivers positive definite blocks
-    for m in result.modes:
-        assert np.linalg.eigvalsh(m.x)[0] > 0
-        assert np.linalg.eigvalsh(m.y)[0] > 0
+    for i in range(plant.n_modes):
+        assert np.linalg.eigvalsh(assignment[f"X{i + 1}"])[0] > 0
+        assert np.linalg.eigvalsh(assignment[f"Y{i + 1}"])[0] > 0
+
+
+def test_coupling_condition_numbers_match_the_solution_blocks():
+    # the reconstruction's eigendecomposition of Y_i^-1 - X_i gives the
+    # same condition numbers as an SVD of that matrix
+    plant = demo.reference_plant()
+    _, result = min_attenuation(plant, 0.01, 1.0, tol_g=5e-3)
+    assignment = result.solution.assignment
+    expected = [np.linalg.cond(np.linalg.inv(assignment[f"Y{i}"]) - assignment[f"X{i}"])
+                for i in range(1, plant.n_modes + 1)]
+    assert len(result.coupling_condition_numbers) == plant.n_modes
+    np.testing.assert_allclose(result.coupling_condition_numbers, expected, rtol=1e-12)
 
 
 def test_feasibility_monotone_in_level():
