@@ -18,10 +18,11 @@ path (default family, t_end 120).  Last, it runs
 ``cli.main(["demo-paper", "--quick", "--out-dir", <temporary dir>])`` in
 process, its printed report discarded.  Each figure is one wall-clock run
 (``time.perf_counter``) on one BLAS thread.  Writes BENCH_<date>.json with,
-per solve, the seconds, Newton steps, milliseconds per step, verified margin
-and verdict (the LMI status), whether the certification passed, the
-simulation seconds, the demo's seconds and exit code, plus the numpy and
-scipy versions and the live BLAS thread count.  The default grid leaves out
+per solve, the seconds and milliseconds per Newton step beside the solve's
+``LmiSolution.record()`` (status, Newton steps, verified margin, final shift
+t, objective gap, notes), whether the certification passed, the simulation
+seconds, the demo's seconds and exit code, plus the numpy and scipy versions
+and the live BLAS thread count.  The default grid leaves out
 (8, 6), which takes minutes.
 """
 
@@ -70,20 +71,23 @@ def timed(solve):
 
 def record(seconds, solution, **fields):
     steps = solution.iterations
-    return {**fields, "seconds": round(seconds, 4), "newton_steps": steps,
+    return {**fields, "seconds": round(seconds, 4),
             "step_ms": round(1e3 * seconds / steps, 3) if steps else None,
-            "margin": solution.margin, "verdict": solution.status}
+            **solution.record()}
 
 
-def certify(plant, controller, g):
+def certify(plant, controller, g, label):
     """Record of ``verify_closed_loop`` of the augmented controller at level g,
-    with ``certified`` its verdict; only the certification is timed."""
+    with ``certified`` its verdict, printed after ``label``; only the
+    certification is timed."""
     from qhinf import analysis, realizability
 
     aug = realizability.augment_jump_controller(controller)
     t0 = time.perf_counter()
     report = analysis.verify_closed_loop(plant, aug, g)
     seconds = time.perf_counter() - t0
+    print(f"{label}: {seconds:.3f} s, {report.solution.summary()}, "
+          f"certified={report.attenuation_ok}", flush=True)
     return record(seconds, report.solution, g=g, certified=report.attenuation_ok)
 
 
@@ -117,15 +121,11 @@ def main(argv=None):
             return LEVEL, designed[0]
 
         seconds, _, solution = timed(design)
+        print(f"n={n} modes={modes}: {seconds:.3f} s, {solution.summary()}", flush=True)
         point = record(seconds, solution, n=n, modes=modes, g=LEVEL)
-        point["certification"] = certify(plant, designed[0].controller, LEVEL) if designed else None
+        point["certification"] = (certify(plant, designed[0].controller, LEVEL, "  certification")
+                                  if designed else None)
         grid.append(point)
-        print(f"n={n} modes={modes}: {seconds:.3f} s, {solution.iterations} steps, "
-              f"{solution.status}, margin {solution.margin:.3e}", flush=True)
-        if designed:
-            cert = point["certification"]
-            print(f"  certification: {cert['seconds']:.3f} s, {cert['newton_steps']} steps, "
-                  f"{cert['verdict']}, certified={cert['certified']}", flush=True)
 
     search = dict(g_lo=0.01, g_hi=1.0, tol_g=5e-3)
     designed = []  # the level search's SynthesisResult, for the certification
@@ -137,13 +137,11 @@ def main(argv=None):
 
     seconds, g_star, solution = timed(level_search)
     reference = record(seconds, solution, **search, g_star=g_star)
-    print(f"reference min_attenuation: {seconds:.3f} s, {solution.iterations} steps, "
-          f"{solution.status}, g*={g_star}", flush=True)
+    print(f"reference min_attenuation: {seconds:.3f} s, {solution.summary()}, g*={g_star}",
+          flush=True)
 
-    certification = certify(demo.reference_plant(), designed[0].controller, g_star)
-    print(f"reference verify_closed_loop: {certification['seconds']:.3f} s, "
-          f"{certification['newton_steps']} steps, {certification['verdict']}, "
-          f"certified={certification['certified']}", flush=True)
+    certification = certify(demo.reference_plant(), designed[0].controller, g_star,
+                            "reference verify_closed_loop")
 
     loop = analysis.assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
     dist = jumpsim.Disturbance("sin:0.5", numpy.eye(loop.n_w)[0], "sin", 0.5)

@@ -59,7 +59,12 @@ def _load_system(path):
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with EXIT_INPUT_ERROR, not 2,
-    which this command line reserves for infeasible or undecided synthesis."""
+    which this command line reserves for infeasible or undecided synthesis.
+    Options must be spelled out: an abbreviation could silently name another
+    option (``--tol`` for ``--tol-g``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -74,7 +79,6 @@ def _add_report_flags(parser):
 def _add_solver_flags(parser):
     parser.add_argument("--eps-strict", type=float, default=1e-6,
                         help="strictness margin required of LMI certificates")
-    parser.add_argument("--tol", type=float, default=1e-9, help="solver convergence tolerance")
     parser.add_argument("--max-iter", type=int, default=400, help="Newton step budget per solve")
 
 
@@ -85,14 +89,12 @@ def _cmd_synth(args):
     if args.min_g:
         g_star, result = synthesis.min_attenuation(
             plant, args.g_lo, args.g_hi, tol_g=args.tol_g,
-            eps_strict=args.eps_strict, tol=args.tol, max_iter=args.max_iter,
+            eps_strict=args.eps_strict, max_iter=args.max_iter,
         )
     else:
-        if args.g is None:
-            raise DocumentError("synth needs --g or --min-g")
         g_star = args.g
         result = synthesis.synthesize(
-            plant, args.g, eps_strict=args.eps_strict, tol=args.tol, max_iter=args.max_iter
+            plant, args.g, eps_strict=args.eps_strict, max_iter=args.max_iter
         )
     ctrl = result.controller
     if args.augment:
@@ -101,9 +103,7 @@ def _cmd_synth(args):
     serialize.write_doc(out, serialize.system_to_doc(controller=ctrl, rates=plant.rates))
     cert = {
         "g": float(g_star),
-        "lmi_status": result.solution.status,
-        "lmi_margin": result.solution.margin,
-        "lmi_iterations": result.solution.iterations,
+        **{f"lmi_{k}": v for k, v in result.solution.record().items()},
         "eps_strict": args.eps_strict,
         "coupling_condition_numbers": list(result.coupling_condition_numbers),
         "augmented": bool(args.augment),
@@ -162,10 +162,7 @@ def _cmd_analyze(args):
     doc = {
         "g": args.g,
         "abscissas": list(report.abscissas),
-        "coupled_feasible": solution.feasible,
-        "coupled_status": solution.status,
-        "coupled_margin": solution.margin,
-        "coupled_newton_steps": solution.iterations,
+        **{f"coupled_{k}": v for k, v in solution.record().items()},
         "noise_offset": report.noise_offset,
         "realizability_residual": residual,
         "passed": report.attenuation_ok,
@@ -173,8 +170,7 @@ def _cmd_analyze(args):
     lines = [f"closed-loop verification at g = {args.g:g}"]
     for i, x in enumerate(report.abscissas):
         lines.append(f"  mode {i + 1}: spectral abscissa {x:.4f}")
-    lines.append(f"  coupled certificate: {solution.status} (margin {solution.margin:.3e}, "
-                 f"{solution.iterations} Newton steps)")
+    lines.append(f"  coupled certificate: {solution.summary()}")
     if report.noise_offset is not None:
         lines.append(f"  noise offset constant: {report.noise_offset:.4g}")
     lines.append(f"  controller realizability residual: {residual:.3e}")
@@ -313,9 +309,10 @@ def build_parser():
 
     p = sub.add_parser("synth", help="synthesize a controller from a plant document")
     p.add_argument("--plant", required=True)
-    p.add_argument("--g", type=float, help="attenuation level to synthesize at")
-    p.add_argument("--min-g", action="store_true",
-                   help="minimise the level over [--g-lo, --g-hi] in one LMI solve")
+    level = p.add_mutually_exclusive_group(required=True)
+    level.add_argument("--g", type=float, help="attenuation level to synthesize at")
+    level.add_argument("--min-g", action="store_true",
+                       help="minimise the level over [--g-lo, --g-hi] in one LMI solve")
     p.add_argument("--g-lo", type=float, default=0.01)
     p.add_argument("--g-hi", type=float, default=1.0)
     p.add_argument("--tol-g", type=float, default=1e-3)

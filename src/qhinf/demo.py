@@ -154,13 +154,7 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
     g_star, syn = synthesis.min_attenuation(plant, g_lo=0.01, g_hi=1.0, tol_g=tol_g)
     # min_attenuation raises unless g_star is within tol_g of the least level,
     # so the search is reported as data, not as a check that cannot fail
-    sol = syn.solution
-    level_search = {
-        "status": sol.status,
-        "newton_steps": int(sol.iterations),
-        "margin": float(sol.margin),
-        "gap": None if sol.gap is None else float(sol.gap),
-    }
+    level_search = syn.solution.record()
 
     aug = realizability.augment_jump_controller(syn.controller)
     pr = realizability.check_controller_realizability(aug, tol=1e-9)
@@ -168,11 +162,9 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
                               pr.realizable, f"worst residual {pr.worst():.3e}"))
 
     report_cl = analysis.verify_closed_loop(plant, aug, g_star)
-    cert = report_cl.solution
     checks.append(_bool_check("closed loop certified at minimised level",
                               report_cl.attenuation_ok,
-                              f"coupled certificate {cert.status}, {cert.iterations} Newton steps, "
-                              f"margin {cert.margin:.3e}; "
+                              f"coupled certificate {report_cl.solution.summary()}; "
                               f"abscissas {[f'{x:.4f}' for x in report_cl.abscissas]}"))
 
     # simulation probe of the certified loop

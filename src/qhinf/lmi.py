@@ -267,7 +267,10 @@ class LmiProblem:
 class LmiSolution:
     """Feasibility verdict plus the verified margins of the final iterate.
 
-    ``gap`` is the barrier gap bound on the objective (None without one).
+    ``iterations`` counts the Newton steps of both phases, ``t_achieved`` is
+    the final shift t, ``notes`` name what the solve ran into, and ``gap`` is
+    the barrier gap bound on the objective (None without one, inf when its
+    phase never started).  Reports of a solve use ``record()`` and ``summary()``.
     """
 
     assignment: dict
@@ -283,6 +286,17 @@ class LmiSolution:
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
+
+    def record(self) -> dict:
+        """Status, Newton steps, verified margin, final shift t, objective gap
+        and notes as JSON values; an infinite gap is None."""
+        gap = None if self.gap is None or not math.isfinite(self.gap) else float(self.gap)
+        return {"status": self.status, "newton_steps": int(self.iterations),
+                "margin": float(self.margin), "t": float(self.t_achieved), "gap": gap,
+                "notes": list(self.notes)}
+
+    def summary(self) -> str:
+        return f"{self.status}, {self.iterations} Newton steps, margin {self.margin:.3e}"
 
 
 def _expansion(v: MatrixVariable) -> np.ndarray | None:
@@ -469,7 +483,7 @@ def _verified_margins(problem: LmiProblem, assignment: dict):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite Newton system is named below
-def _centre(oriented, x, mu, objective, max_steps, tol):
+def _centre(oriented, x, mu, objective, max_steps):
     """Damped Newton steps on x[obj] - mu sum_k logdet(t I - M_k(v)), x = (v, t).
 
     With ``objective`` None, obj is t and every coordinate moves; otherwise t
@@ -517,12 +531,14 @@ def _centre(oriented, x, mu, objective, max_steps, tol):
                     x, factors, f0 = cand, cand_factors, f1
                     break
             alpha *= 0.5
-        if decrement <= max(tol, 1e-12) * (1.0 + abs(x[obj])):
+        if decrement <= _DECREMENT_TOL * (1.0 + abs(x[obj])):
             break
     return x, steps, None
 
 
 _T_FLOOR = -1e9  # a shift this far below zero means it is unbounded below
+_DECREMENT_TOL = 1e-9  # centring ends at a Newton decrement this times 1 + |objective|
+_PROGRESS_TOL = 1e-8  # a round stalls unless its margin grows more than this times 1 + |t|
 _MU_FACTOR = 0.2
 _ROUND_STEPS = 15  # Newton steps per barrier weight
 # With settle, a feasibility solve with no objective ends once a round raises
@@ -533,7 +549,6 @@ _MARGIN_SETTLED = 1e-2
 def solve_feasibility(
     problem: LmiProblem,
     eps_strict: float = 1e-6,
-    tol: float = 1e-9,
     max_iter: int = 400,
     *,
     settle: bool = True,
@@ -562,14 +577,12 @@ def solve_feasibility(
     ``max_iter`` caps the Newton steps of both phases; exhausting it without
     a certificate yields status ``max-iter`` with the best iterate still
     attached.  Raises ``ValueError`` unless eps_strict is finite and
-    positive, tol finite and nonnegative, max_iter nonnegative, and every
-    constraint's constant and coefficients finite (the message names the
-    first constraint that is not).
+    positive, max_iter nonnegative, and every constraint's constant and
+    coefficients finite (the message names the first constraint that is
+    not).
     """
     if not (np.isfinite(eps_strict) and eps_strict > 0):
         raise ValueError(f"eps_strict must be finite and positive, got {eps_strict}")
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     problem.validate()
@@ -592,7 +605,7 @@ def solve_feasibility(
 
     while mu > mu_min:
         x, steps, note = _centre(
-            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), tol
+            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations)
         )
         iterations += steps
         if note:
@@ -612,8 +625,7 @@ def solve_feasibility(
             break
         # a round that could not step or did not raise the margin stalls;
         # two in a row settle the solve
-        progress_tol = max(tol, 1e-8) * (1.0 + abs(t))
-        if note or margin_now - margin_prev <= progress_tol:
+        if note or margin_now - margin_prev <= _PROGRESS_TOL * (1.0 + abs(t)):
             stall_rounds += 1
             if stall_rounds >= 2:
                 settled = True
@@ -636,7 +648,7 @@ def solve_feasibility(
         rounds, sharpened = [x], False
         while iterations < max_iter:
             x, steps, note = _centre(
-                oriented, x, mu, obj, min(_ROUND_STEPS, max_iter - iterations), tol
+                oriented, x, mu, obj, min(_ROUND_STEPS, max_iter - iterations)
             )
             iterations += steps
             if note:

@@ -64,8 +64,7 @@ class LmiInfeasibleError(SynthesisError):
 
     def __init__(self, g, solution):
         super().__init__(
-            f"synthesis LMIs not strictly feasible at g={g} "
-            f"(status {solution.status}, margin {solution.margin:.3e})",
+            f"synthesis LMIs not strictly feasible at g={g} ({solution.summary()})",
             solution,
         )
         self.g = g
@@ -78,9 +77,7 @@ def _require_feasible(g, solution):
         raise LmiInfeasibleError(g, solution)
     if not solution.feasible:
         raise SynthesisError(
-            f"no verdict at g={g}: the Newton step budget ran out after "
-            f"{solution.iterations} steps (status {solution.status}, "
-            f"margin {solution.margin:.3e})",
+            f"no verdict at g={g}: the Newton step budget ran out ({solution.summary()})",
             solution,
         )
 
@@ -238,7 +235,6 @@ def synthesize(
     plant: JumpPlant,
     g: float,
     eps_strict: float = 1e-6,
-    tol: float = 1e-9,
     max_iter: int = 400,
 ) -> SynthesisResult:
     """Build and solve the LMIs at level g, then reconstruct the controller.
@@ -250,7 +246,7 @@ def synthesize(
     device.
     """
     solution = lmi.solve_feasibility(
-        build_hinf_lmis(plant, g), eps_strict=eps_strict, tol=tol, max_iter=max_iter
+        build_hinf_lmis(plant, g), eps_strict=eps_strict, max_iter=max_iter
     )
     _require_feasible(g, solution)
     return _result(plant, g, solution)
@@ -262,7 +258,6 @@ def min_attenuation(
     g_hi: float,
     tol_g: float = 1e-3,
     eps_strict: float = 1e-6,
-    tol: float = 1e-9,
     max_iter: int = 400,
 ):
     """Smallest feasible attenuation level in [g_lo, g_hi] from one LMI solve.
@@ -277,7 +272,7 @@ def min_attenuation(
     cannot centre, g_star can lie further above the least level.  When the
     solution is too ill-conditioned to rebuild a controller from, the
     controller comes from a fixed-level solve at g_star instead.
-    ``eps_strict``, ``tol`` and ``max_iter`` are passed to the solver.
+    ``eps_strict`` and ``max_iter`` are passed to the solver.
 
     Raises ``LmiInfeasibleError`` when nothing below g_hi is feasible and
     ``SynthesisError`` when max_iter Newton steps end before a feasible
@@ -302,28 +297,26 @@ def min_attenuation(
         return np.sqrt(gamma) - np.sqrt(max(lower, g_lo * g_lo)) <= half
 
     problem.minimize(GAMMA, within)
-    solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, tol=tol, max_iter=max_iter)
+    solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, max_iter=max_iter)
     _require_feasible(g_hi, solution)
     gamma = float(solution.assignment[GAMMA][0, 0])
     if not within(gamma, gamma - solution.gap):
         raise SynthesisError(
             f"level g={np.sqrt(gamma):.6g} not within tol_g={tol_g} of the least level "
-            f"after {solution.iterations} Newton steps (gap bound {solution.gap:.3e} on g^2)"
+            f"({solution.summary()}, gap bound {solution.gap:.3e} on g^2)"
         )
     g_star = min(float(np.sqrt(gamma)) + half, g_hi)
     try:
         return g_star, _result(plant, g_star, solution)
     except SynthesisError as rebuild:
         try:
-            return g_star, synthesize(plant, g_star, eps_strict=eps_strict, tol=tol,
-                                      max_iter=max_iter)
+            return g_star, synthesize(plant, g_star, eps_strict=eps_strict, max_iter=max_iter)
         except SynthesisError as fallback:
             # the level search holds a verified point at g_star, so the
             # fixed-level solve cannot show the level infeasible
             raise SynthesisError(
-                f"undecided at g={g_star:.6g}: the level search's point (margin "
-                f"{solution.margin:.3e}, {solution.iterations} Newton steps) gives no "
-                f"controller ({rebuild}), and the fixed-level solve at that level gave "
-                f"none either ({fallback})",
+                f"undecided at g={g_star:.6g}: the level search's point "
+                f"({solution.summary()}) gives no controller ({rebuild}), and the "
+                f"fixed-level solve at that level gave none either ({fallback})",
                 fallback.solution,
             ) from fallback

@@ -101,6 +101,8 @@ def test_analyze_command(docs, capsys):
     # the certificate solve stops at its first verified round
     assert doc["coupled_status"] == "feasible" and doc["coupled_margin"] >= 1e-6
     assert doc["coupled_newton_steps"] == 40
+    assert {k for k in doc if k.startswith("coupled_")} == {
+        f"coupled_{k}" for k in ("status", "newton_steps", "margin", "t", "gap", "notes")}
     # realizability is not part of the certificate; analyze reports it beside the verdict
     residual = realizability.check_controller_realizability(demo.reference_controller()).worst()
     assert doc["realizability_residual"] == residual
@@ -111,8 +113,8 @@ def test_analyze_command(docs, capsys):
                "--g", "0.5"])
     assert rc == 0
     text = capsys.readouterr().out
-    assert (f"coupled certificate: feasible (margin {doc['coupled_margin']:.3e}, "
-            f"40 Newton steps)") in text
+    assert (f"coupled certificate: feasible, 40 Newton steps, "
+            f"margin {doc['coupled_margin']:.3e}") in text
     assert f"  noise offset constant: {doc['noise_offset']:.4g}\n" in text
 
 
@@ -138,13 +140,13 @@ def test_analyze_unstable_mode_fails_coupled_check(docs, capsys):
     assert main(args + ["--format", "doc"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert isinstance(doc["coupled_margin"], float) and doc["coupled_margin"] <= 0
-    assert doc["coupled_feasible"] is False and doc["passed"] is False
+    assert doc["passed"] is False
     assert doc["noise_offset"] is None and "noise offset" not in text
     # an infeasible solve never reaches the first-certificate stop
     assert doc["coupled_status"] == "infeasible-at-tolerance"
     assert doc["coupled_newton_steps"] == 97
-    assert (f"coupled certificate: infeasible-at-tolerance (margin {doc['coupled_margin']:.3e}, "
-            f"97 Newton steps)") in text
+    assert (f"coupled certificate: infeasible-at-tolerance, 97 Newton steps, "
+            f"margin {doc['coupled_margin']:.3e}") in text
 
 
 def _write_unstable_mode_system(root, rates):
@@ -335,7 +337,7 @@ def test_synth_min_g(docs, capsys):
     assert params == {
         "command": "synth", "plant": str(docs["plant"]), "g": None, "min_g": True,
         "g_lo": 0.01, "g_hi": 1.0, "tol_g": 5e-3, "augment": False, "out": str(out),
-        "eps_strict": 1e-6, "tol": 1e-9, "max_iter": 400,
+        "eps_strict": 1e-6, "max_iter": 400,
     }
     # the reference plant's least level is near 0.037
     rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--g-lo", "0.01",
@@ -535,18 +537,38 @@ def test_check_pr_rejects_negative_tolerance(demo_docs, capsys):
     assert "tol must be finite and nonnegative" in capsys.readouterr().err
 
 
+def _exit_code(argv):
+    """main's exit code, whether main returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("flag, named", [
-    (["--g", "0.05", "--tol", "-1"], "tol must be finite and nonnegative"),
+    # the solver has no tolerance option, and no abbreviation reaches --tol-g
+    (["--g", "0.05", "--tol", "-1"], "unrecognized arguments: --tol"),
     (["--g", "0.05", "--max-iter", "-1"], "max_iter must be nonnegative"),
     (["--g", "0.05", "--eps-strict", "nan"], "eps_strict must be finite and positive"),
-    (["--min-g", "--tol", "-1"], "tol must be finite and nonnegative"),
 ])
 def test_synth_rejects_bad_solver_arguments(demo_docs, capsys, flag, named):
     out = demo_docs["root"] / "bad_solver" / "ctrl.json"
-    rc = main(["synth", "--plant", str(demo_docs["plant"]), *flag, "--out", str(out)])
-    assert rc == 3
+    assert _exit_code(["synth", "--plant", str(demo_docs["plant"]), *flag, "--out", str(out)]) == 3
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_demo_level_search_is_the_synth_cert_record(demo_docs):
+    # demo-paper and synth --min-g run the same level search, and both
+    # documents write its record
+    out = demo_docs["root"] / "min_g_record" / "ctrl.json"
+    assert main(["synth", "--plant", str(demo_docs["plant"]), "--min-g", "--g-lo", "0.01",
+                 "--g-hi", "1.0", "--tol-g", "5e-3", "--out", str(out)]) == 0
+    cert = serialize.read_doc(out.with_suffix(".cert.json"))
+    search = serialize.read_doc(demo_docs["root"] / "report.json")["level_search"]
+    assert set(search) == {"status", "newton_steps", "margin", "t", "gap", "notes"}
+    assert {f"lmi_{k}": v for k, v in search.items()} == {
+        k: v for k, v in cert.items() if k.startswith("lmi_")}
 
 
 def test_demo_rejects_zero_paths_before_the_design(tmp_path, capsys, monkeypatch):
@@ -568,6 +590,9 @@ def test_demo_rejects_zero_paths_before_the_design(tmp_path, capsys, monkeypatch
     [],
     ["synth", "--plant", "p.json", "--g", "0.5", "--format", "doc"],
     ["augment", "--controller", "c.json", "--format", "text"],
+    # synth takes exactly one level option: --min-g would drop --g unread
+    ["synth", "--plant", "p.json", "--g", "0.05", "--min-g"],
+    ["synth", "--plant", "p.json"],
 ])
 def test_usage_errors_exit_3(argv, capsys):
     # 2 means infeasible or undecided synthesis, so argparse's own 2 is not used;

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,30 @@ def test_constant_constraint_takes_part_in_the_shift():
     assert sol.constraint_margins[-1] == pytest.approx(0.5)
     problem.add_constraint(lmi.AffineMatrixExpr(1, [[0.25]]), "neg")
     assert lmi.solve_feasibility(problem).status == "infeasible-at-tolerance"
+
+
+def test_solution_record_is_plain_json():
+    sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B))
+    record = sol.record()
+    assert {k: type(v) for k, v in record.items()} == {
+        "status": str, "newton_steps": int, "margin": float, "t": float,
+        "gap": type(None), "notes": list}
+    assert record == {"status": "feasible", "newton_steps": sol.iterations,
+                      "margin": sol.margin, "t": sol.t_achieved, "gap": None, "notes": []}
+    assert json.loads(json.dumps(record, allow_nan=False)) == record
+    assert sol.summary() == f"feasible, {sol.iterations} Newton steps, margin {sol.margin:.3e}"
+
+
+def test_solution_record_carries_the_notes():
+    # V > 0 alone leaves the shift unbounded below
+    problem = lmi.LmiProblem()
+    problem.add_variable("V", 2, symmetric=True)
+    problem.add_constraint(lmi.AffineMatrixExpr(2).add_term("V"), "pos")
+    sol = lmi.solve_feasibility(problem)
+    assert (sol.status, sol.iterations) == ("feasible", 1)
+    record = sol.record()
+    assert record["notes"] == ["shift unbounded below; any interior point certifies feasibility"]
+    assert record["t"] == sol.t_achieved < -1e9
 
 
 def _between_zero_and_b_problem(b):

@@ -62,20 +62,20 @@ def test_bench_script_writes_json(tmp_path):
     assert {"numpy", "scipy", "blas_threads", "grid", "reference", "certification"} <= set(doc)
     assert doc["blas_threads"] in (1, None)  # None where the BLAS cannot be queried
     (point,) = doc["grid"]
-    assert {"n", "modes", "seconds", "newton_steps", "step_ms", "margin", "verdict"} <= set(point)
-    assert (point["n"], point["modes"], point["verdict"]) == (2, 3, "feasible")
+    assert {"n", "modes", "seconds", "newton_steps", "step_ms", "margin", "status"} <= set(point)
+    assert (point["n"], point["modes"], point["status"]) == (2, 3, "feasible")
     reference = doc["reference"]
-    assert {"seconds", "newton_steps", "step_ms", "verdict", "g_star"} <= set(reference)
-    assert reference["verdict"] == "feasible"
+    assert {"seconds", "newton_steps", "step_ms", "status", "g_star"} <= set(reference)
+    assert reference["status"] == "feasible"
     assert 0.035 < reference["g_star"] < 0.045
     certification = doc["certification"]
-    assert {"seconds", "newton_steps", "step_ms", "verdict", "g", "certified"} <= set(certification)
-    assert (certification["verdict"], certification["certified"]) == ("feasible", True)
+    assert {"seconds", "newton_steps", "step_ms", "status", "g", "certified"} <= set(certification)
+    assert (certification["status"], certification["certified"]) == ("feasible", True)
     assert certification["g"] == reference["g_star"]
     grid_certification = point["certification"]
-    assert {"seconds", "newton_steps", "step_ms", "verdict", "g", "certified"} <= set(
+    assert {"seconds", "newton_steps", "step_ms", "status", "g", "certified"} <= set(
         grid_certification)
-    assert (grid_certification["verdict"], grid_certification["certified"]) == ("feasible", True)
+    assert (grid_certification["status"], grid_certification["certified"]) == ("feasible", True)
     assert grid_certification["g"] == point["g"] == 5.0
     # the certificate solve stops at its first verified round
     assert grid_certification["newton_steps"] == 30
@@ -97,4 +97,4 @@ def test_bench_timed_records_budget_exhaustion():
     seconds, g, solution = bench.timed(
         lambda: (0.05, synthesis.synthesize(demo.reference_plant(), 0.05, max_iter=0)))
     assert g is None
-    assert bench.record(seconds, solution)["verdict"] == "max-iter"
+    assert bench.record(seconds, solution)["status"] == "max-iter"

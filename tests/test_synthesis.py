@@ -1,10 +1,11 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qhinf import demo, lmi, realizability
+from qhinf import demo, lmi, realizability, serialize
 from qhinf.analysis import verify_closed_loop
 from qhinf.qmodel import JumpPlant, TransitionRateMatrix, make_commutation_matrix
 from qhinf.synthesis import (
@@ -312,9 +313,20 @@ def test_min_attenuation_without_a_rebuilt_controller_is_undecided():
         min_attenuation(_random_plant(5, 4, 2), 0.01, 10.0, tol_g=5e-3)
     assert not isinstance(info.value, LmiInfeasibleError)
     message = str(info.value)
-    assert "margin 1.405e-06, 135 Newton steps" in message
+    assert "feasible, 135 Newton steps, margin 1.405e-06" in message
     assert "fixed-level solve" in message and "infeasible-at-tolerance" in message
     assert info.value.solution.status == "infeasible-at-tolerance"
+
+
+def test_level_search_cut_before_its_objective_phase_writes_a_null_gap():
+    # five Newton steps end inside the shift phase, so no gap bound was formed
+    with pytest.raises(SynthesisError, match="max-iter, 5 Newton steps") as info:
+        min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3, max_iter=5)
+    solution = info.value.solution
+    assert solution.gap == np.inf and solution.record()["gap"] is None
+    text = serialize.dumps_doc(solution.record())
+    assert '"gap": null' in text
+    json.loads(text, parse_constant=lambda name: pytest.fail(f"non-finite {name} written"))
 
 
 def test_min_attenuation_budget_exhausted_raises():
