@@ -53,8 +53,16 @@ def _manifest(args, inputs, outputs, seed=None):
     )
 
 
-def _load_system(path):
-    return serialize.parse_system_doc(serialize.read_doc(path))
+def _load_system(path, *sections):
+    """(plant, controller, rates) of the system document at ``path``; raises
+    ``DocumentError`` naming each of ``sections`` ("plant", "controller")
+    the document lacks.  A plant section needs a rates section."""
+    plant, ctrl, rates = serialize.parse_system_doc(serialize.read_doc(path))
+    found = {"plant": plant, "controller": ctrl}
+    missing = [repr(name) for name in sections if found[name] is None]
+    if missing:
+        raise DocumentError(f"{path}: the document has no {' and no '.join(missing)} section")
+    return plant, ctrl, rates
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,9 +91,7 @@ def _add_solver_flags(parser):
 
 
 def _cmd_synth(args):
-    plant, _, _ = _load_system(args.plant)
-    if plant is None:
-        raise DocumentError("synth needs a document with 'plant' and 'rates' sections")
+    plant, _, _ = _load_system(args.plant, "plant")
     if args.min_g:
         g_star, result = synthesis.min_attenuation(
             plant, args.g_lo, args.g_hi, tol_g=args.tol_g,
@@ -116,9 +122,7 @@ def _cmd_synth(args):
 
 
 def _cmd_check_pr(args):
-    _, ctrl, _ = _load_system(args.controller)
-    if ctrl is None:
-        raise DocumentError("check-pr needs a document with a 'controller' section")
+    _, ctrl, _ = _load_system(args.controller, "controller")
     report = realizability.check_controller_realizability(ctrl, tol=args.tol)
     doc = {
         "tol": args.tol,
@@ -138,9 +142,7 @@ def _cmd_check_pr(args):
 
 
 def _cmd_augment(args):
-    _, ctrl, rates = _load_system(args.controller)
-    if ctrl is None:
-        raise DocumentError("augment needs a document with a 'controller' section")
+    _, ctrl, rates = _load_system(args.controller, "controller")
     augmented = realizability.augment_jump_controller(ctrl)
     out = Path(args.out) if args.out else Path("controller_augmented.json")
     serialize.write_doc(out, serialize.system_to_doc(controller=augmented, rates=rates))
@@ -152,10 +154,8 @@ def _cmd_augment(args):
 
 
 def _cmd_analyze(args):
-    plant, _, _ = _load_system(args.plant)
-    _, ctrl, _ = _load_system(args.controller)
-    if plant is None or ctrl is None:
-        raise DocumentError("analyze needs a plant document and a controller document")
+    plant, _, _ = _load_system(args.plant, "plant")
+    _, ctrl, _ = _load_system(args.controller, "controller")
     report = analysis.verify_closed_loop(plant, ctrl, args.g)
     residual = realizability.check_controller_realizability(ctrl).worst()
     solution = report.solution
@@ -193,9 +193,7 @@ def _parse_disturbance(spec, n_w):
 
 
 def _cmd_simulate(args):
-    plant, ctrl, _ = _load_system(args.system)
-    if plant is None or ctrl is None:
-        raise DocumentError("simulate needs a document with plant, controller and rates")
+    plant, ctrl, _ = _load_system(args.system, "plant", "controller")
     if args.paths < 1:
         raise ValueError("--paths must be at least 1")
     loop = analysis.assemble_closed_loop(plant, ctrl)
@@ -258,18 +256,11 @@ def _cmd_simulate(args):
 
 
 def _cmd_optics_realize(args):
-    _, ctrl, _ = _load_system(args.controller)
-    if ctrl is None:
-        raise DocumentError("optics realize needs a controller document")
+    _, ctrl, _ = _load_system(args.controller, "controller")
     modes_doc = []
     lines = [f"optical realization (static squeezer kappa' = {args.kappa_prime:g})"]
     for i, mode in enumerate(ctrl.modes):
-        n_u = ctrl.n_u
-        e1 = mode.e[:, :n_u]
-        e2 = mode.e[:, n_u:]
-        real, fit = optics.controller_fit_report(
-            mode.a, mode.b, e1, e2, kappa_prime=args.kappa_prime
-        )
+        real, fit = optics.controller_fit_report(mode, kappa_prime=args.kappa_prime)
         modes_doc.append({
             "mode": i + 1,
             "kappa": real.kappa, "kappa1": real.kappa1, "kappa2": real.kappa2,

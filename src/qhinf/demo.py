@@ -95,16 +95,12 @@ def reference_plant():
 
 
 def reference_controller(with_noise: bool = True) -> Controller:
-    """Tabulated controller; with_noise attaches the tabulated noise blocks."""
+    """Tabulated controller; with_noise attaches the tabulated noise blocks in
+    the layout D = [I 0]."""
     modes = []
     for a, b, c, (e1, e2) in zip(_REF_A, _REF_B, _REF_C, REFERENCE_EXTRA_NOISE):
-        if with_noise:
-            e = np.hstack([e1, e2])
-            d = np.hstack([np.eye(2), np.zeros((2, 2))])
-        else:
-            e = np.zeros((2, 0))
-            d = np.zeros((2, 0))
-        modes.append(ControllerMode(a, b, c, d, e))
+        e = np.hstack([e1, e2]) if with_noise else np.zeros((2, 0))
+        modes.append(ControllerMode(a, b, c, np.eye(2, e.shape[1]), e))
     return Controller(tuple(modes), make_commutation_matrix(2))
 
 
@@ -190,9 +186,10 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
 
     # noise augmentation reproduces the tabulated repair channels
     for i, (mode, (_, e2)) in enumerate(zip(ref.modes, REFERENCE_EXTRA_NOISE)):
-        aug_i = realizability.augment_controller(mode.a, mode.b, mode.c, ref.theta_k)
-        coeff = float(aug_i.e_extra[0, 0])
-        off = float(np.max(np.abs(aug_i.e_extra - coeff * np.eye(2))))
+        _, e_extra = realizability.noise_channels(
+            realizability.augment_controller(mode, ref.theta_k))
+        coeff = float(e_extra[0, 0])
+        off = float(np.max(np.abs(e_extra - coeff * np.eye(2))))
         checks.append(_value_check(
             f"repair channel gain mode {i + 1}", coeff, float(e2[0, 0]), 2e-3,
             detail=f"off-identity deviation {off:.1e}",
@@ -201,8 +198,7 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
     # optical inversion of the tabulated controller
     kappa_list, chi_prime_computed = [], []
     for i, mode in enumerate(ref.modes):
-        e1, e2 = REFERENCE_EXTRA_NOISE[i]
-        real, fit = optics.controller_fit_report(mode.a, mode.b, e1, e2, kappa_prime=10.0)
+        real, fit = optics.controller_fit_report(mode, kappa_prime=10.0)
         ref_params = REFERENCE_MODE_PARAMS[i]
         kappa_list.append(real.kappa)
         chi_prime_computed.append(real.chi_prime)

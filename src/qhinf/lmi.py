@@ -268,9 +268,12 @@ class LmiSolution:
     """Feasibility verdict plus the verified margins of the final iterate.
 
     ``iterations`` counts the Newton steps of both phases, ``t_achieved`` is
-    the final shift t, ``notes`` name what the solve ran into, and ``gap`` is
-    the barrier gap bound on the objective (None without one, inf when its
-    phase never started).  Reports of a solve use ``record()`` and ``summary()``.
+    the shift t of the barrier iterate the solve stopped at, ``notes`` name
+    what the solve ran into, and ``gap`` is the barrier gap bound on the
+    objective (None without one, inf when its phase never started).  The
+    verdict is ``status``, which rests on ``margin``, not on t: a solve
+    stopped at its first certified round can report t > 0 beside a verified
+    margin > 0.  Reports of a solve use ``record()`` and ``summary()``.
     """
 
     assignment: dict

@@ -6,9 +6,12 @@ diag(-k/2 - chi, -k/2 + chi) per pump level with shared mirror couplings.
 
 A synthesized controller maps onto hardware as a static squeezer (constant
 diagonal quadrature gain of unit determinant) feeding a dynamical squeezer
-with three mirrors; ``realize_controller_optics`` inverts diagonal
-controller matrices into those component parameters and
-``controller_from_optics`` rebuilds the matrices from them.
+with three mirrors; ``realize_controller_optics`` inverts a diagonal
+controller mode into those component parameters and
+``controller_from_optics`` rebuilds the mode from them.  The mode's noise
+follows the realizability layout: D = [I 0], and E = [E_out, E_extra] holds
+the second mirror's channels (which also carry the output) and then the
+third mirror's.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmodel import JumpPlant, as_rate_matrix, make_commutation_matrix
+from .qmodel import ControllerMode, JumpPlant, as_rate_matrix, make_commutation_matrix
+from .realizability import noise_channels
 
 __all__ = [
     "OpticalRealization",
     "opo_plant",
     "static_squeezer_gain",
-    "OpticalControllerMode",
     "controller_from_optics",
     "realize_controller_optics",
     "controller_fit_report",
@@ -112,36 +115,23 @@ def static_squeezer_gain(kappa_prime: float, chi_prime: float) -> np.ndarray:
     return np.diag([(k - chi_prime) / (k + chi_prime), (k + chi_prime) / (k - chi_prime)])
 
 
-@dataclass(frozen=True)
-class OpticalControllerMode:
-    """Controller-mode matrices produced by the optical assembly."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-
-
-def controller_from_optics(real: OpticalRealization) -> OpticalControllerMode:
-    """Controller matrices realised by a static squeezer and a 3-mirror OPO.
+def controller_from_optics(real: OpticalRealization) -> ControllerMode:
+    """Controller mode realised by a static squeezer and a 3-mirror OPO.
 
     The measured plant output passes through the static squeezer into the
     first mirror; the remaining mirrors carry fresh vacuum noise, the second
     of which also forms the controller output with unit feedthrough on the
-    first noise channel.  The measurement line carries positive squeezer
-    gains (no pi phase shifter).
+    first noise channel: D = [I 0] and E = [sqrt(kappa2) I, sqrt(kappa3) I].
+    The measurement line carries positive squeezer gains (no pi phase
+    shifter).
     """
     eye = np.eye(2)
     a = np.diag([-real.kappa / 2.0 - real.chi, -real.kappa / 2.0 + real.chi])
     gain = static_squeezer_gain(real.kappa_prime, real.chi_prime)
     b = np.sqrt(real.kappa1) * gain
     c = -np.sqrt(real.kappa2) * eye
-    e1 = np.sqrt(real.kappa2) * eye
-    e2 = np.sqrt(real.kappa3) * eye
-    d = np.hstack([eye, np.zeros((2, 2))])
-    return OpticalControllerMode(a, b, c, d, e1, e2)
+    e = np.hstack([np.sqrt(real.kappa2) * eye, np.sqrt(real.kappa3) * eye])
+    return ControllerMode(a, b, c, np.eye(2, 4), e)
 
 
 def _diag_entries(m, label, tol=1e-9):
@@ -161,24 +151,27 @@ def _scalar_multiple(m, label, tol=1e-9):
     return d1
 
 
-def realize_controller_optics(a, b, e1, e2, kappa_prime: float = 10.0) -> OpticalRealization:
-    """Invert diagonal controller matrices into optical parameters.
+def realize_controller_optics(mode: ControllerMode,
+                              kappa_prime: float = 10.0) -> OpticalRealization:
+    """Invert a diagonal controller mode into optical parameters.
 
     The drift fixes the total decay and the pump through kappa = -trace(A)
-    and chi = (A_22 - A_11)/2; the noise blocks fix kappa2 and kappa3 and
-    the first mirror absorbs the rest of the decay budget.  The static
-    squeezer pump is fitted to the gain ratio B_22 / B_11; the gain product
-    constraint B_11 B_22 = kappa1 is checked by ``controller_fit_report``
-    rather than silently absorbed.
+    and chi = (A_22 - A_11)/2; the noise blocks E = [E_out, E_extra] fix
+    kappa2 and kappa3 and the first mirror absorbs the rest of the decay
+    budget.  The static squeezer pump is fitted to the gain ratio
+    B_22 / B_11; the gain product constraint B_11 B_22 = kappa1 is checked
+    by ``controller_fit_report`` rather than silently absorbed.  Raises
+    ``ValueError`` for a mode whose feedthrough D is not [I 0].
     """
-    a11, a22 = _diag_entries(a, "controller drift")
-    b11, b22 = _diag_entries(b, "measurement input matrix")
+    e_out, e_extra = noise_channels(mode)
+    a11, a22 = _diag_entries(mode.a, "controller drift")
+    b11, b22 = _diag_entries(mode.b, "measurement input matrix")
     if b11 * b22 <= 0:
         raise ValueError("measurement input gains must share a sign")
     kappa = -(a11 + a22)
     chi = (a22 - a11) / 2.0
-    kappa2 = _scalar_multiple(e1, "first noise block") ** 2
-    kappa3 = _scalar_multiple(e2, "second noise block") ** 2
+    kappa2 = _scalar_multiple(e_out, "first noise block") ** 2
+    kappa3 = _scalar_multiple(e_extra, "second noise block") ** 2
     kappa1 = kappa - kappa2 - kappa3
     if kappa1 <= 0:
         raise ValueError(
@@ -199,15 +192,15 @@ def realize_controller_optics(a, b, e1, e2, kappa_prime: float = 10.0) -> Optica
     )
 
 
-def controller_fit_report(a, b, e1, e2, kappa_prime: float = 10.0):
-    """Inversion plus consistency gaps of the measurement-gain product.
+def controller_fit_report(mode: ControllerMode, kappa_prime: float = 10.0):
+    """Inversion of ``mode`` plus consistency gaps of the measurement-gain product.
 
     Returns (realization, report) where the report records the gain product
     B_11 B_22 against the decay-budget kappa1 and whether the gap stays
     within 2e-3, the precision of four-decimal tabulated matrices.
     """
-    real = realize_controller_optics(a, b, e1, e2, kappa_prime)
-    b11, b22 = _diag_entries(b, "measurement input matrix")
+    real = realize_controller_optics(mode, kappa_prime)
+    b11, b22 = _diag_entries(mode.b, "measurement input matrix")
     product = b11 * b22
     gap = abs(product - real.kappa1)
     report = {

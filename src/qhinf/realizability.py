@@ -10,15 +10,19 @@ output through matching input channels.  Both conditions are algebraic:
 * output compatibility:  the input columns carrying the output feedthrough
   must equal Theta C^T diag(J, ..., J).
 
-Controllers produced by the synthesis layer generally violate both; the
-augmentation below adds fresh vacuum-noise channels that repair them
-exactly: the real Schur form of the skew residual splits it into planes,
-and each plane gives one pair of repair channels.
+A controller mode states its noise layout through its feedthrough: with n_u
+outputs and n_nu noise channels, D = [I 0] (``np.eye(n_u, n_nu)``) routes
+the output through the first n_u noise channels, E = [E_out, E_extra].
+Controllers produced by the synthesis layer have no noise channels and
+violate both conditions; the augmentation below adds fresh vacuum-noise
+channels in that layout that repair them exactly: E_out is forced by the
+output condition, and the real Schur form of the remaining skew defect
+splits it into planes, each of which gives one pair of repair channels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
@@ -38,7 +42,7 @@ __all__ = [
     "output_condition_residual",
     "check_controller_realizability",
     "factor_skew_canonical",
-    "AugmentedNoise",
+    "noise_channels",
     "augment_controller",
     "augment_jump_controller",
 ]
@@ -116,26 +120,40 @@ def check_controller_realizability(ctrl: Controller, tol: float = DEFAULT_TOL):
 
     The combined input matrix of mode i is [B_i, E_i] over (measurement,
     noise) channels with the canonical vacuum Ito matrix on every channel.
-    The output condition is evaluated on the noise columns selected by the
-    feedthrough D_i, which by construction come first within E_i.  Raises
-    ``ValueError`` unless ``tol`` is finite and nonnegative.
+    The output defect of mode i evaluates the output condition on the noise
+    channels the layout D = [I 0] selects, E_i [I 0]^T, and adds
+    max|D_i - [I 0]|, so a mode whose feedthrough routes its output any
+    other way fails.  A mode with fewer than n_u noise channels leaves the
+    missing output columns zero.  Raises ``ValueError`` unless ``tol`` is
+    finite and nonnegative.
     """
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    n_in = ctrl.n_y + ctrl.n_nu
-    t_im = block_j(n_in)
+    t_im = block_j(ctrl.n_y + ctrl.n_nu)
+    layout = np.eye(ctrl.n_u, ctrl.n_nu)
     cr, out = [], []
     for mode in ctrl.modes:
         b_full = np.hstack([mode.b, mode.e])
         cr.append(_maxabs(cr_residual(mode.a, b_full, ctrl.theta_k, t_im)))
-        n_u = ctrl.n_u
-        if ctrl.n_nu >= n_u:
-            out.append(
-                _maxabs(output_condition_residual(mode.e[:, :n_u], mode.c, ctrl.theta_k))
-            )
-        else:
-            out.append(float("inf"))  # no noise channel can carry the output
+        routed = output_condition_residual(mode.e @ layout.T, mode.c, ctrl.theta_k)
+        out.append(_maxabs(routed) + _maxabs(mode.d - layout))
     return RealizabilityReport(tuple(cr), tuple(out), tol)
+
+
+def noise_channels(mode: ControllerMode):
+    """(E_out, E_extra): the noise columns of ``mode`` that carry its output
+    and the rest.
+
+    Raises ``ValueError`` unless the feedthrough is D = [I 0] with at least
+    n_u noise channels, the layout ``augment_controller`` produces.
+    """
+    n_u, n_nu = mode.d.shape
+    if n_nu < n_u or not np.array_equal(mode.d, np.eye(n_u, n_nu)):
+        raise ValueError(
+            f"controller feedthrough D must be [I 0] with I of size {n_u}, "
+            f"got the {n_u} x {n_nu} matrix {mode.d.tolist()}"
+        )
+    return mode.e[:, :n_u], mode.e[:, n_u:]
 
 
 def factor_skew_canonical(w) -> np.ndarray:
@@ -176,29 +194,12 @@ def factor_skew_canonical(w) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class AugmentedNoise:
-    """Noise channels that make a controller mode physically realizable."""
+def augment_controller(mode: ControllerMode, theta_k) -> ControllerMode:
+    """``mode`` with noise channels that repair its realizability.
 
-    e_out: np.ndarray    # columns carrying the output feedthrough
-    e_extra: np.ndarray  # columns repairing the commutation defect
-    d: np.ndarray        # output feedthrough selecting the first noise block
-
-    @property
-    def e(self) -> np.ndarray:
-        return np.hstack([self.e_out, self.e_extra])
-
-    @property
-    def n_noise(self) -> int:
-        return self.e_out.shape[1] + self.e_extra.shape[1]
-
-
-def augment_controller(a, b, c, theta_k) -> AugmentedNoise:
-    """Construct noise input blocks that repair realizability.
-
-    Given controller drift ``a`` (n_k x n_k), measurement input ``b``
-    (n_k x n_y) and output matrix ``c`` (n_u x n_k) with canonical
-    ``theta_k``:
+    Given controller drift A (n_k x n_k), measurement input B (n_k x n_y)
+    and output matrix C (n_u x n_k) with canonical ``theta_k``, the mode's
+    own D and E are replaced:
 
     1. the first noise block is forced by the output condition,
        E_out = Theta_K C^T diag(J), and the feedthrough is D = [I, 0];
@@ -206,52 +207,43 @@ def augment_controller(a, b, c, theta_k) -> AugmentedNoise:
        W = A Theta + Theta A^T + B J B^T + E_out J E_out^T
        is repaired by E_extra with E_extra J E_extra^T = -W.
 
-    The result passes the realizability check to 1e-9 on exact arithmetic;
-    ``RealizabilityError`` is raised when rounding (large controller gains)
-    leaves a commutation defect above that absolute tolerance.
+    The result has E = [E_out, E_extra] and passes the realizability check
+    to 1e-9 on exact arithmetic; ``RealizabilityError`` is raised when
+    rounding (large controller gains) leaves a commutation defect above that
+    absolute tolerance.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
     if isinstance(theta_k, CommutationMatrix) and not theta_k.is_canonical:
         raise ValueError("augmentation requires a canonical controller commutation matrix")
     th = _theta_mat(theta_k)
-    n_u = c.shape[0]
+    n_u = mode.c.shape[0]
     if n_u % 2:
         raise ValueError("controller output dimension must be even")
-    e_out = th @ c.T @ block_j(n_u)
-    n_y = b.shape[1]
-    t_im = block_j(n_y + n_u)
-    w = cr_residual(a, np.hstack([b, e_out]), th, t_im)
-    e_extra = factor_skew_canonical(w)
-    d = np.hstack([np.eye(n_u), np.zeros((n_u, e_extra.shape[1]))])
-    result = AugmentedNoise(e_out, e_extra, d)
-    full_b = np.hstack([b, result.e])
-    final = _maxabs(cr_residual(a, full_b, th, block_j(n_y + result.n_noise)))
+    e_out = th @ mode.c.T @ block_j(n_u)
+    n_y = mode.b.shape[1]
+    w = cr_residual(mode.a, np.hstack([mode.b, e_out]), th, block_j(n_y + n_u))
+    e = np.hstack([e_out, factor_skew_canonical(w)])
+    n_nu = e.shape[1]
+    final = _maxabs(cr_residual(mode.a, np.hstack([mode.b, e]), th, block_j(n_y + n_nu)))
     if final > DEFAULT_TOL:
         raise RealizabilityError(
             f"augmentation left a commutation defect {final:.3e} "
             f"above the tolerance {DEFAULT_TOL:g}"
         )
-    return result
+    return ControllerMode(mode.a, mode.b, mode.c, np.eye(n_u, n_nu), e)
 
 
 def augment_jump_controller(ctrl: Controller) -> Controller:
     """Augment every mode of a controller with realizability noise.
 
-    Modes may need a different number of repair channels; the noise blocks
-    are zero-padded on the right so all modes share one noise dimension.
-    Each count is even (n_u output channels plus repair channels in pairs),
-    so the shared one is too.
+    Modes may need a different number of repair channels; their D and E are
+    zero-padded on the right so all modes share one noise dimension.  Each
+    count is even (n_u output channels plus repair channels in pairs), so
+    the shared one is too.
     """
-    augmented = [
-        augment_controller(m.a, m.b, m.c, ctrl.theta_k) for m in ctrl.modes
-    ]
-    n_noise = max(a.n_noise for a in augmented)
-    modes = []
-    for mode, aug in zip(ctrl.modes, augmented):
-        pad = n_noise - aug.n_noise
-        e = np.hstack([aug.e, np.zeros((ctrl.n_k, pad))])
-        d = np.hstack([aug.d, np.zeros((ctrl.n_u, pad))])
-        modes.append(ControllerMode(mode.a, mode.b, mode.c, d, e))
-    return Controller(tuple(modes), ctrl.theta_k)
+    modes = [augment_controller(m, ctrl.theta_k) for m in ctrl.modes]
+    n_nu = max(m.e.shape[1] for m in modes)
+
+    def pad(x):
+        return np.pad(x, ((0, 0), (0, n_nu - x.shape[1])))
+
+    return Controller(tuple(replace(m, d=pad(m.d), e=pad(m.e)) for m in modes), ctrl.theta_k)

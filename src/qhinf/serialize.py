@@ -204,7 +204,9 @@ def parse_system_doc(doc):
 
 
 def dumps_doc(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text of ``doc``; raises ``ValueError`` on a NaN or
+    infinite float, which standard JSON cannot carry."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_doc(path, doc) -> Path:

@@ -52,7 +52,8 @@ COND_LIMIT = 1e10  # inversion guard for the reconstruction step
 
 class SynthesisError(RuntimeError):
     """No controller was produced; ``solution`` is the LMI solution when the
-    solve itself ended without a feasible verdict, else None."""
+    solve itself ended without a controller (no feasible verdict, or a level
+    search whose level is not within tolerance), else None."""
 
     def __init__(self, message, solution=None):
         super().__init__(message)
@@ -303,7 +304,8 @@ def min_attenuation(
     if not within(gamma, gamma - solution.gap):
         raise SynthesisError(
             f"level g={np.sqrt(gamma):.6g} not within tol_g={tol_g} of the least level "
-            f"({solution.summary()}, gap bound {solution.gap:.3e} on g^2)"
+            f"({solution.summary()}, gap bound {solution.gap:.3e} on g^2)",
+            solution,
         )
     g_star = min(float(np.sqrt(gamma)) + half, g_hi)
     try:

@@ -47,9 +47,10 @@ def test_criterion_2_augmentation_reproduction():
     gaps = []
     ok = True
     for mode, target, tol in zip(ref.modes, expected, tols):
-        aug = realizability.augment_controller(mode.a, mode.b, mode.c, ref.theta_k)
-        coeff = aug.e_extra[0, 0]
-        off_identity = float(np.max(np.abs(aug.e_extra - coeff * np.eye(2))))
+        aug = realizability.augment_controller(mode, ref.theta_k)
+        _, e_extra = realizability.noise_channels(aug)
+        coeff = e_extra[0, 0]
+        off_identity = float(np.max(np.abs(e_extra - coeff * np.eye(2))))
         gaps.append(abs(coeff - target))
         ok = ok and off_identity <= 1e-9 and abs(coeff - target) <= tol
     _verdict(2, ok, "repair gains vs tabulated: " +
@@ -143,11 +144,12 @@ def test_criterion_8_optics_round_trip_and_flags():
     # product/ratio-exact on the measurement gain
     for i, mode in enumerate(ref.modes):
         e1, e2 = demo.REFERENCE_EXTRA_NOISE[i]
-        real = optics.realize_controller_optics(mode.a, mode.b, e1, e2, 10.0)
+        real = optics.realize_controller_optics(mode, 10.0)
         rebuilt = optics.controller_from_optics(real)
+        rebuilt_e1, rebuilt_e2 = realizability.noise_channels(rebuilt)
         ok = ok and np.max(np.abs(rebuilt.a - mode.a)) <= 1e-12
-        ok = ok and np.max(np.abs(rebuilt.e1 - e1)) <= 1e-12
-        ok = ok and np.max(np.abs(rebuilt.e2 - e2)) <= 1e-12
+        ok = ok and np.max(np.abs(rebuilt_e1 - e1)) <= 1e-12
+        ok = ok and np.max(np.abs(rebuilt_e2 - e2)) <= 1e-12
         prod_gap = abs(rebuilt.b[0, 0] * rebuilt.b[1, 1] - mode.b[0, 0] * mode.b[1, 1])
         ratio_gap = abs(
             rebuilt.b[1, 1] / rebuilt.b[0, 0] - mode.b[1, 1] / mode.b[0, 0]

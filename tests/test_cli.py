@@ -13,7 +13,7 @@ import qhinf
 from qhinf import analysis, demo, jumpsim, realizability, serialize
 from qhinf.cli import main
 from qhinf.qmodel import (
-    Controller, ControllerMode, JumpPlant, TransitionRateMatrix, make_commutation_matrix,
+    J2, Controller, ControllerMode, JumpPlant, TransitionRateMatrix, make_commutation_matrix,
 )
 
 
@@ -64,6 +64,49 @@ def test_check_pr_doc_format(docs, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["realizable"] is True
     assert len(doc["cr_residuals"]) == 3
+
+
+@pytest.fixture
+def zero_feedthrough_ctrl(docs, tmp_path):
+    """The tabulated controller with its noise blocks kept and D set to 0."""
+    doc = json.loads(docs["ctrl"].read_text())
+    for mode in doc["controller"]["modes"]:
+        mode["D"] = [[0.0] * len(row) for row in mode["D"]]
+    path = tmp_path / "ctrl_d0.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_check_pr_reads_the_feedthrough(zero_feedthrough_ctrl, capsys):
+    # with D = [I 0] the same controller passes at 5e-3 (test_check_pr_pass_and_fail)
+    rc = main(["check-pr", "--controller", str(zero_feedthrough_ctrl), "--tol", "5e-3",
+               "--format", "doc"])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["realizable"] is False
+    assert all(r >= 1.0 for r in doc["output_residuals"])
+
+
+def test_optics_realize_refuses_another_feedthrough(zero_feedthrough_ctrl, capsys):
+    rc = main(["optics", "realize", "--controller", str(zero_feedthrough_ctrl)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert "feedthrough D must be [I 0]" in captured.err
+    assert "kappa=" not in captured.out
+
+
+def test_check_pr_of_a_raw_synthesized_controller_is_standard_json(docs, capsys):
+    raw = docs["root"] / "raw" / "ctrl.json"
+    assert main(["synth", "--plant", str(docs["plant"]), "--g", "0.5", "--out", str(raw)]) == 0
+    capsys.readouterr()
+    assert main(["check-pr", "--controller", str(raw), "--format", "doc"]) == 1
+    doc = json.loads(capsys.readouterr().out,
+                     parse_constant=lambda name: pytest.fail(f"non-finite {name} written"))
+    # no noise channel carries the output, so its whole column Theta C^T J is the defect
+    _, ctrl, _ = serialize.parse_system_doc(serialize.read_doc(raw))
+    assert ctrl.n_nu == 0
+    assert doc["output_residuals"] == [
+        float(np.max(np.abs(ctrl.theta_k.theta @ m.c.T @ J2))) for m in ctrl.modes]
 
 
 def test_augment_command(docs, capsys):
@@ -261,6 +304,24 @@ def test_input_error_exit_code(tmp_path, capsys):
     bad.write_text('{"controller": {"modes": [], "theta": {"n": 2, "kind": "canonical"}, "zz": 1}}')
     rc = main(["check-pr", "--controller", str(bad)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["synth", "--g", "0.5", "--plant", "{ctrl}"], "'plant'"),
+    (["check-pr", "--controller", "{plant}"], "'controller'"),
+    (["augment", "--controller", "{plant}"], "'controller'"),
+    (["analyze", "--plant", "{ctrl}", "--controller", "{ctrl}", "--g", "0.5"], "'plant'"),
+    (["simulate", "--system", "{rates}"], "'plant' and no 'controller'"),
+    (["optics", "realize", "--controller", "{plant}"], "'controller'"),
+])
+def test_document_without_a_needed_section_is_input_error(docs, capsys, argv, missing):
+    rates = docs["root"] / "rates.json"
+    serialize.write_doc(rates, {"rates": json.loads(docs["plant"].read_text())["rates"]})
+    paths = {"plant": docs["plant"], "ctrl": docs["ctrl"], "rates": rates}
+    assert main([arg.format(**paths) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert f"the document has no {missing} section" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("modes", [5, None])
@@ -529,6 +590,19 @@ def test_demo_report_records_the_certificate_solve(demo_docs):
     assert check["detail"].startswith(
         "coupled certificate feasible, 66 Newton steps, margin 9.96")
     assert "; abscissas [" in check["detail"]
+
+
+def test_full_demo_runs_the_simulation_probe(tmp_path, capsys):
+    out_dir = tmp_path / "demo"
+    doc = tmp_path / "report_doc.json"
+    rc = main(["demo-paper", "--paths", "2", "--format", "doc", "--out-dir", str(out_dir),
+               "--out", str(doc)])
+    assert rc == 0
+    assert doc.read_bytes() == (out_dir / "report.json").read_bytes()
+    report = serialize.read_doc(doc)
+    (probe,) = [c for c in report["checks"]
+                if c["name"] == "simulated energy ratios stay below the certified level"]
+    assert probe["status"] == "PASS"
 
 
 def test_check_pr_rejects_negative_tolerance(demo_docs, capsys):

@@ -11,7 +11,8 @@ from qhinf.optics import (
     realize_controller_optics,
     static_squeezer_gain,
 )
-from qhinf.qmodel import block_j
+from qhinf.qmodel import ControllerMode, block_j
+from qhinf.realizability import noise_channels
 
 
 def test_opo_plant_reference_mode_drifts():
@@ -74,6 +75,11 @@ def test_static_squeezer_unit_determinant_and_swap(seed):
     assert np.allclose(np.diag(g_flip), np.diag(g)[::-1])
 
 
+def _optical_mode(a, b, e1, e2):
+    """Controller mode with noise blocks e1, e2 in the layout D = [I 0]."""
+    return ControllerMode(a, b, np.zeros((2, 2)), np.eye(2, 4), np.hstack([e1, e2]))
+
+
 MODE1 = OpticalRealization(
     kappa=3.8761, kappa1=2.3724, kappa2=0.0011, kappa3=1.5026,
     chi=-0.1846, kappa_prime=10.0, chi_prime=0.6237,
@@ -82,9 +88,10 @@ MODE1 = OpticalRealization(
 
 def test_controller_from_optics_mode1():
     m = controller_from_optics(MODE1)
+    e1, e2 = noise_channels(m)
     assert np.max(np.abs(np.diag(m.a) - [-1.7535, -2.1226])) <= 2e-4
-    assert np.max(np.abs(np.diag(m.e1) - 0.0331)) <= 1e-4
-    assert np.max(np.abs(np.diag(m.e2) - 1.2258)) <= 1e-4
+    assert np.max(np.abs(np.diag(e1) - 0.0331)) <= 1e-4
+    assert np.max(np.abs(np.diag(e2) - 1.2258)) <= 1e-4
     assert np.allclose(m.c, -np.sqrt(0.0011) * np.eye(2))
     assert np.array_equal(m.d, np.hstack([np.eye(2), np.zeros((2, 2))]))
     # gain formula disagrees with the tabulated measurement matrix: this is
@@ -103,8 +110,7 @@ def test_controller_from_optics_passive_cavity():
 
 def test_realize_reference_mode1():
     ref = demo.reference_controller()
-    e1, e2 = demo.REFERENCE_EXTRA_NOISE[0]
-    real = realize_controller_optics(ref.modes[0].a, ref.modes[0].b, e1, e2, 10.0)
+    real = realize_controller_optics(ref.modes[0], 10.0)
     assert real.kappa == pytest.approx(3.8761, abs=1e-12)
     assert real.chi == pytest.approx(-0.1846, abs=1e-4)
     assert real.kappa1 == pytest.approx(2.3724, abs=2e-3)
@@ -121,27 +127,27 @@ def test_static_squeezer_rejects_bad_kappa_prime(kappa_prime):
         OpticalRealization(kappa=2.0, kappa1=2.0, kappa2=0.0, kappa3=0.0,
                            chi=0.0, kappa_prime=kappa_prime, chi_prime=0.0)
     ref = demo.reference_controller()
-    e1, e2 = demo.REFERENCE_EXTRA_NOISE[0]
     with pytest.raises(ValueError, match="kappa_prime"):
-        realize_controller_optics(ref.modes[0].a, ref.modes[0].b, e1, e2, kappa_prime)
+        realize_controller_optics(ref.modes[0], kappa_prime)
 
 
 def test_realize_rejects_exhausted_decay_budget():
     a = -np.eye(2)
     with pytest.raises(ValueError, match="decay budget"):
-        realize_controller_optics(a, np.eye(2), np.eye(2), np.eye(2), 10.0)
+        realize_controller_optics(_optical_mode(a, np.eye(2), np.eye(2), np.eye(2)), 10.0)
 
 
 def test_realize_rejects_nondiagonal():
     with pytest.raises(ValueError, match="diagonal"):
-        realize_controller_optics(np.array([[1.0, 0.5], [0.0, 1.0]]),
-                                  np.eye(2), 0.1 * np.eye(2), 0.1 * np.eye(2))
+        realize_controller_optics(_optical_mode(np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                                np.eye(2), 0.1 * np.eye(2), 0.1 * np.eye(2)))
 
 
 def test_realize_rejects_mixed_sign_gains():
     a = np.diag([-2.0, -3.0])
     with pytest.raises(ValueError, match="share a sign"):
-        realize_controller_optics(a, np.diag([1.0, -1.0]), 0.1 * np.eye(2), 0.1 * np.eye(2))
+        realize_controller_optics(
+            _optical_mode(a, np.diag([1.0, -1.0]), 0.1 * np.eye(2), 0.1 * np.eye(2)))
 
 
 @given(st.integers(0, 10**6))
@@ -158,7 +164,7 @@ def test_round_trip_from_parameters(seed):
         chi_prime=float(rng.uniform(-4.9, 4.9)),
     )
     m = controller_from_optics(real)
-    back = realize_controller_optics(m.a, m.b, m.e1, m.e2, kappa_prime=10.0)
+    back = realize_controller_optics(m, kappa_prime=10.0)
     assert back.kappa == pytest.approx(real.kappa, abs=1e-9)
     assert back.chi == pytest.approx(real.chi, abs=1e-9)
     assert back.kappa1 == pytest.approx(real.kappa1, abs=1e-9)
@@ -169,9 +175,8 @@ def test_round_trip_from_parameters(seed):
 
 def test_fit_report_flags_product_gap():
     ref = demo.reference_controller()
-    for i, mode in enumerate(ref.modes):
-        e1, e2 = demo.REFERENCE_EXTRA_NOISE[i]
-        _, fit = controller_fit_report(mode.a, mode.b, e1, e2, 10.0)
+    for mode in ref.modes:
+        _, fit = controller_fit_report(mode, 10.0)
         assert fit["consistent"]
         assert fit["product_gap"] <= 2e-3
 

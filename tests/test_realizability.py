@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qhinf import demo
-from qhinf.qmodel import J2, block_j, make_commutation_matrix
+from qhinf.qmodel import J2, Controller, ControllerMode, block_j, make_commutation_matrix
 from qhinf.realizability import (
     augment_controller,
     augment_jump_controller,
     check_controller_realizability,
     cr_residual,
     factor_skew_canonical,
+    noise_channels,
     output_condition_residual,
 )
 from qhinf.synthesis import synthesize
@@ -75,6 +77,24 @@ def test_output_condition_rejects_odd_output():
 def test_reference_controller_realizable_with_noise():
     report = check_controller_realizability(demo.reference_controller(), tol=5e-3)
     assert report.realizable
+
+
+def test_reference_controller_not_realizable_without_its_feedthrough():
+    # the tabulated noise blocks stay, but D = 0 routes the output through none of them
+    ref = demo.reference_controller()
+    zeroed = Controller(tuple(replace(m, d=np.zeros_like(m.d)) for m in ref.modes), ref.theta_k)
+    base = check_controller_realizability(ref, tol=5e-3)
+    report = check_controller_realizability(zeroed, tol=5e-3)
+    assert not report.realizable
+    assert report.cr_residuals == base.cr_residuals
+    assert report.output_residuals == tuple(r + 1.0 for r in base.output_residuals)
+
+
+@pytest.mark.parametrize("d", [np.zeros((2, 4)), np.eye(2, 4)[::-1], np.eye(2, 0)])
+def test_noise_channels_rejects_other_layouts(d):
+    mode = ControllerMode(J2, J2, J2, d, np.ones((2, d.shape[1])))
+    with pytest.raises(ValueError, match=r"feedthrough D must be \[I 0\]"):
+        noise_channels(mode)
 
 
 def test_reference_controller_not_realizable_without_noise():
@@ -151,17 +171,20 @@ def test_augment_reference_modes():
     tols = (1e-3, 2e-3, 1e-3)
     ref = demo.reference_controller()
     for mode, coeff, tol in zip(ref.modes, expected, tols):
-        aug = augment_controller(mode.a, mode.b, mode.c, ref.theta_k)
-        assert np.allclose(aug.e_out, 0.0331 * np.eye(2), atol=1e-12)
-        assert np.max(np.abs(aug.e_extra - aug.e_extra[0, 0] * np.eye(2))) <= 1e-10
-        assert abs(aug.e_extra[0, 0] - coeff) <= tol
+        aug = augment_controller(mode, ref.theta_k)
+        e_out, e_extra = noise_channels(aug)
+        assert np.allclose(e_out, 0.0331 * np.eye(2), atol=1e-12)
+        assert np.max(np.abs(e_extra - e_extra[0, 0] * np.eye(2))) <= 1e-10
+        assert abs(e_extra[0, 0] - coeff) <= tol
         assert np.array_equal(aug.d, np.hstack([np.eye(2), np.zeros((2, 2))]))
 
 
 def test_augment_trivial_controller():
-    aug = augment_controller(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), J2)
-    assert np.max(np.abs(aug.e_out)) == 0.0
-    assert aug.e_extra.shape[1] == 0
+    zero = np.zeros((2, 2))
+    aug = augment_controller(ControllerMode(zero, zero, zero, zero[:, :0], zero[:, :0]), J2)
+    e_out, e_extra = noise_channels(aug)
+    assert np.max(np.abs(e_out)) == 0.0
+    assert e_extra.shape[1] == 0
 
 
 def test_augment_idempotent_in_effect():
@@ -169,7 +192,7 @@ def test_augment_idempotent_in_effect():
     for ctrl in (demo.reference_controller(with_noise=False), synthesized):
         # n_u output channels plus repair channels in pairs: even before padding
         for m in ctrl.modes:
-            assert augment_controller(m.a, m.b, m.c, ctrl.theta_k).n_noise % 2 == 0
+            assert augment_controller(m, ctrl.theta_k).e.shape[1] % 2 == 0
         aug_ctrl = augment_jump_controller(ctrl)
         report = check_controller_realizability(aug_ctrl, tol=1e-9)
         assert report.realizable
@@ -183,9 +206,9 @@ def test_augment_random_controllers(seed):
     a = rng.normal(size=(n_k, n_k))
     b = rng.normal(size=(n_k, n_y))
     c = rng.normal(size=(n_u, n_k))
-    aug = augment_controller(a, b, c, J2)
+    aug = augment_controller(ControllerMode(a, b, c, np.zeros((n_u, 0)), np.zeros((n_k, 0))), J2)
     b_full = np.hstack([b, aug.e])
-    res = cr_residual(a, b_full, J2, block_j(n_y + aug.n_noise))
+    res = cr_residual(a, b_full, J2, block_j(n_y + aug.e.shape[1]))
     assert np.max(np.abs(res)) <= 1e-9
     out = output_condition_residual(aug.e[:, :n_u], c, J2)
     assert np.max(np.abs(out)) <= 1e-12

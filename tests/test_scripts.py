@@ -98,3 +98,14 @@ def test_bench_timed_records_budget_exhaustion():
         lambda: (0.05, synthesis.synthesize(demo.reference_plant(), 0.05, max_iter=0)))
     assert g is None
     assert bench.record(seconds, solution)["status"] == "max-iter"
+
+
+def test_bench_timed_records_a_level_search_cut_before_tolerance():
+    bench = _load_script("bench.py")
+    from qhinf import demo, synthesis
+
+    seconds, g, solution = bench.timed(lambda: synthesis.min_attenuation(
+        demo.reference_plant(), 0.01, 1.0, tol_g=5e-3, max_iter=80))
+    assert seconds > 0 and g is None
+    assert solution.iterations == 80
+    assert bench.record(seconds, solution)["newton_steps"] == 80

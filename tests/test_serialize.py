@@ -113,12 +113,19 @@ def test_non_finite_matrix_entry_rejected(value):
         serialize.decode_matrix([[1.0, value]], "controller.modes[0].B")
     doc = system_to_doc(controller=demo.reference_controller(), rates=demo.reference_plant().rates)
     doc["controller"]["modes"][0]["B"][0][0] = value
+    # dumps_doc refuses such a value, so the document comes from another writer
     with pytest.raises(DocumentError, match=r"modes\[0\]\.B: entries must be finite"):
-        parse_system_doc(json.loads(dumps_doc(doc)))
+        parse_system_doc(json.loads(json.dumps(doc)))
     doc = system_to_doc(plant=demo.reference_plant())
     doc["rates"][0][1] = value
     with pytest.raises(DocumentError, match="^rates: entries must be finite"):
-        parse_system_doc(json.loads(dumps_doc(doc)))
+        parse_system_doc(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_documents_are_standard_json(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dumps_doc({"worst": value})
 
 
 def test_large_finite_matrix_entry_accepted():

@@ -335,6 +335,9 @@ def test_min_attenuation_budget_exhausted_raises():
     with pytest.raises(SynthesisError, match="not within tol_g") as info:
         min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3, max_iter=80)
     assert not isinstance(info.value, LmiInfeasibleError)
+    # the error carries the cut solve, so callers can record what it did
+    assert info.value.solution.iterations == 80
+    assert info.value.solution.feasible
 
 
 @pytest.mark.parametrize(("tol_g", "g_star", "steps"), [
