@@ -2,7 +2,8 @@
 
 Submodules:
 
-* ``qmodel``: commutation matrices, rate matrices, plant/controller containers
+* ``qmodel``: the canonical commutation matrix, rate matrices, plant/controller
+  containers
 * ``realizability``: physical realizability checks and noise augmentation
 * ``lmi``: strict LMI feasibility engine
 * ``synthesis``: controller synthesis from coupled LMIs
@@ -15,7 +16,6 @@ Submodules:
 __version__ = "0.1.0"
 
 from .qmodel import (  # noqa: F401,E402
-    CommutationMatrix,
     Controller,
     ControllerMode,
     ClosedLoop,
@@ -24,5 +24,4 @@ from .qmodel import (  # noqa: F401,E402
     assemble_closed_loop,
     block_j,
     make_commutation_matrix,
-    validate_generator,
 )

@@ -41,6 +41,7 @@ __all__ = [
     "sample_markov_path",
     "MomentTrajectory",
     "propagate_moments",
+    "MAX_GRID_STEPS",
     "Disturbance",
     "default_disturbance_family",
     "AttenuationEstimate",
@@ -146,6 +147,10 @@ class MomentTrajectory:
 
 _DOMINANCE_TOL = 1e-8
 
+# Cap on t_end / dt in ``propagate_moments``: every sample is stored, with
+# copies of the stack, so a finer grid would exhaust memory before it ran.
+MAX_GRID_STEPS = 10**6
+
 
 def _dominance_defect(q, mean):
     """Least eigenvalue of the covariances q_t - m_t m_t^T when it lies below
@@ -186,6 +191,8 @@ def propagate_moments(
     segment are filled by doubling: with s_1 .. s_f known and Phi^f at hand,
     one product with (Phi^f)^T gives s_{f+1} .. s_{2f}, and Phi^f is then
     squared, so a segment of N steps costs ceil(log2 N) batched products.
+    ``ValueError`` is raised before any allocation when t_end / dt exceeds
+    ``MAX_GRID_STEPS``.
 
     The second moments are checked for symmetry.  With ``validate`` the
     covariances Q - <eta><eta>^T must also stay positive semidefinite, to
@@ -196,6 +203,9 @@ def propagate_moments(
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"step size must be finite and positive, got {dt}")
+    if path.t_end / dt > MAX_GRID_STEPS:
+        raise ValueError(f"step size {dt:g} samples the horizon {path.t_end:g} at "
+                         f"{path.t_end / dt:.3g} points, above the cap of {MAX_GRID_STEPS}")
     n = closed_loop.n
     mean = np.array(mean0, dtype=float).reshape(n)
     q = np.array(q0, dtype=float)

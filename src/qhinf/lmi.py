@@ -352,8 +352,7 @@ class _Group:
     shift t, with coefficient -I in every member, so member j's slack is
     S_j = t I - M_j(v) = -(const_j + sum_q x[idx_jq] C_jq)."""
 
-    def __init__(self, members, const, idx, coeffs):
-        self.members = np.asarray(members)  # constraint indices, in problem order
+    def __init__(self, const, idx, coeffs):
         self.const = np.stack(const)        # (m, d, d) M_j(0)
         self.idx = np.stack(idx)            # (m, p) parameter indices, the shift's last
         self.coeffs = np.stack(coeffs)      # (m, p, d^2) flattened C_jq, the shift's -I last
@@ -419,7 +418,7 @@ def _materialise(problem: LmiProblem, layout: _Layout) -> _Oriented:
         if members[-1] and (len(members[-1]) + 1) * coeffs.size > _GROUP_ENTRIES:
             members.append([])
         members[-1].append(k)
-    groups = [_Group(m, *zip(*(data[k] for k in m))) for run in runs.values() for m in run]
+    groups = [_Group(*zip(*(data[k] for k in m))) for run in runs.values() for m in run]
     return _Oriented(groups, layout.total)
 
 

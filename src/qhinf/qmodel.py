@@ -13,18 +13,15 @@ be shared freely across concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "J2",
     "block_j",
-    "CommutationMatrix",
     "make_commutation_matrix",
     "TransitionRateMatrix",
-    "GeneratorReport",
-    "validate_generator",
     "as_rate_matrix",
     "JumpPlant",
     "ControllerMode",
@@ -62,93 +59,24 @@ def block_j(m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CommutationMatrix:
-    """Commutation matrix Theta of a vector of self-adjoint variables.
+def make_commutation_matrix(n: int) -> np.ndarray:
+    """The canonical commutation matrix diag(J, ..., J) of dimension n, read-only.
 
-    ``canonical`` (null_dim 0) is a block diagonal of J2 blocks; ``degenerate``
-    carries a leading ``null_dim x null_dim`` zero block followed by J2
-    blocks.  ``theta`` is built from this pattern once (n, kind, null_dim)
-    are validated.
+    Raises ``ValueError`` unless n is even and positive.
     """
-
-    n: int
-    kind: str
-    null_dim: int
-    theta: np.ndarray = field(init=False, compare=False)
-
-    def __post_init__(self):
-        n, null_dim = self.n, self.null_dim
-        if n <= 0 or n % 2:
-            raise ValueError(f"commutation matrix dimension must be even and positive, got {n}")
-        if self.kind not in ("canonical", "degenerate"):
-            raise ValueError(f"unknown commutation matrix kind {self.kind!r}")
-        if self.kind == "canonical" and null_dim != 0:
-            raise ValueError("canonical kind does not take a null block size")
-        if self.kind == "degenerate" and (not 0 < null_dim <= n or (n - null_dim) % 2):
-            raise ValueError(
-                f"invalid null block size {null_dim} for dimension {n}: "
-                "need 0 < null_dim <= n and n - null_dim even"
-            )
-        theta = np.zeros((n, n))
-        theta[null_dim:, null_dim:] = block_j(n - null_dim)
-        object.__setattr__(self, "theta", _freeze(theta))
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.kind == "canonical"
+    if n <= 0 or n % 2:
+        raise ValueError(f"commutation matrix dimension must be even and positive, got {n}")
+    return _freeze(block_j(n))
 
 
-def make_commutation_matrix(
-    n: int, kind: str = "canonical", null_dim: int | None = None
-) -> CommutationMatrix:
-    """Build a canonical or degenerate-canonical commutation matrix.
-
-    Parameters
-    ----------
-    n:
-        System dimension; must be even and positive.
-    kind:
-        ``"canonical"`` or ``"degenerate"``.
-    null_dim:
-        Size of the leading zero block for the degenerate kind; must satisfy
-        0 < null_dim <= n with n - null_dim even.  ``None`` means no null
-        block and is rejected for the degenerate kind.
-    """
-    if null_dim is None:
-        if kind == "degenerate":
-            raise ValueError("degenerate kind requires the null block size")
-        null_dim = 0
-    return CommutationMatrix(n, kind, null_dim)
-
-
-@dataclass(frozen=True)
-class GeneratorReport:
-    """Result of checking a candidate transition-rate matrix."""
-
-    ok: bool
-    violations: tuple = ()
-
-
-def validate_generator(rates) -> GeneratorReport:
-    """Check generator structure: nonnegative off-diagonals, zero row sums.
-
-    Accepts a raw square array or a TransitionRateMatrix.  Row sums are
-    allowed to deviate from zero by at most 1e-12.
-    """
-    pi = rates.pi if isinstance(rates, TransitionRateMatrix) else np.asarray(rates, dtype=float)
-    if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
-        return GeneratorReport(False, (("not_square", -1, -1, 0.0),))
-    violations = []
-    n = pi.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i != j and pi[i, j] < 0:
-                violations.append(("negative_offdiag", i, j, float(pi[i, j])))
-        row_sum = float(np.sum(pi[i]))
-        if abs(row_sum) > 1e-12:
-            violations.append(("row_sum", i, -1, row_sum))
-    return GeneratorReport(not violations, tuple(violations))
+def _check_theta(name: str, theta, n: int) -> np.ndarray:
+    """``theta`` as a read-only array; raises ``ValueError`` naming ``name``
+    unless it is the canonical diag(J, ..., J) of dimension n."""
+    theta = _freeze(theta)
+    if n <= 0 or n % 2 or not np.array_equal(theta, block_j(n)):
+        raise ValueError(f"{name} must be the canonical commutation matrix diag(J, ..., J) "
+                         f"of dimension {n}")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -158,10 +86,19 @@ class TransitionRateMatrix:
     pi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", _freeze(self.pi))
-        report = validate_generator(self.pi)
-        if not report.ok:
-            raise ValueError(f"invalid transition-rate matrix: {report.violations}")
+        pi = _freeze(self.pi)
+        object.__setattr__(self, "pi", pi)
+        if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
+            raise ValueError(f"invalid transition-rate matrix: not square, shape {pi.shape}")
+        negative = [(int(i), int(j)) for i, j in np.argwhere(pi - np.diag(np.diag(pi)) < 0)]
+        rows = [int(i) for i in np.flatnonzero(np.abs(pi.sum(axis=1)) > 1e-12)]
+        faults = []
+        if negative:
+            faults.append(f"negative off-diagonal rates at entries {negative}")
+        if rows:
+            faults.append(f"row sums off zero by more than 1e-12 in rows {rows}")
+        if faults:
+            raise ValueError(f"invalid transition-rate matrix: {'; '.join(faults)}")
 
     @property
     def n_modes(self) -> int:
@@ -195,7 +132,7 @@ class JumpPlant:
     d1: np.ndarray
     c2: np.ndarray
     d2: np.ndarray
-    theta: CommutationMatrix
+    theta: np.ndarray
     rates: TransitionRateMatrix
 
     def __post_init__(self):
@@ -207,8 +144,7 @@ class JumpPlant:
         n = self.a_modes[0].shape[0]
         for k, a in enumerate(self.a_modes):
             _check_shape(f"A_{k + 1}", a, (n, n))
-        if self.theta.n != n:
-            raise ValueError("commutation matrix dimension inconsistent with A")
+        object.__setattr__(self, "theta", _check_theta("plant theta", self.theta, n))
         _check_shape("B1", self.b1, (n, self.n_w))
         _check_shape("B2", self.b2, (n, self.n_u))
         _check_shape("C1", self.c1, (self.n_z, n))
@@ -274,7 +210,7 @@ class Controller:
     """Mode-switched controller with its own commutation matrix."""
 
     modes: tuple
-    theta_k: CommutationMatrix
+    theta_k: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
@@ -285,8 +221,8 @@ class Controller:
             for name in ("a", "b", "c", "d", "e"):
                 if getattr(m, name).shape != getattr(first, name).shape:
                     raise ValueError(f"controller mode {k + 1} disagrees on {name} shape")
-        if self.theta_k.n != self.n_k:
-            raise ValueError("controller commutation matrix dimension mismatch")
+        object.__setattr__(self, "theta_k", _check_theta("controller theta_k", self.theta_k,
+                                                         self.n_k))
         if self.n_nu % 2:
             raise ValueError("controller noise dimension must be even")
 
@@ -317,10 +253,9 @@ class ClosedLoopMode:
     b1: np.ndarray
     b2: np.ndarray
     c: np.ndarray
-    d: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "b1", "b2", "c", "d"):
+        for name in ("a", "b1", "b2", "c"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
@@ -359,10 +294,11 @@ def assemble_closed_loop(plant: JumpPlant, ctrl: Controller) -> ClosedLoop:
     For mode i the closed-loop blocks are
 
         A~ = [[A_i, B2 C_i], [B_i C2, A_i^K]]
-        B1~ = [B1; B_i D2],  B2~ = [B2 D_i; E_i],
-        C~ = [C1, D1 C_i],   D~ = D1 D_i,
+        B1~ = [B1; B_i D2],  B2~ = [B2 D_i; E_i],  C~ = [C1, D1 C_i],
 
-    with the plant state stacked above the controller state.
+    with the plant state stacked above the controller state.  The output's
+    noise feedthrough D1 D_i is not kept: no energy the program computes
+    reads it.
     """
     if plant.n_modes != ctrl.n_modes:
         raise ValueError(
@@ -378,6 +314,5 @@ def assemble_closed_loop(plant: JumpPlant, ctrl: Controller) -> ClosedLoop:
         b1 = np.vstack([plant.b1, km.b @ plant.d2])
         b2 = np.vstack([plant.b2 @ km.d, km.e])
         c = np.hstack([plant.c1, plant.d1 @ km.c])
-        d = plant.d1 @ km.d
-        modes.append(ClosedLoopMode(a, b1, b2, c, d))
+        modes.append(ClosedLoopMode(a, b1, b2, c))
     return ClosedLoop(tuple(modes), plant.rates)

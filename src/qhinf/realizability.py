@@ -27,13 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
-from .qmodel import (
-    CommutationMatrix,
-    Controller,
-    ControllerMode,
-    _maxabs,
-    block_j,
-)
+from .qmodel import Controller, ControllerMode, _maxabs, block_j
 
 __all__ = [
     "RealizabilityError",
@@ -54,12 +48,6 @@ class RealizabilityError(RuntimeError):
     """The noise augmentation could not repair the commutation defect."""
 
 
-def _theta_mat(theta) -> np.ndarray:
-    if isinstance(theta, CommutationMatrix):
-        return theta.theta
-    return np.asarray(theta, dtype=float)
-
-
 def cr_residual(a, b, theta, t_im) -> np.ndarray:
     """Commutation-preservation defect A Theta + Theta A^T + B T_im B^T.
 
@@ -68,7 +56,7 @@ def cr_residual(a, b, theta, t_im) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    th = _theta_mat(theta)
+    th = np.asarray(theta, dtype=float)
     t_im = np.asarray(t_im, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or th.shape != (n, n):
@@ -86,7 +74,7 @@ def output_condition_residual(b, c, theta) -> np.ndarray:
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    th = _theta_mat(theta)
+    th = np.asarray(theta, dtype=float)
     n_y = c.shape[0]
     if n_y % 2:
         raise ValueError("output dimension must be even")
@@ -212,18 +200,15 @@ def augment_controller(mode: ControllerMode, theta_k) -> ControllerMode:
     rounding (large controller gains) leaves a commutation defect above that
     absolute tolerance.
     """
-    if isinstance(theta_k, CommutationMatrix) and not theta_k.is_canonical:
-        raise ValueError("augmentation requires a canonical controller commutation matrix")
-    th = _theta_mat(theta_k)
     n_u = mode.c.shape[0]
     if n_u % 2:
         raise ValueError("controller output dimension must be even")
-    e_out = th @ mode.c.T @ block_j(n_u)
+    e_out = theta_k @ mode.c.T @ block_j(n_u)
     n_y = mode.b.shape[1]
-    w = cr_residual(mode.a, np.hstack([mode.b, e_out]), th, block_j(n_y + n_u))
+    w = cr_residual(mode.a, np.hstack([mode.b, e_out]), theta_k, block_j(n_y + n_u))
     e = np.hstack([e_out, factor_skew_canonical(w)])
     n_nu = e.shape[1]
-    final = _maxabs(cr_residual(mode.a, np.hstack([mode.b, e]), th, block_j(n_y + n_nu)))
+    final = _maxabs(cr_residual(mode.a, np.hstack([mode.b, e]), theta_k, block_j(n_y + n_nu)))
     if final > DEFAULT_TOL:
         raise RealizabilityError(
             f"augmentation left a commutation defect {final:.3e} "

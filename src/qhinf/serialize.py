@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .qmodel import (
-    CommutationMatrix,
     Controller,
     ControllerMode,
     JumpPlant,
@@ -71,24 +70,21 @@ def _require_keys(obj: dict, allowed: set, label: str):
         raise DocumentError(f"{label}: unknown keys {sorted(unknown)}")
 
 
-def _theta_to_doc(theta: CommutationMatrix) -> dict:
-    doc = {"n": theta.n, "kind": theta.kind}
-    if theta.kind == "degenerate":
-        doc["null_dim"] = theta.null_dim
-    return doc
+def _theta_to_doc(theta: np.ndarray) -> dict:
+    return {"n": theta.shape[0], "kind": "canonical"}
 
 
-def _theta_from_doc(obj, label: str) -> CommutationMatrix:
-    _require_keys(obj, {"n", "kind", "null_dim"}, label)
+def _theta_from_doc(obj, label: str) -> np.ndarray:
+    """The canonical commutation matrix a document's ``{"n", "kind"}`` names."""
+    _require_keys(obj, {"n", "kind"}, label)
     n = obj.get("n")
     if isinstance(n, bool) or not isinstance(n, int):
         raise DocumentError(f"{label}.n: expected an integer, got {n!r}")
-    null_dim = obj.get("null_dim")
-    if null_dim is not None and (isinstance(null_dim, bool) or not isinstance(null_dim, int)):
-        raise DocumentError(f"{label}.null_dim: expected an integer or null, got {null_dim!r}")
+    if obj.get("kind") != "canonical":
+        raise DocumentError(f"{label}.kind: expected \"canonical\", got {obj.get('kind')!r}")
     try:
-        return make_commutation_matrix(n, str(obj["kind"]), null_dim)
-    except (KeyError, ValueError) as exc:
+        return make_commutation_matrix(n)
+    except ValueError as exc:
         raise DocumentError(f"{label}: {exc}") from exc
 
 

@@ -100,7 +100,7 @@ def test_criterion_7_simulation_consistency(certified_design):
     b2 = np.array([[0.2], [0.1]])
     c = np.array([[1.0, 0.0]])
     loop1 = ClosedLoop(
-        (ClosedLoopMode(a, b1, b2, c, np.zeros((1, 1))),),
+        (ClosedLoopMode(a, b1, b2, c),),
         TransitionRateMatrix(np.zeros((1, 1))),
     )
     path = jumpsim.sample_markov_path(np.zeros((1, 1)), 60.0, 1, seed=0)

@@ -23,7 +23,7 @@ ONE = np.array([[1.0]])
 def _one_mode_loop(b2, a=-1.0):
     """dx = a x dt + dw + B2 dnu, dz = x dt, with one mode and zero rates."""
     b2 = np.asarray(b2, dtype=float).reshape(1, -1)
-    mode = ClosedLoopMode(a * ONE, ONE, b2, ONE, np.zeros((1, b2.shape[1])))
+    mode = ClosedLoopMode(a * ONE, ONE, b2, ONE)
     return ClosedLoop((mode,), TransitionRateMatrix(np.zeros((1, 1))))
 
 

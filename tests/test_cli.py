@@ -106,7 +106,7 @@ def test_check_pr_of_a_raw_synthesized_controller_is_standard_json(docs, capsys)
     _, ctrl, _ = serialize.parse_system_doc(serialize.read_doc(raw))
     assert ctrl.n_nu == 0
     assert doc["output_residuals"] == [
-        float(np.max(np.abs(ctrl.theta_k.theta @ m.c.T @ J2))) for m in ctrl.modes]
+        float(np.max(np.abs(ctrl.theta_k @ m.c.T @ J2))) for m in ctrl.modes]
 
 
 def test_augment_command(docs, capsys):
@@ -272,7 +272,8 @@ def test_simulate_plot_data_creates_its_directory(docs, capsys):
 
 
 @pytest.mark.parametrize("extra", [["--paths", "0"], ["--disturbance", "sin:0"],
-                                   ["--t-end", "nan"], ["--t-end", "inf"], ["--dt", "nan"]])
+                                   ["--t-end", "nan"], ["--t-end", "inf"], ["--dt", "nan"],
+                                   ["--t-end", "100", "--dt", "1e-12"]])  # 1e14 samples
 def test_simulate_input_errors(docs, capsys, extra):
     rc = main(["simulate", "--system", str(docs["system"]), "--t-end", "5", *extra])
     assert rc == 3
@@ -377,6 +378,28 @@ def test_null_theta_n_is_input_error(docs, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "plant.theta.n" in err and "Traceback" not in err
+
+
+def test_degenerate_theta_kind_is_input_error(docs, tmp_path, capsys):
+    doc = json.loads(docs["plant"].read_text())
+    doc["plant"]["theta"]["kind"] = "degenerate"
+    plant = tmp_path / "plant.json"
+    plant.write_text(json.dumps(doc))
+    rc = main(["synth", "--plant", str(plant), "--g", "0.5", "--out", str(tmp_path / "c.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "plant.theta.kind" in err and "Traceback" not in err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_controller_theta_dimension_mismatch_is_input_error(docs, tmp_path, capsys):
+    doc = json.loads(docs["ctrl"].read_text())
+    doc["controller"]["theta"]["n"] = 4  # the controller state has dimension 2
+    ctrl = tmp_path / "ctrl.json"
+    ctrl.write_text(json.dumps(doc))
+    assert main(["check-pr", "--controller", str(ctrl)]) == 3
+    err = capsys.readouterr().err
+    assert "controller theta_k must be the canonical" in err and "Traceback" not in err
 
 
 def test_infeasible_exit_code(docs, capsys):

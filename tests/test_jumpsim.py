@@ -15,7 +15,7 @@ from qhinf.qmodel import ClosedLoop, ClosedLoopMode, TransitionRateMatrix
 
 
 def _single_mode_loop(a, b1, b2, c):
-    mode = ClosedLoopMode(a, b1, b2, c, np.zeros((c.shape[0], b2.shape[1])))
+    mode = ClosedLoopMode(a, b1, b2, c)
     return ClosedLoop((mode,), TransitionRateMatrix(np.zeros((1, 1))))
 
 
@@ -132,9 +132,9 @@ def test_second_moment_stays_symmetric():
 TWO_MODE_LOOP = ClosedLoop(
     (
         ClosedLoopMode(np.array([[-1.0, 0.4], [-0.3, -0.8]]), np.array([[1.0], [0.5]]),
-                       np.array([[0.2], [0.1]]), np.array([[1.0, 0.0]]), np.zeros((1, 1))),
+                       np.array([[0.2], [0.1]]), np.array([[1.0, 0.0]])),
         ClosedLoopMode(np.array([[-0.6, 0.1], [0.2, -1.5]]), np.array([[0.3], [1.0]]),
-                       np.array([[0.2], [0.1]]), np.array([[0.2, 1.5]]), np.zeros((1, 1))),
+                       np.array([[0.2], [0.1]]), np.array([[0.2, 1.5]])),
     ),
     TransitionRateMatrix(np.array([[-0.5, 0.5], [0.5, -0.5]])),
 )
@@ -195,6 +195,10 @@ def test_propagate_rejects_bad_inputs():
         propagate_moments(TWO_LOOP, path, lambda t: np.ones(1), np.zeros(2), np.eye(2), dt=0.01)
     with pytest.raises(ValueError, match="semidefinite"):
         propagate_moments(TWO_LOOP, path, None, np.zeros(2), -np.eye(2), dt=0.01)
+    # 1e14 samples could never be allocated: the cap refuses them up front
+    long_path = sample_markov_path(np.zeros((1, 1)), 100.0, 1, seed=0)
+    with pytest.raises(ValueError, match="above the cap of 1000000"):
+        propagate_moments(TWO_LOOP, long_path, None, np.zeros(2), np.eye(2), dt=1e-12)
 
 
 def test_every_sample_matches_matrix_exponential():

@@ -230,7 +230,7 @@ def test_oriented_value_matches_loop_reference():
     x = np.random.default_rng(1).normal(size=layout.total + 1)  # parameters, then t
     for grp in lmi._materialise(problem, layout).groups:
         slacks = grp.slacks(x)
-        for j in range(len(grp.members)):
+        for j in range(len(grp.const)):
             reference = -grp.const[j]
             for q, c in zip(grp.idx[j], grp.coeffs[j]):
                 reference = reference - x[q] * c.reshape(grp.dim, grp.dim)
@@ -283,15 +283,34 @@ def _basis_materialise(problem, layout):
     return out
 
 
+def _group_members(problem, layout, oriented):
+    """Per group, the problem index of each member: the first constraint not
+    yet taken whose oriented value M_k(v) at a random v the member's slack at
+    (v, 0) negates."""
+    vec = np.random.default_rng(0).normal(size=layout.total)
+    values = _oriented_values(problem, layout, vec)
+    free = list(range(len(values)))
+    members = []
+    for grp in oriented.groups:
+        members.append([])
+        for s in grp.slacks(np.append(vec, 0.0)):
+            k = next(k for k in free if values[k].shape == s.shape
+                     and np.max(np.abs(values[k] + s)) <= 1e-12 * (1.0 + np.max(np.abs(s))))
+            free.remove(k)
+            members[-1].append(k)
+    return members
+
+
 def _assert_stacks_match_basis_reference(problem):
     layout = lmi._Layout(problem.variables)
     oriented = lmi._materialise(problem, layout)
     reference = _basis_materialise(problem, layout)
     seen = []
-    for grp in oriented.groups:
+    for grp, members in zip(oriented.groups, _group_members(problem, layout, oriented)):
         d, p = grp.dim, grp.idx.shape[1]
-        assert grp.coeffs.shape == (len(grp.members), p, d * d)
-        for j, k in enumerate(grp.members):
+        assert grp.coeffs.shape == (len(members), p, d * d)
+        assert members == sorted(members)  # a group keeps problem order
+        for j, k in enumerate(members):
             base, stack_ref = reference[k]
             stack_ref = np.concatenate([stack_ref, -np.eye(d)[None]])  # t has coefficient -I
             assert np.unique(grp.idx[j]).size == p and grp.idx[j, -1] == layout.total
@@ -316,7 +335,7 @@ def test_split_run_stacks_match_basis_evaluation(monkeypatch):
     monkeypatch.setattr(lmi, "_GROUP_ENTRIES", 2 * 7 * 4**2)
     problem = synthesis.build_hinf_lmis(demo.reference_plant(), 0.05)
     oriented = lmi._materialise(problem, lmi._Layout(problem.variables))
-    shapes = [(grp.dim, grp.idx.shape[1], len(grp.members)) for grp in oriented.groups]
+    shapes = [(grp.dim, grp.idx.shape[1], len(grp.const)) for grp in oriented.groups]
     assert shapes == [(4, 14, 1), (4, 7, 2), (4, 7, 1)] + [(10, 14, 1)] * 3 + [(4, 11, 1)] * 2
     _assert_stacks_match_basis_reference(problem)
 
@@ -427,8 +446,9 @@ def _einsum_newton_system(problem, layout, oriented, factors, mu):
     grad[-1] = 1.0
     hess = np.zeros((layout.total + 1,) * 2)
     reference = _basis_materialise(problem, layout)
-    for grp, stack in zip(oriented.groups, factors):
-        for k, r in zip(grp.members, stack):
+    members = _group_members(problem, layout, oriented)
+    for grp, ks, stack in zip(oriented.groups, members, factors, strict=True):
+        for k, r in zip(ks, stack, strict=True):
             c = np.concatenate([reference[k][1], -np.eye(grp.dim)[None]])
             s_inv = sla.cho_solve((r, False), np.eye(grp.dim))
             s_inv = 0.5 * (s_inv + s_inv.T)
@@ -452,10 +472,10 @@ def test_newton_system_matches_einsum_reference(kind, monkeypatch):
     layout = lmi._Layout(problem.variables)
     oriented = lmi._materialise(problem, layout)
     if kind == "hand-built":
-        shapes = [(grp.dim, grp.idx.shape[1], len(grp.members)) for grp in oriented.groups]
+        shapes = [(grp.dim, grp.idx.shape[1], len(grp.const)) for grp in oriented.groups]
         assert shapes == [(3, 7, 2), (3, 7, 2), (3, 7, 1), (5, 7, 1), (2, 1, 1)]
     else:
-        assert max(len(grp.members) for grp in oriented.groups) > 1
+        assert max(len(grp.const) for grp in oriented.groups) > 1
     vec = 0.3 * np.random.default_rng(5).normal(size=layout.total)
     top = max(_oriented_tops(problem, layout, vec))
     for room, mu in ((0.5, 1.0), (1e-4, 1e-3)):  # well inside, and near the boundary
@@ -541,7 +561,7 @@ def test_slacks_none_when_one_member_of_a_group_is_indefinite():
         problem.add_constraint(expr, "neg")
     oriented = lmi._materialise(problem, lmi._Layout(problem.variables))
     (grp,) = oriented.groups
-    assert list(grp.members) == [0, 1, 2]
+    assert np.array_equal(grp.const, [c * np.eye(2) for c in (-1.0, 0.5, -2.0)])  # in order
     assert lmi._slacks(oriented, np.array([0.0, 0.6])) is not None
     assert lmi._slacks(oriented, np.array([0.0, 0.4])) is None  # the middle member only
 
@@ -551,8 +571,8 @@ def test_slacks_factor_each_shifted_block():
     t = max(tops) + 0.5
     slacks = _shifted_slacks(problem, layout, vec, t)
     factors = lmi._slacks(oriented, np.append(vec, t))
-    for grp, stack in zip(oriented.groups, factors, strict=True):
-        for k, r in zip(grp.members, stack, strict=True):
+    for ks, stack in zip(_group_members(problem, layout, oriented), factors, strict=True):
+        for k, r in zip(ks, stack, strict=True):
             s = slacks[k]
             assert np.max(np.abs(r.T @ r - s)) <= 1e-12 * np.max(np.abs(s))
             assert np.all(np.tril(r, -1) == 0.0)

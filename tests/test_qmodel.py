@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from qhinf import serialize
 from qhinf.qmodel import (
     J2,
-    CommutationMatrix,
+    Controller,
+    ControllerMode,
     JumpPlant,
     TransitionRateMatrix,
     as_rate_matrix,
     assemble_closed_loop,
     block_j,
     make_commutation_matrix,
-    validate_generator,
 )
+from qhinf.serialize import DocumentError
 
 
 @pytest.mark.parametrize("m", [0, 2, 4, 6, 8])
@@ -24,19 +26,21 @@ def test_block_j_is_bit_identical_to_kron(m):
 
 def test_canonical_commutation_matrix():
     th = make_commutation_matrix(2)
-    assert np.array_equal(th.theta, J2)
+    assert np.array_equal(th, J2)
     th4 = make_commutation_matrix(4)
-    assert np.array_equal(th4.theta, np.kron(np.eye(2), J2))
+    assert np.array_equal(th4, np.kron(np.eye(2), J2))
+    assert not th4.flags.writeable
 
 
 def test_degenerate_commutation_matrix():
-    th = make_commutation_matrix(4, "degenerate", null_dim=2)
-    expected = np.zeros((4, 4))
-    expected[2:, 2:] = J2
-    assert np.array_equal(th.theta, expected)
-    # all-zero variant is allowed
-    th0 = make_commutation_matrix(4, "degenerate", null_dim=4)
-    assert np.max(np.abs(th0.theta)) == 0.0
+    # the Theta the former degenerate kind built for n = 2, a zero null block
+    # of size 2, is refused by both constructors
+    plant, ctrl = _toy_plant(), _toy_controller()
+    with pytest.raises(ValueError, match="plant theta must be the canonical"):
+        JumpPlant(plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1, plant.c2, plant.d2,
+                  np.zeros((2, 2)), plant.rates)
+    with pytest.raises(ValueError, match="controller theta_k must be the canonical"):
+        Controller(ctrl.modes, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize(
@@ -45,48 +49,52 @@ def test_degenerate_commutation_matrix():
      (4, "degenerate", 0), (4, "degenerate", 5), (2, "weird", None)],
 )
 def test_commutation_matrix_rejects(n, kind, null_dim):
-    with pytest.raises(ValueError):
-        make_commutation_matrix(n, kind, null_dim)
-
-
-@pytest.mark.parametrize(
-    "n,kind,null_dim,named",
-    [(3, "canonical", 0, "even and positive"), (2, "weird", 0, "unknown"),
-     (4, "canonical", 2, "does not take"), (4, "degenerate", 1, "invalid null block"),
-     (4, "degenerate", 0, "invalid null block"), (4, "degenerate", 6, "invalid null block")],
-)
-def test_commutation_matrix_constructor_validates(n, kind, null_dim, named):
-    with pytest.raises(ValueError, match=named):
-        CommutationMatrix(n, kind, null_dim)
+    # only the canonical Theta of an even positive dimension is built or read
+    spec = {"n": n, "kind": kind, **({} if null_dim is None else {"null_dim": null_dim})}
+    with pytest.raises(DocumentError, match=r"^plant\.theta"):
+        serialize._theta_from_doc(spec, "plant.theta")
+    if kind == "canonical":
+        with pytest.raises(ValueError, match="even and positive"):
+            make_commutation_matrix(n)
 
 
 def test_commutation_matrix_constructor_builds_theta():
-    assert CommutationMatrix(4, "canonical", 0) == make_commutation_matrix(4)
-    deg = CommutationMatrix(4, "degenerate", 2)
-    assert np.array_equal(deg.theta, make_commutation_matrix(4, "degenerate", 2).theta)
-    assert not deg.theta.flags.writeable
+    th = make_commutation_matrix(4)
+    assert np.array_equal(th, block_j(4)) and not th.flags.writeable
+    plant, ctrl = _toy_plant(), _toy_controller()
+    assert np.array_equal(plant.theta, J2) and not plant.theta.flags.writeable
+    assert np.array_equal(ctrl.theta_k, J2) and not ctrl.theta_k.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_theta_structure_identities(n):
     th = make_commutation_matrix(n)
-    assert np.array_equal(th.theta, -th.theta.T)
-    assert np.array_equal(th.theta @ th.theta, -np.eye(n))
-    deg = make_commutation_matrix(n + 2, "degenerate", null_dim=2)
-    blk = deg.theta[2:, 2:]
-    assert np.array_equal(blk @ blk, -np.eye(n))
+    assert np.array_equal(th, -th.T)
+    assert np.array_equal(th @ th, -np.eye(n))
+
+
+def test_plant_and_controller_reject_a_non_canonical_theta():
+    plant = _toy_plant()
+    with pytest.raises(ValueError, match="plant theta must be the canonical"):
+        JumpPlant(plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1, plant.c2, plant.d2,
+                  -J2, plant.rates)
+    ctrl = _toy_controller()
+    with pytest.raises(ValueError, match="controller theta_k must be the canonical"):
+        Controller(ctrl.modes, -J2)
+    with pytest.raises(ValueError, match="plant theta"):  # dimension 4 against A of size 2
+        JumpPlant(plant.a_modes, plant.b1, plant.b2, plant.c1, plant.d1, plant.c2, plant.d2,
+                  make_commutation_matrix(4), plant.rates)
 
 
 def test_generator_validation():
-    ok = validate_generator(np.array([[-0.02, 0.01, 0.01], [0.01, -0.01, 0.0], [0.01, 0.0, -0.01]]))
-    assert ok.ok
-    assert validate_generator(np.zeros((3, 3))).ok
-    bad = validate_generator(np.array([[-1.0, 2.0], [-0.5, 0.5]]))
-    assert not bad.ok
-    kinds = {(v[0], v[1], v[2]) for v in bad.violations}
-    assert ("negative_offdiag", 1, 0) in kinds
-    # the first row sums to 1, also flagged
-    assert any(v[0] == "row_sum" and v[1] == 0 for v in bad.violations)
+    assert TransitionRateMatrix(
+        np.array([[-0.02, 0.01, 0.01], [0.01, -0.01, 0.0], [0.01, 0.0, -0.01]])).n_modes == 3
+    assert TransitionRateMatrix(np.zeros((3, 3))).n_modes == 3
+    # entry (1, 0) is negative and the first row sums to 1
+    with pytest.raises(ValueError, match=r"entries \[\(1, 0\)\].*in rows \[0\]$"):
+        TransitionRateMatrix([[-1.0, 2.0], [-0.5, 0.5]])
+    with pytest.raises(ValueError, match="not square"):
+        TransitionRateMatrix(np.zeros((2, 3)))
 
 
 def test_rate_matrix_constructor_rejects():
@@ -99,7 +107,8 @@ def test_as_rate_matrix_passes_through_or_builds():
     assert as_rate_matrix(rates) is rates
     built = as_rate_matrix([[-0.5, 0.5], [0.5, -0.5]])
     assert np.array_equal(built.pi, rates.pi)
-    with pytest.raises(ValueError, match=r"^invalid transition-rate matrix: \(\('row_sum'"):
+    with pytest.raises(ValueError, match=r"^invalid transition-rate matrix: row sums off zero "
+                                         r"by more than 1e-12 in rows \[0\]$"):
         as_rate_matrix([[-1.0, 2.0], [0.5, -0.5]])
 
 
@@ -122,8 +131,6 @@ def _toy_plant(n_modes=2):
 
 
 def _toy_controller(n_modes=2, n_nu=2):
-    from qhinf.qmodel import Controller, ControllerMode
-
     rng = np.random.default_rng(17)
     modes = tuple(
         ControllerMode(
@@ -153,7 +160,6 @@ def test_closed_loop_block_placement_exact():
         assert np.array_equal(lm.b2[2:], km.e)
         assert np.array_equal(lm.c[:, :2], plant.c1)
         assert np.array_equal(lm.c[:, 2:], plant.d1 @ km.c)
-        assert np.array_equal(lm.d, plant.d1 @ km.d)
 
 
 def test_closed_loop_mode_count_mismatch():

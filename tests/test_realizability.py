@@ -225,8 +225,8 @@ def _realizable_system(rng, n, m, n_y):
     h = rng.normal(size=(n, n))
     h = 0.5 * (h + h.T)
     b = rng.normal(size=(n, m))
-    a = theta.theta @ h + 0.5 * b @ block_j(m) @ b.T @ theta.theta
-    c = block_j(n_y) @ b[:, :n_y].T @ theta.theta
+    a = theta @ h + 0.5 * b @ block_j(m) @ b.T @ theta
+    c = block_j(n_y) @ b[:, :n_y].T @ theta
     return theta, a, b, c
 
 
@@ -247,7 +247,7 @@ def test_moment_propagation_preserves_skew_part():
     assert np.max(np.abs(a - np.diag(np.diag(a)))) > 0  # nontrivial drift
     assert np.max(np.linalg.eigvals(a).real) < 0  # a damped oscillation
     t_im = block_j(2)
-    k = theta.theta.copy()
+    k = theta.copy()
     h = 0.002
     rhs = lambda kk: a @ kk + kk @ a.T + b @ t_im @ b.T  # noqa: E731
     for _ in range(2500):
@@ -256,4 +256,4 @@ def test_moment_propagation_preserves_skew_part():
         k3 = rhs(k + 0.5 * h * k2)
         k4 = rhs(k + h * k3)
         k = k + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert np.max(np.abs(k - theta.theta)) <= 1e-8
+    assert np.max(np.abs(k - theta)) <= 1e-8

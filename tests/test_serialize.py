@@ -22,7 +22,8 @@ def test_plant_roundtrip():
     for a, b in zip(back.a_modes, plant.a_modes):
         assert np.array_equal(a, b)
     assert np.array_equal(rates.pi, plant.rates.pi)
-    assert back.theta.kind == "canonical"
+    assert doc["plant"]["theta"] == {"n": 2, "kind": "canonical"}
+    assert np.array_equal(back.theta, plant.theta)
 
 
 def test_controller_roundtrip_including_empty_noise():
@@ -96,9 +97,16 @@ def test_missing_plant_key_rejected():
 
 @pytest.mark.parametrize("null_dim", [2.0, "2"])
 def test_non_integer_null_dim_rejected(null_dim):
-    with pytest.raises(DocumentError, match=r"plant\.theta\.null_dim"):
+    # the degenerate kind's null block size is no longer part of the format
+    with pytest.raises(DocumentError, match=r"^plant\.theta: unknown keys \['null_dim'\]$"):
         serialize._theta_from_doc({"n": 4, "kind": "degenerate", "null_dim": null_dim},
                                   "plant.theta")
+
+
+@pytest.mark.parametrize("kind", ["degenerate", "Canonical", None, 2])
+def test_non_canonical_theta_kind_rejected(kind):
+    with pytest.raises(DocumentError, match=r"^controller\.theta\.kind: expected \"canonical\""):
+        serialize._theta_from_doc({"n": 2, "kind": kind}, "controller.theta")
 
 
 @pytest.mark.parametrize("n", [True, 4.7, "4", None])
