@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, demo, jumpsim, optics, realizability, serialize, synthesis
+from . import __version__, analysis, demo, jumpsim, lmi, optics, realizability, serialize, synthesis
 from .serialize import DocumentError
 
 EXIT_OK = 0
@@ -85,9 +85,10 @@ def _add_report_flags(parser):
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--eps-strict", type=float, default=1e-6,
+    parser.add_argument("--eps-strict", type=float, default=lmi.EPS_STRICT,
                         help="strictness margin required of LMI certificates")
-    parser.add_argument("--max-iter", type=int, default=400, help="Newton step budget per solve")
+    parser.add_argument("--max-iter", type=int, default=lmi.MAX_ITER,
+                        help="Newton step budget per solve")
 
 
 def _cmd_synth(args):
@@ -338,8 +339,8 @@ def build_parser():
     p.add_argument("--paths", type=int, default=1)
     p.add_argument("--t-end", type=float, default=100.0)
     p.add_argument("--dt", type=float, default=0.01,
-                   help="sampling step of the reported trajectory (path 0); "
-                        "the propagation itself is exact")
+                   help="grid step of path 0's propagation, which is exact; the "
+                        "report keeps every floor(N/400)-th of its N samples (about 400)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--disturbance", help="sin:<omega> or step (default: none)")
     p.add_argument("--plot-data", help="write plain-text trajectory columns to this file")

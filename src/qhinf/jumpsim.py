@@ -18,12 +18,13 @@ products rather than one Python step per grid point, and screens the
 covariances with one batched Cholesky factorisation.
 
 ``estimate_attenuation`` probes the closed-loop gain with a finite family
-of disturbances over a finite horizon.  It is a falsification probe: it can
-reveal a gain above the certified level but can never prove a bound.  Its
-default path needs only the mean response, which it integrates exactly on
-each fault segment with one batched block exponential (Van Loan, IEEE TAC
-1978) for the whole disturbance family; the full moment runs serve as its
-cross-check.
+of disturbances, each run over the whole horizon t_end.  It is a
+falsification probe: it can reveal a gain above the certified level but can
+never prove a bound.  Its default path needs only the mean response, which
+it integrates exactly on each fault segment with one batched block
+exponential (Van Loan, IEEE TAC 1978) for the whole disturbance family,
+scaled and doubled by the closed-loop drift of that segment; the full moment
+runs serve as its cross-check.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class MarkovPath:
     t_end: float
     jump_times: tuple
     modes: tuple
-    seed: int
 
     def __post_init__(self):
         if not (np.isfinite(self.t_end) and self.t_end > 0):
@@ -79,12 +79,6 @@ class MarkovPath:
         bounds = [0.0, *self.jump_times, self.t_end]
         for k, mode in enumerate(self.modes):
             yield bounds[k], bounds[k + 1], mode - 1
-
-    def truncated(self, t_end: float) -> "MarkovPath":
-        if t_end >= self.t_end:
-            return self
-        keep = [t for t in self.jump_times if t < t_end]
-        return MarkovPath(t_end, tuple(keep), self.modes[: len(keep) + 1], self.seed)
 
 
 def path_seed(seed: int, p: int) -> int:
@@ -123,7 +117,7 @@ def sample_markov_path(rates, t_end: float, initial_mode: int = 1, seed: int = 0
         mode = int(rng.choice(n_modes, p=probs)) + 1
         jump_times.append(t)
         modes.append(mode)
-    return MarkovPath(float(t_end), tuple(jump_times), tuple(modes), seed)
+    return MarkovPath(float(t_end), tuple(jump_times), tuple(modes))
 
 
 @dataclass(frozen=True)
@@ -336,35 +330,25 @@ class AttenuationEstimate:
         return self.max_ratio < self.g * self.g
 
 
-def _probe_horizon(dist: Disturbance, t_end: float) -> float:
-    """Horizon adapted to the probe frequency.
-
-    A sinusoid is watched for at least eight periods, rounded up to a
-    multiple of 20 and never below 40; a step for the whole horizon.
-    """
-    if dist.kind == "sin":
-        period = 2.0 * np.pi / dist.omega
-        return float(min(t_end, max(40.0, 20.0 * np.ceil(8.0 * period / 20.0))))
-    return float(t_end)
-
-
-def _segment_maps(m, q, h):
+def _segment_maps(m, q, h, n):
     """Transitions e^{M h} and output Gramians int_0^h e^{M^T s} Q e^{M s} ds.
 
-    ``m`` stacks one drift per probe, ``h`` holds one duration per probe.
-    Van Loan's block exponential is taken at h / 2^s with ||M|| h / 2^s <= 1
-    and then doubled s times, W <- W + Phi^T W Phi and Phi <- Phi^2: a single
+    ``m`` stacks one drift per probe, all over the segment's duration ``h``
+    and all sharing the closed-loop block A_i = m[:, :n, :n].  Van Loan's
+    block exponential is taken at h / 2^s with ||A_i||_1 h / 2^s <= 1 and
+    then doubled s times, W <- W + Phi^T W Phi and Phi <- Phi^2: a single
     block exponential over a holding time of tens of seconds overflows in
-    its e^{-M^T h} block.
+    its e^{-M^T h} block.  The waveform blocks are rotations, which cannot
+    overflow, so their frequencies do not add doublings.
     """
     n_x = m.shape[-1]
-    reach = float(np.max(np.linalg.norm(m, 1, axis=(1, 2)) * h))
+    reach = float(np.linalg.norm(m[0, :n, :n], 1) * h)
     s = int(np.ceil(np.log2(reach))) if reach > 1.0 else 0
-    block = np.zeros((len(h), 2 * n_x, 2 * n_x))
+    block = np.zeros((len(m), 2 * n_x, 2 * n_x))
     block[:, :n_x, :n_x] = -np.swapaxes(m, 1, 2)
     block[:, :n_x, n_x:] = q
     block[:, n_x:, n_x:] = m
-    exp = sla.expm(block * (h / 2.0**s)[:, None, None])
+    exp = sla.expm(block * (h / 2.0**s))
     phi = exp[:, n_x:, n_x:]
     gram = np.swapaxes(phi, 1, 2) @ exp[:, :n_x, n_x:]
     for _ in range(s):
@@ -390,7 +374,7 @@ def _oscillators(disturbances):
     return gens, u0
 
 
-def _mean_ratios(closed_loop, path, disturbances, horizons):
+def _mean_ratios(closed_loop, path, disturbances):
     """Deterministic-response energy ratios of one path, one per disturbance.
 
     With zero initial mean, the baseline run with zero input has identically
@@ -399,12 +383,11 @@ def _mean_ratios(closed_loop, path, disturbances, horizons):
     in the subtraction.  The mean eta is stacked with the waveform state u
     of ``_oscillators``, so that eta' = A_i eta + B1_i d u_1 is autonomous
     and every fault segment is integrated exactly by ``_segment_maps``.
-    Each probe's horizon clips its segment durations; a clipped duration of
-    zero leaves its state and energy unchanged.
+    Every probe runs over the whole path, [0, t_end].
     """
     n = closed_loop.n
     n_x = n + 2
-    horizons = np.asarray(horizons, dtype=float)
+    t_end = path.t_end
     dirs = np.stack([d.direction for d in disturbances])
     gens, u0 = _oscillators(disturbances)
     m = np.zeros((len(disturbances), n_x, n_x))
@@ -414,14 +397,11 @@ def _mean_ratios(closed_loop, path, disturbances, horizons):
     q = np.zeros((n_x, n_x))
     ez = np.zeros(len(disturbances))
     for t0, t1, mode_idx in path.segments():
-        if t0 >= horizons.max():
-            break
-        h = np.clip(np.minimum(t1, horizons) - t0, 0.0, None)
         mode = closed_loop.modes[mode_idx]
         m[:, :n, :n] = mode.a
         m[:, :n, n] = dirs @ mode.b1.T
         q[:n, :n] = mode.c.T @ mode.c
-        phi, gram = _segment_maps(m, q, h)
+        phi, gram = _segment_maps(m, q, t1 - t0, n)
         ez += np.einsum("ki,kij,kj->k", xi, gram, xi)
         xi = np.einsum("kij,kj->ki", phi, xi)
 
@@ -429,7 +409,7 @@ def _mean_ratios(closed_loop, path, disturbances, horizons):
     is_sin = np.array([d.kind == "sin" for d in disturbances])
     safe = np.where(is_sin, omegas, 1.0)
     wave_energy = np.where(
-        is_sin, horizons / 2.0 - np.sin(2.0 * safe * horizons) / (4.0 * safe), horizons
+        is_sin, t_end / 2.0 - np.sin(2.0 * safe * t_end) / (4.0 * safe), t_end
     )
     ew = np.sum(dirs * dirs, axis=1) * wave_energy
     if np.any(ew <= 1e-12):
@@ -437,16 +417,15 @@ def _mean_ratios(closed_loop, path, disturbances, horizons):
     return ez / ew
 
 
-def _full_ratio(closed_loop, path, dist, t_end_d):
-    """Literal baseline-subtracted ratio from two full moment runs, one step
-    per fault segment."""
+def _full_ratio(closed_loop, path, dist):
+    """Literal baseline-subtracted ratio from two full moment runs over the
+    whole path, one step per fault segment."""
     n = closed_loop.n
-    sub = path.truncated(t_end_d)
     with_input = propagate_moments(
-        closed_loop, sub, dist, np.zeros(n), np.eye(n), t_end_d, validate=False
+        closed_loop, path, dist, np.zeros(n), np.eye(n), path.t_end, validate=False
     )
     baseline = propagate_moments(
-        closed_loop, sub, None, np.zeros(n), np.eye(n), t_end_d, validate=False
+        closed_loop, path, None, np.zeros(n), np.eye(n), path.t_end, validate=False
     )
     if with_input.input_energy <= 1e-12:
         raise ValueError("disturbance has zero input energy over the probe window")
@@ -468,9 +447,10 @@ def estimate_attenuation(
     baseline is the same simulation with zero disturbance.  The subtraction
     is evaluated in closed form through the deterministic mean response,
     integrated exactly segment by segment; ``_full_ratio``, which runs the
-    two exact moment propagations literally, is its cross-check.  Each
-    sinusoid is probed over at least eight periods, rounded up to a multiple
-    of 20 and at least 40, within ``t_end``; the step over ``t_end``.
+    two exact moment propagations literally, is its cross-check.  Every
+    probe runs over the whole horizon ``t_end``: the certified bound is a
+    dissipation inequality from a zero initial state over every horizon, so
+    no probe needs a horizon of its own.
 
     Per-path randomness is derived from the master seed by path index, so
     results do not depend on evaluation order.
@@ -482,11 +462,10 @@ def estimate_attenuation(
     if not disturbances:
         raise ValueError("disturbance family is empty")
 
-    horizons = [_probe_horizon(d, t_end) for d in disturbances]
     ratios = np.zeros((n_paths, len(disturbances)))
     for p in range(n_paths):
         path = sample_markov_path(closed_loop.rates, t_end, seed=path_seed(seed, p))
-        ratios[p] = _mean_ratios(closed_loop, path, disturbances, horizons)
+        ratios[p] = _mean_ratios(closed_loop, path, disturbances)
     return AttenuationEstimate(
         g=float(g),
         labels=tuple(d.label for d in disturbances),

@@ -91,6 +91,8 @@ __all__ = [
     "LmiSolution",
     "symmetric_eigenvalues",
     "solve_feasibility",
+    "EPS_STRICT",
+    "MAX_ITER",
 ]
 
 
@@ -547,11 +549,16 @@ _ROUND_STEPS = 15  # Newton steps per barrier weight
 # its positive round-end margin by at most this fraction of the margin.
 _MARGIN_SETTLED = 1e-2
 
+# Default strictness margin of a certificate and Newton step budget of a
+# solve; synthesis and the CLI take their defaults from here.
+EPS_STRICT = 1e-6
+MAX_ITER = 400
+
 
 def solve_feasibility(
     problem: LmiProblem,
-    eps_strict: float = 1e-6,
-    max_iter: int = 400,
+    eps_strict: float = EPS_STRICT,
+    max_iter: int = MAX_ITER,
     *,
     settle: bool = True,
 ) -> LmiSolution:

@@ -235,8 +235,8 @@ def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
 def synthesize(
     plant: JumpPlant,
     g: float,
-    eps_strict: float = 1e-6,
-    max_iter: int = 400,
+    eps_strict: float = lmi.EPS_STRICT,
+    max_iter: int = lmi.MAX_ITER,
 ) -> SynthesisResult:
     """Build and solve the LMIs at level g, then reconstruct the controller.
 
@@ -258,8 +258,8 @@ def min_attenuation(
     g_lo: float,
     g_hi: float,
     tol_g: float = 1e-3,
-    eps_strict: float = 1e-6,
-    max_iter: int = 400,
+    eps_strict: float = lmi.EPS_STRICT,
+    max_iter: int = lmi.MAX_ITER,
 ):
     """Smallest feasible attenuation level in [g_lo, g_hi] from one LMI solve.
 

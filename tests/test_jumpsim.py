@@ -79,16 +79,16 @@ def test_invalid_generator_rejected():
 
 def test_markov_path_validation():
     with pytest.raises(ValueError, match="consecutive"):
-        MarkovPath(10.0, (1.0,), (1, 1), 0)
+        MarkovPath(10.0, (1.0,), (1, 1))
     with pytest.raises(ValueError, match="increasing"):
-        MarkovPath(10.0, (5.0, 2.0), (1, 2, 1), 0)
+        MarkovPath(10.0, (5.0, 2.0), (1, 2, 1))
 
 
 @pytest.mark.parametrize("t_end", [0.0, np.nan, np.inf])
 def test_horizon_must_be_finite_and_positive(t_end):
     # a non-finite horizon used to make the sampler loop forever
     with pytest.raises(ValueError, match="finite and positive"):
-        MarkovPath(t_end, (), (1,), 0)
+        MarkovPath(t_end, (), (1,))
     with pytest.raises(ValueError, match="finite and positive"):
         sample_markov_path(np.array(demo.OPO_RATES), t_end)
     with pytest.raises(ValueError, match="finite and positive"):
@@ -206,7 +206,7 @@ def test_every_sample_matches_matrix_exponential():
     # the reference stacks the sine's oscillator onto the state and takes
     # E[z z^T] at each sample time from Van Loan's block exponential
     dt, steps, omega = 0.125, 37, 0.9
-    path = MarkovPath(dt * steps, (), (1,), 0)
+    path = MarkovPath(dt * steps, (), (1,))
     dist = Disturbance("sin", np.array([1.0]), "sin", omega)
     m0, q0 = np.array([0.5, -0.4]), np.array([[1.0, 0.2], [0.2, 0.7]])
     traj = propagate_moments(TWO_LOOP, path, dist, m0, q0, dt=dt)
@@ -255,7 +255,7 @@ def _initial_moments(least_covariance_eigenvalue):
 
 
 def test_initial_dominance_tolerance_boundary():
-    path = MarkovPath(2.0, (), (1,), 0)
+    path = MarkovPath(2.0, (), (1,))
     mean0, q0 = _initial_moments(-5e-9)
     traj = propagate_moments(TWO_LOOP, path, None, mean0, q0, dt=0.1)
     assert np.isfinite(traj.output_energy)
@@ -292,8 +292,7 @@ def test_scalar_attenuation_probe_reaches_hinf_norm():
 def _full_ratios(loop, t_end, seed, fam):
     """Literal two-run ratios on the probe's first path, one per disturbance."""
     path = sample_markov_path(loop.rates, t_end, seed=jumpsim.path_seed(seed, 0))
-    return np.array([jumpsim._full_ratio(loop, path, d, jumpsim._probe_horizon(d, t_end))
-                     for d in fam])
+    return np.array([jumpsim._full_ratio(loop, path, d) for d in fam])
 
 
 def test_attenuation_methods_agree():
@@ -318,23 +317,24 @@ def test_attenuation_deterministic_and_order_independent():
     # path evaluated on its own reproduces its row
     path_seed = int(np.random.SeedSequence([5, 1]).generate_state(1)[0])
     path = sample_markov_path(loop.rates, 60.0, 1, path_seed)
-    horizons = [jumpsim._probe_horizon(d, 60.0) for d in fam]
-    assert np.array_equal(jumpsim._mean_ratios(loop, path, fam, horizons), est_a.ratios[1])
+    assert np.array_equal(jumpsim._mean_ratios(loop, path, fam), est_a.ratios[1])
 
 
 def test_mean_probe_exact_with_mode_dependent_output():
-    # the output matrix changes with the mode and the path jumps inside every
-    # probe horizon; the probe and the full moment runs both integrate each
-    # segment exactly, so they must agree
+    # the output matrix changes with the mode and the path keeps jumping past
+    # t = 40; every probe runs over the whole path, and the probe and the full
+    # moment runs both integrate each segment exactly, so they must agree
     fam = [
         Disturbance("sin:0.5", np.array([1.0]), "sin", 0.5),
         Disturbance("step", np.array([1.0]), "step"),
+        Disturbance("sin:7", np.array([1.0]), "sin", 7.0),
     ]
     path_seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
-    assert len(sample_markov_path(TWO_MODE_LOOP.rates, 10.0, 1, path_seed).jump_times) >= 4
-    em = estimate_attenuation(TWO_MODE_LOOP, 1.0, t_end=10.0, n_paths=1, seed=3,
+    jumps = np.array(sample_markov_path(TWO_MODE_LOOP.rates, 60.0, 1, path_seed).jump_times)
+    assert np.sum(jumps < 10.0) >= 4 and np.sum(jumps > 40.0) >= 4
+    em = estimate_attenuation(TWO_MODE_LOOP, 1.0, t_end=60.0, n_paths=1, seed=3,
                               disturbances=fam)
-    full = _full_ratios(TWO_MODE_LOOP, 10.0, 3, fam)
+    full = _full_ratios(TWO_MODE_LOOP, 60.0, 3, fam)
     assert np.max(np.abs(em.ratios[0] - full) / full) <= 1e-9
 
 
