@@ -4,15 +4,18 @@ Commands: synth, check-pr, augment, analyze, simulate, optics, demo-paper.
 Every command accepts --out.  The commands that print a report (check-pr,
 analyze, simulate, optics realize, demo-paper) also take --format
 {text,doc}; synth and augment write documents only.  Machine-readable
-output is canonical JSON so documents round-trip byte for byte.  Each run
-writes a manifest next to its first output recording input digests, every
-parsed option, the seed and the tool version.
+output is canonical JSON so documents round-trip byte for byte.  A run
+that writes any file writes one manifest, next to the first file it wrote;
+the command's own files (controller document and cert, plot data, the
+demo's --out-dir documents) are written before the --out report.  The
+manifest records the digest of every file the run wrote, input digests,
+every parsed option, the seed and the tool version.
 
 Exit codes: 0 success / verification pass (and --help, --version), 1
 verification failure (including a realizability augmentation that leaves
 a commutation defect above 1e-9), 2 infeasible or undecided synthesis, 3
 input or usage error (a malformed document or value, an unknown option, a
-missing subcommand).
+missing subcommand, a path that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -32,25 +35,29 @@ EXIT_INFEASIBLE = 2
 EXIT_INPUT_ERROR = 3
 
 
-def _emit(args, doc, text):
-    payload = serialize.dumps_doc(doc) if args.format == "doc" else text + "\n"
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+def _finish(args, inputs, doc=None, text=None, files=(), seed=None):
+    """Write this run's report and its one manifest.
 
-
-def _manifest(args, inputs, outputs, seed=None):
-    """Write the manifest of this run next to outputs[0]; its params are
-    every parsed option."""
-    if not outputs:
-        return
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
-    serialize.write_manifest(
-        outputs[0], command=args.argv, inputs=inputs, params=params,
-        outputs=outputs, seed=seed,
-    )
+    A command that prints a report passes it as ``doc`` and ``text``; it goes
+    by --format to --out, or to stdout.  ``files`` are the files the command
+    wrote itself, in write order.  If the run wrote any file, one manifest
+    goes next to the first and lists them all, the --out report among them;
+    its params are every parsed option."""
+    outputs = list(files)
+    if doc is not None:
+        payload = serialize.dumps_doc(doc) if args.format == "doc" else text + "\n"
+        if args.out:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            Path(args.out).write_text(payload, encoding="utf-8")
+            outputs.append(args.out)
+        else:
+            sys.stdout.write(payload)
+    if outputs:
+        params = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
+        serialize.write_manifest(
+            outputs[0], command=args.argv, inputs=inputs, params=params,
+            outputs=outputs, seed=seed,
+        )
 
 
 def _load_system(path, *sections):
@@ -117,7 +124,7 @@ def _cmd_synth(args):
     }
     cert_path = out.with_suffix(".cert.json")
     serialize.write_doc(cert_path, cert)
-    _manifest(args, [args.plant], [out, cert_path])
+    _finish(args, [args.plant], files=[out, cert_path])
     print(f"synthesized controller at g = {g_star:.6g} -> {out}")
     return EXIT_OK
 
@@ -136,9 +143,7 @@ def _cmd_check_pr(args):
     for i, (cr, outr) in enumerate(zip(report.cr_residuals, report.output_residuals)):
         lines.append(f"  {i + 1:4d}  {cr:20.3e}  {outr:16.3e}")
     lines.append(f"  verdict: {'realizable' if report.realizable else 'NOT realizable'}")
-    _emit(args, doc, "\n".join(lines))
-    if args.out:
-        _manifest(args, [args.controller], [args.out])
+    _finish(args, [args.controller], doc, "\n".join(lines))
     return EXIT_OK if report.realizable else EXIT_VERIFY_FAIL
 
 
@@ -147,7 +152,7 @@ def _cmd_augment(args):
     augmented = realizability.augment_jump_controller(ctrl)
     out = Path(args.out) if args.out else Path("controller_augmented.json")
     serialize.write_doc(out, serialize.system_to_doc(controller=augmented, rates=rates))
-    _manifest(args, [args.controller], [out])
+    _finish(args, [args.controller], files=[out])
     report = realizability.check_controller_realizability(augmented)
     print(f"augmented controller ({augmented.n_nu} noise channels, "
           f"worst residual {report.worst():.2e}) -> {out}")
@@ -176,9 +181,7 @@ def _cmd_analyze(args):
         lines.append(f"  noise offset constant: {report.noise_offset:.4g}")
     lines.append(f"  controller realizability residual: {residual:.3e}")
     lines.append(f"  verdict: {'PASS' if report.attenuation_ok else 'FAIL'}")
-    _emit(args, doc, "\n".join(lines))
-    if args.out:
-        _manifest(args, [args.plant, args.controller], [args.out])
+    _finish(args, [args.plant, args.controller], doc, "\n".join(lines))
     return EXIT_OK if report.attenuation_ok else EXIT_VERIFY_FAIL
 
 
@@ -219,40 +222,35 @@ def _cmd_simulate(args):
             "input_energy": traj.input_energy,
         })
     stride = max(1, len(first_traj.times) // 400)
-    q_diag = np.diagonal(first_traj.second_moment[::stride], axis1=1, axis2=2)
+    columns = {  # path 0's trajectory at every stride-th sample, for the doc and the plot
+        "time": first_traj.times[::stride],
+        "mean": first_traj.mean[::stride],
+        "second_moment_diag": np.diagonal(first_traj.second_moment[::stride], axis1=1, axis2=2),
+        "z_energy": first_traj.z_energy[::stride],
+        "w_energy": first_traj.w_energy[::stride],
+    }
     doc = {
         "t_end": args.t_end,
         "dt": args.dt,
         "seed": args.seed,
         "disturbance": args.disturbance,
         "paths": paths_doc,
-        "trajectory": {
-            "time": [float(t) for t in first_traj.times[::stride]],
-            "mean": serialize.encode_matrix(first_traj.mean[::stride]),
-            "second_moment_diag": serialize.encode_matrix(q_diag),
-            "z_energy": [float(x) for x in first_traj.z_energy[::stride]],
-            "w_energy": [float(x) for x in first_traj.w_energy[::stride]],
-        },
+        "trajectory": {k: v.tolist() for k, v in columns.items()},
     }
-    mean_e = float(np.mean([p["output_energy"] for p in paths_doc]))
-    text = (f"simulated {args.paths} fault paths to t = {args.t_end:g} "
-            f"(dt = {args.dt:g}, seed {args.seed})\n"
-            f"  mean output energy {mean_e:.6g}")
-    _emit(args, doc, text)
-    outputs = [args.out] if args.out else []
+    files = []
     if args.plot_data:
         n = first_traj.mean.shape[1]
         header = (["time"] + [f"mean_{k + 1}" for k in range(n)]
                   + [f"q_{k + 1}{k + 1}" for k in range(n)] + ["z_energy", "w_energy"])
-        table = np.column_stack([
-            first_traj.times[::stride], first_traj.mean[::stride], q_diag,
-            first_traj.z_energy[::stride], first_traj.w_energy[::stride],
-        ])
         Path(args.plot_data).parent.mkdir(parents=True, exist_ok=True)
-        np.savetxt(args.plot_data, table, fmt="%.12g", header=" ".join(header))
-        outputs.append(args.plot_data)
-    if outputs:
-        _manifest(args, [args.system], outputs, seed=args.seed)
+        np.savetxt(args.plot_data, np.column_stack(list(columns.values())), fmt="%.12g",
+                   header=" ".join(header))
+        files.append(args.plot_data)
+    mean_e = float(np.mean([p["output_energy"] for p in paths_doc]))
+    text = (f"simulated {args.paths} fault paths to t = {args.t_end:g} "
+            f"(dt = {args.dt:g}, seed {args.seed})\n"
+            f"  mean output energy {mean_e:.6g}")
+    _finish(args, [args.system], doc, text, files, seed=args.seed)
     return EXIT_OK
 
 
@@ -274,9 +272,7 @@ def _cmd_optics_realize(args):
             f"kappa1={real.kappa1:.4f} kappa2={real.kappa2:.4f} kappa3={real.kappa3:.4f} "
             f"chi'={real.chi_prime:.4f} (product gap {fit['product_gap']:.1e})"
         )
-    _emit(args, {"modes": modes_doc}, "\n".join(lines))
-    if args.out:
-        _manifest(args, [args.controller], [args.out])
+    _finish(args, [args.controller], {"modes": modes_doc}, "\n".join(lines))
     return EXIT_OK
 
 
@@ -284,10 +280,8 @@ def _cmd_demo(args):
     report = demo.run_paper_demo(
         out_dir=args.out_dir, tol_g=args.tol_g, n_paths=args.paths, quick=args.quick
     )
-    if args.out_dir:
-        outputs = sorted(Path(args.out_dir) / name for name in demo.DEMO_DOCUMENTS)
-        _manifest(args, [], outputs, seed=demo.PROBE_SEED)
-    _emit(args, report, demo.format_demo_report(report))
+    files = [Path(args.out_dir) / name for name in demo.DEMO_DOCUMENTS] if args.out_dir else []
+    _finish(args, [], report, demo.format_demo_report(report), files, seed=demo.PROBE_SEED)
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAIL
 
 
@@ -375,7 +369,7 @@ def main(argv=None) -> int:
     except synthesis.LmiInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DocumentError, FileNotFoundError, ValueError) as exc:
+    except (DocumentError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except synthesis.SynthesisError as exc:

@@ -37,10 +37,10 @@ __all__ = [
     "run_paper_demo",
 ]
 
-# Documents run_paper_demo writes into its output directory: plant,
-# synthesized controller, tabulated controller, report.
-DEMO_DOCUMENTS = ("plant.json", "controller_synthesized.json",
-                  "controller_reference.json", "report.json")
+# Documents run_paper_demo writes into its output directory, in write order:
+# tabulated controller, synthesized controller, plant, report.
+DEMO_DOCUMENTS = ("controller_reference.json", "controller_synthesized.json",
+                  "plant.json", "report.json")
 
 # Master seed of the demo's simulation probe, recorded in its manifest.
 PROBE_SEED = 2024
@@ -152,10 +152,10 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
     # so the search is reported as data, not as a check that cannot fail
     level_search = syn.solution.record()
 
+    # augmentation raises unless the commutation defect is within 1e-9 and
+    # builds the output conditions exactly, so its residual is reported as data
     aug = realizability.augment_jump_controller(syn.controller)
-    pr = realizability.check_controller_realizability(aug, tol=1e-9)
-    checks.append(_bool_check("synthesized controller realizable after augmentation",
-                              pr.realizable, f"worst residual {pr.worst():.3e}"))
+    residual = realizability.check_controller_realizability(aug).worst()
 
     report_cl = analysis.verify_closed_loop(plant, aug, g_star)
     checks.append(_bool_check("closed loop certified at minimised level",
@@ -233,6 +233,7 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
         "ok": ok,
         "g_star": float(g_star),
         "level_search": level_search,
+        "realizability_residual": residual,
         "kappa_list": [float(k) for k in kappa_list],
         "chi_prime_computed": [float(x) for x in chi_prime_computed],
         "checks": checks,
@@ -242,9 +243,9 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         docs = (
-            serialize.system_to_doc(plant=plant),
-            serialize.system_to_doc(controller=aug, rates=plant.rates),
             serialize.system_to_doc(controller=ref, rates=plant.rates),
+            serialize.system_to_doc(controller=aug, rates=plant.rates),
+            serialize.system_to_doc(plant=plant),
             report,
         )
         for name, doc in zip(DEMO_DOCUMENTS, docs):
@@ -260,6 +261,7 @@ def format_demo_report(report) -> str:
         f"  minimised attenuation level g = {report['g_star']:.6g}",
         f"  level search: {search['status']}, {search['newton_steps']} Newton steps, "
         f"margin {search['margin']:.3e}, gap bound {gap}",
+        f"  realizability residual after augmentation: {report['realizability_residual']:.3e}",
         "",
         f"  {'status':6s}  check",
         "  " + "-" * 72,

@@ -113,12 +113,17 @@ def _mean_square_abscissa(loop):
     return float(np.max(np.linalg.eigvals(gen).real))
 
 
-def _unstable_mode_plant(rates):
-    """Two-state plant whose second mode drifts away (A_2 = +0.1 I)."""
+def _unstable_mode_plant(rates, drifts=(-1.0, 0.1)):
+    """Two-state plant with A_i = drifts[i] I; by default its second mode
+    drifts away (A_2 = +0.1 I)."""
     eye = np.eye(2)
-    return JumpPlant(a_modes=(-eye, 0.1 * eye), b1=eye, b2=eye, c1=eye, d1=-eye,
-                     c2=eye, d2=-eye, theta=make_commutation_matrix(2),
+    return JumpPlant(a_modes=tuple(d * eye for d in drifts), b1=eye, b2=eye, c1=eye,
+                     d1=-eye, c2=eye, d2=-eye, theta=make_commutation_matrix(2),
                      rates=TransitionRateMatrix(np.array(rates)))
+
+
+# mode 2 is absorbing: it is entered at rate 0.5 and never left
+ABSORBING_RATES = [[-0.5, 0.5], [0.0, 0.0]]
 
 
 def test_verify_closed_loop_certifies_briefly_visited_unstable_mode():
@@ -138,6 +143,32 @@ def test_verify_closed_loop_rejects_long_visited_unstable_mode():
     report = verify_closed_loop(plant, _zero_controller(2), 5.0)
     assert not report.attenuation_ok
     assert _mean_square_abscissa(assemble_closed_loop(plant, _zero_controller(2))) > 0
+
+
+@pytest.mark.parametrize("drifts, certified", [
+    ((0.1, -1.0), True),  # the unstable mode is transient
+    ((-1.0, 0.1), False),  # the absorbing mode is unstable
+])
+def test_verify_closed_loop_with_an_absorbing_mode(drifts, certified):
+    plant = _unstable_mode_plant(ABSORBING_RATES, drifts)
+    report = verify_closed_loop(plant, _zero_controller(2), 20.0)
+    assert report.attenuation_ok is certified
+    assert report.solution.status == ("feasible" if certified else "infeasible-at-tolerance")
+    assert (report.solution.margin > 0) is certified
+    assert (_mean_square_abscissa(assemble_closed_loop(plant, _zero_controller(2))) < 0) \
+        is certified
+
+
+def test_synthesis_stabilises_an_unstable_absorbing_mode():
+    plant = _unstable_mode_plant(ABSORBING_RATES)
+    result = synthesis.synthesize(plant, 5.0)
+    assert result.solution.feasible
+    aug = realizability.augment_jump_controller(result.controller)
+    report = verify_closed_loop(plant, aug, 5.0)
+    assert report.attenuation_ok
+    assert report.solution.iterations == 30
+    assert report.solution.margin > 2.0
+    assert _mean_square_abscissa(assemble_closed_loop(plant, aug)) < 0
 
 
 @pytest.mark.parametrize("make_ctrl", [_zero_controller, _destabilizing_controller])

@@ -307,6 +307,80 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check-pr", "--controller", "{root}"], id="directory input"),
+    pytest.param(["analyze", "--plant", "{plant}", "--controller", "{ctrl}", "--g", "0.5",
+                  "--out", "{blocker}/x.json"], id="report under a regular file"),
+])
+def test_unusable_path_is_input_error(docs, tmp_path, argv):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhinf.cli", *(a.format(blocker=blocker, **docs) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_DEMO_FILES = [f"d/{name}" for name in demo.DEMO_DOCUMENTS]
+
+
+@pytest.mark.parametrize("argv, written", [
+    pytest.param(["synth", "--plant", "{plant}", "--g", "0.5", "--out", "{run}/c.json"],
+                 ["c.json", "c.cert.json"], id="synth"),
+    pytest.param(["augment", "--controller", "{ctrl}", "--out", "{run}/a.json"], ["a.json"],
+                 id="augment"),
+    pytest.param(["check-pr", "--controller", "{ctrl}", "--tol", "5e-3"], [], id="check-pr"),
+    pytest.param(["check-pr", "--controller", "{ctrl}", "--tol", "5e-3",
+                  "--out", "{run}/pr.txt"], ["pr.txt"], id="check-pr --out"),
+    pytest.param(["analyze", "--plant", "{plant}", "--controller", "{ctrl}", "--g", "0.5"], [],
+                 id="analyze"),
+    pytest.param(["analyze", "--plant", "{plant}", "--controller", "{ctrl}", "--g", "0.5",
+                  "--format", "doc", "--out", "{run}/an.json"], ["an.json"], id="analyze --out"),
+    pytest.param(["optics", "realize", "--controller", "{ctrl}"], [], id="optics"),
+    pytest.param(["optics", "realize", "--controller", "{ctrl}", "--out", "{run}/op.txt"],
+                 ["op.txt"], id="optics --out"),
+    pytest.param(["simulate", "--system", "{system}", "--t-end", "5"], [], id="simulate"),
+    pytest.param(["simulate", "--system", "{system}", "--t-end", "5", "--out", "{run}/s.txt"],
+                 ["s.txt"], id="simulate --out"),
+    pytest.param(["simulate", "--system", "{system}", "--t-end", "5",
+                  "--plot-data", "{run}/p/s.dat"], ["p/s.dat"], id="simulate --plot-data"),
+    pytest.param(["simulate", "--system", "{system}", "--t-end", "5", "--out", "{run}/s.txt",
+                  "--plot-data", "{run}/p/s.dat"], ["p/s.dat", "s.txt"],
+                 id="simulate --out --plot-data"),
+    pytest.param(["demo-paper", "--quick", "--tol-g", "0.2"], [], id="demo-paper"),
+    pytest.param(["demo-paper", "--quick", "--tol-g", "0.2", "--out-dir", "{run}/d"],
+                 _DEMO_FILES, id="demo-paper --out-dir"),
+    pytest.param(["demo-paper", "--quick", "--tol-g", "0.2", "--out", "{run}/r.txt"],
+                 ["r.txt"], id="demo-paper --out"),
+    pytest.param(["demo-paper", "--quick", "--tol-g", "0.2", "--out-dir", "{run}/d",
+                  "--out", "{run}/r.txt"], [*_DEMO_FILES, "r.txt"],
+                 id="demo-paper --out-dir --out"),
+])
+def test_every_run_that_writes_files_writes_one_manifest(docs, tmp_path, capsys, argv, written):
+    # written: the files of the run in write order, the command's own first
+    run = tmp_path / "run"
+    run.mkdir()
+    assert main([a.format(run=run, **docs) for a in argv]) == 0
+    manifests = sorted(run.rglob("*.manifest.json"))
+    files = {str(p) for p in run.rglob("*") if p.is_file()} - {str(m) for m in manifests}
+    assert files == {str(run / name) for name in written}
+    if not written:
+        assert manifests == []
+        return
+    assert manifests == [Path(f"{run / written[0]}.manifest.json")]
+    # canonical JSON sorts the keys; the write order shows as the manifest's place
+    outputs = serialize.read_doc(manifests[0])["outputs"]
+    assert list(outputs) == sorted(str(run / name) for name in written)
+    assert all(outputs[str(run / name)] == serialize.file_digest(run / name)
+               for name in written)
+
+
 @pytest.mark.parametrize("argv, missing", [
     (["synth", "--g", "0.5", "--plant", "{ctrl}"], "'plant'"),
     (["check-pr", "--controller", "{plant}"], "'controller'"),

@@ -30,6 +30,16 @@ def test_zero_rates_no_jumps():
     assert path.modes == (2,)
 
 
+def test_absorbing_mode_ends_every_path():
+    # mode 2 has no exit rate: a path from mode 1 jumps once (at rate 0.5,
+    # almost surely within 100 s) and stays in mode 2
+    rates = np.array([[-0.5, 0.5], [0.0, 0.0]])
+    for seed in range(20):
+        path = sample_markov_path(rates, 100.0, initial_mode=1, seed=seed)
+        assert path.modes == (1, 2)
+        assert len(path.jump_times) == 1
+
+
 def test_path_determinism():
     rates = np.array(demo.OPO_RATES)
     p1 = sample_markov_path(rates, 500.0, 1, seed=42)

@@ -250,6 +250,19 @@ def test_demo_reports_the_level_search_as_data():
     assert "level search: feasible, 130 Newton steps" in demo.format_demo_report(report)
 
 
+def test_demo_reports_the_augmentation_residual_as_data():
+    # augment_controller raises above a 1e-9 commutation defect and builds
+    # the output conditions exactly, so a realizability PASS line could never
+    # fail; the residual is report data
+    report = demo.run_paper_demo(quick=True)
+    assert 0.0 <= report["realizability_residual"] <= 1e-9
+    names = [c["name"] for c in report["checks"]]
+    assert "synthesized controller realizable after augmentation" not in names
+    assert len(names) == 30
+    assert ("realizability residual after augmentation: "
+            f"{report['realizability_residual']:.3e}") in demo.format_demo_report(report)
+
+
 def test_min_attenuation_reference_level_within_tolerance_of_sweep():
     # boundary of the fixed-level verdicts: 0.036 infeasible, 0.037 feasible
     plant = demo.reference_plant()
