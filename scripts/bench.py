@@ -7,11 +7,13 @@ end-to-end ``qhinf demo-paper --quick``.
 
 For each grid point, times ``synthesize(random_plant(0, n, modes, 0), 5.0)``
 on the seeded jump plants of perfbench/plants.py and, when the solve gives a
-controller, ``verify_closed_loop`` of its augmentation at 5.0 (the point's
+controller, certifies its augmentation at 5.0 (the point's
 ``certification``, None without a controller); then times the reference
-``min_attenuation(reference_plant(), 0.01, 1.0, tol_g=5e-3)`` and
-``verify_closed_loop`` of its augmented controller at g*, the two LMI solves
-of ``qhinf demo-paper --quick``.  On the reference plant closed with
+``min_attenuation(reference_plant(), 0.01, 1.0, tol_g=5e-3)`` and certifies
+its augmented controller at g*.  Each certification times both checks: the
+coupled LMI solve ``verify_closed_loop`` and the closed-form storage
+certificate ``synthesis.certify_design`` that ``qhinf demo-paper`` and
+``qhinf synth`` use.  On the reference plant closed with
 ``reference_controller()`` it times one ``propagate_moments`` path (sin:0.5,
 t_end 100, dt 0.05, validated, as perfbench's fault-sim) and one mean-probe
 path (default family, t_end 120).  Last, it runs
@@ -20,7 +22,8 @@ process, its printed report discarded.  Each figure is one wall-clock run
 (``time.perf_counter``) on one BLAS thread.  Writes BENCH_<date>.json with,
 per solve, the seconds and milliseconds per Newton step beside the solve's
 ``LmiSolution.record()`` (status, Newton steps, verified margin, final shift
-t, objective gap, notes), whether the certification passed, the simulation
+t, objective gap, notes), whether the coupled certification passed, the
+storage certificate's verdict, least margin and seconds, the simulation
 seconds, the demo's seconds and exit code, plus the numpy and scipy versions
 and the live BLAS thread count.  The default grid leaves out
 (8, 6), which takes minutes.
@@ -76,19 +79,27 @@ def record(seconds, solution, **fields):
             **solution.record()}
 
 
-def certify(plant, controller, g, label):
-    """Record of ``verify_closed_loop`` of the augmented controller at level g,
-    with ``certified`` its verdict, printed after ``label``; only the
-    certification is timed."""
-    from qhinf import analysis, realizability
+def certify(plant, result, g, label):
+    """Record of ``verify_closed_loop`` of the augmented controller of the
+    ``SynthesisResult`` at level g, with ``certified`` its verdict, and of
+    ``certify_design`` of the same design as ``storage_certified``,
+    ``storage_margin`` and ``storage_seconds``; printed after ``label``.
+    Only the two certifications are timed."""
+    from qhinf import analysis, realizability, synthesis
 
-    aug = realizability.augment_jump_controller(controller)
+    aug = realizability.augment_jump_controller(result.controller)
     t0 = time.perf_counter()
     report = analysis.verify_closed_loop(plant, aug, g)
     seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    storage = synthesis.certify_design(plant, result, aug, g)
+    storage_seconds = time.perf_counter() - t0
     print(f"{label}: {seconds:.3f} s, {report.solution.summary()}, "
-          f"certified={report.attenuation_ok}", flush=True)
-    return record(seconds, report.solution, g=g, certified=report.attenuation_ok)
+          f"certified={report.attenuation_ok}; storage {storage_seconds * 1e3:.2f} ms, "
+          f"{storage.summary()}, certified={storage.certified}", flush=True)
+    return record(seconds, report.solution, g=g, certified=report.attenuation_ok,
+                  storage_certified=storage.certified, storage_margin=storage.margin,
+                  storage_seconds=round(storage_seconds, 6))
 
 
 def main(argv=None):
@@ -123,7 +134,7 @@ def main(argv=None):
         seconds, _, solution = timed(design)
         print(f"n={n} modes={modes}: {seconds:.3f} s, {solution.summary()}", flush=True)
         point = record(seconds, solution, n=n, modes=modes, g=LEVEL)
-        point["certification"] = (certify(plant, designed[0].controller, LEVEL, "  certification")
+        point["certification"] = (certify(plant, designed[0], LEVEL, "  certification")
                                   if designed else None)
         grid.append(point)
 
@@ -140,8 +151,8 @@ def main(argv=None):
     print(f"reference min_attenuation: {seconds:.3f} s, {solution.summary()}, g*={g_star}",
           flush=True)
 
-    certification = certify(demo.reference_plant(), designed[0].controller, g_star,
-                            "reference verify_closed_loop")
+    certification = certify(demo.reference_plant(), designed[0], g_star,
+                            "reference certification")
 
     loop = analysis.assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
     dist = jumpsim.Disturbance("sin:0.5", numpy.eye(loop.n_w)[0], "sin", 0.5)

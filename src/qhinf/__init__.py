@@ -6,7 +6,8 @@ Submodules:
   containers
 * ``realizability``: physical realizability checks and noise augmentation
 * ``lmi``: strict LMI feasibility engine
-* ``synthesis``: controller synthesis from coupled LMIs
+* ``synthesis``: controller synthesis from coupled LMIs, and the closed-form
+  certificate of a synthesized design from its own storage
 * ``analysis``: closed-loop certification from the coupled bounded-real LMI
 * ``jumpsim``: fault-path sampling and moment propagation
 * ``optics``: OPO plant front end and optical controller realization

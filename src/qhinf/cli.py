@@ -13,9 +13,11 @@ every parsed option, the seed and the tool version.
 
 Exit codes: 0 success / verification pass (and --help, --version), 1
 verification failure (including a realizability augmentation that leaves
-a commutation defect above 1e-9), 2 infeasible or undecided synthesis, 3
-input or usage error (a malformed document or value, an unknown option, a
-missing subcommand, a path that cannot be read or written).
+a commutation defect above 1e-9, and a synth design that its own storage
+certificate does not certify, after both files are written), 2 infeasible
+or undecided synthesis, 3 input or usage error (a malformed document or
+value, an unknown option, a missing subcommand, a path that cannot be read
+or written).
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ def _cmd_synth(args):
     ctrl = result.controller
     if args.augment:
         ctrl = realizability.augment_jump_controller(ctrl)
+    certificate = synthesis.certify_design(plant, result, ctrl, g_star,
+                                           eps_strict=args.eps_strict)
     out = Path(args.out) if args.out else Path("controller.json")
     serialize.write_doc(out, serialize.system_to_doc(controller=ctrl, rates=plant.rates))
     cert = {
@@ -121,11 +125,17 @@ def _cmd_synth(args):
         "eps_strict": args.eps_strict,
         "coupling_condition_numbers": list(result.coupling_condition_numbers),
         "augmented": bool(args.augment),
+        "certified": certificate.certified,
+        "certificate_margin": certificate.margin,
     }
     cert_path = out.with_suffix(".cert.json")
     serialize.write_doc(cert_path, cert)
     _finish(args, [args.plant], files=[out, cert_path])
     print(f"synthesized controller at g = {g_star:.6g} -> {out}")
+    if not certificate.certified:
+        print(f"verification failed: the written controller does not certify at "
+              f"g = {g_star:.6g} ({certificate.summary()})", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     return EXIT_OK
 
 

@@ -22,6 +22,50 @@ with the standard completion term M_i (see ``_reconstruct_mode``).  The
 resulting controller has the plant's state dimension, carries no noise
 channels yet, and generally needs the realizability augmentation before it
 corresponds to a quantum device.
+
+``certify_design(plant, result, controller, g)`` certifies a design from
+the storage its synthesis solve already holds (Scherer, Gahinet & Chilali,
+IEEE TAC 42(7), 1997; de Souza & Fragoso, IEEE TAC 38(7), 1993).  With
+W_i = Y_i^{-1} - X_i take, for mode i,
+
+    P_i = [[X_i, W_i], [W_i, -W_i]],   Pi_i = [[Y_i, I], [Y_i, 0]].
+
+Then P_i Pi_i = [[I, X_i], [0, W_i]], so Pi_i^T P_i Pi_i = [[Y_i, I],
+[I, X_i]], the cross-coupling block: it is positive definite, hence so are
+Y_i, Pi_i (invertible) and P_i.  Congruence by diag(Pi_i, I) therefore
+turns the closed-loop bounded-real inequality of ``analysis`` at the
+storage P_i into an equivalent one.  For a controller (A_K, B_K, C_K) of
+state dimension n set F~ = C_K Y_i, L~ = W_i B_K and M~ = W_i A_K Y_i; with
+the closed-loop blocks of ``qmodel.assemble_closed_loop``,
+
+    Pi_i^T P_i A_cl Pi_i = [[A Y + B2 F~,                      A        ],
+                            [X A Y + L~ C2 Y + X B2 F~ + M~,   X A + L~ C2]]
+    Pi_i^T P_j Pi_i      = [[Y_i Y_j^{-1} Y_i, Y_i Y_j^{-1}], [Y_j^{-1} Y_i, X_j]]
+    C_cl Pi_i            = [C1 Y + D1 F~, C1]
+    Pi_i^T P_i B_cl      = [B1; X B1 + L~ D2]
+
+(X, Y = X_i, Y_i; the second line holds for j = i too).  These hold for any
+such controller, so the verdict certifies the controller given, not the one
+the solve would rebuild.  The controller's noise channels enter only B2~,
+which the bounded-real block does not read, so an augmented controller
+gets its raw controller's verdict.
+
+For the controller ``_reconstruct_mode`` rebuilds at level g, F~ = F_i,
+L~ = L_i and M~ = M_i.  The (2, 1) block of the congruenced state block is
+then (X A Y + L C2 Y + X B2 F + M_i) + A^T + sum_j pi_ij Y_j^{-1} Y
++ C1^T (C1 Y + D1 F), and substituting M_i leaves
+-g^{-2} (X B1 + L D2) B1^T.  The Schur complement of the -g^2 I corner
+therefore has a zero off-diagonal block, and its two diagonal blocks are
+the Schur complements of the state-feedback and the observer synthesis
+LMIs at level g.  So every feasible point of the synthesis LMIs at g gives
+a controller whose closed loop P_i certifies at g, and a point that holds
+them at a lower level leaves that certificate the difference as room.
+
+The verdict is rounding-aware only through its threshold: every margin,
+-lambda_max of each congruenced bounded-real block and lambda_min of each
+cross-coupling block, evaluated in double precision from the closed forms
+above (never as T^T BRL(P) T, whose entries can be far larger than the
+block), must be at least eps_strict.
 """
 
 from __future__ import annotations
@@ -42,9 +86,11 @@ __all__ = [
     "SynthesisError",
     "LmiInfeasibleError",
     "SynthesisResult",
+    "DesignCertificate",
     "build_hinf_lmis",
     "synthesize",
     "min_attenuation",
+    "certify_design",
 ]
 
 COND_LIMIT = 1e10  # inversion guard for the reconstruction step
@@ -268,7 +314,10 @@ def min_attenuation(
     h = tol_g/2 of the least level certifiable at eps_strict.  Returns
     (g_star, result) with g_star = min(sqrt(gamma) + h, g_hi), within tol_g
     of that level; the LMI solution holds at g_star too, and the controller
-    reconstructed there leaves its closed-loop certificate h of room.  The
+    reconstructed there leaves its closed-loop certificate h of room: by the
+    module docstring's derivation the storage P_i certifies that controller
+    at g_star whenever the synthesis LMIs hold at g_star, and the point
+    holds them at sqrt(gamma) = g_star - h already.  The
     gap bound is exact only at centred barrier iterates, so where the solver
     cannot centre, g_star can lie further above the least level.  When the
     solution is too ill-conditioned to rebuild a controller from, the
@@ -322,3 +371,83 @@ def min_attenuation(
                 f"fixed-level solve at that level gave none either ({fallback})",
                 fallback.solution,
             ) from fallback
+
+
+@dataclass(frozen=True)
+class DesignCertificate:
+    """Closed-form certificate of a synthesized design at level g.
+
+    ``storage_margins`` are -lambda_max of each mode's congruenced
+    bounded-real block, ``coupling_margins`` lambda_min of each mode's
+    [[Y_i, I], [I, X_i]]; ``certified`` is whether every margin, and so
+    ``margin``, is at least eps_strict.
+    """
+
+    g: float
+    storage_margins: tuple
+    coupling_margins: tuple
+    certified: bool
+
+    @property
+    def margin(self) -> float:
+        """The least storage or coupling margin."""
+        return min(self.storage_margins + self.coupling_margins)
+
+    def summary(self) -> str:
+        return (f"storage margin {min(self.storage_margins):.3e}, "
+                f"coupling margin {min(self.coupling_margins):.3e}")
+
+
+def certify_design(
+    plant: JumpPlant,
+    result: SynthesisResult,
+    controller: Controller,
+    g: float,
+    eps_strict: float = lmi.EPS_STRICT,
+) -> DesignCertificate:
+    """Certify the loop of plant and controller at level g with the storage
+    P_i that ``result``'s X_i and Y_i define (see the module docstring),
+    by one eigensolve per block and no LMI solve.
+
+    ``controller`` is raw or augmented, of the plant's state dimension.
+    Raises ``ValueError`` on a level that is not positive with g^2 finite,
+    or a controller whose shape does not fit the plant.
+    """
+    analysis._check_level(g)
+    n = plant.n
+    if controller.n_modes != plant.n_modes or controller.n_k != n:
+        raise ValueError(
+            f"the storage certificate needs a controller of {plant.n_modes} modes and "
+            f"state dimension {n}, got {controller.n_modes} and {controller.n_k}"
+        )
+    assignment = result.solution.assignment
+    xs = [assignment[f"X{i + 1}"] for i in range(plant.n_modes)]
+    ys = [assignment[f"Y{i + 1}"] for i in range(plant.n_modes)]
+    y_invs = [_inv_sym_guarded(y, f"Y_{i + 1}")[0] for i, y in enumerate(ys)]
+    b1, b2, c1, d1, c2, d2 = plant.b1, plant.b2, plant.c1, plant.d1, plant.c2, plant.d2
+    eye_n = np.eye(n)
+    corner = -(g * g) * np.eye(plant.n_w)
+    storage, coupling = [], []
+    for i, (a, mode) in enumerate(zip(plant.a_modes, controller.modes)):
+        x, y = xs[i], ys[i]
+        w = y_invs[i] - x
+        f = mode.c @ y
+        l = w @ mode.b
+        xa = x @ a
+        c_pi = np.hstack([c1 @ y + d1 @ f, c1])  # C_cl Pi_i
+        s = np.block([[a @ y + b2 @ f, a],
+                      [xa @ y + l @ c2 @ y + x @ b2 @ f + w @ mode.a @ y, xa + l @ c2]])
+        cross = np.block([[y, eye_n], [eye_n, x]])  # Pi_i^T P_i Pi_i
+        h = s + s.T + c_pi.T @ c_pi
+        for j, rate in enumerate(plant.rates.pi[i]):
+            if j == i:
+                h += rate * cross
+            elif rate > 1e-15:
+                yjy = y_invs[j] @ y
+                h += rate * np.block([[y @ yjy, yjy.T], [yjy, xs[j]]])
+        g_col = np.vstack([b1, x @ b1 + l @ d2])
+        block = np.block([[h, g_col], [g_col.T, corner]])
+        storage.append(-float(lmi.symmetric_eigenvalues(block)[-1]))
+        coupling.append(float(lmi.symmetric_eigenvalues(cross)[0]))
+    certified = min(storage + coupling) >= eps_strict
+    return DesignCertificate(float(g), tuple(storage), tuple(coupling), certified)

@@ -44,6 +44,7 @@ def test_synth_fixed_level(docs, capsys):
     cert = serialize.read_doc(out.with_suffix(".cert.json"))
     assert cert["g"] == 0.5
     assert cert["lmi_status"] == "feasible"
+    assert cert["certified"] is True and cert["certificate_margin"] >= cert["eps_strict"]
     manifest = serialize.read_doc(str(out) + ".manifest.json")
     assert str(docs["plant"]) in manifest["inputs"]
     assert manifest["tool_version"]
@@ -684,8 +685,8 @@ def test_demo_report_records_the_certificate_solve(demo_docs):
     (check,) = [c for c in report["checks"]
                 if c["name"] == "closed loop certified at minimised level"]
     assert check["status"] == "PASS"
-    assert check["detail"].startswith(
-        "coupled certificate feasible, 66 Newton steps, margin 9.96")
+    # the level search's own storage certifies the loop; no solve is made
+    assert check["detail"].startswith("storage margin 9.13")
     assert "; abscissas [" in check["detail"]
 
 
@@ -740,6 +741,29 @@ def test_demo_level_search_is_the_synth_cert_record(demo_docs):
     assert set(search) == {"status", "newton_steps", "margin", "t", "gap", "notes"}
     assert {f"lmi_{k}": v for k, v in search.items()} == {
         k: v for k, v in cert.items() if k.startswith("lmi_")}
+
+
+def test_synth_writes_a_design_that_does_not_certify_and_exits_1(demo_docs, capsys,
+                                                                   monkeypatch):
+    # the level search's design checked at 0.03, below its g*: the storage
+    # certificate fails, and synth still writes both files before it exits 1
+    from qhinf import synthesis
+
+    certify = synthesis.certify_design
+
+    def below_g_star(plant, result, ctrl, g, **kwargs):
+        return certify(plant, result, ctrl, 0.03, **kwargs)
+
+    monkeypatch.setattr(synthesis, "certify_design", below_g_star)
+    out = demo_docs["root"] / "not_certified" / "ctrl.json"
+    assert main(["synth", "--plant", str(demo_docs["plant"]), "--min-g", "--tol-g", "5e-3",
+                 "--out", str(out)]) == 1
+    cert = serialize.read_doc(out.with_suffix(".cert.json"))
+    assert cert["certified"] is False and cert["certificate_margin"] < 0
+    assert cert["lmi_status"] == "feasible" and out.exists()
+    manifest = serialize.read_doc(str(out) + ".manifest.json")
+    assert set(manifest["outputs"]) == {str(out), str(out.with_suffix(".cert.json"))}
+    assert "does not certify at g = 0.0394596 (storage margin -" in capsys.readouterr().err
 
 
 def test_demo_rejects_zero_paths_before_the_design(tmp_path, capsys, monkeypatch):

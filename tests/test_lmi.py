@@ -379,7 +379,7 @@ def test_round_end_margin_matches_verified_margins(monkeypatch):
 
     monkeypatch.setattr(lmi, "solve_feasibility", capture)
     monkeypatch.setattr(lmi, "_stacked_margin", recording)
-    # the two solves of demo-paper --quick, then a fixed-level synthesis
+    # the level search, the coupled certificate of its design, then a fixed-level synthesis
     plant = demo.reference_plant()
     g_star, result = synthesis.min_attenuation(plant, 0.01, 1.0, tol_g=5e-3)
     aug = realizability.augment_jump_controller(result.controller)

@@ -76,6 +76,11 @@ def test_bench_script_writes_json(tmp_path):
     assert {"seconds", "newton_steps", "step_ms", "status", "g", "certified"} <= set(
         grid_certification)
     assert (grid_certification["status"], grid_certification["certified"]) == ("feasible", True)
+    # beside the coupled solve, the closed-form storage certificate of the same design
+    for check in (certification, grid_certification):
+        assert check["storage_certified"] is True
+        assert check["storage_margin"] >= 1e-6
+        assert check["storage_seconds"] > 0
     assert grid_certification["g"] == point["g"] == 5.0
     # the certificate solve stops at its first verified round
     assert grid_certification["newton_steps"] == 30

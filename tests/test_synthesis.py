@@ -1,18 +1,27 @@
 import importlib.util
 import json
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qhinf import demo, lmi, realizability, serialize
-from qhinf.analysis import verify_closed_loop
-from qhinf.qmodel import JumpPlant, TransitionRateMatrix, make_commutation_matrix
+from qhinf.analysis import coupled_mode_check, verify_closed_loop
+from qhinf.qmodel import (
+    Controller,
+    JumpPlant,
+    TransitionRateMatrix,
+    assemble_closed_loop,
+    make_commutation_matrix,
+)
 from qhinf.synthesis import (
     LmiInfeasibleError,
     SynthesisError,
     _reconstruct_mode,
     build_hinf_lmis,
+    certify_design,
     min_attenuation,
     synthesize,
 )
@@ -220,9 +229,9 @@ def test_min_attenuation_is_one_solve(monkeypatch):
     assert len(calls) == 1
 
 
-def test_demo_quick_makes_two_lmi_solves(monkeypatch):
-    # the level search and the synthesized loop's certificate; the tabulated
-    # controller's stability check needs its abscissas only, not a solve
+def test_demo_quick_makes_one_lmi_solve(monkeypatch):
+    # the level search; its own storage certifies the synthesized loop, and
+    # the tabulated controller's stability check needs its abscissas only
     calls = []
     solve = lmi.solve_feasibility
 
@@ -232,7 +241,7 @@ def test_demo_quick_makes_two_lmi_solves(monkeypatch):
 
     monkeypatch.setattr(lmi, "solve_feasibility", counting)
     report = demo.run_paper_demo(quick=True)
-    assert len(calls) == 2
+    assert len(calls) == 1
     check = next(c for c in report["checks"]
                  if c["name"] == "tabulated controller stabilises every mode")
     assert check["status"] == "PASS" and check["detail"].startswith("abscissas ")
@@ -405,3 +414,174 @@ def test_budget_exhaustion_is_not_infeasibility():
             solve()
         assert not isinstance(info.value, LmiInfeasibleError)
         assert info.value.solution.status == "max-iter"
+
+
+@pytest.fixture(scope="module")
+def reference_design():
+    # demo-paper's design: the level search at tol_g 5e-3 and its augmentation
+    plant = demo.reference_plant()
+    g_star, result = min_attenuation(plant, 0.01, 1.0, tol_g=5e-3)
+    return plant, g_star, result, realizability.augment_jump_controller(result.controller)
+
+
+def test_storage_certificate_of_the_reference_design(reference_design):
+    plant, g_star, result, aug = reference_design
+    cert = certify_design(plant, result, aug, g_star)
+    assert cert.certified and cert.g == g_star
+    assert min(cert.storage_margins) == pytest.approx(9.135e-5, rel=1e-3)
+    assert min(cert.coupling_margins) == pytest.approx(1.297e-5, rel=1e-3)
+    assert cert.margin == min(cert.coupling_margins)
+    assert cert.summary() == "storage margin 9.135e-05, coupling margin 1.297e-05"
+    # the repair noise channels enter B2~ only, which the block does not read
+    assert certify_design(plant, result, result.controller, g_star) == cert
+
+
+@pytest.mark.parametrize("design", ["reference", "random"])
+def test_storage_certificate_agrees_with_the_coupled_solve(reference_design, design):
+    if design == "reference":
+        plant, g, result, aug = reference_design
+    else:
+        plant, g = _random_plant(0, 4, 3), 5.0
+        result = synthesize(plant, g)
+        aug = realizability.augment_jump_controller(result.controller)
+    cert = certify_design(plant, result, aug, g)
+    coupled = coupled_mode_check(assemble_closed_loop(plant, aug), g)
+    assert cert.certified and coupled.attenuation_ok
+
+
+@pytest.mark.parametrize("seed, n, modes, g_star", [
+    (4, 4, 3, 1.3146230863498085),
+    (0, 4, 2, 1.066353651624284),
+])
+def test_storage_certificate_of_level_search_designs(seed, n, modes, g_star):
+    # the coupled certificate solve rejects both designs at g*
+    # (infeasible-at-tolerance, margins -3.5e-3 and -0.51), yet the level
+    # search's own storage certifies them
+    plant = _random_plant(seed, n, modes)
+    g, result = min_attenuation(plant, 0.01, 10.0, tol_g=5e-3)
+    assert g == pytest.approx(g_star, rel=1e-12)
+    cert = certify_design(plant, result, result.controller, g)
+    assert cert.certified and cert.margin > 1e-4
+
+
+def _scaled_a(ctrl, factor):
+    return Controller(tuple(replace(m, a=factor * m.a) for m in ctrl.modes), ctrl.theta_k)
+
+
+@pytest.mark.parametrize("case, margin", [
+    ("level 0.030", -2.258e-4),
+    ("A_K scaled by 1.01", -5.325e-4),
+])
+def test_storage_certificate_rejects(reference_design, case, margin):
+    plant, g_star, result, aug = reference_design
+    if case == "level 0.030":
+        cert = certify_design(plant, result, aug, 0.030)
+    else:
+        cert = certify_design(plant, result, _scaled_a(aug, 1.01), g_star)
+    assert not cert.certified
+    assert min(cert.storage_margins) == pytest.approx(margin, rel=1e-2)
+
+
+def test_storage_certificate_rejects_a_controller_of_another_shape(reference_design):
+    plant, g_star, result, _ = reference_design
+    other = synthesize(_single_mode_plant(), 1000.0).controller
+    with pytest.raises(ValueError, match="3 modes and state dimension 2, got 1 and 2"):
+        certify_design(plant, result, other, g_star)
+
+
+def _exact(m):
+    return [[Fraction(float(v)) for v in row] for row in np.asarray(m)]
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _add(*ms):
+    return [[sum(vals) for vals in zip(*rows)] for rows in zip(*ms)]
+
+
+def _scale(c, m):
+    return [[c * v for v in row] for row in m]
+
+
+def _t(m):
+    return [list(col) for col in zip(*m)]
+
+
+def _inverse(m):
+    # Gauss-Jordan elimination with nonzero pivots
+    k = len(m)
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(m)]
+    for c in range(k):
+        p = next(r for r in range(c, k) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        pivot = aug[c][c]
+        aug[c] = [v / pivot for v in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    return [row[k:] for row in aug]
+
+
+def _positive_definite(m):
+    # a symmetric matrix is positive definite iff every pivot of its
+    # elimination without row exchanges is positive
+    m = [row[:] for row in m]
+    for c in range(len(m)):
+        if m[c][c] <= 0:
+            return False
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [v - f * w for v, w in zip(m[r], m[c])]
+    return True
+
+
+def _block(rows):
+    return [sum((blk[k] for blk in row), []) for row in rows for k in range(len(row[0]))]
+
+
+def _exact_certificate(plant, result, controller, g):
+    """BRL(P) < 0 and P > 0 in exact rational arithmetic, for the storage
+    P_i = [[X_i, W_i], [W_i, -W_i]] with W_i = Y_i^{-1} - X_i exactly."""
+    assignment = result.solution.assignment
+    ps = []
+    for i in range(plant.n_modes):
+        x, y = _exact(assignment[f"X{i + 1}"]), _exact(assignment[f"Y{i + 1}"])
+        w = _add(_inverse(y), _scale(-1, x))
+        ps.append(_block([[x, w], [w, _scale(-1, w)]]))
+    pi = _exact(plant.rates.pi)
+    corner = _scale(-Fraction(g) ** 2, _exact(np.eye(plant.n_w)))
+    for i, mode in enumerate(assemble_closed_loop(plant, controller).modes):
+        a, b, c = _exact(mode.a), _exact(mode.b1), _exact(mode.c)
+        p = ps[i]
+        top = _add(_mul(_t(a), p), _mul(p, a), _mul(_t(c), c),
+                   *(_scale(pi[i][j], ps[j]) for j in range(plant.n_modes)))
+        pb = _mul(p, b)
+        brl = _block([[top, pb], [_t(pb), corner]])
+        if not (_positive_definite(p) and _positive_definite(_scale(-1, brl))):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("design, certified", [
+    ("reference", True),
+    ("ill-conditioned", True),
+    ("reference at 0.030", False),
+])
+def test_storage_certificate_matches_an_exact_oracle(reference_design, design, certified):
+    # on the ill-conditioned design cond(Y_1^-1 - X_1) is 1.2e9, so forming
+    # T^T BRL(P) T in double precision is meaningless there; the closed form
+    # and the exact check agree
+    if design == "ill-conditioned":
+        plant, g = _random_plant(36, 2, 2), 0.53
+        result = synthesize(plant, g)
+        ctrl = result.controller
+        assert max(result.coupling_condition_numbers) > 1e9
+    else:
+        plant, g, result, ctrl = reference_design
+        if design == "reference at 0.030":
+            g = 0.030
+    assert certify_design(plant, result, ctrl, g).certified is certified
+    assert _exact_certificate(plant, result, ctrl, g) is certified
