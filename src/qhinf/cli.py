@@ -9,7 +9,9 @@ that writes any file writes one manifest, next to the first file it wrote;
 the command's own files (controller document and cert, plot data, the
 demo's --out-dir documents) are written before the --out report.  The
 manifest records the digest of every file the run wrote, input digests,
-every parsed option, the seed and the tool version.
+every parsed option, the seed and the tool version.  No command sets a
+solver value: every LMI solve and certificate uses ``lmi.EPS_STRICT`` and
+``lmi.MAX_ITER``, and synth's cert records the threshold as "eps_strict".
 
 Exit codes: 0 success / verification pass (and --help, --version), 1
 verification failure (including a realizability augmentation that leaves
@@ -93,36 +95,23 @@ def _add_report_flags(parser):
     parser.add_argument("--format", choices=("text", "doc"), default="text")
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--eps-strict", type=float, default=lmi.EPS_STRICT,
-                        help="strictness margin required of LMI certificates")
-    parser.add_argument("--max-iter", type=int, default=lmi.MAX_ITER,
-                        help="Newton step budget per solve")
-
-
 def _cmd_synth(args):
     plant, _, _ = _load_system(args.plant, "plant")
     if args.min_g:
-        g_star, result = synthesis.min_attenuation(
-            plant, args.g_lo, args.g_hi, tol_g=args.tol_g,
-            eps_strict=args.eps_strict, max_iter=args.max_iter,
-        )
+        g_star, result = synthesis.min_attenuation(plant, args.g_lo, args.g_hi, tol_g=args.tol_g)
     else:
         g_star = args.g
-        result = synthesis.synthesize(
-            plant, args.g, eps_strict=args.eps_strict, max_iter=args.max_iter
-        )
+        result = synthesis.synthesize(plant, args.g)
     ctrl = result.controller
     if args.augment:
         ctrl = realizability.augment_jump_controller(ctrl)
-    certificate = synthesis.certify_design(plant, result, ctrl, g_star,
-                                           eps_strict=args.eps_strict)
+    certificate = synthesis.certify_design(plant, result, ctrl, g_star)
     out = Path(args.out) if args.out else Path("controller.json")
     serialize.write_doc(out, serialize.system_to_doc(controller=ctrl, rates=plant.rates))
     cert = {
         "g": float(g_star),
         **{f"lmi_{k}": v for k, v in result.solution.record().items()},
-        "eps_strict": args.eps_strict,
+        "eps_strict": lmi.EPS_STRICT,
         "coupling_condition_numbers": list(result.coupling_condition_numbers),
         "augmented": bool(args.augment),
         "certified": certificate.certified,
@@ -315,7 +304,6 @@ def build_parser():
     p.add_argument("--augment", action="store_true",
                    help="attach realizability noise channels to the result")
     p.add_argument("--out", help="controller document to write (default controller.json)")
-    _add_solver_flags(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("check-pr", help="check physical realizability of a controller")

@@ -296,15 +296,21 @@ class Disturbance:
             raise ValueError(f"sinusoid frequency must be finite and positive, got {self.omega!r}")
 
 
-def default_disturbance_family(n_w: int, n_freq: int = 20,
-                               w_lo: float = 1e-2, w_hi: float = 1e2):
-    """Sinusoids on a log-spaced frequency grid plus one step input.
+# Frequency grid of the default disturbance family: N_FREQ sinusoids
+# log-spaced over [W_LO, W_HI] rad/s.
+N_FREQ = 20
+W_LO, W_HI = 1e-2, 1e2
+
+
+def default_disturbance_family(n_w: int):
+    """N_FREQ sinusoids on a log-spaced grid over [W_LO, W_HI] plus one step
+    input.
 
     Sinusoid directions cycle through the disturbance channels; the step is
     spread evenly over all channels.
     """
     family = []
-    for k, omega in enumerate(np.logspace(np.log10(w_lo), np.log10(w_hi), n_freq)):
+    for k, omega in enumerate(np.logspace(np.log10(W_LO), np.log10(W_HI), N_FREQ)):
         direction = np.zeros(n_w)
         direction[k % n_w] = 1.0
         family.append(Disturbance(f"sin:{omega:.4g}", direction, "sin", float(omega)))

@@ -4,11 +4,14 @@ The engine rewrites every constraint in the uniform form M_k(v) <= t I
 (constraints required positive definite are negated first) and minimises the
 shift t with a log-det barrier interior-point method on the slack matrices
 S_k = t I - M_k(v).  A problem is declared strictly feasible when the final
-iterate achieves max_k lambda_max(M_k(v)) <= -eps_strict.
+iterate achieves max_k lambda_max(M_k(v)) <= -EPS_STRICT.  ``EPS_STRICT``
+(1e-6) and the Newton step budget ``MAX_ITER`` (400) are the one strictness
+margin and the one budget of the program: every solve, and the closed-form
+design certificate of ``synthesis``, reads them here.
 
 A problem may also name a scalar variable to minimise (``LmiProblem.minimize``):
-once the margin exceeds eps_strict, a second barrier phase freezes t at
--eps_strict and minimises that variable, so each of its iterates certifies.
+once the margin exceeds EPS_STRICT, a second barrier phase freezes t at
+-EPS_STRICT and minimises that variable, so each of its iterates certifies.
 
 Design notes:
 
@@ -52,7 +55,7 @@ Design notes:
   re-verification and never on solver internals.
 * A problem with no objective has two stop rules, and the caller picks one.
   The default (``settle=True``, used by synthesis) stops after the first
-  round whose round-end margin exceeds eps_strict and grew by at most
+  round whose round-end margin exceeds EPS_STRICT and grew by at most
   _MARGIN_SETTLED (1 %) of itself: the infimum of t adds nothing a
   certificate needs, and the stop halves the Newton steps of a synthesis at
   n = 4..6.  Synthesis needs the settled interior, because its controller
@@ -62,7 +65,7 @@ Design notes:
   level.  The barrier's gap bound mu * sum_k d_k is no stop test here, as
   capped rounds are not centred.
 * ``settle=False`` (used by closed-loop certification) stops after the
-  first round whose round-end margin exceeds eps_strict, as the LMI
+  first round whose round-end margin exceeds EPS_STRICT, as the LMI
   Control Toolbox's feasp stops once t falls below its target: any
   strictly feasible point is a complete certificate, so later rounds only
   grow a margin nobody reads.  On a 4-state, 3-mode design this cuts the
@@ -222,9 +225,9 @@ class LmiProblem:
     """Matrix variables, strict matrix-inequality constraints, and either no
     objective or (name of a 1x1 variable to minimise, acceptance test)."""
 
-    def __init__(self, variables=(), constraints=()):
-        self.variables: list[MatrixVariable] = list(variables)
-        self.constraints: list[LmiConstraint] = list(constraints)
+    def __init__(self):
+        self.variables: list[MatrixVariable] = []
+        self.constraints: list[LmiConstraint] = []
         self.objective: tuple | None = None
 
     def add_variable(self, name, rows, cols=None, symmetric=False) -> MatrixVariable:
@@ -284,7 +287,6 @@ class LmiSolution:
     status: str  # feasible | infeasible-at-tolerance | max-iter
     t_achieved: float
     constraint_margins: tuple
-    eps_strict: float
     notes: tuple = ()
     gap: float | None = None
 
@@ -549,51 +551,41 @@ _ROUND_STEPS = 15  # Newton steps per barrier weight
 # its positive round-end margin by at most this fraction of the margin.
 _MARGIN_SETTLED = 1e-2
 
-# Default strictness margin of a certificate and Newton step budget of a
-# solve; synthesis and the CLI take their defaults from here.
+# The strictness margin every certificate must reach and the Newton step
+# budget of every solve.  solve_feasibility reads both when it is called.
 EPS_STRICT = 1e-6
 MAX_ITER = 400
 
 
-def solve_feasibility(
-    problem: LmiProblem,
-    eps_strict: float = EPS_STRICT,
-    max_iter: int = MAX_ITER,
-    *,
-    settle: bool = True,
-) -> LmiSolution:
+def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolution:
     """Search a strictly feasible point of an LMI system.
 
     Minimises the uniform eigenvalue shift t with a barrier path-following
     scheme and reports ``feasible`` when the margin of the final iterate,
-    re-verified from the constraint expressions, is at least ``eps_strict``.
+    re-verified from the constraint expressions, is at least ``EPS_STRICT``.
     Each shift-phase round ends with the margin of the stacked slacks, which
     drives the stall test.  Without an objective, the solve ends once that
-    margin exceeds eps_strict and, with ``settle`` (the default), the round
+    margin exceeds EPS_STRICT and, with ``settle`` (the default), the round
     raised it by at most 1 % of its value.  Synthesis keeps ``settle``: its
     controller is rebuilt from the point, and stopping at the first round
-    past eps_strict returns, for the reference synthesis at g = 0.037,
+    past EPS_STRICT returns, for the reference synthesis at g = 0.037,
     margin 1.7e-6 against 1.07e-5 and a controller that fails certification
     at that level.  Certification passes ``settle=False`` and stops at the
-    first round past eps_strict, since any verified point is a complete
+    first round past EPS_STRICT, since any verified point is a complete
     certificate; the verdict still rests on the re-verified final iterate.
     ``settle`` has no effect with an objective: then the shift phase stops
-    once that margin exceeds eps_strict and a phase at t = -eps_strict
+    once that margin exceeds EPS_STRICT and a phase at t = -EPS_STRICT
     minimises the objective in rounds of falling mu.  Once ``within``
     accepts the last value against the lower bound value - mu * sum_k dim_k
     (exact on the central path), one more round tightens the bound and the
     earliest round-end iterate ``within`` accepts is returned.
-    ``max_iter`` caps the Newton steps of both phases; exhausting it without
+    ``MAX_ITER`` caps the Newton steps of both phases; exhausting it without
     a certificate yields status ``max-iter`` with the best iterate still
-    attached.  Raises ``ValueError`` unless eps_strict is finite and
-    positive, max_iter nonnegative, and every constraint's constant and
-    coefficients finite (the message names the first constraint that is
+    attached.  Raises ``ValueError`` unless every constraint's constant and
+    coefficients are finite (the message names the first constraint that is
     not).
     """
-    if not (np.isfinite(eps_strict) and eps_strict > 0):
-        raise ValueError(f"eps_strict must be finite and positive, got {eps_strict}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    eps_strict, max_iter = EPS_STRICT, MAX_ITER
     problem.validate()
     if not problem.constraints:
         raise ValueError("problem has no constraints")
@@ -694,7 +686,6 @@ def solve_feasibility(
         status=status,
         t_achieved=float(x[-1]),
         constraint_margins=constraint_margins,
-        eps_strict=eps_strict,
         notes=tuple(notes),
         gap=gap,
     )

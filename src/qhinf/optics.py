@@ -161,7 +161,10 @@ def realize_controller_optics(mode: ControllerMode,
     budget.  The static squeezer pump is fitted to the gain ratio
     B_22 / B_11; the gain product constraint B_11 B_22 = kappa1 is checked
     by ``controller_fit_report`` rather than silently absorbed.  Raises
-    ``ValueError`` for a mode whose feedthrough D is not [I 0].
+    ``ValueError`` for a mode whose feedthrough D is not [I 0], and names a
+    phase-conjugating repair channel (E_extra diagonal with entries of
+    opposite sign, as the augmentation gives a design whose defect no
+    mirror repairs) before any mismatch within a noise block.
     """
     e_out, e_extra = noise_channels(mode)
     a11, a22 = _diag_entries(mode.a, "controller drift")
@@ -170,6 +173,18 @@ def realize_controller_optics(mode: ControllerMode,
         raise ValueError("measurement input gains must share a sign")
     kappa = -(a11 + a22)
     chi = (a22 - a11) / 2.0
+    x1, x2 = _diag_entries(e_extra, "second noise block")
+    if x1 * x2 < 0:
+        # checked before E_out: a design that needs such a channel can also
+        # have E_out entries that differ at rounding level, which is not
+        # what keeps it from being built
+        over = abs(x1 * x2) > kappa
+        raise ValueError(
+            f"the repair channel E_extra = diag({x1:.4g}, {x2:.4g}) is phase-conjugating "
+            f"(quadrature gains of opposite sign), which no mirror provides"
+            + (f"; its kappa3 = {abs(x1 * x2):.4g} also exceeds the decay budget "
+               f"kappa = -tr A = {kappa:.4g}" if over else "")
+        )
     kappa2 = _scalar_multiple(e_out, "first noise block") ** 2
     kappa3 = _scalar_multiple(e_extra, "second noise block") ** 2
     kappa1 = kappa - kappa2 - kappa3

@@ -65,7 +65,8 @@ The verdict is rounding-aware only through its threshold: every margin,
 -lambda_max of each congruenced bounded-real block and lambda_min of each
 cross-coupling block, evaluated in double precision from the closed forms
 above (never as T^T BRL(P) T, whose entries can be far larger than the
-block), must be at least eps_strict.
+block), must be at least ``lmi.EPS_STRICT``, the margin every LMI solve
+demands of its certificate.
 """
 
 from __future__ import annotations
@@ -278,40 +279,26 @@ def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
     return SynthesisResult(float(g), controller, solution, tuple(conds))
 
 
-def synthesize(
-    plant: JumpPlant,
-    g: float,
-    eps_strict: float = lmi.EPS_STRICT,
-    max_iter: int = lmi.MAX_ITER,
-) -> SynthesisResult:
+def synthesize(plant: JumpPlant, g: float) -> SynthesisResult:
     """Build and solve the LMIs at level g, then reconstruct the controller.
 
     Raises ``LmiInfeasibleError`` when the solver settles without a strictly
-    feasible point and ``SynthesisError`` when max_iter Newton steps end
-    before a verdict.  The returned controller carries no noise channels;
+    feasible point and ``SynthesisError`` when ``lmi.MAX_ITER`` Newton steps
+    end before a verdict.  The returned controller carries no noise channels;
     augment it with the realizability layer before treating it as a quantum
     device.
     """
-    solution = lmi.solve_feasibility(
-        build_hinf_lmis(plant, g), eps_strict=eps_strict, max_iter=max_iter
-    )
+    solution = lmi.solve_feasibility(build_hinf_lmis(plant, g))
     _require_feasible(g, solution)
     return _result(plant, g, solution)
 
 
-def min_attenuation(
-    plant: JumpPlant,
-    g_lo: float,
-    g_hi: float,
-    tol_g: float = 1e-3,
-    eps_strict: float = lmi.EPS_STRICT,
-    max_iter: int = lmi.MAX_ITER,
-):
+def min_attenuation(plant: JumpPlant, g_lo: float, g_hi: float, tol_g: float = 1e-3):
     """Smallest feasible attenuation level in [g_lo, g_hi] from one LMI solve.
 
     gamma = g^2 is an LMI variable with g_lo^2 < gamma < g_hi^2, minimised
     until the lower bound gamma - result.solution.gap puts sqrt(gamma) within
-    h = tol_g/2 of the least level certifiable at eps_strict.  Returns
+    h = tol_g/2 of the least level certifiable at ``lmi.EPS_STRICT``.  Returns
     (g_star, result) with g_star = min(sqrt(gamma) + h, g_hi), within tol_g
     of that level; the LMI solution holds at g_star too, and the controller
     reconstructed there leaves its closed-loop certificate h of room: by the
@@ -322,10 +309,9 @@ def min_attenuation(
     cannot centre, g_star can lie further above the least level.  When the
     solution is too ill-conditioned to rebuild a controller from, the
     controller comes from a fixed-level solve at g_star instead.
-    ``eps_strict`` and ``max_iter`` are passed to the solver.
 
     Raises ``LmiInfeasibleError`` when nothing below g_hi is feasible and
-    ``SynthesisError`` when max_iter Newton steps end before a feasible
+    ``SynthesisError`` when ``lmi.MAX_ITER`` Newton steps end before a feasible
     level, or before the level is within tolerance, or when neither the
     minimiser's point nor the fixed-level solve at g_star gives a
     controller: that case is undecided, never infeasible, since the
@@ -347,7 +333,7 @@ def min_attenuation(
         return np.sqrt(gamma) - np.sqrt(max(lower, g_lo * g_lo)) <= half
 
     problem.minimize(GAMMA, within)
-    solution = lmi.solve_feasibility(problem, eps_strict=eps_strict, max_iter=max_iter)
+    solution = lmi.solve_feasibility(problem)
     _require_feasible(g_hi, solution)
     gamma = float(solution.assignment[GAMMA][0, 0])
     if not within(gamma, gamma - solution.gap):
@@ -361,7 +347,7 @@ def min_attenuation(
         return g_star, _result(plant, g_star, solution)
     except SynthesisError as rebuild:
         try:
-            return g_star, synthesize(plant, g_star, eps_strict=eps_strict, max_iter=max_iter)
+            return g_star, synthesize(plant, g_star)
         except SynthesisError as fallback:
             # the level search holds a verified point at g_star, so the
             # fixed-level solve cannot show the level infeasible
@@ -380,7 +366,7 @@ class DesignCertificate:
     ``storage_margins`` are -lambda_max of each mode's congruenced
     bounded-real block, ``coupling_margins`` lambda_min of each mode's
     [[Y_i, I], [I, X_i]]; ``certified`` is whether every margin, and so
-    ``margin``, is at least eps_strict.
+    ``margin``, is at least ``lmi.EPS_STRICT``.
     """
 
     g: float
@@ -399,11 +385,7 @@ class DesignCertificate:
 
 
 def certify_design(
-    plant: JumpPlant,
-    result: SynthesisResult,
-    controller: Controller,
-    g: float,
-    eps_strict: float = lmi.EPS_STRICT,
+    plant: JumpPlant, result: SynthesisResult, controller: Controller, g: float
 ) -> DesignCertificate:
     """Certify the loop of plant and controller at level g with the storage
     P_i that ``result``'s X_i and Y_i define (see the module docstring),
@@ -449,5 +431,5 @@ def certify_design(
         block = np.block([[h, g_col], [g_col.T, corner]])
         storage.append(-float(lmi.symmetric_eigenvalues(block)[-1]))
         coupling.append(float(lmi.symmetric_eigenvalues(cross)[0]))
-    certified = min(storage + coupling) >= eps_strict
+    certified = min(storage + coupling) >= lmi.EPS_STRICT
     return DesignCertificate(float(g), tuple(storage), tuple(coupling), certified)

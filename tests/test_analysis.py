@@ -202,7 +202,7 @@ def test_certification_of_scaled_random_design_stops_at_first_certificate():
     report = verify_closed_loop(plant, aug, 5.0)
     assert report.attenuation_ok
     assert report.solution.iterations == 30
-    assert report.solution.margin >= report.solution.eps_strict
+    assert report.solution.margin >= lmi.EPS_STRICT
 
 
 def test_reference_design_certifies_at_its_level_in_66_steps(reference_design, monkeypatch):
@@ -220,8 +220,8 @@ def test_reference_design_certifies_at_its_level_in_66_steps(reference_design, m
     assert report.attenuation_ok
     assert solution.iterations == 66  # 90 with the settled-margin stop
     # the solve ends at the first round whose margin passes eps_strict
-    assert round_ends[-1] > solution.eps_strict
-    assert all(m <= solution.eps_strict for m in round_ends[:-1])
+    assert round_ends[-1] > lmi.EPS_STRICT
+    assert all(m <= lmi.EPS_STRICT for m in round_ends[:-1])
 
 
 def _parity_loops(g_star, aug):
@@ -253,6 +253,6 @@ def test_first_certificate_stop_keeps_every_verdict(reference_design, monkeypatc
         assert first.attenuation_ok == reference.attenuation_ok == verdict
         assert first.solution.iterations <= reference.solution.iterations
         if verdict:
-            assert min(first.solution.margin, reference.solution.margin) >= first.solution.eps_strict
+            assert min(first.solution.margin, reference.solution.margin) >= lmi.EPS_STRICT
         else:
             assert first.solution.status == reference.solution.status

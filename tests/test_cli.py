@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qhinf
-from qhinf import analysis, demo, jumpsim, realizability, serialize
+from qhinf import analysis, demo, jumpsim, lmi, realizability, serialize
 from qhinf.cli import main
 from qhinf.qmodel import (
     J2, Controller, ControllerMode, JumpPlant, TransitionRateMatrix, make_commutation_matrix,
@@ -94,6 +94,18 @@ def test_optics_realize_refuses_another_feedthrough(zero_feedthrough_ctrl, capsy
     captured = capsys.readouterr()
     assert "feedthrough D must be [I 0]" in captured.err
     assert "kappa=" not in captured.out
+
+
+def test_optics_realize_names_the_phase_conjugating_repair_channel(demo_docs, capsys):
+    # the demo's augmented design repairs each mode with E_extra = c diag(1, -1);
+    # that, not a rounding-level mismatch between E_out's entries, is why
+    # no mirror realizes it
+    rc = main(["optics", "realize", "--controller", str(demo_docs["ctrl"])])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert ("the repair channel E_extra = diag(71.83, -71.83) is phase-conjugating" in err
+            and "kappa3 = 5160 also exceeds the decay budget kappa = -tr A = 133.7" in err)
+    assert "first noise block" not in err
 
 
 def test_check_pr_of_a_raw_synthesized_controller_is_standard_json(docs, capsys):
@@ -496,7 +508,6 @@ def test_synth_min_g(docs, capsys):
     assert params == {
         "command": "synth", "plant": str(docs["plant"]), "g": None, "min_g": True,
         "g_lo": 0.01, "g_hi": 1.0, "tol_g": 5e-3, "augment": False, "out": str(out),
-        "eps_strict": 1e-6, "max_iter": 400,
     }
     # the reference plant's least level is near 0.037
     rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--g-lo", "0.01",
@@ -616,19 +627,20 @@ def test_analyze_infinite_level_is_input_error(docs, capsys):
     assert "g=inf" in capsys.readouterr().err
 
 
-def test_synth_min_g_budget_exhausted(docs, capsys):
+def test_synth_min_g_budget_exhausted(docs, capsys, monkeypatch):
     out = docs["root"] / "min_g_budget" / "ctrl.json"
+    monkeypatch.setattr(lmi, "MAX_ITER", 80)
     rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--tol-g", "5e-3",
-               "--max-iter", "80", "--out", str(out)])
+               "--out", str(out)])
     assert rc == 2
     assert "not within tol_g" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_synth_budget_exhausted_is_not_infeasible(docs, capsys):
+def test_synth_budget_exhausted_is_not_infeasible(docs, capsys, monkeypatch):
     out = docs["root"] / "budget" / "ctrl.json"
-    rc = main(["synth", "--plant", str(docs["plant"]), "--g", "0.05", "--max-iter", "0",
-               "--out", str(out)])
+    monkeypatch.setattr(lmi, "MAX_ITER", 0)
+    rc = main(["synth", "--plant", str(docs["plant"]), "--g", "0.05", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("synthesis failed:") and "budget ran out" in err
@@ -718,10 +730,11 @@ def _exit_code(argv):
 
 
 @pytest.mark.parametrize("flag, named", [
-    # the solver has no tolerance option, and no abbreviation reaches --tol-g
+    # the solver has no tolerance option, and no abbreviation reaches --tol-g;
+    # its threshold and budget are lmi.EPS_STRICT and lmi.MAX_ITER, not options
     (["--g", "0.05", "--tol", "-1"], "unrecognized arguments: --tol"),
-    (["--g", "0.05", "--max-iter", "-1"], "max_iter must be nonnegative"),
-    (["--g", "0.05", "--eps-strict", "nan"], "eps_strict must be finite and positive"),
+    (["--g", "0.05", "--max-iter", "400"], "unrecognized arguments: --max-iter"),
+    (["--g", "0.05", "--eps-strict", "1e-6"], "unrecognized arguments: --eps-strict"),
 ])
 def test_synth_rejects_bad_solver_arguments(demo_docs, capsys, flag, named):
     out = demo_docs["root"] / "bad_solver" / "ctrl.json"

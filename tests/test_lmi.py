@@ -142,14 +142,33 @@ def test_first_certificate_stop_ends_at_the_first_certified_round(monkeypatch):
     # the first round converges in 7 steps with margin past eps_strict, and
     # the solve ends there; the settled stop needs a second round to see
     # that the margin no longer grows (15 steps)
-    assert len(round_ends) == 1 and round_ends[0] > sol.eps_strict
+    assert len(round_ends) == 1 and round_ends[0] > lmi.EPS_STRICT
     assert sol.iterations == 7
     # the verdict rests on the final iterate, re-verified from the expressions
     x = sol.assignment["X"]
     direct = min(np.linalg.eigvalsh(x)[0], np.linalg.eigvalsh(_B - x)[0])
     assert sol.margin == pytest.approx(direct, rel=1e-12)
-    assert sol.margin >= sol.eps_strict
+    assert sol.margin >= lmi.EPS_STRICT
     assert sol.margin == pytest.approx((3.0 - np.sqrt(2.0)) / 2.0, rel=1e-2)
+
+
+def test_every_verdict_reads_the_one_strictness_margin(monkeypatch):
+    # solve_feasibility, certify_design and coupled_mode_check all compare
+    # with lmi.EPS_STRICT as it is when they are called.  A bounded-real
+    # block at level g has the corner -g^2 I, so its margin stays below g^2:
+    # at EPS_STRICT = g^2 none of the three can certify.
+    plant, g = demo.reference_plant(), 0.05
+    result = synthesis.synthesize(plant, g)
+    loop = assemble_closed_loop(plant, result.controller)
+    assert synthesis.certify_design(plant, result, result.controller, g).certified
+    assert analysis.coupled_mode_check(loop, g).solution.feasible
+    monkeypatch.setattr(lmi, "EPS_STRICT", g * g)
+    with pytest.raises(synthesis.LmiInfeasibleError) as info:
+        synthesis.synthesize(plant, g)
+    assert 0 < info.value.solution.margin < g * g
+    assert not synthesis.certify_design(plant, result, result.controller, g).certified
+    coupled = analysis.coupled_mode_check(loop, g).solution
+    assert coupled.status == "infeasible-at-tolerance" and 0 < coupled.margin < g * g
 
 
 def test_margins_self_verify():
@@ -221,7 +240,7 @@ def test_full_variable_terms():
     sol = lmi.solve_feasibility(problem)
     assert sol.feasible
     value = expr.evaluate(sol.assignment)
-    assert lmi.symmetric_eigenvalues(value)[0] >= sol.eps_strict
+    assert lmi.symmetric_eigenvalues(value)[0] >= lmi.EPS_STRICT
 
 
 def test_oriented_value_matches_loop_reference():
@@ -250,7 +269,7 @@ def test_minimize_scalar_objective():
     sol = lmi.solve_feasibility(problem)
     assert sol.feasible
     x = sol.assignment["x"][0, 0]
-    assert 1.0 + sol.eps_strict <= x <= 1.0 + sol.eps_strict + 1e-3
+    assert 1.0 + lmi.EPS_STRICT <= x <= 1.0 + lmi.EPS_STRICT + 1e-3
     assert sol.gap <= 1e-3
     with pytest.raises(ValueError, match="1x1"):
         _lyapunov_problem(np.eye(2) * -1.0).minimize("P", lambda value, lower: True)

@@ -37,13 +37,15 @@ def test_attenuation_sweep_reports_undecided_levels(monkeypatch, capsys):
     # a spent budget keeps its margin, a failed reconstruction has none;
     # neither ends the sweep
     sweep = _load_script("attenuation_sweep.py")
-    from qhinf import synthesis
+    from qhinf import lmi, synthesis
 
     synthesize = synthesis.synthesize
 
-    def undecided(plant, g, **kwargs):
+    def undecided(plant, g):
         if g < 0.04:
-            return synthesize(plant, g, max_iter=5)
+            with monkeypatch.context() as budget:
+                budget.setattr(lmi, "MAX_ITER", 5)
+                return synthesize(plant, g)
         raise synthesis.SynthesisError("Y1 is singular or badly conditioned")
 
     monkeypatch.setattr(synthesis, "synthesize", undecided)
@@ -95,22 +97,24 @@ def test_bench_script_writes_json(tmp_path):
     assert doc["demo"]["exit_code"] == 0 and doc["demo"]["seconds"] > 0
 
 
-def test_bench_timed_records_budget_exhaustion():
+def test_bench_timed_records_budget_exhaustion(monkeypatch):
     bench = _load_script("bench.py")
-    from qhinf import demo, synthesis
+    from qhinf import demo, lmi, synthesis
 
+    monkeypatch.setattr(lmi, "MAX_ITER", 0)
     seconds, g, solution = bench.timed(
-        lambda: (0.05, synthesis.synthesize(demo.reference_plant(), 0.05, max_iter=0)))
+        lambda: (0.05, synthesis.synthesize(demo.reference_plant(), 0.05)))
     assert g is None
     assert bench.record(seconds, solution)["status"] == "max-iter"
 
 
-def test_bench_timed_records_a_level_search_cut_before_tolerance():
+def test_bench_timed_records_a_level_search_cut_before_tolerance(monkeypatch):
     bench = _load_script("bench.py")
-    from qhinf import demo, synthesis
+    from qhinf import demo, lmi, synthesis
 
+    monkeypatch.setattr(lmi, "MAX_ITER", 80)
     seconds, g, solution = bench.timed(lambda: synthesis.min_attenuation(
-        demo.reference_plant(), 0.01, 1.0, tol_g=5e-3, max_iter=80))
+        demo.reference_plant(), 0.01, 1.0, tol_g=5e-3))
     assert seconds > 0 and g is None
     assert solution.iterations == 80
     assert bench.record(seconds, solution)["newton_steps"] == 80
