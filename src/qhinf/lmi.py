@@ -44,9 +44,28 @@ Design notes:
   dposv for the SPD Newton system): on blocks of dimension <= 20 the
   numpy/scipy wrappers' per-call overhead, batched np.linalg included,
   costs more than the arithmetic.
-* The barrier weight follows a fixed geometric schedule and the Newton
-  iteration uses deterministic damped steps, so identical problems produce
-  identical iterate sequences.
+* The Newton system is equilibrated before its Cholesky solve: with
+  D = diag(H) after the 1e-12 regulariser, dposv solves D^-1/2 H D^-1/2,
+  whose diagonal is one, and the step is scaled back.  The parameters of
+  one problem differ in scale by orders of magnitude; on the reference
+  synthesis this takes cond(H) from 3e13 to 3e2, where Cholesky and LU
+  agree to 1e-10.
+* The first barrier weight comes from the starting point x0 (v = 0, t one
+  above the largest eigenvalue of every M_k(0)): with g and H the barrier's
+  gradient and Hessian at x0, mu0 = -(e_t' H^-1 g) / (g' H^-1 g) minimises
+  the centring residual |e_t + mu g| in the H^-1 norm, which puts x0 as
+  near the central path as any weight can (Boyd & Vandenberghe, Convex
+  Optimization, 2004, 11.3.1).  The one solve that gives mu0 also gives the
+  first Newton step.  From mu0 the weight falls by _MU_FACTOR per round of
+  at most _ROUND_STEPS steps.  A unit first weight left the first round
+  uncentred after its 15 steps (Newton decrement 24 in certification, 72
+  in synthesis).  Over 147 solves on seeded random plants (fixed-level and
+  minimal-level synthesis, and the certification of each design) mu0 lay
+  in 0.018-0.82 but for two certifications of 2-state designs, at 4.5 and
+  58; a weight above 1 is lowered to 1, which took no more steps there.
+  The reference synthesis at 0.037 takes 105 Newton steps against 129 from
+  a unit weight.  Newton steps are deterministic and damped, so identical
+  problems produce identical iterate sequences.
 * A shift-phase round ends with the margin min_k -lambda_max(M_k(v)) read off
   the stacked slacks at t = 0, one batched eigensolve per group, for the
   stall test and the hand-off to the objective phase.  Only the final
@@ -60,7 +79,7 @@ Design notes:
   certificate needs, and the stop halves the Newton steps of a synthesis at
   n = 4..6.  Synthesis needs the settled interior, because its controller
   is rebuilt from the point: stopping at the first certified round, the
-  reference synthesis at g = 0.037 returns margin 1.7e-6, against 1.07e-5
+  reference synthesis at g = 0.037 returns margin 2.4e-6, against 1.03e-5
   at the settled stop, and its controller fails verify_closed_loop at that
   level.  The barrier's gap bound mu * sum_k d_k is no stop test here, as
   capped rounds are not centred.
@@ -69,7 +88,7 @@ Design notes:
   Control Toolbox's feasp stops once t falls below its target: any
   strictly feasible point is a complete certificate, so later rounds only
   grow a margin nobody reads.  On a 4-state, 3-mode design this cuts the
-  certification from 90 to 30 Newton steps.  Solves that end infeasible or
+  certification from 75 to 15 Newton steps.  Solves that end infeasible or
   with the budget spent never reach either rule, so they are unchanged.
 
 Problem sizes here are tens of scalar unknowns with constraint blocks of
@@ -488,15 +507,70 @@ def _verified_margins(problem: LmiProblem, assignment: dict):
     return tuple(slacks)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite Newton system is named below
-def _centre(oriented, x, mu, objective, max_steps):
+def _newton_solve(hess, rhs):
+    """hess^-1 rhs for a Newton system ``hess`` (changed in place) and
+    right-hand sides stacked by column, (size, k).
+
+    A regulariser 1e-12 (1 + tr(hess) / size) joins the diagonal, and dposv
+    solves the equilibrated system D^-1/2 hess D^-1/2, D = diag(hess), whose
+    unit diagonal bounds every entry (module docstring).  Raises
+    ``ValueError`` when the system overflows: finite data whose Gram
+    products leave the double range.
+    """
+    # the diagonal bounds every Gram entry (Cauchy-Schwarz), so a finite
+    # trace means a finite system
+    trace = float(np.trace(hess))
+    if not math.isfinite(trace):
+        raise ValueError("the Newton system is not finite: the constraint data "
+                         "overflow double precision in its Gram products")
+    hess.flat[:: len(hess) + 1] += 1e-12 * (1.0 + trace / len(hess))
+    scale = 1.0 / np.sqrt(np.diagonal(hess))
+    hess *= scale[:, None]
+    hess *= scale
+    rhs = rhs * scale[:, None]
+    out, info = lapack.dposv(hess, rhs, lower=1)[1:]  # hess is SPD: Gram matrices plus reg I
+    if info != 0:
+        out = np.linalg.lstsq(hess, rhs, rcond=None)[0]
+    return out * scale[:, None]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _newton_solve names a non-finite system
+def _starting_weight(oriented, x):
+    """The barrier weight mu0 that puts x nearest the central path, and
+    (gradient, Newton step) of t - mu0 sum_k logdet S_k at x.
+
+    With g and H the gradient and Hessian of -sum_k logdet S_k at x, the
+    centring residual e_t + mu g is least in the H^-1 norm at
+    mu0 = -(e_t' H^-1 g) / (g' H^-1 g) (Boyd & Vandenberghe, Convex
+    Optimization, 11.3.1).  One two-column solve gives H^-1 e_t and H^-1 g,
+    so mu0 and the first step -(mu0 H)^-1 (e_t + mu0 g) =
+    -(H^-1 e_t / mu0 + H^-1 g) cost one Newton system.  A weight outside
+    (0, 1] is replaced by 1, so the schedule never starts above a unit
+    weight: above 1 it is rare and gained nothing (module docstring), and
+    a weight <= 0 (e_t' H^-1 g >= 0) or NaN has no centre to aim at.
+    """
+    grad, hess = _newton_system(oriented, _slacks(oriented, x), 1.0)
+    grad[-1] -= 1.0  # g: the barrier's own gradient
+    unit = np.zeros_like(grad)
+    unit[-1] = 1.0
+    toward_t, toward_g = _newton_solve(hess, np.column_stack([unit, grad])).T
+    mu = -toward_g[-1] / float(grad @ toward_g)  # toward_g[-1] = e_t' H^-1 g
+    if not 0.0 < mu <= 1.0:
+        mu = 1.0
+    grad *= mu
+    grad[-1] += 1.0
+    return mu, (grad, -(toward_t / mu + toward_g))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _newton_solve names a non-finite system
+def _centre(oriented, x, mu, objective, max_steps, first=None):
     """Damped Newton steps on x[obj] - mu sum_k logdet(t I - M_k(v)), x = (v, t).
 
     With ``objective`` None, obj is t and every coordinate moves; otherwise t
-    stays frozen and obj is the parameter index ``objective``.  Returns
-    (x, steps, note), with a note when no step could be taken.  Raises
-    ``ValueError`` when the Newton system overflows: finite data whose Gram
-    products leave the double range.
+    stays frozen and obj is the parameter index ``objective``.  ``first``,
+    when given, is the gradient and Newton step at x, already solved.
+    Returns (x, steps, note), with a note when no step could be taken.
+    Raises ``ValueError`` when the Newton system overflows.
     """
     obj = -1 if objective is None else objective
     steps = 0
@@ -508,20 +582,14 @@ def _centre(oriented, x, mu, objective, max_steps):
                 # should not happen from a feasible iterate; bail out
                 return x, steps, "interior iterate lost positive definiteness"
             f0 = _barrier_value(factors, x[obj], mu)
-        grad, hess = _newton_system(oriented, factors, mu)
-        if objective is not None:
-            grad, hess = grad[:-1], hess[:-1, :-1]
-            grad[objective] += 1.0
-        # the diagonal bounds every Gram entry (Cauchy-Schwarz), so a finite
-        # trace means a finite system
-        trace = float(np.trace(hess))
-        if not math.isfinite(trace):
-            raise ValueError("the Newton system is not finite: the constraint data "
-                             "overflow double precision in its Gram products")
-        hess.flat[:: len(hess) + 1] += 1e-12 * (1.0 + trace / len(hess))
-        step, info = lapack.dposv(hess, -grad, lower=1)[1:]  # hess is SPD: Gram matrices plus reg I
-        if info != 0:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        if first is not None:
+            (grad, step), first = first, None
+        else:
+            grad, hess = _newton_system(oriented, factors, mu)
+            if objective is not None:
+                grad, hess = grad[:-1], hess[:-1, :-1]
+                grad[objective] += 1.0
+            step = _newton_solve(hess, -grad[:, None])[:, 0]
         decrement = float(-grad @ step)
         steps += 1
         alpha = 1.0
@@ -563,13 +631,17 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
     Minimises the uniform eigenvalue shift t with a barrier path-following
     scheme and reports ``feasible`` when the margin of the final iterate,
     re-verified from the constraint expressions, is at least ``EPS_STRICT``.
-    Each shift-phase round ends with the margin of the stacked slacks, which
-    drives the stall test.  Without an objective, the solve ends once that
-    margin exceeds EPS_STRICT and, with ``settle`` (the default), the round
-    raised it by at most 1 % of its value.  Synthesis keeps ``settle``: its
+    The scheme starts at v = 0 with t one above every max eigenvalue of
+    M_k(0), at the barrier weight mu0 that puts that point nearest the
+    central path (module docstring), and divides the weight by 5 after each
+    round of at most 15 Newton steps.  Each shift-phase round ends with the
+    margin of the stacked slacks, which drives the stall test.  Without an
+    objective, the solve ends once that margin exceeds EPS_STRICT and, with
+    ``settle`` (the default), the round raised it by at most 1 % of its
+    value.  Synthesis keeps ``settle``: its
     controller is rebuilt from the point, and stopping at the first round
     past EPS_STRICT returns, for the reference synthesis at g = 0.037,
-    margin 1.7e-6 against 1.07e-5 and a controller that fails certification
+    margin 2.4e-6 against 1.03e-5 and a controller that fails certification
     at that level.  Certification passes ``settle=False`` and stops at the
     first round past EPS_STRICT, since any verified point is a complete
     certificate; the verdict still rests on the re-verified final iterate.
@@ -595,7 +667,7 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
     x = np.zeros(layout.total + 1)  # parameters, then the shift t
     x[-1] = max(float(np.linalg.eigvalsh(grp.const)[:, -1].max()) for grp in oriented.groups) + 1.0
 
-    mu = 1.0
+    mu, first = _starting_weight(oriented, x)  # first: the first step's gradient and step
     mu_min = 1e-11
     iterations = 0
     notes = []
@@ -606,8 +678,9 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
 
     while mu > mu_min:
         x, steps, note = _centre(
-            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations)
+            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), first
         )
+        first = None
         iterations += steps
         if note:
             notes.append(note)

@@ -103,8 +103,8 @@ def test_optics_realize_names_the_phase_conjugating_repair_channel(demo_docs, ca
     rc = main(["optics", "realize", "--controller", str(demo_docs["ctrl"])])
     assert rc == 3
     err = capsys.readouterr().err
-    assert ("the repair channel E_extra = diag(71.83, -71.83) is phase-conjugating" in err
-            and "kappa3 = 5160 also exceeds the decay budget kappa = -tr A = 133.7" in err)
+    assert ("the repair channel E_extra = diag(70.83, -70.83) is phase-conjugating" in err
+            and "kappa3 = 5017 also exceeds the decay budget kappa = -tr A = 132" in err)
     assert "first noise block" not in err
 
 
@@ -156,7 +156,7 @@ def test_analyze_command(docs, capsys):
     assert all(x < 0.0 for x in doc["abscissas"])
     # the certificate solve stops at its first verified round
     assert doc["coupled_status"] == "feasible" and doc["coupled_margin"] >= 1e-6
-    assert doc["coupled_newton_steps"] == 40
+    assert doc["coupled_newton_steps"] == 21
     assert {k for k in doc if k.startswith("coupled_")} == {
         f"coupled_{k}" for k in ("status", "newton_steps", "margin", "t", "gap", "notes")}
     # realizability is not part of the certificate; analyze reports it beside the verdict
@@ -169,7 +169,7 @@ def test_analyze_command(docs, capsys):
                "--g", "0.5"])
     assert rc == 0
     text = capsys.readouterr().out
-    assert (f"coupled certificate: feasible, 40 Newton steps, "
+    assert (f"coupled certificate: feasible, 21 Newton steps, "
             f"margin {doc['coupled_margin']:.3e}") in text
     assert f"  noise offset constant: {doc['noise_offset']:.4g}\n" in text
 
@@ -200,8 +200,8 @@ def test_analyze_unstable_mode_fails_coupled_check(docs, capsys):
     assert doc["noise_offset"] is None and "noise offset" not in text
     # an infeasible solve never reaches the first-certificate stop
     assert doc["coupled_status"] == "infeasible-at-tolerance"
-    assert doc["coupled_newton_steps"] == 97
-    assert (f"coupled certificate: infeasible-at-tolerance, 97 Newton steps, "
+    assert doc["coupled_newton_steps"] == 84
+    assert (f"coupled certificate: infeasible-at-tolerance, 84 Newton steps, "
             f"margin {doc['coupled_margin']:.3e}") in text
 
 
@@ -698,7 +698,7 @@ def test_demo_report_records_the_certificate_solve(demo_docs):
                 if c["name"] == "closed loop certified at minimised level"]
     assert check["status"] == "PASS"
     # the level search's own storage certifies the loop; no solve is made
-    assert check["detail"].startswith("storage margin 9.13")
+    assert check["detail"].startswith("storage margin 9.14")
     assert "; abscissas [" in check["detail"]
 
 
@@ -776,7 +776,7 @@ def test_synth_writes_a_design_that_does_not_certify_and_exits_1(demo_docs, caps
     assert cert["lmi_status"] == "feasible" and out.exists()
     manifest = serialize.read_doc(str(out) + ".manifest.json")
     assert set(manifest["outputs"]) == {str(out), str(out.with_suffix(".cert.json"))}
-    assert "does not certify at g = 0.0394596 (storage margin -" in capsys.readouterr().err
+    assert "does not certify at g = 0.0394779 (storage margin -" in capsys.readouterr().err
 
 
 def test_demo_rejects_zero_paths_before_the_design(tmp_path, capsys, monkeypatch):

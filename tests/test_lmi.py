@@ -510,6 +510,37 @@ def test_newton_system_matches_einsum_reference(kind, monkeypatch):
     assert np.array_equal(oriented.hess_idx, np.concatenate(mesh))  # member by member
 
 
+@pytest.mark.parametrize("kind", ["synthesis", "hand-built", "between"])
+def test_starting_weight_centres_the_starting_point(kind):
+    # at x0 (v = 0, t one above every max eigenvalue of M_k(0)), with g and H
+    # the barrier's gradient and Hessian there, mu0 minimises the centring
+    # residual r(mu) = |e_t + mu g| in the H^-1 norm, and the first step is
+    # the Newton step of t - mu0 sum_k logdet S_k at x0
+    problem = {"synthesis": lambda: synthesis.build_hinf_lmis(demo.reference_plant(), 0.05),
+               "hand-built": _hand_built_problem,
+               "between": lambda: _between_zero_and_b_problem(_B)}[kind]()
+    layout = lmi._Layout(problem.variables)
+    oriented = lmi._materialise(problem, layout)
+    zero = np.zeros(layout.total)
+    x0 = np.append(zero, max(_oriented_tops(problem, layout, zero)) + 1.0)
+    mu0, (grad, step) = lmi._starting_weight(oriented, x0)
+    g, h = _einsum_newton_system(problem, layout, oriented, lmi._slacks(oriented, x0), 1.0)
+    g[-1] -= 1.0
+    e_t = np.eye(len(g))[-1]
+
+    def residual(mu):
+        r = e_t + mu * g
+        return float(r @ np.linalg.solve(h, r))
+
+    assert 0.0 < mu0 < 1.0
+    assert residual(mu0) < min(residual(0.99 * mu0), residual(1.01 * mu0), residual(1.0))
+    # r'(mu0) = 2 g' H^-1 (e_t + mu0 g) = -2 mu0 g' step vanishes
+    assert abs(g @ step) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(step)
+    assert np.max(np.abs(grad - (e_t + mu0 * g))) <= 1e-14 * np.max(np.abs(g))
+    newton = mu0 * h @ step + grad
+    assert np.max(np.abs(newton)) <= 1e-10 * mu0 * np.max(np.abs(h)) * np.max(np.abs(step))
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 def test_off_diagonal_block_term_matches_hand_padded_pair(transpose):
     rng = np.random.default_rng(3)

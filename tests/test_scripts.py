@@ -85,7 +85,7 @@ def test_bench_script_writes_json(tmp_path):
         assert check["storage_seconds"] > 0
     assert grid_certification["g"] == point["g"] == 5.0
     # the certificate solve stops at its first verified round
-    assert grid_certification["newton_steps"] == 30
+    assert grid_certification["newton_steps"] == 15
     for solve in (point, reference, certification, grid_certification):
         assert solve["margin"] >= 1e-6  # every one of them is feasible
         assert solve["step_ms"] == pytest.approx(
