@@ -205,9 +205,9 @@ def test_certification_of_scaled_random_design_stops_at_first_certificate():
     assert report.solution.margin >= lmi.EPS_STRICT
 
 
-def test_reference_design_certifies_at_its_level_at_the_first_certified_round(reference_design,
-                                                                             monkeypatch):
-    g_star, aug = reference_design
+def _certify_at_the_first_certified_round(g_star, aug, monkeypatch):
+    """Certify aug at g_star on the reference plant; assert the solve ends at
+    the first round whose margin passes eps_strict and return its steps."""
     round_ends = []
     stacked = lmi._stacked_margin
 
@@ -217,12 +217,28 @@ def test_reference_design_certifies_at_its_level_at_the_first_certified_round(re
 
     monkeypatch.setattr(lmi, "_stacked_margin", recording)
     report = verify_closed_loop(demo.reference_plant(), aug, g_star)
-    solution = report.solution
     assert report.attenuation_ok
-    assert solution.iterations == 48  # 70 with the settled-margin stop
-    # the solve ends at the first round whose margin passes eps_strict
     assert round_ends[-1] > lmi.EPS_STRICT
     assert all(m <= lmi.EPS_STRICT for m in round_ends[:-1])
+    return report.solution.iterations
+
+
+def test_reference_design_certifies_at_its_level_at_the_first_certified_round(reference_design,
+                                                                             monkeypatch):
+    g_star, aug = reference_design
+    assert _certify_at_the_first_certified_round(g_star, aug, monkeypatch) == 48
+    # 70 with the settled-margin stop
+
+
+def test_reference_design_certifies_at_its_level_in_66_steps(monkeypatch):
+    # with a unit starting weight, design and certification follow the fixed
+    # schedule's Newton path; the equilibrated Newton solve must not move it
+    monkeypatch.setattr(lmi, "_starting_weight", lambda oriented, x: (1.0, None))
+    g_star, result = synthesis.min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
+    assert g_star == pytest.approx(0.0394595596971361, rel=1e-12)
+    aug = realizability.augment_jump_controller(result.controller)
+    assert _certify_at_the_first_certified_round(g_star, aug, monkeypatch) == 66
+    # 90 with the settled-margin stop
 
 
 def _parity_loops(g_star, aug):

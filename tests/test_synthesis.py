@@ -392,25 +392,44 @@ def test_min_attenuation_budget_exhausted_raises(monkeypatch):
     assert info.value.solution.feasible
 
 
-@pytest.mark.parametrize(("tol_g", "g_star", "steps"), [
-    pytest.param(5e-3, 0.03947790264493504, 108, id="tol_g=5e-3"),
-    pytest.param(1e-3, 0.037477902644935036, 114, id="tol_g=1e-3"),
+def _unit_start(monkeypatch):
+    # mu0 = 1: the fixed schedule's Newton path, which the equilibrated Newton
+    # solve and the pre-solved first step must leave unchanged
+    monkeypatch.setattr(lmi, "_starting_weight", lambda oriented, x: (1.0, None))
+
+
+@pytest.mark.parametrize(("tol_g", "g_star", "steps", "start"), [
+    pytest.param(5e-3, 0.03947790264493504, 108, "centred", id="tol_g=5e-3"),
+    pytest.param(1e-3, 0.037477902644935036, 114, "centred", id="tol_g=1e-3"),
+    pytest.param(5e-3, 0.0394595596971361, 130, "unit", id="0.005-0.0394595596971361-130"),
+    pytest.param(1e-3, 0.037459559697136095, 136, "unit",
+                 id="0.001-0.037459559697136095-136"),
 ])
-def test_min_attenuation_reference_iterates_pinned(tol_g, g_star, steps):
+def test_min_attenuation_reference_iterates_pinned(tol_g, g_star, steps, start, monkeypatch):
     # a kernel change that moves these moved the Newton path, not just its rounding
+    if start == "unit":
+        _unit_start(monkeypatch)
     g, result = min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=tol_g)
     assert g == pytest.approx(g_star, rel=1e-12)
     assert result.solution.iterations == steps
 
 
-@pytest.mark.parametrize(("g", "status", "steps"), [
-    pytest.param(0.036, "infeasible-at-tolerance", 114, id="g=0.036"),
-    pytest.param(0.037, "feasible", 105, id="g=0.037"),
-    pytest.param(0.040, "feasible", 96, id="g=0.040"),
-    pytest.param(0.048, "feasible", 93, id="g=0.048"),
-    pytest.param(0.05, "feasible", 94, id="g=0.05"),
+@pytest.mark.parametrize(("g", "status", "steps", "start"), [
+    pytest.param(0.036, "infeasible-at-tolerance", 114, "centred", id="g=0.036"),
+    pytest.param(0.037, "feasible", 105, "centred", id="g=0.037"),
+    pytest.param(0.040, "feasible", 96, "centred", id="g=0.040"),
+    pytest.param(0.048, "feasible", 93, "centred", id="g=0.048"),
+    pytest.param(0.05, "feasible", 94, "centred", id="g=0.05"),
+    pytest.param(0.036, "infeasible-at-tolerance", 134, "unit",
+                 id="0.036-infeasible-at-tolerance-134"),
+    pytest.param(0.037, "feasible", 129, "unit", id="0.037-feasible-129"),
+    pytest.param(0.040, "feasible", 119, "unit", id="0.04-feasible-119"),
+    pytest.param(0.048, "feasible", 118, "unit", id="0.048-feasible-118"),
+    pytest.param(0.05, "feasible", 115, "unit", id="0.05-feasible-115"),
 ])
-def test_synthesize_reference_iterates_pinned(g, status, steps):
+def test_synthesize_reference_iterates_pinned(g, status, steps, start, monkeypatch):
+    if start == "unit":
+        _unit_start(monkeypatch)
     try:
         solution = synthesize(demo.reference_plant(), g).solution
     except LmiInfeasibleError as exc:
