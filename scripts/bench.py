@@ -21,8 +21,8 @@ path (default family, t_end 120).  Last, it runs
 process, its printed report discarded.  Each figure is one wall-clock run
 (``time.perf_counter``) on one BLAS thread.  Writes BENCH_<date>.json with,
 per solve, the seconds and milliseconds per Newton step beside the solve's
-``LmiSolution.record()`` (status, Newton steps, verified margin, final shift
-t, objective gap, notes), whether the coupled certification passed, the
+``LmiSolution.record()`` (status, Newton steps in all and per phase,
+verified margin, final shift t, objective gap, notes), whether the coupled certification passed, the
 storage certificate's verdict, least margin and seconds, the simulation
 seconds, the demo's seconds and exit code, plus the numpy and scipy versions
 and the live BLAS thread count.  The default grid leaves out

@@ -96,9 +96,9 @@ def coupled_mode_check(loop: ClosedLoop, g) -> ClosedLoopReport:
 
     posed as the LMI ``bounded_real_block`` with corner -g^2 I (a Schur
     complement) and solved with the barrier engine.  Any strictly feasible
-    P_i is a complete certificate, so the solve stops at the first barrier
-    round whose margin exceeds ``lmi.EPS_STRICT`` (``settle=False``) rather than
-    growing the margin further; the verdict rests on that iterate,
+    P_i is a complete certificate, so the solve stops at the first Newton
+    iterate whose margin exceeds ``lmi.EPS_STRICT`` (``settle=False``) rather
+    than growing the margin further; the verdict rests on that iterate,
     re-verified from the expressions.  The returned P_i, margin and noise
     offset are those of the first certified iterate, not of a settled
     interior.  The noise offset is max_i tr(B1_i^T P_i B1_i)

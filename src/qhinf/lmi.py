@@ -63,7 +63,7 @@ Design notes:
   minimal-level synthesis, and the certification of each design) mu0 lay
   in 0.018-0.82 but for two certifications of 2-state designs, at 4.5 and
   58; a weight above 1 is lowered to 1, which took no more steps there.
-  The reference synthesis at 0.037 takes 105 Newton steps against 129 from
+  The reference synthesis at 0.037 takes 103 Newton steps against 123 from
   a unit weight.  Newton steps are deterministic and damped, so identical
   problems produce identical iterate sequences.
 * A shift-phase round ends with the margin min_k -lambda_max(M_k(v)) read off
@@ -73,23 +73,37 @@ Design notes:
   is rebuilt from its terms and eigensolved, and the verdict rests on that
   re-verification and never on solver internals.
 * A problem with no objective has two stop rules, and the caller picks one.
-  The default (``settle=True``, used by synthesis) stops after the first
-  round whose round-end margin exceeds EPS_STRICT and grew by at most
-  _MARGIN_SETTLED (1 %) of itself: the infimum of t adds nothing a
-  certificate needs, and the stop halves the Newton steps of a synthesis at
-  n = 4..6.  Synthesis needs the settled interior, because its controller
-  is rebuilt from the point: stopping at the first certified round, the
-  reference synthesis at g = 0.037 returns margin 2.4e-6, against 1.03e-5
-  at the settled stop, and its controller fails verify_closed_loop at that
-  level.  The barrier's gap bound mu * sum_k d_k is no stop test here, as
-  capped rounds are not centred.
-* ``settle=False`` (used by closed-loop certification) stops after the
-  first round whose round-end margin exceeds EPS_STRICT, as the LMI
-  Control Toolbox's feasp stops once t falls below its target: any
-  strictly feasible point is a complete certificate, so later rounds only
-  grow a margin nobody reads.  On a 4-state, 3-mode design this cuts the
-  certification from 75 to 15 Newton steps.  Solves that end infeasible or
-  with the budget spent never reach either rule, so they are unchanged.
+  Both are tested after every accepted Newton step, as the LMI Control
+  Toolbox's feasp tests its target at every iteration (Gahinet, Nemirovski,
+  Laub & Chilali, LMI Control Toolbox, 1995), not only when a round ends:
+  rounds run to their step cap, because the Newton decrement rarely meets
+  its tolerance (it is still 3.55 at the end of the first synthesis round
+  of a 4-state, 3-mode design).  An iterate certifies when every slack factors
+  at t = -EPS_STRICT, which holds exactly when the stacked margin exceeds
+  EPS_STRICT and costs one dpotrf pass per member, not an eigensolve.
+* The default (``settle=True``, used by synthesis) stops at the first
+  iterate that certifies and whose margin m grew by at most _MARGIN_SETTLED
+  (1 %) of m since the previous round's end: the infimum of t adds nothing
+  a certificate needs.  The margin is eigensolved only once the Cholesky
+  test passes and the previous round-end margin is positive, so the first
+  round never stops early.  Synthesis needs the settled interior, because
+  its controller is rebuilt from the point: the reference synthesis at
+  g = 0.037 returns margin 1.03e-5 at the settled stop, against 5.7e-6 at
+  the first certified iterate and 2.4e-6 at the first certified round end,
+  whose controller fails verify_closed_loop at that level.  Comparing with
+  the previous step instead of the previous round's end stops in the first
+  round (11 steps in place of 16 on a 4-state, 3-mode design) and too
+  early: on a 2-state, 2-mode plant at g = 0.45 the controller could then
+  not be rebuilt ((Y_1^-1 - X_1) badly conditioned).  The barrier's gap bound
+  mu * sum_k d_k is no stop test here, as capped rounds are not centred.
+* ``settle=False`` (used by closed-loop certification) stops at the first
+  iterate that certifies: any strictly feasible point is a complete
+  certificate, so later steps only grow a margin nobody reads.  On a
+  4-state, 3-mode design the certification takes 2 Newton steps, against
+  15 when the rule was tested at round ends only, and the synthesis 16
+  against 30.  Solves that end infeasible or with the budget spent never
+  reach either rule, so they are unchanged.  A problem with an objective
+  hands over to its objective phase at round ends only.
 
 Problem sizes here are tens of scalar unknowns with constraint blocks of
 dimension at most a few tens, so dense linear algebra is used throughout.
@@ -291,7 +305,8 @@ class LmiProblem:
 class LmiSolution:
     """Feasibility verdict plus the verified margins of the final iterate.
 
-    ``iterations`` counts the Newton steps of both phases, ``t_achieved`` is
+    ``iterations`` counts the Newton steps of both phases, of which
+    ``objective_iterations`` minimised the objective; ``t_achieved`` is
     the shift t of the barrier iterate the solve stopped at, ``notes`` name
     what the solve ran into, and ``gap`` is the barrier gap bound on the
     objective (None without one, inf when its phase never started).  The
@@ -308,16 +323,20 @@ class LmiSolution:
     constraint_margins: tuple
     notes: tuple = ()
     gap: float | None = None
+    objective_iterations: int = 0
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
 
     def record(self) -> dict:
-        """Status, Newton steps, verified margin, final shift t, objective gap
+        """Status, Newton steps (in all, then those of the shift phase and of
+        the objective phase), verified margin, final shift t, objective gap
         and notes as JSON values; an infinite gap is None."""
         gap = None if self.gap is None or not math.isfinite(self.gap) else float(self.gap)
+        objective = int(self.objective_iterations)
         return {"status": self.status, "newton_steps": int(self.iterations),
+                "shift_steps": int(self.iterations) - objective, "objective_steps": objective,
                 "margin": float(self.margin), "t": float(self.t_achieved), "gap": gap,
                 "notes": list(self.notes)}
 
@@ -563,14 +582,16 @@ def _starting_weight(oriented, x):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _newton_solve names a non-finite system
-def _centre(oriented, x, mu, objective, max_steps, first=None):
+def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None):
     """Damped Newton steps on x[obj] - mu sum_k logdet(t I - M_k(v)), x = (v, t).
 
     With ``objective`` None, obj is t and every coordinate moves; otherwise t
     stays frozen and obj is the parameter index ``objective``.  ``first``,
     when given, is the gradient and Newton step at x, already solved.
-    Returns (x, steps, note), with a note when no step could be taken.
-    Raises ``ValueError`` when the Newton system overflows.
+    ``stop``, when given, is tested on every accepted iterate, and the steps
+    end at the first one it accepts.  Returns (x, steps, note, stopped), with
+    a note when no step could be taken and ``stopped`` when ``stop`` ended
+    the steps.  Raises ``ValueError`` when the Newton system overflows.
     """
     obj = -1 if objective is None else objective
     steps = 0
@@ -580,7 +601,7 @@ def _centre(oriented, x, mu, objective, max_steps, first=None):
             factors = _slacks(oriented, x)
             if factors is None:
                 # should not happen from a feasible iterate; bail out
-                return x, steps, "interior iterate lost positive definiteness"
+                return x, steps, "interior iterate lost positive definiteness", False
             f0 = _barrier_value(factors, x[obj], mu)
         if first is not None:
             (grad, step), first = first, None
@@ -595,7 +616,7 @@ def _centre(oriented, x, mu, objective, max_steps, first=None):
         alpha = 1.0
         while True:
             if alpha < 1e-14:
-                return x, steps, "step-size collapse; problem may be ill-posed"
+                return x, steps, "step-size collapse; problem may be ill-posed", False
             cand = x.copy()
             cand[: step.size] += alpha * step
             cand_factors = _slacks(oriented, cand)
@@ -605,9 +626,11 @@ def _centre(oriented, x, mu, objective, max_steps, first=None):
                     x, factors, f0 = cand, cand_factors, f1
                     break
             alpha *= 0.5
+        if stop is not None and stop(x):
+            return x, steps, None, True
         if decrement <= _DECREMENT_TOL * (1.0 + abs(x[obj])):
             break
-    return x, steps, None
+    return x, steps, None, False
 
 
 _T_FLOOR = -1e9  # a shift this far below zero means it is unbounded below
@@ -636,21 +659,21 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
     central path (module docstring), and divides the weight by 5 after each
     round of at most 15 Newton steps.  Each shift-phase round ends with the
     margin of the stacked slacks, which drives the stall test.  Without an
-    objective, the solve ends once that margin exceeds EPS_STRICT and, with
-    ``settle`` (the default), the round raised it by at most 1 % of its
-    value.  Synthesis keeps ``settle``: its
-    controller is rebuilt from the point, and stopping at the first round
-    past EPS_STRICT returns, for the reference synthesis at g = 0.037,
-    margin 2.4e-6 against 1.03e-5 and a controller that fails certification
-    at that level.  Certification passes ``settle=False`` and stops at the
-    first round past EPS_STRICT, since any verified point is a complete
-    certificate; the verdict still rests on the re-verified final iterate.
-    ``settle`` has no effect with an objective: then the shift phase stops
-    once that margin exceeds EPS_STRICT and a phase at t = -EPS_STRICT
-    minimises the objective in rounds of falling mu.  Once ``within``
-    accepts the last value against the lower bound value - mu * sum_k dim_k
-    (exact on the central path), one more round tightens the bound and the
-    earliest round-end iterate ``within`` accepts is returned.
+    objective, the solve ends at the first Newton iterate whose margin
+    exceeds EPS_STRICT (every slack factors at t = -EPS_STRICT) and, with
+    ``settle`` (the default), whose margin grew by at most 1 % of its value
+    since the previous round's end; both rules are tested after every
+    accepted step.  Synthesis keeps ``settle``: its controller is rebuilt
+    from the point, which needs the settled interior (module docstring).
+    Certification passes ``settle=False`` and stops at the first certified
+    iterate, since any verified point is a complete certificate; the verdict
+    still rests on the re-verified final iterate.  ``settle`` has no effect
+    with an objective: then the shift phase stops at the first round end
+    whose margin exceeds EPS_STRICT and a phase at t = -EPS_STRICT minimises
+    the objective in rounds of falling mu.  Once ``within`` accepts the last
+    value against the lower bound value - mu * sum_k dim_k (exact on the
+    central path), one more round tightens the bound and the earliest
+    round-end iterate ``within`` accepts is returned.
     ``MAX_ITER`` caps the Newton steps of both phases; exhausting it without
     a certificate yields status ``max-iter`` with the best iterate still
     attached.  Raises ``ValueError`` unless every constraint's constant and
@@ -676,26 +699,41 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
     settled = False  # progress on the margin has stopped or the schedule finished
     minimise = False  # the shift phase has handed over to the objective phase
 
+    def certified(x):
+        """Every slack factors at t = -eps_strict: the stacked margin exceeds it."""
+        return _slacks(oriented, np.append(x[:-1], -eps_strict)) is not None
+
+    def margin_settled(x):
+        """Certified, and the margin grew by at most _MARGIN_SETTLED of itself
+        since the previous round's end (round 1 has none to compare with)."""
+        if not (margin_prev > 0.0 and certified(x)):
+            return False
+        margin = _stacked_margin(oriented, x)
+        return margin - margin_prev <= _MARGIN_SETTLED * margin
+
+    if problem.objective is not None:
+        stop = None  # the hand-off to the objective phase waits for a round end
+    else:
+        stop = margin_settled if settle else certified
+
     while mu > mu_min:
-        x, steps, note = _centre(
-            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), first
+        x, steps, note, stopped = _centre(
+            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), first, stop
         )
         first = None
         iterations += steps
         if note:
             notes.append(note)
+        if stopped:
+            break
         t = x[-1]
         margin_now = _stacked_margin(oriented, x)
-        if (problem.objective is not None and margin_now > eps_strict
-                and _slacks(oriented, np.append(x[:-1], -eps_strict)) is not None):
+        if problem.objective is not None and margin_now > eps_strict and certified(x):
             minimise = True
             break
         if t < _T_FLOOR:
             notes.append("shift unbounded below; any interior point certifies feasibility")
             settled = True
-            break
-        if (problem.objective is None and margin_now > eps_strict
-                and (not settle or margin_now - margin_prev <= _MARGIN_SETTLED * margin_now)):
             break
         # a round that could not step or did not raise the margin stalls;
         # two in a row settle the solve
@@ -714,6 +752,7 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
         settled = True  # barrier schedule ran to completion
 
     gap = None if problem.objective is None else np.inf
+    shift_iterations = iterations
     if minimise:
         name, within = problem.objective
         obj = layout.offsets[name]
@@ -721,7 +760,7 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
         x[-1] = -eps_strict
         rounds, sharpened = [x], False
         while iterations < max_iter:
-            x, steps, note = _centre(
+            x, steps, note, _ = _centre(
                 oriented, x, mu, obj, min(_ROUND_STEPS, max_iter - iterations)
             )
             iterations += steps
@@ -761,4 +800,5 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
         constraint_margins=constraint_margins,
         notes=tuple(notes),
         gap=gap,
+        objective_iterations=iterations - shift_iterations,
     )

@@ -166,8 +166,9 @@ def test_synthesis_stabilises_an_unstable_absorbing_mode():
     aug = realizability.augment_jump_controller(result.controller)
     report = verify_closed_loop(plant, aug, 5.0)
     assert report.attenuation_ok
-    assert report.solution.iterations == 15
-    assert report.solution.margin > 1.8
+    # the first Newton iterate certifies, with margin 0.374
+    assert report.solution.iterations == 1
+    assert report.solution.margin > 0.37
     assert _mean_square_abscissa(assemble_closed_loop(plant, aug)) < 0
 
 
@@ -191,54 +192,52 @@ def reference_design():
     return g_star, realizability.augment_jump_controller(result.controller)
 
 
-def test_certification_of_scaled_random_design_stops_at_first_certificate():
-    # the settled-margin stop takes 75 steps here; the first verified round is the 15th
+def _certify_at_the_first_certified_iterate(plant, aug, g, monkeypatch):
+    """Certify aug at g on plant; assert that one Newton step fewer does not
+    certify, so the solve stopped at its first certified iterate, and return
+    its steps."""
+    report = verify_closed_loop(plant, aug, g)
+    assert report.attenuation_ok
+    assert report.solution.margin >= lmi.EPS_STRICT
+    steps = report.solution.iterations
+    with monkeypatch.context() as patch:
+        patch.setattr(lmi, "MAX_ITER", steps - 1)
+        short = verify_closed_loop(plant, aug, g)
+    assert not short.attenuation_ok
+    assert short.solution.status == "max-iter" and short.solution.iterations == steps - 1
+    return steps
+
+
+def test_certification_of_scaled_random_design_stops_at_first_certificate(monkeypatch):
+    # the settled-margin stop takes 61 steps here; the second Newton iterate
+    # certifies
     spec = importlib.util.spec_from_file_location(
         "plants", Path(__file__).resolve().parents[1] / "perfbench" / "plants.py")
     plants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(plants)
     plant = plants.random_plant(0, 4, 3, 0)
     aug = realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
-    report = verify_closed_loop(plant, aug, 5.0)
-    assert report.attenuation_ok
-    assert report.solution.iterations == 15
-    assert report.solution.margin >= lmi.EPS_STRICT
-
-
-def _certify_at_the_first_certified_round(g_star, aug, monkeypatch):
-    """Certify aug at g_star on the reference plant; assert the solve ends at
-    the first round whose margin passes eps_strict and return its steps."""
-    round_ends = []
-    stacked = lmi._stacked_margin
-
-    def recording(oriented, x):
-        round_ends.append(stacked(oriented, x))
-        return round_ends[-1]
-
-    monkeypatch.setattr(lmi, "_stacked_margin", recording)
-    report = verify_closed_loop(demo.reference_plant(), aug, g_star)
-    assert report.attenuation_ok
-    assert round_ends[-1] > lmi.EPS_STRICT
-    assert all(m <= lmi.EPS_STRICT for m in round_ends[:-1])
-    return report.solution.iterations
+    assert _certify_at_the_first_certified_iterate(plant, aug, 5.0, monkeypatch) == 2
 
 
 def test_reference_design_certifies_at_its_level_at_the_first_certified_round(reference_design,
                                                                              monkeypatch):
     g_star, aug = reference_design
-    assert _certify_at_the_first_certified_round(g_star, aug, monkeypatch) == 48
-    # 70 with the settled-margin stop
+    plant = demo.reference_plant()
+    assert _certify_at_the_first_certified_iterate(plant, aug, g_star, monkeypatch) == 43
+    # 56 with the settled-margin stop
 
 
-def test_reference_design_certifies_at_its_level_in_66_steps(monkeypatch):
+def test_reference_design_certifies_at_its_level_from_a_unit_start(monkeypatch):
     # with a unit starting weight, design and certification follow the fixed
     # schedule's Newton path; the equilibrated Newton solve must not move it
     monkeypatch.setattr(lmi, "_starting_weight", lambda oriented, x: (1.0, None))
-    g_star, result = synthesis.min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
+    plant = demo.reference_plant()
+    g_star, result = synthesis.min_attenuation(plant, 0.01, 1.0, tol_g=5e-3)
     assert g_star == pytest.approx(0.0394595596971361, rel=1e-12)
     aug = realizability.augment_jump_controller(result.controller)
-    assert _certify_at_the_first_certified_round(g_star, aug, monkeypatch) == 66
-    # 90 with the settled-margin stop
+    assert _certify_at_the_first_certified_iterate(plant, aug, g_star, monkeypatch) == 61
+    # 74 with the settled-margin stop
 
 
 def _parity_loops(g_star, aug):

@@ -154,11 +154,13 @@ def test_analyze_command(docs, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert all(x < 0.0 for x in doc["abscissas"])
-    # the certificate solve stops at its first verified round
+    # the certificate solve stops at its first verified Newton iterate
     assert doc["coupled_status"] == "feasible" and doc["coupled_margin"] >= 1e-6
-    assert doc["coupled_newton_steps"] == 21
+    assert doc["coupled_newton_steps"] == 10
+    assert (doc["coupled_shift_steps"], doc["coupled_objective_steps"]) == (10, 0)
     assert {k for k in doc if k.startswith("coupled_")} == {
-        f"coupled_{k}" for k in ("status", "newton_steps", "margin", "t", "gap", "notes")}
+        f"coupled_{k}" for k in ("status", "newton_steps", "shift_steps", "objective_steps",
+                                 "margin", "t", "gap", "notes")}
     # realizability is not part of the certificate; analyze reports it beside the verdict
     residual = realizability.check_controller_realizability(demo.reference_controller()).worst()
     assert doc["realizability_residual"] == residual
@@ -169,7 +171,7 @@ def test_analyze_command(docs, capsys):
                "--g", "0.5"])
     assert rc == 0
     text = capsys.readouterr().out
-    assert (f"coupled certificate: feasible, 21 Newton steps, "
+    assert (f"coupled certificate: feasible, 10 Newton steps, "
             f"margin {doc['coupled_margin']:.3e}") in text
     assert f"  noise offset constant: {doc['noise_offset']:.4g}\n" in text
 
@@ -751,7 +753,8 @@ def test_demo_level_search_is_the_synth_cert_record(demo_docs):
                  "--g-hi", "1.0", "--tol-g", "5e-3", "--out", str(out)]) == 0
     cert = serialize.read_doc(out.with_suffix(".cert.json"))
     search = serialize.read_doc(demo_docs["root"] / "report.json")["level_search"]
-    assert set(search) == {"status", "newton_steps", "margin", "t", "gap", "notes"}
+    assert set(search) == {"status", "newton_steps", "shift_steps", "objective_steps",
+                           "margin", "t", "gap", "notes"}
     assert {f"lmi_{k}": v for k, v in search.items()} == {
         k: v for k, v in cert.items() if k.startswith("lmi_")}
 

@@ -82,9 +82,11 @@ def test_solution_record_is_plain_json():
     sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B))
     record = sol.record()
     assert {k: type(v) for k, v in record.items()} == {
-        "status": str, "newton_steps": int, "margin": float, "t": float,
-        "gap": type(None), "notes": list}
+        "status": str, "newton_steps": int, "shift_steps": int, "objective_steps": int,
+        "margin": float, "t": float, "gap": type(None), "notes": list}
+    # no objective: every Newton step is a shift-phase step
     assert record == {"status": "feasible", "newton_steps": sol.iterations,
+                      "shift_steps": sol.iterations, "objective_steps": 0,
                       "margin": sol.margin, "t": sol.t_achieved, "gap": None, "notes": []}
     assert json.loads(json.dumps(record, allow_nan=False)) == record
     assert sol.summary() == f"feasible, {sol.iterations} Newton steps, margin {sol.margin:.3e}"
@@ -124,32 +126,26 @@ def test_feasibility_stops_once_the_margin_settles():
     sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B))
     assert sol.status == "feasible"
     assert sol.margin == pytest.approx((3.0 - np.sqrt(2.0)) / 2.0, rel=1e-2)
-    # the stall test alone would end this solve after 22 steps
-    assert sol.iterations == 15
+    # the first round converges in 7 steps, and step 1 of the second finds
+    # the margin settled; the stall test alone would end this solve after 22
+    assert sol.iterations == 8
 
 
 def test_first_certificate_stop_ends_at_the_first_certified_round(monkeypatch):
-    round_ends = []
-    stacked = lmi._stacked_margin
-
-    def recording(oriented, x):
-        round_ends.append(stacked(oriented, x))
-        return round_ends[-1]
-
-    monkeypatch.setattr(lmi, "_stacked_margin", recording)
-    sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B), settle=False)
+    # the rule is tested after every Newton step: here the first iterate
+    # already certifies, so the solve ends there
+    problem = _between_zero_and_b_problem(_B)
+    sol = lmi.solve_feasibility(problem, settle=False)
     assert sol.status == "feasible"
-    # the first round converges in 7 steps with margin past eps_strict, and
-    # the solve ends there; the settled stop needs a second round to see
-    # that the margin no longer grows (15 steps)
-    assert len(round_ends) == 1 and round_ends[0] > lmi.EPS_STRICT
-    assert sol.iterations == 7
+    assert sol.iterations == 1
     # the verdict rests on the final iterate, re-verified from the expressions
     x = sol.assignment["X"]
     direct = min(np.linalg.eigvalsh(x)[0], np.linalg.eigvalsh(_B - x)[0])
     assert sol.margin == pytest.approx(direct, rel=1e-12)
     assert sol.margin >= lmi.EPS_STRICT
-    assert sol.margin == pytest.approx((3.0 - np.sqrt(2.0)) / 2.0, rel=1e-2)
+    # one step fewer leaves the starting point, X = 0, which does not certify
+    monkeypatch.setattr(lmi, "MAX_ITER", sol.iterations - 1)
+    assert lmi.solve_feasibility(problem, settle=False).status == "max-iter"
 
 
 def test_every_verdict_reads_the_one_strictness_margin(monkeypatch):

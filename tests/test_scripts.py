@@ -84,8 +84,13 @@ def test_bench_script_writes_json(tmp_path):
         assert check["storage_margin"] >= 1e-6
         assert check["storage_seconds"] > 0
     assert grid_certification["g"] == point["g"] == 5.0
-    # the certificate solve stops at its first verified round
-    assert grid_certification["newton_steps"] == 15
+    # the certificate solve stops at its first verified Newton iterate
+    assert grid_certification["newton_steps"] == 7
+    # each record splits its Newton steps by phase; only the level search minimises
+    for solve in (point, grid_certification, certification):
+        assert (solve["shift_steps"], solve["objective_steps"]) == (solve["newton_steps"], 0)
+    assert reference["objective_steps"] > 0
+    assert reference["shift_steps"] + reference["objective_steps"] == reference["newton_steps"]
     for solve in (point, reference, certification, grid_certification):
         assert solve["margin"] >= 1e-6  # every one of them is feasible
         assert solve["step_ms"] == pytest.approx(
