@@ -10,10 +10,12 @@ on the seeded jump plants of perfbench/plants.py and, when the solve gives a
 controller, certifies its augmentation at 5.0 (the point's
 ``certification``, None without a controller); then times the reference
 ``min_attenuation(reference_plant(), 0.01, 1.0, tol_g=5e-3)`` and certifies
-its augmented controller at g*.  Each certification times both checks: the
-coupled LMI solve ``verify_closed_loop`` and the closed-form storage
-certificate ``synthesis.certify_design`` that ``qhinf demo-paper`` and
-``qhinf synth`` use.  On the reference plant closed with
+its augmented controller at g*.  Each certification times both checks:
+``verify_closed_loop``, which certifies from the coupled Lyapunov storage or
+else by the coupled LMI's barrier solve and records which as ``route``
+(``lyapunov`` or ``barrier``), and the closed-form storage certificate
+``synthesis.certify_design`` that ``qhinf demo-paper`` and ``qhinf synth``
+use.  On the reference plant closed with
 ``reference_controller()`` it times one ``propagate_moments`` path (sin:0.5,
 t_end 100, dt 0.05, validated, as perfbench's fault-sim) and one mean-probe
 path (default family, t_end 120).  Last, it runs
@@ -22,11 +24,11 @@ process, its printed report discarded.  Each figure is one wall-clock run
 (``time.perf_counter``) on one BLAS thread.  Writes BENCH_<date>.json with,
 per solve, the seconds and milliseconds per Newton step beside the solve's
 ``LmiSolution.record()`` (status, Newton steps in all and per phase,
-verified margin, final shift t, objective gap, notes), whether the coupled certification passed, the
-storage certificate's verdict, least margin and seconds, the simulation
-seconds, the demo's seconds and exit code, plus the numpy and scipy versions
-and the live BLAS thread count.  The default grid leaves out
-(8, 6), which takes minutes.
+verified margin, final shift t, objective gap, notes), whether the coupled
+certification passed and by which route, the storage certificate's verdict,
+least margin and seconds, the simulation seconds, the demo's seconds and
+exit code, plus the numpy and scipy versions and the live BLAS thread count.
+The default grid leaves out (8, 6), which takes minutes.
 """
 
 import argparse
@@ -81,7 +83,8 @@ def record(seconds, solution, **fields):
 
 def certify(plant, result, g, label):
     """Record of ``verify_closed_loop`` of the augmented controller of the
-    ``SynthesisResult`` at level g, with ``certified`` its verdict, and of
+    ``SynthesisResult`` at level g, with ``certified`` its verdict and
+    ``route`` the route that decided it, and of
     ``certify_design`` of the same design as ``storage_certified``,
     ``storage_margin`` and ``storage_seconds``; printed after ``label``.
     Only the two certifications are timed."""
@@ -95,11 +98,12 @@ def certify(plant, result, g, label):
     storage = synthesis.certify_design(plant, result, aug, g)
     storage_seconds = time.perf_counter() - t0
     print(f"{label}: {seconds:.3f} s, {report.solution.summary()}, "
-          f"certified={report.attenuation_ok}; storage {storage_seconds * 1e3:.2f} ms, "
+          f"certified={report.attenuation_ok} ({report.route}); "
+          f"storage {storage_seconds * 1e3:.2f} ms, "
           f"{storage.summary()}, certified={storage.certified}", flush=True)
     return record(seconds, report.solution, g=g, certified=report.attenuation_ok,
-                  storage_certified=storage.certified, storage_margin=storage.margin,
-                  storage_seconds=round(storage_seconds, 6))
+                  route=report.route, storage_certified=storage.certified,
+                  storage_margin=storage.margin, storage_seconds=round(storage_seconds, 6))
 
 
 def main(argv=None):

@@ -175,7 +175,7 @@ def _cmd_analyze(args):
     lines = [f"closed-loop verification at g = {args.g:g}"]
     for i, x in enumerate(report.abscissas):
         lines.append(f"  mode {i + 1}: spectral abscissa {x:.4f}")
-    lines.append(f"  coupled certificate: {solution.summary()}")
+    lines.append(f"  coupled certificate: {solution.summary()} ({report.route} route)")
     if report.noise_offset is not None:
         lines.append(f"  noise offset constant: {report.noise_offset:.4g}")
     lines.append(f"  controller realizability residual: {residual:.3e}")

@@ -311,8 +311,11 @@ class LmiSolution:
     what the solve ran into, and ``gap`` is the barrier gap bound on the
     objective (None without one, inf when its phase never started).  The
     verdict is ``status``, which rests on ``margin``, not on t: a solve
-    stopped at its first certified round can report t > 0 beside a verified
-    margin > 0.  Reports of a solve use ``record()`` and ``summary()``.
+    stopped at its first certified iterate can report t > 0 beside a
+    verified margin > 0.  A point verified without a barrier solve (the
+    coupled Lyapunov storage of ``analysis.coupled_mode_check``) reports 0
+    iterations and t = -margin.  Reports of a solve use ``record()`` and
+    ``summary()``.
     """
 
     assignment: dict

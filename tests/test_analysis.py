@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhinf import demo, lmi, realizability, synthesis
-from qhinf.analysis import coupled_mode_check, verify_closed_loop
+from qhinf import analysis, demo, lmi, realizability, synthesis
+from qhinf.analysis import coupled_mode_check, coupled_problem, verify_closed_loop
 from qhinf.qmodel import (
     ClosedLoop,
     ClosedLoopMode,
@@ -164,12 +164,13 @@ def test_synthesis_stabilises_an_unstable_absorbing_mode():
     result = synthesis.synthesize(plant, 5.0)
     assert result.solution.feasible
     aug = realizability.augment_jump_controller(result.controller)
-    report = verify_closed_loop(plant, aug, 5.0)
-    assert report.attenuation_ok
-    # the first Newton iterate certifies, with margin 0.374
-    assert report.solution.iterations == 1
-    assert report.solution.margin > 0.37
-    assert _mean_square_abscissa(assemble_closed_loop(plant, aug)) < 0
+    loop = assemble_closed_loop(plant, aug)
+    assert verify_closed_loop(plant, aug, 5.0).attenuation_ok
+    # the barrier solve's first Newton iterate certifies, with margin 0.374
+    solution = lmi.solve_feasibility(coupled_problem(loop, 5.0), settle=False)
+    assert solution.iterations == 1
+    assert solution.margin > 0.37
+    assert _mean_square_abscissa(loop) < 0
 
 
 @pytest.mark.parametrize("make_ctrl", [_zero_controller, _destabilizing_controller])
@@ -193,35 +194,137 @@ def reference_design():
 
 
 def _certify_at_the_first_certified_iterate(plant, aug, g, monkeypatch):
-    """Certify aug at g on plant; assert that one Newton step fewer does not
-    certify, so the solve stopped at its first certified iterate, and return
-    its steps."""
-    report = verify_closed_loop(plant, aug, g)
-    assert report.attenuation_ok
-    assert report.solution.margin >= lmi.EPS_STRICT
-    steps = report.solution.iterations
+    """Certify aug at g on plant with the barrier solve of its coupled
+    problem; assert that one Newton step fewer does not certify, so the solve
+    stopped at its first certified iterate, and return its steps."""
+    problem = coupled_problem(assemble_closed_loop(plant, aug), g)
+    solution = lmi.solve_feasibility(problem, settle=False)
+    assert solution.feasible
+    assert solution.margin >= lmi.EPS_STRICT
+    steps = solution.iterations
     with monkeypatch.context() as patch:
         patch.setattr(lmi, "MAX_ITER", steps - 1)
-        short = verify_closed_loop(plant, aug, g)
-    assert not short.attenuation_ok
-    assert short.solution.status == "max-iter" and short.solution.iterations == steps - 1
+        short = lmi.solve_feasibility(problem, settle=False)
+    assert not short.feasible
+    assert short.status == "max-iter" and short.iterations == steps - 1
     return steps
 
 
-def test_certification_of_scaled_random_design_stops_at_first_certificate(monkeypatch):
-    # the settled-margin stop takes 61 steps here; the second Newton iterate
-    # certifies
+def _plants_module():
     spec = importlib.util.spec_from_file_location(
         "plants", Path(__file__).resolve().parents[1] / "perfbench" / "plants.py")
     plants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(plants)
-    plant = plants.random_plant(0, 4, 3, 0)
-    aug = realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
+    return plants
+
+
+@pytest.fixture(scope="module")
+def scaled_design():
+    """(plant, augmented controller) of the synthesis at g = 5 of the seeded
+    4-state, 3-mode random plant (the scripts/bench.py 4x3 grid point)."""
+    plant = _plants_module().random_plant(0, 4, 3, 0)
+    return plant, realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
+
+
+def test_certification_of_scaled_random_design_stops_at_first_certificate(scaled_design,
+                                                                          monkeypatch):
+    # the settled-margin stop takes 61 steps here; the second Newton iterate
+    # certifies
+    plant, aug = scaled_design
     assert _certify_at_the_first_certified_iterate(plant, aug, 5.0, monkeypatch) == 2
 
 
-def test_reference_design_certifies_at_its_level_at_the_first_certified_round(reference_design,
-                                                                             monkeypatch):
+def _no_barrier(problem, **kwargs):
+    raise AssertionError("the barrier solve ran")
+
+
+@pytest.mark.parametrize("coordinates", ["seeded", "rotated"])
+def test_scaled_design_certifies_from_its_lyapunov_storage(scaled_design, coordinates,
+                                                           monkeypatch):
+    # the coupled Lyapunov storage certifies the 4x3 design at g = 5 with no
+    # Newton step, in its own coordinates and in the scaled-design benchmark's
+    plant, aug = scaled_design
+    if coordinates == "rotated":
+        plant = _plants_module().rotated_plant(plant, 1, 0)
+        aug = realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
+    loop = assemble_closed_loop(plant, aug)
+    monkeypatch.setattr(lmi, "solve_feasibility", _no_barrier)
+    report = coupled_mode_check(loop, 5.0)
+    solution = report.solution
+    assert report.route == "lyapunov" and report.attenuation_ok
+    assert (solution.status, solution.iterations, solution.objective_iterations) == (
+        "feasible", 0, 0)
+    assert solution.notes == ("coupled Lyapunov storage",)
+    assert solution.margin >= lmi.EPS_STRICT and solution.t_achieved == -solution.margin
+    # the margin is the one the expressions give at the returned P_i
+    problem = coupled_problem(loop, 5.0)
+    assert solution.constraint_margins == lmi._verified_margins(problem, solution.assignment)
+    assert solution.margin == min(solution.constraint_margins)
+    # P_C + eps P_I makes every mode's (1, 1) block exactly -eps I, one eps for all
+    ps = [solution.assignment[f"P{i + 1}"] for i in range(loop.n_modes)]
+    corners = [m.a.T @ ps[i] + ps[i] @ m.a + m.c.T @ m.c
+               + sum(rate * p for rate, p in zip(loop.rates.pi[i], ps))
+               for i, m in enumerate(loop.modes)]
+    eps = -corners[0][0, 0]
+    for corner, p in zip(corners, ps):
+        assert np.max(np.abs(corner + eps * np.eye(loop.n))) <= 1e-9 * np.max(np.abs(p))
+    assert eps >= solution.margin
+    assert report.noise_offset == max(
+        float(np.trace(m.b1.T @ p @ m.b1)) + float(np.trace(m.b2.T @ p @ m.b2))
+        for m, p in zip(loop.modes, ps))
+
+
+def test_coupled_lyapunov_solves_both_equations():
+    # A_i^T P_i + P_i A_i + sum_j pi_ij P_j = -Q_i for Q_i = C_i^T C_i and I
+    loop = assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
+    for q, ps in zip((lambda m: m.c.T @ m.c, lambda m: np.eye(loop.n)),
+                     analysis._coupled_lyapunov(loop)):
+        for i, m in enumerate(loop.modes):
+            lhs = m.a.T @ ps[i] + ps[i] @ m.a + sum(r * p for r, p in zip(loop.rates.pi[i], ps))
+            assert np.max(np.abs(lhs + q(m))) <= 1e-12 * (1.0 + np.max(np.abs(ps)))
+            assert np.array_equal(ps[i], ps[i].T)
+
+
+def test_reference_design_at_its_level_falls_back_to_the_barrier(reference_design):
+    # the level is tight: the Lyapunov storage does not certify, and the
+    # verdict is the barrier solve's own
+    g_star, aug = reference_design
+    loop = assemble_closed_loop(demo.reference_plant(), aug)
+    report = coupled_mode_check(loop, g_star)
+    barrier = lmi.solve_feasibility(coupled_problem(loop, g_star), settle=False)
+    assert report.route == "barrier" and report.attenuation_ok
+    assert report.solution.iterations == barrier.iterations == 43
+    assert report.solution.margin == barrier.margin
+    assert np.array_equal(report.solution.assignment["P1"], barrier.assignment["P1"])
+
+
+def test_destabilizing_controller_stays_infeasible_from_the_barrier():
+    report = verify_closed_loop(demo.reference_plant(), _destabilizing_controller(3), 100.0)
+    assert report.route == "barrier"
+    assert report.solution.status == "infeasible-at-tolerance"
+    assert report.solution.iterations > 0
+
+
+@pytest.mark.parametrize("loop", [
+    pytest.param(lambda: assemble_closed_loop(_unstable_mode_plant(ABSORBING_RATES),
+                                              _zero_controller(2)), id="unstable-absorbing"),
+    pytest.param(lambda: assemble_closed_loop(_unstable_mode_plant([[-1.0, 1.0], [0.1, -0.1]]),
+                                              _zero_controller(2)), id="long-visited-unstable"),
+    pytest.param(lambda: _one_mode_loop(np.zeros((1, 0)), 0.0), id="singular"),
+])
+def test_lyapunov_route_falls_back_on_unstable_loops(loop):
+    # an indefinite or singular Lyapunov solve only loses the closed form; the
+    # barrier decides, and no RuntimeWarning (an error under this suite) escapes
+    loop = loop()
+    problem = coupled_problem(loop, 5.0)
+    assert analysis._lyapunov_storage(loop, 5.0, problem) is None
+    report = coupled_mode_check(loop, 5.0)
+    assert report.route == "barrier" and not report.attenuation_ok
+    assert report.solution.iterations > 0
+
+
+def test_reference_design_certifies_at_its_level_at_the_first_certified_iterate(
+        reference_design, monkeypatch):
     g_star, aug = reference_design
     plant = demo.reference_plant()
     assert _certify_at_the_first_certified_iterate(plant, aug, g_star, monkeypatch) == 43
@@ -253,22 +356,16 @@ def _parity_loops(g_star, aug):
     ]
 
 
-def test_first_certificate_stop_keeps_every_verdict(reference_design, monkeypatch):
-    # the same coupled problems, solved with the settled-margin stop, give
-    # the same verdicts; a feasible one is verified past eps_strict either way
-    solve = lmi.solve_feasibility
-
-    def settled(problem, **kwargs):
-        return solve(problem, **{**kwargs, "settle": True})
-
+def test_first_certificate_stop_keeps_every_verdict(reference_design):
+    # the same coupled problems, solved by the barrier with the settled-margin
+    # stop, give the same verdicts; a feasible one is verified past eps_strict
+    # either way
     for loop, g, verdict in _parity_loops(*reference_design):
-        first = coupled_mode_check(loop, g)
-        with monkeypatch.context() as patch:
-            patch.setattr(lmi, "solve_feasibility", settled)
-            reference = coupled_mode_check(loop, g)
-        assert first.attenuation_ok == reference.attenuation_ok == verdict
-        assert first.solution.iterations <= reference.solution.iterations
+        first = lmi.solve_feasibility(coupled_problem(loop, g), settle=False)
+        reference = lmi.solve_feasibility(coupled_problem(loop, g), settle=True)
+        assert first.feasible == reference.feasible == verdict
+        assert first.iterations <= reference.iterations
         if verdict:
-            assert min(first.solution.margin, reference.solution.margin) >= lmi.EPS_STRICT
+            assert min(first.margin, reference.margin) >= lmi.EPS_STRICT
         else:
-            assert first.solution.status == reference.solution.status
+            assert first.status == reference.status

@@ -154,10 +154,17 @@ def test_analyze_command(docs, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert all(x < 0.0 for x in doc["abscissas"])
-    # the certificate solve stops at its first verified Newton iterate
+    # the coupled Lyapunov storage certifies this loop with no Newton step;
+    # its t is minus its margin
     assert doc["coupled_status"] == "feasible" and doc["coupled_margin"] >= 1e-6
-    assert doc["coupled_newton_steps"] == 10
-    assert (doc["coupled_shift_steps"], doc["coupled_objective_steps"]) == (10, 0)
+    assert doc["coupled_newton_steps"] == 0
+    assert (doc["coupled_shift_steps"], doc["coupled_objective_steps"]) == (0, 0)
+    assert doc["coupled_notes"] == ["coupled Lyapunov storage"]
+    assert doc["coupled_t"] == -doc["coupled_margin"]
+    # the barrier solve of the same problem stops at its first verified Newton iterate
+    loop = analysis.assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
+    barrier = lmi.solve_feasibility(analysis.coupled_problem(loop, 0.5), settle=False)
+    assert (barrier.status, barrier.iterations, barrier.objective_iterations) == ("feasible", 10, 0)
     assert {k for k in doc if k.startswith("coupled_")} == {
         f"coupled_{k}" for k in ("status", "newton_steps", "shift_steps", "objective_steps",
                                  "margin", "t", "gap", "notes")}
@@ -171,8 +178,8 @@ def test_analyze_command(docs, capsys):
                "--g", "0.5"])
     assert rc == 0
     text = capsys.readouterr().out
-    assert (f"coupled certificate: feasible, 10 Newton steps, "
-            f"margin {doc['coupled_margin']:.3e}") in text
+    assert (f"coupled certificate: feasible, 0 Newton steps, "
+            f"margin {doc['coupled_margin']:.3e} (lyapunov route)\n") in text
     assert f"  noise offset constant: {doc['noise_offset']:.4g}\n" in text
 
 
@@ -204,7 +211,7 @@ def test_analyze_unstable_mode_fails_coupled_check(docs, capsys):
     assert doc["coupled_status"] == "infeasible-at-tolerance"
     assert doc["coupled_newton_steps"] == 84
     assert (f"coupled certificate: infeasible-at-tolerance, 84 Newton steps, "
-            f"margin {doc['coupled_margin']:.3e}") in text
+            f"margin {doc['coupled_margin']:.3e} (barrier route)\n") in text
 
 
 def _write_unstable_mode_system(root, rates):

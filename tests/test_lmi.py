@@ -131,7 +131,7 @@ def test_feasibility_stops_once_the_margin_settles():
     assert sol.iterations == 8
 
 
-def test_first_certificate_stop_ends_at_the_first_certified_round(monkeypatch):
+def test_first_certificate_stop_ends_at_the_first_certified_iterate(monkeypatch):
     # the rule is tested after every Newton step: here the first iterate
     # already certifies, so the solve ends there
     problem = _between_zero_and_b_problem(_B)
@@ -355,26 +355,16 @@ def test_split_run_stacks_match_basis_evaluation(monkeypatch):
     _assert_stacks_match_basis_reference(problem)
 
 
-def _coupled_check_problem(monkeypatch, plant=None, controller=None, g=0.5):
+def _coupled_check_problem(plant=None, controller=None, g=0.5):
     """The LMI problem ``coupled_mode_check`` poses on a closed loop (by default
     the reference loop)."""
-    problems = []
-    solve = lmi.solve_feasibility
-
-    def capture(problem, **kwargs):
-        problems.append(problem)
-        return solve(problem, **kwargs)
-
-    monkeypatch.setattr(lmi, "solve_feasibility", capture)
     plant = demo.reference_plant() if plant is None else plant
     controller = demo.reference_controller() if controller is None else controller
-    analysis.coupled_mode_check(assemble_closed_loop(plant, controller), g)
-    assert len(problems) == 1
-    return problems[0]
+    return analysis.coupled_problem(assemble_closed_loop(plant, controller), g)
 
 
-def test_coupled_check_stacks_match_basis_evaluation(monkeypatch):
-    _assert_stacks_match_basis_reference(_coupled_check_problem(monkeypatch))
+def test_coupled_check_stacks_match_basis_evaluation():
+    _assert_stacks_match_basis_reference(_coupled_check_problem())
 
 
 def test_round_end_margin_matches_verified_margins(monkeypatch):
@@ -394,11 +384,13 @@ def test_round_end_margin_matches_verified_margins(monkeypatch):
 
     monkeypatch.setattr(lmi, "solve_feasibility", capture)
     monkeypatch.setattr(lmi, "_stacked_margin", recording)
-    # the level search, the coupled certificate of its design, then a fixed-level synthesis
+    # the level search, the barrier's coupled certificate of its design, then a
+    # fixed-level synthesis
     plant = demo.reference_plant()
     g_star, result = synthesis.min_attenuation(plant, 0.01, 1.0, tol_g=5e-3)
     aug = realizability.augment_jump_controller(result.controller)
-    assert analysis.verify_closed_loop(plant, aug, g_star).attenuation_ok
+    loop = assemble_closed_loop(plant, aug)
+    assert lmi.solve_feasibility(analysis.coupled_problem(loop, g_star), settle=False).feasible
     synthesis.synthesize(plant, 0.05)
     assert len(problems) == 3
     assert {id(problem) for problem, _, _ in ends} == {id(problem) for problem in problems}
@@ -409,7 +401,7 @@ def test_round_end_margin_matches_verified_margins(monkeypatch):
         assert abs(margin - verified) <= 1e-12 * (1.0 + scale)
 
 
-def _rotated_4x3_problem(monkeypatch):
+def _rotated_4x3_problem():
     """Coupled check of a 4-state, 3-mode random plant in rotated coordinates
     (the scaled-design benchmark plant), closed with its synthesized controller."""
     spec = importlib.util.spec_from_file_location("plants", ROOT / "perfbench" / "plants.py")
@@ -417,7 +409,7 @@ def _rotated_4x3_problem(monkeypatch):
     spec.loader.exec_module(plants)
     plant = plants.rotated_plant(plants.random_plant(0, 4, 3, 0), 1, 0)
     controller = synthesis.synthesize(plant, 5.0).controller
-    return _coupled_check_problem(monkeypatch, plant, controller, 5.0)
+    return _coupled_check_problem(plant, controller, 5.0)
 
 
 def _hand_built_problem():
@@ -478,9 +470,9 @@ def test_newton_system_matches_einsum_reference(kind, monkeypatch):
     if kind == "synthesis":
         problem = synthesis.build_hinf_lmis(demo.reference_plant(), 0.05)
     elif kind == "coupled":
-        problem = _coupled_check_problem(monkeypatch)
+        problem = _coupled_check_problem()
     elif kind == "coupled-rotated-4x3":
-        problem = _rotated_4x3_problem(monkeypatch)
+        problem = _rotated_4x3_problem()
     else:
         problem = _hand_built_problem()
         monkeypatch.setattr(lmi, "_GROUP_ENTRIES", 2 * 7 * 3**2)  # two 3x3 blocks in P and t

@@ -28,35 +28,6 @@ def _load_script(name):
     return module
 
 
-def test_attenuation_sweep_script_runs():
-    out = _run_script("attenuation_sweep.py", "--points", "2", "--g-min", "0.03", "--g-max", "0.06")
-    assert any("g* =" in line for line in out.splitlines())
-
-
-def test_attenuation_sweep_reports_undecided_levels(monkeypatch, capsys):
-    # a spent budget keeps its margin, a failed reconstruction has none;
-    # neither ends the sweep
-    sweep = _load_script("attenuation_sweep.py")
-    from qhinf import lmi, synthesis
-
-    synthesize = synthesis.synthesize
-
-    def undecided(plant, g):
-        if g < 0.04:
-            with monkeypatch.context() as budget:
-                budget.setattr(lmi, "MAX_ITER", 5)
-                return synthesize(plant, g)
-        raise synthesis.SynthesisError("Y1 is singular or badly conditioned")
-
-    monkeypatch.setattr(synthesis, "synthesize", undecided)
-    sweep.main(["--points", "2", "--g-min", "0.03", "--g-max", "0.06"])
-    rows = capsys.readouterr().out.splitlines()
-    first, second = rows[1].split(), rows[2].split()
-    assert first[0] == "0.03000" and first[1] == "undecided" and float(first[2]) < 0
-    assert second == ["0.06000", "undecided", "\u2014"]
-    assert any("g* =" in line for line in rows)
-
-
 def test_bench_script_writes_json(tmp_path):
     _run_script("bench.py", "--grid", "2x3", "--out-dir", str(tmp_path))
     (path,) = tmp_path.glob("BENCH_*.json")
@@ -84,8 +55,12 @@ def test_bench_script_writes_json(tmp_path):
         assert check["storage_margin"] >= 1e-6
         assert check["storage_seconds"] > 0
     assert grid_certification["g"] == point["g"] == 5.0
-    # the certificate solve stops at its first verified Newton iterate
-    assert grid_certification["newton_steps"] == 7
+    # the coupled Lyapunov storage certifies the grid design with no Newton
+    # step; the reference design at its own level is tight, so the barrier
+    # certifies it
+    assert (grid_certification["route"], grid_certification["newton_steps"]) == ("lyapunov", 0)
+    assert grid_certification["notes"] == ["coupled Lyapunov storage"]
+    assert (certification["route"], certification["newton_steps"] > 0) == ("barrier", True)
     # each record splits its Newton steps by phase; only the level search minimises
     for solve in (point, grid_certification, certification):
         assert (solve["shift_steps"], solve["objective_steps"]) == (solve["newton_steps"], 0)
@@ -93,8 +68,10 @@ def test_bench_script_writes_json(tmp_path):
     assert reference["shift_steps"] + reference["objective_steps"] == reference["newton_steps"]
     for solve in (point, reference, certification, grid_certification):
         assert solve["margin"] >= 1e-6  # every one of them is feasible
+    for solve in (point, reference, certification):
         assert solve["step_ms"] == pytest.approx(
             1e3 * solve["seconds"] / solve["newton_steps"], rel=1e-2, abs=2e-3)
+    assert grid_certification["step_ms"] is None  # no Newton step to divide by
     simulation = doc["simulation"]
     assert {"propagate_moments", "mean_probe"} == set(simulation)
     assert simulation["propagate_moments"]["grid_steps"] >= 2000  # t_end / dt, plus jumps

@@ -431,10 +431,9 @@ def test_min_attenuation_reference_iterates_pinned(tol_g, g_star, steps, start, 
     assert result.solution.iterations == steps
 
 
-# The unit cases' ids keep the step counts they were first pinned at, when
-# the settled-margin stop was tested at round ends only (129, 119, 118 and
-# 115 steps); testing it after every step takes the counts below.  An
-# infeasible solve never reaches the stop, so 0.036 keeps its counts.
+# The unit 0.036 case's id still names its step count: an infeasible solve
+# never reaches the settled-margin stop, so that count has not moved since it
+# was first pinned.
 @pytest.mark.parametrize(("g", "status", "steps", "start"), [
     pytest.param(0.036, "infeasible-at-tolerance", 114, "centred", id="g=0.036"),
     pytest.param(0.037, "feasible", 103, "centred", id="g=0.037"),
@@ -443,10 +442,10 @@ def test_min_attenuation_reference_iterates_pinned(tol_g, g_star, steps, start, 
     pytest.param(0.05, "feasible", 91, "centred", id="g=0.05"),
     pytest.param(0.036, "infeasible-at-tolerance", 134, "unit",
                  id="0.036-infeasible-at-tolerance-134"),
-    pytest.param(0.037, "feasible", 123, "unit", id="0.037-feasible-129"),
-    pytest.param(0.040, "feasible", 117, "unit", id="0.04-feasible-119"),
-    pytest.param(0.048, "feasible", 111, "unit", id="0.048-feasible-118"),
-    pytest.param(0.05, "feasible", 112, "unit", id="0.05-feasible-115"),
+    pytest.param(0.037, "feasible", 123, "unit", id="g=0.037-unit"),
+    pytest.param(0.040, "feasible", 117, "unit", id="g=0.040-unit"),
+    pytest.param(0.048, "feasible", 111, "unit", id="g=0.048-unit"),
+    pytest.param(0.05, "feasible", 112, "unit", id="g=0.05-unit"),
 ])
 def test_synthesize_reference_iterates_pinned(g, status, steps, start, monkeypatch):
     if start == "unit":
