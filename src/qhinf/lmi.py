@@ -63,9 +63,30 @@ Design notes:
   minimal-level synthesis, and the certification of each design) mu0 lay
   in 0.018-0.82 but for two certifications of 2-state designs, at 4.5 and
   58; a weight above 1 is lowered to 1, which took no more steps there.
-  The reference synthesis at 0.037 takes 103 Newton steps against 123 from
+  The reference synthesis at 0.037 takes 86 Newton steps against 95 from
   a unit weight.  Newton steps are deterministic and damped, so identical
   problems produce identical iterate sequences.
+* A round ends after _ROUND_STEPS steps, at a Newton decrement below
+  _DECREMENT_TOL (1 + |objective|), or at its rounding floor.  The barrier
+  scaled by 1/mu is self-concordant, so its normalised decrement
+  lambda^2 = decrement / mu obeys lambda(x+) <= (lambda / (1 - lambda))^2
+  after a full step from lambda < 1/4 (Boyd & Vandenberghe, Convex
+  Optimization, 2004, 9.6.4): inside that quadratic region (lambda^2 <
+  1/16) exact arithmetic shrinks the decrement at least fivefold per full
+  step.  A full step from there after which the decrement has not halved
+  met rounding, not progress, and the round ends at that point without
+  stepping again; it has solved one Newton system it does not step on.
+  The decrement tolerance itself is rarely met.  On the reference level
+  search, three objective rounds ended with 8-9 full steps at a constant
+  lambda^2 (0.028, 1.2e-3 and 3.9e-5) and ran to the cap; the rule takes
+  the search from 108 Newton steps to 84 (30 in the shift phase, 54, from
+  78, in the objective phase) and the synthesis at 0.037 from 103 to 86,
+  with the same verdicts and a level 1.3e-7 higher.  The rule cannot
+  fire outside the quadratic region, so the shift phase's plateau along
+  the unbounded (Y, F) scaling (lambda^2 about 24 on the reference level
+  search, 72 on a 4-state, 3-mode design, and 8 on a scalar plant) is
+  left to the step cap: cutting it too turned three feasible fixed-level
+  solves of the scalar plant infeasible-at-tolerance.
 * A shift-phase round ends with the margin min_k -lambda_max(M_k(v)) read off
   the stacked slacks at t = 0, one batched eigensolve per group, for the
   stall test and the hand-off to the objective phase.  Only the final
@@ -76,9 +97,9 @@ Design notes:
   Both are tested after every accepted Newton step, as the LMI Control
   Toolbox's feasp tests its target at every iteration (Gahinet, Nemirovski,
   Laub & Chilali, LMI Control Toolbox, 1995), not only when a round ends:
-  rounds run to their step cap, because the Newton decrement rarely meets
-  its tolerance (it is still 3.55 at the end of the first synthesis round
-  of a 4-state, 3-mode design).  An iterate certifies when every slack factors
+  a shift-phase round that sits on the plateau runs to its step cap (the
+  decrement is still 3.55 at the end of the first synthesis round of a
+  4-state, 3-mode design).  An iterate certifies when every slack factors
   at t = -EPS_STRICT, which holds exactly when the stacked margin exceeds
   EPS_STRICT and costs one dpotrf pass per member, not an eigensolve.
 * The default (``settle=True``, used by synthesis) stops at the first
@@ -592,13 +613,19 @@ def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None):
     stays frozen and obj is the parameter index ``objective``.  ``first``,
     when given, is the gradient and Newton step at x, already solved.
     ``stop``, when given, is tested on every accepted iterate, and the steps
-    end at the first one it accepts.  Returns (x, steps, note, stopped), with
-    a note when no step could be taken and ``stopped`` when ``stop`` ended
-    the steps.  Raises ``ValueError`` when the Newton system overflows.
+    end at the first one it accepts.  The steps also end at the rounding
+    floor: after a full step (alpha = 1) from a normalised decrement
+    decrement / mu below 1/16, where exact arithmetic shrinks the decrement
+    at least fivefold (module docstring), a decrement at the new point that
+    is not below half of the previous one ends the round there, before
+    another step.  Returns (x, steps, note, stopped), with a note when no
+    step could be taken and ``stopped`` when ``stop`` ended the steps.
+    Raises ``ValueError`` when the Newton system overflows.
     """
     obj = -1 if objective is None else objective
     steps = 0
     factors = None  # slack factors at x and its barrier value f0, carried over on acceptance
+    floor = None  # the decrement before a full step taken inside the quadratic region
     while steps < max_steps and x[-1] >= _T_FLOOR:
         if factors is None:
             factors = _slacks(oriented, x)
@@ -615,6 +642,8 @@ def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None):
                 grad[objective] += 1.0
             step = _newton_solve(hess, -grad[:, None])[:, 0]
         decrement = float(-grad @ step)
+        if floor is not None and decrement >= 0.5 * floor:
+            return x, steps, None, False  # the rounding floor: a full step did not halve it
         steps += 1
         alpha = 1.0
         while True:
@@ -629,6 +658,7 @@ def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None):
                     x, factors, f0 = cand, cand_factors, f1
                     break
             alpha *= 0.5
+        floor = decrement if alpha == 1.0 and decrement < mu / 16.0 else None
         if stop is not None and stop(x):
             return x, steps, None, True
         if decrement <= _DECREMENT_TOL * (1.0 + abs(x[obj])):

@@ -638,12 +638,22 @@ def test_analyze_infinite_level_is_input_error(docs, capsys):
 
 def test_synth_min_g_budget_exhausted(docs, capsys, monkeypatch):
     out = docs["root"] / "min_g_budget" / "ctrl.json"
-    monkeypatch.setattr(lmi, "MAX_ITER", 80)
+    monkeypatch.setattr(lmi, "MAX_ITER", 60)
+    solutions = []
+    solve = lmi.solve_feasibility
+
+    def recording(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(lmi, "solve_feasibility", recording)
     rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--tol-g", "5e-3",
                "--out", str(out)])
     assert rc == 2
     assert "not within tol_g" in capsys.readouterr().err
     assert not out.exists()
+    # the budget ran out inside the objective phase
+    assert [s.objective_iterations > 0 for s in solutions] == [True]
 
 
 def test_synth_budget_exhausted_is_not_infeasible(docs, capsys, monkeypatch):
@@ -786,7 +796,7 @@ def test_synth_writes_a_design_that_does_not_certify_and_exits_1(demo_docs, caps
     assert cert["lmi_status"] == "feasible" and out.exists()
     manifest = serialize.read_doc(str(out) + ".manifest.json")
     assert set(manifest["outputs"]) == {str(out), str(out.with_suffix(".cert.json"))}
-    assert "does not certify at g = 0.0394779 (storage margin -" in capsys.readouterr().err
+    assert "does not certify at g = 0.039478 (storage margin -" in capsys.readouterr().err
 
 
 def test_demo_rejects_zero_paths_before_the_design(tmp_path, capsys, monkeypatch):

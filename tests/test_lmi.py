@@ -401,12 +401,18 @@ def test_round_end_margin_matches_verified_margins(monkeypatch):
         assert abs(margin - verified) <= 1e-12 * (1.0 + scale)
 
 
-def _rotated_4x3_problem():
-    """Coupled check of a 4-state, 3-mode random plant in rotated coordinates
-    (the scaled-design benchmark plant), closed with its synthesized controller."""
+def _plants():
+    """perfbench's seeded plant generators."""
     spec = importlib.util.spec_from_file_location("plants", ROOT / "perfbench" / "plants.py")
     plants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(plants)
+    return plants
+
+
+def _rotated_4x3_problem():
+    """Coupled check of a 4-state, 3-mode random plant in rotated coordinates
+    (the scaled-design benchmark plant), closed with its synthesized controller."""
+    plants = _plants()
     plant = plants.rotated_plant(plants.random_plant(0, 4, 3, 0), 1, 0)
     controller = synthesis.synthesize(plant, 5.0).controller
     return _coupled_check_problem(plant, controller, 5.0)
@@ -640,19 +646,77 @@ def test_non_finite_data_is_rejected_by_constraint():
 
 def test_newton_steps_match_dense_solve(monkeypatch):
     # every Newton step of the reference synthesis is the Cholesky solve of
-    # its Hessian; LU on the same system agrees to 1e-10
-    calls = []
-    dposv = lmi.lapack.dposv
+    # its Hessian; LU on the same system agrees to 1e-10.  A round that ends
+    # at its rounding floor solves one system it does not step on, so each
+    # round adds at most one solve to the steps
+    calls, rounds = [], []
+    dposv, centre = lmi.lapack.dposv, lmi._centre
 
     def recording(hess, rhs, **options):
         out = dposv(hess, rhs, **options)
         calls.append((hess.copy(), rhs.copy(), out[1], out[2]))
         return out
 
+    def counting(*args, **kwargs):
+        rounds.append(args[2])
+        return centre(*args, **kwargs)
+
     monkeypatch.setattr(lmi.lapack, "dposv", recording)
+    monkeypatch.setattr(lmi, "_centre", counting)
     result = synthesis.synthesize(demo.reference_plant(), 0.05)
-    assert len(calls) == result.solution.iterations
+    steps = result.solution.iterations
+    assert steps < len(calls) <= steps + len(rounds)
     for hess, rhs, step, info in calls:
         assert info == 0
         ref = np.linalg.solve(hess, rhs)
         assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _round_from_the_start(problem, mu, monkeypatch, fraction):
+    """One barrier round at weight mu from the solve's starting point, with
+    every Newton step cut to ``fraction`` of its length; returns (steps, the
+    normalised decrement lambda^2 = decrement / mu of every solve)."""
+    layout = lmi._Layout(problem.variables)
+    oriented = lmi._materialise(problem, layout)
+    zero = np.zeros(layout.total)
+    x0 = np.append(zero, max(_oriented_tops(problem, layout, zero)) + 1.0)
+    solve, normalised = lmi._newton_solve, []
+
+    def partial(hess, rhs):
+        step = fraction * solve(hess, rhs)
+        normalised.append(float(rhs[:, 0] @ step[:, 0]) / mu)
+        return step
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lmi, "_newton_solve", partial)
+        _, steps, note, stopped = lmi._centre(oriented, x0, mu, None, lmi._ROUND_STEPS)
+    assert note is None and not stopped
+    return steps, normalised
+
+
+def test_round_ends_at_its_rounding_floor(monkeypatch):
+    # Inside the quadratic region (lambda^2 < 1/16) a full Newton step
+    # shrinks the decrement at least fivefold.  With exact steps this round
+    # meets its decrement tolerance and steps on every solve.  A step cut to
+    # a tenth of its length shrinks the decrement by about 0.9^2 instead, as
+    # rounding does, so the round ends at the first solve after the region
+    # is entered, without stepping on it, and not at its step cap.
+    problem = _between_zero_and_b_problem(_B)
+    steps, normalised = _round_from_the_start(problem, 0.2, monkeypatch, 1.0)
+    assert len(normalised) == steps == 6
+    assert normalised[-1] * 0.2 <= lmi._DECREMENT_TOL
+    steps, normalised = _round_from_the_start(problem, 0.2, monkeypatch, 0.1)
+    entered = next(k for k, lam in enumerate(normalised) if lam < 1.0 / 16.0)
+    assert steps == entered + 1 < lmi._ROUND_STEPS
+    assert len(normalised) == steps + 1
+    assert 0.5 * normalised[-2] <= normalised[-1] < normalised[-2]
+
+
+def test_rounding_floor_leaves_the_shift_plateau_alone():
+    # the 4x3 plant's shift phase ends on the plateau of the unbounded
+    # (Y, F) scaling, lambda^2 about 72, outside the quadratic region: the
+    # rule cannot fire there, and this synthesis takes its 16 steps as before
+    plant = _plants().random_plant(0, 4, 3, 0)
+    solution = synthesis.synthesize(plant, 5.0).solution
+    assert (solution.status, solution.iterations) == ("feasible", 16)
+

@@ -94,9 +94,10 @@ def test_bench_timed_records_a_level_search_cut_before_tolerance(monkeypatch):
     bench = _load_script("bench.py")
     from qhinf import demo, lmi, synthesis
 
-    monkeypatch.setattr(lmi, "MAX_ITER", 80)
+    monkeypatch.setattr(lmi, "MAX_ITER", 60)  # cut inside the objective phase
     seconds, g, solution = bench.timed(lambda: synthesis.min_attenuation(
         demo.reference_plant(), 0.01, 1.0, tol_g=5e-3))
     assert seconds > 0 and g is None
-    assert solution.iterations == 80
-    assert bench.record(seconds, solution)["newton_steps"] == 80
+    assert solution.iterations == 60
+    record = bench.record(seconds, solution)
+    assert record["newton_steps"] == 60 and record["objective_steps"] > 0
