@@ -18,16 +18,18 @@ else by the coupled LMI's barrier solve and records which as ``route``
 use.  On the reference plant closed with
 ``reference_controller()`` it times one ``propagate_moments`` path (sin:0.5,
 t_end 100, dt 0.05, validated, as perfbench's fault-sim) and one mean-probe
-path (default family, t_end 120).  Last, it runs
+path (default family, t_end 120), each as the median of 15 runs
+(``SIM_RUNS``) of the same path, since one such run takes milliseconds.  Last, it runs
 ``cli.main(["demo-paper", "--quick", "--out-dir", <temporary dir>])`` in
-process, its printed report discarded.  Each figure is one wall-clock run
-(``time.perf_counter``) on one BLAS thread.  Writes BENCH_<date>.json with,
-per solve, the seconds and milliseconds per Newton step beside the solve's
-``LmiSolution.record()`` (status, Newton steps in all and per phase,
-verified margin, final shift t, objective gap, notes), whether the coupled
-certification passed and by which route, the storage certificate's verdict,
-least margin and seconds, the simulation seconds, the demo's seconds and
-exit code, plus the numpy and scipy versions and the live BLAS thread count.
+process, its printed report discarded.  Every other figure is one wall-clock
+run (``time.perf_counter``); all run on one BLAS thread.  Writes
+BENCH_<date>.json with, per solve, the seconds and milliseconds per Newton
+step beside the solve's ``LmiSolution.record()`` (status, Newton steps in all
+and per phase, verified margin, final shift t, objective gap, notes), whether
+the coupled certification passed and by which route, the storage
+certificate's verdict, least margin and seconds, each simulation path's
+median seconds and run count, the demo's seconds and exit code, plus the
+numpy and scipy versions and the live BLAS thread count.
 The default grid leaves out (8, 6), which takes minutes.
 """
 
@@ -38,6 +40,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -46,6 +49,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DEFAULT_GRID = ("2x3", "4x3", "6x3", "8x3", "4x6")
 LEVEL = 5.0
+SIM_RUNS = 15
 
 
 def grid_point(text):
@@ -79,6 +83,16 @@ def record(seconds, solution, **fields):
     return {**fields, "seconds": round(seconds, 4),
             "step_ms": round(1e3 * seconds / steps, 3) if steps else None,
             **solution.record()}
+
+
+def median_seconds(run):
+    """Median wall time of SIM_RUNS calls of ``run()``, and its last result."""
+    seconds = []
+    for _ in range(SIM_RUNS):
+        t0 = time.perf_counter()
+        result = run()
+        seconds.append(time.perf_counter() - t0)
+    return statistics.median(seconds), result
 
 
 def certify(plant, result, g, label):
@@ -162,18 +176,17 @@ def main(argv=None):
     dist = jumpsim.Disturbance("sin:0.5", numpy.eye(loop.n_w)[0], "sin", 0.5)
     sim = {"disturbance": dist.label, "t_end": 100.0, "dt": 0.05}
     path = jumpsim.sample_markov_path(loop.rates, sim["t_end"], seed=jumpsim.path_seed(0, 0))
-    t0 = time.perf_counter()
-    traj = jumpsim.propagate_moments(loop, path, dist, numpy.zeros(loop.n), numpy.eye(loop.n),
-                                     sim["dt"], validate=True)
-    seconds = time.perf_counter() - t0
-    simulation = {"propagate_moments": {**sim, "seconds": round(seconds, 4),
+    seconds, traj = median_seconds(lambda: jumpsim.propagate_moments(
+        loop, path, dist, numpy.zeros(loop.n), numpy.eye(loop.n), sim["dt"], validate=True))
+    simulation = {"propagate_moments": {**sim, "seconds": round(seconds, 5), "runs": SIM_RUNS,
                                         "grid_steps": len(traj.times) - 1,
                                         "jumps": len(path.jump_times)}}
-    t0 = time.perf_counter()
-    jumpsim.estimate_attenuation(loop, 0.1, t_end=120.0, n_paths=1, seed=0)
-    simulation["mean_probe"] = {"t_end": 120.0, "seconds": round(time.perf_counter() - t0, 4)}
-    print(f"propagate_moments path: {seconds:.4f} s; mean-probe path: "
-          f"{simulation['mean_probe']['seconds']:.4f} s", flush=True)
+    probe_seconds, _ = median_seconds(
+        lambda: jumpsim.estimate_attenuation(loop, 0.1, t_end=120.0, n_paths=1, seed=0))
+    simulation["mean_probe"] = {"t_end": 120.0, "seconds": round(probe_seconds, 5),
+                                "runs": SIM_RUNS}
+    print(f"propagate_moments path: {seconds * 1e3:.2f} ms; mean-probe path: "
+          f"{probe_seconds * 1e3:.2f} ms (medians of {SIM_RUNS} runs)", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         t0 = time.perf_counter()

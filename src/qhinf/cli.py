@@ -15,8 +15,10 @@ solver value: every LMI solve and certificate uses ``lmi.EPS_STRICT`` and
 
 Exit codes: 0 success / verification pass (and --help, --version), 1
 verification failure (including a realizability augmentation that leaves
-a commutation defect above 1e-9, and a synth design that its own storage
-certificate does not certify, after both files are written), 2 infeasible
+a commutation defect above 1e-9, a synth design that its own storage
+certificate does not certify, after both files are written, and a
+simulate run whose moments overflow or lose symmetry or dominance, with
+"simulation failed" on stderr and no file written), 2 infeasible
 or undecided synthesis, 3 input or usage error (a malformed document or
 value, an unknown option, a missing subcommand, a path that cannot be read
 or written).
@@ -207,10 +209,14 @@ def _cmd_simulate(args):
                                           seed=jumpsim.path_seed(args.seed, p))
         # only path 0's trajectory is reported; the others report energies,
         # which the exact propagation gives at one step per fault segment
-        traj = jumpsim.propagate_moments(
-            loop, path, disturbance, np.zeros(loop.n), np.eye(loop.n),
-            args.dt if p == 0 else args.t_end,
-        )
+        try:
+            traj = jumpsim.propagate_moments(
+                loop, path, disturbance, np.zeros(loop.n), np.eye(loop.n),
+                args.dt if p == 0 else args.t_end,
+            )
+        except ArithmeticError as exc:
+            print(f"simulation failed: path {p}: {exc}", file=sys.stderr)
+            return EXIT_VERIFY_FAIL
         if p == 0:
             first_traj = traj
         paths_doc.append({

@@ -12,10 +12,14 @@ signal beta = d u_1 is the output of a waveform oscillator u' = W u, so
 with the oscillator stacked onto the state these equations are autonomous
 and linear between jumps (Costa, Fragoso & Todorov, *Continuous-Time Markov
 Jump Linear Systems*, 2013); ``propagate_moments`` advances them with one
-matrix exponential per fault segment, exactly, with no step size.  It fills
-a segment's samples by doubling, in a logarithmic number of batched matrix
-products rather than one Python step per grid point, and screens the
-covariances with one batched Cholesky factorisation.
+matrix exponential per fault segment, exactly, with no step size.  The
+whole trajectory is allocated once, one column per sample, and a segment's
+samples are filled in place by doubling, in a logarithmic number of matrix
+products rather than one Python step per grid point.  Every later pass over
+the samples runs with the sample index innermost: the finiteness test on the
+state, then the symmetry check and the covariance screen, a column Cholesky
+factorisation, on an (n, n, T) view of the second moments.  Moments that
+overflow raise ``ArithmeticError`` at the first non-finite sample.
 
 ``estimate_attenuation`` probes the closed-loop gain with a finite family
 of disturbances, each run over the whole horizon t_end.  It is a
@@ -141,26 +145,54 @@ class MomentTrajectory:
 
 _DOMINANCE_TOL = 1e-8
 
-# Cap on t_end / dt in ``propagate_moments``: every sample is stored, with
-# copies of the stack, so a finer grid would exhaust memory before it ran.
+# Cap on t_end / dt in ``propagate_moments``: every sample is stored, so a
+# finer grid would exhaust memory before it ran.
 MAX_GRID_STEPS = 10**6
 
 
-def _dominance_defect(q, mean):
-    """Least eigenvalue of the covariances q_t - m_t m_t^T when it lies below
-    -1e-8, else None.
+def _symmetrise(q):
+    """Symmetrise the (n, n, T) stack ``q`` in place, or raise
+    ``ArithmeticError`` when a sample's asymmetry exceeds 1e-12 relative."""
+    upper = np.triu_indices(len(q), 1)
+    lower = upper[::-1]
+    q_up, q_low = q[upper], q[lower]
+    drift = np.max(np.abs(q_up - q_low), axis=0, initial=0.0)
+    scale = np.maximum(np.max(q, axis=(0, 1)), -np.min(q, axis=(0, 1)))
+    if np.any(drift > 1e-12 * (1.0 + scale)):
+        raise ArithmeticError("second moment lost symmetry during propagation")
+    q[upper] = q[lower] = 0.5 * (q_up + q_low)
 
-    One batched Cholesky factorisation of q_t - m_t m_t^T + 1e-8 I screens
-    the whole stack; only when it fails does eigvalsh decide, so the screen
-    accepts nothing that the eigenvalue test would reject, up to rounding.
+
+def _screen_dominance(q, mean):
+    """Raise ``ArithmeticError`` when a covariance q_t - m_t m_t^T of the
+    (n, n, T) stack ``q`` and the (n, T) means has its least eigenvalue below
+    -1e-8, or when a sample is not finite.
+
+    A column Cholesky factorisation of q_t - m_t m_t^T + 1e-8 I, vectorised
+    over the samples, screens the whole stack: each column's pivot must be
+    positive and finite before its Schur complement is taken.  Only when a
+    pivot fails does eigvalsh decide, so the screen accepts nothing that the
+    eigenvalue test would reject, up to rounding.
     """
-    cov = q - mean[:, :, None] * mean[:, None, :]
-    try:
-        np.linalg.cholesky(cov + _DOMINANCE_TOL * np.eye(cov.shape[-1]))
-        return None
-    except np.linalg.LinAlgError:
-        least = float(np.linalg.eigvalsh(cov)[:, 0].min())
-        return least if least < -_DOMINANCE_TOL else None
+    n = len(q)
+    diag = np.arange(n)
+    a = mean[:, None] * mean[None]
+    np.subtract(q, a, out=a)
+    a[diag, diag] += _DOMINANCE_TOL
+    for j in range(n):
+        pivot = a[j, j]
+        if not 0.0 < pivot.min() <= pivot.max() < np.inf:  # NaN fails too
+            break
+        a[j + 1:, j + 1:] -= (a[j + 1:, j] / pivot)[:, None] * a[j, None, j + 1:]
+    else:
+        return
+    cov = q - mean[:, None] * mean[None]
+    if not np.all(np.isfinite(cov)):
+        raise ArithmeticError("second moment is not finite")
+    least = float(np.linalg.eigvalsh(np.moveaxis(cov, 2, 0))[:, 0].min())
+    if least < -_DOMINANCE_TOL:
+        raise ArithmeticError("second moment lost dominance over the mean "
+                              f"(least covariance eigenvalue {least:.3e})")
 
 
 def propagate_moments(
@@ -181,19 +213,31 @@ def propagate_moments(
     with the energy integrals this is one autonomous linear ODE per mode,
     whose exponential Phi over one grid step of a segment is taken once; the
     grid splits each segment into ceil(span / dt) equal steps and only sets
-    where the trajectory is sampled.  The samples s_j = Phi^j s_0 of a
+    where the trajectory is sampled.  The state is s = (z, vec Z, output
+    energy, input energy, 1); its generator is block diagonal between z and
+    the rest, with the Kronecker sum M (+) M as its vec Z block, built by one
+    broadcast into a (k, k, k, k) view.  Both blocks still advance in one
+    product per pass: on these grids a second product per pass costs more
+    than the zero blocks it would skip.  The samples s_j = Phi^j s_0 of a
     segment are filled by doubling: with s_1 .. s_f known and Phi^f at hand,
-    one product with (Phi^f)^T gives s_{f+1} .. s_{2f}, and Phi^f is then
-    squared, so a segment of N steps costs ceil(log2 N) batched products.
-    ``ValueError`` is raised before any allocation when t_end / dt exceeds
-    ``MAX_GRID_STEPS``.
+    one product with Phi^f gives s_{f+1} .. s_{2f}, and Phi^f is then
+    squared, so a segment of N steps costs ceil(log2 N) matrix products.
+    The segment step counts are known from the path, so the whole
+    trajectory is allocated once, one column per sample, and each product
+    writes its columns in place.  ``ValueError`` is raised before any
+    allocation when t_end / dt exceeds ``MAX_GRID_STEPS``.
 
-    The second moments are checked for symmetry.  With ``validate`` the
+    The returned fields are views of that storage with the sample index
+    first.  The initial moments must be finite.  Overflow warnings are
+    silenced during the propagation, and ``ArithmeticError`` names the
+    first sample time at which the moments are not finite, with or without
+    ``validate``.  The second moments are then checked for symmetry and
+    symmetrised on their (n, n, T) layout.  With ``validate`` the
     covariances Q - <eta><eta>^T must also stay positive semidefinite, to
     1e-8 on their least eigenvalue: initial moments that fail raise
-    ``ValueError``, a sample that fails raises ``ArithmeticError``.  One
-    batched Cholesky factorisation screens the samples and eigvalsh decides
-    only when that screen fails.
+    ``ValueError``, a sample that fails raises ``ArithmeticError``.  A
+    column Cholesky factorisation vectorised over the samples screens them
+    and eigvalsh decides only when that screen fails.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"step size must be finite and positive, got {dt}")
@@ -205,15 +249,17 @@ def propagate_moments(
     q = np.array(q0, dtype=float)
     if q.shape != (n, n):
         raise ValueError("second moment must be n x n")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(q))):
+        raise ValueError("initial moments must be finite")
     if np.max(np.abs(q - q.T)) > 1e-12 * (1.0 + np.max(np.abs(q))):
         raise ValueError("initial second moment must be symmetric")
     if np.linalg.eigvalsh(0.5 * (q + q.T))[0] < -1e-10:
         raise ValueError("initial second moment must be positive semidefinite")
     if validate:
-        dominance = _dominance_defect(q[None], mean[None])
-        if dominance is not None:
+        least = np.linalg.eigvalsh(q - np.outer(mean, mean))[0]
+        if least < -_DOMINANCE_TOL:
             raise ValueError("initial second moment must dominate the outer product of the "
-                             f"initial mean (least covariance eigenvalue {dominance:.3e})")
+                             f"initial mean (least covariance eigenvalue {least:.3e})")
     if beta is None:
         beta = Disturbance("none", np.zeros(closed_loop.n_w), "step")
     if not isinstance(beta, Disturbance):
@@ -221,63 +267,66 @@ def propagate_moments(
     direction = beta.direction
     (osc,), (u,) = _oscillators([beta])
 
-    # s = (z, vec Z, output energy, input energy, 1)
+    # s = (z, vec Z, output energy, input energy, 1), one column per sample
     k = n + 2
     kk = k * k
-    z = np.concatenate([mean, u])
-    zz = np.outer(z, z)
-    zz[:n, :n] = q
-    s = np.concatenate([z, zz.ravel(), [0.0, 0.0, 1.0]])
-    gen = np.zeros((s.size, s.size))
+    gen = np.zeros((k + kk + 3, k + kk + 3))
     gen[k + kk + 1, k + n * k + n] = direction @ direction  # |d|^2 u_1^2
+    kron_sum = gen[k:k + kk, k:k + kk].reshape(k, k, k, k)  # a view: M (+) M
     m = np.zeros((k, k))
     m[n:, n:] = osc
     noise = np.zeros((k, k))
     c_gram = np.zeros((k, k))
     eye = np.eye(k)
 
-    times = [np.zeros(1)]
-    states = [s[None]]
-    for t0, t1, mode_idx in path.segments():
-        mode = closed_loop.modes[mode_idx]
-        m[:n, :n] = mode.a
-        m[:n, n] = mode.b1 @ direction
-        noise[:n, :n] = mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T
-        c_gram[:n, :n] = mode.c.T @ mode.c
-        gen[:k, :k] = m
-        gen[k:k + kk, k:k + kk] = np.kron(m, eye) + np.kron(eye, m)
-        gen[k:k + kk, -1] = noise.ravel()
-        gen[k + kk, k:k + kk] = c_gram.ravel()
-        steps = max(1, int(np.ceil((t1 - t0) / dt)))
-        phi = sla.expm(gen * ((t1 - t0) / steps))
-        seg = np.empty((steps, s.size))
-        seg[0] = phi @ s
-        filled = 1  # seg[:filled] holds Phi^1 s .. Phi^filled s, and phi is Phi^filled
-        while filled < steps:
-            take = min(filled, steps - filled)
-            seg[filled:filled + take] = seg[:take] @ phi.T
-            filled += take
-            if filled < steps:
-                phi = phi @ phi
-        s = seg[-1]
-        times.append(np.linspace(t0, t1, steps + 1)[1:])
-        states.append(seg)
+    segments = list(path.segments())
+    steps = [max(1, int(np.ceil((t1 - t0) / dt))) for t0, t1, _ in segments]
+    total = 1 + sum(steps)
+    times = np.empty(total)
+    states = np.empty((k + kk + 3, total))
+    times[0] = 0.0
+    z = np.concatenate([mean, u])
+    zz = np.outer(z, z)
+    zz[:n, :n] = q
+    states[:, 0] = np.concatenate([z, zz.ravel(), [0.0, 0.0, 1.0]])
+    first = 1  # column of the segment's first sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (t0, t1, mode_idx), count in zip(segments, steps):
+            mode = closed_loop.modes[mode_idx]
+            m[:n, :n] = mode.a
+            m[:n, n] = mode.b1 @ direction
+            noise[:n, :n] = mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T
+            c_gram[:n, :n] = mode.c.T @ mode.c
+            gen[:k, :k] = m
+            term = m[:, None, :, None] * eye[None, :, None, :]
+            np.add(term, term.transpose(1, 0, 3, 2), out=kron_sum)
+            gen[k:k + kk, -1] = noise.ravel()
+            gen[k + kk, k:k + kk] = c_gram.ravel()
+            phi = sla.expm(gen * ((t1 - t0) / count))
+            np.matmul(phi, states[:, first - 1], out=states[:, first])
+            # columns first .. first + filled - 1 hold Phi^1 s .. Phi^filled s,
+            # and phi is Phi^filled
+            filled = 1
+            while filled < count:
+                take = min(filled, count - filled)
+                np.matmul(phi, states[:, first:first + take],
+                          out=states[:, first + filled:first + filled + take])
+                filled += take
+                if filled < count:
+                    phi = phi @ phi
+            times[first:first + count] = np.linspace(t0, t1, count + 1)[1:]
+            first += count
 
-    states = np.concatenate(states)
-    mean = states[:, :n]
-    cells = k + k * np.arange(n)[:, None] + np.arange(n)  # where Z[:n, :n] sits in s
-    q, q_t = states[:, cells], states[:, cells.T]
-    drift = np.max(np.abs(q - q_t), axis=(1, 2))
-    if np.any(drift > 1e-12 * (1.0 + np.max(np.abs(q), axis=(1, 2)))):
-        raise ArithmeticError("second moment lost symmetry during propagation")
-    q = 0.5 * (q + q_t)
+    if not np.all(np.isfinite(states)):
+        bad = ~np.all(np.isfinite(states), axis=0)
+        raise ArithmeticError(f"moments are not finite from t = {times[np.argmax(bad)]:.6g}")
+    mean = states[:n]
+    q = states[k:k + kk].reshape(k, k, total)[:n, :n]  # a view: Z[:n, :n] as (n, n, T)
+    _symmetrise(q)
     if validate:
-        dominance = _dominance_defect(q, mean)
-        if dominance is not None:
-            raise ArithmeticError(f"second moment lost dominance over the mean ({dominance:.3e})")
-    return MomentTrajectory(
-        np.concatenate(times), mean, q, states[:, k + kk], states[:, k + kk + 1]
-    )
+        _screen_dominance(q, mean)
+    return MomentTrajectory(times, mean.T, np.moveaxis(q, 2, 0), states[k + kk],
+                            states[k + kk + 1])
 
 
 @dataclass(frozen=True)
@@ -389,13 +438,24 @@ def _mean_ratios(closed_loop, path, disturbances):
     in the subtraction.  The mean eta is stacked with the waveform state u
     of ``_oscillators``, so that eta' = A_i eta + B1_i d u_1 is autonomous
     and every fault segment is integrated exactly by ``_segment_maps``.
-    Every probe runs over the whole path, [0, t_end].
+    Every probe runs over the whole path, [0, t_end].  The input energies
+    depend only on the family and t_end, so a probe with zero input energy
+    is refused before any segment is integrated.
     """
     n = closed_loop.n
     n_x = n + 2
     t_end = path.t_end
     dirs = np.stack([d.direction for d in disturbances])
     gens, u0 = _oscillators(disturbances)
+    omegas = gens[:, 0, 1]
+    is_sin = np.array([d.kind == "sin" for d in disturbances])
+    safe = np.where(is_sin, omegas, 1.0)
+    wave_energy = np.where(
+        is_sin, t_end / 2.0 - np.sin(2.0 * safe * t_end) / (4.0 * safe), t_end
+    )
+    ew = np.sum(dirs * dirs, axis=1) * wave_energy
+    if np.any(ew <= 1e-12):
+        raise ValueError("disturbance family contains a probe with zero input energy")
     m = np.zeros((len(disturbances), n_x, n_x))
     m[:, n:, n:] = gens
     xi = np.zeros((len(disturbances), n_x))
@@ -410,16 +470,6 @@ def _mean_ratios(closed_loop, path, disturbances):
         phi, gram = _segment_maps(m, q, t1 - t0, n)
         ez += np.einsum("ki,kij,kj->k", xi, gram, xi)
         xi = np.einsum("kij,kj->ki", phi, xi)
-
-    omegas = gens[:, 0, 1]
-    is_sin = np.array([d.kind == "sin" for d in disturbances])
-    safe = np.where(is_sin, omegas, 1.0)
-    wave_energy = np.where(
-        is_sin, t_end / 2.0 - np.sin(2.0 * safe * t_end) / (4.0 * safe), t_end
-    )
-    ew = np.sum(dirs * dirs, axis=1) * wave_energy
-    if np.any(ew <= 1e-12):
-        raise ValueError("disturbance family contains a probe with zero input energy")
     return ez / ew
 
 

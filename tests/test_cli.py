@@ -313,6 +313,23 @@ def test_simulate_deterministic_rerun(docs):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_diverging_moments_exit_1(tmp_path, capsys):
+    # A_K + 30 I makes every mode of the loop unstable, so the moments
+    # overflow; that used to exit 3 as "input error: Eigenvalues did not converge"
+    ctrl = demo.reference_controller()
+    ctrl = Controller(tuple(ControllerMode(m.a + 30.0 * np.eye(len(m.a)), m.b, m.c, m.d, m.e)
+                            for m in ctrl.modes), ctrl.theta_k)
+    system = tmp_path / "diverging.json"
+    serialize.write_doc(system, serialize.system_to_doc(plant=demo.reference_plant(),
+                                                        controller=ctrl))
+    out = tmp_path / "sim.json"
+    rc = main(["simulate", "--system", str(system), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failed: path 0: moments are not finite from t = ")
+    assert not out.exists() and not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_optics_realize_command(docs, capsys):
     rc = main(["optics", "realize", "--controller", str(docs["ctrl"]), "--format", "doc"])
     assert rc == 0

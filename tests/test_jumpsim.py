@@ -205,6 +205,8 @@ def test_propagate_rejects_bad_inputs():
         propagate_moments(TWO_LOOP, path, lambda t: np.ones(1), np.zeros(2), np.eye(2), dt=0.01)
     with pytest.raises(ValueError, match="semidefinite"):
         propagate_moments(TWO_LOOP, path, None, np.zeros(2), -np.eye(2), dt=0.01)
+    with pytest.raises(ValueError, match="initial moments must be finite"):
+        propagate_moments(TWO_LOOP, path, None, np.array([np.nan, 0.0]), np.eye(2), dt=0.01)
     # 1e14 samples could never be allocated: the cap refuses them up front
     long_path = sample_markov_path(np.zeros((1, 1)), 100.0, 1, seed=0)
     with pytest.raises(ValueError, match="above the cap of 1000000"):
@@ -279,16 +281,138 @@ def test_initial_dominance_tolerance_boundary():
     propagate_moments(TWO_LOOP, path, None, mean0, q0, dt=0.1, validate=False)
 
 
+def _screen_stack(covariances, means):
+    """(n, n, T) second moments and (n, T) means of the given covariances."""
+    cov, means = np.array(covariances, dtype=float), np.array(means, dtype=float)
+    q = cov + means[:, :, None] * means[:, None, :]
+    return np.moveaxis(q, 0, 2), means.T
+
+
 def test_dominance_screen_defers_to_eigenvalues():
-    mean = np.zeros((3, 2))
-    q = np.array([np.eye(2), np.diag([1.0, -5e-9]), np.diag([1.0, -1e-8])])
+    q, mean = _screen_stack([np.eye(2), np.diag([1.0, -5e-9]), np.diag([1.0, -1e-8])],
+                            np.zeros((3, 2)))
     # the last covariance is singular after the 1e-8 shift, so the Cholesky
     # screen fails and eigvalsh accepts it: -1e-8 is not below the tolerance
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(q[2] + 1e-8 * np.eye(2))
-    assert jumpsim._dominance_defect(q, mean) is None
+        np.linalg.cholesky(q[:, :, 2] + 1e-8 * np.eye(2))
+    jumpsim._screen_dominance(q, mean)
     q[1, 1, 1] = -2e-8
-    assert jumpsim._dominance_defect(q, mean) == pytest.approx(-2e-8, rel=1e-12)
+    with pytest.raises(ArithmeticError, match=r"eigenvalue -2\.000e-08\)"):
+        jumpsim._screen_dominance(q, mean)
+
+
+def _crafted_stack(least):
+    """200 random 3 x 3 covariances with nonzero means; sample 117 has the
+    given least eigenvalue in a random basis."""
+    rng = np.random.default_rng(4)
+    factors = rng.standard_normal((200, 3, 3))
+    cov = factors @ np.swapaxes(factors, 1, 2) + 0.1 * np.eye(3)
+    basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    cov[117] = basis @ np.diag([2.0, 0.5, least]) @ basis.T
+    return _screen_stack(cov, rng.standard_normal((200, 3)))
+
+
+@pytest.mark.parametrize("least", [0.0, -5e-9])
+def test_dominance_screen_passes_crafted_stacks(least):
+    jumpsim._screen_dominance(*_crafted_stack(least))
+
+
+def test_dominance_screen_reports_the_least_eigenvalue():
+    with pytest.raises(ArithmeticError, match=r"eigenvalue -1\.000e-06\)"):
+        jumpsim._screen_dominance(*_crafted_stack(-1e-6))
+
+
+def test_dominance_screen_rejects_a_nan_sample():
+    q, mean = _crafted_stack(0.5)
+    q[1, 2, 60] = q[2, 1, 60] = np.nan
+    with pytest.raises(ArithmeticError, match="not finite"):
+        jumpsim._screen_dominance(q, mean)
+
+
+def _step_by_step(loop, path, dist, mean0, q0, dt):
+    """Moments of ``propagate_moments`` from a plain loop that applies each
+    segment's one-step exponential once per grid step, its generator built
+    with np.kron."""
+    n, k = loop.n, loop.n + 2
+    kk = k * k
+    z = np.concatenate([mean0, [0.0, 1.0]])
+    zz = np.outer(z, z)
+    zz[:n, :n] = q0
+    s = np.concatenate([z, zz.ravel(), [0.0, 0.0, 1.0]])
+    times, states = [0.0], [s]
+    for t0, t1, idx in path.segments():
+        mode = loop.modes[idx]
+        m = np.zeros((k, k))
+        m[:n, :n] = mode.a
+        m[:n, n] = mode.b1 @ dist.direction
+        m[n:, n:] = [[0.0, dist.omega], [-dist.omega, 0.0]]
+        gen = np.zeros((k + kk + 3, k + kk + 3))
+        gen[:k, :k] = m
+        gen[k:k + kk, k:k + kk] = np.kron(m, np.eye(k)) + np.kron(np.eye(k), m)
+        noise, c_gram = np.zeros((k, k)), np.zeros((k, k))
+        noise[:n, :n] = mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T
+        c_gram[:n, :n] = mode.c.T @ mode.c
+        gen[k:k + kk, -1] = noise.ravel()
+        gen[k + kk, k:k + kk] = c_gram.ravel()
+        gen[k + kk + 1, k + n * k + n] = dist.direction @ dist.direction
+        steps = max(1, int(np.ceil((t1 - t0) / dt)))
+        phi = sla.expm(gen * ((t1 - t0) / steps))
+        for j in range(1, steps + 1):
+            s = phi @ s
+            times.append(t0 + (t1 - t0) * j / steps)
+            states.append(s)
+    states = np.array(states)
+    q = states[:, k:k + kk].reshape(-1, k, k)[:, :n, :n]
+    return (np.array(times), states[:, :n], 0.5 * (q + np.swapaxes(q, 1, 2)),
+            states[:, k + kk], states[:, k + kk + 1])
+
+
+def test_propagation_matches_a_step_by_step_loop():
+    # three segments of 22, 14 and 10 steps: the doubling ends on a partial
+    # pass in each, and each segment starts from the last sample of the one before
+    path = MarkovPath(2.3, (1.1, 1.8), (1, 2, 1))
+    traj = propagate_moments(TWO_MODE_LOOP, path, FORCED_SIN, FORCED_MEAN0, np.eye(2), dt=0.05)
+    ref = _step_by_step(TWO_MODE_LOOP, path, FORCED_SIN, FORCED_MEAN0, np.eye(2), 0.05)
+    assert len(traj.times) == 1 + 22 + 14 + 10
+    for field, expected in zip(("times", "mean", "second_moment", "z_energy", "w_energy"), ref):
+        got = getattr(traj, field)
+        assert got.shape == expected.shape, field
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), field
+    assert np.array_equal(traj.second_moment, np.swapaxes(traj.second_moment, 1, 2))
+
+
+def _diverging_loop():
+    """The bundled plant closed with the tabulated controller shifted to
+    A_K + 30 I, whose moments overflow well before t = 100."""
+    from dataclasses import replace
+
+    from qhinf.qmodel import assemble_closed_loop
+
+    ctrl = demo.reference_controller()
+    ctrl = replace(ctrl, modes=tuple(replace(mode, a=mode.a + 30.0 * np.eye(len(mode.a)))
+                                     for mode in ctrl.modes))
+    return assemble_closed_loop(demo.reference_plant(), ctrl)
+
+
+def test_non_finite_moments_name_their_first_sample_time():
+    # overflowed moments used to raise LinAlgError from the dominance screen,
+    # or to return NaN moments without validate
+    loop = _diverging_loop()
+    path = sample_markov_path(loop.rates, 100.0, seed=1)
+    named = []
+    for validate in (True, False):
+        with pytest.raises(ArithmeticError, match="not finite from t = ") as err:
+            propagate_moments(loop, path, None, np.zeros(loop.n), np.eye(loop.n), 0.01,
+                              validate=validate)
+        named.append(float(str(err.value).rsplit(" ", 1)[1]))
+    assert named[0] == named[1] and 0.0 < named[0] < 100.0
+    # the moments before that time are finite, if far too large to validate
+    cut = 0.9 * named[0]
+    early = MarkovPath(cut, tuple(t for t in path.jump_times if t < cut),
+                       path.modes[:1 + sum(t < cut for t in path.jump_times)])
+    traj = propagate_moments(loop, early, None, np.zeros(loop.n), np.eye(loop.n), 0.01,
+                             validate=False)
+    assert np.all(np.isfinite(traj.second_moment)) and np.isfinite(traj.output_energy)
 
 
 def test_scalar_attenuation_probe_reaches_hinf_norm():
@@ -362,6 +486,18 @@ def test_zero_disturbance_rejected():
         )
     with pytest.raises(ValueError, match="empty"):
         estimate_attenuation(SCALAR_LOOP, 1.0, disturbances=[])
+
+
+def test_zero_energy_probe_refused_before_any_segment(monkeypatch):
+    def integrate(*args):
+        raise AssertionError("a segment was integrated")
+
+    monkeypatch.setattr(jumpsim, "_segment_maps", integrate)
+    with pytest.raises(ValueError, match="zero input energy"):
+        estimate_attenuation(
+            TWO_MODE_LOOP, 1.0, t_end=10.0, n_paths=1,
+            disturbances=[FORCED_SIN, Disturbance("null", np.array([0.0]), "step")],
+        )
 
 
 @pytest.mark.parametrize("kind, omega", [("sin", 0.0), ("sin", -1.0), ("sin", np.inf),

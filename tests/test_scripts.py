@@ -76,6 +76,7 @@ def test_bench_script_writes_json(tmp_path):
     assert {"propagate_moments", "mean_probe"} == set(simulation)
     assert simulation["propagate_moments"]["grid_steps"] >= 2000  # t_end / dt, plus jumps
     assert all(run["seconds"] > 0 for run in simulation.values())
+    assert all(run["runs"] == 15 for run in simulation.values())  # each a median
     assert doc["demo"]["exit_code"] == 0 and doc["demo"]["seconds"] > 0
 
 
