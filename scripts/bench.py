@@ -19,7 +19,10 @@ use.  On the reference plant closed with
 ``reference_controller()`` it times one ``propagate_moments`` path (sin:0.5,
 t_end 100, dt 0.05, validated, as perfbench's fault-sim) and one mean-probe
 path (default family, t_end 120), each as the median of 15 runs
-(``SIM_RUNS``) of the same path, since one such run takes milliseconds.  Last, it runs
+(``SIM_RUNS``) of the same path, since one such run takes milliseconds.  One
+more, untimed, run of the same ``propagate_moments`` path at dt 1e-3
+(``MEMORY_DT``) under ``tracemalloc`` gives its peak traced bytes per
+sample.  Last, it runs
 ``cli.main(["demo-paper", "--quick", "--out-dir", <temporary dir>])`` in
 process, its printed report discarded.  Every other figure is one wall-clock
 run (``time.perf_counter``); all run on one BLAS thread.  Writes
@@ -28,7 +31,8 @@ step beside the solve's ``LmiSolution.record()`` (status, Newton steps in all
 and per phase, verified margin, final shift t, objective gap, notes), whether
 the coupled certification passed and by which route, the storage
 certificate's verdict, least margin and seconds, each simulation path's
-median seconds and run count, the demo's seconds and exit code, plus the
+median seconds and run count, the propagation's peak traced bytes per
+sample, the demo's seconds and exit code, plus the
 numpy and scipy versions and the live BLAS thread count.
 The default grid leaves out (8, 6), which takes minutes.
 """
@@ -44,12 +48,14 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DEFAULT_GRID = ("2x3", "4x3", "6x3", "8x3", "4x6")
 LEVEL = 5.0
 SIM_RUNS = 15
+MEMORY_DT = 1e-3
 
 
 def grid_point(text):
@@ -176,17 +182,29 @@ def main(argv=None):
     dist = jumpsim.Disturbance("sin:0.5", numpy.eye(loop.n_w)[0], "sin", 0.5)
     sim = {"disturbance": dist.label, "t_end": 100.0, "dt": 0.05}
     path = jumpsim.sample_markov_path(loop.rates, sim["t_end"], seed=jumpsim.path_seed(0, 0))
-    seconds, traj = median_seconds(lambda: jumpsim.propagate_moments(
-        loop, path, dist, numpy.zeros(loop.n), numpy.eye(loop.n), sim["dt"], validate=True))
+
+    def propagate(dt):
+        return jumpsim.propagate_moments(loop, path, dist, numpy.zeros(loop.n),
+                                         numpy.eye(loop.n), dt, validate=True)
+
+    seconds, traj = median_seconds(lambda: propagate(sim["dt"]))
+    tracemalloc.start()
+    samples = len(propagate(MEMORY_DT).times)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     simulation = {"propagate_moments": {**sim, "seconds": round(seconds, 5), "runs": SIM_RUNS,
                                         "grid_steps": len(traj.times) - 1,
-                                        "jumps": len(path.jump_times)}}
+                                        "jumps": len(path.jump_times),
+                                        "memory": {"dt": MEMORY_DT, "samples": samples,
+                                                   "peak_bytes_per_sample":
+                                                       round(peak / samples, 1)}}}
     probe_seconds, _ = median_seconds(
         lambda: jumpsim.estimate_attenuation(loop, 0.1, t_end=120.0, n_paths=1, seed=0))
     simulation["mean_probe"] = {"t_end": 120.0, "seconds": round(probe_seconds, 5),
                                 "runs": SIM_RUNS}
     print(f"propagate_moments path: {seconds * 1e3:.2f} ms; mean-probe path: "
-          f"{probe_seconds * 1e3:.2f} ms (medians of {SIM_RUNS} runs)", flush=True)
+          f"{probe_seconds * 1e3:.2f} ms (medians of {SIM_RUNS} runs); propagation peak "
+          f"{peak / samples:.1f} B per sample at dt {MEMORY_DT:g}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         t0 = time.perf_counter()

@@ -3,7 +3,7 @@
 Submodules:
 
 * ``qmodel``: the canonical commutation matrix, rate matrices, plant/controller
-  containers
+  containers, and the upper-triangle coordinates of symmetric matrices
 * ``realizability``: physical realizability checks and noise augmentation
 * ``lmi``: strict LMI feasibility engine
 * ``synthesis``: controller synthesis from coupled LMIs, and the closed-form

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lmi
-from .qmodel import ClosedLoop, Controller, JumpPlant, assemble_closed_loop
+from .qmodel import ClosedLoop, Controller, JumpPlant, assemble_closed_loop, lyapunov_operator
 
 __all__ = [
     "ClosedLoopReport",
@@ -142,20 +142,14 @@ def _coupled_lyapunov(loop: ClosedLoop) -> np.ndarray:
     equations A_i^T P_i + P_i A_i + sum_j pi_ij P_j = -Q_i with Q_i = C_i^T C_i
     and Q_i = I.
 
-    The operator acts on the upper triangles of the symmetric P_i, so one LU
-    factorisation of an N n(n+1)/2 square system solves both right-hand
-    sides.  Raises ``np.linalg.LinAlgError`` when the operator is singular.
+    The operator, ``lyapunov_operator`` of each A_i^T coupled by the rates,
+    acts on the upper triangles of the symmetric P_i, so one LU factorisation
+    of an N n(n+1)/2 square system solves both right-hand sides.  Raises
+    ``np.linalg.LinAlgError`` when the operator is singular.
     """
     n, n_modes = loop.n, loop.n_modes
     rows, cols = np.triu_indices(n)
-    eye = np.eye(n)
-    at = np.stack([m.a.T for m in loop.modes])
-    # entry (r, c) of A^T P + P A reads P[k, l] with coefficient
-    # A^T[r, k] [c = l] + [r = k] A^T[c, l]; P[l, k] = P[k, l] joins it
-    coef = at[:, rows, :, None] * eye[cols, None, :] + eye[rows, :, None] * at[:, cols, None, :]
-    upper = coef[..., rows, cols]
-    off = rows != cols
-    upper[..., off] += coef[..., cols[off], rows[off]]
+    upper = lyapunov_operator(np.stack([m.a.T for m in loop.modes]), rows, cols)
     size = rows.size
     operator = np.zeros((n_modes, size, n_modes, size))
     diagonal = np.arange(size)
@@ -163,7 +157,7 @@ def _coupled_lyapunov(loop: ClosedLoop) -> np.ndarray:
     operator[np.arange(n_modes), :, np.arange(n_modes), :] += upper
     rhs = np.empty((n_modes, size, 2))
     rhs[:, :, 0] = [-(m.c.T @ m.c)[rows, cols] for m in loop.modes]
-    rhs[:, :, 1] = -eye[rows, cols]
+    rhs[:, :, 1] = -np.eye(n)[rows, cols]
     solution = np.linalg.solve(operator.reshape(n_modes * size, -1), rhs.reshape(-1, 2))
     storage = np.empty((2, n_modes, n, n))
     storage[..., rows, cols] = solution.T.reshape(2, n_modes, size)

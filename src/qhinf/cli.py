@@ -17,7 +17,7 @@ Exit codes: 0 success / verification pass (and --help, --version), 1
 verification failure (including a realizability augmentation that leaves
 a commutation defect above 1e-9, a synth design that its own storage
 certificate does not certify, after both files are written, and a
-simulate run whose moments overflow or lose symmetry or dominance, with
+simulate run whose moments overflow or lose dominance, with
 "simulation failed" on stderr and no file written), 2 infeasible
 or undecided synthesis, 3 input or usage error (a malformed document or
 value, an unknown option, a missing subcommand, a path that cannot be read
@@ -27,6 +27,7 @@ or written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -188,12 +189,12 @@ def _cmd_analyze(args):
 
 def _parse_disturbance(spec, n_w):
     if spec == "step":
-        return [jumpsim.Disturbance("step", np.ones(n_w) / np.sqrt(n_w), "step")]
+        return jumpsim.Disturbance("step", np.ones(n_w) / np.sqrt(n_w), "step")
     if spec.startswith("sin:"):
         omega = float(spec.split(":", 1)[1])
         direction = np.zeros(n_w)
         direction[0] = 1.0
-        return [jumpsim.Disturbance(spec, direction, "sin", omega)]
+        return jumpsim.Disturbance(spec, direction, "sin", omega)
     raise DocumentError(f"unknown disturbance spec {spec!r}; use sin:<omega> or step")
 
 
@@ -202,7 +203,7 @@ def _cmd_simulate(args):
     if args.paths < 1:
         raise ValueError("--paths must be at least 1")
     loop = analysis.assemble_closed_loop(plant, ctrl)
-    disturbance = _parse_disturbance(args.disturbance, loop.n_w)[0] if args.disturbance else None
+    disturbance = _parse_disturbance(args.disturbance, loop.n_w) if args.disturbance else None
     paths_doc = []
     for p in range(args.paths):
         path = jumpsim.sample_markov_path(loop.rates, args.t_end,
@@ -265,13 +266,7 @@ def _cmd_optics_realize(args):
     lines = [f"optical realization (static squeezer kappa' = {args.kappa_prime:g})"]
     for i, mode in enumerate(ctrl.modes):
         real, fit = optics.controller_fit_report(mode, kappa_prime=args.kappa_prime)
-        modes_doc.append({
-            "mode": i + 1,
-            "kappa": real.kappa, "kappa1": real.kappa1, "kappa2": real.kappa2,
-            "kappa3": real.kappa3, "chi": real.chi,
-            "kappa_prime": real.kappa_prime, "chi_prime": real.chi_prime,
-            "fit": fit,
-        })
+        modes_doc.append({"mode": i + 1, **dataclasses.asdict(real), "fit": fit})
         lines.append(
             f"  mode {i + 1}: kappa={real.kappa:.4f} chi={real.chi:.4f} "
             f"kappa1={real.kappa1:.4f} kappa2={real.kappa2:.4f} kappa3={real.kappa3:.4f} "

@@ -13,13 +13,16 @@ with the oscillator stacked onto the state these equations are autonomous
 and linear between jumps (Costa, Fragoso & Todorov, *Continuous-Time Markov
 Jump Linear Systems*, 2013); ``propagate_moments`` advances them with one
 matrix exponential per fault segment, exactly, with no step size.  The
-whole trajectory is allocated once, one column per sample, and a segment's
-samples are filled in place by doubling, in a logarithmic number of matrix
-products rather than one Python step per grid point.  Every later pass over
-the samples runs with the sample index innermost: the finiteness test on the
-state, then the symmetry check and the covariance screen, a column Cholesky
-factorisation, on an (n, n, T) view of the second moments.  Moments that
-overflow raise ``ArithmeticError`` at the first non-finite sample.
+second moment is symmetric, so it is carried on its upper triangle, the
+coordinates of ``qmodel.lyapunov_operator``, and is symmetric by
+construction when it is read out.  The whole trajectory is allocated once,
+one column per sample, and a segment's samples are filled in place by
+doubling, in a logarithmic number of matrix products rather than one Python
+step per grid point.  Every later pass over the samples runs with the sample
+index innermost: the finiteness test on the state, then the covariance
+screen, a column Cholesky factorisation, on an (n, n, T) stack of the second
+moments.  Moments that overflow raise ``ArithmeticError`` at the first
+non-finite sample.
 
 ``estimate_attenuation`` probes the closed-loop gain with a finite family
 of disturbances, each run over the whole horizon t_end.  It is a
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .qmodel import ClosedLoop, as_rate_matrix
+from .qmodel import ClosedLoop, as_rate_matrix, fold_triangle, lyapunov_operator
 
 __all__ = [
     "MarkovPath",
@@ -150,25 +153,21 @@ _DOMINANCE_TOL = 1e-8
 MAX_GRID_STEPS = 10**6
 
 
-def _symmetrise(q):
-    """Symmetrise the (n, n, T) stack ``q`` in place, or raise
-    ``ArithmeticError`` when a sample's asymmetry exceeds 1e-12 relative."""
-    upper = np.triu_indices(len(q), 1)
-    lower = upper[::-1]
-    q_up, q_low = q[upper], q[lower]
-    drift = np.max(np.abs(q_up - q_low), axis=0, initial=0.0)
+def _dominance_tolerance(q):
+    """1e-8 max(1, max |Q_t|) for each sample of the (n, n, T) stack ``q``
+    (a scalar for one n x n matrix): the least covariance eigenvalue that
+    the validate check accepts, scaled so that rounding at large moments is
+    not mistaken for a lost dominance."""
     scale = np.maximum(np.max(q, axis=(0, 1)), -np.min(q, axis=(0, 1)))
-    if np.any(drift > 1e-12 * (1.0 + scale)):
-        raise ArithmeticError("second moment lost symmetry during propagation")
-    q[upper] = q[lower] = 0.5 * (q_up + q_low)
+    return _DOMINANCE_TOL * np.maximum(1.0, scale)
 
 
 def _screen_dominance(q, mean):
     """Raise ``ArithmeticError`` when a covariance q_t - m_t m_t^T of the
     (n, n, T) stack ``q`` and the (n, T) means has its least eigenvalue below
-    -1e-8, or when a sample is not finite.
+    -tol_t = -1e-8 max(1, max |q_t|), or when a sample is not finite.
 
-    A column Cholesky factorisation of q_t - m_t m_t^T + 1e-8 I, vectorised
+    A column Cholesky factorisation of q_t - m_t m_t^T + tol_t I, vectorised
     over the samples, screens the whole stack: each column's pivot must be
     positive and finite before its Schur complement is taken.  Only when a
     pivot fails does eigvalsh decide, so the screen accepts nothing that the
@@ -178,21 +177,23 @@ def _screen_dominance(q, mean):
     diag = np.arange(n)
     a = mean[:, None] * mean[None]
     np.subtract(q, a, out=a)
-    a[diag, diag] += _DOMINANCE_TOL
+    a[diag, diag] += _dominance_tolerance(q)
     for j in range(n):
         pivot = a[j, j]
         if not 0.0 < pivot.min() <= pivot.max() < np.inf:  # NaN fails too
             break
-        a[j + 1:, j + 1:] -= (a[j + 1:, j] / pivot)[:, None] * a[j, None, j + 1:]
+        a[j + 1:, j] /= pivot
+        a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, None, j + 1:]
     else:
         return
     cov = q - mean[:, None] * mean[None]
     if not np.all(np.isfinite(cov)):
         raise ArithmeticError("second moment is not finite")
-    least = float(np.linalg.eigvalsh(np.moveaxis(cov, 2, 0))[:, 0].min())
-    if least < -_DOMINANCE_TOL:
+    least = np.linalg.eigvalsh(np.moveaxis(cov, 2, 0))[:, 0]
+    lost = least < -_dominance_tolerance(q)
+    if np.any(lost):
         raise ArithmeticError("second moment lost dominance over the mean "
-                              f"(least covariance eigenvalue {least:.3e})")
+                              f"(least covariance eigenvalue {least[lost].min():.3e})")
 
 
 def propagate_moments(
@@ -213,31 +214,34 @@ def propagate_moments(
     with the energy integrals this is one autonomous linear ODE per mode,
     whose exponential Phi over one grid step of a segment is taken once; the
     grid splits each segment into ceil(span / dt) equal steps and only sets
-    where the trajectory is sampled.  The state is s = (z, vec Z, output
-    energy, input energy, 1); its generator is block diagonal between z and
-    the rest, with the Kronecker sum M (+) M as its vec Z block, built by one
-    broadcast into a (k, k, k, k) view.  Both blocks still advance in one
-    product per pass: on these grids a second product per pass costs more
-    than the zero blocks it would skip.  The samples s_j = Phi^j s_0 of a
-    segment are filled by doubling: with s_1 .. s_f known and Phi^f at hand,
-    one product with Phi^f gives s_{f+1} .. s_{2f}, and Phi^f is then
-    squared, so a segment of N steps costs ceil(log2 N) matrix products.
-    The segment step counts are known from the path, so the whole
-    trajectory is allocated once, one column per sample, and each product
-    writes its columns in place.  ``ValueError`` is raised before any
-    allocation when t_end / dt exceeds ``MAX_GRID_STEPS``.
+    where the trajectory is sampled.  The state is s = (z, the upper
+    triangle of Z, output energy, input energy, 1), k + k(k+1)/2 + 3 rows
+    for k = n + 2; its generator is block diagonal between z and the rest,
+    with ``qmodel.lyapunov_operator`` of M as its triangle block.  Both
+    blocks still advance in one product per pass: on these grids a second
+    product per pass costs more than the zero blocks it would skip.  The
+    samples s_j = Phi^j s_0 of a segment are filled by doubling: with
+    s_1 .. s_f known and Phi^f at hand, one product with Phi^f gives
+    s_{f+1} .. s_{2f}, and Phi^f is then squared, so a segment of N steps
+    costs ceil(log2 N) matrix products.  The segment step counts are known
+    from the path, so the whole trajectory is allocated once, one column per
+    sample, and each product writes its columns in place.  ``ValueError`` is
+    raised before any allocation when t_end / dt exceeds ``MAX_GRID_STEPS``.
 
-    The returned fields are views of that storage with the sample index
-    first.  The initial moments must be finite.  Overflow warnings are
-    silenced during the propagation, and ``ArithmeticError`` names the
-    first sample time at which the moments are not finite, with or without
-    ``validate``.  The second moments are then checked for symmetry and
-    symmetrised on their (n, n, T) layout.  With ``validate`` the
-    covariances Q - <eta><eta>^T must also stay positive semidefinite, to
-    1e-8 on their least eigenvalue: initial moments that fail raise
-    ``ValueError``, a sample that fails raises ``ArithmeticError``.  A
-    column Cholesky factorisation vectorised over the samples screens them
-    and eigvalsh decides only when that screen fails.
+    The returned fields have the sample index first; the mean and the
+    energies are views of that storage, and the second moment a view of an
+    (n, n, T) stack filled from the triangle, so it is exactly symmetric.
+    The initial moments must be finite, and q0 symmetric to
+    1e-12 (1 + max |q0|), as only its upper triangle is read.  Overflow
+    warnings are silenced during the propagation, and ``ArithmeticError``
+    names the first sample time at which the moments are not finite, with
+    or without ``validate``.  With ``validate`` the covariances
+    Q - <eta><eta>^T must also stay positive semidefinite, to
+    1e-8 max(1, max |Q|) of each sample on their least eigenvalue: initial
+    moments that fail raise ``ValueError``, a sample that fails raises
+    ``ArithmeticError``.  A column Cholesky factorisation vectorised over
+    the samples screens them and eigvalsh decides only when that screen
+    fails.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"step size must be finite and positive, got {dt}")
@@ -257,7 +261,7 @@ def propagate_moments(
         raise ValueError("initial second moment must be positive semidefinite")
     if validate:
         least = np.linalg.eigvalsh(q - np.outer(mean, mean))[0]
-        if least < -_DOMINANCE_TOL:
+        if least < -_dominance_tolerance(q):
             raise ValueError("initial second moment must dominate the outer product of the "
                              f"initial mean (least covariance eigenvalue {least:.3e})")
     if beta is None:
@@ -267,28 +271,28 @@ def propagate_moments(
     direction = beta.direction
     (osc,), (u,) = _oscillators([beta])
 
-    # s = (z, vec Z, output energy, input energy, 1), one column per sample
+    # s = (z, the upper triangle of Z, output energy, input energy, 1), one
+    # column per sample
     k = n + 2
-    kk = k * k
-    gen = np.zeros((k + kk + 3, k + kk + 3))
-    gen[k + kk + 1, k + n * k + n] = direction @ direction  # |d|^2 u_1^2
-    kron_sum = gen[k:k + kk, k:k + kk].reshape(k, k, k, k)  # a view: M (+) M
+    rows, cols = np.triu_indices(k)
+    kt = rows.size
+    gen = np.zeros((k + kt + 3, k + kt + 3))
+    gen[k + kt + 1, k + np.flatnonzero(rows == cols)[n]] = direction @ direction  # |d|^2 u_1^2
     m = np.zeros((k, k))
     m[n:, n:] = osc
     noise = np.zeros((k, k))
     c_gram = np.zeros((k, k))
-    eye = np.eye(k)
 
     segments = list(path.segments())
     steps = [max(1, int(np.ceil((t1 - t0) / dt))) for t0, t1, _ in segments]
     total = 1 + sum(steps)
     times = np.empty(total)
-    states = np.empty((k + kk + 3, total))
+    states = np.empty((k + kt + 3, total))
     times[0] = 0.0
     z = np.concatenate([mean, u])
     zz = np.outer(z, z)
     zz[:n, :n] = q
-    states[:, 0] = np.concatenate([z, zz.ravel(), [0.0, 0.0, 1.0]])
+    states[:, 0] = np.concatenate([z, zz[rows, cols], [0.0, 0.0, 1.0]])
     first = 1  # column of the segment's first sample
     with np.errstate(over="ignore", invalid="ignore"):
         for (t0, t1, mode_idx), count in zip(segments, steps):
@@ -298,10 +302,9 @@ def propagate_moments(
             noise[:n, :n] = mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T
             c_gram[:n, :n] = mode.c.T @ mode.c
             gen[:k, :k] = m
-            term = m[:, None, :, None] * eye[None, :, None, :]
-            np.add(term, term.transpose(1, 0, 3, 2), out=kron_sum)
-            gen[k:k + kk, -1] = noise.ravel()
-            gen[k + kk, k:k + kk] = c_gram.ravel()
+            gen[k:k + kt, k:k + kt] = lyapunov_operator(m, rows, cols)
+            gen[k:k + kt, -1] = noise[rows, cols]
+            gen[k + kt, k:k + kt] = fold_triangle(c_gram, rows, cols)
             phi = sla.expm(gen * ((t1 - t0) / count))
             np.matmul(phi, states[:, first - 1], out=states[:, first])
             # columns first .. first + filled - 1 hold Phi^1 s .. Phi^filled s,
@@ -321,12 +324,14 @@ def propagate_moments(
         bad = ~np.all(np.isfinite(states), axis=0)
         raise ArithmeticError(f"moments are not finite from t = {times[np.argmax(bad)]:.6g}")
     mean = states[:n]
-    q = states[k:k + kk].reshape(k, k, total)[:n, :n]  # a view: Z[:n, :n] as (n, n, T)
-    _symmetrise(q)
+    # Z[:n, :n] as (n, n, T): its upper triangle is the coordinates with c < n
+    inner = cols < n
+    q = np.empty((n, n, total))
+    q[rows[inner], cols[inner]] = q[cols[inner], rows[inner]] = states[k:k + kt][inner]
     if validate:
         _screen_dominance(q, mean)
-    return MomentTrajectory(times, mean.T, np.moveaxis(q, 2, 0), states[k + kk],
-                            states[k + kk + 1])
+    return MomentTrajectory(times, mean.T, np.moveaxis(q, 2, 0), states[k + kt],
+                            states[k + kt + 1])
 
 
 @dataclass(frozen=True)

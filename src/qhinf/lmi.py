@@ -20,8 +20,11 @@ Design notes:
 * Constraints are affine, so their coefficient matrices are materialised
   once, straight from the L V R terms: a term contributes L[:, i] (x) R[j, :]
   to the coefficient of V[i, j], which is the parameter itself for a full
-  variable; a symmetric variable maps its stack through the upper-triangle
-  duplication T with vec(V) = T theta.
+  variable.  A symmetric variable's parameter (r, c), r <= c, is both V[r, c]
+  and V[c, r], so ``qmodel.fold_triangle`` adds the two coefficients, a
+  gather and an add at the variable's ``np.triu_indices`` pairs, which the
+  layout computes once per variable.  No matrix product is involved, so
+  materialising runs the same on any BLAS thread count.
 * The shift t is one more coordinate of x = (v, t), with coefficient -I in
   every block, so each slack is S_k = -(M_k(0) + sum_p x_p C_kp) and the
   Newton system needs no separate t row.
@@ -138,7 +141,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .qmodel import _maxabs
+from .qmodel import _maxabs, fold_triangle
 
 __all__ = [
     "MatrixVariable",
@@ -368,30 +371,21 @@ class LmiSolution:
         return f"{self.status}, {self.iterations} Newton steps, margin {self.margin:.3e}"
 
 
-def _expansion(v: MatrixVariable) -> np.ndarray | None:
-    """T with vec(V) = T theta (row-major vec, theta the upper triangle) for a
-    symmetric variable; None for a full one, whose theta is vec(V) itself."""
-    if not v.symmetric:
-        return None
-    rows, cols = np.triu_indices(v.rows)
-    t = np.zeros((v.rows * v.cols, v.n_scalars))
-    k = np.arange(v.n_scalars)
-    t[rows * v.cols + cols, k] = 1.0
-    t[cols * v.cols + rows, k] = 1.0
-    return t
-
-
 class _Layout:
-    """Vectorisation of the declared variables into one parameter vector."""
+    """Vectorisation of the declared variables into one parameter vector.
+
+    A full variable's parameters are vec(V), row-major; a symmetric one's are
+    its upper triangle, at the index pairs ``triangles[name]`` =
+    ``np.triu_indices(rows)`` (None for a full variable)."""
 
     def __init__(self, variables):
         self.variables = list(variables)
         self.offsets = {}
-        self.expansions = {}
+        self.triangles = {}
         total = 0
         for v in self.variables:
             self.offsets[v.name] = total
-            self.expansions[v.name] = _expansion(v)
+            self.triangles[v.name] = np.triu_indices(v.rows) if v.symmetric else None
             total += v.n_scalars
         self.total = total
 
@@ -400,8 +394,13 @@ class _Layout:
         for v in self.variables:
             off = self.offsets[v.name]
             theta = vec[off : off + v.n_scalars]
-            t = self.expansions[v.name]
-            out[v.name] = (theta if t is None else t @ theta).reshape(v.rows, v.cols)
+            pairs = self.triangles[v.name]
+            if pairs is None:
+                out[v.name] = theta.reshape(v.rows, v.cols)
+            else:
+                value = np.empty((v.rows, v.cols))
+                value[pairs] = value[pairs[::-1]] = theta
+                out[v.name] = value
         return out
 
 
@@ -459,18 +458,19 @@ def _materialise(problem: LmiProblem, layout: _Layout) -> _Oriented:
         idx, mats = [], []
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite data is named below
             base = sign * 0.5 * (c.expr.constant + c.expr.constant.T)
-            by_name = {}  # variable -> coefficients of vec(V), (rows * cols, d, d)
+            by_name = {}  # variable -> coefficients of its entries, (rows, cols, d, d)
             for t in c.expr.terms:
                 # outer[i, j] = L[:, i] (x) R[j, :], the coefficient of (V or V^T)[i, j]
                 outer = t.left.T[:, None, :, None] * t.right[None, :, None, :]
                 if t.transpose:
                     outer = outer.transpose(1, 0, 2, 3)
-                outer = outer.reshape(-1, d, d)
                 by_name[t.name] = by_name.get(t.name, 0.0) + outer
             for name in sorted(by_name, key=layout.offsets.get):
-                g, t = by_name[name], layout.expansions[name]
-                if t is not None:
-                    g = np.tensordot(t, g, axes=(0, 0))
+                g, pairs = by_name[name], layout.triangles[name]
+                if pairs is None:
+                    g = g.reshape(-1, d, d)
+                else:
+                    g = fold_triangle(g.transpose(2, 3, 0, 1), *pairs).transpose(2, 0, 1)
                 g = sign * 0.5 * (g + g.transpose(0, 2, 1))
                 keep = np.flatnonzero(np.any(g != 0.0, axis=(1, 2)))
                 idx.append(layout.offsets[name] + keep)

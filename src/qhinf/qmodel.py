@@ -9,6 +9,12 @@ stores is real valued.
 
 All containers are frozen dataclasses holding read-only arrays, so they can
 be shared freely across concurrent workers.
+
+A symmetric matrix is written on its upper triangle, the coordinates
+``np.triu_indices(n)``, wherever the program solves for one or propagates
+one: ``fold_triangle`` and ``lyapunov_operator`` are the one statement of
+those coordinates, which the LMI engine, the coupled Lyapunov storage and
+the moment propagation share.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ __all__ = [
     "ClosedLoopMode",
     "ClosedLoop",
     "assemble_closed_loop",
+    "fold_triangle",
+    "lyapunov_operator",
 ]
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -77,6 +85,30 @@ def _check_theta(name: str, theta, n: int) -> np.ndarray:
         raise ValueError(f"{name} must be the canonical commutation matrix diag(J, ..., J) "
                          f"of dimension {n}")
     return theta
+
+
+def fold_triangle(coef, rows, cols) -> np.ndarray:
+    """Coefficients on the upper-triangle coordinates (rows, cols) =
+    ``np.triu_indices(n)`` of a symmetric matrix, from ``coef`` (..., n, n),
+    whose last two axes give the coefficient of every one of its n^2
+    entries: entries (r, c) and (c, r) are one coordinate, so their
+    coefficients add."""
+    upper = coef[..., rows, cols]
+    off = rows != cols
+    upper[..., off] += coef[..., cols[off], rows[off]]
+    return upper
+
+
+def lyapunov_operator(a, rows, cols) -> np.ndarray:
+    """The matrix of Z -> a Z + Z a^T on the upper-triangle coordinates
+    (rows, cols) = ``np.triu_indices(n)`` of a symmetric Z, one per matrix of
+    the stack ``a`` (..., n, n): entry [..., i, j] is the coefficient of
+    Z[rows[j], cols[j]] in entry (rows[i], cols[i]) of the image."""
+    eye = np.eye(a.shape[-1])
+    # entry (r, c) of a Z + Z a^T reads Z[k, l] with coefficient
+    # a[r, k] [c = l] + [r = k] a[c, l]
+    coef = a[..., rows, :, None] * eye[cols, None, :] + eye[rows, :, None] * a[..., cols, None, :]
+    return fold_triangle(coef, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -278,10 +310,6 @@ class ClosedLoop:
     @property
     def n_w(self) -> int:
         return self.modes[0].b1.shape[1]
-
-    @property
-    def n_nu(self) -> int:
-        return self.modes[0].b2.shape[1]
 
     @property
     def n_modes(self) -> int:

@@ -295,7 +295,8 @@ def test_simulate_plot_data_creates_its_directory(docs, capsys):
 
 @pytest.mark.parametrize("extra", [["--paths", "0"], ["--disturbance", "sin:0"],
                                    ["--t-end", "nan"], ["--t-end", "inf"], ["--dt", "nan"],
-                                   ["--t-end", "100", "--dt", "1e-12"]])  # 1e14 samples
+                                   ["--t-end", "100", "--dt", "1e-12"],  # 1e14 samples
+                                   ["--disturbance", "bogus"]])
 def test_simulate_input_errors(docs, capsys, extra):
     rc = main(["simulate", "--system", str(docs["system"]), "--t-end", "5", *extra])
     assert rc == 3

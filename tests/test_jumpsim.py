@@ -92,6 +92,8 @@ def test_markov_path_validation():
         MarkovPath(10.0, (1.0,), (1, 1))
     with pytest.raises(ValueError, match="increasing"):
         MarkovPath(10.0, (5.0, 2.0), (1, 2, 1))
+    with pytest.raises(ValueError, match="one longer"):
+        MarkovPath(10.0, (1.0,), (1,))
 
 
 @pytest.mark.parametrize("t_end", [0.0, np.nan, np.inf])
@@ -207,6 +209,12 @@ def test_propagate_rejects_bad_inputs():
         propagate_moments(TWO_LOOP, path, None, np.zeros(2), -np.eye(2), dt=0.01)
     with pytest.raises(ValueError, match="initial moments must be finite"):
         propagate_moments(TWO_LOOP, path, None, np.array([np.nan, 0.0]), np.eye(2), dt=0.01)
+    with pytest.raises(ValueError, match="n x n"):
+        propagate_moments(TWO_LOOP, path, None, np.zeros(2), np.eye(3), dt=0.01)
+    # only the upper triangle of q0 is read, so an asymmetric q0 must be refused
+    with pytest.raises(ValueError, match="symmetric"):
+        propagate_moments(TWO_LOOP, path, None, np.zeros(2), np.array([[1.0, 0.2], [0.1, 1.0]]),
+                          dt=0.01)
     # 1e14 samples could never be allocated: the cap refuses them up front
     long_path = sample_markov_path(np.zeros((1, 1)), 100.0, 1, seed=0)
     with pytest.raises(ValueError, match="above the cap of 1000000"):
@@ -281,6 +289,17 @@ def test_initial_dominance_tolerance_boundary():
     propagate_moments(TWO_LOOP, path, None, mean0, q0, dt=0.1, validate=False)
 
 
+def test_initial_dominance_tolerance_scales_with_q0():
+    # max |q0| is 2e12, so the tolerance is 2e4: a least covariance
+    # eigenvalue of -5e3 is rounding and one of -1e6 (1e-6 relative) a loss
+    path = MarkovPath(2.0, (), (1,))
+    mean0, q0 = _initial_moments(-5e-9)
+    propagate_moments(TWO_LOOP, path, None, 1e6 * mean0, 1e12 * q0, dt=0.1)
+    mean0, q0 = _initial_moments(-1e-6)
+    with pytest.raises(ValueError, match="initial mean"):
+        propagate_moments(TWO_LOOP, path, None, 1e6 * mean0, 1e12 * q0, dt=0.1)
+
+
 def _screen_stack(covariances, means):
     """(n, n, T) second moments and (n, T) means of the given covariances."""
     cov, means = np.array(covariances, dtype=float), np.array(means, dtype=float)
@@ -320,6 +339,16 @@ def test_dominance_screen_passes_crafted_stacks(least):
 def test_dominance_screen_reports_the_least_eigenvalue():
     with pytest.raises(ArithmeticError, match=r"eigenvalue -1\.000e-06\)"):
         jumpsim._screen_dominance(*_crafted_stack(-1e-6))
+
+
+def test_dominance_screen_scales_with_the_moments():
+    # the stacks above scaled by 1e20: -5e-9 relative is still rounding, and
+    # a real loss of 1e-6 relative still raises
+    q, mean = _crafted_stack(-5e-9)
+    jumpsim._screen_dominance(q * 1e20, mean * 1e10)
+    q, mean = _crafted_stack(-1e-6)
+    with pytest.raises(ArithmeticError, match=r"eigenvalue -1\.000e\+14\)"):
+        jumpsim._screen_dominance(q * 1e20, mean * 1e10)
 
 
 def test_dominance_screen_rejects_a_nan_sample():
@@ -415,6 +444,16 @@ def test_non_finite_moments_name_their_first_sample_time():
     assert np.all(np.isfinite(traj.second_moment)) and np.isfinite(traj.output_energy)
 
 
+def test_large_moments_pass_validation():
+    # max |Q| grows to 3.6e24 by t = 1; the least covariance eigenvalue there
+    # is rounding (-2.7e7, 1e-17 relative), which an absolute 1e-8 tolerance
+    # reported as lost dominance
+    loop = _diverging_loop()
+    traj = propagate_moments(loop, MarkovPath(1.0, (), (1,)), None, np.zeros(loop.n),
+                             np.eye(loop.n), 0.01)
+    assert np.max(np.abs(traj.second_moment[-1])) > 1e24
+
+
 def test_scalar_attenuation_probe_reaches_hinf_norm():
     # open-loop scalar system with H-infinity norm 1, worst gain at DC
     est = estimate_attenuation(SCALAR_LOOP, g=1.05, t_end=200.0, n_paths=1, seed=0)
@@ -486,6 +525,8 @@ def test_zero_disturbance_rejected():
         )
     with pytest.raises(ValueError, match="empty"):
         estimate_attenuation(SCALAR_LOOP, 1.0, disturbances=[])
+    with pytest.raises(ValueError, match="at least one path"):
+        estimate_attenuation(SCALAR_LOOP, 1.0, n_paths=0)
 
 
 def test_zero_energy_probe_refused_before_any_segment(monkeypatch):

@@ -11,6 +11,8 @@ from qhinf.qmodel import (
     as_rate_matrix,
     assemble_closed_loop,
     block_j,
+    fold_triangle,
+    lyapunov_operator,
     make_commutation_matrix,
 )
 from qhinf.serialize import DocumentError
@@ -22,6 +24,44 @@ def test_block_j_is_bit_identical_to_kron(m):
     got = block_j(m)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+def _duplication(n):
+    """D with vec(Z) = D theta, for row-major vec and theta the upper triangle
+    of a symmetric Z at np.triu_indices(n)."""
+    rows, cols = np.triu_indices(n)
+    d = np.zeros((n * n, rows.size))
+    d[rows * n + cols, np.arange(rows.size)] = 1.0
+    d[cols * n + rows, np.arange(rows.size)] = 1.0
+    return d
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fold_triangle_is_the_duplication_matrix(n):
+    coef = np.random.default_rng(n).standard_normal((3, n, n))
+    got = fold_triangle(coef, *np.triu_indices(n))
+    expected = coef.reshape(3, n * n) @ _duplication(n)
+    assert got.shape == expected.shape == (3, n * (n + 1) // 2)
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lyapunov_operator_is_the_folded_kronecker_sum(n):
+    # vec(a Z + Z a^T) = (a (x) I + I (x) a) vec(Z) for row-major vec; on the
+    # triangle, its upper rows act on the duplicated coordinates
+    rows, cols = np.triu_indices(n)
+    a = np.random.default_rng(n).standard_normal((2, n, n))  # a stack, as analysis passes
+    got = lyapunov_operator(a, rows, cols)
+    eye = np.eye(n)
+    for k in range(2):
+        kron_sum = np.kron(a[k], eye) + np.kron(eye, a[k])
+        expected = kron_sum[rows * n + cols] @ _duplication(n)
+        assert np.max(np.abs(got[k] - expected)) <= 1e-15 * np.max(np.abs(expected))
+    # and it maps a symmetric Z's triangle to the triangle of a Z + Z a^T
+    z = np.random.default_rng(n + 10).standard_normal((n, n))
+    z += z.T
+    image = (a[0] @ z + z @ a[0].T)[rows, cols]
+    assert np.max(np.abs(got[0] @ z[rows, cols] - image)) <= 1e-14 * np.max(np.abs(image))
 
 
 def test_canonical_commutation_matrix():

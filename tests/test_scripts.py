@@ -77,6 +77,10 @@ def test_bench_script_writes_json(tmp_path):
     assert simulation["propagate_moments"]["grid_steps"] >= 2000  # t_end / dt, plus jumps
     assert all(run["seconds"] > 0 for run in simulation.values())
     assert all(run["runs"] == 15 for run in simulation.values())  # each a median
+    memory = simulation["propagate_moments"]["memory"]
+    assert memory["dt"] == 1e-3 and memory["samples"] >= 100001
+    # the stored triangle state and times alone take 248 B per sample
+    assert 248 <= memory["peak_bytes_per_sample"] <= 700
     assert doc["demo"]["exit_code"] == 0 and doc["demo"]["seconds"] > 0
 
 
