@@ -94,12 +94,12 @@ def reference_plant():
     )
 
 
-def reference_controller(with_noise: bool = True) -> Controller:
-    """Tabulated controller; with_noise attaches the tabulated noise blocks in
-    the layout D = [I 0]."""
+def reference_controller() -> Controller:
+    """Tabulated controller with its tabulated noise blocks, in the layout
+    D = [I 0]."""
     modes = []
     for a, b, c, (e1, e2) in zip(_REF_A, _REF_B, _REF_C, REFERENCE_EXTRA_NOISE):
-        e = np.hstack([e1, e2]) if with_noise else np.zeros((2, 0))
+        e = np.hstack([e1, e2])
         modes.append(ControllerMode(a, b, c, np.eye(2, e.shape[1]), e))
     return Controller(tuple(modes), make_commutation_matrix(2))
 

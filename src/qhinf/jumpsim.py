@@ -93,8 +93,8 @@ def path_seed(seed: int, p: int) -> int:
     return int(np.random.SeedSequence([seed, p]).generate_state(1)[0])
 
 
-def sample_markov_path(rates, t_end: float, initial_mode: int = 1, seed: int = 0) -> MarkovPath:
-    """Sample one fault path: exponential holding times, rate-ratio jumps.
+def sample_markov_path(rates, t_end: float, seed: int = 0) -> MarkovPath:
+    """Sample one fault path from mode 1: exponential holding times, rate-ratio jumps.
 
     In mode j the holding time is exponential with rate -pi_jj and the next
     mode k != j is drawn with probability pi_jk / (-pi_jj).  The draw is a
@@ -104,13 +104,11 @@ def sample_markov_path(rates, t_end: float, initial_mode: int = 1, seed: int = 0
     if not (np.isfinite(t_end) and t_end > 0):
         raise ValueError(f"horizon must be finite and positive, got {t_end}")
     n_modes = pi.shape[0]
-    if not (1 <= initial_mode <= n_modes):
-        raise ValueError(f"initial mode must lie in 1..{n_modes}")
     rng = np.random.default_rng(seed)
-    mode = initial_mode
+    mode = 1
     t = 0.0
     jump_times: list[float] = []
-    modes = [initial_mode]
+    modes = [mode]
     while True:
         exit_rate = -pi[mode - 1, mode - 1]
         if exit_rate <= 0.0:

@@ -18,10 +18,10 @@ A feasible solution is converted into per-mode controller matrices
     B_i = (Y_i^{-1} - X_i)^{-1} L_i
     A_i = (Y_i^{-1} - X_i)^{-1} M_i Y_i^{-1}
 
-with the standard completion term M_i (see ``_reconstruct_mode``).  The
-resulting controller has the plant's state dimension, carries no noise
-channels yet, and generally needs the realizability augmentation before it
-corresponds to a quantum device.
+where M_i is read off the storage certificate below.  The resulting
+controller has the plant's state dimension, carries no noise channels yet,
+and generally needs the realizability augmentation before it corresponds
+to a quantum device.
 
 ``certify_design(plant, result, controller, g)`` certifies a design from
 the storage its synthesis solve already holds (Scherer, Gahinet & Chilali,
@@ -50,13 +50,12 @@ the solve would rebuild.  The controller's noise channels enter only B2~,
 which the bounded-real block does not read, so an augmented controller
 gets its raw controller's verdict.
 
-For the controller ``_reconstruct_mode`` rebuilds at level g, F~ = F_i,
-L~ = L_i and M~ = M_i.  The (2, 1) block of the congruenced state block is
-then (X A Y + L C2 Y + X B2 F + M_i) + A^T + sum_j pi_ij Y_j^{-1} Y
-+ C1^T (C1 Y + D1 F), and substituting M_i leaves
--g^{-2} (X B1 + L D2) B1^T.  The Schur complement of the -g^2 I corner
-therefore has a zero off-diagonal block, and its two diagonal blocks are
-the Schur complements of the state-feedback and the observer synthesis
+The controller rebuilt at level g takes F~ = F_i and L~ = L_i, and M_i is
+the M~ that zeroes the off-diagonal block of the Schur complement of the
+-g^2 I corner.  M~ enters that block only as itself, so M_i = -h_21 -
+g^{-2} (X B1 + L D2) B1^T, with h_21 the (2, 1) block of the congruenced
+state block at M~ = 0.  The two diagonal blocks of that Schur complement
+are the Schur complements of the state-feedback and the observer synthesis
 LMIs at level g.  So every feasible point of the synthesis LMIs at g gives
 a controller whose closed loop P_i certifies at g, and a point that holds
 them at a lower level leaves that certificate the difference as room.
@@ -220,31 +219,35 @@ def _inv_sym_guarded(m, label):
     return q @ np.diag(1.0 / w) @ q.T, float(cond)
 
 
-def _reconstruct_mode(a, b1, b2, c1, d1, c2, d2, pi_row, y, y_invs, g, x, l, f, i):
-    """Controller matrices of mode i from one feasible LMI block, and the
-    condition number of the coupling matrix Y_i^{-1} - X_i.
+def _storage(plant: JumpPlant, solution):
+    """X_i, Y_i and Y_i^{-1} of every mode: the storage P_i of the module
+    docstring."""
+    xs = [solution.assignment[f"X{i + 1}"] for i in range(plant.n_modes)]
+    ys = [solution.assignment[f"Y{i + 1}"] for i in range(plant.n_modes)]
+    return xs, ys, [_inv_sym_guarded(y, f"Y_{i + 1}")[0] for i, y in enumerate(ys)]
 
-    M_i = -A^T - X A Y - X B2 F - L C2 Y - C1^T (C1 Y + D1 F)
-          - g^{-2} (X B1 + L D2) B1^T - sum_j pi_ij Y_j^{-1} Y
-    """
-    y_inv = y_invs[i]
-    # negative definite when the coupling LMI holds strictly
-    w_inv, cond_w = _inv_sym_guarded(y_inv - x, f"(Y_{i + 1}^-1 - X_{i + 1})")
-    ck = f @ y_inv
-    bk = w_inv @ l
-    m = (
-        -a.T
-        - x @ a @ y
-        - x @ b2 @ f
-        - l @ c2 @ y
-        - c1.T @ (c1 @ y + d1 @ f)
-        - (x @ b1 + l @ d2) @ b1.T / (g * g)
-    )
-    for j, rate in enumerate(pi_row):
-        if abs(rate) > 1e-15:
-            m = m - rate * y_invs[j] @ y
-    ak = w_inv @ m @ y_inv
-    return ak, bk, ck, cond_w
+
+def _congruenced_blocks(plant: JumpPlant, storage, i, f, l, m):
+    """Mode i's closed-loop bounded-real block at the storage P_i,
+    congruenced by diag(Pi_i, I), for F~ = f, L~ = l and M~ = m (module
+    docstring): the state block h with its rate terms, the disturbance
+    column [B1; X B1 + L~ D2] and the coupling block [[Y, I], [I, X]]."""
+    xs, ys, y_invs = storage
+    x, y, a = xs[i], ys[i], plant.a_modes[i]
+    b1, b2, c1, d1, c2, d2 = plant.b1, plant.b2, plant.c1, plant.d1, plant.c2, plant.d2
+    eye_n = np.eye(plant.n)
+    xa = x @ a
+    c_pi = np.hstack([c1 @ y + d1 @ f, c1])  # C_cl Pi_i
+    s = np.block([[a @ y + b2 @ f, a], [xa @ y + l @ c2 @ y + x @ b2 @ f + m, xa + l @ c2]])
+    cross = np.block([[y, eye_n], [eye_n, x]])  # Pi_i^T P_i Pi_i
+    h = s + s.T + c_pi.T @ c_pi
+    for j, rate in enumerate(plant.rates.pi[i]):
+        if j == i:
+            h += rate * cross
+        elif rate > 1e-15:
+            yjy = y_invs[j] @ y
+            h += rate * np.block([[y @ yjy, yjy.T], [yjy, xs[j]]])
+    return h, np.vstack([b1, x @ b1 + l @ d2]), cross
 
 
 @dataclass(frozen=True)
@@ -264,18 +267,22 @@ class SynthesisResult:
 
 
 def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
-    """Reconstruct the controller of a feasible LMI solution at level g."""
-    blocks = [[solution.assignment[f"{v}{i + 1}"] for v in "XYLF"] for i in range(plant.n_modes)]
-    y_invs = [_inv_sym_guarded(y, f"Y_{i + 1}")[0] for i, (_, y, _, _) in enumerate(blocks)]
-    modes, conds = [], []
-    for i, (x, y, l, f) in enumerate(blocks):
-        ak, bk, ck, cond_w = _reconstruct_mode(
-            plant.a_modes[i], plant.b1, plant.b2, plant.c1, plant.d1,
-            plant.c2, plant.d2, plant.rates.pi[i], y, y_invs, g, x, l, f, i,
-        )
-        modes.append(ControllerMode(ak, bk, ck, np.zeros((plant.n_u, 0)), np.zeros((plant.n, 0))))
+    """Reconstruct the controller of a feasible LMI solution at level g:
+    mode i keeps F~ = F_i and L~ = L_i, and its M~ is the M_i that zeroes
+    the off-diagonal block of the Schur complement (module docstring)."""
+    storage = _storage(plant, solution)
+    xs, _, y_invs = storage
+    n, modes, conds = plant.n, [], []
+    for i, (x, y_inv) in enumerate(zip(xs, y_invs)):
+        l, f = solution.assignment[f"L{i + 1}"], solution.assignment[f"F{i + 1}"]
+        # negative definite when the coupling LMI holds strictly
+        w_inv, cond_w = _inv_sym_guarded(y_inv - x, f"(Y_{i + 1}^-1 - X_{i + 1})")
+        h, g_col, _ = _congruenced_blocks(plant, storage, i, f, l, 0.0)
+        m = -h[n:, :n] - g_col[n:] @ g_col[:n].T / (g * g)
+        modes.append(ControllerMode(w_inv @ m @ y_inv, w_inv @ l, f @ y_inv,
+                                    np.zeros((plant.n_u, 0)), np.zeros((n, 0))))
         conds.append(cond_w)
-    controller = Controller(tuple(modes), make_commutation_matrix(plant.n))
+    controller = Controller(tuple(modes), make_commutation_matrix(n))
     return SynthesisResult(float(g), controller, solution, tuple(conds))
 
 
@@ -315,13 +322,23 @@ def min_attenuation(plant: JumpPlant, g_lo: float, g_hi: float, tol_g: float = 1
     level, or before the level is within tolerance, or when neither the
     minimiser's point nor the fixed-level solve at g_star gives a
     controller: that case is undecided, never infeasible, since the
-    minimiser's verified point shows g_star feasible.
+    minimiser's verified point shows g_star feasible.  Raises ``ValueError``
+    on a bracket with g_hi^2 - g_lo^2 <= 2 ``lmi.EPS_STRICT``: its rows
+    g_lo^2 < gamma < g_hi^2 cap every margin at (g_hi^2 - g_lo^2)/2, so no
+    point of it could certify, whatever the plant.
     """
     if not (0 < g_lo < g_hi < np.inf):
         raise ValueError(f"need 0 < g_lo < g_hi < inf, got g_lo={g_lo}, g_hi={g_hi}")
     analysis._check_level(g_hi, "g_hi")
     if not (np.isfinite(tol_g) and tol_g > 0):
         raise ValueError(f"tol_g must be finite and positive, got {tol_g}")
+    if g_hi * g_hi - g_lo * g_lo <= 2 * lmi.EPS_STRICT:
+        raise ValueError(
+            f"bracket [{g_lo}, {g_hi}] is too thin to certify any level: its rows cap "
+            f"every margin at (g_hi^2 - g_lo^2)/2, so g_hi^2 - g_lo^2 must exceed "
+            f"2 EPS_STRICT = {2 * lmi.EPS_STRICT:g} (g_hi above "
+            f"{np.sqrt(g_lo * g_lo + 2 * lmi.EPS_STRICT):.9g})"
+        )
     problem = build_hinf_lmis(plant, None)
     for bound, sense in ((g_lo, "pos"), (g_hi, "neg")):
         expr = lmi.AffineMatrixExpr(1, [[-bound * bound]])
@@ -402,34 +419,16 @@ def certify_design(
             f"the storage certificate needs a controller of {plant.n_modes} modes and "
             f"state dimension {n}, got {controller.n_modes} and {controller.n_k}"
         )
-    assignment = result.solution.assignment
-    xs = [assignment[f"X{i + 1}"] for i in range(plant.n_modes)]
-    ys = [assignment[f"Y{i + 1}"] for i in range(plant.n_modes)]
-    y_invs = [_inv_sym_guarded(y, f"Y_{i + 1}")[0] for i, y in enumerate(ys)]
-    b1, b2, c1, d1, c2, d2 = plant.b1, plant.b2, plant.c1, plant.d1, plant.c2, plant.d2
-    eye_n = np.eye(n)
+    storage = _storage(plant, result.solution)
+    xs, ys, y_invs = storage
     corner = -(g * g) * np.eye(plant.n_w)
-    storage, coupling = [], []
-    for i, (a, mode) in enumerate(zip(plant.a_modes, controller.modes)):
-        x, y = xs[i], ys[i]
-        w = y_invs[i] - x
-        f = mode.c @ y
-        l = w @ mode.b
-        xa = x @ a
-        c_pi = np.hstack([c1 @ y + d1 @ f, c1])  # C_cl Pi_i
-        s = np.block([[a @ y + b2 @ f, a],
-                      [xa @ y + l @ c2 @ y + x @ b2 @ f + w @ mode.a @ y, xa + l @ c2]])
-        cross = np.block([[y, eye_n], [eye_n, x]])  # Pi_i^T P_i Pi_i
-        h = s + s.T + c_pi.T @ c_pi
-        for j, rate in enumerate(plant.rates.pi[i]):
-            if j == i:
-                h += rate * cross
-            elif rate > 1e-15:
-                yjy = y_invs[j] @ y
-                h += rate * np.block([[y @ yjy, yjy.T], [yjy, xs[j]]])
-        g_col = np.vstack([b1, x @ b1 + l @ d2])
+    storage_margins, coupling_margins = [], []
+    for i, mode in enumerate(controller.modes):
+        y, w = ys[i], y_invs[i] - xs[i]
+        h, g_col, cross = _congruenced_blocks(plant, storage, i, mode.c @ y, w @ mode.b,
+                                              w @ mode.a @ y)
         block = np.block([[h, g_col], [g_col.T, corner]])
-        storage.append(-float(lmi.symmetric_eigenvalues(block)[-1]))
-        coupling.append(float(lmi.symmetric_eigenvalues(cross)[0]))
-    certified = min(storage + coupling) >= lmi.EPS_STRICT
-    return DesignCertificate(float(g), tuple(storage), tuple(coupling), certified)
+        storage_margins.append(-float(lmi.symmetric_eigenvalues(block)[-1]))
+        coupling_margins.append(float(lmi.symmetric_eigenvalues(cross)[0]))
+    certified = min(storage_margins + coupling_margins) >= lmi.EPS_STRICT
+    return DesignCertificate(float(g), tuple(storage_margins), tuple(coupling_margins), certified)

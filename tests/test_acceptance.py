@@ -103,7 +103,7 @@ def test_criterion_7_simulation_consistency(certified_design):
         (ClosedLoopMode(a, b1, b2, c),),
         TransitionRateMatrix(np.zeros((1, 1))),
     )
-    path = jumpsim.sample_markov_path(np.zeros((1, 1)), 60.0, 1, seed=0)
+    path = jumpsim.sample_markov_path(np.zeros((1, 1)), 60.0, seed=0)
     traj = jumpsim.propagate_moments(loop1, path, None, np.zeros(2), np.eye(2), dt=0.01)
     q_ss = sla.solve_continuous_lyapunov(a, -(b1 @ b1.T + b2 @ b2.T))
     ss_gap = float(np.max(np.abs(traj.second_moment[-1] - q_ss)))
@@ -111,7 +111,7 @@ def test_criterion_7_simulation_consistency(certified_design):
     # exact propagation: a forced run does not depend on the sampling step,
     # down to a single step over the horizon
     dist = jumpsim.Disturbance("sin", np.array([1.0]), "sin", 0.7)
-    path8 = jumpsim.sample_markov_path(np.zeros((1, 1)), 8.0, 1, seed=0)
+    path8 = jumpsim.sample_markov_path(np.zeros((1, 1)), 8.0, seed=0)
 
     def terminal(dt):
         traj = jumpsim.propagate_moments(

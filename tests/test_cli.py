@@ -552,6 +552,16 @@ def test_synth_min_g_rejects_nonpositive_tolerance(docs, capsys, tol_g):
     assert not out.exists()
 
 
+def test_synth_min_g_rejects_a_bracket_too_thin_to_certify(docs, capsys):
+    # no margin of this bracket can reach EPS_STRICT: an input error, not "infeasible"
+    out = docs["root"] / "min_g_thin" / "ctrl.json"
+    rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--g-lo", "0.04",
+               "--g-hi", "0.04002", "--out", str(out)])
+    assert rc == 3
+    assert "bracket [0.04, 0.04002] is too thin" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_nonpositive_level_is_input_error(docs, capsys):
     # the level is an input: a bad one is exit 3 even when the loop would fail
     bad = _write_unstable_controller(docs["root"] / "unstable_g0.json")

@@ -25,9 +25,7 @@ SCALAR_LOOP = _single_mode_loop(
 
 
 def test_zero_rates_no_jumps():
-    path = sample_markov_path(np.zeros((2, 2)), 50.0, initial_mode=2, seed=1)
-    assert path.jump_times == ()
-    assert path.modes == (2,)
+    assert sample_markov_path(np.zeros((2, 2)), 50.0, seed=1) == MarkovPath(50.0, (), (1,))
 
 
 def test_absorbing_mode_ends_every_path():
@@ -35,22 +33,22 @@ def test_absorbing_mode_ends_every_path():
     # almost surely within 100 s) and stays in mode 2
     rates = np.array([[-0.5, 0.5], [0.0, 0.0]])
     for seed in range(20):
-        path = sample_markov_path(rates, 100.0, initial_mode=1, seed=seed)
+        path = sample_markov_path(rates, 100.0, seed=seed)
         assert path.modes == (1, 2)
         assert len(path.jump_times) == 1
 
 
 def test_path_determinism():
     rates = np.array(demo.OPO_RATES)
-    p1 = sample_markov_path(rates, 500.0, 1, seed=42)
-    p2 = sample_markov_path(rates, 500.0, 1, seed=42)
+    p1 = sample_markov_path(rates, 500.0, seed=42)
+    p2 = sample_markov_path(rates, 500.0, seed=42)
     assert p1 == p2
 
 
 def test_path_invariants():
     rates = np.array(demo.OPO_RATES)
     for seed in range(30):
-        path = sample_markov_path(rates, 300.0, 1, seed=seed)
+        path = sample_markov_path(rates, 300.0, seed=seed)
         times = np.array(path.jump_times)
         assert np.all(np.diff(times) > 0) if times.size > 1 else True
         assert all(1 <= m <= 3 for m in path.modes)
@@ -63,7 +61,7 @@ def test_holding_time_statistic():
     rates = np.array(demo.OPO_RATES)
     total, observed = 0.0, 0
     for seed in range(10000):
-        path = sample_markov_path(rates, 400.0, 1, seed=seed)
+        path = sample_markov_path(rates, 400.0, seed=seed)
         if path.jump_times:
             total += path.jump_times[0]
             observed += 1
@@ -76,7 +74,7 @@ def test_holding_time_statistic():
 def test_two_state_jump_count():
     rates = np.array([[-1.0, 1.0], [1.0, -1.0]])
     counts = [
-        len(sample_markov_path(rates, 100.0, 1, seed=seed).jump_times)
+        len(sample_markov_path(rates, 100.0, seed=seed).jump_times)
         for seed in range(400)
     ]
     assert abs(np.mean(counts) - 100.0) <= 5.0
@@ -116,7 +114,7 @@ TWO_LOOP = _single_mode_loop(
 
 
 def test_steady_state_matches_lyapunov():
-    path = sample_markov_path(np.zeros((1, 1)), 60.0, 1, seed=0)
+    path = sample_markov_path(np.zeros((1, 1)), 60.0, seed=0)
     traj = propagate_moments(TWO_LOOP, path, None, np.zeros(2), np.eye(2), dt=0.01)
     mode = TWO_LOOP.modes[0]
     q_ss = sla.solve_continuous_lyapunov(mode.a, -(mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T))
@@ -128,13 +126,13 @@ def test_mean_matches_matrix_exponential():
         TWO_LOOP.modes[0].a, np.zeros((2, 1)), np.zeros((2, 0)), np.array([[1.0, 0.0]])
     )
     m0 = np.array([1.0, -2.0])
-    path = sample_markov_path(np.zeros((1, 1)), 5.0, 1, seed=0)
+    path = sample_markov_path(np.zeros((1, 1)), 5.0, seed=0)
     traj = propagate_moments(loop, path, None, m0, np.outer(m0, m0), dt=0.01)
     assert np.max(np.abs(traj.mean[-1] - sla.expm(TWO_LOOP.modes[0].a * 5.0) @ m0)) <= 1e-8
 
 
 def test_second_moment_stays_symmetric():
-    path = sample_markov_path(np.zeros((1, 1)), 10.0, 1, seed=0)
+    path = sample_markov_path(np.zeros((1, 1)), 10.0, seed=0)
     dist = Disturbance("sin", np.array([1.0]), "sin", 0.9)
     traj = propagate_moments(TWO_LOOP, path, dist, np.array([0.5, 0.1]), np.eye(2), dt=0.02)
     for q in traj.second_moment:
@@ -150,7 +148,7 @@ TWO_MODE_LOOP = ClosedLoop(
     ),
     TransitionRateMatrix(np.array([[-0.5, 0.5], [0.5, -0.5]])),
 )
-FORCED_PATH = sample_markov_path(TWO_MODE_LOOP.rates, 8.0, 1, seed=1)
+FORCED_PATH = sample_markov_path(TWO_MODE_LOOP.rates, 8.0, seed=1)
 FORCED_SIN = Disturbance("sin:0.7", np.array([1.0]), "sin", 0.7)
 FORCED_MEAN0 = np.array([0.3, -0.2])
 
@@ -199,7 +197,7 @@ def test_moments_match_solve_ivp():
 
 
 def test_propagate_rejects_bad_inputs():
-    path = sample_markov_path(np.zeros((1, 1)), 1.0, 1, seed=0)
+    path = sample_markov_path(np.zeros((1, 1)), 1.0, seed=0)
     for dt in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             propagate_moments(TWO_LOOP, path, None, np.zeros(2), np.eye(2), dt=dt)
@@ -216,7 +214,7 @@ def test_propagate_rejects_bad_inputs():
         propagate_moments(TWO_LOOP, path, None, np.zeros(2), np.array([[1.0, 0.2], [0.1, 1.0]]),
                           dt=0.01)
     # 1e14 samples could never be allocated: the cap refuses them up front
-    long_path = sample_markov_path(np.zeros((1, 1)), 100.0, 1, seed=0)
+    long_path = sample_markov_path(np.zeros((1, 1)), 100.0, seed=0)
     with pytest.raises(ValueError, match="above the cap of 1000000"):
         propagate_moments(TWO_LOOP, long_path, None, np.zeros(2), np.eye(2), dt=1e-12)
 
@@ -489,7 +487,7 @@ def test_attenuation_deterministic_and_order_independent():
     # per-path streams derive from the master seed by index, so a single
     # path evaluated on its own reproduces its row
     path_seed = int(np.random.SeedSequence([5, 1]).generate_state(1)[0])
-    path = sample_markov_path(loop.rates, 60.0, 1, path_seed)
+    path = sample_markov_path(loop.rates, 60.0, seed=path_seed)
     assert np.array_equal(jumpsim._mean_ratios(loop, path, fam), est_a.ratios[1])
 
 
@@ -503,7 +501,7 @@ def test_mean_probe_exact_with_mode_dependent_output():
         Disturbance("sin:7", np.array([1.0]), "sin", 7.0),
     ]
     path_seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
-    jumps = np.array(sample_markov_path(TWO_MODE_LOOP.rates, 60.0, 1, path_seed).jump_times)
+    jumps = np.array(sample_markov_path(TWO_MODE_LOOP.rates, 60.0, seed=path_seed).jump_times)
     assert np.sum(jumps < 10.0) >= 4 and np.sum(jumps > 40.0) >= 4
     em = estimate_attenuation(TWO_MODE_LOOP, 1.0, t_end=60.0, n_paths=1, seed=3,
                               disturbances=fam)

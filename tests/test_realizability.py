@@ -97,9 +97,14 @@ def test_noise_channels_rejects_other_layouts(d):
         noise_channels(mode)
 
 
+def _without_noise(ctrl):
+    # the bare controller: no noise channels, D and E empty
+    return replace(ctrl, modes=tuple(replace(m, d=m.d[:, :0], e=m.e[:, :0]) for m in ctrl.modes))
+
+
 def test_reference_controller_not_realizable_without_noise():
     # with the measurement input alone the commutation defect remains
-    ref = demo.reference_controller(with_noise=False)
+    ref = _without_noise(demo.reference_controller())
     for m in ref.modes:
         res = cr_residual(m.a, m.b, J2, block_j(2))
         assert np.max(np.abs(res)) > 1.0
@@ -189,7 +194,7 @@ def test_augment_trivial_controller():
 
 def test_augment_idempotent_in_effect():
     synthesized = synthesize(demo.reference_plant(), 0.05).controller
-    for ctrl in (demo.reference_controller(with_noise=False), synthesized):
+    for ctrl in (_without_noise(demo.reference_controller()), synthesized):
         # n_u output channels plus repair channels in pairs: even before padding
         for m in ctrl.modes:
             assert augment_controller(m, ctrl.theta_k).e.shape[1] % 2 == 0

@@ -19,7 +19,9 @@ from qhinf.qmodel import (
 from qhinf.synthesis import (
     LmiInfeasibleError,
     SynthesisError,
-    _reconstruct_mode,
+    _congruenced_blocks,
+    _result,
+    _storage,
     build_hinf_lmis,
     certify_design,
     min_attenuation,
@@ -57,29 +59,81 @@ def test_build_rejects_nonpositive_g():
         build_hinf_lmis(demo.reference_plant(), 0.0)
 
 
+def _solution(assignment):
+    # a feasible verdict carrying a given assignment, as a solve returns it
+    return lmi.LmiSolution(assignment, 1.0, 0, "feasible", -1.0, ())
+
+
+def _diagonal_scalar_plant(d1, d2):
+    # the scalar data A=-1, B1=B2=C1=C2=1 on two decoupled coordinates, zero rates
+    eye = np.eye(2)
+    return JumpPlant(
+        a_modes=(-eye,), b1=eye, b2=eye, c1=eye, d1=d1 * eye, c2=eye, d2=d2 * eye,
+        theta=make_commutation_matrix(2), rates=TransitionRateMatrix(np.zeros((1, 1))),
+    )
+
+
 def test_reconstruct_mode_scalar_oracle():
-    # frozen hand-computed values for scalar data:
+    # frozen hand-computed values for scalar data on both coordinates:
     # A=-1, B1=B2=C1=C2=1, D1=0.5, D2=-0.3, rates=0, g=2,
     # X=2, Y=1, L=-3, F=-0.5
-    one = np.eye(1)
-    ak, bk, ck, _ = _reconstruct_mode(
-        a=-one, b1=one, b2=one, c1=one, d1=0.5 * one, c2=one, d2=-0.3 * one,
-        pi_row=np.zeros(1), y=one, y_invs=[one], g=2.0,
-        x=2.0 * one, l=-3.0 * one, f=-0.5 * one, i=0,
-    )
-    assert ck[0, 0] == pytest.approx(-0.5)
-    assert bk[0, 0] == pytest.approx(3.0)
-    assert ak[0, 0] == pytest.approx(-5.525)
+    eye = np.eye(2)
+    solution = _solution({"X1": 2.0 * eye, "Y1": eye, "L1": -3.0 * eye, "F1": -0.5 * eye})
+    (mode,) = _result(_diagonal_scalar_plant(0.5, -0.3), 2.0, solution).controller.modes
+    np.testing.assert_allclose(mode.c, -0.5 * eye, atol=1e-15)
+    np.testing.assert_allclose(mode.b, 3.0 * eye, atol=1e-15)
+    np.testing.assert_allclose(mode.a, -5.525 * eye, atol=1e-14)
 
 
 def test_reconstruct_rejects_coupling_degeneracy():
-    one = np.eye(1)
-    with pytest.raises(SynthesisError, match="singular"):
-        _reconstruct_mode(
-            a=-one, b1=one, b2=one, c1=one, d1=one, c2=one, d2=one,
-            pi_row=np.zeros(1), y=2.0 * one, y_invs=[0.5 * one], g=2.0,
-            x=0.5 * one, l=one, f=one, i=0,
-        )
+    # Y = 2, X = 0.5: Y^-1 - X = 0
+    eye = np.eye(2)
+    solution = _solution({"X1": 0.5 * eye, "Y1": 2.0 * eye, "L1": eye, "F1": eye})
+    with pytest.raises(SynthesisError, match=r"\(Y_1\^-1 - X_1\) is singular"):
+        _result(_diagonal_scalar_plant(1.0, 1.0), 2.0, solution)
+
+
+def _completion_term(plant, g, assignment, i):
+    # the nine-term completion M_i, written out as a reference for _result
+    x, y, l, f = (assignment[f"{v}{i + 1}"] for v in "XYLF")
+    a, b1, b2, c1, d1, c2, d2 = (plant.a_modes[i], plant.b1, plant.b2, plant.c1,
+                                 plant.d1, plant.c2, plant.d2)
+    m = (-a.T - x @ a @ y - x @ b2 @ f - l @ c2 @ y - c1.T @ (c1 @ y + d1 @ f)
+         - (x @ b1 + l @ d2) @ b1.T / (g * g))
+    for j, rate in enumerate(plant.rates.pi[i]):
+        m = m - rate * np.linalg.inv(assignment[f"Y{j + 1}"]) @ y
+    return m
+
+
+def _seeded_assignment(plant, seed):
+    # X_i > Y_i^-1 > 0, as the coupling condition asks, with random gains
+    rng = np.random.default_rng(seed)
+    n, assignment = plant.n, {}
+    for i in range(1, plant.n_modes + 1):
+        r, q = rng.standard_normal((2, n, n))
+        y = r @ r.T / n + np.eye(n)
+        assignment[f"Y{i}"] = y
+        assignment[f"X{i}"] = np.linalg.inv(y) + q @ q.T / n + np.eye(n)
+        assignment[f"L{i}"] = rng.standard_normal((n, plant.n_y))
+        assignment[f"F{i}"] = rng.standard_normal((plant.n_u, n))
+    return assignment
+
+
+@pytest.mark.parametrize("seed, n, modes", [(0, 2, 3), (1, 4, 3), (2, 4, 2), (3, 6, 3)])
+def test_reconstruction_matches_the_completion_formula(seed, n, modes):
+    plant, g = _random_plant(seed, n, modes), 0.7
+    assert np.all(plant.rates.pi[~np.eye(modes, dtype=bool)] > 0)
+    assert np.any(plant.d1) and np.any(plant.d2)
+    assignment = _seeded_assignment(plant, seed)
+    controller = _result(plant, g, _solution(assignment)).controller
+    for i, mode in enumerate(controller.modes):
+        x, y, l, f = (assignment[f"{v}{i + 1}"] for v in "XYLF")
+        y_inv = np.linalg.inv(y)
+        w_inv = np.linalg.inv(y_inv - x)
+        expected = (w_inv @ _completion_term(plant, g, assignment, i) @ y_inv,
+                    w_inv @ l, f @ y_inv)
+        for got, want in zip((mode.a, mode.b, mode.c), expected):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def _single_mode_plant():
@@ -299,6 +353,17 @@ def test_min_attenuation_validates_bracket():
         min_attenuation(_single_mode_plant(), 1.0, 1.0)
 
 
+def test_min_attenuation_rejects_a_bracket_too_thin_to_certify():
+    # the bracket rows cap every margin at (g_hi^2 - g_lo^2)/2 = 8.0e-7, below
+    # EPS_STRICT, so this search ended infeasible although 0.04 is feasible
+    plant = demo.reference_plant()
+    with pytest.raises(ValueError, match=r"bracket \[0\.04, 0\.04002\] is too thin .*"
+                                         r"g_hi above 0\.0400249922"):
+        min_attenuation(plant, 0.04, 0.04002)
+    g_star, result = min_attenuation(plant, 0.04, 0.0401)
+    assert g_star == 0.0401 and result.solution.feasible
+
+
 def test_min_attenuation_reference_plant_certificate():
     plant = demo.reference_plant()
     g_star, result = min_attenuation(plant, 0.01, 1.0, tol_g=2e-3)
@@ -511,6 +576,27 @@ def test_storage_certificate_of_the_reference_design(reference_design):
     assert cert.summary() == "storage margin 9.144e-05, coupling margin 1.305e-05"
     # the repair noise channels enter B2~ only, which the block does not read
     assert certify_design(plant, result, result.controller, g_star) == cert
+
+
+@pytest.mark.parametrize("design", ["reference", "random"])
+def test_rebuilt_design_zeroes_the_schur_off_diagonal_block(reference_design, design):
+    # M_i is the M~ that zeroes the off-diagonal block of the Schur complement
+    # of the -g^2 I corner; read back from the rebuilt controller through
+    # F~ = C_K Y, L~ = W B_K and M~ = W A_K Y, that block is rounding only
+    if design == "reference":
+        plant, g, result, _ = reference_design
+    else:
+        plant, g = _random_plant(0, 4, 3), 5.0
+        result = synthesize(plant, g)
+    storage = _storage(plant, result.solution)
+    xs, ys, y_invs = storage
+    n = plant.n
+    for i, mode in enumerate(result.controller.modes):
+        y, w = ys[i], y_invs[i] - xs[i]
+        h, g_col, _ = _congruenced_blocks(plant, storage, i, mode.c @ y, w @ mode.b,
+                                          w @ mode.a @ y)
+        schur = h + g_col @ g_col.T / (g * g)
+        assert np.max(np.abs(schur[n:, :n])) <= 1e-9 * np.max(np.abs(h))
 
 
 @pytest.mark.parametrize("design", ["reference", "random"])
