@@ -4,13 +4,14 @@ A closed loop meets attenuation level g when coupled storage matrices
 P_1..P_N > 0 satisfy the per-mode bounded-real inequalities, which the
 transition rates tie together.  Such P_i prove mean-square stability and the
 attenuation bound at once, so a single mode with an unstable drift does not
-by itself fail a jump loop.  Every verdict rests on that LMI and a primal
-point re-verified from its expressions.  Two routes search the point: the
-coupled Lyapunov storage in closed form, which certifies when the level is
-not tight, and the barrier solve, which decides every other loop and is the
-only source of an ``infeasible`` verdict (Costa, Fragoso & Todorov,
-Continuous-Time Markov Jump Linear Systems, Springer 2013).  This module
-provides:
+by itself fail a jump loop, and a Hurwitz drift in every mode does not by
+itself pass one: no per-mode spectral test is made or reported.  Every
+verdict rests on that LMI and a primal point re-verified from its
+expressions.  Two routes search the point: the coupled Lyapunov storage in
+closed form, which certifies when the level is not tight, and the barrier
+solve, which decides every other loop and is the only source of an
+``infeasible`` verdict (Costa, Fragoso & Todorov, Continuous-Time Markov
+Jump Linear Systems, Springer 2013).  This module provides:
 
 * ``bounded_real_block``: mode i of the coupled bounded-real LMI without its
   level corner, shared by the certificate search and the synthesis LMIs,
@@ -20,8 +21,6 @@ provides:
   from the Lyapunov storage or else the barrier solve, returned as a
   ``ClosedLoopReport`` that holds the solution itself (the P_i are
   ``solution.assignment["P<i>"]``) and names the route,
-* ``mode_abscissas``: per-mode spectral abscissas of a closed loop (report
-  data, not part of the verdict),
 * ``verify_closed_loop``: ``coupled_mode_check`` of the loop a plant and a
   controller assemble.
 """
@@ -40,7 +39,6 @@ __all__ = [
     "bounded_real_block",
     "coupled_mode_check",
     "coupled_problem",
-    "mode_abscissas",
     "verify_closed_loop",
 ]
 
@@ -58,7 +56,6 @@ class ClosedLoopReport:
     """
 
     g: float
-    abscissas: tuple  # per-mode spectral abscissa
     solution: lmi.LmiSolution
     noise_offset: float | None  # trace-term constant of the dissipation bookkeeping
 
@@ -230,8 +227,10 @@ def coupled_mode_check(loop: ClosedLoop, g) -> ClosedLoopReport:
     settled interior.  A Lyapunov certificate is an ``LmiSolution`` with 0
     iterations, the note "coupled Lyapunov storage" and t = -margin.  The
     noise offset is max_i tr(B1_i^T P_i B1_i) + tr(B2_i^T P_i B2_i).  The
-    per-mode spectral abscissas are reported beside the verdict, not part of
-    it.  Raises ``ValueError`` unless g is positive and g^2 finite.
+    certificate is the whole stability verdict: no per-mode Hurwitz test
+    enters or accompanies it, as one is neither necessary nor sufficient for
+    mean-square stability.  Raises ``ValueError`` unless g is positive and
+    g^2 finite.
     """
     problem = coupled_problem(loop, g)
     solution = _lyapunov_storage(loop, g, problem)
@@ -243,12 +242,7 @@ def coupled_mode_check(loop: ClosedLoop, g) -> ClosedLoopReport:
             float(np.trace(m.b1.T @ p @ m.b1)) + float(np.trace(m.b2.T @ p @ m.b2))
             for m, p in zip(loop.modes, (solution.assignment[v.name] for v in problem.variables))
         )
-    return ClosedLoopReport(float(g), mode_abscissas(loop), solution, noise_offset)
-
-
-def mode_abscissas(loop) -> tuple:
-    """Spectral abscissa max Re eig(A_i) of every mode of a closed loop."""
-    return tuple(float(np.max(np.linalg.eigvals(m.a).real)) for m in loop.modes)
+    return ClosedLoopReport(float(g), solution, noise_offset)
 
 
 def verify_closed_loop(plant: JumpPlant, ctrl: Controller, g: float) -> ClosedLoopReport:

@@ -121,8 +121,8 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
 
     Stages: build the plant, minimise the attenuation level, synthesize and
     augment a controller, certify the loop, cross-check the tabulated
-    controller (realizability, stability, noise augmentation, optical
-    inversion) and write report + documents to ``out_dir`` when given.
+    controller (realizability, coupled certificate, noise augmentation,
+    optical inversion) and write report + documents to ``out_dir`` when given.
 
     Returns the report dict; the overall verdict is in report["ok"].  Raises
     ``ValueError`` when the probe is to run (not ``quick``) on n_paths < 1.
@@ -147,7 +147,8 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
         )
 
     # synthesis: minimal attenuation level with certificate
-    g_star, syn = synthesis.min_attenuation(plant, g_lo=0.01, g_hi=1.0, tol_g=tol_g)
+    g_hi = 1.0
+    g_star, syn = synthesis.min_attenuation(plant, g_lo=0.01, g_hi=g_hi, tol_g=tol_g)
     # min_attenuation raises unless g_star is within tol_g of the least level,
     # so the search is reported as data, not as a check that cannot fail
     level_search = syn.solution.record()
@@ -159,15 +160,12 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
 
     # the level search's own storage certifies the loop: no second LMI solve
     cert = synthesis.certify_design(plant, syn, aug, g_star)
-    loop = analysis.assemble_closed_loop(plant, aug)
-    abscissas = analysis.mode_abscissas(loop)
     checks.append(_bool_check("closed loop certified at minimised level",
-                              cert.certified,
-                              f"{cert.summary()}; "
-                              f"abscissas {[f'{x:.4f}' for x in abscissas]}"))
+                              cert.certified, cert.summary()))
 
     # simulation probe of the certified loop
     if not quick:
+        loop = analysis.assemble_closed_loop(plant, aug)
         probe = jumpsim.estimate_attenuation(
             loop, g_star, t_end=120.0, n_paths=n_paths, seed=PROBE_SEED
         )
@@ -181,10 +179,13 @@ def run_paper_demo(out_dir=None, tol_g: float = 5e-3, n_paths: int = 20,
     pr_ref = realizability.check_controller_realizability(ref, tol=5e-3)
     checks.append(_bool_check("tabulated controller realizable at table precision",
                               pr_ref.realizable, f"worst residual {pr_ref.worst():.2e}"))
-    ref_abscissas = analysis.mode_abscissas(analysis.assemble_closed_loop(plant, ref))
-    checks.append(_bool_check("tabulated controller stabilises every mode",
-                              all(x < 0.0 for x in ref_abscissas),
-                              f"abscissas {[f'{x:.4f}' for x in ref_abscissas]}"))
+    # the coupled certificate at the bracket's upper level proves the jump
+    # loop mean-square stable, which Hurwitz drifts per mode neither imply
+    # nor need
+    ref_report = analysis.verify_closed_loop(plant, ref, g_hi)
+    checks.append(_bool_check(f"tabulated controller certified at g = {g_hi:g}",
+                              ref_report.attenuation_ok,
+                              f"{ref_report.solution.summary()} ({ref_report.route} route)"))
 
     # noise augmentation reproduces the tabulated repair channels
     for i, (mode, (_, e2)) in enumerate(zip(ref.modes, REFERENCE_EXTRA_NOISE)):

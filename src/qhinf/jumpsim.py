@@ -61,8 +61,8 @@ __all__ = [
 class MarkovPath:
     """One realisation of the fault chain on [0, t_end].
 
-    Modes are 1-based labels; the mode sequence is one longer than the jump
-    times and consecutive modes always differ.
+    Modes are integer labels from 1; the mode sequence is one longer than
+    the jump times and consecutive modes always differ.
     """
 
     t_end: float
@@ -77,6 +77,9 @@ class MarkovPath:
         times = np.asarray(self.jump_times, dtype=float)
         if times.size and (np.any(np.diff(times) <= 0) or times[0] <= 0 or times[-1] >= self.t_end):
             raise ValueError("jump times must be strictly increasing inside (0, t_end)")
+        bad = [m for m in self.modes if not isinstance(m, (int, np.integer)) or m < 1]
+        if bad:
+            raise ValueError(f"mode labels must be integers >= 1, got {bad}")
         for a, b in zip(self.modes, self.modes[1:]):
             if a == b:
                 raise ValueError("consecutive modes must differ")
@@ -224,7 +227,8 @@ def propagate_moments(
     costs ceil(log2 N) matrix products.  The segment step counts are known
     from the path, so the whole trajectory is allocated once, one column per
     sample, and each product writes its columns in place.  ``ValueError`` is
-    raised before any allocation when t_end / dt exceeds ``MAX_GRID_STEPS``.
+    raised before any allocation when t_end / dt exceeds ``MAX_GRID_STEPS``
+    or the path visits a mode label above the loop's mode count.
 
     The returned fields have the sample index first; the mean and the
     energies are views of that storage, and the second moment a view of an
@@ -246,6 +250,9 @@ def propagate_moments(
     if path.t_end / dt > MAX_GRID_STEPS:
         raise ValueError(f"step size {dt:g} samples the horizon {path.t_end:g} at "
                          f"{path.t_end / dt:.3g} points, above the cap of {MAX_GRID_STEPS}")
+    if max(path.modes) > closed_loop.n_modes:
+        raise ValueError(f"path visits mode {max(path.modes)}, but the closed loop has "
+                         f"{closed_loop.n_modes} modes")
     n = closed_loop.n
     mean = np.array(mean0, dtype=float).reshape(n)
     q = np.array(q0, dtype=float)
@@ -497,29 +504,25 @@ def estimate_attenuation(
     t_end: float = 160.0,
     n_paths: int = 50,
     seed: int = 0,
-    disturbances=None,
 ) -> AttenuationEstimate:
     """Probe the closed-loop energy gain along seeded fault paths.
 
-    For every path and every disturbance the reported ratio is the
-    baseline-subtracted output energy over the input energy, where the
-    baseline is the same simulation with zero disturbance.  The subtraction
-    is evaluated in closed form through the deterministic mean response,
-    integrated exactly segment by segment; ``_full_ratio``, which runs the
-    two exact moment propagations literally, is its cross-check.  Every
-    probe runs over the whole horizon ``t_end``: the certified bound is a
-    dissipation inequality from a zero initial state over every horizon, so
-    no probe needs a horizon of its own.
+    For every path and every disturbance of ``default_disturbance_family``
+    the reported ratio is the baseline-subtracted output energy over the
+    input energy, where the baseline is the same simulation with zero
+    disturbance.  The subtraction is evaluated in closed form through the
+    deterministic mean response, integrated exactly segment by segment;
+    ``_full_ratio``, which runs the two exact moment propagations literally,
+    is its cross-check.  Every probe runs over the whole horizon ``t_end``:
+    the certified bound is a dissipation inequality from a zero initial
+    state over every horizon, so no probe needs a horizon of its own.
 
     Per-path randomness is derived from the master seed by path index, so
     results do not depend on evaluation order.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if disturbances is None:
-        disturbances = default_disturbance_family(closed_loop.n_w)
-    if not disturbances:
-        raise ValueError("disturbance family is empty")
+    disturbances = default_disturbance_family(closed_loop.n_w)
 
     ratios = np.zeros((n_paths, len(disturbances)))
     for p in range(n_paths):

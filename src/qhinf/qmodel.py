@@ -122,6 +122,10 @@ class TransitionRateMatrix:
         object.__setattr__(self, "pi", pi)
         if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
             raise ValueError(f"invalid transition-rate matrix: not square, shape {pi.shape}")
+        non_finite = [(int(i), int(j)) for i, j in np.argwhere(~np.isfinite(pi))]
+        if non_finite:
+            raise ValueError(f"invalid transition-rate matrix: non-finite rates at entries "
+                             f"{non_finite}")
         negative = [(int(i), int(j)) for i, j in np.argwhere(pi - np.diag(np.diag(pi)) < 0)]
         rows = [int(i) for i in np.flatnonzero(np.abs(pi.sum(axis=1)) > 1e-12)]
         faults = []

@@ -79,16 +79,18 @@ def test_criterion_6_synthesis_end_to_end(certified_design):
     plant, g_star, result, augmented = certified_design
     report = analysis.verify_closed_loop(plant, augmented, g_star)
     ref_report = analysis.verify_closed_loop(plant, demo.reference_controller(), 1.0)
+    storage = synthesis.certify_design(plant, result, augmented, g_star)
     ok = (
         result.solution.feasible
-        and all(x < 0.0 for x in report.abscissas)
+        and storage.certified
         and report.attenuation_ok
         and report.solution.margin > 0
-        and all(x < 0.0 for x in ref_report.abscissas)
+        and ref_report.attenuation_ok
         and 0.02 <= g_star <= 0.2  # pinned reference range for the bisected level
     )
     _verdict(6, ok, f"g* = {g_star:.4f}, loop margins {report.solution.margin:.2e}, "
-                    f"tabulated-controller abscissas {[f'{x:.3f}' for x in ref_report.abscissas]}")
+                    f"storage {storage.summary()}, tabulated controller at g = 1: "
+                    f"{ref_report.solution.summary()} ({ref_report.route} route)")
 
 
 def test_criterion_7_simulation_consistency(certified_design):

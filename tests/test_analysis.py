@@ -78,8 +78,8 @@ def _zero_controller(n_modes):
 def test_verify_closed_loop_zero_controller_passes_large_g():
     plant = demo.reference_plant()
     report = verify_closed_loop(plant, _zero_controller(3), 100.0)
-    assert all(x < 0.0 for x in report.abscissas)
-    assert report.attenuation_ok
+    assert report.attenuation_ok and report.route == "lyapunov"
+    assert _mean_square_abscissa(assemble_closed_loop(plant, _zero_controller(3))) < 0
 
 
 def _destabilizing_controller(n_modes):
@@ -95,7 +95,7 @@ def _destabilizing_controller(n_modes):
 def test_verify_closed_loop_destabilizing_controller_fails():
     plant = demo.reference_plant()
     report = verify_closed_loop(plant, _destabilizing_controller(3), 100.0)
-    assert max(report.abscissas) > 0
+    assert report.solution.status == "infeasible-at-tolerance" and report.route == "barrier"
     assert not report.solution.feasible
     assert not report.attenuation_ok
     assert _mean_square_abscissa(assemble_closed_loop(plant, _destabilizing_controller(3))) > 0
@@ -131,10 +131,13 @@ def test_verify_closed_loop_certifies_briefly_visited_unstable_mode():
     # mean-square stable although one mode's drift is not Hurwitz
     plant = _unstable_mode_plant([[-0.1, 0.1], [5.0, -5.0]])
     report = verify_closed_loop(plant, _zero_controller(2), 5.0)
-    assert max(report.abscissas) > 0
     assert report.attenuation_ok
     assert report.solution.margin > 1e-6
-    assert _mean_square_abscissa(assemble_closed_loop(plant, _zero_controller(2))) < 0
+    loop = assemble_closed_loop(plant, _zero_controller(2))
+    assert _mean_square_abscissa(loop) < 0
+    # held in its modes by zero rates, the same loop is not mean-square stable
+    frozen = ClosedLoop(loop.modes, TransitionRateMatrix(np.zeros((2, 2))))
+    assert _mean_square_abscissa(frozen) > 0
 
 
 def test_verify_closed_loop_rejects_long_visited_unstable_mode():
@@ -182,8 +185,10 @@ def test_verify_closed_loop_rejects_nonpositive_level(make_ctrl, g):
 
 
 def test_verify_closed_loop_reference_controller_stable():
-    report = verify_closed_loop(demo.reference_plant(), demo.reference_controller(), 0.5)
-    assert all(x < 0.0 for x in report.abscissas)
+    plant, ctrl = demo.reference_plant(), demo.reference_controller()
+    report = verify_closed_loop(plant, ctrl, 0.5)
+    assert report.attenuation_ok and report.route == "lyapunov"
+    assert _mean_square_abscissa(assemble_closed_loop(plant, ctrl)) < 0
 
 
 @pytest.fixture(scope="module")

@@ -94,6 +94,30 @@ def test_markov_path_validation():
         MarkovPath(10.0, (1.0,), (1,))
 
 
+@pytest.mark.parametrize("modes", [(0,), (2, 0), (-1,), (1.0,), ("1",)])
+def test_markov_path_rejects_bad_mode_labels(modes):
+    # label 0 used to reach the propagation as index -1, the last mode
+    with pytest.raises(ValueError, match="mode labels must be integers >= 1"):
+        MarkovPath(10.0, (5.0,) * (len(modes) - 1), modes)
+
+
+def test_markov_path_accepts_numpy_integer_labels():
+    assert MarkovPath(10.0, (5.0,), (np.int64(2), 1)).modes == (2, 1)
+
+
+def test_propagate_moments_rejects_a_mode_the_loop_lacks():
+    # a label above the mode count used to raise a bare IndexError
+    path = MarkovPath(2.0, (1.0,), (1, 3))
+    with pytest.raises(ValueError, match="path visits mode 3, but the closed loop has 2 modes"):
+        propagate_moments(TWO_MODE_LOOP, path, None, np.zeros(2), np.eye(2), 0.1)
+
+
+def test_sampler_rejects_non_finite_rates():
+    # the draw used to fail inside numpy with "Probabilities contain NaN"
+    with pytest.raises(ValueError, match="non-finite rates"):
+        sample_markov_path([[np.nan, 0.0], [0.0, 0.0]], 10.0)
+
+
 @pytest.mark.parametrize("t_end", [0.0, np.nan, np.inf])
 def test_horizon_must_be_finite_and_positive(t_end):
     # a non-finite horizon used to make the sampler loop forever
@@ -460,9 +484,13 @@ def test_scalar_attenuation_probe_reaches_hinf_norm():
     assert est.passed
 
 
-def _full_ratios(loop, t_end, seed, fam):
-    """Literal two-run ratios on the probe's first path, one per disturbance."""
-    path = sample_markov_path(loop.rates, t_end, seed=jumpsim.path_seed(seed, 0))
+def _first_path(loop, t_end, seed):
+    """The first fault path of a probe with master seed ``seed``."""
+    return sample_markov_path(loop.rates, t_end, seed=jumpsim.path_seed(seed, 0))
+
+
+def _full_ratios(loop, path, fam):
+    """Literal two-run ratios on one path, one per disturbance."""
     return np.array([jumpsim._full_ratio(loop, path, d) for d in fam])
 
 
@@ -472,17 +500,18 @@ def test_attenuation_methods_agree():
         Disturbance("step", np.array([1.0]), "step"),
         Disturbance("sin:7", np.array([1.0]), "sin", 7.0),
     ]
-    em = estimate_attenuation(SCALAR_LOOP, 1.0, t_end=50.0, n_paths=1, seed=0,
-                              disturbances=fam)
-    full = _full_ratios(SCALAR_LOOP, 50.0, 0, fam)
-    assert np.max(np.abs(em.ratios[0] - full) / full) <= 1e-3
+    path = _first_path(SCALAR_LOOP, 50.0, 0)
+    mean = jumpsim._mean_ratios(SCALAR_LOOP, path, fam)
+    full = _full_ratios(SCALAR_LOOP, path, fam)
+    assert np.max(np.abs(mean - full) / full) <= 1e-3
 
 
 def test_attenuation_deterministic_and_order_independent():
     loop = _reference_loop()
-    fam = default_disturbance_family(loop.n_w)[::5]  # four sinusoids and the step
-    est_a = estimate_attenuation(loop, 0.1, t_end=60.0, n_paths=3, seed=5, disturbances=fam)
-    est_b = estimate_attenuation(loop, 0.1, t_end=60.0, n_paths=3, seed=5, disturbances=fam)
+    fam = default_disturbance_family(loop.n_w)
+    est_a = estimate_attenuation(loop, 0.1, t_end=60.0, n_paths=3, seed=5)
+    est_b = estimate_attenuation(loop, 0.1, t_end=60.0, n_paths=3, seed=5)
+    assert est_a.labels == tuple(d.label for d in fam)
     assert np.array_equal(est_a.ratios, est_b.ratios)
     # per-path streams derive from the master seed by index, so a single
     # path evaluated on its own reproduces its row
@@ -500,13 +529,12 @@ def test_mean_probe_exact_with_mode_dependent_output():
         Disturbance("step", np.array([1.0]), "step"),
         Disturbance("sin:7", np.array([1.0]), "sin", 7.0),
     ]
-    path_seed = int(np.random.SeedSequence([3, 0]).generate_state(1)[0])
-    jumps = np.array(sample_markov_path(TWO_MODE_LOOP.rates, 60.0, seed=path_seed).jump_times)
+    path = _first_path(TWO_MODE_LOOP, 60.0, 3)
+    jumps = np.array(path.jump_times)
     assert np.sum(jumps < 10.0) >= 4 and np.sum(jumps > 40.0) >= 4
-    em = estimate_attenuation(TWO_MODE_LOOP, 1.0, t_end=60.0, n_paths=1, seed=3,
-                              disturbances=fam)
-    full = _full_ratios(TWO_MODE_LOOP, 60.0, 3, fam)
-    assert np.max(np.abs(em.ratios[0] - full) / full) <= 1e-9
+    mean = jumpsim._mean_ratios(TWO_MODE_LOOP, path, fam)
+    full = _full_ratios(TWO_MODE_LOOP, path, fam)
+    assert np.max(np.abs(mean - full) / full) <= 1e-9
 
 
 def _reference_loop():
@@ -517,12 +545,8 @@ def _reference_loop():
 
 def test_zero_disturbance_rejected():
     with pytest.raises(ValueError, match="zero input energy"):
-        estimate_attenuation(
-            SCALAR_LOOP, 1.0, t_end=10.0, n_paths=1,
-            disturbances=[Disturbance("null", np.array([0.0]), "step")],
-        )
-    with pytest.raises(ValueError, match="empty"):
-        estimate_attenuation(SCALAR_LOOP, 1.0, disturbances=[])
+        jumpsim._mean_ratios(SCALAR_LOOP, MarkovPath(10.0, (), (1,)),
+                             [Disturbance("null", np.array([0.0]), "step")])
     with pytest.raises(ValueError, match="at least one path"):
         estimate_attenuation(SCALAR_LOOP, 1.0, n_paths=0)
 
@@ -533,10 +557,8 @@ def test_zero_energy_probe_refused_before_any_segment(monkeypatch):
 
     monkeypatch.setattr(jumpsim, "_segment_maps", integrate)
     with pytest.raises(ValueError, match="zero input energy"):
-        estimate_attenuation(
-            TWO_MODE_LOOP, 1.0, t_end=10.0, n_paths=1,
-            disturbances=[FORCED_SIN, Disturbance("null", np.array([0.0]), "step")],
-        )
+        jumpsim._mean_ratios(TWO_MODE_LOOP, _first_path(TWO_MODE_LOOP, 10.0, 0),
+                             [FORCED_SIN, Disturbance("null", np.array([0.0]), "step")])
 
 
 @pytest.mark.parametrize("kind, omega", [("sin", 0.0), ("sin", -1.0), ("sin", np.inf),
@@ -544,10 +566,7 @@ def test_zero_energy_probe_refused_before_any_segment(monkeypatch):
 def test_invalid_disturbance_rejected(kind, omega):
     # a zero-frequency sinusoid used to reach the probe and divide by zero
     with pytest.raises(ValueError, match="frequency|kind"):
-        estimate_attenuation(
-            SCALAR_LOOP, 1.0, t_end=10.0, n_paths=1,
-            disturbances=[Disturbance("bad", np.array([1.0]), kind, omega)],
-        )
+        Disturbance("bad", np.array([1.0]), kind, omega)
 
 
 def test_default_family_composition():

@@ -720,3 +720,115 @@ def test_rounding_floor_leaves_the_shift_plateau_alone():
     solution = synthesis.synthesize(plant, 5.0).solution
     assert (solution.status, solution.iterations) == ("feasible", 16)
 
+
+
+def _interval_problem(upper):
+    """0 < x < upper over a scalar x."""
+    problem = lmi.LmiProblem()
+    problem.add_variable("x", 1, symmetric=True)
+    problem.add_constraint(lmi.AffineMatrixExpr(1).add_term("x"), "pos")
+    problem.add_constraint(lmi.AffineMatrixExpr(1, [[-upper]]).add_term("x"), "neg")
+    return problem
+
+
+def test_starting_weight_above_one_starts_at_the_unit_weight():
+    # 0 < x < 10 from x = 0, t = 1 has slacks 1 and 11.  There the barrier's
+    # gradient is g = -(10, 12) / 11 and its Hessian H = [[122, 120], [120,
+    # 122]] / 121, so H^-1 g = (5, -6) and the centring weight is 6 / 2 = 3;
+    # the schedule starts at the unit weight instead
+    problem = _interval_problem(10.0)
+    oriented = lmi._materialise(problem, lmi._Layout(problem.variables))
+    g = -np.array([10.0, 12.0]) / 11.0
+    h = np.array([[122.0, 120.0], [120.0, 122.0]]) / 121.0
+    toward_g = np.linalg.solve(h, g)
+    assert -toward_g[-1] / (g @ toward_g) == pytest.approx(3.0, rel=1e-12)
+    mu0, (grad, step) = lmi._starting_weight(oriented, np.array([0.0, 1.0]))
+    assert mu0 == 1.0
+    # the first step is the Newton step of t - sum_k logdet S_k at x0
+    assert np.max(np.abs(grad - (g + [0.0, 1.0]))) <= 1e-15
+    assert np.max(np.abs(h @ step + grad)) <= 1e-10
+    assert lmi.solve_feasibility(problem).feasible
+
+
+def test_newton_solve_falls_back_to_least_squares_off_the_cone():
+    # an indefinite system fails dposv's Cholesky factorisation; the
+    # least-squares solve of the same equilibrated system still solves it
+    hess = np.array([[1.0, 2.0], [2.0, 1.0]])
+    rhs = np.array([[1.0], [-3.0]])
+    assert sla.lapack.dposv(hess, rhs, lower=1)[2] > 0
+    regularised = hess + 2e-12 * np.eye(2)  # 1e-12 (1 + tr(hess) / size)
+    out = lmi._newton_solve(hess.copy(), rhs)
+    assert np.max(np.abs(out - np.linalg.solve(regularised, rhs))) <= 1e-14
+
+
+def test_failed_cholesky_solves_give_the_same_verdict(monkeypatch):
+    # with dposv reporting failure on every Newton system, every step comes
+    # from the least-squares fallback, and the reference synthesis still
+    # certifies with the same steps
+    expected = synthesis.synthesize(demo.reference_plant(), 0.05).solution
+    dposv = lmi.lapack.dposv
+
+    def failing(hess, rhs, **options):
+        c, x, _ = dposv(hess, rhs, **options)
+        return c, x, 1
+
+    monkeypatch.setattr(lmi.lapack, "dposv", failing)
+    solution = synthesis.synthesize(demo.reference_plant(), 0.05).solution
+    assert (solution.status, solution.iterations) == ("feasible", expected.iterations)
+    assert solution.margin == pytest.approx(expected.margin, rel=1e-6)
+
+
+def _break_line_search(monkeypatch, objective_phase, keep_start):
+    """Make every barrier round of one phase (the objective phase, or else
+    the shift phase) fail: ``_slacks`` rejects every point the round's line
+    search tries and, unless ``keep_start``, the round's starting iterate
+    too.  The other phase and the verdict's checks see the real slacks."""
+    centre, slacks = lmi._centre, lmi._slacks
+
+    def breaking(oriented, x, mu, objective, *args):
+        if (objective is not None) is not objective_phase:
+            return centre(oriented, x, mu, objective, *args)
+        start = x.copy()
+        monkeypatch.setattr(lmi, "_slacks", lambda o, y: (
+            slacks(o, y) if keep_start and np.array_equal(y, start) else None))
+        try:
+            return centre(oriented, x, mu, objective, *args)
+        finally:
+            monkeypatch.setattr(lmi, "_slacks", slacks)
+
+    monkeypatch.setattr(lmi, "_centre", breaking)
+
+
+CENTRING_NOTES = [
+    (True, "step-size collapse; problem may be ill-posed"),
+    (False, "interior iterate lost positive definiteness"),
+]
+
+
+@pytest.mark.parametrize("keep_start, note", CENTRING_NOTES)
+def test_a_shift_phase_note_reaches_the_record_without_a_certificate(
+        monkeypatch, keep_start, note):
+    # X = 0, where the solve starts, is not strictly feasible for 0 < X < B,
+    # and no round can leave it; two stalled rounds end the solve
+    _break_line_search(monkeypatch, False, keep_start)
+    record = lmi.solve_feasibility(_between_zero_and_b_problem(_B)).record()
+    assert record["notes"] == [note, note]
+    assert record["newton_steps"] == (2 if keep_start else 0)
+    assert record["status"] != "feasible"
+
+
+@pytest.mark.parametrize("keep_start, note", CENTRING_NOTES)
+def test_an_objective_phase_note_leaves_the_level_search_undecided(
+        monkeypatch, keep_start, note):
+    # the objective phase stops at its first note and keeps the verified
+    # point the shift phase handed over, with no bound on the objective gap;
+    # the level search cannot place its level and raises, but never calls
+    # the level infeasible
+    _break_line_search(monkeypatch, True, keep_start)
+    with pytest.raises(synthesis.SynthesisError, match="not within tol_g") as info:
+        synthesis.min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
+    assert not isinstance(info.value, synthesis.LmiInfeasibleError)
+    record = info.value.solution.record()
+    assert record["notes"] == [note, "objective gap bound inf not within tolerance"]
+    assert record["objective_steps"] == (1 if keep_start else 0)
+    assert record["gap"] is None

@@ -137,6 +137,17 @@ def test_generator_validation():
         TransitionRateMatrix(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("pi, entries", [
+    ([[np.nan, 0.0], [0.0, 0.0]], r"\[\(0, 0\)\]"),
+    ([[-np.inf, np.inf], [0.0, 0.0]], r"\[\(0, 0\), \(0, 1\)\]"),
+])
+def test_generator_rejects_non_finite_rates(pi, entries):
+    # both used to pass, and failed only inside the path sampler's draw
+    with pytest.raises(ValueError, match=r"^invalid transition-rate matrix: non-finite rates "
+                                         r"at entries " + entries + "$"):
+        TransitionRateMatrix(pi)
+
+
 def test_rate_matrix_constructor_rejects():
     with pytest.raises(ValueError):
         TransitionRateMatrix(np.array([[-1.0, 2.0], [-0.5, 0.5]]))
