@@ -28,7 +28,10 @@ process, its printed report discarded.  Every other figure is one wall-clock
 run (``time.perf_counter``); all run on one BLAS thread.  Writes
 BENCH_<date>.json with, per solve, the seconds and milliseconds per Newton
 step beside the solve's ``LmiSolution.record()`` (status, Newton steps in all
-and per phase, verified margin, final shift t, objective gap, notes), whether
+and per phase, verified margin, final shift t, objective gap, notes), for
+each grid point and the reference search the largest condition number of
+Y_i^-1 - X_i that the controller rebuild inverted
+(``max_coupling_condition``, None without a controller), whether
 the coupled certification passed and by which route, the storage
 certificate's verdict, least margin and seconds, each simulation path's
 median seconds and run count, the propagation's peak traced bytes per
@@ -89,6 +92,12 @@ def record(seconds, solution, **fields):
     return {**fields, "seconds": round(seconds, 4),
             "step_ms": round(1e3 * seconds / steps, 3) if steps else None,
             **solution.record()}
+
+
+def max_condition(designed):
+    """The largest coupling condition number of the ``SynthesisResult`` in
+    ``designed``, or None when it is empty."""
+    return max(designed[0].coupling_condition_numbers) if designed else None
 
 
 def median_seconds(run):
@@ -157,7 +166,8 @@ def main(argv=None):
 
         seconds, _, solution = timed(design)
         print(f"n={n} modes={modes}: {seconds:.3f} s, {solution.summary()}", flush=True)
-        point = record(seconds, solution, n=n, modes=modes, g=LEVEL)
+        point = record(seconds, solution, n=n, modes=modes, g=LEVEL,
+                       max_coupling_condition=max_condition(designed))
         point["certification"] = (certify(plant, designed[0], LEVEL, "  certification")
                                   if designed else None)
         grid.append(point)
@@ -171,7 +181,8 @@ def main(argv=None):
         return g, result
 
     seconds, g_star, solution = timed(level_search)
-    reference = record(seconds, solution, **search, g_star=g_star)
+    reference = record(seconds, solution, **search, g_star=g_star,
+                       max_coupling_condition=max_condition(designed))
     print(f"reference min_attenuation: {seconds:.3f} s, {solution.summary()}, g*={g_star}",
           flush=True)
 

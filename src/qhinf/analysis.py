@@ -217,14 +217,14 @@ def coupled_mode_check(loop: ClosedLoop, g) -> ClosedLoopReport:
 
     * the coupled Lyapunov storage first, in closed form (no Newton step;
       ``_lyapunov_storage``), which certifies when the level is not tight;
-    * otherwise the barrier engine, ``lmi.solve_feasibility`` with
-      ``settle=False``: it stops at the first Newton iterate whose margin
-      exceeds ``lmi.EPS_STRICT`` rather than growing the margin further.
+    * otherwise the barrier engine, ``lmi.solve_feasibility``: it stops at
+      the first Newton iterate whose margin exceeds ``lmi.EPS_STRICT``
+      rather than growing the margin further.
 
     A ``feasible`` verdict needs a verified point on either route; an
-    ``infeasible`` one comes from the barrier alone.  The returned P_i,
-    margin and noise offset are those of the certifying point, not of a
-    settled interior.  A Lyapunov certificate is an ``LmiSolution`` with 0
+    ``infeasible`` or ``undecided`` one comes from the barrier alone.  The
+    returned P_i, margin and noise offset are those of the certifying
+    point, not of a centred interior.  A Lyapunov certificate is an ``LmiSolution`` with 0
     iterations, the note "coupled Lyapunov storage" and t = -margin.  The
     noise offset is max_i tr(B1_i^T P_i B1_i) + tr(B2_i^T P_i B2_i).  The
     certificate is the whole stability verdict: no per-mode Hurwitz test
@@ -235,7 +235,7 @@ def coupled_mode_check(loop: ClosedLoop, g) -> ClosedLoopReport:
     problem = coupled_problem(loop, g)
     solution = _lyapunov_storage(loop, g, problem)
     if solution is None:
-        solution = lmi.solve_feasibility(problem, settle=False)
+        solution = lmi.solve_feasibility(problem)
     noise_offset = None
     if solution.feasible:
         noise_offset = max(

@@ -66,7 +66,7 @@ Design notes:
   minimal-level synthesis, and the certification of each design) mu0 lay
   in 0.018-0.82 but for two certifications of 2-state designs, at 4.5 and
   58; a weight above 1 is lowered to 1, which took no more steps there.
-  The reference synthesis at 0.037 takes 86 Newton steps against 95 from
+  The reference synthesis at 0.037 takes 66 Newton steps against 77 from
   a unit weight.  Newton steps are deterministic and damped, so identical
   problems produce identical iterate sequences.
 * A round ends after _ROUND_STEPS steps, at a Newton decrement below
@@ -83,8 +83,8 @@ Design notes:
   search, three objective rounds ended with 8-9 full steps at a constant
   lambda^2 (0.028, 1.2e-3 and 3.9e-5) and ran to the cap; the rule takes
   the search from 108 Newton steps to 84 (30 in the shift phase, 54, from
-  78, in the objective phase) and the synthesis at 0.037 from 103 to 86,
-  with the same verdicts and a level 1.3e-7 higher.  The rule cannot
+  78, in the objective phase), with the same verdicts and a level 1.3e-7
+  higher.  The rule cannot
   fire outside the quadratic region, so the shift phase's plateau along
   the unbounded (Y, F) scaling (lambda^2 about 24 on the reference level
   search, 72 on a 4-state, 3-mode design, and 8 on a scalar plant) is
@@ -96,38 +96,16 @@ Design notes:
   iterate is re-verified from the expressions themselves: every constraint
   is rebuilt from its terms and eigensolved, and the verdict rests on that
   re-verification and never on solver internals.
-* A problem with no objective has two stop rules, and the caller picks one.
-  Both are tested after every accepted Newton step, as the LMI Control
-  Toolbox's feasp tests its target at every iteration (Gahinet, Nemirovski,
-  Laub & Chilali, LMI Control Toolbox, 1995), not only when a round ends:
-  a shift-phase round that sits on the plateau runs to its step cap (the
-  decrement is still 3.55 at the end of the first synthesis round of a
-  4-state, 3-mode design).  An iterate certifies when every slack factors
-  at t = -EPS_STRICT, which holds exactly when the stacked margin exceeds
-  EPS_STRICT and costs one dpotrf pass per member, not an eigensolve.
-* The default (``settle=True``, used by synthesis) stops at the first
-  iterate that certifies and whose margin m grew by at most _MARGIN_SETTLED
-  (1 %) of m since the previous round's end: the infimum of t adds nothing
-  a certificate needs.  The margin is eigensolved only once the Cholesky
-  test passes and the previous round-end margin is positive, so the first
-  round never stops early.  Synthesis needs the settled interior, because
-  its controller is rebuilt from the point: the reference synthesis at
-  g = 0.037 returns margin 1.03e-5 at the settled stop, against 5.7e-6 at
-  the first certified iterate and 2.4e-6 at the first certified round end,
-  whose controller fails verify_closed_loop at that level.  Comparing with
-  the previous step instead of the previous round's end stops in the first
-  round (11 steps in place of 16 on a 4-state, 3-mode design) and too
-  early: on a 2-state, 2-mode plant at g = 0.45 the controller could then
-  not be rebuilt ((Y_1^-1 - X_1) badly conditioned).  The barrier's gap bound
-  mu * sum_k d_k is no stop test here, as capped rounds are not centred.
-* ``settle=False`` (used by closed-loop certification) stops at the first
-  iterate that certifies: any strictly feasible point is a complete
-  certificate, so later steps only grow a margin nobody reads.  On a
-  4-state, 3-mode design the certification takes 2 Newton steps, against
-  15 when the rule was tested at round ends only, and the synthesis 16
-  against 30.  Solves that end infeasible or with the budget spent never
-  reach either rule, so they are unchanged.  A problem with an objective
-  hands over to its objective phase at round ends only.
+* A problem with no objective stops at the first certified iterate that
+  ``ready`` accepts, tested after every accepted Newton step, as feasp tests
+  its target (Gahinet, Nemirovski, Laub & Chilali, LMI Control Toolbox,
+  1995).  An iterate certifies when every slack factors at t = -EPS_STRICT,
+  one dpotrf pass per member.  Synthesis passes as ``ready`` the inversions
+  its controller rebuild takes; certification passes none.  On a 45-case
+  fixed-level synthesis audit this took 2.7 s to 0.86 s (a 4-state, 3-mode
+  design 16 Newton steps to 3, the reference design at g = 0.037 86 to 66)
+  with the same verdicts, every design certified.  A problem with an
+  objective hands over to its objective phase at round ends only.
 
 Problem sizes here are tens of scalar unknowns with constraint blocks of
 dimension at most a few tens, so dense linear algebra is used throughout.
@@ -345,7 +323,7 @@ class LmiSolution:
     assignment: dict
     margin: float
     iterations: int
-    status: str  # feasible | infeasible-at-tolerance | max-iter
+    status: str  # feasible | infeasible-at-tolerance | undecided | max-iter
     t_achieved: float
     constraint_margins: tuple
     notes: tuple = ()
@@ -671,9 +649,6 @@ _DECREMENT_TOL = 1e-9  # centring ends at a Newton decrement this times 1 + |obj
 _PROGRESS_TOL = 1e-8  # a round stalls unless its margin grows more than this times 1 + |t|
 _MU_FACTOR = 0.2
 _ROUND_STEPS = 15  # Newton steps per barrier weight
-# With settle, a feasibility solve with no objective ends once a round raises
-# its positive round-end margin by at most this fraction of the margin.
-_MARGIN_SETTLED = 1e-2
 
 # The strictness margin every certificate must reach and the Newton step
 # budget of every solve.  solve_feasibility reads both when it is called.
@@ -681,7 +656,7 @@ EPS_STRICT = 1e-6
 MAX_ITER = 400
 
 
-def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolution:
+def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
     """Search a strictly feasible point of an LMI system.
 
     Minimises the uniform eigenvalue shift t with a barrier path-following
@@ -693,25 +668,27 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
     round of at most 15 Newton steps.  Each shift-phase round ends with the
     margin of the stacked slacks, which drives the stall test.  Without an
     objective, the solve ends at the first Newton iterate whose margin
-    exceeds EPS_STRICT (every slack factors at t = -EPS_STRICT) and, with
-    ``settle`` (the default), whose margin grew by at most 1 % of its value
-    since the previous round's end; both rules are tested after every
-    accepted step.  Synthesis keeps ``settle``: its controller is rebuilt
-    from the point, which needs the settled interior (module docstring).
-    Certification passes ``settle=False`` and stops at the first certified
-    iterate, since any verified point is a complete certificate; the verdict
-    still rests on the re-verified final iterate.  ``settle`` has no effect
-    with an objective: then the shift phase stops at the first round end
-    whose margin exceeds EPS_STRICT and a phase at t = -EPS_STRICT minimises
-    the objective in rounds of falling mu.  Once ``within`` accepts the last
-    value against the lower bound value - mu * sum_k dim_k (exact on the
-    central path), one more round tightens the bound and the earliest
-    round-end iterate ``within`` accepts is returned.
-    ``MAX_ITER`` caps the Newton steps of both phases; exhausting it without
-    a certificate yields status ``max-iter`` with the best iterate still
-    attached.  Raises ``ValueError`` unless every constraint's constant and
-    coefficients are finite (the message names the first constraint that is
-    not).
+    exceeds EPS_STRICT (every slack factors at t = -EPS_STRICT) and that
+    ``ready``, when given, accepts: a predicate on the unpacked assignment
+    (variable name to matrix), called only at certified iterates after
+    accepted steps.  Any verified point is a complete certificate, so
+    certification passes none; synthesis passes the condition its
+    controller rebuild checks.  The verdict still rests on the re-verified
+    final iterate, so a solve whose certified iterates ``ready`` never
+    accepts runs on to its stall test and can still end feasible.
+    ``ready`` has no effect with an objective: then the shift phase stops
+    at the first round end whose margin exceeds EPS_STRICT and a phase at
+    t = -EPS_STRICT minimises the objective in rounds of falling mu.  Once
+    ``within`` accepts the last value against the lower bound value - mu *
+    sum_k dim_k (exact on the central path), one more round tightens the
+    bound and the earliest round-end iterate ``within`` accepts is returned.
+    Two stalled shift-phase rounds in a row end a solve without a
+    certificate: ``infeasible-at-tolerance``, or ``undecided`` when one of
+    them ended on a note (no step could be taken).  ``MAX_ITER`` caps the
+    Newton steps of both phases; exhausting it without a certificate yields
+    status ``max-iter`` with the best iterate still attached.  Raises
+    ``ValueError`` unless every constraint's constant and coefficients are
+    finite (the message names the first constraint that is not).
     """
     eps_strict, max_iter = EPS_STRICT, MAX_ITER
     problem.validate()
@@ -728,6 +705,7 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
     iterations = 0
     notes = []
     stall_rounds = 0
+    noted = False  # a round of the current stall run ended on a _centre note
     margin_prev = -np.inf
     settled = False  # progress on the margin has stopped or the schedule finished
     minimise = False  # the shift phase has handed over to the objective phase
@@ -736,18 +714,12 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
         """Every slack factors at t = -eps_strict: the stacked margin exceeds it."""
         return _slacks(oriented, np.append(x[:-1], -eps_strict)) is not None
 
-    def margin_settled(x):
-        """Certified, and the margin grew by at most _MARGIN_SETTLED of itself
-        since the previous round's end (round 1 has none to compare with)."""
-        if not (margin_prev > 0.0 and certified(x)):
-            return False
-        margin = _stacked_margin(oriented, x)
-        return margin - margin_prev <= _MARGIN_SETTLED * margin
+    def stop(x):
+        """Certified, and accepted by ``ready`` when one is given."""
+        return certified(x) and (ready is None or ready(layout.unpack(x[:-1])))
 
     if problem.objective is not None:
         stop = None  # the hand-off to the objective phase waits for a round end
-    else:
-        stop = margin_settled if settle else certified
 
     while mu > mu_min:
         x, steps, note, stopped = _centre(
@@ -769,14 +741,15 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
             settled = True
             break
         # a round that could not step or did not raise the margin stalls;
-        # two in a row settle the solve
+        # two in a row settle the solve, undecided if one could not step
         if note or margin_now - margin_prev <= _PROGRESS_TOL * (1.0 + abs(t)):
             stall_rounds += 1
+            noted = noted or note is not None
             if stall_rounds >= 2:
                 settled = True
                 break
         else:
-            stall_rounds = 0
+            stall_rounds, noted = 0, False
         margin_prev = margin_now
         if iterations >= max_iter:
             break
@@ -820,6 +793,8 @@ def solve_feasibility(problem: LmiProblem, *, settle: bool = True) -> LmiSolutio
     margin = min(constraint_margins)
     if margin >= eps_strict:
         status = "feasible"
+    elif settled and noted:
+        status = "undecided"
     elif settled:
         status = "infeasible-at-tolerance"
     else:

@@ -119,14 +119,14 @@ class LmiInfeasibleError(SynthesisError):
 
 def _require_feasible(g, solution):
     """Raise ``LmiInfeasibleError`` when the solver settled infeasible at level g
-    and ``SynthesisError`` when its Newton step budget ran out undecided."""
+    and ``SynthesisError`` when it ended undecided: its Newton step budget
+    ran out, or its rounds ended on the notes the message names."""
     if solution.status == "infeasible-at-tolerance":
         raise LmiInfeasibleError(g, solution)
     if not solution.feasible:
-        raise SynthesisError(
-            f"no verdict at g={g}: the Newton step budget ran out ({solution.summary()})",
-            solution,
-        )
+        reason = ("the Newton step budget ran out" if solution.status == "max-iter"
+                  else "; ".join(dict.fromkeys(solution.notes)))
+        raise SynthesisError(f"no verdict at g={g}: {reason} ({solution.summary()})", solution)
 
 
 def _names(prefix, n_modes):
@@ -219,12 +219,24 @@ def _inv_sym_guarded(m, label):
     return q @ np.diag(1.0 / w) @ q.T, float(cond)
 
 
-def _storage(plant: JumpPlant, solution):
+def _storage(plant: JumpPlant, assignment):
     """X_i, Y_i and Y_i^{-1} of every mode: the storage P_i of the module
     docstring."""
-    xs = [solution.assignment[f"X{i + 1}"] for i in range(plant.n_modes)]
-    ys = [solution.assignment[f"Y{i + 1}"] for i in range(plant.n_modes)]
+    xs = [assignment[f"X{i + 1}"] for i in range(plant.n_modes)]
+    ys = [assignment[f"Y{i + 1}"] for i in range(plant.n_modes)]
     return xs, ys, [_inv_sym_guarded(y, f"Y_{i + 1}")[0] for i, y in enumerate(ys)]
+
+
+def _coupling_inverses(plant: JumpPlant, assignment):
+    """The storage of an assignment and, per mode, the inverse of
+    Y_i^{-1} - X_i (negative definite when the coupling LMI holds strictly)
+    with its condition number: every inversion the controller rebuild
+    takes.  Raises ``SynthesisError`` when one of them is singular or badly
+    conditioned (``COND_LIMIT``)."""
+    storage = _storage(plant, assignment)
+    xs, _, y_invs = storage
+    return storage, [_inv_sym_guarded(y_inv - x, f"(Y_{i + 1}^-1 - X_{i + 1})")
+                     for i, (x, y_inv) in enumerate(zip(xs, y_invs))]
 
 
 def _congruenced_blocks(plant: JumpPlant, storage, i, f, l, m):
@@ -270,32 +282,44 @@ def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
     """Reconstruct the controller of a feasible LMI solution at level g:
     mode i keeps F~ = F_i and L~ = L_i, and its M~ is the M_i that zeroes
     the off-diagonal block of the Schur complement (module docstring)."""
-    storage = _storage(plant, solution)
-    xs, _, y_invs = storage
-    n, modes, conds = plant.n, [], []
-    for i, (x, y_inv) in enumerate(zip(xs, y_invs)):
+    storage, inverses = _coupling_inverses(plant, solution.assignment)
+    n, modes = plant.n, []
+    for i, (y_inv, (w_inv, _)) in enumerate(zip(storage[2], inverses)):
         l, f = solution.assignment[f"L{i + 1}"], solution.assignment[f"F{i + 1}"]
-        # negative definite when the coupling LMI holds strictly
-        w_inv, cond_w = _inv_sym_guarded(y_inv - x, f"(Y_{i + 1}^-1 - X_{i + 1})")
         h, g_col, _ = _congruenced_blocks(plant, storage, i, f, l, 0.0)
         m = -h[n:, :n] - g_col[n:] @ g_col[:n].T / (g * g)
         modes.append(ControllerMode(w_inv @ m @ y_inv, w_inv @ l, f @ y_inv,
                                     np.zeros((plant.n_u, 0)), np.zeros((n, 0))))
-        conds.append(cond_w)
     controller = Controller(tuple(modes), make_commutation_matrix(n))
-    return SynthesisResult(float(g), controller, solution, tuple(conds))
+    return SynthesisResult(float(g), controller, solution,
+                           tuple(cond for _, cond in inverses))
+
+
+def _rebuildable(plant: JumpPlant, assignment) -> bool:
+    """Whether every inversion of ``_coupling_inverses`` succeeds at the
+    assignment: the ``ready`` test of a fixed-level solve."""
+    try:
+        _coupling_inverses(plant, assignment)
+    except SynthesisError:
+        return False
+    return True
 
 
 def synthesize(plant: JumpPlant, g: float) -> SynthesisResult:
     """Build and solve the LMIs at level g, then reconstruct the controller.
 
+    The solve stops at its first certified iterate at which every Y_i and
+    Y_i^{-1} - X_i inverts within ``COND_LIMIT`` (``_rebuildable``): any
+    feasible point gives a controller that its own storage certifies at g
+    (module docstring), and the rebuild needs exactly these inversions.
     Raises ``LmiInfeasibleError`` when the solver settles without a strictly
-    feasible point and ``SynthesisError`` when ``lmi.MAX_ITER`` Newton steps
-    end before a verdict.  The returned controller carries no noise channels;
-    augment it with the realizability layer before treating it as a quantum
-    device.
+    feasible point and ``SynthesisError`` when it ends undecided: its
+    ``lmi.MAX_ITER`` Newton steps end before a verdict, or its rounds could
+    not step.  The returned controller carries no noise channels; augment
+    it with the realizability layer before treating it as a quantum device.
     """
-    solution = lmi.solve_feasibility(build_hinf_lmis(plant, g))
+    solution = lmi.solve_feasibility(build_hinf_lmis(plant, g),
+                                     ready=lambda assignment: _rebuildable(plant, assignment))
     _require_feasible(g, solution)
     return _result(plant, g, solution)
 
@@ -419,7 +443,7 @@ def certify_design(
             f"the storage certificate needs a controller of {plant.n_modes} modes and "
             f"state dimension {n}, got {controller.n_modes} and {controller.n_k}"
         )
-    storage = _storage(plant, result.solution)
+    storage = _storage(plant, result.solution.assignment)
     xs, ys, y_invs = storage
     corner = -(g * g) * np.eye(plant.n_w)
     storage_margins, coupling_margins = [], []

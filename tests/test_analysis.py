@@ -170,7 +170,7 @@ def test_synthesis_stabilises_an_unstable_absorbing_mode():
     loop = assemble_closed_loop(plant, aug)
     assert verify_closed_loop(plant, aug, 5.0).attenuation_ok
     # the barrier solve's first Newton iterate certifies, with margin 0.374
-    solution = lmi.solve_feasibility(coupled_problem(loop, 5.0), settle=False)
+    solution = lmi.solve_feasibility(coupled_problem(loop, 5.0))
     assert solution.iterations == 1
     assert solution.margin > 0.37
     assert _mean_square_abscissa(loop) < 0
@@ -203,13 +203,13 @@ def _certify_at_the_first_certified_iterate(plant, aug, g, monkeypatch):
     problem; assert that one Newton step fewer does not certify, so the solve
     stopped at its first certified iterate, and return its steps."""
     problem = coupled_problem(assemble_closed_loop(plant, aug), g)
-    solution = lmi.solve_feasibility(problem, settle=False)
+    solution = lmi.solve_feasibility(problem)
     assert solution.feasible
     assert solution.margin >= lmi.EPS_STRICT
     steps = solution.iterations
     with monkeypatch.context() as patch:
         patch.setattr(lmi, "MAX_ITER", steps - 1)
-        short = lmi.solve_feasibility(problem, settle=False)
+        short = lmi.solve_feasibility(problem)
     assert not short.feasible
     assert short.status == "max-iter" and short.iterations == steps - 1
     return steps
@@ -233,10 +233,11 @@ def scaled_design():
 
 def test_certification_of_scaled_random_design_stops_at_first_certificate(scaled_design,
                                                                           monkeypatch):
-    # the settled-margin stop takes 61 steps here; the second Newton iterate
-    # certifies
+    # the coupled Lyapunov storage does not certify this design, whose
+    # synthesis stopped at its third Newton iterate; the barrier's third
+    # Newton iterate does
     plant, aug = scaled_design
-    assert _certify_at_the_first_certified_iterate(plant, aug, 5.0, monkeypatch) == 2
+    assert _certify_at_the_first_certified_iterate(plant, aug, 5.0, monkeypatch) == 3
 
 
 def _no_barrier(problem, **kwargs):
@@ -244,14 +245,15 @@ def _no_barrier(problem, **kwargs):
 
 
 @pytest.mark.parametrize("coordinates", ["seeded", "rotated"])
-def test_scaled_design_certifies_from_its_lyapunov_storage(scaled_design, coordinates,
-                                                           monkeypatch):
-    # the coupled Lyapunov storage certifies the 4x3 design at g = 5 with no
-    # Newton step, in its own coordinates and in the scaled-design benchmark's
-    plant, aug = scaled_design
+def test_scaled_design_certifies_from_its_lyapunov_storage(coordinates, monkeypatch):
+    # the coupled Lyapunov storage certifies the 6x3 design at g = 5 with no
+    # Newton step, in its own coordinates and in random ones drawn as the
+    # scaled-design benchmark draws them
+    plants = _plants_module()
+    plant = plants.random_plant(0, 6, 3, 0)
     if coordinates == "rotated":
-        plant = _plants_module().rotated_plant(plant, 1, 0)
-        aug = realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
+        plant = plants.rotated_plant(plant, 1, 0)
+    aug = realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
     loop = assemble_closed_loop(plant, aug)
     monkeypatch.setattr(lmi, "solve_feasibility", _no_barrier)
     report = coupled_mode_check(loop, 5.0)
@@ -296,7 +298,7 @@ def test_reference_design_at_its_level_falls_back_to_the_barrier(reference_desig
     g_star, aug = reference_design
     loop = assemble_closed_loop(demo.reference_plant(), aug)
     report = coupled_mode_check(loop, g_star)
-    barrier = lmi.solve_feasibility(coupled_problem(loop, g_star), settle=False)
+    barrier = lmi.solve_feasibility(coupled_problem(loop, g_star))
     assert report.route == "barrier" and report.attenuation_ok
     assert report.solution.iterations == barrier.iterations == 43
     assert report.solution.margin == barrier.margin
@@ -333,7 +335,6 @@ def test_reference_design_certifies_at_its_level_at_the_first_certified_iterate(
     g_star, aug = reference_design
     plant = demo.reference_plant()
     assert _certify_at_the_first_certified_iterate(plant, aug, g_star, monkeypatch) == 43
-    # 56 with the settled-margin stop
 
 
 def test_reference_design_certifies_at_its_level_from_a_unit_start(monkeypatch):
@@ -345,7 +346,6 @@ def test_reference_design_certifies_at_its_level_from_a_unit_start(monkeypatch):
     assert g_star == pytest.approx(0.03945961343404557, rel=1e-12)
     aug = realizability.augment_jump_controller(result.controller)
     assert _certify_at_the_first_certified_iterate(plant, aug, g_star, monkeypatch) == 61
-    # 74 with the settled-margin stop
 
 
 def _parity_loops(g_star, aug):
@@ -362,12 +362,12 @@ def _parity_loops(g_star, aug):
 
 
 def test_first_certificate_stop_keeps_every_verdict(reference_design):
-    # the same coupled problems, solved by the barrier with the settled-margin
-    # stop, give the same verdicts; a feasible one is verified past eps_strict
-    # either way
+    # the same coupled problems, solved by a barrier that accepts no
+    # certified iterate and so runs on to its stall test, give the same
+    # verdicts; a feasible one is verified past eps_strict either way
     for loop, g, verdict in _parity_loops(*reference_design):
-        first = lmi.solve_feasibility(coupled_problem(loop, g), settle=False)
-        reference = lmi.solve_feasibility(coupled_problem(loop, g), settle=True)
+        first = lmi.solve_feasibility(coupled_problem(loop, g))
+        reference = lmi.solve_feasibility(coupled_problem(loop, g), ready=lambda _: False)
         assert first.feasible == reference.feasible == verdict
         assert first.iterations <= reference.iterations
         if verdict:

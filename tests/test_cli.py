@@ -163,7 +163,7 @@ def test_analyze_command(docs, capsys):
     assert doc["coupled_t"] == -doc["coupled_margin"]
     # the barrier solve of the same problem stops at its first verified Newton iterate
     loop = analysis.assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
-    barrier = lmi.solve_feasibility(analysis.coupled_problem(loop, 0.5), settle=False)
+    barrier = lmi.solve_feasibility(analysis.coupled_problem(loop, 0.5))
     assert (barrier.status, barrier.iterations, barrier.objective_iterations) == ("feasible", 10, 0)
     assert {k for k in doc if k.startswith("coupled_")} == {
         f"coupled_{k}" for k in ("status", "newton_steps", "shift_steps", "objective_steps",

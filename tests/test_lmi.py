@@ -92,12 +92,19 @@ def test_solution_record_is_plain_json():
     assert sol.summary() == f"feasible, {sol.iterations} Newton steps, margin {sol.margin:.3e}"
 
 
+def _never(assignment):
+    """A ``ready`` predicate that accepts no iterate: the solve runs on past
+    its certified iterates, to its stall test or the end of its schedule."""
+    return False
+
+
 def test_solution_record_carries_the_notes():
-    # V > 0 alone leaves the shift unbounded below
+    # V > 0 alone leaves the shift unbounded below; a solve not stopped at
+    # its first certified iterate runs the shift past the floor
     problem = lmi.LmiProblem()
     problem.add_variable("V", 2, symmetric=True)
     problem.add_constraint(lmi.AffineMatrixExpr(2).add_term("V"), "pos")
-    sol = lmi.solve_feasibility(problem)
+    sol = lmi.solve_feasibility(problem, ready=_never)
     assert (sol.status, sol.iterations) == ("feasible", 1)
     record = sol.record()
     assert record["notes"] == ["shift unbounded below; any interior point certifies feasibility"]
@@ -120,22 +127,38 @@ def _between_zero_and_b_problem(b):
 _B = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
 
 
-def test_feasibility_stops_once_the_margin_settles():
+def test_feasibility_stops_at_the_first_certified_iterate_ready_accepts():
     # 0 < X < B has largest margin max_X min(lambda_min(X), lambda_min(B - X))
     # = lambda_min(B) / 2 at X = B / 2, by Weyl's inequality
-    sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B))
+    best = (3.0 - np.sqrt(2.0)) / 2.0
+    seen = []
+
+    def near_the_centre(assignment):
+        x = assignment["X"]
+        margin = min(np.linalg.eigvalsh(x)[0], np.linalg.eigvalsh(_B - x)[0])
+        seen.append(margin)
+        return margin >= 0.99 * best
+
+    sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B), ready=near_the_centre)
+    assert sol.status == "feasible" and sol.margin >= 0.99 * best
+    # ready sees certified iterates only, one per step, and the solve ends
+    # at the first it accepts
+    assert len(seen) == sol.iterations == 5
+    assert min(seen) >= lmi.EPS_STRICT
+    assert [m >= 0.99 * best for m in seen] == [False] * 4 + [True]
+    # a predicate that accepts nothing leaves the stall test to end the
+    # solve, still feasible: the verdict rests on the final iterate
+    sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B), ready=_never)
     assert sol.status == "feasible"
-    assert sol.margin == pytest.approx((3.0 - np.sqrt(2.0)) / 2.0, rel=1e-2)
-    # the first round converges in 7 steps, and step 1 of the second finds
-    # the margin settled; the stall test alone would end this solve after 22
-    assert sol.iterations == 8
+    assert sol.margin == pytest.approx(best, rel=1e-6)
+    assert sol.iterations == 21
 
 
 def test_first_certificate_stop_ends_at_the_first_certified_iterate(monkeypatch):
     # the rule is tested after every Newton step: here the first iterate
     # already certifies, so the solve ends there
     problem = _between_zero_and_b_problem(_B)
-    sol = lmi.solve_feasibility(problem, settle=False)
+    sol = lmi.solve_feasibility(problem)
     assert sol.status == "feasible"
     assert sol.iterations == 1
     # the verdict rests on the final iterate, re-verified from the expressions
@@ -145,7 +168,7 @@ def test_first_certificate_stop_ends_at_the_first_certified_iterate(monkeypatch)
     assert sol.margin >= lmi.EPS_STRICT
     # one step fewer leaves the starting point, X = 0, which does not certify
     monkeypatch.setattr(lmi, "MAX_ITER", sol.iterations - 1)
-    assert lmi.solve_feasibility(problem, settle=False).status == "max-iter"
+    assert lmi.solve_feasibility(problem).status == "max-iter"
 
 
 def test_every_verdict_reads_the_one_strictness_margin(monkeypatch):
@@ -390,7 +413,7 @@ def test_round_end_margin_matches_verified_margins(monkeypatch):
     g_star, result = synthesis.min_attenuation(plant, 0.01, 1.0, tol_g=5e-3)
     aug = realizability.augment_jump_controller(result.controller)
     loop = assemble_closed_loop(plant, aug)
-    assert lmi.solve_feasibility(analysis.coupled_problem(loop, g_star), settle=False).feasible
+    assert lmi.solve_feasibility(analysis.coupled_problem(loop, g_star)).feasible
     synthesis.synthesize(plant, 0.05)
     assert len(problems) == 3
     assert {id(problem) for problem, _, _ in ends} == {id(problem) for problem in problems}
@@ -712,13 +735,23 @@ def test_round_ends_at_its_rounding_floor(monkeypatch):
     assert 0.5 * normalised[-2] <= normalised[-1] < normalised[-2]
 
 
-def test_rounding_floor_leaves_the_shift_plateau_alone():
-    # the 4x3 plant's shift phase ends on the plateau of the unbounded
+def test_rounding_floor_leaves_the_shift_plateau_alone(monkeypatch):
+    # the 4x3 plant's shift phase runs onto the plateau of the unbounded
     # (Y, F) scaling, lambda^2 about 72, outside the quadratic region: the
-    # rule cannot fire there, and this synthesis takes its 16 steps as before
+    # rule cannot fire there, and with no stop at a certified iterate the
+    # round runs to its step cap
     plant = _plants().random_plant(0, 4, 3, 0)
-    solution = synthesis.synthesize(plant, 5.0).solution
-    assert (solution.status, solution.iterations) == ("feasible", 16)
+    rounds, centre = [], lmi._centre
+
+    def counting(*args):
+        out = centre(*args)
+        rounds.append(out[1])
+        return out
+
+    monkeypatch.setattr(lmi, "_centre", counting)
+    solution = lmi.solve_feasibility(synthesis.build_hinf_lmis(plant, 5.0), ready=_never)
+    assert solution.status == "feasible"
+    assert rounds[0] == lmi._ROUND_STEPS
 
 
 
@@ -809,12 +842,27 @@ CENTRING_NOTES = [
 def test_a_shift_phase_note_reaches_the_record_without_a_certificate(
         monkeypatch, keep_start, note):
     # X = 0, where the solve starts, is not strictly feasible for 0 < X < B,
-    # and no round can leave it; two stalled rounds end the solve
+    # and no round can leave it; two stalled rounds end the solve, which
+    # could not decide anything
     _break_line_search(monkeypatch, False, keep_start)
     record = lmi.solve_feasibility(_between_zero_and_b_problem(_B)).record()
     assert record["notes"] == [note, note]
     assert record["newton_steps"] == (2 if keep_start else 0)
-    assert record["status"] != "feasible"
+    assert record["status"] == "undecided"
+
+
+def test_a_synthesis_whose_rounds_cannot_step_is_undecided(monkeypatch):
+    # the reference synthesis at 0.05 is feasible; with every shift-phase
+    # line search failing it has no verdict, which is never infeasibility
+    _break_line_search(monkeypatch, False, True)
+    with pytest.raises(synthesis.SynthesisError) as info:
+        synthesis.synthesize(demo.reference_plant(), 0.05)
+    assert not isinstance(info.value, synthesis.LmiInfeasibleError)
+    note = "step-size collapse; problem may be ill-posed"
+    assert str(info.value) == (f"no verdict at g=0.05: {note} "
+                               "(undecided, 2 Newton steps, margin -1.000e+00)")
+    record = info.value.solution.record()
+    assert (record["status"], record["notes"]) == ("undecided", [note, note])
 
 
 @pytest.mark.parametrize("keep_start, note", CENTRING_NOTES)

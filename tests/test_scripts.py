@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,6 +42,10 @@ def test_bench_script_writes_json(tmp_path):
     assert {"seconds", "newton_steps", "step_ms", "status", "g_star"} <= set(reference)
     assert reference["status"] == "feasible"
     assert 0.035 < reference["g_star"] < 0.045
+    # the largest condition number of Y_i^-1 - X_i that each rebuild inverted
+    for solve in (point, reference):
+        assert math.isfinite(solve["max_coupling_condition"])
+        assert solve["max_coupling_condition"] >= 1.0
     certification = doc["certification"]
     assert {"seconds", "newton_steps", "step_ms", "status", "g", "certified"} <= set(certification)
     assert (certification["status"], certification["certified"]) == ("feasible", True)
@@ -82,6 +87,20 @@ def test_bench_script_writes_json(tmp_path):
     # the stored triangle state and times alone take 248 B per sample
     assert 248 <= memory["peak_bytes_per_sample"] <= 700
     assert doc["demo"]["exit_code"] == 0 and doc["demo"]["seconds"] > 0
+
+
+def test_fixed_level_audit_certifies_every_design(tmp_path):
+    _run_script("audit.py", "--out", str(tmp_path / "audit.json"))
+    records = json.loads((tmp_path / "audit.json").read_text())
+    assert len(records) == 45
+    for r in records:
+        # feasible, augmented and certified by the design's own storage
+        assert r["status"] == "feasible" and r["storage_certified"] is True, r
+        assert 1.0 <= r["coupling_condition"] <= 1e10
+        # the coupled certificate rejects one loop, whose absorbing mode
+        # leaves a tight level
+        rejected = (r["case"], r["g"]) == ("absorbing-mode", 2.2)
+        assert r["coupled"]["certified"] is not rejected, r
 
 
 def test_bench_timed_records_budget_exhaustion(monkeypatch):
