@@ -21,7 +21,10 @@ simulate run whose moments overflow or lose dominance, with
 "simulation failed" on stderr and no file written), 2 infeasible
 or undecided synthesis, 3 input or usage error (a malformed document or
 value, an unknown option, a missing subcommand, a path that cannot be read
-or written).
+or written).  Every LMI solve has three outcomes (``lmi.LmiSolution``):
+``feasible``, ``infeasible-at-tolerance`` ("infeasible:" on stderr) and
+``undecided`` ("synthesis failed:" with the solve's notes, such as a spent
+Newton step budget); both of the latter exit 2.
 """
 
 from __future__ import annotations

@@ -380,7 +380,13 @@ def default_disturbance_family(n_w: int):
 
 @dataclass(frozen=True)
 class AttenuationEstimate:
-    """Empirical gain probe against the squared attenuation level."""
+    """Empirical gain probe against the squared attenuation level.
+
+    The certificate bounds the expected energy ratio over fault paths, not
+    the ratio of each path, so ``passed`` compares the largest per-probe
+    mean over paths, ``mean_ratio``, with g^2; ``max_ratio`` is the largest
+    single-path ratio, reported beside it.
+    """
 
     g: float
     labels: tuple
@@ -391,8 +397,12 @@ class AttenuationEstimate:
         return float(np.max(self.ratios))
 
     @property
+    def mean_ratio(self) -> float:
+        return float(np.max(np.mean(self.ratios, axis=0)))
+
+    @property
     def passed(self) -> bool:
-        return self.max_ratio < self.g * self.g
+        return self.mean_ratio < self.g * self.g
 
 
 def _segment_maps(m, q, h, n):

@@ -9,6 +9,13 @@ iterate achieves max_k lambda_max(M_k(v)) <= -EPS_STRICT.  ``EPS_STRICT``
 margin and the one budget of the program: every solve, and the closed-form
 design certificate of ``synthesis``, reads them here.
 
+Every solve ends with one of three outcomes (``LmiSolution.status``), which
+its callers only map to exceptions: ``feasible`` (a verified point),
+``infeasible-at-tolerance`` (the margin stopped rising) or ``undecided``
+(anything else, never counted as infeasible; de Klerk, Roos & Terlaky,
+Oper. Res. Lett. 20, 1997).  The barrier weight falls without a floor:
+``MAX_ITER`` is the only budget.
+
 A problem may also name a scalar variable to minimise (``LmiProblem.minimize``):
 once the margin exceeds EPS_STRICT, a second barrier phase freezes t at
 -EPS_STRICT and minimises that variable, so each of its iterates certifies.
@@ -318,12 +325,24 @@ class LmiSolution:
     coupled Lyapunov storage of ``analysis.coupled_mode_check``) reports 0
     iterations and t = -margin.  Reports of a solve use ``record()`` and
     ``summary()``.
+
+    ``status`` is one of three outcomes:
+
+    * ``feasible``: the verified margin is at least ``EPS_STRICT`` and, for
+      a problem with an objective, ``within`` accepts the returned value
+      against its lower bound;
+    * ``infeasible-at-tolerance``: two shift-phase rounds in a row stalled,
+      neither on a note;
+    * ``undecided``: anything else, never counted as infeasible.  Its notes
+      say why: the last one is "the Newton step budget ran out" when
+      ``MAX_ITER`` ended the solve, or names the verified margin when a
+      certified iterate fell short of ``EPS_STRICT`` on re-verification.
     """
 
     assignment: dict
     margin: float
     iterations: int
-    status: str  # feasible | infeasible-at-tolerance | undecided | max-iter
+    status: str  # feasible | infeasible-at-tolerance | undecided
     t_achieved: float
     constraint_margins: tuple
     notes: tuple = ()
@@ -450,6 +469,7 @@ def _materialise(problem: LmiProblem, layout: _Layout) -> _Oriented:
                 else:
                     g = fold_triangle(g.transpose(2, 3, 0, 1), *pairs).transpose(2, 0, 1)
                 g = sign * 0.5 * (g + g.transpose(0, 2, 1))
+                # skip exact zeros only: a zero rate's term adds no parameter
                 keep = np.flatnonzero(np.any(g != 0.0, axis=(1, 2)))
                 idx.append(layout.offsets[name] + keep)
                 mats.append(g[keep])
@@ -685,8 +705,12 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
     Two stalled shift-phase rounds in a row end a solve without a
     certificate: ``infeasible-at-tolerance``, or ``undecided`` when one of
     them ended on a note (no step could be taken).  ``MAX_ITER`` caps the
-    Newton steps of both phases; exhausting it without a certificate yields
-    status ``max-iter`` with the best iterate still attached.  Raises
+    Newton steps of both phases and is the solve's one budget; a solve it
+    ends without a verdict is ``undecided``, with the note "the Newton step
+    budget ran out" and the last iterate attached.  With an objective,
+    ``feasible`` also needs ``within`` to accept the returned value; a
+    verified point whose value it does not accept is ``undecided``, noted
+    "objective gap bound ... not within tolerance".  Raises
     ``ValueError`` unless every constraint's constant and coefficients are
     finite (the message names the first constraint that is not).
     """
@@ -701,13 +725,11 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
     x[-1] = max(float(np.linalg.eigvalsh(grp.const)[:, -1].max()) for grp in oriented.groups) + 1.0
 
     mu, first = _starting_weight(oriented, x)  # first: the first step's gradient and step
-    mu_min = 1e-11
     iterations = 0
     notes = []
     stall_rounds = 0
     noted = False  # a round of the current stall run ended on a _centre note
     margin_prev = -np.inf
-    settled = False  # progress on the margin has stopped or the schedule finished
     minimise = False  # the shift phase has handed over to the objective phase
 
     def certified(x):
@@ -721,7 +743,7 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
     if problem.objective is not None:
         stop = None  # the hand-off to the objective phase waits for a round end
 
-    while mu > mu_min:
+    while iterations < max_iter:
         x, steps, note, stopped = _centre(
             oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), first, stop
         )
@@ -738,26 +760,21 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
             break
         if t < _T_FLOOR:
             notes.append("shift unbounded below; any interior point certifies feasibility")
-            settled = True
             break
         # a round that could not step or did not raise the margin stalls;
-        # two in a row settle the solve, undecided if one could not step
+        # two in a row end the solve, undecided if one could not step
         if note or margin_now - margin_prev <= _PROGRESS_TOL * (1.0 + abs(t)):
             stall_rounds += 1
             noted = noted or note is not None
             if stall_rounds >= 2:
-                settled = True
                 break
         else:
             stall_rounds, noted = 0, False
         margin_prev = margin_now
-        if iterations >= max_iter:
-            break
         mu *= _MU_FACTOR
-    else:
-        settled = True  # barrier schedule ran to completion
 
     gap = None if problem.objective is None else np.inf
+    accepted = problem.objective is None  # within accepts the returned objective value
     shift_iterations = iterations
     if minimise:
         name, within = problem.objective
@@ -785,20 +802,23 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
         lower = x[obj] - gap
         x = next((r for r in rounds if within(r[obj], lower)), x)
         gap = float(x[obj] - lower)
-        if not within(x[obj], lower):
+        accepted = within(x[obj], lower)
+        if not accepted:
             notes.append(f"objective gap bound {gap:.3e} not within tolerance")
 
     assignment = layout.unpack(x[:-1])
     constraint_margins = _verified_margins(problem, assignment)
     margin = min(constraint_margins)
-    if margin >= eps_strict:
+    if margin >= eps_strict and accepted:
         status = "feasible"
-    elif settled and noted:
-        status = "undecided"
-    elif settled:
+    elif stall_rounds >= 2 and not noted:
         status = "infeasible-at-tolerance"
     else:
-        status = "max-iter"
+        status = "undecided"
+        if iterations >= max_iter:
+            notes.append("the Newton step budget ran out")
+        elif not notes:  # a certified iterate whose re-verified margin fell short
+            notes.append(f"verified margin {margin:.3e} below EPS_STRICT")
     return LmiSolution(
         assignment=assignment,
         margin=margin,

@@ -679,7 +679,7 @@ def test_synth_min_g_budget_exhausted(docs, capsys, monkeypatch):
     rc = main(["synth", "--plant", str(docs["plant"]), "--min-g", "--tol-g", "5e-3",
                "--out", str(out)])
     assert rc == 2
-    assert "not within tol_g" in capsys.readouterr().err
+    assert "not within tolerance" in capsys.readouterr().err
     assert not out.exists()
     # the budget ran out inside the objective phase
     assert [s.objective_iterations > 0 for s in solutions] == [True]

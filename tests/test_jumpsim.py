@@ -484,6 +484,20 @@ def test_scalar_attenuation_probe_reaches_hinf_norm():
     assert est.passed
 
 
+def test_probe_passes_on_the_mean_ratio_the_certificate_bounds():
+    # the certificate bounds the expected energy ratio over fault paths: one
+    # path above g^2 does not fail the probe while every probe's mean over
+    # the paths stays below it
+    est = jumpsim.AttenuationEstimate(g=1.0, labels=("a", "b"),
+                                      ratios=np.array([[1.2, 0.5], [0.6, 0.7]]))
+    assert est.max_ratio == 1.2 and est.mean_ratio == pytest.approx(0.9)
+    assert est.passed
+    # a probe whose mean over the paths reaches g^2 fails
+    est = jumpsim.AttenuationEstimate(g=1.0, labels=("a", "b"),
+                                      ratios=np.array([[1.2, 0.5], [0.8, 0.7]]))
+    assert est.mean_ratio == pytest.approx(1.0) and not est.passed
+
+
 def _first_path(loop, t_end, seed):
     """The first fault path of a probe with master seed ``seed``."""
     return sample_markov_path(loop.rates, t_end, seed=jumpsim.path_seed(seed, 0))

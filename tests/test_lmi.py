@@ -168,7 +168,8 @@ def test_first_certificate_stop_ends_at_the_first_certified_iterate(monkeypatch)
     assert sol.margin >= lmi.EPS_STRICT
     # one step fewer leaves the starting point, X = 0, which does not certify
     monkeypatch.setattr(lmi, "MAX_ITER", sol.iterations - 1)
-    assert lmi.solve_feasibility(problem).status == "max-iter"
+    short = lmi.solve_feasibility(problem)
+    assert short.status == "undecided" and short.notes == ("the Newton step budget ran out",)
 
 
 def test_every_verdict_reads_the_one_strictness_margin(monkeypatch):
@@ -873,10 +874,71 @@ def test_an_objective_phase_note_leaves_the_level_search_undecided(
     # the level search cannot place its level and raises, but never calls
     # the level infeasible
     _break_line_search(monkeypatch, True, keep_start)
-    with pytest.raises(synthesis.SynthesisError, match="not within tol_g") as info:
+    with pytest.raises(synthesis.SynthesisError, match="not within tolerance") as info:
         synthesis.min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
     assert not isinstance(info.value, synthesis.LmiInfeasibleError)
     record = info.value.solution.record()
     assert record["notes"] == [note, "objective gap bound inf not within tolerance"]
     assert record["objective_steps"] == (1 if keep_start else 0)
     assert record["gap"] is None
+
+
+def _problem_with(*, declare=(("X", 2, True),), constraints=()):
+    """A problem declaring ``declare`` (name, rows, symmetric) and adding each
+    (expression factory, sense) of ``constraints``."""
+    problem = lmi.LmiProblem()
+    for name, rows, symmetric in declare:
+        problem.add_variable(name, rows, symmetric=symmetric)
+    for make_expr, sense in constraints:
+        problem.add_constraint(make_expr(), sense)
+    return problem
+
+
+def _mismatched_term():
+    # a 3-row left factor on the 2x2 variable X inside a 3x3 expression
+    expr = lmi.AffineMatrixExpr(3)
+    expr.add_term("X", np.ones((3, 3)), np.ones((3, 3)))
+    return expr
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: lmi.symmetric_eigenvalues(np.ones((2, 3))), "need a square matrix",
+                 id="non-square eigenvalues"),
+    pytest.param(lambda: lmi.MatrixVariable("X", 0, 2), "variable dimensions must be positive",
+                 id="empty variable"),
+    pytest.param(lambda: lmi.MatrixVariable("X", 2, 3, symmetric=True),
+                 "symmetric variables must be square", id="rectangular symmetric"),
+    pytest.param(lambda: lmi.AffineMatrixExpr([2, 0]), "expression dimension must be positive",
+                 id="empty block"),
+    pytest.param(lambda: lmi.AffineMatrixExpr(2, np.eye(3)), "constant block has the wrong shape",
+                 id="constant shape"),
+    pytest.param(lambda: lmi.AffineMatrixExpr(2).add_constant(np.eye(3)),
+                 "constant block has the wrong shape", id="added constant shape"),
+    pytest.param(lambda: lmi.AffineMatrixExpr(2).add_term("X", np.eye(3)),
+                 "term coefficients must map into the expression dimension", id="term shape"),
+    pytest.param(lambda: lmi.LmiConstraint(lmi.AffineMatrixExpr(2), "leq"),
+                 "constraint sense must be 'neg' or 'pos'", id="unknown sense"),
+    pytest.param(lambda: _problem_with(declare=(("X", 2, True), ("X", 3, False))),
+                 "variable 'X' declared twice", id="duplicate variable"),
+    pytest.param(lambda: _problem_with().variable("Y"), "'Y'", id="unknown variable"),
+    pytest.param(lambda: _problem_with(constraints=((_mismatched_term, "neg"),)).validate(),
+                 "constraint 0: term on 'X' has inconsistent shapes", id="inconsistent term"),
+    pytest.param(lambda: lmi.solve_feasibility(_problem_with()), "problem has no constraints",
+                 id="no constraints"),
+])
+def test_problem_input_checks_name_the_defect(build, message):
+    with pytest.raises((ValueError, KeyError), match=message):
+        build()
+
+
+def test_a_certified_iterate_short_on_reverification_is_undecided_with_a_note(monkeypatch):
+    # the stop accepts an iterate whose slacks factor at t = -EPS_STRICT; if
+    # its eigensolved margin still falls short, the solve cannot decide, and
+    # says so rather than calling the point infeasible or the budget spent
+    verified = lmi._verified_margins
+    monkeypatch.setattr(lmi, "_verified_margins",
+                        lambda problem, assignment: tuple(
+                            m - 1.0 for m in verified(problem, assignment)))
+    sol = lmi.solve_feasibility(_between_zero_and_b_problem(_B))
+    assert (sol.status, sol.iterations) == ("undecided", 1)
+    assert sol.notes == (f"verified margin {sol.margin:.3e} below EPS_STRICT",)

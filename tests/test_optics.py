@@ -192,3 +192,39 @@ def test_mode_parameter_consistency_tables():
         e1, e2 = demo.REFERENCE_EXTRA_NOISE[i]
         assert e1[0, 0] ** 2 == pytest.approx(params["kappa2"], abs=1e-3)
         assert e2[0, 0] ** 2 == pytest.approx(params["kappa3"], abs=1e-3)
+
+
+def _realization(**changes):
+    """Valid optical parameters (kappa = kappa1 + kappa2 + kappa3), changed by
+    ``changes``."""
+    params = dict(kappa=6.0, kappa1=1.0, kappa2=2.0, kappa3=3.0, chi=0.5, kappa_prime=10.0,
+                  chi_prime=1.0)
+    return OpticalRealization(**{**params, **changes})
+
+
+def _diagonal_mode(e_out):
+    """A 2-state mode with D = [I 0], unit measurement gains, E_extra = I and
+    the first noise block ``e_out``."""
+    eye = np.eye(2)
+    return ControllerMode(-3.0 * eye, eye, -eye, np.eye(2, 4), np.hstack([e_out, eye]))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: _realization(kappa=7.0), "total decay 7.0 does not match mirror sum 6.0",
+                 id="decay sum"),
+    pytest.param(lambda: _realization(kappa=4.0, kappa1=-1.0), "kappa1 must be nonnegative",
+                 id="negative mirror"),
+    pytest.param(lambda: _realization(chi_prime=5.0),
+                 r"static squeezer pump must satisfy \|chi'\| < kappa'/2", id="squeezer pump"),
+    pytest.param(lambda: opo_plant(0.0, 1.0, [0.0], [[0.0]]),
+                 "mirror decay rates must be positive", id="mirror decay"),
+    pytest.param(lambda: realize_controller_optics(ControllerMode(
+        -np.eye(4), np.zeros((4, 2)), np.zeros((2, 4)), np.eye(2, 4), np.zeros((4, 4)))),
+                 "controller drift must be 2x2", id="drift size"),
+    pytest.param(lambda: realize_controller_optics(_diagonal_mode(np.diag([1.0, 2.0]))),
+                 "first noise block must be a scalar multiple of the identity",
+                 id="unequal output noise"),
+])
+def test_optics_input_checks_name_the_defect(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

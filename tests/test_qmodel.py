@@ -4,6 +4,7 @@ import pytest
 from qhinf import serialize
 from qhinf.qmodel import (
     J2,
+    ClosedLoop,
     Controller,
     ControllerMode,
     JumpPlant,
@@ -230,3 +231,53 @@ def test_plant_immutable():
     plant = _toy_plant()
     with pytest.raises(ValueError):
         plant.b1[0, 0] = 3.0
+
+
+def _plant(**changes):
+    """A two-state, two-mode plant with unit blocks, changed by ``changes``."""
+    eye = np.eye(2)
+    blocks = dict(a_modes=(-eye, -2.0 * eye), b1=eye, b2=eye, c1=eye, d1=-eye, c2=eye,
+                  d2=-eye, theta=make_commutation_matrix(2),
+                  rates=TransitionRateMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]])))
+    return JumpPlant(**{**blocks, **changes})
+
+
+def _mode(n_k=2, n_y=2, n_u=2, n_nu=0, **changes):
+    """A controller mode of the given dimensions with zero blocks and A = -I."""
+    blocks = dict(a=-np.eye(n_k), b=np.zeros((n_k, n_y)), c=np.zeros((n_u, n_k)),
+                  d=np.zeros((n_u, n_nu)), e=np.zeros((n_k, n_nu)))
+    return ControllerMode(**{**blocks, **changes})
+
+
+def _controller(*modes):
+    return Controller(modes, make_commutation_matrix(2))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: block_j(3), "block_j needs an even nonnegative dimension, got 3",
+                 id="odd block_j"),
+    pytest.param(lambda: _plant(a_modes=()), "need at least one mode", id="no plant mode"),
+    pytest.param(lambda: _plant(a_modes=(-np.eye(2), -np.eye(3))),
+                 r"A_2 has shape \(3, 3\), expected \(2, 2\)", id="drift shape"),
+    pytest.param(lambda: _plant(rates=TransitionRateMatrix(np.zeros((3, 3)))),
+                 "2 drift modes but rate matrix has 3", id="plant mode count"),
+    pytest.param(lambda: _mode(b=np.zeros((3, 2))),
+                 "controller mode blocks disagree on the state dimension", id="mode state"),
+    pytest.param(lambda: _mode(d=np.zeros((2, 1))), "controller feedthrough D must be n_u x n_nu",
+                 id="mode feedthrough"),
+    pytest.param(lambda: Controller((), make_commutation_matrix(2)),
+                 "need at least one controller mode", id="no controller mode"),
+    pytest.param(lambda: _controller(_mode(), _mode(n_y=4)),
+                 "controller mode 2 disagrees on b shape", id="controller mode shapes"),
+    pytest.param(lambda: _controller(_mode(n_nu=1)), "controller noise dimension must be even",
+                 id="odd noise dimension"),
+    pytest.param(lambda: ClosedLoop((), TransitionRateMatrix(np.zeros((1, 1)))),
+                 "closed-loop mode count disagrees with the rate matrix", id="loop mode count"),
+    pytest.param(lambda: assemble_closed_loop(_plant(), _controller(_mode(n_y=4), _mode(n_y=4))),
+                 "controller input dimension must match plant output y", id="controller input"),
+    pytest.param(lambda: assemble_closed_loop(_plant(), _controller(_mode(n_u=4), _mode(n_u=4))),
+                 "controller output dimension must match plant input u", id="controller output"),
+])
+def test_model_input_checks_name_the_defect(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

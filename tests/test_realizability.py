@@ -262,3 +262,27 @@ def test_moment_propagation_preserves_skew_part():
         k4 = rhs(k + h * k3)
         k = k + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     assert np.max(np.abs(k - theta)) <= 1e-8
+
+
+@pytest.mark.parametrize("check, message", [
+    pytest.param(lambda: cr_residual(np.eye(2), np.eye(2), np.eye(3), J2),
+                 "drift and commutation matrix must be square of equal size",
+                 id="commutation size"),
+    pytest.param(lambda: cr_residual(np.eye(2), np.eye(2), J2, np.eye(4)),
+                 "input matrix and noise skew part have inconsistent shapes", id="noise size"),
+    pytest.param(lambda: output_condition_residual(np.eye(2, 1), np.eye(2), J2),
+                 "input matrix has fewer columns than the output dimension", id="few inputs"),
+    pytest.param(lambda: output_condition_residual(np.eye(4, 2), np.eye(2), J2),
+                 "state dimensions disagree", id="state size"),
+    pytest.param(lambda: factor_skew_canonical(np.ones((2, 3))), "need a square matrix",
+                 id="non-square skew"),
+    pytest.param(lambda: factor_skew_canonical(np.eye(2)), "matrix is not skew-symmetric",
+                 id="not skew"),
+    pytest.param(lambda: augment_controller(
+        ControllerMode(-np.eye(2), np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((1, 0)),
+                       np.zeros((2, 0))), make_commutation_matrix(2)),
+                 "controller output dimension must be even", id="odd controller output"),
+])
+def test_realizability_input_checks_name_the_defect(check, message):
+    with pytest.raises(ValueError, match=message):
+        check()

@@ -163,3 +163,40 @@ def test_manifest_contents(tmp_path):
     assert str(src) in manifest["inputs"]
     assert str(out) in manifest["outputs"]
     assert manifest["inputs"][str(src)] == serialize.file_digest(src)
+
+
+def _reference_system_doc():
+    """The reference plant and controller as one document, and its rates."""
+    doc = system_to_doc(plant=demo.reference_plant(), controller=demo.reference_controller())
+    return json.loads(dumps_doc(doc)), parse_system_doc(doc)[2]
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def _read_text_as_doc(path, text):
+    path.write_text(text)
+    return serialize.read_doc(path)
+
+
+@pytest.mark.parametrize("read, message", [
+    pytest.param(lambda doc, rates, tmp: plant_from_doc([], rates),
+                 "plant: expected an object", id="plant not an object"),
+    pytest.param(lambda doc, rates, tmp: plant_from_doc({**doc["plant"], "A_modes": []}, rates),
+                 r"plant\.A_modes: expected a nonempty list", id="no drift modes"),
+    pytest.param(lambda doc, rates, tmp: plant_from_doc({**doc["plant"], "D1": [[1.0]]}, rates),
+                 r"plant: D1 has shape \(1, 1\), expected \(2, 2\)", id="plant block shape"),
+    pytest.param(lambda doc, rates, tmp: controller_from_doc(
+        _without(doc["controller"], "theta")),
+                 "controller: needs 'modes' and 'theta'", id="controller without theta"),
+    pytest.param(lambda doc, rates, tmp: controller_from_doc(
+        {**doc["controller"], "modes": [_without(doc["controller"]["modes"][0], "E")]}),
+                 r"controller\.modes\[0\]: missing keys \['E'\]", id="controller mode key"),
+    pytest.param(lambda doc, rates, tmp: _read_text_as_doc(tmp / "bad.json", "{"),
+                 "bad.json: invalid JSON", id="invalid JSON"),
+])
+def test_malformed_documents_are_named(read, message, tmp_path):
+    doc, rates = _reference_system_doc()
+    with pytest.raises(DocumentError, match=message):
+        read(doc, rates, tmp_path)
