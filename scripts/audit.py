@@ -10,11 +10,13 @@ absorbing, and the seeded jump plants of perfbench/plants.py.  For each, it
 runs ``synthesize(plant, g)`` and, when that gives a controller, augments it
 and certifies the augmented design twice: by the closed-form storage
 certificate ``certify_design`` and by ``verify_closed_loop`` (the coupled
-certificate, from the coupled Lyapunov storage or else the barrier solve).
-One line per case prints the synthesis verdict, its Newton steps and
-verified margin, the largest condition number of Y_i^-1 - X_i (which the
-rebuild inverts), the storage verdict and the coupled verdict with its route
-and Newton steps, and the synthesis seconds (one wall-clock run).
+certificate: the coupled Lyapunov storage, Kleinman steps on the coupled
+Riccati equations from it, or else the barrier solve).  One line per case
+prints the synthesis verdict, its Newton steps and verified margin, the
+largest condition number of Y_i^-1 - X_i (which the rebuild inverts), the
+storage verdict and the coupled verdict with its route and barrier Newton
+steps, and the synthesis seconds (one wall-clock run).  The summary line
+counts the coupled certificates per route (``ROUTES``).
 
 Each level search is a plant, a bracket [g_lo, g_hi] and a tolerance tol_g
 (``searches()``), run by ``min_attenuation``.  Its record holds the search
@@ -27,7 +29,8 @@ verified point below the claimed least level, so g* is not within tol_g of
 it.  The last line prints how many searches the oracle caught.
 
 With ``--out``, the records are also written as a JSON object with the
-lists ``fixed_level`` and ``searches``.  All run on one BLAS thread.
+lists ``fixed_level`` and ``searches`` and the fixed-level route counts
+``fixed_level_routes``.  All run on one BLAS thread.
 """
 
 import argparse
@@ -123,6 +126,19 @@ def audit(plant, g):
             "storage_certified": storage.certified, "storage_margin": storage.margin,
             "coupled": {"certified": coupled.attenuation_ok, "route": coupled.route,
                         **coupled.solution.record()}}
+
+
+ROUTES = ("lyapunov", "riccati", "barrier")  # the routes of a coupled certificate
+
+
+def route_counts(records):
+    """{route: how many of ``records`` the coupled certificate certified by
+    that route}, for every route of ROUTES."""
+    counts = dict.fromkeys(ROUTES, 0)
+    for r in records:
+        if r["coupled"] is not None and r["coupled"]["certified"]:
+            counts[r["coupled"]["route"]] += 1
+    return counts
 
 
 ORACLE_MIN_LEVEL = 0.02  # searches with g* at most this get no oracle solve
@@ -237,7 +253,9 @@ def main(argv=None):
         print(line(label, record), flush=True)
         records.append(record)
     total = sum(r["seconds"] for r in records)
-    print(f"{len(records)} cases, synthesis {total:.3f} s in all")
+    routes = route_counts(records)
+    print(f"{len(records)} cases, synthesis {total:.3f} s in all; coupled certificates by route: "
+          + ", ".join(f"{route} {count}" for route, count in routes.items()))
     search_records = []
     for label, make_plant, g_lo, g_hi, tol_g in searches():
         record = {"case": label, **search_audit(make_plant(), g_lo, g_hi, tol_g)}
@@ -249,7 +267,7 @@ def main(argv=None):
     print(f"oracle: {len(caught)} of {len(search_records)} searches have a certified design "
           f"at {ORACLE_FACTOR:g} g*, below their claimed least level")
     if args.out:
-        doc = {"fixed_level": records, "searches": search_records}
+        doc = {"fixed_level": records, "searches": search_records, "fixed_level_routes": routes}
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

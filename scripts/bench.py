@@ -11,9 +11,10 @@ controller, certifies its augmentation at 5.0 (the point's
 ``certification``, None without a controller); then times the reference
 ``min_attenuation(reference_plant(), 0.01, 1.0, tol_g=5e-3)`` and certifies
 its augmented controller at g*.  Each certification times both checks:
-``verify_closed_loop``, which certifies from the coupled Lyapunov storage or
-else by the coupled LMI's barrier solve and records which as ``route``
-(``lyapunov`` or ``barrier``), and the closed-form storage certificate
+``verify_closed_loop``, which certifies from the coupled Lyapunov storage,
+from Kleinman steps on the coupled Riccati equations or else by the coupled
+LMI's barrier solve and records which as ``route`` (``lyapunov``,
+``riccati`` or ``barrier``), and the closed-form storage certificate
 ``synthesis.certify_design`` that ``qhinf demo-paper`` and ``qhinf synth``
 use.  On the reference plant closed with
 ``reference_controller()`` it times one ``propagate_moments`` path (sin:0.5,

@@ -7,31 +7,34 @@ attenuation bound at once, so a single mode with an unstable drift does not
 by itself fail a jump loop, and a Hurwitz drift in every mode does not by
 itself pass one: no per-mode spectral test is made or reported.  Every
 verdict rests on that LMI and a primal point re-verified from its
-expressions.  Two routes search the point: the coupled Lyapunov storage in
-closed form, which certifies when the level is not tight, and the barrier
-solve, which decides every other loop and is the only source of an
-``infeasible`` verdict (Costa, Fragoso & Todorov, Continuous-Time Markov
-Jump Linear Systems, Springer 2013).
+expressions.  Three routes search the point, cheapest first: the coupled
+Lyapunov storage in closed form, which certifies when the level is not
+tight; Newton (Kleinman) steps from that storage on the coupled Riccati
+equations of the bounded real lemma, each one coupled Lyapunov solve; and
+the barrier solve, which decides every other loop and is the only source of
+an ``infeasible`` verdict (Costa, Fragoso & Todorov, Continuous-Time Markov
+Jump Linear Systems, Springer 2013; Kleinman, IEEE TAC 13(1), 1968).
 
-The Lyapunov route is kept for speed, not for its verdicts.  Of 50 loops
-(the 45 fixed-level designs of ``scripts/audit.py``, the tabulated
-controller at g = 1, 0.5, 0.2 and 0.17, and the reference level search's
-design), the 28 that take the route also certify by the barrier alone, in
-1-30 Newton steps (one each for the single-mode designs).  Without the
-route, ``demo-paper --quick`` was slower in 8 of 10 alternating pairs (a
-median 9 % per pair) and the scaled-design operation of perfbench faster in
-7 of 10 (6 %): each path wins on one workload, so both stay.
+The two closed-form routes are kept for speed, not for their verdicts.  Of
+the 45 fixed-level designs of ``scripts/audit.py``, 26 certify by the
+Lyapunov storage, 10 by one or two Kleinman steps and 8 by the barrier (one
+is rejected), and every one of the 36 closed-form certificates also
+certifies by the barrier alone.  The tabulated controller certifies by the
+Lyapunov storage at g = 1 and 0.5, by one Kleinman step at 0.2 and by the
+barrier at 0.17.  A Kleinman step costs one LU factorisation where the
+barrier takes tens of Newton steps: certifying the 8-state, 6-mode grid
+design of ``scripts/bench.py`` took 5.1 s by the barrier and takes 0.05 s.
 
 This module provides:
 
 * ``bounded_real_block``: mode i of the coupled bounded-real LMI without its
   level corner, shared by the certificate search and the synthesis LMIs,
 * ``coupled_problem``: the coupled bounded-real LMI of a ``ClosedLoop`` at a
-  level, posed once for both routes,
+  level, posed once for every route,
 * ``coupled_mode_check``: coupled per-mode certificates of a ``ClosedLoop``,
-  from the Lyapunov storage or else the barrier solve, returned as a
-  ``ClosedLoopReport`` that holds the solution itself (the P_i are
-  ``solution.assignment["P<i>"]``) and names the route,
+  from the Lyapunov storage, the Riccati storage or else the barrier solve,
+  returned as a ``ClosedLoopReport`` that holds the solution itself (the P_i
+  are ``solution.assignment["P<i>"]``) and names the route,
 * ``verify_closed_loop``: ``coupled_mode_check`` of the loop a plant and a
   controller assemble.
 """
@@ -61,9 +64,10 @@ class ClosedLoopReport:
     ``solution`` is the certifying solve: its status is the verdict, its
     assignment holds the storage matrices P_i, its margin the verified
     margin.  ``route`` names where the point came from: "lyapunov" (the
-    coupled Lyapunov storage, 0 Newton steps, t = -margin) or "barrier"
-    (the barrier solve, whose t is its final shift).  ``noise_offset`` is
-    None unless the loop certified.
+    coupled Lyapunov storage) or "riccati" (Kleinman steps on the coupled
+    Riccati equations), both with 0 barrier Newton steps and t = -margin,
+    or "barrier" (the barrier solve, whose t is its final shift).
+    ``noise_offset`` is None unless the loop certified.
     """
 
     g: float
@@ -77,12 +81,18 @@ class ClosedLoopReport:
     @property
     def route(self) -> str:
         """"lyapunov" when the coupled Lyapunov storage certified the loop,
+        "riccati" when a Newton step on the coupled Riccati equations did,
         else "barrier" (the barrier solve decided the verdict)."""
-        return "lyapunov" if LYAPUNOV_NOTE in self.solution.notes else "barrier"
+        notes = self.solution.notes
+        if LYAPUNOV_NOTE in notes:
+            return "lyapunov"
+        return "riccati" if any(note.startswith(RICCATI_NOTE) for note in notes) else "barrier"
 
 
-# The note of a certificate the coupled Lyapunov storage gave, with no Newton step
+# The notes of a certificate found with no barrier Newton step: the coupled
+# Lyapunov storage, or the coupled Riccati storage (followed by its steps)
 LYAPUNOV_NOTE = "coupled Lyapunov storage"
+RICCATI_NOTE = "coupled Riccati storage"
 
 
 def _check_level(g, name="g"):
@@ -144,38 +154,89 @@ def coupled_problem(loop: ClosedLoop, g) -> lmi.LmiProblem:
 _LYAPUNOV_WEIGHTS = np.logspace(-6, 6, 49)
 
 
-def _coupled_lyapunov(loop: ClosedLoop) -> np.ndarray:
-    """(P_C, P_I), stacked (2, N, n, n): the solutions of the coupled Lyapunov
-    equations A_i^T P_i + P_i A_i + sum_j pi_ij P_j = -Q_i with Q_i = C_i^T C_i
-    and Q_i = I.
+def _coupled_lyapunov(drifts, rates, rhs) -> np.ndarray:
+    """Solutions P of the coupled Lyapunov equations
+    a_i^T P_i + P_i a_i + sum_j pi_ij P_j = -Q_i, stacked (k, N, n, n), for
+    the drifts a_i (``drifts``, (N, n, n)), the rates pi (``rates``, (N, N))
+    and k right-hand sides Q_i (``rhs``, (k, N, n, n); only their upper
+    triangles are read).
 
-    The operator, ``lyapunov_operator`` of each A_i^T coupled by the rates,
+    The operator, ``lyapunov_operator`` of each a_i^T coupled by the rates,
     acts on the upper triangles of the symmetric P_i, so one LU factorisation
-    of an N n(n+1)/2 square system solves both right-hand sides.  Raises
+    of an N n(n+1)/2 square system solves every right-hand side.  Raises
     ``np.linalg.LinAlgError`` when the operator is singular.
     """
-    n, n_modes = loop.n, loop.n_modes
+    n_modes, n = drifts.shape[:2]
     rows, cols = np.triu_indices(n)
-    upper = lyapunov_operator(np.stack([m.a.T for m in loop.modes]), rows, cols)
+    upper = lyapunov_operator(drifts.swapaxes(-1, -2), rows, cols)
     size = rows.size
     operator = np.zeros((n_modes, size, n_modes, size))
     diagonal = np.arange(size)
-    operator[:, diagonal, :, diagonal] = loop.rates.pi  # sum_j pi_ij P_j
+    operator[:, diagonal, :, diagonal] = rates  # sum_j pi_ij P_j
     operator[np.arange(n_modes), :, np.arange(n_modes), :] += upper
-    rhs = np.empty((n_modes, size, 2))
-    rhs[:, :, 0] = [-(m.c.T @ m.c)[rows, cols] for m in loop.modes]
-    rhs[:, :, 1] = -np.eye(n)[rows, cols]
-    solution = np.linalg.solve(operator.reshape(n_modes * size, -1), rhs.reshape(-1, 2))
-    storage = np.empty((2, n_modes, n, n))
-    storage[..., rows, cols] = solution.T.reshape(2, n_modes, size)
+    k = len(rhs)
+    solution = np.linalg.solve(operator.reshape(n_modes * size, -1),
+                               -rhs[..., rows, cols].reshape(k, -1).T)
+    storage = np.empty((k, n_modes, n, n))
+    storage[..., rows, cols] = solution.T.reshape(k, n_modes, size)
     storage[..., cols, rows] = storage[..., rows, cols]
     return storage
 
 
+def _riccati_storage(loop: ClosedLoop, g, eps, p):
+    """Newton (Kleinman) steps on the coupled Riccati equations
+
+        A_i^T P_i + P_i A_i + sum_j pi_ij P_j + C_i^T C_i + eps I
+        + g^-2 P_i B1_i B1_i^T P_i = 0
+
+    from p (N, n, n), the coupled Lyapunov storage P_C + eps P_I, which is
+    the iteration's own iterate 0.  Each step is one ``_coupled_lyapunov``
+    solve with the drifts A_i + g^-2 B1_i B1_i^T P_i and the right-hand
+    sides C_i^T C_i + eps I - g^-2 P_i B1_i B1_i^T P_i at the last iterate
+    (Kleinman, IEEE TAC 13(1), 1968).  Each iterate's margin on
+    ``coupled_problem(loop, g)``, min_i of lambda_min(P_i) and -lambda_max
+    of mode i's bounded-real block, is predicted by one batched eigensolve
+    of the N matrices blockdiag(bounded-real block, -P_i).  Returns
+    (storage, steps) at the first iterate whose predicted margin reaches
+    ``lmi.EPS_STRICT``, or None when an iterate is not finite, when a step
+    does not raise the predicted margin, or after ``lmi.MAX_ITER`` steps.
+    Raises ``np.linalg.LinAlgError`` when a step's operator is singular.
+    """
+    n, n_w, gg = loop.n, loop.n_w, g * g
+    a = np.stack([m.a for m in loop.modes])
+    b1 = np.stack([m.b1 for m in loop.modes])
+    ctc = np.stack([m.c.T @ m.c for m in loop.modes])
+    blocks = np.zeros((loop.n_modes, 2 * n + n_w, 2 * n + n_w))
+    blocks[:, n:n + n_w, n:n + n_w] = -gg * np.eye(n_w)
+
+    def predicted_margin(p):
+        ap = a.swapaxes(-1, -2) @ p
+        coupling = np.einsum("ij,jkl->ikl", loop.rates.pi, p)  # sum_j pi_ij P_j
+        blocks[:, :n, :n] = ap + ap.swapaxes(-1, -2) + coupling + ctc
+        blocks[:, :n, n:n + n_w] = pb = p @ b1
+        blocks[:, n:n + n_w, :n] = pb.swapaxes(-1, -2)
+        blocks[:, n + n_w:, n + n_w:] = -p
+        return -float(np.linalg.eigvalsh(blocks)[:, -1].max())
+
+    q = ctc + eps * np.eye(n)
+    margin = predicted_margin(p)
+    for steps in range(1, lmi.MAX_ITER + 1):
+        gain = b1 @ (p @ b1).swapaxes(-1, -2) / gg  # g^-2 B1 B1^T P
+        p = _coupled_lyapunov(a + gain, loop.rates.pi, (q - p @ gain)[None])[0]
+        if not np.all(np.isfinite(p)):
+            return None
+        previous, margin = margin, predicted_margin(p)
+        if not margin > previous:
+            return None
+        if margin >= lmi.EPS_STRICT:
+            return p, steps
+    return None
+
+
 def _lyapunov_storage(loop: ClosedLoop, g, problem: lmi.LmiProblem) -> lmi.LmiSolution | None:
-    """The coupled Lyapunov storage of a loop as a verified certificate of
-    ``problem`` (``coupled_problem(loop, g)``), or None when it does not
-    certify.
+    """The coupled Lyapunov or Riccati storage of a loop as a verified
+    certificate of ``problem`` (``coupled_problem(loop, g)``), or None when
+    neither certifies.
 
     At P(eps) = P_C + eps P_I (``_coupled_lyapunov``) the (1, 1) block of
     mode i is exactly -eps I, so the block [[-eps I, P_i B_i], [B_i^T P_i,
@@ -183,34 +244,43 @@ def _lyapunov_storage(loop: ClosedLoop, g, problem: lmi.LmiProblem) -> lmi.LmiSo
     (-(eps + g^2) +- sqrt((eps - g^2)^2 + 4 s^2)) / 2.  One batched
     eigensolve of B_i^T P_i(eps)^2 B_i over ``_LYAPUNOV_WEIGHTS`` gives every
     block's margin; it is positive exactly when g^2 eps exceeds
-    lambda_max(B_i^T P_i(eps)^2 B_i).  The weight with the largest margin
-    over the modes is re-verified from the expressions, as the barrier's
-    final iterate is.  A singular or non-finite solve, or a margin below
-    ``lmi.EPS_STRICT`` (predicted or verified), returns None.
+    lambda_max(B_i^T P_i(eps)^2 B_i).  When the weight eps* with the largest
+    margin over the modes falls short of ``lmi.EPS_STRICT``, Newton steps on
+    the coupled Riccati equations with C_i^T C_i + eps* I start from
+    P(eps*) (``_riccati_storage``).  The storage found is re-verified from
+    the expressions, as the barrier's final iterate is.  A singular or
+    non-finite solve, or a margin below ``lmi.EPS_STRICT`` (predicted or
+    verified), returns None.
     """
     with np.errstate(all="ignore"):  # a singular or unstable loop only loses this route
         try:
-            p_c, p_i = _coupled_lyapunov(loop)
+            a = np.stack([m.a for m in loop.modes])
+            rhs = np.stack([[m.c.T @ m.c for m in loop.modes], [np.eye(loop.n)] * loop.n_modes])
+            p_c, p_i = _coupled_lyapunov(a, loop.rates.pi, rhs)
             if not (np.all(np.isfinite(p_c)) and np.all(np.isfinite(p_i))):
                 return None
             b1 = np.stack([m.b1 for m in loop.modes])
             pb = p_c @ b1 + _LYAPUNOV_WEIGHTS[:, None, None, None] * (p_i @ b1)
             top = np.linalg.eigvalsh(pb.swapaxes(-1, -2) @ pb)[..., -1].max(axis=1)
+            eps, gg = _LYAPUNOV_WEIGHTS, g * g
+            margins = 0.5 * (eps + gg - np.sqrt((eps - gg) ** 2 + 4.0 * top))
+            best = int(np.argmax(margins))
+            storage, note = p_c + eps[best] * p_i, LYAPUNOV_NOTE
+            if not margins[best] >= lmi.EPS_STRICT:
+                found = _riccati_storage(loop, g, eps[best], storage)
+                if found is None:
+                    return None
+                storage, steps = found
+                note = f"{RICCATI_NOTE} after {steps} Kleinman step{'s' if steps > 1 else ''}"
         except np.linalg.LinAlgError:
             return None
-        eps, gg = _LYAPUNOV_WEIGHTS, g * g
-        margins = 0.5 * (eps + gg - np.sqrt((eps - gg) ** 2 + 4.0 * top))
-        best = int(np.argmax(margins))
-        if not margins[best] >= lmi.EPS_STRICT:
-            return None
-        assignment = {f"P{i + 1}": p_c[i] + eps[best] * p_i[i] for i in range(loop.n_modes)}
+        assignment = {f"P{i + 1}": storage[i] for i in range(loop.n_modes)}
         verified = lmi._verified_margins(problem, assignment)
     margin = min(verified)
     if not margin >= lmi.EPS_STRICT:
         return None
     return lmi.LmiSolution(assignment=assignment, margin=margin, iterations=0, status="feasible",
-                           t_achieved=-margin, constraint_margins=verified,
-                           notes=(LYAPUNOV_NOTE,))
+                           t_achieved=-margin, constraint_margins=verified, notes=(note,))
 
 
 def coupled_mode_check(loop: ClosedLoop, g) -> ClosedLoopReport:
@@ -221,26 +291,33 @@ def coupled_mode_check(loop: ClosedLoop, g) -> ClosedLoopReport:
         + g^{-2} P_i B1_i B1_i^T P_i + C_i^T C_i < 0,
 
     posed once as ``coupled_problem`` (the LMI ``bounded_real_block`` with
-    corner -g^2 I, a Schur complement).  Two routes search the P_i, and any
-    P_i verified from the expressions with margin at least ``lmi.EPS_STRICT``
-    is a complete certificate:
+    corner -g^2 I, a Schur complement).  Three routes search the P_i, and
+    any P_i verified from the expressions with margin at least
+    ``lmi.EPS_STRICT`` is a complete certificate:
 
-    * the coupled Lyapunov storage first, in closed form (no Newton step;
-      ``_lyapunov_storage``), which certifies when the level is not tight;
+    * the coupled Lyapunov storage first, in closed form, which certifies
+      when the level is not tight;
+    * then Newton (Kleinman) steps from it on the coupled Riccati equations,
+      the inequality above with C_i^T C_i + eps I in place of C_i^T C_i and
+      equality, where eps is the Lyapunov storage's best weight
+      (``_lyapunov_storage``): each step is one coupled Lyapunov solve, and
+      the steps stop at the first iterate predicted to certify, or give up
+      at one that is singular, not finite, or no better than the last;
     * otherwise the barrier engine, ``lmi.solve_feasibility``: it stops at
       the first Newton iterate whose margin exceeds ``lmi.EPS_STRICT``
       rather than growing the margin further.
 
-    A ``feasible`` verdict needs a verified point on either route; an
+    A ``feasible`` verdict needs a verified point on some route; an
     ``infeasible`` or ``undecided`` one comes from the barrier alone.  The
     returned P_i, margin and noise offset are those of the certifying
-    point, not of a centred interior.  A Lyapunov certificate is an ``LmiSolution`` with 0
-    iterations, the note "coupled Lyapunov storage" and t = -margin.  The
-    noise offset is max_i tr(B1_i^T P_i B1_i) + tr(B2_i^T P_i B2_i).  The
-    certificate is the whole stability verdict: no per-mode Hurwitz test
-    enters or accompanies it, as one is neither necessary nor sufficient for
-    mean-square stability.  Raises ``ValueError`` unless g is positive and
-    g^2 finite.
+    point, not of a centred interior.  A closed-form certificate is an
+    ``LmiSolution`` with 0 iterations and t = -margin, noted "coupled
+    Lyapunov storage" or "coupled Riccati storage after k Kleinman
+    step(s)".  The noise offset is max_i tr(B1_i^T P_i B1_i) +
+    tr(B2_i^T P_i B2_i).  The certificate is the whole stability verdict:
+    no per-mode Hurwitz test enters or accompanies it, as one is neither
+    necessary nor sufficient for mean-square stability.  Raises
+    ``ValueError`` unless g is positive and g^2 finite.
     """
     problem = coupled_problem(loop, g)
     solution = _lyapunov_storage(loop, g, problem)

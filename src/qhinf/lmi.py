@@ -322,8 +322,8 @@ class LmiSolution:
     verdict is ``status``, which rests on ``margin``, not on t: a solve
     stopped at its first certified iterate can report t > 0 beside a
     verified margin > 0.  A point verified without a barrier solve (the
-    coupled Lyapunov storage of ``analysis.coupled_mode_check``) reports 0
-    iterations and t = -margin.  Reports of a solve use ``record()`` and
+    coupled Lyapunov or Riccati storage of ``analysis.coupled_mode_check``)
+    reports 0 iterations and t = -margin.  Reports of a solve use ``record()`` and
     ``summary()``.
 
     ``status`` is one of three outcomes:

@@ -117,14 +117,17 @@ class LmiInfeasibleError(SynthesisError):
         self.g = g
 
 
-def _require_feasible(g, solution):
-    """Map the solve's outcome at level g to an exception: ``LmiInfeasibleError``
-    for ``infeasible-at-tolerance`` and ``SynthesisError`` naming the solve's
-    notes for ``undecided``."""
+def _require_feasible(g, solution, searched=None):
+    """Map the solve's outcome to an exception: ``LmiInfeasibleError`` at
+    level g for ``infeasible-at-tolerance`` and ``SynthesisError`` naming
+    the solve's notes for ``undecided``.  That message names what the solve
+    searched: ``searched`` when given (a level search's bracket), else the
+    level g."""
     if solution.status == "infeasible-at-tolerance":
         raise LmiInfeasibleError(g, solution)
     if solution.status == "undecided":
-        raise SynthesisError(f"no verdict at g={g}: {'; '.join(dict.fromkeys(solution.notes))} "
+        raise SynthesisError(f"no verdict {searched or f'at g={g}'}: "
+                             f"{'; '.join(dict.fromkeys(solution.notes))} "
                              f"({solution.summary()})", solution)
 
 
@@ -244,18 +247,26 @@ def _congruenced_blocks(plant: JumpPlant, storage, i, f, l, m):
     xs, ys, y_invs = storage
     x, y, a = xs[i], ys[i], plant.a_modes[i]
     b1, b2, c1, d1, c2, d2 = plant.b1, plant.b2, plant.c1, plant.d1, plant.c2, plant.d2
-    eye_n = np.eye(plant.n)
+    n = plant.n
+    top, low = slice(None, n), slice(n, None)  # the 2 x 2 block rows and columns
     xa = x @ a
     c_pi = np.hstack([c1 @ y + d1 @ f, c1])  # C_cl Pi_i
-    s = np.block([[a @ y + b2 @ f, a], [xa @ y + l @ c2 @ y + x @ b2 @ f + m, xa + l @ c2]])
-    cross = np.block([[y, eye_n], [eye_n, x]])  # Pi_i^T P_i Pi_i
+    s = np.empty((2 * n, 2 * n))
+    s[top, top], s[top, low] = a @ y + b2 @ f, a
+    s[low, top], s[low, low] = xa @ y + l @ c2 @ y + x @ b2 @ f + m, xa + l @ c2
+    cross = np.empty((2 * n, 2 * n))  # Pi_i^T P_i Pi_i
+    cross[top, top], cross[low, low] = y, x
+    cross[top, low] = cross[low, top] = np.eye(n)
     h = s + s.T + c_pi.T @ c_pi
     for j, rate in enumerate(plant.rates.pi[i]):
         if j == i:
             h += rate * cross
         elif rate != 0.0:  # skip exact zeros only, as the LMI engine does
             yjy = y_invs[j] @ y
-            h += rate * np.block([[y @ yjy, yjy.T], [yjy, xs[j]]])
+            h[top, top] += rate * (y @ yjy)
+            h[top, low] += rate * yjy.T
+            h[low, top] += rate * yjy
+            h[low, low] += rate * xs[j]
     return h, np.vstack([b1, x @ b1 + l @ d2]), cross
 
 
@@ -375,7 +386,7 @@ def min_attenuation(plant: JumpPlant, g_lo: float, g_hi: float, tol_g: float = 1
 
     problem.minimize(GAMMA, within)
     solution = lmi.solve_feasibility(problem)
-    _require_feasible(g_hi, solution)
+    _require_feasible(g_hi, solution, f"in the bracket [{g_lo}, {g_hi}]")
     g_star = min(float(np.sqrt(solution.assignment[GAMMA][0, 0])) + half, g_hi)
     try:
         return g_star, _result(plant, g_star, solution)

@@ -224,19 +224,25 @@ def _plants_module():
     return plants
 
 
+def _random_design(seed, n, modes):
+    """(plant, augmented controller) of the synthesis at g = 5 of
+    ``random_plant(seed, n, modes, 0)``."""
+    plant = _plants_module().random_plant(seed, n, modes, 0)
+    return plant, realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
+
+
 @pytest.fixture(scope="module")
 def scaled_design():
     """(plant, augmented controller) of the synthesis at g = 5 of the seeded
     4-state, 3-mode random plant (the scripts/bench.py 4x3 grid point)."""
-    plant = _plants_module().random_plant(0, 4, 3, 0)
-    return plant, realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
+    return _random_design(0, 4, 3)
 
 
 def test_certification_of_scaled_random_design_stops_at_first_certificate(scaled_design,
                                                                           monkeypatch):
     # the coupled Lyapunov storage does not certify this design, whose
     # synthesis stopped at its third Newton iterate; the barrier's third
-    # Newton iterate does
+    # Newton iterate does (and so does one Kleinman step, below)
     plant, aug = scaled_design
     assert _certify_at_the_first_certified_iterate(plant, aug, 5.0, monkeypatch) == 3
 
@@ -285,12 +291,73 @@ def test_scaled_design_certifies_from_its_lyapunov_storage(coordinates, monkeypa
 def test_coupled_lyapunov_solves_both_equations():
     # A_i^T P_i + P_i A_i + sum_j pi_ij P_j = -Q_i for Q_i = C_i^T C_i and I
     loop = assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
+    drifts = np.stack([m.a for m in loop.modes])
+    rhs = np.stack([[m.c.T @ m.c for m in loop.modes], [np.eye(loop.n)] * loop.n_modes])
     for q, ps in zip((lambda m: m.c.T @ m.c, lambda m: np.eye(loop.n)),
-                     analysis._coupled_lyapunov(loop)):
+                     analysis._coupled_lyapunov(drifts, loop.rates.pi, rhs)):
         for i, m in enumerate(loop.modes):
             lhs = m.a.T @ ps[i] + ps[i] @ m.a + sum(r * p for r, p in zip(loop.rates.pi[i], ps))
             assert np.max(np.abs(lhs + q(m))) <= 1e-12 * (1.0 + np.max(np.abs(ps)))
             assert np.array_equal(ps[i], ps[i].T)
+
+
+@pytest.mark.parametrize("case", ["tabulated at 0.2", "random 0 4x3", "random 4 2x3",
+                                  "random 0 4x2"])
+def test_riccati_certificates_also_certify_by_the_barrier(case, scaled_design, monkeypatch):
+    # the Lyapunov storage of each loop falls short; one Kleinman step from
+    # it certifies, with no barrier solve, and the barrier alone certifies
+    # the same problem too
+    if case == "tabulated at 0.2":
+        plant, aug, g = demo.reference_plant(), demo.reference_controller(), 0.2
+    elif case == "random 0 4x3":
+        (plant, aug), g = scaled_design, 5.0
+    else:
+        seed, n, modes = (int(v) for v in case.replace("x", " ").split()[1:])
+        (plant, aug), g = _random_design(seed, n, modes), 5.0
+    loop = assemble_closed_loop(plant, aug)
+    problem = coupled_problem(loop, g)
+    with monkeypatch.context() as patch:
+        patch.setattr(lmi, "solve_feasibility", _no_barrier)
+        report = coupled_mode_check(loop, g)
+    solution = report.solution
+    assert report.route == "riccati" and report.attenuation_ok
+    assert solution.notes == ("coupled Riccati storage after 1 Kleinman step",)
+    assert (solution.iterations, solution.t_achieved) == (0, -solution.margin)
+    assert solution.constraint_margins == lmi._verified_margins(problem, solution.assignment)
+    assert solution.margin == min(solution.constraint_margins) >= lmi.EPS_STRICT
+    assert lmi.solve_feasibility(problem).feasible
+
+
+def test_riccati_steps_give_up_on_a_loop_that_is_not_mean_square_stable(monkeypatch):
+    # controller states with A_K = 0, fed back through B_K = C_K = I: the
+    # loop is not mean-square stable, the Kleinman steps give up without
+    # raising, and the barrier rejects the loop
+    eye = np.eye(2)
+    ctrl = Controller(tuple(ControllerMode(0.0 * eye, eye, eye, np.zeros((2, 0)),
+                                           np.zeros((2, 0))) for _ in range(3)),
+                      make_commutation_matrix(2))
+    loop = assemble_closed_loop(demo.reference_plant(), ctrl)
+    assert _mean_square_abscissa(loop) > 0
+    attempts, riccati = [], analysis._riccati_storage
+
+    def recording(*args):
+        attempts.append(riccati(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(analysis, "_riccati_storage", recording)
+    report = coupled_mode_check(loop, 5.0)
+    assert attempts == [None]
+    assert report.route == "barrier"
+    assert report.solution.status == "infeasible-at-tolerance"
+
+
+def test_tabulated_controller_at_a_tight_level_takes_the_barrier():
+    # at 0.17, near the loop's exact level 0.16628, neither closed-form
+    # storage certifies; the barrier does, in 31 Newton steps
+    loop = assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
+    report = coupled_mode_check(loop, 0.17)
+    assert report.route == "barrier" and report.attenuation_ok
+    assert report.solution.iterations == 31
 
 
 def test_reference_design_at_its_level_falls_back_to_the_barrier(reference_design):

@@ -109,6 +109,9 @@ def test_fixed_level_audit_certifies_every_design(monkeypatch):
         # leaves a tight level
         rejected = (r["case"], r["g"]) == ("absorbing-mode", 2.2)
         assert r["coupled"]["certified"] is not rejected, r
+    # ten loops that the Lyapunov storage misses certify after Kleinman
+    # steps on the coupled Riccati equations, with no barrier solve
+    assert audit.route_counts(records) == {"lyapunov": 26, "riccati": 10, "barrier": 8}
 
 
 # the level searches Tier-1 audits: every search of the reference, single-mode

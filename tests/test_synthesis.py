@@ -491,6 +491,17 @@ def test_min_attenuation_budget_exhausted_raises(monkeypatch):
     assert info.value.solution.margin >= lmi.EPS_STRICT
 
 
+def test_undecided_level_search_names_its_bracket(monkeypatch):
+    # a level search has no fixed level: its verified point sits near 0.04,
+    # so naming g_hi = 1.0 as the level without a verdict would mislead
+    monkeypatch.setattr(lmi, "MAX_ITER", 60)
+    with pytest.raises(SynthesisError, match=r"^no verdict in the bracket \[0\.01, 1\.0\]: "
+                                             r"objective gap bound .* not within tolerance") as info:
+        min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
+    assert "g=1.0" not in str(info.value)
+    assert info.value.solution.status == "undecided"
+
+
 def _unit_start(monkeypatch):
     # mu0 = 1: the fixed schedule's Newton path, which the equilibrated Newton
     # solve and the pre-solved first step must leave unchanged
