@@ -25,8 +25,14 @@ more, untimed, run of the same ``propagate_moments`` path at dt 1e-3
 (``MEMORY_DT``) under ``tracemalloc`` gives its peak traced bytes per
 sample.  Last, it runs
 ``cli.main(["demo-paper", "--quick", "--out-dir", <temporary dir>])`` in
-process, its printed report discarded.  Every other figure is one wall-clock
-run (``time.perf_counter``); all run on one BLAS thread.  Writes
+process, its printed report discarded.  Then, as ``startup``, it times
+fresh interpreters: ``import qhinf.cli``, and ``qhinf simulate --t-end 20``
+of the reference plant and controller on documents it writes, each the
+median wall time of 3 subprocess runs (``STARTUP_RUNS``), interpreter
+start included, with whether any run left ``scipy.linalg`` imported (none
+should: only barrier solves and augmentation need it).  Every other
+figure is one wall-clock run (``time.perf_counter``); all run on one BLAS
+thread.  Writes
 BENCH_<date>.json with, per solve, the seconds and milliseconds per Newton
 step beside the solve's ``LmiSolution.record()`` (status, Newton steps in all
 and per phase, verified margin, final shift t, objective gap, notes), for
@@ -36,7 +42,7 @@ Y_i^-1 - X_i that the controller rebuild inverted
 the coupled certification passed and by which route, the storage
 certificate's verdict, least margin and seconds, each simulation path's
 median seconds and run count, the propagation's peak traced bytes per
-sample, the demo's seconds and exit code, plus the
+sample, the demo's seconds and exit code, the start-up records, plus the
 numpy and scipy versions and the live BLAS thread count.
 The default grid leaves out (8, 6), which takes minutes.
 """
@@ -49,6 +55,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -56,10 +63,12 @@ import tracemalloc
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 DEFAULT_GRID = ("2x3", "4x3", "6x3", "8x3", "4x6")
 LEVEL = 5.0
 SIM_RUNS = 15
 MEMORY_DT = 1e-3
+STARTUP_RUNS = 3
 
 
 def grid_point(text):
@@ -136,6 +145,23 @@ def certify(plant, result, g, label):
                   storage_margin=storage.margin, storage_seconds=round(storage_seconds, 6))
 
 
+def startup(code, workdir):
+    """Median wall seconds of STARTUP_RUNS fresh interpreters that run
+    ``code`` after ``import sys``, and whether any left scipy.linalg imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = f"import sys\n{code}\nprint('scipy.linalg' in sys.modules)"
+    seconds, loaded = [], False
+    for _ in range(STARTUP_RUNS):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=workdir, check=True)
+        seconds.append(time.perf_counter() - t0)
+        loaded |= proc.stdout.splitlines()[-1] == "True"
+    return {"seconds": round(statistics.median(seconds), 4), "runs": STARTUP_RUNS,
+            "scipy_linalg": loaded}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--grid", nargs="+", type=grid_point,
@@ -153,7 +179,7 @@ def main(argv=None):
     from plants import random_plant
     from run import blas_info
 
-    from qhinf import analysis, cli, demo, jumpsim, synthesis
+    from qhinf import analysis, cli, demo, jumpsim, serialize, synthesis
 
     blas, blas_threads = blas_info(numpy)
     grid = []
@@ -225,6 +251,19 @@ def main(argv=None):
     end_to_end = {"seconds": round(seconds, 4), "exit_code": code}
     print(f"demo-paper --quick: {seconds:.3f} s, exit code {code}", flush=True)
 
+    with tempfile.TemporaryDirectory() as tmp:
+        system = Path(tmp) / "system.json"
+        serialize.write_doc(system, serialize.system_to_doc(
+            plant=demo.reference_plant(), controller=demo.reference_controller()))
+        simulate = ["simulate", "--system", str(system), "--t-end", "20",
+                    "--out", str(Path(tmp) / "report.txt")]
+        starts = {"import": startup("import qhinf.cli", tmp),
+                  "simulate": startup(f"from qhinf.cli import main\nassert main({simulate!r}) == 0",
+                                      tmp)}
+    for name, run in starts.items():
+        print(f"start-up {name}: {run['seconds']:.3f} s (median of {STARTUP_RUNS}), "
+              f"scipy.linalg loaded: {run['scipy_linalg']}", flush=True)
+
     doc = {
         "date": datetime.datetime.now().isoformat(timespec="seconds"),
         "python": platform.python_version(),
@@ -238,6 +277,7 @@ def main(argv=None):
         "certification": certification,
         "simulation": simulation,
         "demo": end_to_end,
+        "startup": starts,
     }
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / f"BENCH_{datetime.date.today().isoformat()}.json"

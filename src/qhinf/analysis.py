@@ -67,7 +67,11 @@ class ClosedLoopReport:
     coupled Lyapunov storage) or "riccati" (Kleinman steps on the coupled
     Riccati equations), both with 0 barrier Newton steps and t = -margin,
     or "barrier" (the barrier solve, whose t is its final shift).
-    ``noise_offset`` is None unless the loop certified.
+    ``noise_offset`` is None unless the loop certified; it is the bound
+    max_i tr(B1_i^T P_i B1_i) + tr(B2_i^T P_i B2_i) of whichever storage
+    certified, so it depends on the route, not only on the loop: the
+    tabulated controller at g = 0.2 reads 0.02278 from its Riccati storage
+    and 0.6327 from the barrier's P_i.
     """
 
     g: float
@@ -314,7 +318,10 @@ def coupled_mode_check(loop: ClosedLoop, g) -> ClosedLoopReport:
     ``LmiSolution`` with 0 iterations and t = -margin, noted "coupled
     Lyapunov storage" or "coupled Riccati storage after k Kleinman
     step(s)".  The noise offset is max_i tr(B1_i^T P_i B1_i) +
-    tr(B2_i^T P_i B2_i).  The certificate is the whole stability verdict:
+    tr(B2_i^T P_i B2_i) of those certifying P_i; any storage that
+    certifies bounds the noise term, so it is one valid constant, not the
+    least, and another route gives another (``ClosedLoopReport``).  The
+    certificate is the whole stability verdict:
     no per-mode Hurwitz test enters or accompanies it, as one is neither
     necessary nor sufficient for mean-square stability.  Raises
     ``ValueError`` unless g is positive and g^2 finite.

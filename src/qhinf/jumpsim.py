@@ -32,6 +32,16 @@ it integrates exactly on each fault segment with one batched block
 exponential (Van Loan, IEEE TAC 1978) for the whole disturbance family,
 scaled and doubled by the closed-loop drift of that segment; the full moment
 runs serve as its cross-check.
+
+Both take their exponentials from ``_expm``, a scaled-and-squared [13/13]
+Padé approximant in numpy (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005),
+batched over the probe's stack of 21 blocks where scipy.linalg.expm loops
+over a stack one slice at a time.  So simulating never imports
+scipy.linalg, which costs about 0.2 s of start-up: ``qhinf simulate
+--t-end 20`` took 0.55 s with it and takes 0.28 s (medians of 7 runs, one
+BLAS thread).  On the bundled loop ``_expm`` agrees with scipy.linalg.expm
+to 2.4e-13 relative on the probe's stacks, whose 1-norms reach 38, and to
+2.2e-16 on the propagation's generators.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .qmodel import ClosedLoop, as_rate_matrix, fold_triangle, lyapunov_operator
 
@@ -152,6 +161,67 @@ _DOMINANCE_TOL = 1e-8
 # Cap on t_end / dt in ``propagate_moments``: every sample is stored, so a
 # finer grid would exhaust memory before it ran.
 MAX_GRID_STEPS = 10**6
+
+
+# The [13/13] Padé approximant of e^x is (V + U) / (V - U), with
+# V = sum_j b_2j x^2j and U = sum_j b_2j+1 x^2j+1, accurate to the unit
+# roundoff for 1-norms up to _THETA13 (Higham, SIAM J. Matrix Anal. Appl.
+# 26(4), 2005, Table 2.3).  With the powers P = (I, X^2, X^4, X^6), the rows
+# of _PADE13_ROWS give U = X (X^6 (row 0 . P) + row 1 . P) and
+# V = X^6 (row 2 . P) + row 3 . P.
+_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+        33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE13_ROWS = np.array([[0.0, _B13[9], _B13[11], _B13[13]],
+                         [_B13[1], _B13[3], _B13[5], _B13[7]],
+                         [0.0, _B13[8], _B13[10], _B13[12]],
+                         [_B13[0], _B13[2], _B13[4], _B13[6]]])
+_THETA13 = 5.371920351148152
+
+
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def _expm(a):
+    """e^A of each matrix of the stack ``a`` (..., m, m), by scaling and squaring.
+
+    Each matrix is scaled by 2^-s, its own least s >= 0 with
+    ||A||_1 / 2^s <= theta_13; the [13/13] Padé approximant
+    r = (V - U)^-1 (V + U) of the scaled matrices is taken for the whole
+    stack at once, in six batched products, one product with the
+    coefficients and one batched solve; and each r is then squared s times
+    (Higham, 2005).  A matrix with a non-finite entry gives NaN, and overflow
+    in the squarings gives inf or NaN, without a warning: the callers test
+    their results for finiteness.  Entries that underflow become zero, also
+    without a warning.
+    """
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(-1, *a.shape[-2:])
+    k, m = x.shape[:2]
+    norms = np.abs(x).sum(axis=1).max(axis=1)
+    finite = np.isfinite(norms)
+    if not finite.all():
+        x = np.where(finite[:, None, None], x, 0.0)
+    big = finite & (norms > _THETA13)
+    s = np.zeros(k, dtype=int)
+    if big.any():
+        s[big] = np.ceil(np.log2(norms[big] / _THETA13))
+        x = x * np.ldexp(1.0, -s)[:, None, None]
+    powers = np.empty((4, k, m, m))
+    powers[0] = np.eye(m)
+    np.matmul(x, x, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    u_high, u_low, v_high, v_low = (_PADE13_ROWS @ powers.reshape(4, -1)).reshape(4, k, m, m)
+    u = x @ (powers[3] @ u_high + u_low)
+    v = powers[3] @ v_high + v_low
+    r = np.linalg.solve(v - u, v + u)
+    for j in range(s.max(initial=0)):
+        more = s > j
+        if more.all():
+            r = r @ r
+        else:
+            r[more] = r[more] @ r[more]
+    r[~finite] = np.nan
+    return r.reshape(a.shape)
 
 
 def _dominance_tolerance(q):
@@ -310,7 +380,7 @@ def propagate_moments(
             gen[k:k + kt, k:k + kt] = lyapunov_operator(m, rows, cols)
             gen[k:k + kt, -1] = noise[rows, cols]
             gen[k + kt, k:k + kt] = fold_triangle(c_gram, rows, cols)
-            phi = sla.expm(gen * ((t1 - t0) / count))
+            phi = _expm(gen * ((t1 - t0) / count))
             np.matmul(phi, states[:, first - 1], out=states[:, first])
             # columns first .. first + filled - 1 hold Phi^1 s .. Phi^filled s,
             # and phi is Phi^filled
@@ -423,7 +493,7 @@ def _segment_maps(m, q, h, n):
     block[:, :n_x, :n_x] = -np.swapaxes(m, 1, 2)
     block[:, :n_x, n_x:] = q
     block[:, n_x:, n_x:] = m
-    exp = sla.expm(block * (h / 2.0**s))
+    exp = _expm(block * (h / 2.0**s))
     phi = exp[:, n_x:, n_x:]
     gram = np.swapaxes(phi, 1, 2) @ exp[:, :n_x, n_x:]
     for _ in range(s):

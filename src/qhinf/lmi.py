@@ -27,10 +27,13 @@ Design notes:
 * Constraints are affine, so their coefficient matrices are materialised
   once, straight from the L V R terms: a term contributes L[:, i] (x) R[j, :]
   to the coefficient of V[i, j], which is the parameter itself for a full
-  variable.  A symmetric variable's parameter (r, c), r <= c, is both V[r, c]
-  and V[c, r], so ``qmodel.fold_triangle`` adds the two coefficients, a
-  gather and an add at the variable's ``np.triu_indices`` pairs, which the
-  layout computes once per variable.  No matrix product is involved, so
+  variable.  A term keeps L and R at its own block's size with the block's
+  row and column slices, and adds that outer product (and, in
+  ``AffineMatrixExpr.evaluate``, L V R) into its block only.  A symmetric
+  variable's parameter (r, c), r <= c, is both V[r, c] and V[c, r], so
+  ``qmodel.fold_triangle`` adds the two coefficients, a gather and an add
+  at the variable's ``np.triu_indices`` pairs, which the layout computes
+  once per variable.  No matrix product is involved, so
   materialising runs the same on any BLAS thread count.
 * The shift t is one more coordinate of x = (v, t), with coefficient -I in
   every block, so each slack is S_k = -(M_k(0) + sum_p x_p C_kp) and the
@@ -53,7 +56,13 @@ Design notes:
   (dpotrf on each slack, dtrtri for L^-1, both in place in the stack, and
   dposv for the SPD Newton system): on blocks of dimension <= 20 the
   numpy/scipy wrappers' per-call overhead, batched np.linalg included,
-  costs more than the arithmetic.
+  costs more than the arithmetic.  The three are looked up in
+  ``scipy.linalg.lapack`` when a solve runs, so importing this module does
+  not import scipy.linalg (about 0.2 s of start-up); the first barrier
+  solve does, and only commands that solve (``synth``, ``demo-paper``, an
+  ``analyze`` off the closed-form routes) pay for it.  numpy's Cholesky,
+  inverse and solve are no substitute: they round differently, so every
+  iterate would move, and on these small blocks they are slower.
 * The Newton system is equilibrated before its Cholesky solve: with
   D = diag(H) after the 1e-12 regulariser, dposv solves D^-1/2 H D^-1/2,
   whose diagonal is one, and the step is scaled back.  The parameters of
@@ -124,7 +133,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .qmodel import _maxabs, fold_triangle
 
@@ -179,10 +188,14 @@ class MatrixVariable:
 
 @dataclass(frozen=True)
 class _Term:
+    """L (V or V^T) R placed at the block rows x cols of its expression."""
+
     name: str
-    left: np.ndarray
-    right: np.ndarray
+    left: np.ndarray   # (rows block dimension, rows of V or V^T)
+    right: np.ndarray  # (columns of V or V^T, cols block dimension)
     transpose: bool
+    rows: slice
+    cols: slice
 
 
 class AffineMatrixExpr:
@@ -237,11 +250,8 @@ class AffineMatrixExpr:
         return self
 
     def _place(self, name, r, left, c, right, transpose):
-        padded_left = np.zeros((self.dim, left.shape[1]))
-        padded_left[self._block(r)] = left
-        padded_right = np.zeros((right.shape[0], self.dim))
-        padded_right[:, self._block(c)] = right
-        self.terms.append(_Term(name, padded_left, padded_right, transpose))
+        self.terms.append(_Term(name, np.array(left, order="C"), np.array(right, order="C"),
+                                transpose, self._block(r), self._block(c)))
 
     def evaluate(self, assignment: dict) -> np.ndarray:
         m = self.constant.copy()
@@ -249,7 +259,7 @@ class AffineMatrixExpr:
             v = np.asarray(assignment[t.name], dtype=float)
             if t.transpose:
                 v = v.T
-            m += t.left @ v @ t.right
+            m[t.rows, t.cols] += t.left @ v @ t.right
         return 0.5 * (m + m.T)
 
 
@@ -458,10 +468,13 @@ def _materialise(problem: LmiProblem, layout: _Layout) -> _Oriented:
             by_name = {}  # variable -> coefficients of its entries, (rows, cols, d, d)
             for t in c.expr.terms:
                 # outer[i, j] = L[:, i] (x) R[j, :], the coefficient of (V or V^T)[i, j]
+                # in the term's block
                 outer = t.left.T[:, None, :, None] * t.right[None, :, None, :]
                 if t.transpose:
                     outer = outer.transpose(1, 0, 2, 3)
-                by_name[t.name] = by_name.get(t.name, 0.0) + outer
+                if t.name not in by_name:
+                    by_name[t.name] = np.zeros((*outer.shape[:2], d, d))
+                by_name[t.name][:, :, t.rows, t.cols] += outer
             for name in sorted(by_name, key=layout.offsets.get):
                 g, pairs = by_name[name], layout.triangles[name]
                 if pairs is None:
@@ -489,13 +502,14 @@ def _materialise(problem: LmiProblem, layout: _Layout) -> _Oriented:
 def _slacks(oriented: _Oriented, x):
     """Per group, upper Cholesky factors R_j with R_j^T R_j = S_j at x = (v, t),
     stacked (m, d, d); None when some slack is not positive definite."""
+    dpotrf = scipy.linalg.lapack.dpotrf
     factors = []
     for grp in oriented.groups:
         s = grp.slacks(x)
         for member in s:
             # the transposed view is Fortran-ordered, so dpotrf works in place
             # and its lower factor L reads as R = L^T in the C-ordered stack
-            if lapack.dpotrf(member.T, lower=1, clean=1, overwrite_a=1)[1] != 0:
+            if dpotrf(member.T, lower=1, clean=1, overwrite_a=1)[1] != 0:
                 return None
         factors.append(s)
     return factors
@@ -509,13 +523,14 @@ def _barrier_value(factors, t, mu):
 def _newton_system(oriented: _Oriented, factors, mu):
     """Gradient and Hessian of t - mu sum_j logdet S_j over x = (v, t): with
     G_q = R^-T C_q R^-1, mu tr(G_q) (plus 1 on t) and mu <G_q, G_r>."""
+    dtrtri = scipy.linalg.lapack.dtrtri
     traces, grams = [], []
     for grp, r in zip(oriented.groups, factors):
         m, p, d = len(r), grp.idx.shape[1], grp.dim
         r_inv = r.copy()
         for member in r_inv:
             # in place as in _slacks: L^-1 in Fortran order reads as R^-1
-            lapack.dtrtri(member.T, lower=1, overwrite_c=1)
+            dtrtri(member.T, lower=1, overwrite_c=1)
         # W_q = C_q R^-1, then G_q = W_q^T R^-1 = R^-T C_q R^-1 as C_q is symmetric
         w = np.matmul(grp.coeffs.reshape(m, p * d, d), r_inv).reshape(m, p, d, d)
         w = np.ascontiguousarray(w.transpose(0, 1, 3, 2)).reshape(m, p * d, d)
@@ -569,7 +584,8 @@ def _newton_solve(hess, rhs):
     hess *= scale[:, None]
     hess *= scale
     rhs = rhs * scale[:, None]
-    out, info = lapack.dposv(hess, rhs, lower=1)[1:]  # hess is SPD: Gram matrices plus reg I
+    # hess is SPD: Gram matrices plus reg I
+    out, info = scipy.linalg.lapack.dposv(hess, rhs, lower=1)[1:]
     if info != 0:
         out = np.linalg.lstsq(hess, rhs, rcond=None)[0]
     return out * scale[:, None]

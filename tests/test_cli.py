@@ -710,6 +710,48 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# Snippets run after ``import qhinf.cli`` in a fresh interpreter, with the
+# ``docs`` paths in ``d``; each asserts its own outcome.  Only barrier solves
+# and augmentation's Schur factor need scipy.linalg; the synth run is the
+# control that shows the check can fail.
+_FAULT_SIM_CALLS = """
+from qhinf import analysis, demo, jumpsim
+plant, ctrl = demo.reference_plant(), demo.reference_controller()
+assert analysis.verify_closed_loop(plant, ctrl, 0.2).attenuation_ok
+loop = analysis.assemble_closed_loop(plant, ctrl)
+assert jumpsim.estimate_attenuation(loop, 0.2, t_end=40.0, n_paths=1).passed
+path = jumpsim.sample_markov_path(loop.rates, 20.0)
+n = loop.n
+jumpsim.propagate_moments(loop, path, None, np.zeros(n), np.eye(n), 0.05)
+"""
+
+
+@pytest.mark.parametrize("code, loads_linalg", [
+    ("pass", False),
+    ("assert main(['simulate', '--system', d['system'], '--t-end', '20', '--out', d['out']]) == 0",
+     False),
+    ("assert main(['check-pr', '--controller', d['ctrl'], '--tol', '5e-3', '--out', d['out']])"
+     " == 0", False),
+    ("assert main(['analyze', '--plant', d['plant'], '--controller', d['ctrl'], '--g', '0.5',"
+     " '--format', 'doc', '--out', d['out']]) == 0\n"
+     "assert json.load(open(d['out']))['coupled_notes'] == ['coupled Lyapunov storage']", False),
+    (_FAULT_SIM_CALLS, False),
+    ("assert main(['synth', '--plant', d['plant'], '--g', '0.05', '--out', d['out']]) == 0", True),
+], ids=["import", "simulate", "check-pr", "analyze", "fault-sim", "synth"])
+def test_start_up_leaves_scipy_linalg_unloaded(docs, tmp_path, code, loads_linalg):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    paths = {k: str(v) for k, v in docs.items()}
+    paths["out"] = str(tmp_path / "out.json")
+    script = (f"import json, sys\nimport numpy as np\nfrom qhinf.cli import main\n"
+              f"d = {paths!r}\n{code}\nprint('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_linalg)
+
+
 @pytest.fixture(scope="module")
 def demo_docs(tmp_path_factory):
     """``demo-paper --quick`` documents plus one system document joining the

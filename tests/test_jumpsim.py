@@ -592,3 +592,71 @@ def test_default_family_composition():
     assert omegas[0] == pytest.approx(1e-2) and omegas[-1] == pytest.approx(1e2)
     for d in fam:
         assert np.linalg.norm(d.direction) == pytest.approx(1.0)
+
+
+def _relative_errors(got, expected):
+    """max |got - expected| / max |expected| of each matrix of two stacks."""
+    return np.max(np.abs(got - expected), axis=(-2, -1)) / np.max(np.abs(expected), axis=(-2, -1))
+
+
+def test_expm_matches_scipy_on_the_demo_loop(monkeypatch):
+    # every exponential the probe (stacks of 21 Van Loan blocks) and the
+    # moment propagation (one generator per segment) take on the bundled loop
+    seen, expm = [], jumpsim._expm
+
+    def recording(a):
+        seen.append(np.array(a))
+        return expm(a)
+
+    monkeypatch.setattr(jumpsim, "_expm", recording)
+    loop = _reference_loop()
+    estimate_attenuation(loop, 0.2, t_end=120.0, n_paths=1, seed=3)
+    n_probe = len(seen)
+    path = sample_markov_path(loop.rates, 100.0, seed=3)
+    propagate_moments(loop, path, Disturbance("sin:0.5", np.eye(loop.n_w)[0], "sin", 0.5),
+                      np.zeros(loop.n), np.eye(loop.n), 0.05)
+    assert n_probe > 1 and len(seen) > n_probe + 1
+    assert {a.shape[0] for a in seen[:n_probe]} == {len(default_disturbance_family(loop.n_w))}
+    for a in seen:
+        assert np.max(_relative_errors(expm(a), sla.expm(a))) <= 1e-12
+
+
+def test_expm_matches_scipy_and_closed_forms_on_random_stacks():
+    rng = np.random.default_rng(0)
+    for norm in np.logspace(-3, 3, 13):
+        for m in (2, 3, 6, 12):
+            g = rng.standard_normal((8, m, m))
+            # shifted to spectral abscissa 0, as a closed-loop drift, so that
+            # e^A stays finite at every norm
+            a = g - np.max(np.linalg.eigvals(g).real, axis=1)[:, None, None] * np.eye(m)
+            a *= norm / np.max(np.sum(np.abs(a), axis=1), axis=1)[:, None, None]
+            # scipy's own error grows with the norm: a rotation by 500 rad
+            # already misses cos and sin by 5.6e-12
+            assert np.max(_relative_errors(jumpsim._expm(a), sla.expm(a))) <= 1e-12 * max(1.0, norm)
+            sym = 0.5 * (g + np.swapaxes(g, 1, 2))
+            sym -= np.linalg.eigvalsh(sym)[:, -1, None, None] * np.eye(m)
+            sym *= norm / np.max(np.sum(np.abs(sym), axis=1), axis=1)[:, None, None]
+            lam, q = np.linalg.eigh(sym)
+            with np.errstate(under="ignore"):
+                exact = (q * np.exp(lam)[:, None, :]) @ np.swapaxes(q, 1, 2)
+            assert np.max(_relative_errors(jumpsim._expm(sym), exact)) <= 1e-14 * max(1.0, norm)
+    w = np.logspace(-3, 3, 61)
+    rotation = np.zeros((w.size, 2, 2))
+    rotation[:, 0, 1], rotation[:, 1, 0] = w, -w
+    c, s = np.cos(w), np.sin(w)
+    exact = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
+    assert np.all(np.max(np.abs(jumpsim._expm(rotation) - exact), axis=(1, 2))
+                  <= 1e-15 * np.maximum(1.0, w))
+
+
+def test_expm_edge_cases():
+    assert jumpsim._expm(np.array([[2.0]]))[0, 0] == pytest.approx(np.exp(2.0), rel=1e-15)
+    assert np.max(np.abs(jumpsim._expm(np.zeros((3, 3))) - np.eye(3))) <= 2.3e-16
+    # a non-finite matrix gives NaN without a warning (warnings fail the
+    # suite) and leaves the rest of its stack alone
+    stack = np.stack([np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.diag([0.5, -0.5])])
+    out = jumpsim._expm(stack)
+    assert np.all(np.isnan(out[:2]))
+    assert np.max(np.abs(out[2] - np.diag(np.exp([0.5, -0.5])))) <= 1e-15
+    # overflow in the squarings is not finite either
+    assert not np.all(np.isfinite(jumpsim._expm(np.full((2, 2), 1e3))))

@@ -674,7 +674,7 @@ def test_newton_steps_match_dense_solve(monkeypatch):
     # at its rounding floor solves one system it does not step on, so each
     # round adds at most one solve to the steps
     calls, rounds = [], []
-    dposv, centre = lmi.lapack.dposv, lmi._centre
+    dposv, centre = sla.lapack.dposv, lmi._centre
 
     def recording(hess, rhs, **options):
         out = dposv(hess, rhs, **options)
@@ -685,7 +685,7 @@ def test_newton_steps_match_dense_solve(monkeypatch):
         rounds.append(args[2])
         return centre(*args, **kwargs)
 
-    monkeypatch.setattr(lmi.lapack, "dposv", recording)
+    monkeypatch.setattr(sla.lapack, "dposv", recording)
     monkeypatch.setattr(lmi, "_centre", counting)
     result = synthesis.synthesize(demo.reference_plant(), 0.05)
     steps = result.solution.iterations
@@ -800,13 +800,13 @@ def test_failed_cholesky_solves_give_the_same_verdict(monkeypatch):
     # from the least-squares fallback, and the reference synthesis still
     # certifies with the same steps
     expected = synthesis.synthesize(demo.reference_plant(), 0.05).solution
-    dposv = lmi.lapack.dposv
+    dposv = sla.lapack.dposv
 
     def failing(hess, rhs, **options):
         c, x, _ = dposv(hess, rhs, **options)
         return c, x, 1
 
-    monkeypatch.setattr(lmi.lapack, "dposv", failing)
+    monkeypatch.setattr(sla.lapack, "dposv", failing)
     solution = synthesis.synthesize(demo.reference_plant(), 0.05).solution
     assert (solution.status, solution.iterations) == ("feasible", expected.iterations)
     assert solution.margin == pytest.approx(expected.margin, rel=1e-6)

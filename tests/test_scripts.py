@@ -87,6 +87,11 @@ def test_bench_script_writes_json(tmp_path):
     # the stored triangle state and times alone take 248 B per sample
     assert 248 <= memory["peak_bytes_per_sample"] <= 700
     assert doc["demo"]["exit_code"] == 0 and doc["demo"]["seconds"] > 0
+    # fresh interpreters: neither the import nor a simulation loads scipy.linalg
+    startup = doc["startup"]
+    assert set(startup) == {"import", "simulate"}
+    for run in startup.values():
+        assert run["runs"] == 3 and run["seconds"] > 0 and run["scipy_linalg"] is False
 
 
 def _load_audit(monkeypatch):
