@@ -41,9 +41,9 @@ Y_i^-1 - X_i that the controller rebuild inverted
 (``max_coupling_condition``, None without a controller), whether
 the coupled certification passed and by which route, the storage
 certificate's verdict, least margin and seconds, each simulation path's
-median seconds and run count, the propagation's peak traced bytes per
-sample, the demo's seconds and exit code, the start-up records, plus the
-numpy and scipy versions and the live BLAS thread count.
+median seconds, run count and jump count, the propagation's peak traced
+bytes per sample, the demo's seconds and exit code, the start-up records,
+plus the numpy and scipy versions and the live BLAS thread count.
 The default grid leaves out (8, 6), which takes minutes.
 """
 
@@ -238,8 +238,9 @@ def main(argv=None):
                                                        round(peak / samples, 1)}}}
     probe_seconds, _ = median_seconds(
         lambda: jumpsim.estimate_attenuation(loop, 0.1, t_end=120.0, n_paths=1, seed=0))
+    probe_path = jumpsim.sample_markov_path(loop.rates, 120.0, seed=jumpsim.path_seed(0, 0))
     simulation["mean_probe"] = {"t_end": 120.0, "seconds": round(probe_seconds, 5),
-                                "runs": SIM_RUNS}
+                                "runs": SIM_RUNS, "jumps": len(probe_path.jump_times)}
     print(f"propagate_moments path: {seconds * 1e3:.2f} ms; mean-probe path: "
           f"{probe_seconds * 1e3:.2f} ms (medians of {SIM_RUNS} runs); propagation peak "
           f"{peak / samples:.1f} B per sample at dt {MEMORY_DT:g}", flush=True)

@@ -11,37 +11,38 @@ and the output energy integral accumulates Tr(C~^T C~ Q).  Each probe
 signal beta = d u_1 is the output of a waveform oscillator u' = W u, so
 with the oscillator stacked onto the state these equations are autonomous
 and linear between jumps (Costa, Fragoso & Todorov, *Continuous-Time Markov
-Jump Linear Systems*, 2013); ``propagate_moments`` advances them with one
-matrix exponential per fault segment, exactly, with no step size.  The
-second moment is symmetric, so it is carried on its upper triangle, the
-coordinates of ``qmodel.lyapunov_operator``, and is symmetric by
-construction when it is read out.  The whole trajectory is allocated once,
-one column per sample, and a segment's samples are filled in place by
-doubling, in a logarithmic number of matrix products rather than one Python
-step per grid point.  Every later pass over the samples runs with the sample
-index innermost: the finiteness test on the state, then the covariance
-screen, a column Cholesky factorisation, on an (n, n, T) stack of the second
-moments.  Moments that overflow raise ``ArithmeticError`` at the first
-non-finite sample.
+Jump Linear Systems*, 2013); ``propagate_moments`` advances them exactly,
+with no step size, from one generator per fault segment whose exponentials
+it takes in one call.  The second moment is symmetric, so it is carried on
+its upper triangle, the coordinates of ``qmodel.lyapunov_operator``, and is
+symmetric by construction when it is read out.  The whole trajectory is
+allocated once, one column per sample, and a segment's samples are filled
+in place by doubling, in a logarithmic number of matrix products rather
+than one Python step per grid point.  Every later pass over the samples
+runs with the sample index innermost: the finiteness test on the state,
+then the covariance screen, a column Cholesky factorisation, on an
+(n, n, T) stack of the second moments.  Moments that overflow raise
+``ArithmeticError`` at the first non-finite sample.
 
 ``estimate_attenuation`` probes the closed-loop gain with a finite family
 of disturbances, each run over the whole horizon t_end.  It is a
 falsification probe: it can reveal a gain above the certified level but can
 never prove a bound.  Its default path needs only the mean response, which
-it integrates exactly on each fault segment with one batched block
-exponential (Van Loan, IEEE TAC 1978) for the whole disturbance family,
-scaled and doubled by the closed-loop drift of that segment; the full moment
-runs serve as its cross-check.
+it integrates exactly on each fault segment with a block exponential (Van
+Loan, IEEE TAC 1978) for every disturbance of the family, scaled and doubled
+by the closed-loop drift of that segment; the blocks of all segments of a
+path are exponentiated in one call.  The full moment runs serve as its
+cross-check.
 
-Both take their exponentials from ``_expm``, a scaled-and-squared [13/13]
-Padé approximant in numpy (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005),
-batched over the probe's stack of 21 blocks where scipy.linalg.expm loops
-over a stack one slice at a time.  So simulating never imports
-scipy.linalg, which costs about 0.2 s of start-up: ``qhinf simulate
---t-end 20`` took 0.55 s with it and takes 0.28 s (medians of 7 runs, one
-BLAS thread).  On the bundled loop ``_expm`` agrees with scipy.linalg.expm
-to 2.4e-13 relative on the probe's stacks, whose 1-norms reach 38, and to
-2.2e-16 on the propagation's generators.
+Both take their exponentials from ``_expm``: scaling and squaring around a
+degree-18 Taylor polynomial evaluated by Paterson-Stockmeyer, in numpy,
+batched over a stack in matrix products alone, with no linear solve, where
+scipy.linalg.expm loops over a stack one slice at a time.  So simulating
+never imports scipy.linalg, which costs about 0.2 s of start-up: ``qhinf
+simulate --t-end 20`` took 0.55 s with it and takes 0.28 s (medians of 7
+runs, one BLAS thread).  On the bundled loop ``_expm`` agrees with
+scipy.linalg.expm to 2.4e-13 relative on the probe's stacks, whose 1-norms
+reach 38, and to 1.1e-16 on the propagation's generators.
 """
 
 from __future__ import annotations
@@ -163,20 +164,28 @@ _DOMINANCE_TOL = 1e-8
 MAX_GRID_STEPS = 10**6
 
 
-# The [13/13] Padé approximant of e^x is (V + U) / (V - U), with
-# V = sum_j b_2j x^2j and U = sum_j b_2j+1 x^2j+1, accurate to the unit
-# roundoff for 1-norms up to _THETA13 (Higham, SIAM J. Matrix Anal. Appl.
-# 26(4), 2005, Table 2.3).  With the powers P = (I, X^2, X^4, X^6), the rows
-# of _PADE13_ROWS give U = X (X^6 (row 0 . P) + row 1 . P) and
-# V = X^6 (row 2 . P) + row 3 . P.
-_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-        33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_PADE13_ROWS = np.array([[0.0, _B13[9], _B13[11], _B13[13]],
-                         [_B13[1], _B13[3], _B13[5], _B13[7]],
-                         [0.0, _B13[8], _B13[10], _B13[12]],
-                         [_B13[0], _B13[2], _B13[4], _B13[6]]])
-_THETA13 = 5.371920351148152
+# The degree-18 Taylor polynomial of e^x in Paterson-Stockmeyer form,
+# sum_j X^4j (row j . P) with P = (I, X, X^2, X^3): row j holds 1/k! for
+# k = 4j .. 4j + 3, up to k = 18 (Paterson & Stockmeyer, SIAM J. Comput.
+# 2(1), 1973; Bader, Blanes & Casas, Mathematics 7(12), 2019).  At
+# ||X||_1 <= 1 its tail sum_{k >= 19} 1/k! ~ 8.7e-18 is below a quarter of
+# the unit roundoff relative to ||e^X|| >= e^-1.
+_TAYLOR18_ROWS = np.append(1.0 / np.cumprod(np.r_[1.0, 1.0:19.0]), 0.0).reshape(5, 4)
+
+
+def _halvings(norms):
+    """Least s >= 0 with norms / 2^s <= 1, exactly, for each norm; 0 where a
+    norm is not finite."""
+    # norm = mantissa 2^e with the mantissa in [1/2, 1); inf and NaN give e = 0
+    mantissa, e = np.frexp(norms)
+    e -= mantissa == 0.5
+    return np.maximum(e, 0, out=e)
+
+
+def _squaring_runs(s):
+    """For each squaring j < max(s), how many of the counts ``s`` exceed j:
+    on a stack sorted by descending s, the leading run that still squares."""
+    return (len(s) - np.cumsum(np.bincount(s)))[:-1]
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
@@ -184,43 +193,51 @@ def _expm(a):
     """e^A of each matrix of the stack ``a`` (..., m, m), by scaling and squaring.
 
     Each matrix is scaled by 2^-s, its own least s >= 0 with
-    ||A||_1 / 2^s <= theta_13; the [13/13] Padé approximant
-    r = (V - U)^-1 (V + U) of the scaled matrices is taken for the whole
-    stack at once, in six batched products, one product with the
-    coefficients and one batched solve; and each r is then squared s times
-    (Higham, 2005).  A matrix with a non-finite entry gives NaN, and overflow
-    in the squarings gives inf or NaN, without a warning: the callers test
-    their results for finiteness.  Entries that underflow become zero, also
-    without a warning.
+    ||A||_1 / 2^s <= 1, and the degree-18 Taylor polynomial of the scaled
+    matrices is taken for the whole stack at once by Paterson-Stockmeyer:
+    X^2, X^3 and X^4, one product with the coefficients, then four Horner
+    steps in X^4, seven batched products in all and no linear solve.  Each
+    result is then squared s times, on the stack sorted by s, so that every
+    squaring is one product on a leading run of it.  A matrix with a
+    non-finite entry gives NaN, and overflow in the squarings gives inf or
+    NaN, without a warning: the callers test their results for finiteness.
+    Entries that underflow become zero, also without a warning.
     """
     a = np.asarray(a, dtype=float)
     x = a.reshape(-1, *a.shape[-2:])
     k, m = x.shape[:2]
     norms = np.abs(x).sum(axis=1).max(axis=1)
     finite = np.isfinite(norms)
-    if not finite.all():
-        x = np.where(finite[:, None, None], x, 0.0)
-    big = finite & (norms > _THETA13)
-    s = np.zeros(k, dtype=int)
-    if big.any():
-        s[big] = np.ceil(np.log2(norms[big] / _THETA13))
-        x = x * np.ldexp(1.0, -s)[:, None, None]
-    powers = np.empty((4, k, m, m))
-    powers[0] = np.eye(m)
-    np.matmul(x, x, out=powers[1])
-    np.matmul(powers[1], powers[1], out=powers[2])
-    np.matmul(powers[2], powers[1], out=powers[3])
-    u_high, u_low, v_high, v_low = (_PADE13_ROWS @ powers.reshape(4, -1)).reshape(4, k, m, m)
-    u = x @ (powers[3] @ u_high + u_low)
-    v = powers[3] @ v_high + v_low
-    r = np.linalg.solve(v - u, v + u)
-    for j in range(s.max(initial=0)):
-        more = s > j
-        if more.all():
-            r = r @ r
-        else:
-            r[more] = r[more] @ r[more]
-    r[~finite] = np.nan
+    all_finite = finite.all()
+    s = _halvings(norms)
+    order = None
+    if k and s.min() != s.max():
+        order = np.argsort(-s, kind="stable")
+        x, s, finite = x[order], s[order], finite[order]
+    # powers[i] = X^(i + 1) of the scaled matrices
+    powers = np.empty((3, k, m, m))
+    np.multiply(x, np.ldexp(1.0, -s)[:, None, None], out=powers[0])
+    if not all_finite:
+        powers[0, ~finite] = 0.0
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    x4 = powers[1] @ powers[1]
+    # terms[j] = row j . (I, X, X^2, X^3), the identity's share on the diagonal
+    terms = (_TAYLOR18_ROWS[:, 1:] @ powers.reshape(3, -1)).reshape(5, k, m, m)
+    terms.reshape(5, k, -1)[..., ::m + 1] += _TAYLOR18_ROWS[:, :1, None]
+    product = np.empty_like(x4)
+    for j in (3, 2, 1, 0):
+        np.matmul(terms[j + 1], x4, out=product)
+        terms[j] += product
+    r = terms[0]
+    for run in _squaring_runs(s):
+        np.matmul(r[:run], r[:run], out=product[:run])
+        r[:run] = product[:run]
+    if not all_finite:
+        r[~finite] = np.nan
+    if order is not None:
+        product[order] = r
+        r = product
     return r.reshape(a.shape)
 
 
@@ -282,27 +299,30 @@ def propagate_moments(
     are in canonical vacuum, with identity covariance.  The state z = (eta, u)
     stacks the closed-loop state with its disturbance's waveform oscillator,
     so that z' = M z and Z = E[z z^T] obeys Z' = M Z + Z M^T + N.  Together
-    with the energy integrals this is one autonomous linear ODE per mode,
-    whose exponential Phi over one grid step of a segment is taken once; the
-    grid splits each segment into ceil(span / dt) equal steps and only sets
-    where the trajectory is sampled.  The state is s = (z, the upper
-    triangle of Z, output energy, input energy, 1), k + k(k+1)/2 + 3 rows
-    for k = n + 2; its generator is block diagonal between z and the rest,
-    with ``qmodel.lyapunov_operator`` of M as its triangle block.  Both
-    blocks still advance in one product per pass: on these grids a second
-    product per pass costs more than the zero blocks it would skip.  The
-    samples s_j = Phi^j s_0 of a segment are filled by doubling: with
-    s_1 .. s_f known and Phi^f at hand, one product with Phi^f gives
-    s_{f+1} .. s_{2f}, and Phi^f is then squared, so a segment of N steps
-    costs ceil(log2 N) matrix products.  The segment step counts are known
-    from the path, so the whole trajectory is allocated once, one column per
-    sample, and each product writes its columns in place.  ``ValueError`` is
-    raised before any allocation when t_end / dt exceeds ``MAX_GRID_STEPS``
-    or the path visits a mode label above the loop's mode count.
+    with the energy integrals this is one autonomous linear ODE per mode.
+    The generators of all modes are built in one vectorised pass, and the
+    exponentials Phi over one grid step of every segment are taken in one
+    ``_expm`` call; the grid splits each segment into ceil(span / dt) equal
+    steps and only sets where the trajectory is sampled.  The state is
+    s = (z, the upper triangle of Z, output energy, input energy, 1),
+    k + k(k+1)/2 + 3 rows for k = n + 2; its generator is block diagonal
+    between z and the rest, with ``qmodel.lyapunov_operator`` of M as its
+    triangle block.  Both blocks still advance in one product per pass: on
+    these grids a second product per pass costs more than the zero blocks
+    it would skip.  The samples s_j = Phi^j s_0 of a segment are filled by
+    doubling: with s_1 .. s_f known and Phi^f at hand, one product with
+    Phi^f gives s_{f+1} .. s_{2f}, and Phi^f is then squared, so a segment
+    of N steps costs ceil(log2 N) matrix products.  The segment step counts
+    are known from the path, so the whole trajectory is allocated once, one
+    column per sample, and each product writes its columns in place.
+    ``ValueError`` is raised before any allocation when t_end / dt exceeds
+    ``MAX_GRID_STEPS`` or the path visits a mode label above the loop's
+    mode count.
 
     The returned fields have the sample index first; the mean and the
     energies are views of that storage, and the second moment a view of an
-    (n, n, T) stack filled from the triangle, so it is exactly symmetric.
+    (n, n, T) stack gathered from the triangle through a (k, k) map of each
+    entry's coordinate, so it is exactly symmetric.
     The initial moments must be finite, and q0 symmetric to
     1e-12 (1 + max |q0|), as only its upper triangle is read.  Overflow
     warnings are silenced during the propagation, and ``ArithmeticError``
@@ -347,16 +367,25 @@ def propagate_moments(
     (osc,), (u,) = _oscillators([beta])
 
     # s = (z, the upper triangle of Z, output energy, input energy, 1), one
-    # column per sample
+    # column per sample, and s' = G s with one generator G per mode
     k = n + 2
     rows, cols = np.triu_indices(k)
     kt = rows.size
-    gen = np.zeros((k + kt + 3, k + kt + 3))
-    gen[k + kt + 1, k + np.flatnonzero(rows == cols)[n]] = direction @ direction  # |d|^2 u_1^2
-    m = np.zeros((k, k))
-    m[n:, n:] = osc
-    noise = np.zeros((k, k))
-    c_gram = np.zeros((k, k))
+    modes = closed_loop.modes
+    m = np.zeros((len(modes), k, k))
+    m[:, :n, :n] = np.stack([mode.a for mode in modes])
+    m[:, :n, n] = np.stack([mode.b1 @ direction for mode in modes])
+    m[:, n:, n:] = osc
+    noise = np.zeros((len(modes), k, k))
+    noise[:, :n, :n] = np.stack([mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T for mode in modes])
+    c_gram = np.zeros((len(modes), k, k))
+    c_gram[:, :n, :n] = np.stack([mode.c.T @ mode.c for mode in modes])
+    gen = np.zeros((len(modes), k + kt + 3, k + kt + 3))
+    gen[:, :k, :k] = m
+    gen[:, k:k + kt, k:k + kt] = lyapunov_operator(m, rows, cols)
+    gen[:, k:k + kt, -1] = noise[:, rows, cols]
+    gen[:, k + kt, k:k + kt] = fold_triangle(c_gram, rows, cols)
+    gen[:, k + kt + 1, k + np.flatnonzero(rows == cols)[n]] = direction @ direction  # |d|^2 u_1^2
 
     segments = list(path.segments())
     steps = [max(1, int(np.ceil((t1 - t0) / dt))) for t0, t1, _ in segments]
@@ -368,19 +397,12 @@ def propagate_moments(
     zz = np.outer(z, z)
     zz[:n, :n] = q
     states[:, 0] = np.concatenate([z, zz[rows, cols], [0.0, 0.0, 1.0]])
+    # the transition Phi over one grid step of every segment
+    grid_steps = np.array([(t1 - t0) / count for (t0, t1, _), count in zip(segments, steps)])
+    phis = _expm(gen[[mode_idx for _, _, mode_idx in segments]] * grid_steps[:, None, None])
     first = 1  # column of the segment's first sample
     with np.errstate(over="ignore", invalid="ignore"):
-        for (t0, t1, mode_idx), count in zip(segments, steps):
-            mode = closed_loop.modes[mode_idx]
-            m[:n, :n] = mode.a
-            m[:n, n] = mode.b1 @ direction
-            noise[:n, :n] = mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T
-            c_gram[:n, :n] = mode.c.T @ mode.c
-            gen[:k, :k] = m
-            gen[k:k + kt, k:k + kt] = lyapunov_operator(m, rows, cols)
-            gen[k:k + kt, -1] = noise[rows, cols]
-            gen[k + kt, k:k + kt] = fold_triangle(c_gram, rows, cols)
-            phi = _expm(gen * ((t1 - t0) / count))
+        for (t0, t1, _), count, phi in zip(segments, steps, phis):
             np.matmul(phi, states[:, first - 1], out=states[:, first])
             # columns first .. first + filled - 1 hold Phi^1 s .. Phi^filled s,
             # and phi is Phi^filled
@@ -399,10 +421,10 @@ def propagate_moments(
         bad = ~np.all(np.isfinite(states), axis=0)
         raise ArithmeticError(f"moments are not finite from t = {times[np.argmax(bad)]:.6g}")
     mean = states[:n]
-    # Z[:n, :n] as (n, n, T): its upper triangle is the coordinates with c < n
-    inner = cols < n
-    q = np.empty((n, n, total))
-    q[rows[inner], cols[inner]] = q[cols[inner], rows[inner]] = states[k:k + kt][inner]
+    # Z[:n, :n] as (n, n, T), gathered through each entry's triangle coordinate
+    coordinate = np.empty((k, k), dtype=int)
+    coordinate[rows, cols] = coordinate[cols, rows] = np.arange(kt)
+    q = states[k + coordinate[:n, :n]]
     if validate:
         _screen_dominance(q, mean)
     return MomentTrajectory(times, mean.T, np.moveaxis(q, 2, 0), states[k + kt],
@@ -431,20 +453,30 @@ N_FREQ = 20
 W_LO, W_HI = 1e-2, 1e2
 
 
+# default_disturbance_family's result for each n_w, built on first use
+_FAMILIES: dict = {}
+
+
 def default_disturbance_family(n_w: int):
     """N_FREQ sinusoids on a log-spaced grid over [W_LO, W_HI] plus one step
-    input.
+    input, as a tuple.
 
     Sinusoid directions cycle through the disturbance channels; the step is
-    spread evenly over all channels.
+    spread evenly over all channels.  The family is built once for each
+    n_w and shared, so its direction arrays are read-only.
     """
-    family = []
-    for k, omega in enumerate(np.logspace(np.log10(W_LO), np.log10(W_HI), N_FREQ)):
-        direction = np.zeros(n_w)
-        direction[k % n_w] = 1.0
-        family.append(Disturbance(f"sin:{omega:.4g}", direction, "sin", float(omega)))
-    step_dir = np.ones(n_w) / np.sqrt(n_w)
-    family.append(Disturbance("step", step_dir, "step"))
+    family = _FAMILIES.get(n_w)
+    if family is None:
+        family = []
+        for k, omega in enumerate(np.logspace(np.log10(W_LO), np.log10(W_HI), N_FREQ)):
+            direction = np.zeros(n_w)
+            direction[k % n_w] = 1.0
+            direction.setflags(write=False)
+            family.append(Disturbance(f"sin:{omega:.4g}", direction, "sin", float(omega)))
+        step_dir = np.ones(n_w) / np.sqrt(n_w)
+        step_dir.setflags(write=False)
+        family.append(Disturbance("step", step_dir, "step"))
+        family = _FAMILIES[n_w] = tuple(family)
     return family
 
 
@@ -476,30 +508,37 @@ class AttenuationEstimate:
 
 
 def _segment_maps(m, q, h, n):
-    """Transitions e^{M h} and output Gramians int_0^h e^{M^T s} Q e^{M s} ds.
+    """Transitions e^{M h} and output Gramians int_0^h e^{M^T s} Q e^{M s} ds
+    of every fault segment of a path.
 
-    ``m`` stacks one drift per probe, all over the segment's duration ``h``
-    and all sharing the closed-loop block A_i = m[:, :n, :n].  Van Loan's
-    block exponential is taken at h / 2^s with ||A_i||_1 h / 2^s <= 1 and
-    then doubled s times, W <- W + Phi^T W Phi and Phi <- Phi^2: a single
-    block exponential over a holding time of tens of seconds overflows in
-    its e^{-M^T h} block.  The waveform blocks are rotations, which cannot
-    overflow, so their frequencies do not add doublings.
+    ``m`` (segments, probes, n_x, n_x) stacks one drift per segment and
+    probe; the probes of segment j share its closed-loop block
+    A_j = m[j, :, :n, :n], its output weight ``q[j]`` and its duration
+    ``h[j]``.  Van Loan's block exponentials of all segments and probes are
+    taken in one ``_expm`` call, each at h_j / 2^s_j with s_j the least
+    s >= 0 such that ||A_j||_1 h_j / 2^s_j <= 1, and then doubled s_j times,
+    W <- W + Phi^T W Phi and Phi <- Phi^2: a single block exponential over a
+    holding time of tens of seconds overflows in its e^{-M^T h} block.  The
+    doublings run on the segments sorted by s_j, so that each is one product
+    on a leading run of them.  The waveform blocks are rotations, which
+    cannot overflow, so their frequencies do not add doublings.
     """
     n_x = m.shape[-1]
-    reach = float(np.linalg.norm(m[0, :n, :n], 1) * h)
-    s = int(np.ceil(np.log2(reach))) if reach > 1.0 else 0
-    block = np.zeros((len(m), 2 * n_x, 2 * n_x))
-    block[:, :n_x, :n_x] = -np.swapaxes(m, 1, 2)
-    block[:, :n_x, n_x:] = q
-    block[:, n_x:, n_x:] = m
-    exp = _expm(block * (h / 2.0**s))
-    phi = exp[:, n_x:, n_x:]
-    gram = np.swapaxes(phi, 1, 2) @ exp[:, :n_x, n_x:]
-    for _ in range(s):
-        gram = gram + np.swapaxes(phi, 1, 2) @ gram @ phi
-        phi = phi @ phi
-    return phi, gram
+    s = _halvings(np.abs(m[:, 0, :n, :n]).sum(axis=1).max(axis=1) * h)
+    block = np.zeros((*m.shape[:2], 2 * n_x, 2 * n_x))
+    block[..., :n_x, :n_x] = -np.swapaxes(m, -1, -2)
+    block[..., :n_x, n_x:] = q[:, None]
+    block[..., n_x:, n_x:] = m
+    block *= np.ldexp(h, -s)[:, None, None, None]
+    exp = _expm(block)
+    order = np.argsort(-s, kind="stable")
+    phi = exp[order, :, n_x:, n_x:]
+    gram = np.swapaxes(phi, -1, -2) @ exp[order, :, :n_x, n_x:]
+    for run in _squaring_runs(s):
+        gram[:run] += np.swapaxes(phi[:run], -1, -2) @ gram[:run] @ phi[:run]
+        phi[:run] = phi[:run] @ phi[:run]
+    inverse = np.argsort(order)
+    return phi[inverse], gram[inverse]
 
 
 def _oscillators(disturbances):
@@ -546,20 +585,24 @@ def _mean_ratios(closed_loop, path, disturbances):
     ew = np.sum(dirs * dirs, axis=1) * wave_energy
     if np.any(ew <= 1e-12):
         raise ValueError("disturbance family contains a probe with zero input energy")
-    m = np.zeros((len(disturbances), n_x, n_x))
-    m[:, n:, n:] = gens
+    # the drifts and output weights of every mode, then of every segment
+    modes = closed_loop.modes
+    m = np.zeros((len(modes), len(disturbances), n_x, n_x))
+    m[..., :n, :n] = np.stack([mode.a for mode in modes])[:, None]
+    m[..., :n, n] = np.stack([dirs @ mode.b1.T for mode in modes])
+    m[..., n:, n:] = gens
+    q = np.zeros((len(modes), n_x, n_x))
+    q[:, :n, :n] = np.stack([mode.c.T @ mode.c for mode in modes])
+    segments = list(path.segments())
+    visits = [mode_idx for _, _, mode_idx in segments]
+    phi, gram = _segment_maps(m[visits], q[visits],
+                              np.array([t1 - t0 for t0, t1, _ in segments]), n)
     xi = np.zeros((len(disturbances), n_x))
     xi[:, n:] = u0
-    q = np.zeros((n_x, n_x))
     ez = np.zeros(len(disturbances))
-    for t0, t1, mode_idx in path.segments():
-        mode = closed_loop.modes[mode_idx]
-        m[:, :n, :n] = mode.a
-        m[:, :n, n] = dirs @ mode.b1.T
-        q[:n, :n] = mode.c.T @ mode.c
-        phi, gram = _segment_maps(m, q, t1 - t0, n)
-        ez += np.einsum("ki,kij,kj->k", xi, gram, xi)
-        xi = np.einsum("kij,kj->ki", phi, xi)
+    for phi_j, gram_j in zip(phi, gram):
+        ez += np.einsum("ki,kij,kj->k", xi, gram_j, xi)
+        xi = np.einsum("kij,kj->ki", phi_j, xi)
     return ez / ew
 
 

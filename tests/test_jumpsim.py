@@ -594,14 +594,24 @@ def test_default_family_composition():
         assert np.linalg.norm(d.direction) == pytest.approx(1.0)
 
 
+def test_default_family_is_built_once_and_read_only():
+    fam = default_disturbance_family(2)
+    assert isinstance(fam, tuple) and default_disturbance_family(2) is fam
+    for d in fam:
+        with pytest.raises(ValueError, match="read-only"):
+            d.direction[0] = 2.0
+    assert [d.direction[0] for d in fam[:2]] == [1.0, 0.0]
+
+
 def _relative_errors(got, expected):
     """max |got - expected| / max |expected| of each matrix of two stacks."""
     return np.max(np.abs(got - expected), axis=(-2, -1)) / np.max(np.abs(expected), axis=(-2, -1))
 
 
 def test_expm_matches_scipy_on_the_demo_loop(monkeypatch):
-    # every exponential the probe (stacks of 21 Van Loan blocks) and the
-    # moment propagation (one generator per segment) take on the bundled loop
+    # a probe path takes one exponential, of the Van Loan blocks of all its
+    # segments and probes, and a moment propagation one, of a generator per
+    # segment
     seen, expm = [], jumpsim._expm
 
     def recording(a):
@@ -611,12 +621,13 @@ def test_expm_matches_scipy_on_the_demo_loop(monkeypatch):
     monkeypatch.setattr(jumpsim, "_expm", recording)
     loop = _reference_loop()
     estimate_attenuation(loop, 0.2, t_end=120.0, n_paths=1, seed=3)
-    n_probe = len(seen)
     path = sample_markov_path(loop.rates, 100.0, seed=3)
     propagate_moments(loop, path, Disturbance("sin:0.5", np.eye(loop.n_w)[0], "sin", 0.5),
                       np.zeros(loop.n), np.eye(loop.n), 0.05)
-    assert n_probe > 1 and len(seen) > n_probe + 1
-    assert {a.shape[0] for a in seen[:n_probe]} == {len(default_disturbance_family(loop.n_w))}
+    probe_segments = len(_first_path(loop, 120.0, 3).modes)
+    assert probe_segments >= 2 and len(path.modes) >= 2
+    family = len(default_disturbance_family(loop.n_w))
+    assert [a.shape[:-2] for a in seen] == [(probe_segments, family), (len(path.modes),)]
     for a in seen:
         assert np.max(_relative_errors(expm(a), sla.expm(a))) <= 1e-12
 
@@ -647,6 +658,37 @@ def test_expm_matches_scipy_and_closed_forms_on_random_stacks():
     exact = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)
     assert np.all(np.max(np.abs(jumpsim._expm(rotation) - exact), axis=(1, 2))
                   <= 1e-15 * np.maximum(1.0, w))
+
+
+def test_expm_squares_each_member_of_a_mixed_stack_its_own_number_of_times():
+    # one stack: non-normal matrices with 1-norms from 1e-3 to 1e3, a
+    # dyadic matrix of 1-norm exactly 1 and 2 (the scaling thresholds of
+    # zero and one squaring) and each just above it, and a NaN member
+    rng = np.random.default_rng(7)
+    norms = np.logspace(-3, 3, 13)
+    q = np.linalg.qr(rng.standard_normal((norms.size, 3, 3)))[0]
+    # Schur forms with spectral abscissa 0, as a closed-loop drift, so that
+    # e^A stays finite at every norm, and strictly upper parts that keep
+    # them far from normal
+    t = 3.0 * np.triu(rng.standard_normal((norms.size, 3, 3)), 1)
+    t[:, [0, 1, 2], [0, 1, 2]] = -rng.uniform(0.0, 1.0, (norms.size, 3)) * [0.0, 1.0, 1.0]
+    a = q @ t @ np.swapaxes(q, 1, 2)
+    a *= (norms / np.max(np.sum(np.abs(a), axis=1), axis=1))[:, None, None]
+    at_one = np.array([[-0.5, 0.25, 0.125], [0.0, -0.25, 0.5], [0.5, 0.5, -0.375]])
+    above_one = at_one.copy()
+    above_one[0, 0] -= 2.0**-52
+    with_nan = a[0].copy()
+    with_nan[1, 2] = np.nan
+    stack = np.concatenate([a[:7], [at_one, above_one, 2.0 * at_one, 2.0 * above_one, with_nan],
+                            a[7:]])
+    stack_norms = np.max(np.sum(np.abs(stack), axis=1), axis=1)
+    assert list(stack_norms[7:11]) == [1.0, np.nextafter(1.0, 2.0), 2.0, np.nextafter(2.0, 3.0)]
+    out = jumpsim._expm(stack)
+    assert np.all(np.isnan(out[11]))
+    finite = np.arange(len(stack)) != 11
+    expected = sla.expm(stack[finite])
+    assert np.all(_relative_errors(out[finite], expected)
+                  <= 1e-12 * np.maximum(1.0, stack_norms[finite]))
 
 
 def test_expm_edge_cases():

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from qhinf import demo, jumpsim
+from qhinf.qmodel import assemble_closed_loop
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -82,6 +85,11 @@ def test_bench_script_writes_json(tmp_path):
     assert simulation["propagate_moments"]["grid_steps"] >= 2000  # t_end / dt, plus jumps
     assert all(run["seconds"] > 0 for run in simulation.values())
     assert all(run["runs"] == 15 for run in simulation.values())  # each a median
+    # both paths are the first of master seed 0 on the reference loop
+    loop = assemble_closed_loop(demo.reference_plant(), demo.reference_controller())
+    for run in simulation.values():
+        path = jumpsim.sample_markov_path(loop.rates, run["t_end"], seed=jumpsim.path_seed(0, 0))
+        assert run["jumps"] == len(path.jump_times) >= 1
     memory = simulation["propagate_moments"]["memory"]
     assert memory["dt"] == 1e-3 and memory["samples"] >= 100001
     # the stored triangle state and times alone take 248 B per sample
