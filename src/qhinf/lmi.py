@@ -25,19 +25,27 @@ Design notes:
 * All matrix variables are vectorised into one parameter vector; symmetric
   variables contribute upper-triangle coordinates only.
 * Constraints are affine, so their coefficient matrices are materialised
-  once, straight from the L V R terms: a term contributes L[:, i] (x) R[j, :]
-  to the coefficient of V[i, j], which is the parameter itself for a full
-  variable.  A term keeps L and R at its own block's size with the block's
-  row and column slices, and adds that outer product (and, in
-  ``AffineMatrixExpr.evaluate``, L V R) into its block only.  A symmetric
-  variable's parameter (r, c), r <= c, is both V[r, c] and V[c, r], so
-  ``qmodel.fold_triangle`` adds the two coefficients, a gather and an add
-  at the variable's ``np.triu_indices`` pairs, which the layout computes
-  once per variable.  No matrix product is involved, so
-  materialising runs the same on any BLAS thread count.
+  once, straight from the L V R terms.  The layout stacks each variable's
+  basis B_p once (E_rc for a full variable's parameter (r, c); E_rc + E_cr,
+  or E_rr on the diagonal, for a symmetric one's), and a term adds
+  L B_p R for every p, one batched product, at its block of the
+  constraint's (parameters, d, d) stack over the variables it uses (and,
+  in ``AffineMatrixExpr.evaluate``, L V R into its block only).  One pass
+  per constraint then symmetrises and orients the stack, drops all-zero
+  coefficients and checks finiteness.  An entry of L B_p is an entry of L
+  or an exact zero, so where L or R is the identity or a selection, as in
+  every term this package builds, an entry of L B_p R is one rounded
+  product.  Measured: the stacks equal, sign bits included, the outer
+  products L[:, i] (x) R[j, :] folded over the triangle that they replace,
+  on the reference level search and synthesis, rotated 4-state, 3-mode
+  plants and an 8-state, 6-mode plant, on one BLAS thread and on two;
+  materialising takes 0.75 ms in place of 1.49 ms on the reference level
+  search and 1.15 ms in place of 2.23 ms on a 4-state, 3-mode synthesis.
 * The shift t is one more coordinate of x = (v, t), with coefficient -I in
   every block, so each slack is S_k = -(M_k(0) + sum_p x_p C_kp) and the
-  Newton system needs no separate t row.
+  Newton system needs no separate t row.  The groups below keep -C_kp, so
+  the slacks take no negation: x (-C) rounds as (-x) C, sign bits
+  included.
 * Constraints of one block dimension d and one parameter count p form a
   group whose constants, parameter indices and coefficients are stacked
   once, so a Newton step costs a few numpy calls per group instead of per
@@ -106,18 +114,29 @@ Design notes:
   search, 72 on a 4-state, 3-mode design, and 8 on a scalar plant) is
   left to the step cap: cutting it too turned three feasible fixed-level
   solves of the scalar plant infeasible-at-tolerance.
+* A round hands the next round of its phase (``_Held``) the slack factors
+  of the iterate it returns and, when it solved a Newton system there
+  without stepping (rounding floor, failed line search), that system's
+  weight-free sums, which the next round scales by its own weight.  The
+  reference level search forms 84 Newton systems in place of 87 and 124
+  slack factors in place of 131, every iterate to the same bits.  Saving
+  steps is another matter: a tangent predictor before each weight cut
+  saved 21 of its 84 steps but moved the levels the searches return and
+  cost one design its augmentation (ROADMAP item 9).
 * A shift-phase round ends with the margin min_k -lambda_max(M_k(v)) read off
   the stacked slacks at t = 0, one batched eigensolve per group, for the
   stall test and the hand-off to the objective phase.  Only the final
   iterate is re-verified from the expressions themselves: every constraint
-  is rebuilt from its terms and eigensolved, and the verdict rests on that
-  re-verification and never on solver internals.
+  is rebuilt from its terms, the values of one dimension are eigensolved
+  together in one batched call (to the bit as one at a time), and the
+  verdict rests on that re-verification and never on solver internals.
 * A problem with no objective stops at the first certified iterate that
   ``ready`` accepts, tested after every accepted Newton step, as feasp tests
   its target (Gahinet, Nemirovski, Laub & Chilali, LMI Control Toolbox,
   1995).  An iterate certifies when every slack factors at t = -EPS_STRICT,
   one dpotrf pass per member.  Synthesis passes as ``ready`` the inversions
-  its controller rebuild takes; certification passes none.  On a 45-case
+  its controller rebuild takes, and rebuilds from those of the iterate it
+  accepted; certification passes none.  On a 45-case
   fixed-level synthesis audit this took 2.7 s to 0.86 s (a 4-state, 3-mode
   design 16 Newton steps to 3, the reference design at g = 0.037 86 to 66)
   with the same verdicts, every design certified.  A problem with an
@@ -135,7 +154,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .qmodel import _maxabs, fold_triangle
+from .qmodel import _maxabs
 
 __all__ = [
     "MatrixVariable",
@@ -214,9 +233,12 @@ class AffineMatrixExpr:
         dims = [dims] if np.ndim(dims) == 0 else list(dims)
         if not dims or min(dims) <= 0:
             raise ValueError("expression dimension must be positive")
-        self.dims = dims
-        self.offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        self.dim = int(self.offsets[-1])
+        self.dims = [int(d) for d in dims]
+        self.offsets = [0]
+        for d in self.dims:
+            self.offsets.append(self.offsets[-1] + d)
+        self.dim = self.offsets[-1]
+        self._blocks = [slice(a, b) for a, b in zip(self.offsets, self.offsets[1:])]
         if constant is None:
             constant = np.zeros((self.dim, self.dim))
         constant = np.asarray(constant, dtype=float)
@@ -225,17 +247,14 @@ class AffineMatrixExpr:
         self.constant = 0.5 * (constant + constant.T)
         self.terms: list[_Term] = []
 
-    def _block(self, k):
-        return slice(self.offsets[k], self.offsets[k + 1])
-
     def add_constant(self, mat, block=(0, 0)):
         r, c = block
         mat = np.asarray(mat, dtype=float)
         if mat.shape != (self.dims[r], self.dims[c]):
             raise ValueError("constant block has the wrong shape")
-        self.constant[self._block(r), self._block(c)] += mat
+        self.constant[self._blocks[r], self._blocks[c]] += mat
         if r != c:
-            self.constant[self._block(c), self._block(r)] += mat.T
+            self.constant[self._blocks[c], self._blocks[r]] += mat.T
 
     def add_term(self, name: str, left=None, right=None, transpose: bool = False,
                  block=(0, 0)):
@@ -251,7 +270,7 @@ class AffineMatrixExpr:
 
     def _place(self, name, r, left, c, right, transpose):
         self.terms.append(_Term(name, np.array(left, order="C"), np.array(right, order="C"),
-                                transpose, self._block(r), self._block(c)))
+                                transpose, self._blocks[r], self._blocks[c]))
 
     def evaluate(self, assignment: dict) -> np.ndarray:
         m = self.constant.copy()
@@ -383,16 +402,29 @@ class _Layout:
 
     A full variable's parameters are vec(V), row-major; a symmetric one's are
     its upper triangle, at the index pairs ``triangles[name]`` =
-    ``np.triu_indices(rows)`` (None for a full variable)."""
+    ``np.triu_indices(rows)`` (None for a full variable).  ``bases[name]``
+    stacks the variable's basis matrices B_p, one per parameter, so that
+    V = sum_p theta_p B_p: E_rc for a full variable's (r, c), and for a
+    symmetric one's (r, c) E_rc + E_cr off the diagonal and E_rr on it."""
 
     def __init__(self, variables):
         self.variables = list(variables)
         self.offsets = {}
         self.triangles = {}
+        self.bases = {}
         total = 0
         for v in self.variables:
             self.offsets[v.name] = total
-            self.triangles[v.name] = np.triu_indices(v.rows) if v.symmetric else None
+            if v.symmetric:
+                rows, cols = pairs = np.triu_indices(v.rows)
+                basis = np.zeros((rows.size, v.rows, v.cols))
+                basis[np.arange(rows.size), rows, cols] = 1.0
+                basis[np.arange(rows.size), cols, rows] = 1.0
+            else:
+                pairs = None
+                basis = np.eye(v.n_scalars).reshape(v.n_scalars, v.rows, v.cols)
+            self.triangles[v.name] = pairs
+            self.bases[v.name] = basis
             total += v.n_scalars
         self.total = total
 
@@ -422,17 +454,30 @@ class _Group:
     """Oriented constraints ("M(v) <= t I") of one block dimension d and one
     parameter count p, stacked.  The last coordinate of x = (v, t) is the
     shift t, with coefficient -I in every member, so member j's slack is
-    S_j = t I - M_j(v) = -(const_j + sum_q x[idx_jq] C_jq)."""
+    S_j = t I - M_j(v) = -(const_j + sum_q x[idx_jq] C_jq).
 
-    def __init__(self, const, idx, coeffs):
-        self.const = np.stack(const)        # (m, d, d) M_j(0)
-        self.idx = np.stack(idx)            # (m, p) parameter indices, the shift's last
-        self.coeffs = np.stack(coeffs)      # (m, p, d^2) flattened C_jq, the shift's -I last
-        self.dim = self.const.shape[-1]
+    The group keeps -C_jq, from which the slacks need no negation: x (-C)
+    rounds as (-x) C, sign bits included.  ``coeffs`` gives C_jq back
+    exactly.  Built from ``_materialise``'s members (M_j(0), parameter
+    indices, -C_jq), each with the shift's entries last."""
+
+    def __init__(self, members):
+        self.const = np.stack([member[0] for member in members])  # (m, d, d) M_j(0)
+        self.idx = np.stack([member[1] for member in members])    # (m, p)
+        negated = members[0][2][None] if len(members) == 1 else np.stack(
+            [member[2] for member in members])
+        m, p, d = negated.shape[:3]
+        self.negated = negated.reshape(m, p, d * d)  # (m, p, d^2) flattened -C_jq
+        self.dim = d
+
+    @property
+    def coeffs(self):
+        """C_jq, stacked (m, p, d^2)."""
+        return -self.negated
 
     def slacks(self, x):
         """The slacks S_j at x = (v, t), stacked (m, d, d)."""
-        s = np.matmul(-x[self.idx][:, None, :], self.coeffs).reshape(self.const.shape)
+        s = np.matmul(x[self.idx][:, None, :], self.negated).reshape(self.const.shape)
         s -= self.const
         return s
 
@@ -456,46 +501,54 @@ class _Oriented:
 def _materialise(problem: LmiProblem, layout: _Layout) -> _Oriented:
     """The constraints in "M(v) <= t I" form, grouped by (d, p) in order of
     first appearance and stacked; raises ``ValueError`` naming a constraint
-    whose constant or coefficients are not finite."""
+    whose constant or coefficients are not finite.
+
+    A constraint's coefficients accumulate in one (parameters, d, d) stack
+    over the parameters of the variables it uses, in layout order: each
+    term adds L B_p R (L B_p^T R when it transposes V) for every basis
+    matrix B_p of its variable, in one batched product, at its block.  One
+    pass then symmetrises and orients the stack and keeps its nonzero
+    coefficients."""
     shift = layout.total
     data, runs = [], {}  # runs: (d, p) -> member lists, the last one open
-    for k, c in enumerate(problem.constraints):
-        sign = 1.0 if c.sense == "neg" else -1.0
-        d = c.expr.dim
-        idx, mats = [], []
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite data is named below
-            base = sign * 0.5 * (c.expr.constant + c.expr.constant.T)
-            by_name = {}  # variable -> coefficients of its entries, (rows, cols, d, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite data is named below
+        for k, c in enumerate(problem.constraints):
+            sign = 1.0 if c.sense == "neg" else -1.0
+            d = c.expr.dim
+            names = sorted({t.name for t in c.expr.terms}, key=layout.offsets.get)
+            first, params = {}, []  # each variable's first row in the stack; its parameters
+            for name in names:
+                first[name] = len(params)
+                params.extend(range(layout.offsets[name],
+                                    layout.offsets[name] + len(layout.bases[name])))
+            params = np.array(params, dtype=np.intp)
+            acc = np.zeros((params.size, d, d))
             for t in c.expr.terms:
-                # outer[i, j] = L[:, i] (x) R[j, :], the coefficient of (V or V^T)[i, j]
-                # in the term's block
-                outer = t.left.T[:, None, :, None] * t.right[None, :, None, :]
+                basis = layout.bases[t.name]
                 if t.transpose:
-                    outer = outer.transpose(1, 0, 2, 3)
-                if t.name not in by_name:
-                    by_name[t.name] = np.zeros((*outer.shape[:2], d, d))
-                by_name[t.name][:, :, t.rows, t.cols] += outer
-            for name in sorted(by_name, key=layout.offsets.get):
-                g, pairs = by_name[name], layout.triangles[name]
-                if pairs is None:
-                    g = g.reshape(-1, d, d)
-                else:
-                    g = fold_triangle(g.transpose(2, 3, 0, 1), *pairs).transpose(2, 0, 1)
-                g = sign * 0.5 * (g + g.transpose(0, 2, 1))
-                # skip exact zeros only: a zero rate's term adds no parameter
-                keep = np.flatnonzero(np.any(g != 0.0, axis=(1, 2)))
-                idx.append(layout.offsets[name] + keep)
-                mats.append(g[keep])
-        if not all(np.all(np.isfinite(a)) for a in [base, *mats]):
-            raise ValueError(f"constraint {k} has a non-finite constant or coefficient")
-        idx = np.concatenate([*idx, [shift]])
-        coeffs = np.concatenate([*mats, -np.eye(d)[None]]).reshape(idx.size, d * d)
-        data.append((base, idx, coeffs))
-        members = runs.setdefault((d, idx.size), [[]])
-        if members[-1] and (len(members[-1]) + 1) * coeffs.size > _GROUP_ENTRIES:
-            members.append([])
-        members[-1].append(k)
-    groups = [_Group(*zip(*(data[k] for k in m))) for run in runs.values() for m in run]
+                    basis = basis.transpose(0, 2, 1)
+                rows = slice(first[t.name], first[t.name] + len(basis))
+                acc[rows, t.rows, t.cols] += t.left @ basis @ t.right
+            base = sign * 0.5 * (c.expr.constant + c.expr.constant.T)
+            # -C = -(sign / 2) (acc + acc^T) per parameter, then the shift's +I
+            negated = np.empty((params.size + 1, d, d))
+            np.add(acc, acc.transpose(0, 2, 1), out=negated[:-1])
+            negated[:-1] *= -(sign * 0.5)
+            # skip exact zeros only: a zero rate's term adds no parameter
+            live = np.flatnonzero(negated[:-1].reshape(params.size, d * d).any(axis=1))
+            if not (np.isfinite(base).all() and np.isfinite(negated[:-1]).all()):
+                raise ValueError(f"constraint {k} has a non-finite constant or coefficient")
+            if live.size < params.size:
+                negated[: live.size] = negated[live]
+                negated = negated[: live.size + 1]
+            negated[-1] = np.eye(d)
+            idx = np.append(params[live], shift)
+            data.append((base, idx, negated))
+            members = runs.setdefault((d, idx.size), [[]])
+            if members[-1] and (len(members[-1]) + 1) * idx.size * d * d > _GROUP_ENTRIES:
+                members.append([])
+            members[-1].append(k)
+    groups = [_Group([data[k] for k in m]) for run in runs.values() for m in run]
     return _Oriented(groups, layout.total)
 
 
@@ -520,9 +573,11 @@ def _barrier_value(factors, t, mu):
     return t - 2.0 * mu * float(np.log(np.concatenate(diagonals, axis=None)).sum())
 
 
-def _newton_system(oriented: _Oriented, factors, mu):
-    """Gradient and Hessian of t - mu sum_j logdet S_j over x = (v, t): with
-    G_q = R^-T C_q R^-1, mu tr(G_q) (plus 1 on t) and mu <G_q, G_r>."""
+def _newton_sums(oriented: _Oriented, factors):
+    """The weight-free sums of the Newton system at the slack factors: with
+    G_q = R^-T C_q R^-1 over the members, sum tr(G_q) per coordinate of
+    x = (v, t) and sum <G_q, G_r> per pair, as the (size,) and (size, size)
+    arrays that ``_weighted`` scales by the barrier weight."""
     dtrtri = scipy.linalg.lapack.dtrtri
     traces, grams = [], []
     for grp, r in zip(oriented.groups, factors):
@@ -531,17 +586,33 @@ def _newton_system(oriented: _Oriented, factors, mu):
         for member in r_inv:
             # in place as in _slacks: L^-1 in Fortran order reads as R^-1
             dtrtri(member.T, lower=1, overwrite_c=1)
-        # W_q = C_q R^-1, then G_q = W_q^T R^-1 = R^-T C_q R^-1 as C_q is symmetric
-        w = np.matmul(grp.coeffs.reshape(m, p * d, d), r_inv).reshape(m, p, d, d)
+        # -W_q = -C_q R^-1, then -G_q = -W_q^T R^-1 = -R^-T C_q R^-1 as C_q is
+        # symmetric: the traces change sign and the Gram products do not, to
+        # the bit but for the signs of zeros, which bincount's sums from +0 drop
+        w = np.matmul(grp.negated.reshape(m, p * d, d), r_inv).reshape(m, p, d, d)
         w = np.ascontiguousarray(w.transpose(0, 1, 3, 2)).reshape(m, p * d, d)
         g = np.matmul(w, r_inv).reshape(m, p, d * d)
-        traces.append(g[:, :, :: d + 1].sum(axis=2).reshape(-1))
+        traces.append(-g[:, :, :: d + 1].sum(axis=2).reshape(-1))
         grams.append(np.matmul(g, g.transpose(0, 2, 1)).reshape(-1))
     size = oriented.size
-    grad = mu * np.bincount(oriented.grad_idx, np.concatenate(traces), minlength=size)
+    return (np.bincount(oriented.grad_idx, np.concatenate(traces), minlength=size),
+            np.bincount(oriented.hess_idx, np.concatenate(grams),
+                        minlength=size * size).reshape(size, size))
+
+
+def _weighted(sums, mu):
+    """Gradient and Hessian of t - mu sum_j logdet S_j from the Newton sums:
+    mu tr(G_q) (plus 1 on t) and mu <G_q, G_r>."""
+    traces, grams = sums
+    grad = mu * traces
     grad[-1] += 1.0
-    hess = mu * np.bincount(oriented.hess_idx, np.concatenate(grams), minlength=size * size)
-    return grad, hess.reshape(size, size)
+    return grad, mu * grams
+
+
+def _newton_system(oriented: _Oriented, factors, mu):
+    """Gradient and Hessian of t - mu sum_j logdet S_j over x = (v, t): with
+    G_q = R^-T C_q R^-1, mu tr(G_q) (plus 1 on t) and mu <G_q, G_r>."""
+    return _weighted(_newton_sums(oriented, factors), mu)
 
 
 def _stacked_margin(oriented: _Oriented, x):
@@ -553,13 +624,17 @@ def _stacked_margin(oriented: _Oriented, x):
 
 def _verified_margins(problem: LmiProblem, assignment: dict):
     """Per-constraint strictness slack, recomputed from the expressions with
-    the eigensolver."""
-    slacks = []
-    for c in problem.constraints:
-        m = c.expr.evaluate(assignment)
-        eigs = symmetric_eigenvalues(m)
-        slack = -float(eigs[-1]) if c.sense == "neg" else float(eigs[0])
-        slacks.append(slack)
+    the eigensolver: every constraint is evaluated from its terms, and the
+    values of one dimension are eigensolved together in one batched call."""
+    values = [c.expr.evaluate(assignment) for c in problem.constraints]
+    by_dim = {}
+    for k, m in enumerate(values):
+        by_dim.setdefault(len(m), []).append(k)
+    slacks = [0.0] * len(values)
+    for ks in by_dim.values():
+        for k, eigs in zip(ks, np.linalg.eigvalsh(np.stack([values[k] for k in ks]))):
+            neg = problem.constraints[k].sense == "neg"
+            slacks[k] = -float(eigs[-1]) if neg else float(eigs[0])
     return tuple(slacks)
 
 
@@ -619,8 +694,22 @@ def _starting_weight(oriented, x):
     return mu, (grad, -(toward_t / mu + toward_g))
 
 
+class _Held:
+    """What a barrier round leaves the next round of its phase at the iterate
+    it returns: the slack factors there (None when it has none) and, when it
+    solved a Newton system there without stepping on it (at its rounding
+    floor, or when its line search failed), that system's weight-free sums
+    (``_newton_sums``).  The next round, at a lower weight, starts from the
+    same iterate, where it would compute both again to the same bits."""
+
+    __slots__ = ("factors", "sums")
+
+    def __init__(self):
+        self.factors = self.sums = None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _newton_solve names a non-finite system
-def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None):
+def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None, held=None):
     """Damped Newton steps on x[obj] - mu sum_k logdet(t I - M_k(v)), x = (v, t).
 
     With ``objective`` None, obj is t and every coordinate moves; otherwise t
@@ -632,52 +721,65 @@ def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None):
     decrement / mu below 1/16, where exact arithmetic shrinks the decrement
     at least fivefold (module docstring), a decrement at the new point that
     is not below half of the previous one ends the round there, before
-    another step.  Returns (x, steps, note, stopped), with a note when no
+    another step.  ``held``, when given, is a ``_Held`` at x: the round
+    starts from what it holds and leaves in it what it holds at the iterate
+    it returns.  Returns (x, steps, note, stopped), with a note when no
     step could be taken and ``stopped`` when ``stop`` ended the steps.
     Raises ``ValueError`` when the Newton system overflows.
     """
     obj = -1 if objective is None else objective
-    steps = 0
-    factors = None  # slack factors at x and its barrier value f0, carried over on acceptance
+    steps, note, stopped = 0, None, False
+    # the slack factors at x with its barrier value f0, and the Newton sums at
+    # x; the factors are carried over on acceptance, the sums are not
+    factors, sums = (None, None) if held is None else (held.factors, held.sums)
+    if factors is not None:
+        f0 = _barrier_value(factors, x[obj], mu)
     floor = None  # the decrement before a full step taken inside the quadratic region
     while steps < max_steps and x[-1] >= _T_FLOOR:
         if factors is None:
             factors = _slacks(oriented, x)
             if factors is None:
                 # should not happen from a feasible iterate; bail out
-                return x, steps, "interior iterate lost positive definiteness", False
+                note = "interior iterate lost positive definiteness"
+                break
             f0 = _barrier_value(factors, x[obj], mu)
         if first is not None:
             (grad, step), first = first, None
         else:
-            grad, hess = _newton_system(oriented, factors, mu)
+            if sums is None:
+                sums = _newton_sums(oriented, factors)
+            grad, hess = _weighted(sums, mu)
             if objective is not None:
                 grad, hess = grad[:-1], hess[:-1, :-1]
                 grad[objective] += 1.0
             step = _newton_solve(hess, -grad[:, None])[:, 0]
         decrement = float(-grad @ step)
         if floor is not None and decrement >= 0.5 * floor:
-            return x, steps, None, False  # the rounding floor: a full step did not halve it
+            break  # the rounding floor: a full step did not halve it
         steps += 1
         alpha = 1.0
-        while True:
-            if alpha < 1e-14:
-                return x, steps, "step-size collapse; problem may be ill-posed", False
+        while alpha >= 1e-14:
             cand = x.copy()
             cand[: step.size] += alpha * step
             cand_factors = _slacks(oriented, cand)
             if cand_factors is not None:
                 f1 = _barrier_value(cand_factors, cand[obj], mu)
                 if f1 <= f0 - 1e-4 * alpha * decrement or f1 < f0:
-                    x, factors, f0 = cand, cand_factors, f1
+                    x, factors, f0, sums = cand, cand_factors, f1, None
                     break
             alpha *= 0.5
+        if alpha < 1e-14:
+            note = "step-size collapse; problem may be ill-posed"
+            break
         floor = decrement if alpha == 1.0 and decrement < mu / 16.0 else None
         if stop is not None and stop(x):
-            return x, steps, None, True
+            stopped = True
+            break
         if decrement <= _DECREMENT_TOL * (1.0 + abs(x[obj])):
             break
-    return x, steps, None, False
+    if held is not None:
+        held.factors, held.sums = factors, sums
+    return x, steps, note, stopped
 
 
 _T_FLOOR = -1e9  # a shift this far below zero means it is unbounded below
@@ -741,6 +843,7 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
     x[-1] = max(float(np.linalg.eigvalsh(grp.const)[:, -1].max()) for grp in oriented.groups) + 1.0
 
     mu, first = _starting_weight(oriented, x)  # first: the first step's gradient and step
+    held = _Held()  # what each round leaves the next at its iterate
     iterations = 0
     notes = []
     stall_rounds = 0
@@ -761,7 +864,7 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
 
     while iterations < max_iter:
         x, steps, note, stopped = _centre(
-            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), first, stop
+            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), first, stop, held
         )
         first = None
         iterations += steps
@@ -798,9 +901,10 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
         dim_total = sum(grp.const.shape[0] * grp.dim for grp in oriented.groups)
         x[-1] = -eps_strict
         rounds, sharpened = [x], False
+        held = _Held()  # nothing is held at the new shift
         while iterations < max_iter:
             x, steps, note, _ = _centre(
-                oriented, x, mu, obj, min(_ROUND_STEPS, max_iter - iterations)
+                oriented, x, mu, obj, min(_ROUND_STEPS, max_iter - iterations), None, None, held
             )
             iterations += steps
             if note:

@@ -13,8 +13,8 @@ be shared freely across concurrent workers.
 A symmetric matrix is written on its upper triangle, the coordinates
 ``np.triu_indices(n)``, wherever the program solves for one or propagates
 one: ``fold_triangle`` and ``lyapunov_operator`` are the one statement of
-those coordinates, which the LMI engine, the coupled Lyapunov storage and
-the moment propagation share.
+those coordinates, which the coupled Lyapunov storage and the moment
+propagation share; the LMI engine's parameter layout takes the same order.
 """
 
 from __future__ import annotations

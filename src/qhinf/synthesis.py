@@ -286,11 +286,14 @@ class SynthesisResult:
     coupling_condition_numbers: tuple
 
 
-def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
+def _result(plant: JumpPlant, g: float, solution, rebuilt=None) -> SynthesisResult:
     """Reconstruct the controller of a feasible LMI solution at level g:
     mode i keeps F~ = F_i and L~ = L_i, and its M~ is the M_i that zeroes
-    the off-diagonal block of the Schur complement (module docstring)."""
-    storage, inverses = _coupling_inverses(plant, solution.assignment)
+    the off-diagonal block of the Schur complement (module docstring).
+    ``rebuilt``, when given, is what ``_coupling_inverses`` returned at the
+    solution's assignment, and the inversions are not taken again."""
+    storage, inverses = (_coupling_inverses(plant, solution.assignment) if rebuilt is None
+                         else rebuilt)
     n, modes = plant.n, []
     for i, (y_inv, (w_inv, _)) in enumerate(zip(storage[2], inverses)):
         l, f = solution.assignment[f"L{i + 1}"], solution.assignment[f"F{i + 1}"]
@@ -303,23 +306,15 @@ def _result(plant: JumpPlant, g: float, solution) -> SynthesisResult:
                            tuple(cond for _, cond in inverses))
 
 
-def _rebuildable(plant: JumpPlant, assignment) -> bool:
-    """Whether every inversion of ``_coupling_inverses`` succeeds at the
-    assignment: the ``ready`` test of a fixed-level solve."""
-    try:
-        _coupling_inverses(plant, assignment)
-    except SynthesisError:
-        return False
-    return True
-
-
 def synthesize(plant: JumpPlant, g: float) -> SynthesisResult:
     """Build and solve the LMIs at level g, then reconstruct the controller.
 
     The solve stops at its first certified iterate at which every Y_i and
-    Y_i^{-1} - X_i inverts within ``COND_LIMIT`` (``_rebuildable``): any
-    feasible point gives a controller that its own storage certifies at g
-    (module docstring), and the rebuild needs exactly these inversions.
+    Y_i^{-1} - X_i inverts within ``COND_LIMIT`` (``_coupling_inverses`` is
+    its ``ready`` test): any feasible point gives a controller that its own
+    storage certifies at g (module docstring), and the rebuild needs exactly
+    these inversions, so it takes them from the test that accepted the
+    returned iterate instead of inverting again.
     Raises ``LmiInfeasibleError`` when the solve ends
     ``infeasible-at-tolerance`` and ``SynthesisError`` when it ends
     ``undecided`` (its notes say why: the ``lmi.MAX_ITER`` budget ran out,
@@ -327,10 +322,18 @@ def synthesize(plant: JumpPlant, g: float) -> SynthesisResult:
     noise channels; augment it with the realizability layer before treating
     it as a quantum device.
     """
-    solution = lmi.solve_feasibility(build_hinf_lmis(plant, g),
-                                     ready=lambda assignment: _rebuildable(plant, assignment))
+    accepted = []  # the inversions at the iterate ready accepted, which ends the solve
+
+    def ready(assignment):
+        try:
+            accepted.append(_coupling_inverses(plant, assignment))
+        except SynthesisError:
+            return False
+        return True
+
+    solution = lmi.solve_feasibility(build_hinf_lmis(plant, g), ready=ready)
     _require_feasible(g, solution)
-    return _result(plant, g, solution)
+    return _result(plant, g, solution, accepted[-1] if accepted else None)
 
 
 def min_attenuation(plant: JumpPlant, g_lo: float, g_hi: float, tol_g: float = 1e-3):

@@ -391,6 +391,124 @@ def test_coupled_check_stacks_match_basis_evaluation():
     _assert_stacks_match_basis_reference(_coupled_check_problem())
 
 
+def _constraint_without_terms_problem():
+    """A constant-only constraint between two that use the variable."""
+    problem = _interval_problem(2.0)
+    problem.constraints.insert(1, lmi.LmiConstraint(lmi.AffineMatrixExpr(2, -np.eye(2)), "neg"))
+    return problem
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: synthesis.build_hinf_lmis(_plants().random_plant(0, 4, 3, 0), 5.0),
+                 id="4x3-synthesis"),
+    pytest.param(lambda: _coupled_check_problem(g=0.2), id="tabulated-loop-at-0.2"),
+    pytest.param(_constraint_without_terms_problem, id="constraint-without-terms"),
+])
+def test_more_stacks_match_basis_evaluation(build):
+    _assert_stacks_match_basis_reference(build())
+
+
+def test_constraint_without_terms_has_only_the_shift():
+    problem = _constraint_without_terms_problem()
+    oriented = lmi._materialise(problem, lmi._Layout(problem.variables))
+    (grp,) = [grp for grp in oriented.groups if grp.dim == 2]
+    assert grp.idx.tolist() == [[1]]  # the shift t alone
+    assert np.array_equal(grp.coeffs, -np.eye(2).reshape(1, 1, 4))
+    assert lmi.solve_feasibility(problem).feasible
+
+
+def _reference_search():
+    return synthesis.min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
+
+
+def test_reference_search_forms_each_newton_system_and_factor_once(monkeypatch):
+    # a round that ends on its rounding floor has solved a Newton system at
+    # its last iterate without stepping; the next round starts there at a
+    # lower weight and takes that system's weight-free sums, and every round
+    # takes the slack factors of the last one's iterate
+    counts = {"sums": 0, "slacks": 0}
+    sums, slacks = lmi._newton_sums, lmi._slacks
+
+    def counting_sums(*args):
+        counts["sums"] += 1
+        return sums(*args)
+
+    def counting_slacks(*args):
+        counts["slacks"] += 1
+        return slacks(*args)
+
+    monkeypatch.setattr(lmi, "_newton_sums", counting_sums)
+    monkeypatch.setattr(lmi, "_slacks", counting_slacks)
+    g_star, result = _reference_search()
+    steps = result.solution.iterations
+    assert (g_star.hex(), steps) == ("0x1.43676edf65bbep-5", 84)
+    assert steps <= counts["sums"] < 87  # 87 Newton systems before the hand-off
+    assert counts["slacks"] < 131
+
+
+def test_synthesis_takes_each_rebuild_inversion_once(monkeypatch):
+    # _coupling_inverses runs once per ready test, and the rebuild reuses
+    # the inversions of the test that accepted the returned iterate
+    calls = {"ready": 0, "inverses": 0, "in_result": 0}
+    solve, inverses, result = lmi.solve_feasibility, synthesis._coupling_inverses, synthesis._result
+
+    def counting_solve(problem, *, ready=None):
+        def counting_ready(assignment):
+            calls["ready"] += 1
+            return ready(assignment)
+
+        return solve(problem, ready=counting_ready)
+
+    def counting_inverses(*args):
+        calls["inverses"] += 1
+        return inverses(*args)
+
+    def counting_result(*args):
+        before = calls["inverses"]
+        out = result(*args)
+        calls["in_result"] += calls["inverses"] - before
+        return out
+
+    monkeypatch.setattr(lmi, "solve_feasibility", counting_solve)
+    monkeypatch.setattr(synthesis, "_coupling_inverses", counting_inverses)
+    monkeypatch.setattr(synthesis, "_result", counting_result)
+    for plant, g in ((demo.reference_plant(), 0.05), (_plants().random_plant(0, 4, 3, 0), 5.0)):
+        calls.update(ready=0, inverses=0)
+        synthesis.synthesize(plant, g)
+        assert calls["ready"] >= 1
+        assert calls["inverses"] == calls["ready"]
+    assert calls["in_result"] == 0
+
+
+def _controller_bytes(controller):
+    return b"".join(np.concatenate([m.a, m.b, m.c], axis=None).tobytes() for m in controller.modes)
+
+
+def test_solves_in_one_process_leave_each_other_alone():
+    # what a round hands the next never outlives its solve: the reference
+    # search gives the same bits before and after a 4-state, 3-mode synthesis
+    def search():
+        g_star, result = _reference_search()
+        return g_star.hex(), result.solution.iterations, _controller_bytes(result.controller)
+
+    first = search()
+    synthesis.synthesize(_plants().random_plant(0, 4, 3, 0), 5.0)
+    assert search() == first
+
+
+def test_verified_margins_equal_one_eigensolve_per_constraint():
+    # the per-dimension batched eigensolve gives each constraint's margin to
+    # the bit, as its own eigensolve would
+    _, result = _reference_search()
+    problem = synthesis.build_hinf_lmis(demo.reference_plant(), result.g)
+    assignment = result.solution.assignment
+    one_by_one = []
+    for c in problem.constraints:
+        eigs = lmi.symmetric_eigenvalues(c.expr.evaluate(assignment))
+        one_by_one.append(-float(eigs[-1]) if c.sense == "neg" else float(eigs[0]))
+    assert lmi._verified_margins(problem, assignment) == tuple(one_by_one)
+
+
 def test_round_end_margin_matches_verified_margins(monkeypatch):
     # the shift phase's round-end margin comes from the stacked slacks; it
     # must agree with the eigenvalues of the expressions themselves

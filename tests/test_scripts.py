@@ -79,6 +79,11 @@ def test_bench_script_writes_json(tmp_path):
     for solve in (point, reference, certification):
         assert solve["step_ms"] == pytest.approx(
             1e3 * solve["seconds"] / solve["newton_steps"], rel=1e-2, abs=2e-3)
+    # the grid point's synthesis and the level search are medians of five runs
+    for solve in (point, reference):
+        assert solve["runs"] == 5
+        assert 0 < solve["seconds_min"] <= solve["seconds"] <= solve["seconds_max"]
+    assert point["materialise_s"] > 0
     assert grid_certification["step_ms"] is None  # no Newton step to divide by
     simulation = doc["simulation"]
     assert {"propagate_moments", "mean_probe"} == set(simulation)
