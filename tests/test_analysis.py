@@ -1,8 +1,7 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
+
+from plants import random_plant, rotated_plant
 
 from qhinf import analysis, demo, lmi, realizability, synthesis
 from qhinf.analysis import coupled_mode_check, coupled_problem, verify_closed_loop
@@ -216,18 +215,10 @@ def _certify_at_the_first_certified_iterate(plant, aug, g, monkeypatch):
     return steps
 
 
-def _plants_module():
-    spec = importlib.util.spec_from_file_location(
-        "plants", Path(__file__).resolve().parents[1] / "perfbench" / "plants.py")
-    plants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(plants)
-    return plants
-
-
 def _random_design(seed, n, modes):
     """(plant, augmented controller) of the synthesis at g = 5 of
     ``random_plant(seed, n, modes, 0)``."""
-    plant = _plants_module().random_plant(seed, n, modes, 0)
+    plant = random_plant(seed, n, modes, 0)
     return plant, realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
 
 
@@ -256,10 +247,9 @@ def test_scaled_design_certifies_from_its_lyapunov_storage(coordinates, monkeypa
     # the coupled Lyapunov storage certifies the 6x3 design at g = 5 with no
     # Newton step, in its own coordinates and in random ones drawn as the
     # scaled-design benchmark draws them
-    plants = _plants_module()
-    plant = plants.random_plant(0, 6, 3, 0)
+    plant = random_plant(0, 6, 3, 0)
     if coordinates == "rotated":
-        plant = plants.rotated_plant(plant, 1, 0)
+        plant = rotated_plant(plant, 1, 0)
     aug = realizability.augment_jump_controller(synthesis.synthesize(plant, 5.0).controller)
     loop = assemble_closed_loop(plant, aug)
     monkeypatch.setattr(lmi, "solve_feasibility", _no_barrier)
@@ -338,15 +328,22 @@ def test_riccati_steps_give_up_on_a_loop_that_is_not_mean_square_stable(monkeypa
                       make_commutation_matrix(2))
     loop = assemble_closed_loop(demo.reference_plant(), ctrl)
     assert _mean_square_abscissa(loop) > 0
-    attempts, riccati = [], analysis._riccati_storage
+    attempts, ladder = [], analysis._closed_form_storage
+    solves, lyapunov = [], analysis._coupled_lyapunov
 
     def recording(*args):
-        attempts.append(riccati(*args))
+        attempts.append(ladder(*args))
         return attempts[-1]
 
-    monkeypatch.setattr(analysis, "_riccati_storage", recording)
+    def counting(*args):
+        solves.append(args)
+        return lyapunov(*args)
+
+    monkeypatch.setattr(analysis, "_closed_form_storage", recording)
+    monkeypatch.setattr(analysis, "_coupled_lyapunov", counting)
     report = coupled_mode_check(loop, 5.0)
-    assert attempts == [None]
+    # the Lyapunov storage and at least one Kleinman step were solved
+    assert attempts == [None] and len(solves) >= 2
     assert report.route == "barrier"
     assert report.solution.status == "infeasible-at-tolerance"
 
@@ -392,10 +389,83 @@ def test_lyapunov_route_falls_back_on_unstable_loops(loop):
     # barrier decides, and no RuntimeWarning (an error under this suite) escapes
     loop = loop()
     problem = coupled_problem(loop, 5.0)
-    assert analysis._lyapunov_storage(loop, 5.0, problem) is None
+    assert analysis._closed_form_storage(loop, 5.0, problem) is None
     report = coupled_mode_check(loop, 5.0)
     assert report.route == "barrier" and not report.attenuation_ok
     assert report.solution.iterations > 0
+
+
+def _counting_verifications(monkeypatch):
+    """The list that every later ``lmi._verified_margins`` call appends its
+    result to."""
+    results, verify = [], lmi._verified_margins
+
+    def counting(problem, assignment):
+        results.append(verify(problem, assignment))
+        return results[-1]
+
+    monkeypatch.setattr(lmi, "_verified_margins", counting)
+    return results
+
+
+@pytest.mark.parametrize("case, g, calls, route", [
+    ("tabulated", 1.0, 1, "lyapunov"),
+    ("tabulated", 0.2, 2, "riccati"),
+    ("augmented design at 0.048", 0.048, 3, "riccati"),
+])
+def test_the_ladder_stops_on_its_verified_margin(case, g, calls, route, monkeypatch):
+    # every iterate of the storage ladder, the Lyapunov storage included, is
+    # verified once, and the first that certifies is the certificate
+    plant, ctrl = demo.reference_plant(), demo.reference_controller()
+    if case != "tabulated":
+        ctrl = realizability.augment_jump_controller(synthesis.synthesize(plant, g).controller)
+    loop = assemble_closed_loop(plant, ctrl)
+    monkeypatch.setattr(lmi, "solve_feasibility", _no_barrier)
+    results = _counting_verifications(monkeypatch)
+    report = coupled_mode_check(loop, g)
+    assert report.route == route and report.attenuation_ok
+    assert len(results) == calls
+    assert report.solution.constraint_margins is results[-1]
+    assert report.solution.margin == min(results[-1]) >= lmi.EPS_STRICT
+    assert all(min(margins) < lmi.EPS_STRICT for margins in results[:-1])
+
+
+def test_the_ladder_gives_up_at_the_first_step_that_does_not_raise_its_margin(monkeypatch):
+    # on the loop that is not mean-square stable (A_K = 0, B_K = C_K = I),
+    # the first Kleinman step raises the verified margin and the second
+    # lowers it: the ladder stops there, one verification per iterate
+    eye = np.eye(2)
+    ctrl = Controller(tuple(ControllerMode(0.0 * eye, eye, eye, np.zeros((2, 0)),
+                                           np.zeros((2, 0))) for _ in range(3)),
+                      make_commutation_matrix(2))
+    loop = assemble_closed_loop(demo.reference_plant(), ctrl)
+    results = _counting_verifications(monkeypatch)
+    assert analysis._closed_form_storage(loop, 5.0, coupled_problem(loop, 5.0)) is None
+    margins = [min(r) for r in results]
+    assert len(margins) == 3 and margins[0] < margins[1] and not margins[2] > margins[1]
+
+
+def test_kleinman_steps_that_run_out_of_budget_leave_the_verdict_to_the_barrier(monkeypatch):
+    # the augmented design at 0.048 needs two Kleinman steps: with a budget
+    # of one the ladder gives up, and the barrier, on the same budget, ends
+    # undecided rather than infeasible; with a budget of two the ladder
+    # certifies
+    plant, g = demo.reference_plant(), 0.048
+    aug = realizability.augment_jump_controller(synthesis.synthesize(plant, g).controller)
+    loop = assemble_closed_loop(plant, aug)
+    problem = coupled_problem(loop, g)
+    with monkeypatch.context() as patch:
+        patch.setattr(lmi, "MAX_ITER", 1)
+        assert analysis._closed_form_storage(loop, g, problem) is None
+        report = coupled_mode_check(loop, g)
+    assert report.route == "barrier" and not report.attenuation_ok
+    assert report.solution.status == "undecided"
+    assert "the Newton step budget ran out" in report.solution.notes
+    with monkeypatch.context() as patch:
+        patch.setattr(lmi, "MAX_ITER", 2)
+        report = coupled_mode_check(loop, g)
+    assert report.route == "riccati" and report.attenuation_ok
+    assert report.solution.notes == ("coupled Riccati storage after 2 Kleinman steps",)
 
 
 def test_reference_design_certifies_at_its_level_at_the_first_certified_iterate(

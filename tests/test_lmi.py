@@ -1,16 +1,14 @@
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+from plants import random_plant, rotated_plant
+
 from qhinf import analysis, demo, lmi, realizability, synthesis
 from qhinf.qmodel import assemble_closed_loop
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_symmetric_eigenvalues_examples():
@@ -399,7 +397,7 @@ def _constraint_without_terms_problem():
 
 
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda: synthesis.build_hinf_lmis(_plants().random_plant(0, 4, 3, 0), 5.0),
+    pytest.param(lambda: synthesis.build_hinf_lmis(random_plant(0, 4, 3, 0), 5.0),
                  id="4x3-synthesis"),
     pytest.param(lambda: _coupled_check_problem(g=0.2), id="tabulated-loop-at-0.2"),
     pytest.param(_constraint_without_terms_problem, id="constraint-without-terms"),
@@ -472,7 +470,7 @@ def test_synthesis_takes_each_rebuild_inversion_once(monkeypatch):
     monkeypatch.setattr(lmi, "solve_feasibility", counting_solve)
     monkeypatch.setattr(synthesis, "_coupling_inverses", counting_inverses)
     monkeypatch.setattr(synthesis, "_result", counting_result)
-    for plant, g in ((demo.reference_plant(), 0.05), (_plants().random_plant(0, 4, 3, 0), 5.0)):
+    for plant, g in ((demo.reference_plant(), 0.05), (random_plant(0, 4, 3, 0), 5.0)):
         calls.update(ready=0, inverses=0)
         synthesis.synthesize(plant, g)
         assert calls["ready"] >= 1
@@ -492,7 +490,7 @@ def test_solves_in_one_process_leave_each_other_alone():
         return g_star.hex(), result.solution.iterations, _controller_bytes(result.controller)
 
     first = search()
-    synthesis.synthesize(_plants().random_plant(0, 4, 3, 0), 5.0)
+    synthesis.synthesize(random_plant(0, 4, 3, 0), 5.0)
     assert search() == first
 
 
@@ -543,19 +541,10 @@ def test_round_end_margin_matches_verified_margins(monkeypatch):
         assert abs(margin - verified) <= 1e-12 * (1.0 + scale)
 
 
-def _plants():
-    """perfbench's seeded plant generators."""
-    spec = importlib.util.spec_from_file_location("plants", ROOT / "perfbench" / "plants.py")
-    plants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(plants)
-    return plants
-
-
 def _rotated_4x3_problem():
     """Coupled check of a 4-state, 3-mode random plant in rotated coordinates
     (the scaled-design benchmark plant), closed with its synthesized controller."""
-    plants = _plants()
-    plant = plants.rotated_plant(plants.random_plant(0, 4, 3, 0), 1, 0)
+    plant = rotated_plant(random_plant(0, 4, 3, 0), 1, 0)
     controller = synthesis.synthesize(plant, 5.0).controller
     return _coupled_check_problem(plant, controller, 5.0)
 
@@ -859,7 +848,7 @@ def test_rounding_floor_leaves_the_shift_plateau_alone(monkeypatch):
     # (Y, F) scaling, lambda^2 about 72, outside the quadratic region: the
     # rule cannot fire there, and with no stop at a certified iterate the
     # round runs to its step cap
-    plant = _plants().random_plant(0, 4, 3, 0)
+    plant = random_plant(0, 4, 3, 0)
     rounds, centre = [], lmi._centre
 
     def counting(*args):

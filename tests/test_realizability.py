@@ -1,10 +1,10 @@
-import importlib.util
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+from plants import random_plant
 
 from qhinf import demo
 from qhinf.qmodel import J2, Controller, ControllerMode, block_j, make_commutation_matrix
@@ -162,11 +162,7 @@ def test_skew_factorisation_rotated_repeated_gain_and_null_plane():
 
 
 def test_augment_scaled_random_plant_controller():
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("plants", root / "perfbench" / "plants.py")
-    plants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(plants)
-    ctrl = synthesize(plants.random_plant(0, 4, 3, 0), 5.0).controller
+    ctrl = synthesize(random_plant(0, 4, 3, 0), 5.0).controller
     report = check_controller_realizability(augment_jump_controller(ctrl), tol=1e-9)
     assert report.realizable
 

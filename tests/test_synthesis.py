@@ -1,11 +1,11 @@
-import importlib.util
 import json
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
+
+from plants import random_plant
 
 from qhinf import demo, lmi, realizability, serialize
 from qhinf.analysis import coupled_mode_check, verify_closed_loop
@@ -122,7 +122,7 @@ def _seeded_assignment(plant, seed):
 
 @pytest.mark.parametrize("seed, n, modes", [(0, 2, 3), (1, 4, 3), (2, 4, 2), (3, 6, 3)])
 def test_reconstruction_matches_the_completion_formula(seed, n, modes):
-    plant, g = _random_plant(seed, n, modes), 0.7
+    plant, g = random_plant(seed, n, modes, 0), 0.7
     assert np.all(plant.rates.pi[~np.eye(modes, dtype=bool)] > 0)
     assert np.any(plant.d1) and np.any(plant.d2)
     assignment = _seeded_assignment(plant, seed)
@@ -375,20 +375,11 @@ def test_min_attenuation_reference_plant_certificate():
     assert report.attenuation_ok
 
 
-def _random_plant(seed, n, modes):
-    # perfbench's seeded plants: stable-shifted random drifts, D1 = D2 = -I
-    spec = importlib.util.spec_from_file_location(
-        "plants", Path(__file__).resolve().parents[1] / "perfbench" / "plants.py")
-    plants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(plants)
-    return plants.random_plant(seed, n, modes, 0)
-
-
 def test_min_attenuation_rebuilds_ill_conditioned_minimiser(monkeypatch):
     # on this plant (Y_2^-1 - X_2) of the minimiser's point is too badly
     # conditioned to invert, so the controller comes from a second,
     # fixed-level solve at the returned level
-    plant = _random_plant(1, 6, 3)
+    plant = random_plant(1, 6, 3, 0)
     calls = []
     solve = lmi.solve_feasibility
 
@@ -421,7 +412,7 @@ def test_min_attenuation_without_a_rebuilt_controller_is_undecided(monkeypatch):
 
     monkeypatch.setattr(lmi, "solve_feasibility", stalling)
     with pytest.raises(SynthesisError, match=r"undecided at g=0\.98287\d: ") as info:
-        min_attenuation(_random_plant(1, 6, 3), 0.01, 10.0, tol_g=5e-3)
+        min_attenuation(random_plant(1, 6, 3, 0), 0.01, 10.0, tol_g=5e-3)
     assert not isinstance(info.value, LmiInfeasibleError)
     message = str(info.value)
     assert "feasible, 105 Newton steps, margin 4.849e-06" in message
@@ -433,7 +424,7 @@ def test_min_attenuation_without_a_rebuilt_controller_is_undecided(monkeypatch):
 def test_fixed_level_synthesis_of_a_random_plant_certifies():
     # a unit starting barrier weight left this solve stalled:
     # infeasible-at-tolerance at g = 5, far above the plant's least level
-    plant = _random_plant(1, 2, 3)
+    plant = random_plant(1, 2, 3, 0)
     result = synthesize(plant, 5.0)
     assert result.solution.feasible
     assert certify_design(plant, result, result.controller, 5.0).certified
@@ -444,7 +435,7 @@ def test_fixed_level_stop_waits_for_a_rebuildable_point():
     # cond(Y_1^-1 - X_1) = 1.2e10, above COND_LIMIT, so no controller could
     # be rebuilt there; the solve goes on to the first certified iterate
     # whose inversions are within the limit
-    plant, g = _random_plant(36, 2, 2), 0.45
+    plant, g = random_plant(36, 2, 2, 0), 0.45
     bare = lmi.solve_feasibility(build_hinf_lmis(plant, g))
     assert (bare.status, bare.iterations) == ("feasible", 49)
     with pytest.raises(SynthesisError, match=r"\(Y_1\^-1 - X_1\) is singular or badly"):
@@ -459,7 +450,7 @@ def test_fixed_level_stop_waits_for_a_rebuildable_point():
 
 def test_level_search_of_a_random_plant_finds_its_level():
     # a unit starting barrier weight ended this search infeasible at g_hi
-    plant = _random_plant(1, 2, 3)
+    plant = random_plant(1, 2, 3, 0)
     g_star, result = min_attenuation(plant, 0.01, 10.0, tol_g=5e-3)
     assert g_star == pytest.approx(1.853, abs=5e-3)
     assert certify_design(plant, result, result.controller, g_star).certified
@@ -597,7 +588,7 @@ def test_rebuilt_design_zeroes_the_schur_off_diagonal_block(reference_design, de
     if design == "reference":
         plant, g, result, _ = reference_design
     else:
-        plant, g = _random_plant(0, 4, 3), 5.0
+        plant, g = random_plant(0, 4, 3, 0), 5.0
         result = synthesize(plant, g)
     storage = _storage(plant, result.solution.assignment)
     xs, ys, y_invs = storage
@@ -615,7 +606,7 @@ def test_storage_certificate_agrees_with_the_coupled_solve(reference_design, des
     if design == "reference":
         plant, g, result, aug = reference_design
     else:
-        plant, g = _random_plant(0, 4, 3), 5.0
+        plant, g = random_plant(0, 4, 3, 0), 5.0
         result = synthesize(plant, g)
         aug = realizability.augment_jump_controller(result.controller)
     cert = certify_design(plant, result, aug, g)
@@ -631,7 +622,7 @@ def test_storage_certificate_of_level_search_designs(seed, n, modes, g_star):
     # the coupled certificate solve rejects both designs at g*
     # (infeasible-at-tolerance, margins -1.5e-3 and -6.4e-4), yet the level
     # search's own storage certifies them
-    plant = _random_plant(seed, n, modes)
+    plant = random_plant(seed, n, modes, 0)
     g, result = min_attenuation(plant, 0.01, 10.0, tol_g=5e-3)
     assert g == pytest.approx(g_star, rel=1e-12)
     cert = certify_design(plant, result, result.controller, g)
@@ -750,7 +741,7 @@ def test_storage_certificate_matches_an_exact_oracle(reference_design, design, c
     # is 8.0e9, so forming T^T BRL(P) T in double precision is meaningless
     # there; the closed form and the exact check agree
     if design == "ill-conditioned":
-        plant = _random_plant(36, 2, 2)
+        plant = random_plant(36, 2, 2, 0)
         g, result = min_attenuation(plant, 0.01, 10.0, tol_g=5e-3)
         ctrl = result.controller
         assert max(result.coupling_condition_numbers) > 1e9
@@ -782,7 +773,7 @@ def test_design_certifies_at_four_significant_digits(case):
     if case == "single mode at 2.0":
         plant, g = _single_mode_plant(), 2.0
     else:
-        plant, g = _random_plant(0, int(case.split("x")[0]), 3), 5.0
+        plant, g = random_plant(0, int(case.split("x")[0]), 3, 0), 5.0
     result = synthesize(plant, g)
     ctrl = result.controller
     rounded = Controller(tuple(replace(m, a=_significant(m.a, 4), b=_significant(m.b, 4),
