@@ -18,6 +18,9 @@ as the median of ``GRID_RUNS`` (5) runs, with the least and the greatest
 first run takes more than ``ONE_RUN_ABOVE`` (1 s) runs once.  A grid
 point's ``materialise_s`` is the median of ``GRID_RUNS`` calls of
 ``lmi._materialise`` on its synthesis problem, the layout built once.
+One more, untimed, run of each grid synthesis and of the reference search
+counts the barrier engine's work: ``slack_factorisations`` (calls of
+``lmi._slacks``) and ``newton_systems`` (calls of ``lmi._newton_sums``).
 Each certification times both checks:
 ``verify_closed_loop``, which certifies from the coupled Lyapunov storage,
 from Kleinman steps on the coupled Riccati equations or else by the coupled
@@ -46,7 +49,8 @@ step beside the solve's ``LmiSolution.record()`` (status, Newton steps in all
 and per phase, verified margin, final shift t, objective gap, notes), for
 each grid point and the reference search the largest condition number of
 Y_i^-1 - X_i that the controller rebuild inverted
-(``max_coupling_condition``, None without a controller), whether
+(``max_coupling_condition``, None without a controller) and the engine's
+slack factorisations and Newton systems, whether
 the coupled certification passed and by which route, the storage
 certificate's verdict, least margin and seconds, each simulation path's
 median seconds, run count and jump count, the propagation's peak traced
@@ -133,6 +137,30 @@ def materialise_seconds(problem):
         lmi._materialise(problem, layout)
         seconds.append(time.perf_counter() - t0)
     return statistics.median(seconds)
+
+
+def engine_work(solve):
+    """Slack factorisations and Newton systems that one untimed ``solve()``
+    forms: its calls of ``lmi._slacks`` and ``lmi._newton_sums``."""
+    from qhinf import lmi
+
+    counts = {"_slacks": 0, "_newton_sums": 0}
+    originals = {name: getattr(lmi, name) for name in counts}
+
+    def counting(name):
+        def call(*args):
+            counts[name] += 1
+            return originals[name](*args)
+        return call
+
+    try:
+        for name in counts:
+            setattr(lmi, name, counting(name))
+        timed(solve)
+    finally:
+        for name, function in originals.items():
+            setattr(lmi, name, function)
+    return {"slack_factorisations": counts["_slacks"], "newton_systems": counts["_newton_sums"]}
 
 
 def record(seconds, solution, **fields):
@@ -238,7 +266,8 @@ def main(argv=None):
               f"{solution.summary()}; materialise {materialise * 1e3:.2f} ms", flush=True)
         point = record(seconds, solution, n=n, modes=modes, g=LEVEL,
                        max_coupling_condition=max_condition(designed), **spread,
-                       materialise_s=round(materialise, 7))
+                       materialise_s=round(materialise, 7),
+                       **engine_work(lambda: (LEVEL, synthesis.synthesize(plant, LEVEL))))
         point["certification"] = (certify(plant, designed[-1], LEVEL, "  certification")
                                   if designed else None)
         grid.append(point)
@@ -253,7 +282,9 @@ def main(argv=None):
 
     seconds, g_star, solution, spread = repeated(level_search)
     reference = record(seconds, solution, **search, g_star=g_star,
-                       max_coupling_condition=max_condition(designed), **spread)
+                       max_coupling_condition=max_condition(designed), **spread,
+                       **engine_work(lambda: synthesis.min_attenuation(demo.reference_plant(),
+                                                                       **search)))
     print(f"reference min_attenuation: {seconds:.3f} s (median of {spread['runs']}), "
           f"{solution.summary()}, g*={g_star}", flush=True)
 

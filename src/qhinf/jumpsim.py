@@ -364,7 +364,8 @@ def propagate_moments(
     if not isinstance(beta, Disturbance):
         raise ValueError(f"disturbance must be a Disturbance or None, got {type(beta).__name__}")
     direction = beta.direction
-    (osc,), (u,) = _oscillators([beta])
+    m, c_gram, (u,) = _augmented(closed_loop, [beta])
+    m = m[:, 0]
 
     # s = (z, the upper triangle of Z, output energy, input energy, 1), one
     # column per sample, and s' = G s with one generator G per mode
@@ -372,14 +373,8 @@ def propagate_moments(
     rows, cols = np.triu_indices(k)
     kt = rows.size
     modes = closed_loop.modes
-    m = np.zeros((len(modes), k, k))
-    m[:, :n, :n] = np.stack([mode.a for mode in modes])
-    m[:, :n, n] = np.stack([mode.b1 @ direction for mode in modes])
-    m[:, n:, n:] = osc
     noise = np.zeros((len(modes), k, k))
     noise[:, :n, :n] = np.stack([mode.b1 @ mode.b1.T + mode.b2 @ mode.b2.T for mode in modes])
-    c_gram = np.zeros((len(modes), k, k))
-    c_gram[:, :n, :n] = np.stack([mode.c.T @ mode.c for mode in modes])
     gen = np.zeros((len(modes), k + kt + 3, k + kt + 3))
     gen[:, :k, :k] = m
     gen[:, k:k + kt, k:k + kt] = lyapunov_operator(m, rows, cols)
@@ -541,21 +536,33 @@ def _segment_maps(m, q, h, n):
     return phi[inverse], gram[inverse]
 
 
-def _oscillators(disturbances):
-    """Waveform oscillators u' = W u, u(0) = u0, whose u_1 is each probe's waveform.
+def _augmented(closed_loop, disturbances):
+    """The closed loop stacked with each probe's waveform oscillator.
 
-    sin(w t) has W = [[0, w], [-w, 0]] and u0 = (0, 1); a step has W = 0 and
-    u0 = (1, 0).  Returns the stacked W and u0.
+    The state z = (eta, u) joins the closed-loop state eta with an
+    oscillator u' = W u whose u_1 is the probe's waveform, so that
+    eta' = A_i eta + B1_i d u_1 is autonomous: sin(w t) has
+    W = [[0, w], [-w, 0]] and u(0) = (0, 1), a step has W = 0 and
+    u(0) = (1, 0).  Returns the drifts of z, (modes, probes, n + 2, n + 2),
+    the output weights C_i^T C_i of z, (modes, n + 2, n + 2), and the
+    oscillators' u(0), (probes, 2).
     """
+    n = closed_loop.n
+    modes = closed_loop.modes
     is_sin = np.array([d.kind == "sin" for d in disturbances])
     omegas = np.where(is_sin, [d.omega for d in disturbances], 0.0)
-    gens = np.zeros((len(disturbances), 2, 2))
-    gens[:, 0, 1] = omegas
-    gens[:, 1, 0] = -omegas
+    dirs = np.stack([d.direction for d in disturbances])
+    m = np.zeros((len(modes), len(disturbances), n + 2, n + 2))
+    m[..., :n, :n] = np.stack([mode.a for mode in modes])[:, None]
+    m[..., :n, n] = np.stack([dirs @ mode.b1.T for mode in modes])
+    m[..., n, n + 1] = omegas
+    m[..., n + 1, n] = -omegas
+    q = np.zeros((len(modes), n + 2, n + 2))
+    q[:, :n, :n] = np.stack([mode.c.T @ mode.c for mode in modes])
     u0 = np.zeros((len(disturbances), 2))
     u0[:, 0] = ~is_sin
     u0[:, 1] = is_sin
-    return gens, u0
+    return m, q, u0
 
 
 def _mean_ratios(closed_loop, path, disturbances):
@@ -565,20 +572,17 @@ def _mean_ratios(closed_loop, path, disturbances):
     zero mean, so the baseline-subtracted output energy equals the energy of
     the deterministic mean response; the quantum noise floor cancels exactly
     in the subtraction.  The mean eta is stacked with the waveform state u
-    of ``_oscillators``, so that eta' = A_i eta + B1_i d u_1 is autonomous
+    of ``_augmented``, so that eta' = A_i eta + B1_i d u_1 is autonomous
     and every fault segment is integrated exactly by ``_segment_maps``.
     Every probe runs over the whole path, [0, t_end].  The input energies
     depend only on the family and t_end, so a probe with zero input energy
     is refused before any segment is integrated.
     """
     n = closed_loop.n
-    n_x = n + 2
     t_end = path.t_end
     dirs = np.stack([d.direction for d in disturbances])
-    gens, u0 = _oscillators(disturbances)
-    omegas = gens[:, 0, 1]
     is_sin = np.array([d.kind == "sin" for d in disturbances])
-    safe = np.where(is_sin, omegas, 1.0)
+    safe = np.where(is_sin, [d.omega for d in disturbances], 1.0)
     wave_energy = np.where(
         is_sin, t_end / 2.0 - np.sin(2.0 * safe * t_end) / (4.0 * safe), t_end
     )
@@ -586,18 +590,12 @@ def _mean_ratios(closed_loop, path, disturbances):
     if np.any(ew <= 1e-12):
         raise ValueError("disturbance family contains a probe with zero input energy")
     # the drifts and output weights of every mode, then of every segment
-    modes = closed_loop.modes
-    m = np.zeros((len(modes), len(disturbances), n_x, n_x))
-    m[..., :n, :n] = np.stack([mode.a for mode in modes])[:, None]
-    m[..., :n, n] = np.stack([dirs @ mode.b1.T for mode in modes])
-    m[..., n:, n:] = gens
-    q = np.zeros((len(modes), n_x, n_x))
-    q[:, :n, :n] = np.stack([mode.c.T @ mode.c for mode in modes])
+    m, q, u0 = _augmented(closed_loop, disturbances)
     segments = list(path.segments())
     visits = [mode_idx for _, _, mode_idx in segments]
     phi, gram = _segment_maps(m[visits], q[visits],
                               np.array([t1 - t0 for t0, t1, _ in segments]), n)
-    xi = np.zeros((len(disturbances), n_x))
+    xi = np.zeros((len(disturbances), n + 2))
     xi[:, n:] = u0
     ez = np.zeros(len(disturbances))
     for phi_j, gram_j in zip(phi, gram):

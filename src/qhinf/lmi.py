@@ -83,13 +83,16 @@ Design notes:
   the centring residual |e_t + mu g| in the H^-1 norm, which puts x0 as
   near the central path as any weight can (Boyd & Vandenberghe, Convex
   Optimization, 2004, 11.3.1).  The one solve that gives mu0 also gives the
-  first Newton step.  From mu0 the weight falls by _MU_FACTOR per round of
-  at most _ROUND_STEPS steps.  A unit first weight left the first round
-  uncentred after its 15 steps (Newton decrement 24 in certification, 72
-  in synthesis).  Over 147 solves on seeded random plants (fixed-level and
-  minimal-level synthesis, and the certification of each design) mu0 lay
-  in 0.018-0.82 but for two certifications of 2-state designs, at 4.5 and
-  58; a weight above 1 is lowered to 1, which took no more steps there.
+  first Newton step, which ``_starting_weight`` leaves, beside the
+  weight-free sums at x0, for the first round (``_Held``, below).  The
+  starting slacks are factored once, for both.  From mu0 the weight falls
+  by _MU_FACTOR per round of at most _ROUND_STEPS steps.  A unit first
+  weight left the first round uncentred after its 15 steps (Newton
+  decrement 24 in certification, 72 in synthesis).  Over 147 solves on
+  seeded random plants (fixed-level and minimal-level synthesis, and the
+  certification of each design) mu0 lay in 0.018-0.82 but for two
+  certifications of 2-state designs, at 4.5 and 58; a weight above 1 is
+  lowered to 1, which took no more steps there.
   The reference synthesis at 0.037 takes 66 Newton steps against 77 from
   a unit weight.  Newton steps are deterministic and damped, so identical
   problems produce identical iterate sequences.
@@ -114,12 +117,19 @@ Design notes:
   search, 72 on a 4-state, 3-mode design, and 8 on a scalar plant) is
   left to the step cap: cutting it too turned three feasible fixed-level
   solves of the scalar plant infeasible-at-tolerance.
-* A round hands the next round of its phase (``_Held``) the slack factors
-  of the iterate it returns and, when it solved a Newton system there
-  without stepping (rounding floor, failed line search), that system's
-  weight-free sums, which the next round scales by its own weight.  The
-  reference level search forms 84 Newton systems in place of 87 and 124
-  slack factors in place of 131, every iterate to the same bits.  Saving
+* State enters a round only through a ``_Held`` at its starting iterate:
+  the slack factors there, the weight-free sums of a Newton system formed
+  there, which the round scales by its own weight, and a first step
+  already solved.  The solve factors its starting point once and
+  ``_starting_weight`` adds the sums and the first step; a round leaves
+  the next round of its phase the factors of the iterate it returns and,
+  when it solved a Newton system there without stepping (rounding floor,
+  failed line search), that system's sums; the objective phase starts
+  from the factors that certified the hand-off at t = -EPS_STRICT.  So no
+  round factors its start, and every start has factored already.  The
+  reference level search forms 84 Newton systems and 122 slack
+  factorisations, the reference synthesis at g = 0.05 53 and 125, each
+  iterate to the bits that forming both afresh gives.  Saving
   steps is another matter: a tangent predictor before each weight cut
   saved 21 of its 84 steps but moved the levels the searches return and
   cost one design its augmentation (ROADMAP item 9).
@@ -609,12 +619,6 @@ def _weighted(sums, mu):
     return grad, mu * grams
 
 
-def _newton_system(oriented: _Oriented, factors, mu):
-    """Gradient and Hessian of t - mu sum_j logdet S_j over x = (v, t): with
-    G_q = R^-T C_q R^-1, mu tr(G_q) (plus 1 on t) and mu <G_q, G_r>."""
-    return _weighted(_newton_sums(oriented, factors), mu)
-
-
 def _stacked_margin(oriented: _Oriented, x):
     """min_k -lambda_max(M_k(v)) at x = (v, t), from the stacked slacks at
     t = 0 with one batched eigensolve per group."""
@@ -667,8 +671,10 @@ def _newton_solve(hess, rhs):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _newton_solve names a non-finite system
-def _starting_weight(oriented, x):
-    """The barrier weight mu0 that puts x nearest the central path, and
+def _starting_weight(oriented, held):
+    """The barrier weight mu0 that puts the starting point x nearest the
+    central path, from the slack factors ``held`` holds there.  Leaves in
+    ``held`` the weight-free Newton sums at x and the first round's
     (gradient, Newton step) of t - mu0 sum_k logdet S_k at x.
 
     With g and H the gradient and Hessian of -sum_k logdet S_k at x, the
@@ -681,7 +687,8 @@ def _starting_weight(oriented, x):
     weight: above 1 it is rare and gained nothing (module docstring), and
     a weight <= 0 (e_t' H^-1 g >= 0) or NaN has no centre to aim at.
     """
-    grad, hess = _newton_system(oriented, _slacks(oriented, x), 1.0)
+    held.sums = _newton_sums(oriented, held.factors)
+    grad, hess = _weighted(held.sums, 1.0)
     grad[-1] -= 1.0  # g: the barrier's own gradient
     unit = np.zeros_like(grad)
     unit[-1] = 1.0
@@ -691,39 +698,43 @@ def _starting_weight(oriented, x):
         mu = 1.0
     grad *= mu
     grad[-1] += 1.0
-    return mu, (grad, -(toward_t / mu + toward_g))
+    held.newton = (grad, -(toward_t / mu + toward_g))
+    return mu
 
 
 class _Held:
-    """What a barrier round leaves the next round of its phase at the iterate
-    it returns: the slack factors there (None when it has none) and, when it
-    solved a Newton system there without stepping on it (at its rounding
-    floor, or when its line search failed), that system's weight-free sums
-    (``_newton_sums``).  The next round, at a lower weight, starts from the
-    same iterate, where it would compute both again to the same bits."""
+    """What a barrier round starts from at its iterate x: the slack factors
+    at x, the weight-free Newton sums at x (``_newton_sums``) when they have
+    been formed there, and the round's first (gradient, Newton step) when it
+    has been solved already.  ``solve_feasibility`` builds one from the
+    factors of the starting point and one from those of the hand-off to the
+    objective phase; ``_starting_weight`` adds the sums and the first step
+    at the starting point.  A round leaves in it the factors of the iterate
+    it returns and, when it solved a Newton system there without stepping
+    on it (at its rounding floor, or when its line search failed), that
+    system's sums, which the next round of its phase, at a lower weight,
+    scales by its own."""
 
-    __slots__ = ("factors", "sums")
+    __slots__ = ("factors", "sums", "newton")
 
-    def __init__(self):
-        self.factors = self.sums = None
+    def __init__(self, factors):
+        self.factors, self.sums, self.newton = factors, None, None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _newton_solve names a non-finite system
-def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None, held=None):
+def _centre(oriented, x, mu, objective, max_steps, held, stop=None):
     """Damped Newton steps on x[obj] - mu sum_k logdet(t I - M_k(v)), x = (v, t).
 
     With ``objective`` None, obj is t and every coordinate moves; otherwise t
-    stays frozen and obj is the parameter index ``objective``.  ``first``,
-    when given, is the gradient and Newton step at x, already solved.
-    ``stop``, when given, is tested on every accepted iterate, and the steps
-    end at the first one it accepts.  The steps also end at the rounding
-    floor: after a full step (alpha = 1) from a normalised decrement
-    decrement / mu below 1/16, where exact arithmetic shrinks the decrement
-    at least fivefold (module docstring), a decrement at the new point that
-    is not below half of the previous one ends the round there, before
-    another step.  ``held``, when given, is a ``_Held`` at x: the round
-    starts from what it holds and leaves in it what it holds at the iterate
-    it returns.  Returns (x, steps, note, stopped), with a note when no
+    stays frozen and obj is the parameter index ``objective``.  The round
+    starts from ``held``, a ``_Held`` at x, and leaves in it what it holds
+    at the iterate it returns.  ``stop``, when given, is tested on every
+    accepted iterate, and the steps end at the first one it accepts.  The
+    steps also end at the rounding floor: after a full step (alpha = 1)
+    from a normalised decrement decrement / mu below 1/16, where exact
+    arithmetic shrinks the decrement at least fivefold (module docstring),
+    a decrement at the new point that is not below half of the previous
+    one ends the round there, before another step.  Returns (x, steps, note, stopped), with a note when no
     step could be taken and ``stopped`` when ``stop`` ended the steps.
     Raises ``ValueError`` when the Newton system overflows.
     """
@@ -731,20 +742,12 @@ def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None, held=N
     steps, note, stopped = 0, None, False
     # the slack factors at x with its barrier value f0, and the Newton sums at
     # x; the factors are carried over on acceptance, the sums are not
-    factors, sums = (None, None) if held is None else (held.factors, held.sums)
-    if factors is not None:
-        f0 = _barrier_value(factors, x[obj], mu)
+    factors, sums = held.factors, held.sums
+    f0 = _barrier_value(factors, x[obj], mu)
     floor = None  # the decrement before a full step taken inside the quadratic region
     while steps < max_steps and x[-1] >= _T_FLOOR:
-        if factors is None:
-            factors = _slacks(oriented, x)
-            if factors is None:
-                # should not happen from a feasible iterate; bail out
-                note = "interior iterate lost positive definiteness"
-                break
-            f0 = _barrier_value(factors, x[obj], mu)
-        if first is not None:
-            (grad, step), first = first, None
+        if held.newton is not None:
+            (grad, step), held.newton = held.newton, None
         else:
             if sums is None:
                 sums = _newton_sums(oriented, factors)
@@ -777,8 +780,7 @@ def _centre(oriented, x, mu, objective, max_steps, first=None, stop=None, held=N
             break
         if decrement <= _DECREMENT_TOL * (1.0 + abs(x[obj])):
             break
-    if held is not None:
-        held.factors, held.sums = factors, sums
+    held.factors, held.sums = factors, sums
     return x, steps, note, stopped
 
 
@@ -830,7 +832,10 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
     verified point whose value it does not accept is ``undecided``, noted
     "objective gap bound ... not within tolerance".  Raises
     ``ValueError`` unless every constraint's constant and coefficients are
-    finite (the message names the first constraint that is not).
+    finite (the message names the first constraint that is not), and when
+    a slack does not factor at the starting point: a constant whose
+    largest eigenvalue is about 2^53 or more, where one more rounds back
+    onto it.
     """
     eps_strict, max_iter = EPS_STRICT, MAX_ITER
     problem.validate()
@@ -842,31 +847,35 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
     x = np.zeros(layout.total + 1)  # parameters, then the shift t
     x[-1] = max(float(np.linalg.eigvalsh(grp.const)[:, -1].max()) for grp in oriented.groups) + 1.0
 
-    mu, first = _starting_weight(oriented, x)  # first: the first step's gradient and step
-    held = _Held()  # what each round leaves the next at its iterate
+    factors = _slacks(oriented, x)
+    if factors is None:
+        raise ValueError(f"the starting point is not interior: at t = {x[-1]:.3e}, one above "
+                         "every constant's largest eigenvalue, a slack does not factor")
+    held = _Held(factors)  # what each round leaves the next at its iterate
+    mu = _starting_weight(oriented, held)
     iterations = 0
     notes = []
     stall_rounds = 0
     noted = False  # a round of the current stall run ended on a _centre note
     margin_prev = -np.inf
-    minimise = False  # the shift phase has handed over to the objective phase
+    handed = None  # the slack factors at t = -eps_strict where the objective phase starts
 
     def certified(x):
-        """Every slack factors at t = -eps_strict: the stacked margin exceeds it."""
-        return _slacks(oriented, np.append(x[:-1], -eps_strict)) is not None
+        """The slack factors at t = -eps_strict, None unless every slack
+        factors there (the stacked margin exceeds eps_strict)."""
+        return _slacks(oriented, np.append(x[:-1], -eps_strict))
 
     def stop(x):
         """Certified, and accepted by ``ready`` when one is given."""
-        return certified(x) and (ready is None or ready(layout.unpack(x[:-1])))
+        return certified(x) is not None and (ready is None or ready(layout.unpack(x[:-1])))
 
     if problem.objective is not None:
         stop = None  # the hand-off to the objective phase waits for a round end
 
     while iterations < max_iter:
         x, steps, note, stopped = _centre(
-            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), first, stop, held
+            oriented, x, mu, None, min(_ROUND_STEPS, max_iter - iterations), held, stop
         )
-        first = None
         iterations += steps
         if note:
             notes.append(note)
@@ -874,9 +883,10 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
             break
         t = x[-1]
         margin_now = _stacked_margin(oriented, x)
-        if problem.objective is not None and margin_now > eps_strict and certified(x):
-            minimise = True
-            break
+        if problem.objective is not None and margin_now > eps_strict:
+            handed = certified(x)
+            if handed is not None:
+                break
         if t < _T_FLOOR:
             notes.append("shift unbounded below; any interior point certifies feasibility")
             break
@@ -895,16 +905,16 @@ def solve_feasibility(problem: LmiProblem, *, ready=None) -> LmiSolution:
     gap = None if problem.objective is None else np.inf
     accepted = problem.objective is None  # within accepts the returned objective value
     shift_iterations = iterations
-    if minimise:
+    if handed is not None:
         name, within = problem.objective
         obj = layout.offsets[name]
         dim_total = sum(grp.const.shape[0] * grp.dim for grp in oriented.groups)
         x[-1] = -eps_strict
         rounds, sharpened = [x], False
-        held = _Held()  # nothing is held at the new shift
+        held = _Held(handed)  # the factors at the new shift
         while iterations < max_iter:
             x, steps, note, _ = _centre(
-                oriented, x, mu, obj, min(_ROUND_STEPS, max_iter - iterations), None, None, held
+                oriented, x, mu, obj, min(_ROUND_STEPS, max_iter - iterations), held
             )
             iterations += steps
             if note:

@@ -293,6 +293,11 @@ class ClosedLoopMode:
     def __post_init__(self):
         for name in ("a", "b1", "b2", "c"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
+        n = self.a.shape[0]
+        _check_shape("closed-loop mode A", self.a, (n, n))
+        _check_shape("closed-loop mode B1", self.b1, (n, self.b1.shape[-1]))
+        _check_shape("closed-loop mode B2", self.b2, (n, self.b2.shape[-1]))
+        _check_shape("closed-loop mode C", self.c, (self.c.shape[0], n))
 
 
 @dataclass(frozen=True)
@@ -306,6 +311,10 @@ class ClosedLoop:
         object.__setattr__(self, "modes", tuple(self.modes))
         if len(self.modes) != self.rates.n_modes:
             raise ValueError("closed-loop mode count disagrees with the rate matrix")
+        for k, m in enumerate(self.modes[1:], start=2):
+            for name in ("a", "b1", "b2", "c"):
+                _check_shape(f"closed-loop mode {k} {name.upper()}", getattr(m, name),
+                             getattr(self.modes[0], name).shape)
 
     @property
     def n(self) -> int:

@@ -478,7 +478,7 @@ def test_reference_design_certifies_at_its_level_at_the_first_certified_iterate(
 def test_reference_design_certifies_at_its_level_from_a_unit_start(monkeypatch):
     # with a unit starting weight, design and certification follow the fixed
     # schedule's Newton path; the equilibrated Newton solve must not move it
-    monkeypatch.setattr(lmi, "_starting_weight", lambda oriented, x: (1.0, None))
+    monkeypatch.setattr(lmi, "_starting_weight", lambda oriented, held: 1.0)
     plant = demo.reference_plant()
     g_star, result = synthesis.min_attenuation(plant, 0.01, 1.0, tol_g=5e-3)
     assert g_star == pytest.approx(0.03945961343404557, rel=1e-12)

@@ -638,6 +638,21 @@ def test_plant_with_overflowing_newton_system_is_input_error(demo_docs, capsys, 
     assert not out.exists()
 
 
+def test_plant_whose_start_is_not_interior_is_input_error(docs, capsys):
+    # C1 scaled by 1e10 gives C1^T C1 eigenvalues near 1e17, above 2^53: the
+    # barrier's starting shift, one above them, rounds back onto them
+    doc = json.loads(docs["plant"].read_text())
+    doc["plant"]["C1"] = [[1e10 * v for v in row] for row in doc["plant"]["C1"]]
+    plant = docs["root"] / "large_c1" / "plant.json"
+    plant.parent.mkdir(exist_ok=True)
+    plant.write_text(json.dumps(doc))
+    out = docs["root"] / "large_c1" / "ctrl.json"
+    rc = main(["synth", "--plant", str(plant), "--g", "0.05", "--out", str(out)])
+    assert rc == 3
+    assert "the starting point is not interior" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_records_the_arguments_main_parsed(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["prog", "--grid", "2x3"])
     argv = ["demo-paper", "--quick", "--tol-g", "0.2", "--out-dir", str(tmp_path)]

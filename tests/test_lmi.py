@@ -419,11 +419,9 @@ def _reference_search():
     return synthesis.min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
 
 
-def test_reference_search_forms_each_newton_system_and_factor_once(monkeypatch):
-    # a round that ends on its rounding floor has solved a Newton system at
-    # its last iterate without stepping; the next round starts there at a
-    # lower weight and takes that system's weight-free sums, and every round
-    # takes the slack factors of the last one's iterate
+def _count_engine_work(monkeypatch):
+    """Count the calls of ``lmi._newton_sums`` (Newton systems) and
+    ``lmi._slacks`` (slack factorisations) into the returned dict."""
     counts = {"sums": 0, "slacks": 0}
     sums, slacks = lmi._newton_sums, lmi._slacks
 
@@ -437,11 +435,29 @@ def test_reference_search_forms_each_newton_system_and_factor_once(monkeypatch):
 
     monkeypatch.setattr(lmi, "_newton_sums", counting_sums)
     monkeypatch.setattr(lmi, "_slacks", counting_slacks)
+    return counts
+
+
+def test_reference_search_forms_each_newton_system_and_factor_once(monkeypatch):
+    # a round that ends on its rounding floor has solved a Newton system at
+    # its last iterate without stepping; the next round starts there at a
+    # lower weight and takes that system's weight-free sums, and every round
+    # takes the slack factors of the last one's iterate: the first round
+    # those of the starting point, the first objective round those of the
+    # certification test at t = -EPS_STRICT
+    counts = _count_engine_work(monkeypatch)
     g_star, result = _reference_search()
-    steps = result.solution.iterations
-    assert (g_star.hex(), steps) == ("0x1.43676edf65bbep-5", 84)
-    assert steps <= counts["sums"] < 87  # 87 Newton systems before the hand-off
-    assert counts["slacks"] < 131
+    assert (g_star.hex(), result.solution.iterations) == ("0x1.43676edf65bbep-5", 84)
+    assert (counts["slacks"], counts["sums"]) == (122, 84)
+
+
+def test_reference_synthesis_forms_each_newton_system_and_factor_once(monkeypatch):
+    # the starting point's slacks are factored once, for the starting weight
+    # and the first round alike
+    counts = _count_engine_work(monkeypatch)
+    solution = synthesis.synthesize(demo.reference_plant(), 0.05).solution
+    assert (solution.status, solution.iterations) == ("feasible", 53)
+    assert (counts["slacks"], counts["sums"]) == (125, 53)
 
 
 def test_synthesis_takes_each_rebuild_inversion_once(monkeypatch):
@@ -625,7 +641,7 @@ def test_newton_system_matches_einsum_reference(kind, monkeypatch):
     for room, mu in ((0.5, 1.0), (1e-4, 1e-3)):  # well inside, and near the boundary
         x = np.append(vec, top + room)  # every slack >= room * I
         factors = lmi._slacks(oriented, x)
-        grad, hess = lmi._newton_system(oriented, factors, mu)
+        grad, hess = lmi._weighted(lmi._newton_sums(oriented, factors), mu)
         ref_grad, ref_hess = _einsum_newton_system(problem, layout, oriented, factors, mu)
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
         assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
@@ -648,8 +664,10 @@ def test_starting_weight_centres_the_starting_point(kind):
     oriented = lmi._materialise(problem, layout)
     zero = np.zeros(layout.total)
     x0 = np.append(zero, max(_oriented_tops(problem, layout, zero)) + 1.0)
-    mu0, (grad, step) = lmi._starting_weight(oriented, x0)
-    g, h = _einsum_newton_system(problem, layout, oriented, lmi._slacks(oriented, x0), 1.0)
+    held = lmi._Held(lmi._slacks(oriented, x0))
+    mu0 = lmi._starting_weight(oriented, held)
+    grad, step = held.newton
+    g, h = _einsum_newton_system(problem, layout, oriented, held.factors, 1.0)
     g[-1] -= 1.0
     e_t = np.eye(len(g))[-1]
 
@@ -820,7 +838,8 @@ def _round_from_the_start(problem, mu, monkeypatch, fraction):
 
     with monkeypatch.context() as patch:
         patch.setattr(lmi, "_newton_solve", partial)
-        _, steps, note, stopped = lmi._centre(oriented, x0, mu, None, lmi._ROUND_STEPS)
+        _, steps, note, stopped = lmi._centre(oriented, x0, mu, None, lmi._ROUND_STEPS,
+                                              lmi._Held(lmi._slacks(oriented, x0)))
     assert note is None and not stopped
     return steps, normalised
 
@@ -883,8 +902,9 @@ def test_starting_weight_above_one_starts_at_the_unit_weight():
     h = np.array([[122.0, 120.0], [120.0, 122.0]]) / 121.0
     toward_g = np.linalg.solve(h, g)
     assert -toward_g[-1] / (g @ toward_g) == pytest.approx(3.0, rel=1e-12)
-    mu0, (grad, step) = lmi._starting_weight(oriented, np.array([0.0, 1.0]))
-    assert mu0 == 1.0
+    held = lmi._Held(lmi._slacks(oriented, np.array([0.0, 1.0])))
+    assert lmi._starting_weight(oriented, held) == 1.0
+    grad, step = held.newton
     # the first step is the Newton step of t - sum_k logdet S_k at x0
     assert np.max(np.abs(grad - (g + [0.0, 1.0]))) <= 1e-15
     assert np.max(np.abs(h @ step + grad)) <= 1e-10
@@ -919,19 +939,17 @@ def test_failed_cholesky_solves_give_the_same_verdict(monkeypatch):
     assert solution.margin == pytest.approx(expected.margin, rel=1e-6)
 
 
-def _break_line_search(monkeypatch, objective_phase, keep_start):
+def _break_line_search(monkeypatch, objective_phase):
     """Make every barrier round of one phase (the objective phase, or else
     the shift phase) fail: ``_slacks`` rejects every point the round's line
-    search tries and, unless ``keep_start``, the round's starting iterate
-    too.  The other phase and the verdict's checks see the real slacks."""
+    search tries.  The round starts from the factors it is handed, and the
+    other phase and the verdict's checks see the real slacks."""
     centre, slacks = lmi._centre, lmi._slacks
 
     def breaking(oriented, x, mu, objective, *args):
         if (objective is not None) is not objective_phase:
             return centre(oriented, x, mu, objective, *args)
-        start = x.copy()
-        monkeypatch.setattr(lmi, "_slacks", lambda o, y: (
-            slacks(o, y) if keep_start and np.array_equal(y, start) else None))
+        monkeypatch.setattr(lmi, "_slacks", lambda o, y: None)
         try:
             return centre(oriented, x, mu, objective, *args)
         finally:
@@ -940,53 +958,45 @@ def _break_line_search(monkeypatch, objective_phase, keep_start):
     monkeypatch.setattr(lmi, "_centre", breaking)
 
 
-CENTRING_NOTES = [
-    (True, "step-size collapse; problem may be ill-posed"),
-    (False, "interior iterate lost positive definiteness"),
-]
+COLLAPSE = "step-size collapse; problem may be ill-posed"
 
 
-@pytest.mark.parametrize("keep_start, note", CENTRING_NOTES)
-def test_a_shift_phase_note_reaches_the_record_without_a_certificate(
-        monkeypatch, keep_start, note):
+def test_a_shift_phase_note_reaches_the_record_without_a_certificate(monkeypatch):
     # X = 0, where the solve starts, is not strictly feasible for 0 < X < B,
     # and no round can leave it; two stalled rounds end the solve, which
     # could not decide anything
-    _break_line_search(monkeypatch, False, keep_start)
+    _break_line_search(monkeypatch, False)
     record = lmi.solve_feasibility(_between_zero_and_b_problem(_B)).record()
-    assert record["notes"] == [note, note]
-    assert record["newton_steps"] == (2 if keep_start else 0)
+    assert record["notes"] == [COLLAPSE, COLLAPSE]
+    assert record["newton_steps"] == 2
     assert record["status"] == "undecided"
 
 
 def test_a_synthesis_whose_rounds_cannot_step_is_undecided(monkeypatch):
     # the reference synthesis at 0.05 is feasible; with every shift-phase
     # line search failing it has no verdict, which is never infeasibility
-    _break_line_search(monkeypatch, False, True)
+    _break_line_search(monkeypatch, False)
     with pytest.raises(synthesis.SynthesisError) as info:
         synthesis.synthesize(demo.reference_plant(), 0.05)
     assert not isinstance(info.value, synthesis.LmiInfeasibleError)
-    note = "step-size collapse; problem may be ill-posed"
-    assert str(info.value) == (f"no verdict at g=0.05: {note} "
+    assert str(info.value) == (f"no verdict at g=0.05: {COLLAPSE} "
                                "(undecided, 2 Newton steps, margin -1.000e+00)")
     record = info.value.solution.record()
-    assert (record["status"], record["notes"]) == ("undecided", [note, note])
+    assert (record["status"], record["notes"]) == ("undecided", [COLLAPSE, COLLAPSE])
 
 
-@pytest.mark.parametrize("keep_start, note", CENTRING_NOTES)
-def test_an_objective_phase_note_leaves_the_level_search_undecided(
-        monkeypatch, keep_start, note):
+def test_an_objective_phase_note_leaves_the_level_search_undecided(monkeypatch):
     # the objective phase stops at its first note and keeps the verified
     # point the shift phase handed over, with no bound on the objective gap;
     # the level search cannot place its level and raises, but never calls
     # the level infeasible
-    _break_line_search(monkeypatch, True, keep_start)
+    _break_line_search(monkeypatch, True)
     with pytest.raises(synthesis.SynthesisError, match="not within tolerance") as info:
         synthesis.min_attenuation(demo.reference_plant(), 0.01, 1.0, tol_g=5e-3)
     assert not isinstance(info.value, synthesis.LmiInfeasibleError)
     record = info.value.solution.record()
-    assert record["notes"] == [note, "objective gap bound inf not within tolerance"]
-    assert record["objective_steps"] == (1 if keep_start else 0)
+    assert record["notes"] == [COLLAPSE, "objective gap bound inf not within tolerance"]
+    assert record["objective_steps"] == 1
     assert record["gap"] is None
 
 
@@ -1032,6 +1042,10 @@ def _mismatched_term():
                  "constraint 0: term on 'X' has inconsistent shapes", id="inconsistent term"),
     pytest.param(lambda: lmi.solve_feasibility(_problem_with()), "problem has no constraints",
                  id="no constraints"),
+    # t = 1e20 + 1 rounds to 1e20, where the slack diag(0, 1e20) does not factor
+    pytest.param(lambda: lmi.solve_feasibility(_problem_with(constraints=(
+        (lambda: lmi.AffineMatrixExpr(2, np.diag([1e20, 0.0])).add_term("X"), "neg"),))),
+                 "the starting point is not interior", id="start not interior"),
 ])
 def test_problem_input_checks_name_the_defect(build, message):
     with pytest.raises((ValueError, KeyError), match=message):

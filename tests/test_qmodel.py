@@ -5,6 +5,7 @@ from qhinf import serialize
 from qhinf.qmodel import (
     J2,
     ClosedLoop,
+    ClosedLoopMode,
     Controller,
     ControllerMode,
     JumpPlant,
@@ -249,6 +250,11 @@ def _mode(n_k=2, n_y=2, n_u=2, n_nu=0, **changes):
     return ControllerMode(**{**blocks, **changes})
 
 
+def _loop_mode(n):
+    """A closed-loop mode of n states with one disturbance, no noise input and one output."""
+    return ClosedLoopMode(-np.eye(n), np.ones((n, 1)), np.ones((n, 0)), np.ones((1, n)))
+
+
 def _controller(*modes):
     return Controller(modes, make_commutation_matrix(2))
 
@@ -273,6 +279,13 @@ def _controller(*modes):
                  id="odd noise dimension"),
     pytest.param(lambda: ClosedLoop((), TransitionRateMatrix(np.zeros((1, 1)))),
                  "closed-loop mode count disagrees with the rate matrix", id="loop mode count"),
+    pytest.param(lambda: ClosedLoopMode(-np.eye(2), np.ones((3, 1)), np.ones((2, 0)),
+                                        np.ones((1, 2))),
+                 r"closed-loop mode B1 has shape \(3, 1\), expected \(2, 1\)", id="loop mode B1"),
+    pytest.param(lambda: ClosedLoop((_loop_mode(2), _loop_mode(3)),
+                                    TransitionRateMatrix(np.zeros((2, 2)))),
+                 r"closed-loop mode 2 A has shape \(3, 3\), expected \(2, 2\)",
+                 id="loop mode states"),
     pytest.param(lambda: assemble_closed_loop(_plant(), _controller(_mode(n_y=4), _mode(n_y=4))),
                  "controller input dimension must match plant output y", id="controller input"),
     pytest.param(lambda: assemble_closed_loop(_plant(), _controller(_mode(n_u=4), _mode(n_u=4))),

@@ -84,6 +84,11 @@ def test_bench_script_writes_json(tmp_path):
         assert solve["runs"] == 5
         assert 0 < solve["seconds_min"] <= solve["seconds"] <= solve["seconds_max"]
     assert point["materialise_s"] > 0
+    # the engine's work per solve, from one untimed counted run: the
+    # reference search factors 122 slacks and forms 84 Newton systems
+    assert (reference["slack_factorisations"], reference["newton_systems"]) == (122, 84)
+    assert point["newton_systems"] >= point["newton_steps"]
+    assert point["slack_factorisations"] > point["newton_steps"]
     assert grid_certification["step_ms"] is None  # no Newton step to divide by
     simulation = doc["simulation"]
     assert {"propagate_moments", "mean_probe"} == set(simulation)

@@ -496,7 +496,7 @@ def test_undecided_level_search_names_its_bracket(monkeypatch):
 def _unit_start(monkeypatch):
     # mu0 = 1: the fixed schedule's Newton path, which the equilibrated Newton
     # solve and the pre-solved first step must leave unchanged
-    monkeypatch.setattr(lmi, "_starting_weight", lambda oriented, x: (1.0, None))
+    monkeypatch.setattr(lmi, "_starting_weight", lambda oriented, held: 1.0)
 
 
 @pytest.mark.parametrize(("tol_g", "g_star", "steps", "start"), [
